@@ -113,11 +113,11 @@ TokenL1::allocLine(Addr addr)
     if (line != nullptr)
         return line;
     Line *victim = _array.victimWhere(addr, [this](const Line &l) {
-        return _txns.count(l.tag) == 0;
+        return _txns.count(_array.tagOf(l)) == 0;
     });
     if (victim == nullptr)
         panic("all ways pinned at %s", _id.toString().c_str());
-    if (victim->valid)
+    if (_array.isValid(*victim))
         evictLine(victim);
     _array.install(victim, addr);
     return victim;
@@ -126,7 +126,7 @@ TokenL1::allocLine(Addr addr)
 void
 TokenL1::evictLine(Line *line)
 {
-    const Addr addr = line->tag;
+    const Addr addr = _array.tagOf(*line);
     TokenSt &st = line->st;
     if (st.tokens > 0 || st.owner) {
         Msg m;

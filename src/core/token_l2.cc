@@ -29,7 +29,7 @@ TokenL2::allocLine(Addr addr)
     if (line != nullptr)
         return line;
     Line *victim = _array.victim(addr);
-    if (victim->valid)
+    if (_array.isValid(*victim))
         evictLine(victim);
     _array.install(victim, addr);
     return victim;
@@ -38,7 +38,7 @@ TokenL2::allocLine(Addr addr)
 void
 TokenL2::evictLine(Line *line)
 {
-    const Addr addr = line->tag;
+    const Addr addr = _array.tagOf(*line);
     TokenSt &st = line->st;
     if (st.tokens > 0 || st.owner) {
         Msg m;

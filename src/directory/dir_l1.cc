@@ -119,11 +119,12 @@ DirL1::allocLine(Addr addr)
     if (line != nullptr)
         return line;
     Line *victim = _array.victimWhere(addr, [this](const Line &l) {
-        return _txns.count(l.tag) == 0 && _wb.count(l.tag) == 0;
+        const Addr tag = _array.tagOf(l);
+        return _txns.count(tag) == 0 && _wb.count(tag) == 0;
     });
     if (victim == nullptr)
         panic("all L1 ways pinned at %s", _id.toString().c_str());
-    if (victim->valid)
+    if (_array.isValid(*victim))
         evictLine(victim);
     _array.install(victim, addr);
     return victim;
@@ -132,7 +133,7 @@ DirL1::allocLine(Addr addr)
 void
 DirL1::evictLine(Line *line)
 {
-    const Addr addr = line->tag;
+    const Addr addr = _array.tagOf(*line);
     const DirL1St &st = line->st;
     if (st.state == L1State::M || st.state == L1State::E) {
         // Three-phase writeback: ask permission, keep answering

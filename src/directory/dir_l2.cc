@@ -100,26 +100,26 @@ DirL2::allocLine(Addr addr)
     if (line != nullptr)
         return line;
 
-    Line *victim = _array.victimWhere(addr, [this](const Line &l) {
-        return !busyAny(l.tag) && !_ext.count(l.tag) &&
-               l.st.sharers == 0 && l.st.ownerSlot < 0;
+    auto idle = [this](const Line &l) {
+        return !busyForLocal(_array.tagOf(l));
+    };
+    Line *victim = _array.victimWhere(addr, [&](const Line &l) {
+        return idle(l) && l.st.sharers == 0 && l.st.ownerSlot < 0;
     });
     if (victim == nullptr) {
         // Fall back to a sharers-only line: drop it with
         // fire-and-forget local invalidations; the home tolerates the
         // stale presence bit (a later Inv is acked from state I).
-        victim = _array.victimWhere(addr, [this](const Line &l) {
-            return !busyAny(l.tag) && !_ext.count(l.tag) &&
-                   l.st.ownerSlot < 0 &&
+        victim = _array.victimWhere(addr, [&](const Line &l) {
+            return idle(l) && l.st.ownerSlot < 0 &&
                    (l.st.chip == ChipState::S ||
                     l.st.chip == ChipState::I);
         });
         if (victim == nullptr) {
             // Every way is pinned by an L1 owner: recall one
             // (inclusion-victim recall) through a side buffer.
-            victim = _array.victimWhere(addr, [this](const Line &l) {
-                return !busyAny(l.tag) && !_ext.count(l.tag) &&
-                       l.st.ownerSlot >= 0;
+            victim = _array.victimWhere(addr, [&](const Line &l) {
+                return idle(l) && l.st.ownerSlot >= 0;
             });
             if (victim == nullptr)
                 panic("no evictable L2 way at %s",
@@ -128,10 +128,10 @@ DirL2::allocLine(Addr addr)
             _array.install(victim, addr);
             return victim;
         }
-        if (victim->valid && victim->st.sharers != 0) {
+        if (_array.isValid(*victim) && victim->st.sharers != 0) {
             Msg inv;
             inv.type = MsgType::Inv;
-            inv.addr = victim->tag;
+            inv.addr = _array.tagOf(*victim);
             inv.requestor = _id;
             inv.reqId = 0;  // acks are ignored
             for (unsigned s = 0; s < 2 * ctx.topo.procsPerCmp; ++s) {
@@ -143,7 +143,7 @@ DirL2::allocLine(Addr addr)
             _array.invalidate(victim);
         }
     }
-    if (victim->valid)
+    if (_array.isValid(*victim))
         evictLine(victim);
     _array.install(victim, addr);
     return victim;
@@ -152,7 +152,7 @@ DirL2::allocLine(Addr addr)
 void
 DirL2::startRecall(Line *victim)
 {
-    const Addr addr = victim->tag;
+    const Addr addr = _array.tagOf(*victim);
     const DirL2St st = victim->st;
     _array.invalidate(victim);
 
@@ -175,7 +175,7 @@ DirL2::startRecall(Line *victim)
 void
 DirL2::evictLine(Line *line)
 {
-    const Addr addr = line->tag;
+    const Addr addr = _array.tagOf(*line);
     const DirL2St &st = line->st;
     if (st.chip == ChipState::M || st.chip == ChipState::O) {
         if (!st.l2DataValid)
@@ -320,7 +320,7 @@ DirL2::grantExclusiveLocal(Line *line, const MachineID &l1,
     ++stats.grants;
     Msg r;
     r.type = MsgType::DataEx;
-    r.addr = line->tag;
+    r.addr = _array.tagOf(*line);
     r.dst = l1;
     r.requestor = l1;
     r.hasData = true;

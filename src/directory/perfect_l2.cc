@@ -38,8 +38,8 @@ PerfectL1::cpuRequest(const MemRequest &req)
         ++stats.misses;
         lat += 2 * g.linkLatency + g.l2Latency;
         auto *victim = _array.victim(addr);
-        if (victim->valid)
-            g.holders[victim->tag] &= ~_selfBit;
+        if (_array.isValid(*victim))
+            g.holders[_array.tagOf(*victim)] &= ~_selfBit;
         _array.install(victim, addr);
     }
     g.holders[addr] |= _selfBit;

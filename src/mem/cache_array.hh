@@ -21,18 +21,27 @@
 
 namespace tokencmp {
 
-/** One cache line: tag bookkeeping plus protocol state. */
+/**
+ * One cache line's payload: LRU bookkeeping plus protocol state. The
+ * block tag and validity live in the owning CacheArray's dense tag
+ * array; read them through CacheArray::tagOf() and isValid().
+ */
 template <typename StateT>
 struct CacheLine
 {
-    Addr tag = 0;               //!< block address (block-aligned)
-    bool valid = false;         //!< line holds protocol state for tag
     std::uint64_t lruStamp = 0; //!< monotone use counter for LRU
     StateT st{};                //!< protocol-specific state
 };
 
 /**
  * Set-associative array of CacheLine<StateT> with strict-LRU victims.
+ *
+ * Tags are stored apart from the lines, one 8 B word per way:
+ * `blockAlign(addr) | 1` for a valid way, 0 for an invalid one (block
+ * addresses are 64 B aligned, so bit 0 is free). A lookup scans only
+ * the set's tag words, so the broadcast probes that miss in most L1s
+ * never touch line state; victim selection reads line LRU stamps only
+ * when the set is full.
  */
 template <typename StateT>
 class CacheArray
@@ -53,6 +62,9 @@ class CacheArray
         _numSets = size_bytes / (assoc * blockBytes);
         if ((_numSets & (_numSets - 1)) != 0)
             fatal("CacheArray: set count must be a power of two");
+        // Written eagerly: first-touch page faults belong in set-up,
+        // not in the measured run.
+        _tags.assign(_numSets * _assoc, 0);
         _lines.assign(_numSets * _assoc, Line{});
     }
 
@@ -62,12 +74,14 @@ class CacheArray
     /**
      * Arm incremental speculative capture. While `eq->speculating()`,
      * the first access to any line per capture epoch (`*epoch`, bumped
-     * by the checkpoint hook) pushes a copy-restore inverse onto
-     * `log`, so rollback cost is proportional to the lines *touched*
-     * in the aborted segments — never to the array's geometry. A
-     * full-array snapshot of a 2 MB L2 bank per checkpoint would dwarf
-     * the event work of a window; this journal is what makes
-     * optimistic mode profitable.
+     * by the checkpoint hook) pushes a copy-restore inverse of the
+     * line and its tag word onto `log`, so rollback cost is
+     * proportional to the lines *touched* in the aborted segments —
+     * never to the array's geometry. A full-array snapshot of a 2 MB
+     * L2 bank per checkpoint would dwarf the event work of a window;
+     * this journal is what makes optimistic mode profitable. The
+     * per-line epoch stamps are allocated at the first capture, so a
+     * serial run carries none.
      */
     void
     specBind(EventQueue *eq, SpecLog *log, const std::uint64_t *epoch)
@@ -75,28 +89,47 @@ class CacheArray
         _eq = eq;
         _specLog = log;
         _epoch = epoch;
-        _lineEpoch.assign(_lines.size(), 0);
+    }
+
+    /** Bytes of per-line capture-epoch stamps (0 until a speculative
+     *  segment first touches the array). */
+    std::size_t
+    specBytes() const
+    {
+        return _lineEpoch.size() * sizeof(std::uint64_t);
     }
 
     /** Find the valid line holding `addr`'s block, or nullptr. */
     Line *
     probe(Addr addr)
     {
-        const Addr blk = blockAlign(addr);
-        Line *set = setFor(blk);
-        for (unsigned w = 0; w < _assoc; ++w) {
-            if (set[w].valid && set[w].tag == blk) {
-                maybeCapture(&set[w]);
-                return &set[w];
-            }
-        }
-        return nullptr;
+        const std::size_t i = find(addr);
+        if (i == npos)
+            return nullptr;
+        maybeCapture(i);
+        return &_lines[i];
     }
 
+    /** Pure lookup: never journals, even while speculating. */
     const Line *
     probe(Addr addr) const
     {
-        return const_cast<CacheArray *>(this)->probe(addr);
+        const std::size_t i = find(addr);
+        return i == npos ? nullptr : &_lines[i];
+    }
+
+    /** Block address `line` holds (0 if the line is invalid). */
+    Addr
+    tagOf(const Line &line) const
+    {
+        return _tags[indexOf(line)] & ~Addr(1);
+    }
+
+    /** True if `line` holds protocol state for a block. */
+    bool
+    isValid(const Line &line) const
+    {
+        return _tags[indexOf(line)] != 0;
     }
 
     /**
@@ -107,18 +140,7 @@ class CacheArray
     Line *
     victim(Addr addr)
     {
-        Line *set = setFor(blockAlign(addr));
-        Line *lru = &set[0];
-        for (unsigned w = 0; w < _assoc; ++w) {
-            if (!set[w].valid) {
-                maybeCapture(&set[w]);
-                return &set[w];
-            }
-            if (set[w].lruStamp < lru->lruStamp)
-                lru = &set[w];
-        }
-        maybeCapture(lru);
-        return lru;
+        return victimWhere(addr, [](const Line &) { return true; });
     }
 
     /**
@@ -130,28 +152,32 @@ class CacheArray
     Line *
     victimWhere(Addr addr, Pred ok)
     {
-        Line *set = setFor(blockAlign(addr));
-        Line *best = nullptr;
-        for (unsigned w = 0; w < _assoc; ++w) {
-            if (!set[w].valid) {
-                maybeCapture(&set[w]);
-                return &set[w];
-            }
-            if (ok(set[w]) &&
-                (best == nullptr || set[w].lruStamp < best->lruStamp)) {
-                best = &set[w];
+        const std::size_t base = setBase(blockAlign(addr));
+        for (std::size_t i = base; i < base + _assoc; ++i) {
+            if (_tags[i] == 0) {
+                maybeCapture(i);
+                return &_lines[i];
             }
         }
-        if (best != nullptr)
-            maybeCapture(best);
-        return best;
+        std::size_t best = npos;
+        for (std::size_t i = base; i < base + _assoc; ++i) {
+            const Line &l = _lines[i];
+            if (ok(l) && (best == npos ||
+                          l.lruStamp < _lines[best].lruStamp)) {
+                best = i;
+            }
+        }
+        if (best == npos)
+            return nullptr;
+        maybeCapture(best);
+        return &_lines[best];
     }
 
     /** Mark a line most-recently-used. */
     void
     touch(Line *line)
     {
-        maybeCapture(line);
+        maybeCapture(indexOf(*line));
         line->lruStamp = ++_useCounter;
     }
 
@@ -159,9 +185,9 @@ class CacheArray
     void
     install(Line *line, Addr addr)
     {
-        maybeCapture(line);
-        line->tag = blockAlign(addr);
-        line->valid = true;
+        const std::size_t i = indexOf(*line);
+        maybeCapture(i);
+        _tags[i] = blockAlign(addr) | 1;
         line->st = StateT{};
         touch(line);
     }
@@ -170,8 +196,9 @@ class CacheArray
     void
     invalidate(Line *line)
     {
-        maybeCapture(line);
-        line->valid = false;
+        const std::size_t i = indexOf(*line);
+        maybeCapture(i);
+        _tags[i] = 0;
         line->st = StateT{};
     }
 
@@ -180,9 +207,9 @@ class CacheArray
     void
     forEachValid(Fn fn)
     {
-        for (auto &line : _lines) {
-            if (line.valid)
-                fn(line);
+        for (std::size_t i = 0; i < _lines.size(); ++i) {
+            if (_tags[i] != 0)
+                fn(_lines[i]);
         }
     }
 
@@ -191,32 +218,54 @@ class CacheArray
     numValid() const
     {
         std::size_t n = 0;
-        for (const auto &line : _lines)
-            n += line.valid ? 1 : 0;
+        for (const Addr t : _tags)
+            n += t != 0 ? 1 : 0;
         return n;
     }
 
   private:
-    Line *
-    setFor(Addr blk)
+    static constexpr std::size_t npos = ~std::size_t(0);
+
+    std::size_t
+    setBase(Addr blk) const
     {
         const std::size_t set =
             static_cast<std::size_t>(blockNumber(blk)) & (_numSets - 1);
-        return &_lines[set * _assoc];
+        return set * _assoc;
+    }
+
+    /** Way index of `addr`'s block, or npos. */
+    std::size_t
+    find(Addr addr) const
+    {
+        const Addr blk = blockAlign(addr);
+        const Addr key = blk | 1;
+        const std::size_t base = setBase(blk);
+        for (std::size_t i = base; i < base + _assoc; ++i) {
+            if (_tags[i] == key)
+                return i;
+        }
+        return npos;
+    }
+
+    std::size_t
+    indexOf(const Line &line) const
+    {
+        return static_cast<std::size_t>(&line - _lines.data());
     }
 
     /**
-     * First touch of `line` in the current capture epoch while the
-     * domain's queue speculates: journal a copy of the line (and, once
-     * per epoch, the LRU counter). Every mutation path funnels through
-     * probe/victim/victimWhere/touch/install/invalidate, so the
-     * journal sees each dirtied line before its first write of the
-     * segment. Reads over-capture (a probed-but-unmodified line is
-     * journaled too) — sound, and cheap at one O(1) epoch check per
-     * access.
+     * First touch of line `i` in the current capture epoch while the
+     * domain's queue speculates: journal a copy of the line and its
+     * tag word (and, once per epoch, the LRU counter). Every mutation
+     * path funnels through probe/victim/victimWhere/touch/install/
+     * invalidate, so the journal sees each dirtied line before its
+     * first write of the segment. Mutable-probe reads over-capture (a
+     * probed-but-unmodified line is journaled too) — sound, and cheap
+     * at one O(1) epoch check per access.
      */
     void
-    maybeCapture(Line *line)
+    maybeCapture(std::size_t i)
     {
         if (_specLog == nullptr || !_eq->speculating())
             return;
@@ -225,28 +274,31 @@ class CacheArray
             _specLog->push(
                 [this, v = _useCounter]() { _useCounter = v; });
         }
-        const std::size_t idx =
-            static_cast<std::size_t>(line - _lines.data());
-        if (_lineEpoch[idx] == *_epoch)
+        if (_lineEpoch.empty())
+            _lineEpoch.assign(_lines.size(), 0);
+        if (_lineEpoch[i] == *_epoch)
             return;
-        _lineEpoch[idx] = *_epoch;
-        _specLog->push([this, idx, copy = *line]() {
-            _lines[idx] = copy;
-            // Reset the stamp so a replayed segment re-captures.
-            _lineEpoch[idx] = 0;
-        });
+        _lineEpoch[i] = *_epoch;
+        _specLog->push(
+            [this, i, tag = _tags[i], copy = _lines[i]]() {
+                _tags[i] = tag;
+                _lines[i] = copy;
+                // Reset the stamp so a replayed segment re-captures.
+                _lineEpoch[i] = 0;
+            });
     }
 
     unsigned _assoc;
     std::size_t _numSets;
     std::uint64_t _useCounter = 0;
+    std::vector<Addr> _tags;  //!< per way: blockAlign(addr) | 1, or 0
     std::vector<Line> _lines;
 
     // Incremental speculative capture (see specBind).
     EventQueue *_eq = nullptr;
     SpecLog *_specLog = nullptr;
     const std::uint64_t *_epoch = nullptr;
-    std::vector<std::uint64_t> _lineEpoch;
+    std::vector<std::uint64_t> _lineEpoch;  //!< empty until first capture
     std::uint64_t _ctrEpoch = 0;
 };
 

@@ -1,11 +1,17 @@
 /**
  * @file
  * Unit tests for the cache array (geometry, LRU, pinning-aware victim
- * selection), the backing store, and the sequencer.
+ * selection, lock-step equivalence with the array-of-structs layout,
+ * speculative rollback of tag words), the backing store, and the
+ * sequencer.
  */
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
+#include "core/token_state.hh"
 #include "mem/backing_store.hh"
 #include "mem/cache_array.hh"
 #include "net/controller.hh"
@@ -21,6 +27,10 @@ struct St
 };
 
 } // namespace
+
+// The token L1/L2 line is LRU stamp + TokenSt: the tag lives in the
+// array's tag words, not in the line.
+static_assert(sizeof(CacheLine<TokenSt>) <= 40);
 
 TEST(CacheArray, GeometryFromTable3)
 {
@@ -38,7 +48,8 @@ TEST(CacheArray, ProbeInstallInvalidate)
     a.install(v, 0x100);
     auto *line = a.probe(0x13f);  // same block
     ASSERT_NE(line, nullptr);
-    EXPECT_EQ(line->tag, 0x100u);
+    EXPECT_TRUE(a.isValid(*line));
+    EXPECT_EQ(a.tagOf(*line), 0x100u);
     a.invalidate(line);
     EXPECT_EQ(a.probe(0x100), nullptr);
 }
@@ -52,8 +63,8 @@ TEST(CacheArray, LruVictimSelection)
     // Touch block 0 so block 1 becomes LRU.
     a.touch(a.probe(0x1000));
     auto *victim = a.victim(0x1000 + 7 * stride);
-    ASSERT_TRUE(victim->valid);
-    EXPECT_EQ(victim->tag, 0x1000u + stride);
+    ASSERT_TRUE(a.isValid(*victim));
+    EXPECT_EQ(a.tagOf(*victim), 0x1000u + stride);
 }
 
 TEST(CacheArray, VictimWhereSkipsPinned)
@@ -64,10 +75,10 @@ TEST(CacheArray, VictimWhereSkipsPinned)
         a.install(a.victim(0x1000 + i * stride), 0x1000 + i * stride);
     const Addr pinned = 0x1000;  // the LRU line
     auto *victim = a.victimWhere(0x2000, [&](const CacheLine<St> &l) {
-        return l.tag != pinned;
+        return a.tagOf(l) != pinned;
     });
     ASSERT_NE(victim, nullptr);
-    EXPECT_NE(victim->tag, pinned);
+    EXPECT_NE(a.tagOf(*victim), pinned);
     // All pinned: nullptr.
     auto *none = a.victimWhere(
         0x2000, [](const CacheLine<St> &) { return false; });
@@ -83,6 +94,345 @@ TEST(CacheArray, ForEachValidAndCount)
     int n = 0;
     a.forEachValid([&](CacheLine<St> &) { ++n; });
     EXPECT_EQ(n, 2);
+}
+
+TEST(CacheArray, InvalidatedLineHasNoTag)
+{
+    CacheArray<St> a(1024, 4);
+    auto *v = a.victim(0x0);
+    EXPECT_FALSE(a.isValid(*v));
+    a.install(v, 0x0);  // block 0 is a valid tag distinct from "empty"
+    EXPECT_TRUE(a.isValid(*v));
+    EXPECT_EQ(a.tagOf(*v), 0u);
+    EXPECT_EQ(a.probe(0x0), v);
+    a.invalidate(v);
+    EXPECT_FALSE(a.isValid(*v));
+    EXPECT_EQ(a.probe(0x0), nullptr);
+}
+
+namespace {
+
+/**
+ * Reference: the array-of-structs layout the tag split replaced (tag
+ * and valid bit stored in each line, strict-LRU victims).
+ */
+class AosArray
+{
+  public:
+    struct Line
+    {
+        Addr tag = 0;
+        bool valid = false;
+        std::uint64_t lruStamp = 0;
+        St st{};
+    };
+
+    AosArray(std::uint64_t size_bytes, unsigned assoc)
+        : _assoc(assoc), _numSets(size_bytes / (assoc * blockBytes)),
+          _lines(_numSets * assoc)
+    {
+    }
+
+    Line *
+    probe(Addr addr)
+    {
+        const Addr blk = blockAlign(addr);
+        Line *set = setFor(blk);
+        for (unsigned w = 0; w < _assoc; ++w) {
+            if (set[w].valid && set[w].tag == blk)
+                return &set[w];
+        }
+        return nullptr;
+    }
+
+    template <typename Pred>
+    Line *
+    victimWhere(Addr addr, Pred ok)
+    {
+        Line *set = setFor(blockAlign(addr));
+        Line *best = nullptr;
+        for (unsigned w = 0; w < _assoc; ++w) {
+            if (!set[w].valid)
+                return &set[w];
+            if (ok(set[w]) &&
+                (best == nullptr || set[w].lruStamp < best->lruStamp))
+                best = &set[w];
+        }
+        return best;
+    }
+
+    Line *
+    victim(Addr addr)
+    {
+        Line *set = setFor(blockAlign(addr));
+        Line *lru = &set[0];
+        for (unsigned w = 0; w < _assoc; ++w) {
+            if (!set[w].valid)
+                return &set[w];
+            if (set[w].lruStamp < lru->lruStamp)
+                lru = &set[w];
+        }
+        return lru;
+    }
+
+    void touch(Line *l) { l->lruStamp = ++_useCounter; }
+
+    void
+    install(Line *l, Addr addr)
+    {
+        l->tag = blockAlign(addr);
+        l->valid = true;
+        l->st = St{};
+        touch(l);
+    }
+
+    void
+    invalidate(Line *l)
+    {
+        l->valid = false;
+        l->st = St{};
+    }
+
+    std::size_t
+    numValid() const
+    {
+        std::size_t n = 0;
+        for (const auto &l : _lines)
+            n += l.valid ? 1 : 0;
+        return n;
+    }
+
+    const std::vector<Line> &lines() const { return _lines; }
+
+    std::ptrdiff_t
+    indexOf(const Line *l) const
+    {
+        return l == nullptr ? -1 : l - _lines.data();
+    }
+
+  private:
+    Line *
+    setFor(Addr blk)
+    {
+        return &_lines[(blockNumber(blk) & (_numSets - 1)) * _assoc];
+    }
+
+    unsigned _assoc;
+    std::size_t _numSets;
+    std::uint64_t _useCounter = 0;
+    std::vector<Line> _lines;
+};
+
+/** Drive CacheArray and AosArray through one seeded op sequence and
+ *  require identical way choices and tag/validity state throughout. */
+void
+lockStep(unsigned assoc, std::uint64_t seed)
+{
+    SCOPED_TRACE(testing::Message() << assoc << "-way seed " << seed);
+    const unsigned sets = 8;
+    const std::uint64_t bytes = std::uint64_t(sets) * assoc * blockBytes;
+    CacheArray<St> a(bytes, assoc);
+    AosArray ref(bytes, assoc);
+    using Line = CacheArray<St>::Line;
+    // Way 0 of set 0 is the first invalid way of a fresh array.
+    const Line *base = a.victim(0);
+    auto idx = [&](const Line *l) -> std::ptrdiff_t {
+        return l == nullptr ? -1 : l - base;
+    };
+
+    std::mt19937_64 rng(seed);
+    // Four blocks per way keep every set under eviction pressure.
+    const std::uint64_t blocks = std::uint64_t(4) * sets * assoc;
+    auto randAddr = [&]() {
+        return Addr(rng() % blocks) * blockBytes + rng() % blockBytes;
+    };
+    // Pin blocks whose number is a multiple of three.
+    auto pinned = [](Addr tag) { return blockNumber(tag) % 3 == 0; };
+
+    for (int step = 0; step < 4000; ++step) {
+        const Addr addr = randAddr();
+        Line *l = a.probe(addr);
+        AosArray::Line *r = ref.probe(addr);
+        ASSERT_EQ(idx(l), ref.indexOf(r)) << "probe, step " << step;
+        switch (rng() % 6) {
+          case 0:
+            ASSERT_EQ(idx(a.victim(addr)), ref.indexOf(ref.victim(addr)))
+                << "victim, step " << step;
+            break;
+          case 1: {
+            Line *v = a.victimWhere(addr, [&](const Line &x) {
+                return !pinned(a.tagOf(x));
+            });
+            AosArray::Line *rv = ref.victimWhere(
+                addr, [&](const AosArray::Line &x) {
+                    return !pinned(x.tag);
+                });
+            ASSERT_EQ(idx(v), ref.indexOf(rv))
+                << "victimWhere, step " << step;
+            if (l == nullptr && v != nullptr) {
+                a.install(v, addr);
+                ref.install(rv, addr);
+                v->st.v = rv->st.v = step;
+            }
+            break;
+          }
+          case 2:
+          case 3:
+            if (l == nullptr) {
+                Line *v = a.victim(addr);
+                AosArray::Line *rv = ref.victim(addr);
+                ASSERT_EQ(idx(v), ref.indexOf(rv))
+                    << "victim, step " << step;
+                a.install(v, addr);
+                ref.install(rv, addr);
+                v->st.v = rv->st.v = step;
+            }
+            break;
+          case 4:
+            if (l != nullptr) {
+                a.touch(l);
+                ref.touch(r);
+            }
+            break;
+          case 5:
+            if (l != nullptr) {
+                a.invalidate(l);
+                ref.invalidate(r);
+            }
+            break;
+        }
+        ASSERT_EQ(a.numValid(), ref.numValid()) << "step " << step;
+        const auto &rl = ref.lines();
+        for (std::size_t i = 0; i < rl.size(); ++i) {
+            ASSERT_EQ(a.isValid(base[i]), rl[i].valid)
+                << "way " << i << ", step " << step;
+            if (rl[i].valid) {
+                ASSERT_EQ(a.tagOf(base[i]), rl[i].tag)
+                    << "way " << i << ", step " << step;
+                ASSERT_EQ(base[i].st.v, rl[i].st.v)
+                    << "way " << i << ", step " << step;
+            }
+        }
+    }
+}
+
+} // namespace
+
+TEST(CacheArray, LockStepWithArrayOfStructsLayout)
+{
+    for (unsigned assoc : {1u, 4u, 16u}) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            lockStep(assoc, seed);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+}
+
+namespace {
+
+/** The array's observable answers for a fixed address list. */
+struct Answers
+{
+    std::vector<const void *> probes;
+    std::vector<const void *> victims;
+    std::vector<Addr> victimTags;
+    std::size_t numValid = 0;
+
+    bool operator==(const Answers &) const = default;
+};
+
+Answers
+answers(CacheArray<St> &a, const std::vector<Addr> &addrs)
+{
+    Answers out;
+    for (Addr x : addrs) {
+        auto *l = a.probe(x);
+        out.probes.push_back(l);
+        auto *v = a.victim(x);
+        out.victims.push_back(v);
+        out.victimTags.push_back(a.isValid(*v) ? a.tagOf(*v) : ~Addr(0));
+    }
+    out.numValid = a.numValid();
+    return out;
+}
+
+} // namespace
+
+TEST(CacheArray, RollbackRestoresTagWords)
+{
+    EventQueue eq;
+    SpecLog log;
+    std::uint64_t epoch = 0;
+    CacheArray<St> a(1024, 4);  // 4 sets
+    a.specBind(&eq, &log, &epoch);
+
+    const Addr stride = 4 * 64;  // same set
+    // Set 0 full; set 1 half full; one line carries state.
+    for (int i = 0; i < 4; ++i)
+        a.install(a.victim(i * stride), i * stride);
+    a.install(a.victim(0x40), 0x40);
+    a.install(a.victim(0x40 + stride), 0x40 + stride);
+    a.probe(0x40)->st.v = 7;
+    // Serial operation never journals nor allocates epoch stamps.
+    EXPECT_EQ(log.size(), 0u);
+    EXPECT_EQ(a.specBytes(), 0u);
+
+    std::vector<Addr> addrs;
+    for (int i = 0; i < 8; ++i) {
+        addrs.push_back(i * stride);
+        addrs.push_back(0x40 + i * stride);
+    }
+    const Answers before = answers(a, addrs);
+
+    ++epoch;
+    eq.specCheckpoint();
+    const std::size_t mark = log.mark();
+    // Evict the LRU line of the full set for a new block.
+    auto *v = a.victim(7 * stride);
+    ASSERT_TRUE(a.isValid(*v));
+    a.install(v, 7 * stride);
+    // Fill an invalid way of the half-full set.
+    a.install(a.victim(0x40 + 5 * stride), 0x40 + 5 * stride);
+    // Invalidate a valid line and rebind its way to another block.
+    auto *w = a.probe(0x40);
+    a.invalidate(w);
+    a.install(w, 0x40 + 6 * stride);
+    a.touch(a.probe(2 * stride));
+    EXPECT_GT(log.size(), mark);
+    EXPECT_GT(a.specBytes(), 0u);
+    EXPECT_FALSE(answers(a, addrs) == before);
+
+    log.rollbackTo(mark);
+    eq.specRollback(0);
+    eq.specCommit();
+    EXPECT_TRUE(answers(a, addrs) == before);
+    ASSERT_NE(a.probe(0x40), nullptr);
+    EXPECT_EQ(a.probe(0x40)->st.v, 7);
+    EXPECT_EQ(a.probe(7 * stride), nullptr);
+    EXPECT_EQ(a.probe(0x40 + 6 * stride), nullptr);
+}
+
+TEST(CacheArray, ConstProbeNeverJournals)
+{
+    EventQueue eq;
+    SpecLog log;
+    std::uint64_t epoch = 0;
+    CacheArray<St> a(1024, 4);
+    a.specBind(&eq, &log, &epoch);
+    a.install(a.victim(0x80), 0x80);
+
+    ++epoch;
+    eq.specCheckpoint();
+    const CacheArray<St> &ca = a;
+    ASSERT_NE(ca.probe(0x80), nullptr);
+    EXPECT_EQ(ca.probe(0x1000), nullptr);
+    EXPECT_EQ(log.size(), 0u);
+    EXPECT_EQ(a.specBytes(), 0u);
+    // The mutable lookup does journal the line it returns.
+    a.probe(0x80);
+    EXPECT_GT(log.size(), 0u);
+    eq.specCommit();
 }
 
 TEST(BackingStore, ReadWriteFootprint)
