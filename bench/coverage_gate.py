@@ -5,9 +5,9 @@ Walks a TOKENCMP_COVERAGE=ON build tree for .gcda files, asks gcov for
 JSON intermediate records, aggregates executed/instrumented lines per
 source file, and enforces a line-coverage floor (default 80%) on the
 simulation kernel — src/sim/ — via the exit code. The kernel is the
-piece whose determinism and rollback contracts the test batteries
-exist to pin down, so untested kernel lines are the first place a
-speculation bug would hide.
+piece whose determinism contracts the test batteries exist to pin
+down, so untested kernel lines are the first place an ordering bug
+would hide.
 
 Per-file percentages for the whole src/ tree are printed and written
 to --out as JSON (uploaded as a CI artifact next to the lcov HTML

@@ -269,32 +269,20 @@ systemThroughput(const std::string &label, unsigned shards,
 }
 
 /**
- * Speculation datapoint: a low-coupling full-system workload (long
- * think times, almost no migratory sharing — cross-domain messages are
- * rare once caches warm) run conservative vs optimistic. This is the
- * regime the optimistic kernel targets: the conservative window is
- * pinned to the lookahead bound while speculation commits multi-window
- * segments between the rare messages. The deterministic evidence —
- * window rounds, aborts, commits — is recorded alongside the
- * wall-clock events/sec.
+ * Low-coupling datapoint: a full-system workload with long think
+ * times and almost no migratory sharing, so cross-domain messages are
+ * rare once caches warm and the conservative window stays pinned to
+ * the lookahead bound between them. Window rounds (deterministic) are
+ * recorded alongside the wall-clock events/sec.
  */
 double
-specThroughput(const std::string &label, SpeculationMode mode,
-               unsigned workers, std::uint64_t *windows_out = nullptr,
-               std::uint64_t *aborts_out = nullptr,
-               std::uint64_t *commits_out = nullptr)
+lowCouplingThroughput(const std::string &label, unsigned workers)
 {
     SystemConfig cfg;
     cfg.protocol = Protocol::TokenDst1;
     cfg.seed = 1;
     cfg.shards = workers;
     cfg.shardMap.kind = ShardMapKind::PerCmp;
-    cfg.speculation = mode;
-    // Checkpoint cadence tuned to the workload's message gap: deep
-    // enough to amortize the snapshot, shallow enough that a stray
-    // message only discards a few segments.
-    cfg.spec.checkpointInterval = ns(2000);
-    cfg.spec.maxCheckpoints = 4;
     cfg.finalize();
 
     SyntheticParams p;
@@ -316,20 +304,9 @@ specThroughput(const std::string &label, SpeculationMode mode,
     for (unsigned d = 0; d < sys.numDomains(); ++d)
         events += sys.domainContext(d).eventq.executed();
     const double ev_s = double(events) / secs;
-    if (windows_out != nullptr)
-        *windows_out = sys.shardedWindows();
-    if (aborts_out != nullptr)
-        *aborts_out = std::uint64_t(r.stats.get("kernel.aborts"));
-    if (commits_out != nullptr)
-        *commits_out = std::uint64_t(r.stats.get("kernel.commits"));
-    std::printf("%-34s %12.3e ev/s  (completed=%d windows=%llu "
-                "aborts=%llu commits=%llu)\n",
+    std::printf("%-34s %12.3e ev/s  (completed=%d windows=%llu)\n",
                 label.c_str(), ev_s, int(r.completed),
-                static_cast<unsigned long long>(sys.shardedWindows()),
-                static_cast<unsigned long long>(
-                    r.stats.get("kernel.aborts")),
-                static_cast<unsigned long long>(
-                    r.stats.get("kernel.commits")));
+                static_cast<unsigned long long>(sys.shardedWindows()));
     return ev_s;
 }
 
@@ -440,51 +417,17 @@ main(int argc, char **argv)
     }
     report.addRaw(rawCell(perl1bank_label, perl1bank8));
 
-    // Speculation cells: conservative vs optimistic on the
-    // low-coupling workload, 4 workers each, best of two attempts
+    // Low-coupling cell at 4 workers, best of two attempts
     // (deterministic results; only the wall clock sees jitter). The
-    // window/abort/commit counts are deterministic evidence of the
-    // speculative win even on hosts too small for wall-clock speedup.
+    // label matches the committed baseline row.
     std::printf("\n");
-    double spec_cons = 0.0, spec_opt = 0.0;
-    std::uint64_t cons_windows = 0, opt_windows = 0, opt_aborts = 0,
-                  opt_commits = 0;
+    double low_coupling = 0.0;
     for (int a = 0; a < 2; ++a) {
-        spec_cons = std::max(
-            spec_cons, specThroughput("system_spec_conservative_w4",
-                                      SpeculationMode::Off, 4,
-                                      &cons_windows));
-        spec_opt = std::max(
-            spec_opt, specThroughput("system_spec_optimistic_w4",
-                                     SpeculationMode::Optimistic, 4,
-                                     &opt_windows, &opt_aborts,
-                                     &opt_commits));
+        low_coupling = std::max(
+            low_coupling,
+            lowCouplingThroughput("system_spec_conservative_w4", 4));
     }
-    report.addRaw(rawCell("system_spec_conservative_w4", spec_cons));
-    report.addRaw(rawCell("system_spec_optimistic_w4", spec_opt));
-    const double spec_speedup = spec_opt / spec_cons;
-    const double window_gain =
-        opt_windows > 0 ? double(cons_windows) / double(opt_windows)
-                        : 0.0;
-    std::printf("optimistic vs conservative @ 4 workers: %.2fx "
-                "wall-clock, %.2fx fewer barrier rounds "
-                "(%llu -> %llu)\n",
-                spec_speedup, window_gain,
-                static_cast<unsigned long long>(cons_windows),
-                static_cast<unsigned long long>(opt_windows));
-    report.addRaw(
-        "{\"label\": \"speedup_optimistic_vs_conservative_w4\", "
-        "\"ratio\": " +
-        json::number(spec_speedup) + "}");
-    report.addRaw(
-        "{\"label\": \"spec_window_gain_w4\", \"ratio\": " +
-        json::number(window_gain) +
-        ", \"conservativeWindows\": " +
-        json::number(double(cons_windows)) +
-        ", \"optimisticWindows\": " +
-        json::number(double(opt_windows)) +
-        ", \"aborts\": " + json::number(double(opt_aborts)) +
-        ", \"commits\": " + json::number(double(opt_commits)) + "}");
+    report.addRaw(rawCell("system_spec_conservative_w4", low_coupling));
 
     const unsigned hw = std::thread::hardware_concurrency();
     int rc = 0;
@@ -502,26 +445,6 @@ main(int argc, char **argv)
     } else {
         std::printf("\nPASS: sharded kernel %.2fx single-thread "
                     "wheel\n", speedup);
-    }
-
-    // Speculation gate: the optimistic kernel must buy >= 1.15x over
-    // the conservative one at 4 workers on the low-coupling workload.
-    // Like the other wall-clock gates it needs real parallelism to
-    // demonstrate (auto-skip below 4 hardware threads;
-    // TOKENCMP_ENFORCE_SPEC_GATE arms it regardless).
-    const bool enforce_spec =
-        hw >= 4 || std::getenv("TOKENCMP_ENFORCE_SPEC_GATE");
-    if (!enforce_spec) {
-        std::printf("SKIP speculation gate: only %u hardware "
-                    "thread(s); need 4 to demonstrate speculative "
-                    "speedup\n", hw);
-    } else if (spec_speedup < 1.15) {
-        std::printf("FAIL: optimistic kernel below 1.15x conservative "
-                    "@ 4 workers\n");
-        rc = 1;
-    } else {
-        std::printf("PASS: optimistic kernel %.2fx conservative @ 4 "
-                    "workers\n", spec_speedup);
     }
 
     // Sub-CMP gate: finer shard maps must buy >= 1.3x at 8 workers

@@ -71,9 +71,6 @@ class ContentionPredictor
             --e->data.counter;
     }
 
-    /** Checkpoint the mutable state (speculative rollback). */
-    void specCapture(SnapshotBuilder &b) { _table.specCapture(b); }
-
   private:
     struct Counter
     {

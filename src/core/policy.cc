@@ -213,16 +213,6 @@ class Table1Policy final : public PerformancePolicy
         }
     }
 
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        PerformancePolicy::specCapture(b);
-        if (_predictor != nullptr)
-            _predictor->specCapture(b);
-        if (_filter != nullptr)
-            _filter->specCapture(b);
-    }
-
   private:
     TokenPolicy _row;
     const char *_name;

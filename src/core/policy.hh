@@ -231,11 +231,6 @@ class PerformancePolicy
      *  (keys are summed across controller instances). */
     virtual void exportStats(StatSet &out) const { (void)out; }
 
-    /** Checkpoint all mutable policy state (speculative rollback).
-     *  Stateful policies MUST extend this — missed state surfaces as
-     *  nondeterminism in the abort-injection fuzz battery. */
-    virtual void specCapture(SnapshotBuilder &b) { b(stats); }
-
     Stats stats;
 
   protected:

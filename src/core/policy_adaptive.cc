@@ -103,9 +103,6 @@ class CmpPredictor
         e->data.seen = now;
     }
 
-    /** Checkpoint the mutable state (speculative rollback). */
-    void specCapture(SnapshotBuilder &b) { _table.specCapture(b); }
-
   private:
     struct Owner
     {
@@ -181,15 +178,6 @@ class DestSetPolicy : public PerformancePolicy
         out.add("policy.broadcastEscalations", double(stats.broadcasts));
         out.add("policy.persistentTrainings",
                 double(_persistTrainings));
-    }
-
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        PerformancePolicy::specCapture(b);
-        if (_pred != nullptr)
-            _pred->specCapture(b);
-        b(_persistTrainings);
     }
 
   protected:
@@ -284,16 +272,6 @@ class BandwidthAdaptivePolicy final : public DestSetPolicy
         }
         ++stats.narrowed;
         narrowEscalateSet(addr, pred, out);
-    }
-
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        DestSetPolicy::specCapture(b);
-        b(_sampled);
-        b(_lastNow);
-        b(_lastBusy);
-        b(_util);
     }
 
   private:
@@ -440,14 +418,6 @@ class GroupMulticastPolicy final : public DestSetPolicy
         }
         if (env.topo.homeCmpOf(addr) == env.self.cmp)
             out.push_back(env.topo.homeOf(addr));
-    }
-
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        DestSetPolicy::specCapture(b);
-        if (_groups != nullptr)
-            _groups->specCapture(b);
     }
 
   private:

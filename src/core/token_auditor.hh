@@ -53,22 +53,6 @@ class TokenAuditor
     /** A controller absorbed a message's tokens. */
     void onReceive(Addr addr, int tokens, bool owner);
 
-    // Speculative-rollback inverses: each exactly reverses the column
-    // transfer of its forward operation, so replaying a domain's
-    // inverses newest-first restores that domain's contribution to the
-    // ledger no matter how other domains' audits interleaved (every
-    // operation is a commutative transfer).
-
-    /** Undo one onSend: pull the tokens back off the wire. */
-    void undoSend(Addr addr, int tokens, bool owner);
-
-    /** Undo one onReceive: put the tokens back on the wire. */
-    void undoReceive(Addr addr, int tokens, bool owner);
-
-    /** Undo one initBlock: forget the block (it was never created on
-     *  the committed timeline; the replay will init it again). */
-    void undoInit(Addr addr);
-
     /** Verify invariants for one block (no-op when uninitialized). */
     void check(Addr addr) const;
 

@@ -78,32 +78,13 @@ struct TokenGlobals
      * Per-processor persistent-request sequence numbers. Shared by a
      * processor's L1I and L1D (the tables have one slot per processor,
      * so the sequence must be monotone per processor, not per cache).
-     * A speculating caller logs the decrement so a rollback's replay
-     * re-issues the same sequence numbers.
      */
     MsgSeq
-    nextPrSeq(SimContext &ctx, unsigned proc)
+    nextPrSeq(unsigned proc)
     {
         if (_prSeq.size() <= proc)
             _prSeq.resize(proc + 1, 0);
-        if (ctx.speculating())
-            ctx.spec.push([this, proc]() { --_prSeq[proc]; });
         return ++_prSeq[proc];
-    }
-
-    /** Count one persistent request, logging the inverse delta when
-     *  the caller's domain is speculating (the counter is a shared
-     *  atomic; deltas commute, so per-domain undo is exact). */
-    void
-    countPersistentIssued(SimContext &ctx)
-    {
-        persistentIssued.fetch_add(1, std::memory_order_relaxed);
-        if (ctx.speculating()) {
-            ctx.spec.push([this]() {
-                persistentIssued.fetch_sub(
-                    1, std::memory_order_relaxed);
-            });
-        }
     }
 
   private:
@@ -174,30 +155,13 @@ class TokenController : public Controller
     PerformancePolicy &policy() { return *_policy; }
     const PerformancePolicy &policy() const { return *_policy; }
 
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        b(ptable);
-        b(_lastDeactSeq);
-        _policy->specCapture(b);
-    }
-
   protected:
-    /** Send a message, auditing any tokens it carries. A speculating
-     *  domain logs the inverse transfer — the ledger is shared, so a
-     *  rollback must subtract exactly this domain's audits. */
+    /** Send a message, auditing any tokens it carries. */
     void
     sendTok(Msg m, Tick delay = 0)
     {
-        if (m.tokens > 0 || m.owner) {
+        if (m.tokens > 0 || m.owner)
             g.auditor.onSend(m.addr, m.tokens, m.owner, m.hasData);
-            if (ctx.speculating()) {
-                ctx.spec.push(
-                    [this, a = m.addr, t = m.tokens, o = m.owner]() {
-                        g.auditor.undoSend(a, t, o);
-                    });
-            }
-        }
         send(std::move(m), delay);
     }
 
@@ -205,15 +169,8 @@ class TokenController : public Controller
     void
     receiveTok(const Msg &m)
     {
-        if (m.tokens > 0 || m.owner) {
+        if (m.tokens > 0 || m.owner)
             g.auditor.onReceive(m.addr, m.tokens, m.owner);
-            if (ctx.speculating()) {
-                ctx.spec.push(
-                    [this, a = m.addr, t = m.tokens, o = m.owner]() {
-                        g.auditor.undoReceive(a, t, o);
-                    });
-            }
-        }
     }
 
     /**

@@ -14,7 +14,6 @@ TokenL1::TokenL1(SimContext &ctx, MachineID id, TokenGlobals &g,
 {
     if (id.type != MachineType::L1D && id.type != MachineType::L1I)
         panic("TokenL1 requires an L1 machine id");
-    _array.specBind(&ctx.eventq, &ctx.spec, &ctx.specEpoch);
 }
 
 const TokenSt *
@@ -258,12 +257,12 @@ TokenL1::issuePersistent(Addr addr, Txn &txn)
 {
     txn.persistent = true;
     ++stats.persistents;
-    g.countPersistentIssued(ctx);
+    g.persistentIssued.fetch_add(1, std::memory_order_relaxed);
     if (!txn.isWrite)
         ++stats.persistentReads;
 
     if (_policy->activation() == PersistentActivation::Arbiter) {
-        txn.prSeq = g.nextPrSeq(ctx, myProc());
+        txn.prSeq = g.nextPrSeq(myProc());
         Msg m;
         m.type = MsgType::PersistArbRequest;
         m.addr = addr;
@@ -289,7 +288,7 @@ TokenL1::issuePersistent(Addr addr, Txn &txn)
 void
 TokenL1::activatePersistent(Addr addr, Txn &txn)
 {
-    txn.prSeq = g.nextPrSeq(ctx, myProc());
+    txn.prSeq = g.nextPrSeq(myProc());
     txn.activated = true;
     ptable.insert(myProc(), addr, !txn.isWrite, _id, txn.prSeq);
     onPersistentTableChange(addr);

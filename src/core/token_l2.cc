@@ -12,7 +12,6 @@ TokenL2::TokenL2(SimContext &ctx, MachineID id, TokenGlobals &g,
 {
     if (id.type != MachineType::L2Bank)
         panic("TokenL2 requires an L2 machine id");
-    _array.specBind(&ctx.eventq, &ctx.spec, &ctx.specEpoch);
 }
 
 const TokenSt *

@@ -18,35 +18,12 @@ TokenMem::ensureBlock(Addr addr)
 {
     const Addr blk = blockAlign(addr);
     auto it = _blocks.find(blk);
-    const bool created = it == _blocks.end();
-    if (created) {
+    if (it == _blocks.end()) {
         MemBlock b;
         b.tokens = g.params.totalTokens;
         b.owner = true;
         it = _blocks.emplace(blk, b).first;
         g.auditor.initBlock(blk);
-        // The auditor's ledger is shared across domains and needs an
-        // explicit inverse (a snapshot cannot restore it).
-        if (ctx.speculating()) {
-            ctx.spec.push(
-                [this, blk]() { g.auditor.undoInit(blk); });
-        }
-    }
-    // Incremental capture: journal the block once per capture epoch
-    // instead of snapshotting the whole (unbounded) map per
-    // checkpoint. Every mutation funnels through ensureBlock.
-    if (ctx.speculating()) {
-        MemBlock &b = it->second;
-        if (b.specEpoch != ctx.specEpoch) {
-            b.specEpoch = ctx.specEpoch;
-            if (created) {
-                ctx.spec.push([this, blk]() { _blocks.erase(blk); });
-            } else {
-                ctx.spec.push([this, blk, copy = b]() {
-                    _blocks[blk] = copy;
-                });
-            }
-        }
     }
     return it->second;
 }
@@ -163,14 +140,7 @@ TokenMem::onWriteback(const Msg &m)
     if (m.owner) {
         b.owner = true;
         if (m.hasData) {
-            if (ctx.speculating()) {
-                auto prior = g.store.exchange(m.addr, m.value);
-                ctx.spec.push([&store = g.store, a = m.addr, prior]() {
-                    store.unwrite(a, prior);
-                });
-            } else {
-                g.store.write(m.addr, m.value);
-            }
+            g.store.write(m.addr, m.value);
             ++stats.dramAccesses;
         }
     }
@@ -194,9 +164,7 @@ TokenMem::forwardPersistentTokens(Addr addr)
     auto it = _blocks.find(blockAlign(addr));
     if (it == _blocks.end() || it->second.tokens == 0)
         return;
-    // Route through ensureBlock so the mutation below is journaled
-    // under speculation (the block exists, so this is just a lookup).
-    MemBlock &b = ensureBlock(addr);
+    MemBlock &b = it->second;
 
     TokenSt pseudo;
     pseudo.tokens = b.tokens;

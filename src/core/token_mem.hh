@@ -41,20 +41,6 @@ class TokenMem : public TokenController
 
     void handleMsg(const Msg &msg) override;
 
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        TokenController::specCapture(b);
-        b(stats);
-        // _blocks journals touched entries incrementally
-        // (ensureBlock); snapshotting the map would cost O(blocks
-        // ever touched) per checkpoint.
-        b(_arbBusy);
-        b(_arbActive);
-        b(_arbQueue);
-        b(_arbOrphans);
-    }
-
     Stats stats;
 
     /** Tokens currently held at memory for a block (tests). */
@@ -70,9 +56,6 @@ class TokenMem : public TokenController
     {
         int tokens = 0;
         bool owner = false;
-        /** Capture epoch of the last speculative journal entry for
-         *  this block (see ensureBlock); 0 = never captured. */
-        std::uint64_t specEpoch = 0;
     };
 
     /** One queued arbiter request. */

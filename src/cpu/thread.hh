@@ -86,21 +86,6 @@ class ThreadContext
      *  shapers alongside the threads it creates. */
     void setLoadShaper(const LoadShaper *shaper) { _shaper = shaper; }
 
-    /**
-     * Checkpoint all mutable thread state (speculative rollback).
-     * Derived workload threads with per-thread progress state MUST
-     * extend this; missed state surfaces as nondeterminism in the
-     * abort-injection fuzz battery. The shared finish counter is
-     * handled by finish() itself via the domain's undo log.
-     */
-    virtual void
-    specCapture(SnapshotBuilder &b)
-    {
-        b(_rng);
-        b(_done);
-        b(_finishTick);
-    }
-
   protected:
     /** Spend `dur` ticks of compute, then continue. */
     template <typename K>
@@ -168,17 +153,8 @@ class ThreadContext
     {
         _done = true;
         _finishTick = _ctx.now();
-        if (_finishCounter != nullptr) {
+        if (_finishCounter != nullptr)
             _finishCounter->fetch_add(1, std::memory_order_relaxed);
-            // The counter is shared across domains; a rolled-back
-            // finish must subtract its own bump (the replay re-adds
-            // it), or the run-loop's completion check fires early.
-            if (_ctx.speculating()) {
-                _ctx.spec.push([c = _finishCounter]() {
-                    c->fetch_sub(1, std::memory_order_relaxed);
-                });
-            }
-        }
     }
 
     SimContext &_ctx;

@@ -10,7 +10,6 @@ DirL1::DirL1(SimContext &ctx, MachineID id, DirGlobals &g,
 {
     if (id.type != MachineType::L1D && id.type != MachineType::L1I)
         panic("DirL1 requires an L1 machine id");
-    _array.specBind(&ctx.eventq, &ctx.spec, &ctx.specEpoch);
 }
 
 L1State

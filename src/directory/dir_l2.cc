@@ -13,7 +13,6 @@ DirL2::DirL2(SimContext &ctx, MachineID id, DirGlobals &g,
 {
     if (id.type != MachineType::L2Bank)
         panic("DirL2 requires an L2 machine id");
-    _array.specBind(&ctx.eventq, &ctx.spec, &ctx.specEpoch);
 }
 
 ChipState

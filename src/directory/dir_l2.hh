@@ -55,21 +55,6 @@ class DirL2 : public Controller
 
     void handleMsg(const Msg &msg) override;
 
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        b(stats);
-        // _array journals touched lines incrementally (specBind).
-        b(_home);
-        b(_local);
-        b(_ext);
-        b(_wbLocal);
-        b(_wbHome);
-        b(_recall);
-        b(_deferred);
-        b(_svcSeq);
-    }
-
     Stats stats;
 
     /** Chip-level state of a block (tests). */

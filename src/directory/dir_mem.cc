@@ -19,23 +19,9 @@ DirMem::entryFor(Addr addr)
 {
     const Addr blk = blockAlign(addr);
     auto it = _dir.find(blk);
-    const bool created = it == _dir.end();
-    if (created)
+    if (it == _dir.end())
         it = _dir.emplace(blk, Entry{}).first;
-    Entry &e = it->second;
-    // Incremental capture: journal the entry once per capture epoch
-    // instead of snapshotting the whole directory per checkpoint.
-    // Every mutation funnels through entryFor.
-    if (ctx.speculating() && e.specEpoch != ctx.specEpoch) {
-        e.specEpoch = ctx.specEpoch;
-        if (created) {
-            ctx.spec.push([this, blk]() { _dir.erase(blk); });
-        } else {
-            ctx.spec.push(
-                [this, blk, copy = e]() { _dir[blk] = copy; });
-        }
-    }
-    return e;
+    return it->second;
 }
 
 DirState
@@ -311,16 +297,8 @@ DirMem::onWbData(const Msg &m, Entry &e)
 
     if (m.type == MsgType::WbData) {
         const unsigned src_cmp = m.src.cmp;
-        if (m.hasData) {
-            if (ctx.speculating()) {
-                auto prior = g.store.exchange(m.addr, m.value);
-                ctx.spec.push([&store = g.store, a = m.addr, prior]() {
-                    store.unwrite(a, prior);
-                });
-            } else {
-                g.store.write(m.addr, m.value);
-            }
-        }
+        if (m.hasData)
+            g.store.write(m.addr, m.value);
         if (e.ownerCmp == std::int8_t(src_cmp)) {
             e.ownerCmp = -1;
             e.state = e.presence != 0 ? DirState::Shared

@@ -42,13 +42,6 @@ class DirMem : public Controller
 
     void handleMsg(const Msg &msg) override;
 
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        b(stats);
-        // _dir journals touched entries incrementally (entryFor).
-    }
-
     Stats stats;
 
     /** Directory state for a block (tests). */
@@ -65,9 +58,6 @@ class DirMem : public Controller
         std::int8_t ownerCmp = -1;
         bool busy = false;
         std::deque<Msg> deferred;
-        /** Capture epoch of the last speculative journal entry (see
-         *  entryFor); 0 = never captured. */
-        std::uint64_t specEpoch = 0;
     };
 
     Entry &entryFor(Addr addr);

@@ -106,20 +106,6 @@ class HierShim : public TokenController
 
     void handleMsg(const Msg &msg) override;
 
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        TokenController::specCapture(b);
-        b(stats);
-        // _blocks journals touched entries incrementally (ensureBlock).
-        b(_arbBusy);
-        b(_arbActive);
-        b(_arbQueue);
-        b(_arbOrphans);
-        b(_lru);
-        b(_resident);
-    }
-
     Stats stats;
 
     /** Test hooks: intra tokens held at the shim / chip-level state. */
@@ -134,7 +120,7 @@ class HierShim : public TokenController
     enum class Fetch : std::uint8_t { None, GetS, GetX };
     enum class Recall : std::uint8_t { None, Down, Full };
 
-    /** Per-block two-level state. Flat/copyable: journaled whole. */
+    /** Per-block two-level state. */
     struct Blk
     {
         // Intra half: the CMP's token-space home (TokenMem analogue).
@@ -178,7 +164,6 @@ class HierShim : public TokenController
         MsgSeq prServedSeq = 0;
 
         bool inLru = false;        //!< residency-queue membership
-        std::uint64_t specEpoch = 0;
     };
 
     /** One queued intra-CMP arbiter request (TokenMem clone). */

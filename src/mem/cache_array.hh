@@ -14,9 +14,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/spec.hh"
 #include "sim/types.hh"
 
 namespace tokencmp {
@@ -71,46 +69,14 @@ class CacheArray
     unsigned numSets() const { return _numSets; }
     unsigned assoc() const { return _assoc; }
 
-    /**
-     * Arm incremental speculative capture. While `eq->speculating()`,
-     * the first access to any line per capture epoch (`*epoch`, bumped
-     * by the checkpoint hook) pushes a copy-restore inverse of the
-     * line and its tag word onto `log`, so rollback cost is
-     * proportional to the lines *touched* in the aborted segments —
-     * never to the array's geometry. A full-array snapshot of a 2 MB
-     * L2 bank per checkpoint would dwarf the event work of a window;
-     * this journal is what makes optimistic mode profitable. The
-     * per-line epoch stamps are allocated at the first capture, so a
-     * serial run carries none.
-     */
-    void
-    specBind(EventQueue *eq, SpecLog *log, const std::uint64_t *epoch)
-    {
-        _eq = eq;
-        _specLog = log;
-        _epoch = epoch;
-    }
-
-    /** Bytes of per-line capture-epoch stamps (0 until a speculative
-     *  segment first touches the array). */
-    std::size_t
-    specBytes() const
-    {
-        return _lineEpoch.size() * sizeof(std::uint64_t);
-    }
-
     /** Find the valid line holding `addr`'s block, or nullptr. */
     Line *
     probe(Addr addr)
     {
         const std::size_t i = find(addr);
-        if (i == npos)
-            return nullptr;
-        maybeCapture(i);
-        return &_lines[i];
+        return i == npos ? nullptr : &_lines[i];
     }
 
-    /** Pure lookup: never journals, even while speculating. */
     const Line *
     probe(Addr addr) const
     {
@@ -154,10 +120,8 @@ class CacheArray
     {
         const std::size_t base = setBase(blockAlign(addr));
         for (std::size_t i = base; i < base + _assoc; ++i) {
-            if (_tags[i] == 0) {
-                maybeCapture(i);
+            if (_tags[i] == 0)
                 return &_lines[i];
-            }
         }
         std::size_t best = npos;
         for (std::size_t i = base; i < base + _assoc; ++i) {
@@ -167,17 +131,13 @@ class CacheArray
                 best = i;
             }
         }
-        if (best == npos)
-            return nullptr;
-        maybeCapture(best);
-        return &_lines[best];
+        return best == npos ? nullptr : &_lines[best];
     }
 
     /** Mark a line most-recently-used. */
     void
     touch(Line *line)
     {
-        maybeCapture(indexOf(*line));
         line->lruStamp = ++_useCounter;
     }
 
@@ -185,9 +145,7 @@ class CacheArray
     void
     install(Line *line, Addr addr)
     {
-        const std::size_t i = indexOf(*line);
-        maybeCapture(i);
-        _tags[i] = blockAlign(addr) | 1;
+        _tags[indexOf(*line)] = blockAlign(addr) | 1;
         line->st = StateT{};
         touch(line);
     }
@@ -196,9 +154,7 @@ class CacheArray
     void
     invalidate(Line *line)
     {
-        const std::size_t i = indexOf(*line);
-        maybeCapture(i);
-        _tags[i] = 0;
+        _tags[indexOf(*line)] = 0;
         line->st = StateT{};
     }
 
@@ -254,52 +210,11 @@ class CacheArray
         return static_cast<std::size_t>(&line - _lines.data());
     }
 
-    /**
-     * First touch of line `i` in the current capture epoch while the
-     * domain's queue speculates: journal a copy of the line and its
-     * tag word (and, once per epoch, the LRU counter). Every mutation
-     * path funnels through probe/victim/victimWhere/touch/install/
-     * invalidate, so the journal sees each dirtied line before its
-     * first write of the segment. Mutable-probe reads over-capture (a
-     * probed-but-unmodified line is journaled too) — sound, and cheap
-     * at one O(1) epoch check per access.
-     */
-    void
-    maybeCapture(std::size_t i)
-    {
-        if (_specLog == nullptr || !_eq->speculating())
-            return;
-        if (_ctrEpoch != *_epoch) {
-            _ctrEpoch = *_epoch;
-            _specLog->push(
-                [this, v = _useCounter]() { _useCounter = v; });
-        }
-        if (_lineEpoch.empty())
-            _lineEpoch.assign(_lines.size(), 0);
-        if (_lineEpoch[i] == *_epoch)
-            return;
-        _lineEpoch[i] = *_epoch;
-        _specLog->push(
-            [this, i, tag = _tags[i], copy = _lines[i]]() {
-                _tags[i] = tag;
-                _lines[i] = copy;
-                // Reset the stamp so a replayed segment re-captures.
-                _lineEpoch[i] = 0;
-            });
-    }
-
     unsigned _assoc;
     std::size_t _numSets;
     std::uint64_t _useCounter = 0;
     std::vector<Addr> _tags;  //!< per way: blockAlign(addr) | 1, or 0
     std::vector<Line> _lines;
-
-    // Incremental speculative capture (see specBind).
-    EventQueue *_eq = nullptr;
-    SpecLog *_specLog = nullptr;
-    const std::uint64_t *_epoch = nullptr;
-    std::vector<std::uint64_t> _lineEpoch;  //!< empty until first capture
-    std::uint64_t _ctrEpoch = 0;
 };
 
 } // namespace tokencmp

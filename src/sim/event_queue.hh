@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "sim/event.hh"
-#include "sim/spec.hh"
 #include "sim/types.hh"
 
 namespace tokencmp {
@@ -53,6 +52,38 @@ enum class SchedulerKind : std::uint8_t {
 
 /** Printable backend name. */
 const char *schedulerKindName(SchedulerKind k);
+
+/**
+ * Band-1 marker: the top bit of an event sequence number. Locally
+ * scheduled events draw band-0 seqs from the insertion counter, which
+ * stays below it; cross-domain handoffs carry band-1 keys.
+ */
+inline constexpr std::uint64_t seqBandBit = std::uint64_t(1) << 63;
+
+/** Bits of the per-source send sequence inside a band-1 key. */
+inline constexpr unsigned handoffSeqBits = 40;
+
+/**
+ * Canonical band-1 key for a cross-domain handoff: all band-1 keys
+ * sort after every band-0 key at the same tick, and among themselves
+ * by (srcDomain, sendSeq), an order that depends only on the
+ * execution, never on which barrier or worker delivered the message.
+ * 2^23 domains x 2^40 sends per source.
+ */
+inline constexpr std::uint64_t
+handoffKey(unsigned src_domain, std::uint64_t send_seq)
+{
+    return seqBandBit |
+           (std::uint64_t(src_domain) << handoffSeqBits) |
+           (send_seq & ((std::uint64_t(1) << handoffSeqBits) - 1));
+}
+
+/** True for keys of cross-domain handoffs (band 1). */
+inline constexpr bool
+isHandoffKey(std::uint64_t seq)
+{
+    return (seq & seqBandBit) != 0;
+}
 
 /**
  * Deterministic discrete-event queue.
@@ -94,7 +125,7 @@ class EventQueue
     /**
      * Schedule a typed event with an explicit sequence key instead of
      * the insertion counter. Used for cross-domain handoffs, whose
-     * band-1 keys (see sim/spec.hh) give equal-tick deliveries a
+     * band-1 keys (see handoffKey) give equal-tick deliveries a
      * canonical (srcDomain, sendSeq) order independent of which window
      * or worker performed the intake. Keys must be unique per queue;
      * the insertion counter is not consumed.
@@ -202,53 +233,6 @@ class EventQueue
     /** InlineAction acquisitions served from the pool free list. */
     std::uint64_t actionsReused() const { return _actionPool.reused(); }
 
-    // -- Speculation (checkpoint / journal / rollback) ----------------
-    //
-    // The optimistic sharded kernel runs a queue past the safe frontier
-    // in journaled segments: specCheckpoint() opens a segment, every
-    // execution/schedule is journaled until specCommit(), and
-    // specRollback(keep) restores the queue exactly to checkpoint
-    // `keep` — executed events are re-inserted under their original
-    // (tick, seq) keys, events scheduled during rolled-back segments
-    // are unscheduled (and released if they were created there), and
-    // release() of executed events is deferred to commit so their
-    // process() stays re-invocable. The insertion counter is never
-    // rewound (a replayed segment draws fresh band-0 seqs; only their
-    // relative order matters, and it is preserved).
-
-    /** True while executions are being journaled. */
-    bool speculating() const { return _spec; }
-
-    /** Checkpoints taken since the last specCommit(). */
-    unsigned specCheckpoints() const
-    {
-        return unsigned(_ckpts.size());
-    }
-
-    /** Key of the most recently executed event ({0,0} if none). */
-    ExecKey lastExecuted() const { return {_curTick, _lastExecSeq}; }
-
-    /**
-     * Open a speculative segment: record the journal watermark and
-     * clock so specRollback() can return here. The first checkpoint
-     * turns journaling on. Returns the checkpoint index.
-     */
-    unsigned specCheckpoint();
-
-    /**
-     * Roll the queue back to checkpoint `keep` (discarding segments
-     * keep, keep+1, ...). Requires keep < specCheckpoints(); the
-     * checkpoint stack is truncated to `keep` entries.
-     */
-    void specRollback(unsigned keep);
-
-    /**
-     * Commit everything journaled since the first checkpoint: release
-     * executed events whose release was deferred, drop the journal and
-     * checkpoint stack, and stop journaling.
-     */
-    void specCommit();
-
   private:
     friend class InlineAction;
 
@@ -294,9 +278,6 @@ class EventQueue
     /** Kind-aware insert of an event whose _when/_seq are set. */
     void insertScheduled(Event *e);
 
-    /** Unlink a scheduled event from wherever it sits (rollback). */
-    void removeScheduled(Event *e);
-
     /** Next event or nullptr; refills the run queue when staged dry. */
     Event *
     peekNext()
@@ -318,7 +299,7 @@ class EventQueue
         return e;
     }
 
-    /** Pop, clock-advance, process, release (or journal + hold). */
+    /** Pop, clock-advance, process, release. */
     void
     executeOne(Event *e)
     {
@@ -326,20 +307,7 @@ class EventQueue
         e->_sched = false;
         --_pending;
         _curTick = e->_when;
-        _lastExecSeq = e->_seq;
         ++_executed;
-        if (_spec) [[unlikely]] {
-            _journal.push_back(
-                {e, e->_when, e->_seq, e->specSave(), true});
-            e->process();
-            // Defer release to commit: a rollback must be able to
-            // re-insert this event and re-invoke process().
-            if (!e->_sched && !e->_held) {
-                e->_held = true;
-                _heldRelease.push_back(e);
-            }
-            return;
-        }
         e->process();
         if (!e->_sched)
             e->release();
@@ -368,35 +336,6 @@ class EventQueue
     /** Beyond-wheel events (and the whole store in ReferenceHeap
      *  mode), as a binary min-heap on (when, seq). */
     std::vector<Event *> _far;
-
-    // -- Speculation journal ------------------------------------------
-
-    /** One journaled operation: an execution (exec=true, `saved` is
-     *  the event's specSave() word) or a schedule (exec=false). */
-    struct SpecEntry
-    {
-        Event *e;
-        Tick when;
-        std::uint64_t seq;
-        std::uint64_t saved;
-        bool exec;
-    };
-
-    /** Watermarks + clock state captured by one specCheckpoint(). */
-    struct SpecCkpt
-    {
-        std::size_t mark;       //!< _journal size
-        std::size_t heldMark;   //!< _heldRelease size
-        Tick curTick;
-        std::uint64_t executed;
-        std::uint64_t lastExecSeq;
-    };
-
-    bool _spec = false;
-    std::uint64_t _lastExecSeq = 0;
-    std::vector<SpecEntry> _journal;
-    std::vector<SpecCkpt> _ckpts;
-    std::vector<Event *> _heldRelease;  //!< executed, release deferred
 
     EventPool<InlineAction> _actionPool;
 };

@@ -55,22 +55,4 @@ inform(const char *fmt, ...)
     va_end(ap);
 }
 
-namespace trace {
-
-unsigned mask = 0;
-
-void
-print(Component c, const char *fmt, ...)
-{
-    if (!enabled(c))
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::vfprintf(stderr, fmt, ap);
-    std::fprintf(stderr, "\n");
-    va_end(ap);
-}
-
-} // namespace trace
-
 } // namespace tokencmp

@@ -1,6 +1,6 @@
 /**
  * @file
- * Error-reporting and trace facilities, following the gem5 conventions:
+ * Error-reporting facilities, following the gem5 conventions:
  * panic() for internal invariant violations (simulator bugs) and
  * fatal() for user-caused configuration errors.
  */
@@ -26,30 +26,6 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Print an informational message to stderr. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-namespace trace {
-
-/** Trace components that can be enabled at runtime. */
-enum Component : unsigned {
-    TraceToken   = 1u << 0,  //!< token substrate events
-    TraceDir     = 1u << 1,  //!< directory protocol events
-    TraceNet     = 1u << 2,  //!< network send/deliver
-    TraceSeq     = 1u << 3,  //!< sequencer memory operations
-    TraceWork    = 1u << 4,  //!< workload progress
-    TracePersist = 1u << 5,  //!< persistent request machinery
-};
-
-/** Globally enabled trace components (bitmask of Component). */
-extern unsigned mask;
-
-/** Whether the given component is enabled. */
-inline bool enabled(Component c) { return (mask & c) != 0; }
-
-/** Emit a trace line (tick-stamped by the caller) if `c` is enabled. */
-void print(Component c, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-} // namespace trace
 
 } // namespace tokencmp
 

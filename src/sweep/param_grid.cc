@@ -141,8 +141,7 @@ ParamGrid::fromJsonText(const std::string &text,
     // the grid to its defaults is exactly the failure mode a
     // fingerprint exists to prevent.
     static const std::set<std::string> known_keys = {
-        "name", "policies", "workloads", "shardMaps", "speculation",
-        "overrides", "seeds", "firstSeed", "shardWorkers",
+        "name", "policies", "workloads", "shardMaps", "overrides", "seeds", "firstSeed", "shardWorkers",
         "horizonNs", "workloadKnobs"};
     for (const auto &[key, value] : g.obj) {
         (void)value;
@@ -196,14 +195,6 @@ ParamGrid::fromJsonText(const std::string &text,
         if (m != "serial" && m != "perCmp" && m != "perL1Bank") {
             fatal("sweep grid %s: unknown shardMap '%s' (serial, "
                   "perCmp, perL1Bank)", what.c_str(), m.c_str());
-        }
-    }
-
-    grid._specs = stringArray(g, "speculation", {"off"}, what);
-    for (const std::string &s : grid._specs) {
-        if (s != "off" && s != "optimistic") {
-            fatal("sweep grid %s: unknown speculation mode '%s' "
-                  "(off, optimistic)", what.c_str(), s.c_str());
         }
     }
 
@@ -284,7 +275,7 @@ ParamGrid::fromJsonText(const std::string &text,
     // over this string is what the resume journal checks, so any
     // semantic edit to the grid must change it (and a reformat of the
     // JSON file must not).
-    std::string c = "gridv1|name=" + grid._name + "|policies=";
+    std::string c = "gridv2|name=" + grid._name + "|policies=";
     for (const std::string &p : grid._policies)
         c += p + ",";
     c += "|workloads=";
@@ -293,9 +284,6 @@ ParamGrid::fromJsonText(const std::string &text,
     c += "|maps=";
     for (const std::string &m : grid._maps)
         c += m + ",";
-    c += "|specs=";
-    for (const std::string &s : grid._specs)
-        c += s + ",";
     c += "|overrides=";
     for (const KnobOverride &o : grid._overrides) {
         c += o.label + "{";
@@ -324,9 +312,8 @@ ParamGrid::fromJsonText(const std::string &text,
               what.c_str());
 
     // Fail at submission, not mid-night: run every cell's config
-    // through finalize()'s validators (knob geometry, speculation
-    // constraints, workload knob ranges) before reporting the grid
-    // loadable.
+    // through finalize()'s validators (knob geometry, workload knob
+    // ranges) before reporting the grid loadable.
     for (const SweepCell &cell : grid._cells)
         (void)grid.configFor(cell);
 
@@ -336,7 +323,6 @@ ParamGrid::fromJsonText(const std::string &text,
 void
 ParamGrid::enumerate()
 {
-    unsigned skipped_spec = 0;
     unsigned skipped_perfect = 0;
     unsigned index = 0;
     for (const std::string &p : _policies) {
@@ -345,66 +331,49 @@ ParamGrid::enumerate()
         for (const std::string &w : _workloads) {
             for (const std::string &m : _maps) {
                 // PerfectL2's magic L2 bypasses the network, so it
-                // cannot run sharded; an optimistic cell needs a
-                // sharded kernel underneath. Crossing axes makes such
-                // combos inevitable in mixed grids — they are skipped
+                // cannot run sharded. Crossing axes makes such combos
+                // inevitable in mixed grids — they are skipped
                 // (deterministically), not fatal.
-                const bool sharded = m != "serial";
                 if (is_special && special == Protocol::PerfectL2 &&
-                    sharded) {
+                    m != "serial") {
                     ++skipped_perfect;
                     continue;
                 }
-                for (const std::string &s : _specs) {
-                    if (s == "optimistic" && !sharded) {
-                        ++skipped_spec;
-                        continue;
-                    }
-                    for (const KnobOverride &o : _overrides) {
-                        for (unsigned i = 0; i < _seeds; ++i) {
-                            SweepCell cell;
-                            cell.index = index++;
-                            cell.policy = p;
-                            cell.workload = w;
-                            cell.shardMap = m;
-                            cell.speculation = s;
-                            cell.overrideLabel = o.label;
-                            cell.seed = _firstSeed + i;
+                for (const KnobOverride &o : _overrides) {
+                    for (unsigned i = 0; i < _seeds; ++i) {
+                        SweepCell cell;
+                        cell.index = index++;
+                        cell.policy = p;
+                        cell.workload = w;
+                        cell.shardMap = m;
+                        cell.overrideLabel = o.label;
+                        cell.seed = _firstSeed + i;
 
-                            std::string k = "cellv1|policy=" + p +
-                                "|workload=" + w + "|map=" + m +
-                                "|spec=" + s + "|knobs=" + o.label +
-                                "{";
-                            for (const auto &[kn, kv] : o.knobs)
-                                k += kn + "=" + fmtNum(kv) + ";";
-                            k += "}|seed=" + fmtU64(cell.seed) +
-                                 "|horizonNs=" + fmtU64(_horizonNs) +
-                                 "|wl={ops=" +
-                                 fmtU64(_wl.opsPerProc) + ";keys=" +
-                                 fmtU64(_wl.keys) + ";theta=" +
-                                 fmtNum(_wl.theta) + ";write=" +
-                                 fmtNum(_wl.writeFrac) + ";thinkNs=" +
-                                 fmtU64(_thinkMeanNs) + ";warmup=" +
-                                 std::to_string(_wl.warmupOps) +
-                                 ";inner=" + _wl.inner + ";sched=" +
-                                 _wl.schedule + "}";
-                            cell.key = std::move(k);
-                            cell.hash =
-                                hashHex(stableHash64(cell.key));
-                            cell.label = p + "/" + w + "/" + m + "/" +
-                                s + "/" + o.label + "/s" +
-                                fmtU64(cell.seed);
-                            _cells.push_back(std::move(cell));
-                        }
+                        std::string k = "cellv2|policy=" + p +
+                            "|workload=" + w + "|map=" + m +
+                            "|knobs=" + o.label + "{";
+                        for (const auto &[kn, kv] : o.knobs)
+                            k += kn + "=" + fmtNum(kv) + ";";
+                        k += "}|seed=" + fmtU64(cell.seed) +
+                             "|horizonNs=" + fmtU64(_horizonNs) +
+                             "|wl={ops=" + fmtU64(_wl.opsPerProc) +
+                             ";keys=" + fmtU64(_wl.keys) +
+                             ";theta=" + fmtNum(_wl.theta) +
+                             ";write=" + fmtNum(_wl.writeFrac) +
+                             ";thinkNs=" + fmtU64(_thinkMeanNs) +
+                             ";warmup=" +
+                             std::to_string(_wl.warmupOps) +
+                             ";inner=" + _wl.inner +
+                             ";sched=" + _wl.schedule + "}";
+                        cell.key = std::move(k);
+                        cell.hash = hashHex(stableHash64(cell.key));
+                        cell.label = p + "/" + w + "/" + m + "/" +
+                            o.label + "/s" + fmtU64(cell.seed);
+                        _cells.push_back(std::move(cell));
                     }
                 }
             }
         }
-    }
-    if (skipped_spec > 0) {
-        warn("sweep grid %s: skipped %u serial x optimistic cells "
-             "(speculation rides on the sharded kernel)",
-             _name.c_str(), skipped_spec);
     }
     if (skipped_perfect > 0) {
         warn("sweep grid %s: skipped %u perfect x sharded cells "
@@ -434,8 +403,6 @@ ParamGrid::configFor(const SweepCell &cell) const
         cfg.shards = _shardWorkers;
         cfg.shardMap.kind = ShardMapKind::PerL1Bank;
     }
-    if (cell.speculation == "optimistic")
-        cfg.speculation = SpeculationMode::Optimistic;
 
     for (const KnobOverride &o : _overrides) {
         if (o.label != cell.overrideLabel)

@@ -2,8 +2,8 @@
  * @file
  * Declarative parameter grid for sweep orchestration (modeled on
  * distexprunner-style experiment drivers): a JSON grid file crosses
- * config axes — policy x workload x shard map x speculation mode x
- * named knob-override sets x seeds — into an enumerable cell list
+ * config axes — policy x workload x shard map x named knob-override
+ * sets x seeds — into an enumerable cell list
  * where every cell carries a stable 64-bit hash (the resume journal's
  * key) and the grid as a whole carries a fingerprint (so a journal
  * recorded against an edited grid is detected instead of silently
@@ -16,7 +16,6 @@
  *     "policies": ["dst1", "bw-adapt", "directory"],
  *     "workloads": ["zipf", "oltp"],
  *     "shardMaps": ["serial"],            // optional, default
- *     "speculation": ["off"],             // optional, default
  *     "seeds": 2, "firstSeed": 1,
  *     "shardWorkers": 4,                  // threads per sharded cell
  *     "horizonNs": 500000000,
@@ -64,7 +63,6 @@ struct SweepCell
     std::string policy;        //!< policy name or a protocol special
     std::string workload;      //!< WorkloadRegistry name
     std::string shardMap;      //!< "serial" | "perCmp" | "perL1Bank"
-    std::string speculation;   //!< "off" | "optimistic"
     std::string overrideLabel; //!< KnobOverride::label
     std::uint64_t seed = 0;
 
@@ -74,7 +72,7 @@ struct SweepCell
      *  contract guarantees cannot move results. */
     std::string key;
     std::string hash;   //!< 16 lowercase hex chars of FNV-1a(key)
-    std::string label;  //!< "policy/workload/map/spec/override/sN"
+    std::string label;  //!< "policy/workload/map/override/sN"
 };
 
 /** A loaded, validated, enumerated grid. */
@@ -112,7 +110,6 @@ class ParamGrid
     const std::vector<std::string> &policies() const { return _policies; }
     const std::vector<std::string> &workloads() const { return _workloads; }
     const std::vector<std::string> &shardMaps() const { return _maps; }
-    const std::vector<std::string> &speculationModes() const { return _specs; }
     const std::vector<KnobOverride> &overrides() const { return _overrides; }
     unsigned seedsPerCell() const { return _seeds; }
     std::uint64_t firstSeed() const { return _firstSeed; }
@@ -127,7 +124,6 @@ class ParamGrid
     std::vector<std::string> _policies;
     std::vector<std::string> _workloads;
     std::vector<std::string> _maps;
-    std::vector<std::string> _specs;
     std::vector<KnobOverride> _overrides;
     unsigned _seeds = 1;
     std::uint64_t _firstSeed = 1;

@@ -44,22 +44,6 @@ knobTable()
                       "bw-adapt busy-link utilization threshold in "
                       "[0, 1]",
                       token.bwBusyUtil, double),
-        TOKENCMP_KNOB("spec.checkpointInterval",
-                      "optimistic-kernel checkpoint segment length "
-                      "(ticks, >= 1)",
-                      spec.checkpointInterval, Tick),
-        TOKENCMP_KNOB("spec.maxCheckpoints",
-                      "optimistic-kernel speculative segments per "
-                      "window (>= 1)",
-                      spec.maxCheckpoints, unsigned),
-        TOKENCMP_KNOB("spec.abortEwmaAlpha",
-                      "optimistic-kernel abort-rate EWMA smoothing in "
-                      "(0, 1]",
-                      spec.abortEwmaAlpha, double),
-        TOKENCMP_KNOB("spec.abortRateThreshold",
-                      "optimistic-kernel conservative-fallback abort "
-                      "rate in (0, 1]",
-                      spec.abortRateThreshold, double),
     };
     return table;
 }

@@ -105,21 +105,12 @@ class LockingThread : public ThreadContext
     void
     critical(unsigned lock)
     {
-        _wl.noteAcquire(_ctx, lock, procId());
+        _wl.noteAcquire(lock, procId());
         ++_acquired;
         think(_wl.params().holdTime, [this, lock]() {
-            _wl.noteRelease(_ctx, lock, procId());
+            _wl.noteRelease(lock, procId());
             store(_wl.lockAddr(lock), 0, [this]() { loop(); });
         });
-    }
-
-  public:
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        ThreadContext::specCapture(b);
-        b(_acquired);
-        b(_last);
     }
 
   private:
@@ -140,8 +131,7 @@ LockingWorkload::makeThread(SimContext &ctx, Sequencer &seq,
 }
 
 void
-LockingWorkload::noteAcquire(SimContext &ctx, unsigned lock,
-                             unsigned proc)
+LockingWorkload::noteAcquire(unsigned lock, unsigned proc)
 {
     // Threads on concurrent shard domains report through these hooks;
     // a correct protocol separates conflicting acquire/release pairs
@@ -149,50 +139,20 @@ LockingWorkload::noteAcquire(SimContext &ctx, unsigned lock,
     // mutex only guards the map's structure, never the verdict.
     std::lock_guard<std::mutex> guard(_mu);
     ++_totalAcquires;
-    auto it = _holder.find(lock);
-    const bool had = it != _holder.end();
-    const unsigned old_holder = had ? it->second : 0;
-    if (had)
+    if (_holder.count(lock) != 0)
         ++_violations;  // two processors inside one critical section
     _holder[lock] = proc;
-    if (ctx.speculating()) {
-        // Within one speculative epoch only one domain can complete
-        // acquires of a given lock (the lock block's tokens move only
-        // via committed messages), so restoring the prior entry is
-        // exact.
-        ctx.spec.push([this, lock, had, old_holder]() {
-            std::lock_guard<std::mutex> guard(_mu);
-            --_totalAcquires;
-            if (had) {
-                --_violations;
-                _holder[lock] = old_holder;
-            } else {
-                _holder.erase(lock);
-            }
-        });
-    }
 }
 
 void
-LockingWorkload::noteRelease(SimContext &ctx, unsigned lock,
-                             unsigned proc)
+LockingWorkload::noteRelease(unsigned lock, unsigned proc)
 {
     std::lock_guard<std::mutex> guard(_mu);
     auto it = _holder.find(lock);
-    const bool mismatch = it == _holder.end() || it->second != proc;
-    if (mismatch)
+    if (it == _holder.end() || it->second != proc)
         ++_violations;
     else
         _holder.erase(it);
-    if (ctx.speculating()) {
-        ctx.spec.push([this, lock, proc, mismatch]() {
-            std::lock_guard<std::mutex> guard(_mu);
-            if (mismatch)
-                --_violations;
-            else
-                _holder[lock] = proc;
-        });
-    }
 }
 
 } // namespace tokencmp

@@ -66,9 +66,8 @@ class LockingWorkload : public Workload
 
     Tick measureStart() const override { return _measureStart; }
 
-    /** A thread finished its warmup slice at `when`. Max-merge is a
-     *  semilattice, so a rolled-back call needs no inverse: the
-     *  deterministic replay re-reports the identical tick. */
+    /** A thread finished its warmup slice at `when`. Max-merge, so
+     *  the result does not depend on the reporting order. */
     void
     noteWarmupDone(Tick when)
     {
@@ -82,11 +81,9 @@ class LockingWorkload : public Workload
         return _p.lockBase + Addr(i) * blockBytes;
     }
 
-    /** Called by threads at acquisition/release (checker hooks);
-     *  `ctx` is the reporting thread's domain context (speculative
-     *  calls log an inverse there). */
-    void noteAcquire(SimContext &ctx, unsigned lock, unsigned proc);
-    void noteRelease(SimContext &ctx, unsigned lock, unsigned proc);
+    /** Called by threads at acquisition/release (checker hooks). */
+    void noteAcquire(unsigned lock, unsigned proc);
+    void noteRelease(unsigned lock, unsigned proc);
 
     const LockingParams &params() const { return _p; }
 

@@ -80,10 +80,8 @@ class ProdConsWorkload : public Workload
     }
 
     /** Consumer checker hook: item `value` arrived where sequence
-     *  number `expected` was due. `ctx` is the reporting thread's
-     *  domain context (speculative calls log an inverse there). */
-    void noteConsumed(SimContext &ctx, std::uint64_t expected,
-                      std::uint64_t value);
+     *  number `expected` was due. */
+    void noteConsumed(std::uint64_t expected, std::uint64_t value);
 
     const ProdConsParams &params() const { return _p; }
 

@@ -115,14 +115,6 @@ class ZipfThread : public ThreadContext
     }
 
     const ZipfWorkload &_wl;
-  public:
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        ThreadContext::specCapture(b);
-        b(_done);
-    }
-
   private:
     unsigned _ops;
     bool _readOnly;

@@ -357,6 +357,42 @@ TEST(EventQueue, PerOwnerReleaseLeavesOtherEventsScheduled)
     }
 }
 
+TEST(EventQueue, KeyedScheduleOrdersCanonically)
+{
+    // Same tick: band-0 events execute before band-1 handoffs, and
+    // handoffs order by (srcDomain, sendSeq) — not insertion order.
+    // The sharded kernel's cross-domain delivery order rests on this.
+    struct Marker final : Event
+    {
+        std::vector<int> *out = nullptr;
+        int id = 0;
+        void process() override { out->push_back(id); }
+        void release() override { delete this; }
+    };
+    for (const auto kind :
+         {SchedulerKind::TimingWheel, SchedulerKind::ReferenceHeap}) {
+        SCOPED_TRACE(schedulerKindName(kind));
+        EventQueue q(kind);
+        std::vector<int> order;
+        auto keyed = [&q, &order](Tick t, unsigned src,
+                                  std::uint64_t seq, int id) {
+            auto *m = new Marker;
+            m->out = &order;
+            m->id = id;
+            q.scheduleKeyed(m, t, handoffKey(src, seq));
+        };
+        keyed(50, 2, 0, 103);
+        keyed(50, 1, 1, 102);
+        q.scheduleAbs(50, [&order] { order.push_back(1); });
+        keyed(50, 1, 0, 101);
+        q.scheduleAbs(50, [&order] { order.push_back(2); });
+        q.run();
+        EXPECT_EQ(order, (std::vector<int>{1, 2, 101, 102, 103}));
+    }
+    EXPECT_TRUE(isHandoffKey(handoffKey(0, 0)));
+    EXPECT_FALSE(isHandoffKey(seqBandBit - 1));
+}
+
 TEST(SmallFunction, InlineAndHeapTargetsBehaveIdentically)
 {
     SmallFunction<int(int), 16> small = [](int x) { return x + 1; };

@@ -1,9 +1,8 @@
 /**
  * @file
  * Unit tests for the cache array (geometry, LRU, pinning-aware victim
- * selection, lock-step equivalence with the array-of-structs layout,
- * speculative rollback of tag words), the backing store, and the
- * sequencer.
+ * selection, lock-step equivalence with the array-of-structs layout),
+ * the backing store, and the sequencer.
  */
 
 #include <gtest/gtest.h>
@@ -327,112 +326,6 @@ TEST(CacheArray, LockStepWithArrayOfStructsLayout)
                 return;
         }
     }
-}
-
-namespace {
-
-/** The array's observable answers for a fixed address list. */
-struct Answers
-{
-    std::vector<const void *> probes;
-    std::vector<const void *> victims;
-    std::vector<Addr> victimTags;
-    std::size_t numValid = 0;
-
-    bool operator==(const Answers &) const = default;
-};
-
-Answers
-answers(CacheArray<St> &a, const std::vector<Addr> &addrs)
-{
-    Answers out;
-    for (Addr x : addrs) {
-        auto *l = a.probe(x);
-        out.probes.push_back(l);
-        auto *v = a.victim(x);
-        out.victims.push_back(v);
-        out.victimTags.push_back(a.isValid(*v) ? a.tagOf(*v) : ~Addr(0));
-    }
-    out.numValid = a.numValid();
-    return out;
-}
-
-} // namespace
-
-TEST(CacheArray, RollbackRestoresTagWords)
-{
-    EventQueue eq;
-    SpecLog log;
-    std::uint64_t epoch = 0;
-    CacheArray<St> a(1024, 4);  // 4 sets
-    a.specBind(&eq, &log, &epoch);
-
-    const Addr stride = 4 * 64;  // same set
-    // Set 0 full; set 1 half full; one line carries state.
-    for (int i = 0; i < 4; ++i)
-        a.install(a.victim(i * stride), i * stride);
-    a.install(a.victim(0x40), 0x40);
-    a.install(a.victim(0x40 + stride), 0x40 + stride);
-    a.probe(0x40)->st.v = 7;
-    // Serial operation never journals nor allocates epoch stamps.
-    EXPECT_EQ(log.size(), 0u);
-    EXPECT_EQ(a.specBytes(), 0u);
-
-    std::vector<Addr> addrs;
-    for (int i = 0; i < 8; ++i) {
-        addrs.push_back(i * stride);
-        addrs.push_back(0x40 + i * stride);
-    }
-    const Answers before = answers(a, addrs);
-
-    ++epoch;
-    eq.specCheckpoint();
-    const std::size_t mark = log.mark();
-    // Evict the LRU line of the full set for a new block.
-    auto *v = a.victim(7 * stride);
-    ASSERT_TRUE(a.isValid(*v));
-    a.install(v, 7 * stride);
-    // Fill an invalid way of the half-full set.
-    a.install(a.victim(0x40 + 5 * stride), 0x40 + 5 * stride);
-    // Invalidate a valid line and rebind its way to another block.
-    auto *w = a.probe(0x40);
-    a.invalidate(w);
-    a.install(w, 0x40 + 6 * stride);
-    a.touch(a.probe(2 * stride));
-    EXPECT_GT(log.size(), mark);
-    EXPECT_GT(a.specBytes(), 0u);
-    EXPECT_FALSE(answers(a, addrs) == before);
-
-    log.rollbackTo(mark);
-    eq.specRollback(0);
-    eq.specCommit();
-    EXPECT_TRUE(answers(a, addrs) == before);
-    ASSERT_NE(a.probe(0x40), nullptr);
-    EXPECT_EQ(a.probe(0x40)->st.v, 7);
-    EXPECT_EQ(a.probe(7 * stride), nullptr);
-    EXPECT_EQ(a.probe(0x40 + 6 * stride), nullptr);
-}
-
-TEST(CacheArray, ConstProbeNeverJournals)
-{
-    EventQueue eq;
-    SpecLog log;
-    std::uint64_t epoch = 0;
-    CacheArray<St> a(1024, 4);
-    a.specBind(&eq, &log, &epoch);
-    a.install(a.victim(0x80), 0x80);
-
-    ++epoch;
-    eq.specCheckpoint();
-    const CacheArray<St> &ca = a;
-    ASSERT_NE(ca.probe(0x80), nullptr);
-    EXPECT_EQ(ca.probe(0x1000), nullptr);
-    EXPECT_EQ(log.size(), 0u);
-    EXPECT_EQ(a.specBytes(), 0u);
-    // The mutable lookup does journal the line it returns.
-    a.probe(0x80);
-    EXPECT_GT(log.size(), 0u);
-    eq.specCommit();
 }
 
 TEST(BackingStore, ReadWriteFootprint)

@@ -610,8 +610,7 @@ mapFor(const Topology &t, ShardMapKind kind)
 RunSummary
 runSystem(Protocol proto, unsigned shards, SchedulerKind sched,
           std::uint64_t seed,
-          ShardMapKind map_kind = ShardMapKind::PerCmp,
-          SpeculationMode mode = SpeculationMode::Off)
+          ShardMapKind map_kind = ShardMapKind::PerCmp)
 {
     SystemConfig cfg;
     cfg.protocol = proto;
@@ -619,7 +618,6 @@ runSystem(Protocol proto, unsigned shards, SchedulerKind sched,
     cfg.shards = shards;
     cfg.scheduler = sched;
     cfg.shardMap = mapFor(cfg.topo, map_kind);
-    cfg.speculation = mode;
     cfg.finalize();
 
     SyntheticParams p = oltpParams();
@@ -716,63 +714,6 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name + "_shards" +
                std::to_string(std::get<2>(info.param));
-    });
-
-/**
- * Mode axis of the determinism battery: the optimistic kernel must be
- * exactly as worker-invariant as the conservative one, per shard map.
- * kernel.aborts / kernel.commits / kernel.windows are included in the
- * comparison — the contention manager's arbitration is part of the
- * deterministic contract, so even the rollback schedule may not depend
- * on the worker count.
- */
-class ModeSweep
-    : public ::testing::TestWithParam<
-          std::tuple<Protocol, SpeculationMode, ShardMapKind, unsigned>>
-{};
-
-TEST_P(ModeSweep, StatsBitIdenticalAcrossWorkerCounts)
-{
-    const Protocol proto = std::get<0>(GetParam());
-    const SpeculationMode mode = std::get<1>(GetParam());
-    const ShardMapKind map = std::get<2>(GetParam());
-    const unsigned shards = std::get<3>(GetParam());
-
-    const RunSummary base = runSystem(
-        proto, 1, SchedulerKind::TimingWheel, 11, map, mode);
-    ASSERT_TRUE(base.completed);
-    EXPECT_EQ(base.violations, 0u);
-
-    const RunSummary run = runSystem(
-        proto, shards, SchedulerKind::TimingWheel, 11, map, mode);
-    expectSameRun(run, base,
-                  std::string(protocolName(proto)) + " " +
-                      speculationModeName(mode) + " map=" +
-                      shardMapKindName(map) + " shards=" +
-                      std::to_string(shards));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ModesByMapByWorkers, ModeSweep,
-    ::testing::Combine(::testing::Values(Protocol::TokenDst1,
-                                         Protocol::HierCMP),
-                       ::testing::Values(SpeculationMode::Off,
-                                         SpeculationMode::Optimistic),
-                       ::testing::Values(ShardMapKind::PerCmp,
-                                         ShardMapKind::PerL1Bank),
-                       ::testing::Values(1u, 2u, 4u, 8u)),
-    [](const auto &info) {
-        std::string name(protocolName(std::get<0>(info.param)));
-        name += std::string("_") +
-                speculationModeName(std::get<1>(info.param));
-        name += std::string("_") +
-                shardMapKindName(std::get<2>(info.param));
-        for (char &c : name) {
-            if (!std::isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        }
-        return name + "_shards" +
-               std::to_string(std::get<3>(info.param));
     });
 
 TEST(ShardedSystem, SerialAndShardedAgreeSemantically)

@@ -37,9 +37,9 @@ usage(std::FILE *to)
         "usage: sweep --grid <file.json> [options]\n"
         "\n"
         "Run a declarative parameter grid (policy x workload x shard\n"
-        "map x speculation x knob overrides x seeds) with a resumable\n"
-        "progress journal. Re-running with the same journal skips\n"
-        "completed cells; see docs/sweeps.md for the grid reference.\n"
+        "map x knob overrides x seeds) with a resumable progress\n"
+        "journal. Re-running with the same journal skips completed\n"
+        "cells; see docs/sweeps.md for the grid reference.\n"
         "\n"
         "options:\n"
         "  --grid <file>      grid definition JSON (required)\n"
