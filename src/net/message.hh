@@ -9,9 +9,9 @@
  * (8-byte header + 64-byte block), control messages are 8 bytes.
  *
  * The in-memory Msg is packed independently of that wire model: the
- * simulator copies messages by value through per-domain arenas and
- * delivery batches, so the struct is laid out hot-fields-first with
- * explicit field ordering, narrowed integer types, and single-bit
+ * simulator copies every message by value into its delivery event and
+ * across shard mailboxes, so the struct is laid out hot-fields-first
+ * with explicit field ordering, narrowed integer types, and single-bit
  * flags. static_asserts below pin the layout; see the README
  * "Performance" section before touching it.
  */
@@ -127,8 +127,8 @@ unsigned minWireBytes(MachineType src, MachineType dst);
  * three 3-byte MachineIDs packed back to back, then the narrow scalars,
  * with the booleans collapsed into one flag byte. 40 bytes total (48
  * under TOKENCMP_MSG_TRACE), down from the 64 a declaration-ordered
- * layout cost — at millions of messages/sec every line of a delivery
- * batch holds ~1.6 messages instead of 1.
+ * layout cost — at millions of messages/sec every copy and every
+ * delivery event touches fewer cache lines.
  */
 struct Msg
 {
@@ -217,12 +217,12 @@ struct Msg
     }
 };
 
-// The layout contract. Trivially copyable is what lets delivery
-// batches and arena blocks memcpy Msgs around; the size asserts catch
+// The layout contract. Trivially copyable keeps the by-value copies
+// into delivery events and mailboxes a memcpy; the size asserts catch
 // accidental re-widening (a stray `int` or reordered member) at
 // compile time, in both reqId shapes.
 static_assert(std::is_trivially_copyable_v<Msg>,
-              "Msg must stay memcpy-safe for batches and arenas");
+              "Msg must stay memcpy-safe for by-value delivery");
 #ifdef TOKENCMP_MSG_TRACE
 static_assert(sizeof(Msg) == 48 && alignof(Msg) == 8,
               "Msg (traced, 64-bit reqId) must pack to 48 bytes");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "net/controller.hh"
 #include "sim/logging.hh"
@@ -24,47 +23,19 @@ netLevelName(NetLevel l)
 void
 DeliverEvent::process()
 {
-    // Close the batch before delivering: a handler may send to this
-    // same controller at this same tick, which must open a fresh event
-    // (later in (tick, seq) order), never append to a fired one.
-    if (_net->_open[_dstIdx] == this)
-        _net->_open[_dstIdx] = nullptr;
-    Network::DomainState &ds = _net->_dom[_domIdx];
-    ++ds.wakeups;
-    for (std::uint32_t i = 0; i < _count; ++i) {
-        --ds.inFlight;
-        _dst->handleMsg(_msgs[i]);
-    }
-    _count = 0;  // keeps the spill block; release() treats leftovers
-                 // as undelivered
+    ++_net->_dom[_domIdx].wakeups;
+    _dst->handleMsg(_msg);
 }
 
 void
 DeliverEvent::release()
 {
-    // Released without firing (EventQueue::reset()/releaseAll()): the
-    // messages never arrived, and the open-batch slot must not keep
-    // pointing at a node about to be recycled.
+    // Runs after process(), and also when the queue drops the event
+    // unfired (EventQueue::reset()/releaseAll()): either way the
+    // message has left the network.
     Network::DomainState &ds = _net->_dom[_domIdx];
-    ds.inFlight -= _count;
-    if (_net->_open[_dstIdx] == this)
-        _net->_open[_dstIdx] = nullptr;
-    _count = 0;
+    --ds.inFlight;
     ds.pool.recycle(this);
-}
-
-void
-DeliverEvent::grow(MsgArena &arena)
-{
-    const std::uint32_t new_cap = _cap == kInlineMsgs
-                                      ? MsgArena::kMinBlockMsgs
-                                      : _cap * 2;
-    Msg *block = arena.acquire(new_cap);
-    std::memcpy(block, _msgs, _count * sizeof(Msg));
-    if (_msgs != _inline)
-        arena.recycle(_msgs, _cap);
-    _msgs = block;
-    _cap = new_cap;
 }
 
 Network::Network(EventQueue &eq, const Topology &topo,
@@ -81,7 +52,6 @@ Network::Network(EventQueue &eq, const Topology &topo,
     _interLinks.assign(_topo.numCmps * _topo.numCmps, Link{});
     _memEgress.assign(_topo.numCmps, Link{});
     _memIngress.assign(_topo.numCmps, Link{});
-    _open.assign(_topo.numControllers(), nullptr);
     _dom = std::vector<DomainState>(1);
     _lookahead.assign(1, EventQueue::noTick);
 }
@@ -235,7 +205,7 @@ Network::account(NetLevel level, const Msg &msg, unsigned domain)
 }
 
 void
-Network::send(Msg msg, Tick sender_delay)
+Network::send(const Msg &msg, Tick sender_delay)
 {
     if (msg.src == msg.dst)
         panic("message to self: %s at %s", msgTypeName(msg.type),
@@ -312,42 +282,25 @@ Network::send(Msg msg, Tick sender_delay)
         mailbox(sd, dd).push(h, t);
         return;
     }
-    deliverLocal(msg, t, dd);
+    _eqs[dd]->scheduleEvent(makeDelivery(msg, dd), t);
 }
 
-void
-Network::deliverLocal(const Msg &msg, Tick arrival, unsigned domain)
+DeliverEvent *
+Network::makeDelivery(const Msg &msg, unsigned domain)
 {
-    const unsigned idx = _topo.globalIndex(msg.dst);
-    Controller *dst = _controllers.at(idx);
+    Controller *dst = _controllers.at(_topo.globalIndex(msg.dst));
     if (dst == nullptr)
         panic("message to unregistered controller %s",
               msg.dst.toString().c_str());
 
     DomainState &ds = _dom[domain];
-    EventQueue &eq = *_eqs[domain];
     ++ds.inFlight;
-
-    // Join the destination's open batch only when it targets the same
-    // tick AND nothing was scheduled since its last append — then the
-    // batch members are consecutive in (tick, seq) and delivering them
-    // from one wakeup is indistinguishable from per-message events.
-    DeliverEvent *b = _open[idx];
-    if (_p.batchDelivery && b != nullptr && b->scheduled() &&
-        b->when() == arrival && eq.nextSeq() == b->seq() + 1) {
-        b->append(msg, ds.arena);
-        ++ds.batched;
-        return;
-    }
-
-    b = ds.pool.acquire();
-    b->_net = this;
-    b->_dst = dst;
-    b->_dstIdx = idx;
-    b->_domIdx = domain;
-    b->append(msg, ds.arena);
-    eq.scheduleEvent(b, arrival);
-    _open[idx] = b;
+    DeliverEvent *d = ds.pool.acquire();
+    d->_net = this;
+    d->_dst = dst;
+    d->_domIdx = domain;
+    d->_msg = msg;
+    return d;
 }
 
 void
@@ -370,34 +323,12 @@ Network::intakeMailboxes(unsigned domain)
     for (unsigned src = 0; src < n; ++src) {
         FlipMailbox<Handoff> &mb = mailbox(src, domain);
         for (const Handoff &h : mb.pending()) {
-            deliverKeyed(h, domain);
+            _eqs[domain]->scheduleKeyed(makeDelivery(h.msg, domain),
+                                        h.tick, h.key);
             _mailboxed.fetch_sub(1, std::memory_order_relaxed);
         }
         mb.clearPending();
     }
-}
-
-void
-Network::deliverKeyed(const Handoff &h, unsigned domain)
-{
-    const unsigned idx = _topo.globalIndex(h.msg.dst);
-    Controller *dst = _controllers.at(idx);
-    if (dst == nullptr)
-        panic("message to unregistered controller %s",
-              h.msg.dst.toString().c_str());
-
-    DomainState &ds = _dom[domain];
-    ++ds.inFlight;
-    // Handoffs never batch and never open a batch slot: their band-1
-    // key pins their place in the delivery order, and a later local
-    // send must not append behind that key.
-    DeliverEvent *b = ds.pool.acquire();
-    b->_net = this;
-    b->_dst = dst;
-    b->_dstIdx = idx;
-    b->_domIdx = domain;
-    b->append(h.msg, ds.arena);
-    _eqs[domain]->scheduleKeyed(b, h.tick, h.key);
 }
 
 Network::LinkOccupancy
@@ -442,15 +373,6 @@ Network::deliveryWakeups() const
 }
 
 std::uint64_t
-Network::batchedMessages() const
-{
-    std::uint64_t sum = 0;
-    for (const DomainState &d : _dom)
-        sum += d.batched;
-    return sum;
-}
-
-std::uint64_t
 Network::bytes(NetLevel level, TrafficClass cls) const
 {
     std::uint64_t sum = 0;
@@ -476,7 +398,6 @@ Network::clearStats()
             lvl.fill(0);
         d.totalMsgs = 0;
         d.wakeups = 0;
-        d.batched = 0;
     }
     _handoffsTotal.store(0, std::memory_order_relaxed);
 }

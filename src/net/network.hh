@@ -17,26 +17,23 @@
  * plus the destination's memory link. Bandwidth is modeled per link with
  * store-and-forward serialization, producing queueing under load.
  *
- * Delivery is a first-class pooled DeliverEvent: no closure or heap
- * allocation per hop, and messages bound for the same controller at the
- * same tick are batched into one wakeup. Batching is order-preserving:
- * a message joins an open batch only when nothing else was scheduled on
- * the event queue since the batch's last append, so the global
- * (tick, seq) delivery order — and therefore every simulation outcome —
- * is bit-identical to unbatched per-message delivery.
+ * Delivery is one pooled DeliverEvent per message: no closure or heap
+ * allocation per hop, and every arrival takes its own (tick, seq) slot
+ * in the event queue, so the delivery order is exactly the send order
+ * within a tick.
  *
  * Sharded delivery (shard()): when the System runs the sharded kernel,
  * the machine decomposes into shard *domains* under an arbitrary
  * controller-to-domain map (per CMP, per L1 bank, or explicit — see
  * SystemConfig::shardMap). Each domain owns an EventQueue and one
- * DomainState (delivery pool, open batches' side, traffic counters),
+ * DomainState (delivery pool, traffic counters),
  * so domains share no mutable state inside a window. Same-domain
  * messages deliver exactly as in serial mode; a cross-domain message
  * is computed to its final arrival tick on source-owned links, stamped
  * with a canonical band-1 key (source domain, send sequence), and
  * handed to the destination domain through a per-(src, dst)
  * FlipMailbox. The destination drains its inboxes at the window
- * boundary and schedules each handoff unbatched at its key, so the
+ * boundary and schedules each handoff at its key, so the
  * delivery order is independent of worker count.
  *
  * Because a sub-CMP map places several domains on one chip, each
@@ -71,7 +68,6 @@
 
 #include "net/machine.hh"
 #include "net/message.hh"
-#include "net/msg_arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/sharded_kernel.hh"
 #include "sim/types.hh"
@@ -91,7 +87,6 @@ struct NetworkParams
     Tick memLinkLatency = ns(20);
     double memLinkBytesPerNs = 16.0;
     bool modelBandwidth = true;     //!< serialize on link bandwidth
-    bool batchDelivery = true;      //!< coalesce same-(dst,tick) bursts
 
     /**
      * Derive the sharded lookahead matrix from per-message-type
@@ -111,18 +106,8 @@ enum class NetLevel : std::uint8_t { Intra, Inter, MemLink, NumLevels };
 /** Printable name of a network level. */
 const char *netLevelName(NetLevel l);
 
-/**
- * Pooled arrival event: one wakeup hands a batch of same-tick messages
- * to one controller.
- *
- * Batches are overwhelmingly singletons (the order-preserving join
- * condition is strict), so the first kInlineMsgs messages live inside
- * the event itself — the common delivery touches no storage beyond
- * the pooled event node. Larger batches spill into a block from the
- * owning domain's MsgArena; a block's capacity survives recycling
- * (like the vector it replaced), so steady-state delivery allocates
- * nothing.
- */
+/** Pooled arrival event: one wakeup hands one message to one
+ *  controller. */
 class DeliverEvent final : public Event
 {
   public:
@@ -134,27 +119,10 @@ class DeliverEvent final : public Event
   private:
     friend class Network;
 
-    static constexpr std::uint32_t kInlineMsgs = 2;
-
-    /** Append one message, spilling/growing through `arena`. */
-    void
-    append(const Msg &m, MsgArena &arena)
-    {
-        if (_count == _cap)
-            grow(arena);
-        _msgs[_count++] = m;
-    }
-
-    void grow(MsgArena &arena);
-
     Network *_net = nullptr;
     Controller *_dst = nullptr;
-    unsigned _dstIdx = 0;
-    unsigned _domIdx = 0;        //!< owning delivery domain
-    Msg *_msgs = _inline;        //!< _inline, or an arena block
-    std::uint32_t _count = 0;
-    std::uint32_t _cap = kInlineMsgs;
-    Msg _inline[kInlineMsgs];
+    unsigned _domIdx = 0;  //!< owning delivery domain
+    Msg _msg;
 };
 
 /**
@@ -217,8 +185,8 @@ class Network
 
     /**
      * Drain `domain`'s flipped inboxes in canonical (source domain,
-     * send order) sequence: each handoff is enqueued unbatched at its
-     * band-1 key, so the delivery order is a pure function of the
+     * send order) sequence: each handoff is enqueued at its band-1
+     * key, so the delivery order is a pure function of the
      * execution — never of worker count or barrier timing.
      */
     void intakeMailboxes(unsigned domain);
@@ -227,7 +195,7 @@ class Network
      * Send a message after `sender_delay` ticks of local processing
      * (the sender's tag/directory access latency).
      */
-    void send(Msg msg, Tick sender_delay = 0);
+    void send(const Msg &msg, Tick sender_delay = 0);
 
     /** Messages currently in flight (for quiescence detection). */
     std::uint64_t inFlight() const;
@@ -235,11 +203,12 @@ class Network
     /** Total messages ever sent. */
     std::uint64_t totalMessages() const;
 
-    /** Delivery wakeups fired (<= totalMessages when batching). */
+    /** Delivery events fired (one per delivered message). */
     std::uint64_t deliveryWakeups() const;
 
-    /** Messages that rode an existing batch instead of a new event. */
-    std::uint64_t batchedMessages() const;
+    /** Always 0: every message is its own delivery event. Kept only
+     *  for readers of the old batching statistic. */
+    std::uint64_t batchedMessages() const { return 0; }
 
     /** Messages that crossed a shard mailbox (0 in serial mode). */
     std::uint64_t handoffs() const
@@ -305,12 +274,9 @@ class Network
     struct DomainState
     {
         EventPool<DeliverEvent> pool;
-        MsgArena arena;  //!< batch spill blocks; outlives the pool's
-                         //!< events (see ~Network)
         std::uint64_t inFlight = 0;
         std::uint64_t totalMsgs = 0;
         std::uint64_t wakeups = 0;
-        std::uint64_t batched = 0;
         std::uint64_t sendSeq = 0;  //!< band-1 key source
         std::array<std::array<std::uint64_t,
                               unsigned(TrafficClass::NumClasses)>,
@@ -358,11 +324,9 @@ class Network
 
     void account(NetLevel level, const Msg &msg, unsigned domain);
 
-    /** Schedule delivery on `domain`'s queue (src == dst domain). */
-    void deliverLocal(const Msg &msg, Tick arrival, unsigned domain);
-
-    /** Schedule one handoff unbatched at its band-1 key (intake). */
-    void deliverKeyed(const Handoff &h, unsigned domain);
+    /** A delivery event for `msg`, drawn from `domain`'s pool and
+     *  counted in flight; the caller schedules it. */
+    DeliverEvent *makeDelivery(const Msg &msg, unsigned domain);
 
     /** Domain that owns a controller under the installed shard map. */
     unsigned
@@ -429,9 +393,6 @@ class Network
     std::vector<Link> _interLinks;  //!< (src CMP, dst CMP) x src domain
     std::vector<Link> _memEgress;   //!< mem -> CMP, per CMP
     std::vector<Link> _memIngress;  //!< CMP -> mem, per CMP x src domain
-
-    /** Latest still-open batch per destination controller. */
-    std::vector<DeliverEvent *> _open;
 
     std::vector<EventQueue *> _eqs;   //!< per-domain queues ({&_eq} serial)
     std::vector<DomainState> _dom;    //!< per-domain delivery state

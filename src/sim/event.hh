@@ -85,8 +85,7 @@ struct EventPoolAccess
  *
  * acquire() pops a recycled node (or default-constructs a fresh one);
  * recycled nodes come back exactly as release() left them, so types
- * re-initialize their own fields — which lets e.g. a message batch keep
- * its vector capacity across reuses. The pool owns every free-listed
+ * re-initialize their own fields. The pool owns every free-listed
  * node; nodes still scheduled when the pool dies must have been
  * released first (EventQueue::releaseAll()).
  */

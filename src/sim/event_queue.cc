@@ -137,14 +137,46 @@ EventQueue::runqInsert(Event *e)
     // equal-tick entry just like a when-only search; band-1 handoff
     // keys may sort between staged events, and the full compare places
     // them canonically.
-    auto it = std::upper_bound(
-        _runq.begin() + std::ptrdiff_t(_runqHead), _runq.end(), e,
-        [](const Event *a, const Event *b) {
-            if (a->when() != b->when())
-                return a->when() < b->when();
-            return a->seq() < b->seq();
-        });
-    _runq.insert(it, e);
+    const RunEntry x{e->_when, e->_seq, e};
+    _runq.insert(std::upper_bound(_runq.begin() +
+                                      std::ptrdiff_t(_runqHead),
+                                  _runq.end(), x),
+                 x);
+}
+
+void
+EventQueue::drainLevel0(Chain &c)
+{
+    // Insertion-sort the chain into the run queue as it is walked.
+    // Chains are FIFO in insertion order, so most events land at the
+    // back after one compare; an event inserted after a later-keyed
+    // peer (a shorter delay into the same slot, a cascade, a keyed
+    // handoff) shifts down into place. Compares read inline keys only.
+    //
+    // Insertion sort is quadratic on a large shuffled bucket (hundreds
+    // of events at random sub-slot delays), so once the shifts exceed
+    // a few per entry the rest of the chain is appended and the run
+    // queue sorted in one pass. Protocol buckets never get there.
+    std::size_t shifts = 0;
+    bool sortAll = false;
+    for (Event *e = c.head; e != nullptr;) {
+        Event *next = e->_next;
+        e->_next = nullptr;
+        const RunEntry x{e->_when, e->_seq, e};
+        std::size_t i = _runq.size();
+        _runq.push_back(x);
+        if (!sortAll) {
+            for (; i > 0 && x < _runq[i - 1]; --i)
+                _runq[i] = _runq[i - 1];
+            _runq[i] = x;
+            shifts += _runq.size() - 1 - i;
+            sortAll = shifts > drainShiftsPerEntry * _runq.size();
+        }
+        e = next;
+    }
+    c.head = c.tail = nullptr;
+    if (sortAll)
+        std::sort(_runq.begin(), _runq.end());
 }
 
 void
@@ -199,8 +231,10 @@ EventQueue::refill()
         // events scheduled during execution (which go to the run queue)
         // cannot overtake their already-pending peers.
         const Tick when = _far.front()->when();
-        while (!_far.empty() && _far.front()->when() == when)
-            _runq.push_back(farPop());
+        while (!_far.empty() && _far.front()->when() == when) {
+            Event *e = farPop();
+            _runq.push_back(RunEntry{e->_when, e->_seq, e});
+        }
         _pos = when + 1;
         return true;
     }
@@ -246,36 +280,9 @@ EventQueue::refill()
         if (int idx = lowestSet(_occ[0]); idx >= 0) {
             const Tick span0 = Tick(1) << (baseShift + slotBits);
             const Tick base0 = _pos & ~(span0 - 1);
-            Chain &c = _wheel[0][idx];
-            // Track (when, seq) order while draining: chains are FIFO
-            // in insertion order, which in the common case (no cascade
-            // interleaving) is already sorted, so the sort below is a
-            // no-op worth skipping — it dominates the drain cost for
-            // the small buckets the protocol latencies produce.
-            bool sorted = true;
-            const Event *prev = nullptr;
-            for (Event *e = c.head; e != nullptr;) {
-                Event *next = e->_next;
-                e->_next = nullptr;
-                if (prev != nullptr &&
-                    (prev->when() > e->when() ||
-                     (prev->when() == e->when() && prev->seq() > e->seq())))
-                    sorted = false;
-                prev = e;
-                _runq.push_back(e);
-                e = next;
-            }
-            c.head = c.tail = nullptr;
+            drainLevel0(_wheel[0][idx]);
             _occ[0][unsigned(idx) >> 6] &=
                 ~(std::uint64_t(1) << (unsigned(idx) & 63));
-            if (!sorted) {
-                std::sort(_runq.begin(), _runq.end(),
-                          [](const Event *a, const Event *b) {
-                              if (a->when() != b->when())
-                                  return a->when() < b->when();
-                              return a->seq() < b->seq();
-                          });
-            }
             _pos = base0 + ((Tick(idx) + 1) << baseShift);
             return true;
         }
@@ -354,7 +361,7 @@ EventQueue::releaseAll()
         --_pending;
     };
     for (std::size_t i = _runqHead; i < _runq.size(); ++i)
-        releaseOne(_runq[i]);
+        releaseOne(_runq[i].event);
     _runq.clear();
     _runqHead = 0;
     for (auto &level : _wheel) {
@@ -391,8 +398,8 @@ EventQueue::releaseAll(const std::function<bool(const Event &)> &mine)
     // Run queue: compact survivors in place (order preserved).
     std::size_t out = _runqHead;
     for (std::size_t i = _runqHead; i < _runq.size(); ++i) {
-        if (mine(*_runq[i]))
-            releaseOne(_runq[i]);
+        if (mine(*_runq[i].event))
+            releaseOne(_runq[i].event);
         else
             _runq[out++] = _runq[i];
     }

@@ -24,7 +24,9 @@
  * Events due soon are drained bucket-at-a-time into a run queue sorted
  * by (tick, seq); same-tick events scheduled *while the tick executes*
  * are spliced into that run queue in order, preserving the exact
- * semantics of a (tick, seq) priority queue.
+ * semantics of a (tick, seq) priority queue. Run-queue entries carry
+ * their (tick, seq) key inline, so ordering them never dereferences an
+ * event.
  *
  * The closure API (schedule(delay, lambda)) is a thin compatibility
  * layer over pooled InlineAction events: steady-state scheduling does
@@ -163,8 +165,7 @@ class EventQueue
     Tick
     frontier()
     {
-        Event *e = peekNext();
-        return e == nullptr ? noTick : e->when();
+        return peekNext() == nullptr ? noTick : _runq[_runqHead].when;
     }
 
     /** True if no events are pending. */
@@ -176,11 +177,7 @@ class EventQueue
     /** Total events executed so far. */
     std::uint64_t executed() const { return _executed; }
 
-    /**
-     * Sequence number the next scheduled event will receive. Lets the
-     * network detect whether anything was scheduled between two sends
-     * (the condition for order-preserving delivery batching).
-     */
+    /** Sequence number the next scheduled event will receive. */
     std::uint64_t nextSeq() const { return _nextSeq; }
 
     /**
@@ -244,6 +241,10 @@ class EventQueue
     static constexpr unsigned numLevels = 3;
     static constexpr unsigned occWords = numSlots / 64;
 
+    /** Insertion-sort budget of a level-0 drain, in average shifts
+     *  per run-queue entry, before it falls back to one full sort. */
+    static constexpr std::size_t drainShiftsPerEntry = 8;
+
     static constexpr unsigned
     levelShift(unsigned level)
     {
@@ -255,6 +256,20 @@ class EventQueue
     {
         Event *head = nullptr;
         Event *tail = nullptr;
+    };
+
+    /** Run-queue entry: an event with its (when, seq) key inline. */
+    struct RunEntry
+    {
+        Tick when;
+        std::uint64_t seq;
+        Event *event;
+
+        bool
+        operator<(const RunEntry &o) const
+        {
+            return when != o.when ? when < o.when : seq < o.seq;
+        }
     };
 
     template <typename F>
@@ -271,6 +286,7 @@ class EventQueue
 
     void insertPending(Event *e);
     void runqInsert(Event *e);
+    void drainLevel0(Chain &c);
     void chainAppend(Chain &c, Event *e);
     int lowestSet(const std::uint64_t *occ) const;
     bool refill();           //!< make the run queue non-empty (slow path)
@@ -283,20 +299,18 @@ class EventQueue
     peekNext()
     {
         if (_runqHead < _runq.size()) [[likely]]
-            return _runq[_runqHead];
-        return refill() ? _runq[_runqHead] : nullptr;
+            return _runq[_runqHead].event;
+        return refill() ? _runq[_runqHead].event : nullptr;
     }
 
     /** Consume the event peekNext returned. */
-    Event *
+    void
     popNext()
     {
-        Event *e = _runq[_runqHead++];
-        if (_runqHead == _runq.size()) {
+        if (++_runqHead == _runq.size()) {
             _runq.clear();
             _runqHead = 0;
         }
-        return e;
     }
 
     /** Pop, clock-advance, process, release. */
@@ -326,7 +340,7 @@ class EventQueue
      * the next event to execute. The wheel and far heap only hold
      * events with when >= _pos.
      */
-    std::vector<Event *> _runq;
+    std::vector<RunEntry> _runq;
     std::size_t _runqHead = 0;
     Tick _pos = 0;
 

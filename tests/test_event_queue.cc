@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -42,15 +43,19 @@ randomizedRun(SchedulerKind kind, std::uint64_t seed, unsigned initial,
     unsigned remaining = budget;
 
     // Delay distribution: mostly protocol-like small constants, some
-    // zero-delay chains, some think-time scale, rare far-future jumps.
+    // zero-delay chains, sub-bucket jitter, some think-time scale,
+    // rare far-future jumps.
     auto pickDelay = [&rng]() -> Tick {
-        switch (rng.uniform(10)) {
+        switch (rng.uniform(11)) {
           case 0: return 0;
           case 1: case 2: case 3: return ns(2);
           case 4: case 5: return ns(20);
           case 6: return rng.uniform(5000);
           case 7: return ns(rng.uniform(3000));          // < 3 us
           case 8: return ns(1000000 + rng.uniform(100)); // ~1 ms
+          // Sub-bucket: lands in a level-0 slot that already holds a
+          // later tick, so the drain must reorder it.
+          case 9: return rng.uniform(1024);
           default: return ns(20000000 + rng.uniform(7)); // ~20 ms (far)
         }
     };
@@ -391,6 +396,82 @@ TEST(EventQueue, KeyedScheduleOrdersCanonically)
     }
     EXPECT_TRUE(isHandoffKey(handoffKey(0, 0)));
     EXPECT_FALSE(isHandoffKey(seqBandBit - 1));
+}
+
+TEST(EventQueue, OutOfOrderBucketDrainsInKeyOrder)
+{
+    // Every event lands in level-0 slot 5 ([5120, 6144) ticks), chained
+    // in an order that is neither tick- nor key-sorted: reverse ticks,
+    // equal ticks, and band-1 keys interleaved with band-0 seqs. The
+    // drain must still execute them in (when, seq) order.
+    struct Marker final : Event
+    {
+        std::vector<std::pair<int, Tick>> *out = nullptr;
+        EventQueue *q = nullptr;
+        int id = 0;
+        void process() override { out->emplace_back(id, q->curTick()); }
+        void release() override { delete this; }
+    };
+    for (const auto kind :
+         {SchedulerKind::TimingWheel, SchedulerKind::ReferenceHeap}) {
+        SCOPED_TRACE(schedulerKindName(kind));
+        EventQueue q(kind);
+        std::vector<std::pair<int, Tick>> order;
+        auto mark = [&](Tick t, int id) {
+            q.scheduleAbs(t, [&order, &q, id] {
+                order.emplace_back(id, q.curTick());
+            });
+        };
+        auto keyed = [&](Tick t, unsigned src, std::uint64_t seq,
+                         int id) {
+            auto *m = new Marker;
+            m->out = &order;
+            m->q = &q;
+            m->id = id;
+            q.scheduleKeyed(m, t, handoffKey(src, seq));
+        };
+        mark(6000, 1);
+        mark(5500, 2);
+        keyed(5500, 1, 0, 101);
+        mark(5500, 3);
+        keyed(5200, 0, 5, 102);
+        mark(5200, 4);
+        keyed(5500, 0, 7, 103);
+        mark(6143, 5);
+        mark(5120, 6);
+        q.run();
+        EXPECT_EQ(order, (std::vector<std::pair<int, Tick>>{
+                             {6, 5120},
+                             {4, 5200},
+                             {102, 5200},
+                             {2, 5500},
+                             {3, 5500},
+                             {103, 5500},
+                             {101, 5500},
+                             {1, 6000},
+                             {5, 6143}}));
+    }
+
+    // Hundreds of shuffled ticks in one slot exceed the drain's
+    // insertion-sort budget and take its one-pass sort instead.
+    for (const auto kind :
+         {SchedulerKind::TimingWheel, SchedulerKind::ReferenceHeap}) {
+        SCOPED_TRACE(schedulerKindName(kind));
+        EventQueue q(kind);
+        Random rng(7);
+        std::vector<std::pair<Tick, int>> want, got;
+        for (int i = 0; i < 400; ++i) {
+            const Tick t = 5120 + rng.uniform(1024);
+            want.emplace_back(t, i);
+            q.scheduleAbs(t, [&got, &q, i] {
+                got.emplace_back(q.curTick(), i);
+            });
+        }
+        q.run();
+        // Equal ticks run in insertion order, i.e. by ascending i.
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(got, want);
+    }
 }
 
 TEST(SmallFunction, InlineAndHeapTargetsBehaveIdentically)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for topology maps, message sizing/classification, and
- * the interconnect's latency, bandwidth and traffic accounting.
+ * the interconnect's latency, bandwidth, traffic accounting and
+ * per-message delivery order.
  */
 
 #include <gtest/gtest.h>
@@ -130,10 +131,9 @@ struct NetFixture
     std::unique_ptr<Network> net;
     std::vector<std::unique_ptr<SinkController>> sinks;
 
-    NetFixture()
+    explicit NetFixture(const NetworkParams &params = {})
     {
-        net = std::make_unique<Network>(ctx.eventq, ctx.topo,
-                                        NetworkParams{});
+        net = std::make_unique<Network>(ctx.eventq, ctx.topo, params);
         ctx.net = net.get();
         const Topology &t = ctx.topo;
         for (unsigned c = 0; c < t.numCmps; ++c) {
@@ -250,6 +250,84 @@ TEST(Network, TrafficAccountingByLevelAndClass)
     EXPECT_EQ(f.net->totalMessages(), 2u);
     f.net->clearStats();
     EXPECT_EQ(f.net->bytesByLevel(NetLevel::Intra), 0u);
+}
+
+TEST(Network, SameTickFanInKeepsSendOrder)
+{
+    // Without link serialization, on-chip sends issued at one tick all
+    // arrive at one tick: the same-(destination, tick) fan-in that
+    // delivery batching used to coalesce. Each message is its own
+    // delivery event, so arrivals follow send order and an event
+    // scheduled between two sends runs between their arrivals.
+    NetworkParams p;
+    p.modelBandwidth = false;
+    NetFixture f(p);
+    const Topology &t = f.ctx.topo;
+    const MachineID dst = t.l2(0, 0);
+    auto &sink = f.sink(dst);
+    auto sendFrom = [&](MachineID src, Addr tag) {
+        Msg m;
+        m.type = MsgType::GetS;
+        m.addr = tag;
+        m.dst = dst;
+        f.sink(src).testSend(m);
+    };
+    std::size_t seen_by_closure = ~std::size_t(0);
+    sendFrom(t.l1d(0, 0), 0x40);
+    sendFrom(t.l1d(0, 1), 0x80);
+    f.ctx.eventq.schedule(ns(2), [&] {
+        seen_by_closure = sink.arrivals.size();
+    });
+    sendFrom(t.l1i(0, 0), 0xc0);
+    sendFrom(t.l1d(0, 0), 0x100);
+    f.ctx.eventq.run();
+
+    ASSERT_EQ(sink.arrivals.size(), 4u);
+    const Addr want[] = {0x40, 0x80, 0xc0, 0x100};
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(sink.arrivals[i].first, ns(2)) << i;
+        EXPECT_EQ(sink.arrivals[i].second.addr, want[i]) << i;
+    }
+    EXPECT_EQ(seen_by_closure, 2u);
+    EXPECT_EQ(f.net->totalMessages(), 4u);
+    EXPECT_EQ(f.net->deliveryWakeups(), f.net->totalMessages());
+    EXPECT_EQ(f.net->batchedMessages(), 0u);
+    EXPECT_EQ(f.net->inFlight(), 0u);
+}
+
+TEST(Network, ResetWithMessagesInFlight)
+{
+    // EventQueue::reset() drops pending deliveries unfired; each
+    // dropped message must leave the in-flight count, and the network
+    // must keep delivering afterwards.
+    NetFixture f;
+    const Topology &t = f.ctx.topo;
+    Msg m;
+    m.type = MsgType::GetS;
+    m.addr = 0x1000;
+    m.dst = t.l1d(1, 0);
+    auto &src = f.sink(t.l1d(0, 0));
+    src.testSend(m);
+    src.testSend(m);
+    m.dst = t.l2(0, 1);
+    src.testSend(m);
+    EXPECT_EQ(f.net->inFlight(), 3u);
+
+    f.ctx.eventq.reset();
+    EXPECT_EQ(f.net->inFlight(), 0u);
+    EXPECT_TRUE(f.ctx.eventq.empty());
+    EXPECT_EQ(f.net->deliveryWakeups(), 0u);
+
+    m.addr = 0x2000;
+    src.testSend(m);
+    EXPECT_EQ(f.net->inFlight(), 1u);
+    f.ctx.eventq.run();
+    auto &arr = f.sink(m.dst).arrivals;
+    ASSERT_EQ(arr.size(), 1u);
+    EXPECT_EQ(arr[0].second.addr, 0x2000u);
+    EXPECT_TRUE(f.sink(t.l1d(1, 0)).arrivals.empty());
+    EXPECT_EQ(f.net->inFlight(), 0u);
+    EXPECT_EQ(f.net->deliveryWakeups(), 1u);
 }
 
 TEST(Network, SelfSendPanics)
