@@ -156,7 +156,8 @@ EventQueue::drainLevel0(Chain &c)
     // Insertion sort is quadratic on a large shuffled bucket (hundreds
     // of events at random sub-slot delays), so once the shifts exceed
     // a few per entry the rest of the chain is appended and the run
-    // queue sorted in one pass. Protocol buckets never get there.
+    // queue sorted in one pass. Protocol buckets rarely get there, and
+    // for them the in-walk insertion beats a full sort of the bucket.
     std::size_t shifts = 0;
     bool sortAll = false;
     for (Event *e = c.head; e != nullptr;) {

@@ -291,7 +291,6 @@ TEST(Network, SameTickFanInKeepsSendOrder)
     EXPECT_EQ(seen_by_closure, 2u);
     EXPECT_EQ(f.net->totalMessages(), 4u);
     EXPECT_EQ(f.net->deliveryWakeups(), f.net->totalMessages());
-    EXPECT_EQ(f.net->batchedMessages(), 0u);
     EXPECT_EQ(f.net->inFlight(), 0u);
 }
 
