@@ -41,9 +41,6 @@ envKnobs()
         {"TOKENCMP_ENFORCE_SHARDED_GATE",
          "set: enforce the 4-worker sharded speedup gate even on "
          "hosts with < 4 hardware threads (sharded_throughput)"},
-        {"TOKENCMP_ENFORCE_SUBCMP_GATE",
-         "set: enforce the 8-worker sub-CMP scaling gate even on "
-         "hosts with < 8 hardware threads (sharded_throughput)"},
     };
     return knobs;
 }

@@ -1,7 +1,5 @@
 #include "net/message.hh"
 
-#include <algorithm>
-
 namespace tokencmp {
 
 const char *
@@ -52,102 +50,6 @@ trafficClassName(TrafficClass c)
       case TrafficClass::NumClasses: break;
     }
     return "?";
-}
-
-namespace {
-
-/** Endpoint-category masks for the vocabulary's legal directions. */
-enum : unsigned {
-    kL1 = 1u,
-    kL2 = 2u,
-    kMem = 4u,
-    kCache = kL1 | kL2,
-    kAnyNode = kCache | kMem,
-};
-
-unsigned
-maskOf(MachineType t)
-{
-    switch (t) {
-      case MachineType::L1I:
-      case MachineType::L1D:
-        return kL1;
-      case MachineType::L2Bank:
-        return kL2;
-      case MachineType::Mem:
-        return kMem;
-    }
-    return 0;
-}
-
-/** One vocabulary row: who may send it where, and its smallest shape. */
-struct MsgShape
-{
-    MsgType type;
-    unsigned srcMask;
-    unsigned dstMask;
-    unsigned minBytes;
-};
-
-/**
- * Direction table for the whole vocabulary. Directions deliberately
- * over-approximate (an edge listed here that a protocol never uses
- * only lowers the bound, which stays sound); minBytes is kDataBytes
- * only for types that always carry the block.
- */
-constexpr MsgShape kVocabulary[] = {
-    {MsgType::TokReadReq, kL1, kAnyNode, kControlBytes},
-    {MsgType::TokWriteReq, kL1, kAnyNode, kControlBytes},
-    // Token responses may move bare tokens without data.
-    {MsgType::TokResponse, kAnyNode, kAnyNode, kControlBytes},
-    {MsgType::TokWriteback, kCache, kL2 | kMem, kControlBytes},
-    {MsgType::PersistActivate, kL1, kAnyNode, kControlBytes},
-    {MsgType::PersistDeactivate, kL1, kAnyNode, kControlBytes},
-    // Arbiters live at the home memory (flat protocols) or at the
-    // CMP's L2-slot shim (hier family).
-    {MsgType::PersistArbRequest, kL1, kL2 | kMem, kControlBytes},
-    {MsgType::PersistArbActivate, kL2 | kMem, kAnyNode, kControlBytes},
-    {MsgType::PersistArbDeactivate, kL2 | kMem, kAnyNode,
-     kControlBytes},
-    {MsgType::PersistArbDone, kL1, kL2 | kMem, kControlBytes},
-    {MsgType::GetS, kCache, kL2 | kMem, kControlBytes},
-    {MsgType::GetX, kCache, kL2 | kMem, kControlBytes},
-    {MsgType::FwdGetS, kL2 | kMem, kCache, kControlBytes},
-    {MsgType::FwdGetX, kL2 | kMem, kCache, kControlBytes},
-    {MsgType::Inv, kL2 | kMem, kCache, kControlBytes},
-    {MsgType::InvAck, kCache, kCache, kControlBytes},
-    // Data grants always carry the 64-byte block.
-    {MsgType::Data, kL2 | kMem, kAnyNode, kDataBytes},
-    {MsgType::DataEx, kL2 | kMem, kAnyNode, kDataBytes},
-    {MsgType::AckCount, kL2 | kMem, kCache, kControlBytes},
-    {MsgType::Unblock, kCache, kL2 | kMem, kControlBytes},
-    {MsgType::UnblockEx, kCache, kL2 | kMem, kControlBytes},
-    {MsgType::WbRequest, kCache, kL2 | kMem, kControlBytes},
-    {MsgType::WbGrant, kL2 | kMem, kCache, kControlBytes},
-    // A WbData may be a bare token/ownership return.
-    {MsgType::WbData, kCache, kL2 | kMem, kControlBytes},
-    {MsgType::WbCancel, kCache, kL2 | kMem, kControlBytes},
-    {MsgType::WbAck, kL2 | kMem, kCache, kControlBytes},
-};
-
-} // namespace
-
-unsigned
-minWireBytes(MachineType src, MachineType dst)
-{
-    const unsigned s = maskOf(src);
-    const unsigned d = maskOf(dst);
-    unsigned best = kDataBytes;
-    bool any = false;
-    for (const MsgShape &m : kVocabulary) {
-        if ((m.srcMask & s) && (m.dstMask & d)) {
-            best = std::min(best, m.minBytes);
-            any = true;
-        }
-    }
-    // No vocabulary row for the edge: bottom out at the control size
-    // so an incomplete table can only make the lookahead bound safer.
-    return any ? best : kControlBytes;
 }
 
 } // namespace tokencmp

@@ -110,17 +110,6 @@ inline constexpr unsigned kControlBytes = 8;
 inline constexpr unsigned kDataBytes = 72;
 
 /**
- * Smallest wire size (kControlBytes or kDataBytes) the message
- * vocabulary admits from a `src`-type machine to a `dst`-type machine,
- * derived from a static table of every MsgType's legal directions and
- * minimum shape. The sharded lookahead matrix uses it to add each
- * link's guaranteed minimum serialization to the window bound
- * (NetworkParams::typeAwareLookahead); directions the table
- * over-approximates only make the bound safer, never wrong.
- */
-unsigned minWireBytes(MachineType src, MachineType dst);
-
-/**
  * One coherence message. POD-style; copied by value into the network.
  *
  * Field order is load-bearing: 8-byte-aligned members first, then the

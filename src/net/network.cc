@@ -53,7 +53,6 @@ Network::Network(EventQueue &eq, const Topology &topo,
     _memEgress.assign(_topo.numCmps, Link{});
     _memIngress.assign(_topo.numCmps, Link{});
     _dom = std::vector<DomainState>(1);
-    _lookahead.assign(1, EventQueue::noTick);
 }
 
 Network::~Network()
@@ -82,105 +81,24 @@ Network::registerController(Controller *c)
 }
 
 void
-Network::shard(const std::vector<EventQueue *> &queues,
-               const std::vector<unsigned> &domain_of)
+Network::shard(const std::vector<EventQueue *> &queues)
 {
-    if (queues.empty())
-        panic("shard: need at least one domain queue");
+    if (queues.size() != _topo.numCmps)
+        panic("shard: %zu domain queues for %u CMPs", queues.size(),
+              _topo.numCmps);
     if (queues[0] != _eqs.front())
         panic("shard: domain 0 must keep the construction queue");
-    if (domain_of.size() != _topo.numControllers())
-        panic("shard: %zu domain assignments for %u controllers",
-              domain_of.size(), _topo.numControllers());
-    for (unsigned d : domain_of) {
-        if (d >= queues.size())
-            panic("shard: controller assigned to domain %u of %zu", d,
-                  queues.size());
-    }
     if (totalMessages() != 0 || inFlight() != 0)
         panic("shard after traffic started");
 
     _eqs = queues;
-    _ctrlDomain = domain_of;
     _dom = std::vector<DomainState>(_eqs.size());
     _mail = std::vector<FlipMailbox<Handoff>>(_eqs.size() *
                                               _eqs.size());
-    // Split every directed inter-CMP link — and every CMP's memory
-    // ingress link — into one virtual channel per source domain, so
-    // co-located domains never share occupancy and every path is
-    // traversed entirely by its sender.
-    _numVC = numDomains();
-    _interLinks.assign(_topo.numCmps * _topo.numCmps * _numVC, Link{});
-    _memIngress.assign(_topo.numCmps * _numVC, Link{});
-    buildLookaheadMatrix();
-}
-
-Tick
-Network::minPathDelta(const MachineID &src, const MachineID &dst) const
-{
-    const bool src_is_mem = src.type == MachineType::Mem;
-    const bool dst_is_mem = dst.type == MachineType::Mem;
-    if (src_is_mem && dst_is_mem)
-        return EventQueue::noTick;  // mem-to-mem messages don't exist
-
-    // Minimum serialization each link adds before a message can reach
-    // the far side. Zero when bandwidth is off (no serialization
-    // exists) or when the type-aware derivation is disabled (then the
-    // matrix reproduces the latency-only bound).
-    const bool with_ser = _p.typeAwareLookahead && _p.modelBandwidth;
-    const bool data_only =
-        with_ser && minWireBytes(src.type, dst.type) > kControlBytes;
-
-    const bool intra_hop = src.cmp == dst.cmp;
-    Tick delta = intra_hop ? _p.intraLatency : _p.interLatency;
-    if (with_ser)
-        delta += (intra_hop ? _serIntra : _serInter).byShape[data_only];
-    if (src_is_mem || dst_is_mem) {
-        delta += _p.memLinkLatency;
-        if (with_ser)
-            delta += _serMem.byShape[data_only];
-    }
-    return delta;
-}
-
-void
-Network::buildLookaheadMatrix()
-{
-    const unsigned n = numDomains();
-    _lookahead.assign(std::size_t(n) * n, EventQueue::noTick);
-
-    // Enumerate every controller pair once; the matrix entry for a
-    // domain pair is the minimum over its member pairs.
-    std::vector<MachineID> ids;
-    ids.reserve(_topo.numControllers());
-    for (unsigned c = 0; c < _topo.numCmps; ++c) {
-        for (unsigned p = 0; p < _topo.procsPerCmp; ++p) {
-            ids.push_back(_topo.l1d(c, p));
-            ids.push_back(_topo.l1i(c, p));
-        }
-        for (unsigned b = 0; b < _topo.l2BanksPerCmp; ++b)
-            ids.push_back(_topo.l2(c, b));
-        ids.push_back(_topo.mem(c));
-    }
-    for (const MachineID &a : ids) {
-        const unsigned da = _ctrlDomain[_topo.globalIndex(a)];
-        for (const MachineID &b : ids) {
-            const unsigned db = _ctrlDomain[_topo.globalIndex(b)];
-            if (da == db || a == b)
-                continue;
-            const Tick l = minPathDelta(a, b);
-            Tick &cell = _lookahead[da * n + db];
-            cell = std::min(cell, l);
-        }
-    }
-    for (unsigned s = 0; s < n; ++s) {
-        for (unsigned d = 0; d < n; ++d) {
-            if (s != d && _lookahead[s * n + d] == 0) {
-                panic("sharded delivery needs nonzero link latencies: "
-                      "lookahead(%u, %u) is 0", s, d);
-            }
-        }
-    }
+    // Split every CMP's memory ingress link into one virtual channel
+    // per source CMP, so every path is traversed entirely by its
+    // sender.
+    _memIngress.assign(_topo.numCmps * numDomains(), Link{});
 }
 
 Network::SerTicks
@@ -215,13 +133,12 @@ Network::send(const Msg &msg, Tick sender_delay)
     const bool dst_is_mem = msg.dst.type == MachineType::Mem;
     const unsigned scmp = msg.src.cmp;
     const unsigned dcmp = msg.dst.cmp;
-    const unsigned sd = domainOf(msg.src);
-    const unsigned dd = domainOf(msg.dst);
+    const unsigned sd = domain(msg.src);
+    const unsigned dd = domain(msg.dst);
 
-    // The sender executes on its own domain; every link below except
-    // the home memory ingress is source-owned (the per-source virtual
-    // channels keep the inter-CMP links that way even when several
-    // domains share the source chip).
+    // The sender executes on its own domain; every link below is
+    // source-owned (the home memory ingress through its per-source
+    // virtual channel).
     Tick t = _eqs[sd]->curTick() + sender_delay;
     const Tick ser_intra = _serIntra.of(msg);
     const Tick ser_inter = _serInter.of(msg);
@@ -234,7 +151,7 @@ Network::send(const Msg &msg, Tick sender_delay)
         if (dst_is_mem)
             panic("memory-to-memory message");
         if (scmp != dcmp) {
-            t = traverse(interLink(scmp, dcmp, sd), t,
+            t = traverse(interLink(scmp, dcmp), t,
                          _p.interLatency, ser_inter);
             account(NetLevel::Inter, msg, sd);
         } else {
@@ -245,7 +162,7 @@ Network::send(const Msg &msg, Tick sender_delay)
         }
     } else if (dst_is_mem) {
         if (scmp != dcmp) {
-            t = traverse(interLink(scmp, dcmp, sd), t,
+            t = traverse(interLink(scmp, dcmp), t,
                          _p.interLatency, ser_inter);
             account(NetLevel::Inter, msg, sd);
         } else {
@@ -267,7 +184,7 @@ Network::send(const Msg &msg, Tick sender_delay)
     } else {
         // Cross-chip cache-to-cache: the 20 ns inter link subsumes the
         // chip interfaces (Table 3).
-        t = traverse(interLink(scmp, dcmp, sd), t, _p.interLatency,
+        t = traverse(interLink(scmp, dcmp), t, _p.interLatency,
                      ser_inter);
         account(NetLevel::Inter, msg, sd);
     }
@@ -278,7 +195,6 @@ Network::send(const Msg &msg, Tick sender_delay)
         // The canonical delivery key: (source domain, send order).
         const Handoff h{msg, t, handoffKey(sd, _dom[sd].sendSeq++)};
         _mailboxed.fetch_add(1, std::memory_order_relaxed);
-        _handoffsTotal.fetch_add(1, std::memory_order_relaxed);
         mailbox(sd, dd).push(h, t);
         return;
     }
@@ -334,12 +250,11 @@ Network::intakeMailboxes(unsigned domain)
 Network::LinkOccupancy
 Network::interOccupancy(const MachineID &src, unsigned dst_cmp) const
 {
-    const unsigned sd = domainOf(src);
     LinkOccupancy o;
-    o.now = _eqs[sd]->curTick();
+    o.now = _eqs[domain(src)]->curTick();
     if (!_p.modelBandwidth || src.cmp == dst_cmp)
         return o;
-    const Link &l = interLink(src.cmp, dst_cmp, sd);
+    const Link &l = _interLinks[src.cmp * _topo.numCmps + dst_cmp];
     o.busyTicks = l.busy;
     o.backlog = l.nextFree > o.now ? l.nextFree - o.now : 0;
     return o;
@@ -399,7 +314,6 @@ Network::clearStats()
         d.totalMsgs = 0;
         d.wakeups = 0;
     }
-    _handoffsTotal.store(0, std::memory_order_relaxed);
 }
 
 } // namespace tokencmp

@@ -23,35 +23,27 @@
  * within a tick.
  *
  * Sharded delivery (shard()): when the System runs the sharded kernel,
- * the machine decomposes into shard *domains* under an arbitrary
- * controller-to-domain map (per CMP, per L1 bank, or explicit — see
- * SystemConfig::shardMap). Each domain owns an EventQueue and one
- * DomainState (delivery pool, traffic counters),
- * so domains share no mutable state inside a window. Same-domain
- * messages deliver exactly as in serial mode; a cross-domain message
- * is computed to its final arrival tick on source-owned links, stamped
- * with a canonical band-1 key (source domain, send sequence), and
- * handed to the destination domain through a per-(src, dst)
- * FlipMailbox. The destination drains its inboxes at the window
- * boundary and schedules each handoff at its key, so the
- * delivery order is independent of worker count.
+ * every CMP is one shard *domain* with its own EventQueue and
+ * DomainState (delivery pool, traffic counters), so domains share no
+ * mutable state inside a window. Same-CMP messages deliver exactly as
+ * in serial mode; a cross-CMP message is computed to its final arrival
+ * tick on source-owned links, stamped with a canonical band-1 key
+ * (source domain, send sequence), and handed to the destination
+ * domain through a per-(src, dst) FlipMailbox. The destination drains
+ * its inboxes at the window boundary and schedules each handoff at its
+ * key, so the delivery order is independent of worker count.
  *
- * Because a sub-CMP map places several domains on one chip, each
- * directed inter-CMP link splits into *per-source-domain virtual
- * channels*: one Link occupancy record per (src CMP, dst CMP, src
- * domain), so co-located domains never serialize through — or race
- * on — a shared occupancy word. Each virtual channel sees the full
- * link bandwidth (the standard conservative-PDES decomposition
- * compromise); with one domain per CMP, or in serial mode, exactly one
- * channel per link exists and the model is unchanged. Under this
- * regime every link's occupancy is touched by exactly one domain and
- * the execution is deterministic for any worker count.
+ * Every link a sender crosses belongs to the sender's CMP — the
+ * directed inter-CMP links included — except a remote CMP's memory
+ * ingress link. That one splits into one *virtual channel per source
+ * CMP* when sharded, each with the full link bandwidth, so the sender
+ * still owns every link on its path and knows the final arrival tick
+ * at send time. Serial runs keep one shared ingress link per CMP.
  *
- * The minimum latency between each ordered pair of domains forms the
- * *lookahead matrix* the sharded kernel windows on: 2 ns between
- * domains sharing a chip, 20 ns chip-to-chip, 22/40 ns through memory
- * links — so the conservative window only shrinks to 2 ns for pairs
- * that actually share a crossbar.
+ * Every cross-domain message crosses an inter-CMP link, so the
+ * sharded kernel windows on one uniform lookahead: the inter-CMP
+ * latency plus, with bandwidth modeled, the serialization of the
+ * smallest (control) message on that link.
  *
  * The network also owns the Figure 7 traffic accounting: bytes per
  * (level, traffic class), kept per domain and summed on read.
@@ -87,17 +79,6 @@ struct NetworkParams
     Tick memLinkLatency = ns(20);
     double memLinkBytesPerNs = 16.0;
     bool modelBandwidth = true;     //!< serialize on link bandwidth
-
-    /**
-     * Derive the sharded lookahead matrix from per-message-type
-     * minimum wire sizes: each link on a (src, dst) path contributes
-     * its latency plus the serialization of the smallest message the
-     * protocol vocabulary allows between those machine types (8-byte
-     * control vs 72-byte data), instead of latency alone. Widens every
-     * conservative window when bandwidth is modeled; no effect on
-     * serial runs or on message timing itself.
-     */
-    bool typeAwareLookahead = true;
 };
 
 /** Physical network levels for traffic accounting. */
@@ -143,17 +124,13 @@ class Network
     void registerController(Controller *c);
 
     /**
-     * Enter sharded-delivery mode under an arbitrary shard map:
-     * `domain_of[i]` is the shard domain of the controller with
-     * global index i (every value < `queues.size()`), and domain d
-     * delivers through `queues[d]`. Must be called before any
+     * Enter sharded-delivery mode with one domain per CMP: CMP c
+     * delivers through `queues[c]`. Must be called before any
      * traffic; `queues[0]` must be the queue the network was
-     * constructed with. Splits every inter-CMP link into per-source-
-     * domain virtual channels and computes the (src, dst) lookahead
-     * matrix.
+     * constructed with. Splits every CMP's memory ingress link into
+     * per-source-CMP virtual channels.
      */
-    void shard(const std::vector<EventQueue *> &queues,
-               const std::vector<unsigned> &domain_of);
+    void shard(const std::vector<EventQueue *> &queues);
 
     /** True once shard() has installed multiple domains. */
     bool sharded() const { return _eqs.size() > 1; }
@@ -161,16 +138,16 @@ class Network
     unsigned numDomains() const { return unsigned(_eqs.size()); }
 
     /**
-     * Row-major numDomains()^2 (src, dst) lookahead matrix for the
-     * sharded kernel ({noTick} in serial mode): entry (s, d) is the
-     * minimum latency of any message path from a controller in s to
-     * a controller in d (EventQueue::noTick when no such path
-     * exists). Intra-CMP pairs bottom out at the 2 ns crossbar
-     * latency, cross-CMP pairs at the 20 ns global link.
+     * Minimum latency of any cross-domain message, the sharded
+     * kernel's window lookahead: the inter-CMP latency plus, with
+     * bandwidth modeled, one control message's serialization on the
+     * inter-CMP link (20.5 ns on Table 3, 20 ns without bandwidth).
      */
-    const std::vector<Tick> &lookaheadMatrix() const
+    Tick
+    lookahead() const
     {
-        return _lookahead;
+        return _p.interLatency +
+               (_p.modelBandwidth ? _serInter.control() : 0);
     }
 
     // -- Sharded-kernel hooks (see ShardedKernel::Hooks) -------------
@@ -210,13 +187,7 @@ class Network
      *  for readers of the old batching statistic. */
     std::uint64_t batchedMessages() const { return 0; }
 
-    /** Messages that crossed a shard mailbox (0 in serial mode). */
-    std::uint64_t handoffs() const
-    {
-        return _handoffsTotal.load(std::memory_order_relaxed);
-    }
-
-    /** Occupancy snapshot of one outbound inter-CMP virtual channel. */
+    /** Occupancy snapshot of one outbound inter-CMP link. */
     struct LinkOccupancy
     {
         Tick busyTicks = 0;  //!< cumulative serialization time
@@ -225,12 +196,11 @@ class Network
     };
 
     /**
-     * Occupancy of the outbound inter-CMP virtual channel
-     * src.cmp -> dst_cmp owned by `src`'s shard domain — the raw
-     * occupancy feed for bandwidth-adaptive performance policies.
-     * Deterministic under sharding: reads only link state the
-     * caller's own domain owns. Zeroes (with the current tick) when
-     * the CMPs coincide or bandwidth modeling is off.
+     * Occupancy of the outbound inter-CMP link src.cmp -> dst_cmp —
+     * the raw occupancy feed for bandwidth-adaptive performance
+     * policies. Deterministic under sharding: the link belongs to the
+     * caller's own domain. Zeroes (with the current tick) when the
+     * CMPs coincide or bandwidth modeling is off.
      */
     LinkOccupancy interOccupancy(const MachineID &src,
                                  unsigned dst_cmp) const;
@@ -328,28 +298,18 @@ class Network
      *  counted in flight; the caller schedules it. */
     DeliverEvent *makeDelivery(const Msg &msg, unsigned domain);
 
-    /** Domain that owns a controller under the installed shard map. */
+    /** Domain that owns a controller: its CMP when sharded. */
     unsigned
-    domainOf(const MachineID &id) const
+    domain(const MachineID &id) const
     {
-        return sharded() ? _ctrlDomain[_topo.globalIndex(id)] : 0;
+        return sharded() ? id.cmp : 0;
     }
 
-    /** Virtual channel of a directed inter-CMP link for one source
-     *  domain (the only channel in serial / one-domain-per-CMP use). */
-    const Link &
-    interLink(unsigned scmp, unsigned dcmp, unsigned src_domain) const
-    {
-        return _interLinks[(scmp * _topo.numCmps + dcmp) * _numVC +
-                           src_domain];
-    }
-
+    /** The directed inter-CMP link scmp -> dcmp. */
     Link &
-    interLink(unsigned scmp, unsigned dcmp, unsigned src_domain)
+    interLink(unsigned scmp, unsigned dcmp)
     {
-        return const_cast<Link &>(
-            static_cast<const Network *>(this)->interLink(
-                scmp, dcmp, src_domain));
+        return _interLinks[scmp * _topo.numCmps + dcmp];
     }
 
     FlipMailbox<Handoff> &
@@ -359,27 +319,14 @@ class Network
     }
 
     /** Virtual channel of a CMP's memory ingress link for one source
-     *  domain — source-owned like the inter-CMP channels, so a sender
+     *  domain — source-owned like the inter-CMP links, so a sender
      *  can finish the whole path (and know the final arrival tick) at
      *  send time. */
     Link &
     memIngressLink(unsigned cmp, unsigned src_domain)
     {
-        return _memIngress[cmp * _numVC + src_domain];
+        return _memIngress[cmp * numDomains() + src_domain];
     }
-
-    /**
-     * Minimum time any message can take between two controllers
-     * (EventQueue::noTick for invalid pairs, e.g. mem-to-mem). Sums
-     * per-link latency; with typeAwareLookahead and modeled bandwidth
-     * it also adds each link's minimum serialization, derived from the
-     * smallest wire size the message vocabulary admits between the two
-     * machine types (minWireBytes).
-     */
-    Tick minPathDelta(const MachineID &src, const MachineID &dst) const;
-
-    /** Fill _lookahead from the shard map (called by shard()). */
-    void buildLookaheadMatrix();
 
     Topology _topo;
     NetworkParams _p;
@@ -390,21 +337,17 @@ class Network
     std::vector<Controller *> _controllers;       //!< by global index
     std::vector<Link> _intraPorts;                //!< per source port
     std::vector<Link> _intraGateways;             //!< inbound, per CMP
-    std::vector<Link> _interLinks;  //!< (src CMP, dst CMP) x src domain
+    std::vector<Link> _interLinks;  //!< per (src CMP, dst CMP)
     std::vector<Link> _memEgress;   //!< mem -> CMP, per CMP
     std::vector<Link> _memIngress;  //!< CMP -> mem, per CMP x src domain
 
     std::vector<EventQueue *> _eqs;   //!< per-domain queues ({&_eq} serial)
     std::vector<DomainState> _dom;    //!< per-domain delivery state
     std::vector<FlipMailbox<Handoff>> _mail;  //!< numDomains^2 channels
-    std::vector<unsigned> _ctrlDomain;  //!< controller -> domain
-    std::vector<Tick> _lookahead;       //!< numDomains^2 (src, dst)
-    unsigned _numVC = 1;  //!< virtual channels per inter-CMP link
 
     /** Handoffs pushed but not yet enqueued at a destination; relaxed
      *  increments/decrements from domain workers, read at barriers. */
     std::atomic<std::uint64_t> _mailboxed{0};
-    std::atomic<std::uint64_t> _handoffsTotal{0};
 };
 
 } // namespace tokencmp

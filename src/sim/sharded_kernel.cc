@@ -21,19 +21,7 @@ outcomeName(ShardedKernel::Outcome o)
 
 ShardedKernel::ShardedKernel(std::vector<EventQueue *> queues,
                              Tick lookahead, unsigned workers)
-    : ShardedKernel(std::move(queues),
-                    std::vector<Tick>(), workers)
-{
-    if (lookahead == 0)
-        panic("ShardedKernel lookahead must be >= 1 tick");
-    _la.assign(numShards() * numShards(), lookahead);
-    closeLookahead();
-}
-
-ShardedKernel::ShardedKernel(std::vector<EventQueue *> queues,
-                             std::vector<Tick> lookahead,
-                             unsigned workers)
-    : _queues(std::move(queues)), _la(std::move(lookahead)),
+    : _queues(std::move(queues)), _la(lookahead),
       _workers(std::clamp(workers, 1u, unsigned(_queues.size())))
 {
     if (_queues.empty())
@@ -42,54 +30,12 @@ ShardedKernel::ShardedKernel(std::vector<EventQueue *> queues,
         if (q == nullptr)
             panic("ShardedKernel given a null shard queue");
     }
+    if (lookahead == 0)
+        panic("ShardedKernel lookahead must be >= 1 tick");
     const unsigned n = numShards();
-    // Empty matrix: the uniform-lookahead delegating constructor fills
-    // it in (and closes it) after this body runs.
-    if (!_la.empty()) {
-        if (_la.size() != std::size_t(n) * n)
-            panic("ShardedKernel lookahead matrix: %zu entries for %u "
-                  "shards", _la.size(), n);
-        for (unsigned s = 0; s < n; ++s) {
-            for (unsigned d = 0; d < n; ++d) {
-                if (s != d && _la[s * n + d] == 0)
-                    panic("ShardedKernel lookahead(%u, %u) must be "
-                          ">= 1 tick", s, d);
-            }
-        }
-        closeLookahead();
-    }
     _bounds.assign(n, 0);
     _pending.assign(n, EventQueue::noTick);
     _frontier.assign(n, EventQueue::noTick);
-}
-
-void
-ShardedKernel::closeLookahead()
-{
-    // Floyd-Warshall over the lookahead graph (noTick = no edge;
-    // saturating adds). The diagonal starts at "no edge", so it closes
-    // to the minimum cycle length through each shard — the earliest a
-    // shard's own traffic can boomerang back at it.
-    const unsigned n = numShards();
-    constexpr Tick inf = EventQueue::noTick;
-    auto sat = [](Tick a, Tick b) {
-        return (a == inf || b == inf || a > inf - b) ? inf : a + b;
-    };
-    _dist = _la;
-    for (unsigned d = 0; d < n; ++d)
-        _dist[d * n + d] = inf;
-    for (unsigned k = 0; k < n; ++k) {
-        for (unsigned i = 0; i < n; ++i) {
-            const Tick ik = _dist[i * n + k];
-            if (ik == inf)
-                continue;
-            for (unsigned j = 0; j < n; ++j) {
-                const Tick alt = sat(ik, _dist[k * n + j]);
-                if (alt < _dist[i * n + j])
-                    _dist[i * n + j] = alt;
-            }
-        }
-    }
 }
 
 std::uint64_t
@@ -136,7 +82,7 @@ ShardedKernel::coordinate()
     }
 
     // Jump straight to the frontier: window bounds derive from shard
-    // frontiers plus the lookahead matrix, so idle stretches are never
+    // frontiers plus the lookahead, so idle stretches are never
     // crossed one fixed-size window at a time. The cap keeps stop
     // polling at a bounded simulated-time cadence when every
     // constraint is far away (e.g. a single shard draining alone).
@@ -144,16 +90,14 @@ ShardedKernel::coordinate()
     for (unsigned d = 0; d < n; ++d) {
         Tick b = cap;
         for (unsigned s = 0; s < n; ++s) {
-            if (_frontier[s] == EventQueue::noTick)
+            // Another shard's traffic reaches d no sooner than L after
+            // its frontier; d's own traffic comes back no sooner than
+            // the 2L round trip, which needs a second shard. d may run
+            // strictly below either. An idle shard (frontier noTick)
+            // fails the overflow test and constrains nothing.
+            if (s == d && n == 1)
                 continue;
-            // The closure entry, not the raw edge: an idle shard can
-            // be woken by s's traffic mid-window and relay into d, so
-            // the earliest not-yet-visible disturbance from s travels
-            // the cheapest chain (s == d covers replies to d's own
-            // sends: the min round trip). d may run strictly below it.
-            const Tick la = _dist[s * n + d];
-            if (la == EventQueue::noTick)
-                continue;
+            const Tick la = s == d ? 2 * _la : _la;
             if (_frontier[s] > EventQueue::noTick - la)
                 continue;
             b = std::min(b, _frontier[s] + la - 1);
@@ -175,8 +119,6 @@ ShardedKernel::runShardWindow(unsigned s)
 ShardedKernel::Outcome
 ShardedKernel::run(Tick horizon)
 {
-    if (_dist.empty())
-        panic("ShardedKernel: empty lookahead matrix");
     _horizon = horizon;
     _stop = false;
     _outcome = Outcome::Drained;

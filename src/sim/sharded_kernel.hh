@@ -7,34 +7,27 @@
  * EventQueue (and whatever model state schedules onto it). Shards
  * advance in lock-step windows, the classic conservative-PDES
  * null-message-free synchronization: because every cross-shard
- * interaction is a message whose delivery latency is at least the
- * (source, destination) entry of a *lookahead matrix* (the minimum
- * link latency between the two shards' components — 2 ns when they
- * share a CMP's on-chip crossbar, 20 ns across chips, more through a
- * memory link), a shard executing its window can never receive an
- * event for a tick it has already passed. Within a window the shards
- * share nothing, so any number of worker threads may execute them in
- * any order.
+ * interaction is a message whose delivery latency is at least a
+ * uniform *lookahead* L (the inter-CMP link, one shard per CMP), a
+ * shard executing its window can never receive an event for a tick it
+ * has already passed. Within a window the shards share nothing, so any
+ * number of worker threads may execute them in any order.
  *
- * Windows are *heterogeneous*: at each barrier the coordinator
- * computes, for every shard d, the bound
+ * At each barrier the coordinator computes, for every shard d, the
+ * inclusive bound
  *
- *   bound(d) = min over active s of (frontier(s) + dist(s, d)) - 1
+ *   bound(d) = min(cap, min over active s != d of frontier(s) + L,
+ *                  frontier(d) + 2L) - 1
  *
  * where frontier(s) is the earliest tick shard s could still act at
  * (its queue frontier or a flipped-but-not-enqueued handoff, whichever
- * is earlier), "active" means that frontier exists, and dist is the
- * *shortest-path closure* of the lookahead matrix (Floyd-Warshall,
- * with the diagonal as the minimum cycle length). The closure matters:
- * an idle shard is not unconstraining — a message can wake it this
- * very window and it may then relay into d, so the true earliest
- * disturbance d can see from s travels the cheapest chain, not the
- * direct edge; and dist(d, d) (the min round trip) bounds how far d
- * may outrun its own frontier before a reply to its own traffic could
- * land in its past. A shard whose active neighbours all sit far away
- * runs a long window; two shards on one CMP constrain each other to
- * the 2 ns intra latency. The uniform-lookahead kernel of PR 3 is the
- * special case of a constant matrix.
+ * is earlier), "active" means that frontier exists, and cap bounds a
+ * window's length beyond the global frontier. The frontier(d) + 2L
+ * term is the earliest a reply to d's own traffic can land back at d
+ * (an idle shard is not unconstraining: it can be woken this very
+ * window and relay into d, but only a chain of at least L per hop
+ * can reach d). With one shard there is no such round trip, so only
+ * the cap applies.
  *
  * Cross-shard traffic travels through FlipMailbox channels: each
  * (src, dst) pair owns a single-producer single-consumer buffer the
@@ -161,6 +154,11 @@ class FlipMailbox
 class ShardedKernel
 {
   public:
+    /** Upper bound on one window's length beyond the global frontier,
+     *  so stop requests are polled at a bounded simulated-time cadence
+     *  even when every other shard is drained (~1 us simulated). */
+    static constexpr Tick maxWindow = Tick(1) << 20;
+
     /** Why run() returned. */
     enum class Outcome {
         Stopped,  //!< stopRequested() returned true at a barrier
@@ -176,8 +174,7 @@ class ShardedKernel
     };
 
     /**
-     * Uniform lookahead: every cross-shard interaction takes at least
-     * `lookahead` ticks (the PR 3 contract).
+     * Every cross-shard interaction takes at least `lookahead` ticks.
      *
      * @param queues    one EventQueue per shard (not owned)
      * @param lookahead minimum cross-shard latency (must be >= 1)
@@ -186,15 +183,6 @@ class ShardedKernel
      */
     ShardedKernel(std::vector<EventQueue *> queues, Tick lookahead,
                   unsigned workers);
-
-    /**
-     * Heterogeneous lookahead: `lookahead[src * S + dst]` is the
-     * minimum latency of any src-to-dst interaction. Off-diagonal
-     * entries must be >= 1; EventQueue::noTick means the pair never
-     * interacts (no window constraint). The diagonal is ignored.
-     */
-    ShardedKernel(std::vector<EventQueue *> queues,
-                  std::vector<Tick> lookahead, unsigned workers);
 
     ShardedKernel(const ShardedKernel &) = delete;
     ShardedKernel &operator=(const ShardedKernel &) = delete;
@@ -218,22 +206,6 @@ class ShardedKernel
     unsigned numShards() const { return unsigned(_queues.size()); }
     unsigned workers() const { return _workers; }
 
-    /** Lookahead matrix entry for one directed shard pair (as given;
-     *  windowing uses its shortest-path closure, see dist()). */
-    Tick
-    lookahead(unsigned src, unsigned dst) const
-    {
-        return _la[src * numShards() + dst];
-    }
-
-    /** Shortest-path closure entry: the minimum latency of any
-     *  src-to-dst interaction *chain* (diagonal: min round trip). */
-    Tick
-    dist(unsigned src, unsigned dst) const
-    {
-        return _dist[src * numShards() + dst];
-    }
-
     /** Window rounds executed across all run() calls. */
     std::uint64_t windows() const { return _windows; }
 
@@ -241,18 +213,11 @@ class ShardedKernel
     std::uint64_t executed() const;
 
   private:
-    /** Upper bound on one window's length beyond the global frontier,
-     *  so stop requests are polled at a bounded simulated-time cadence
-     *  even when every other shard is drained (~1 us simulated). */
-    static constexpr Tick maxWindow = Tick(1) << 20;
-
-    void closeLookahead();  //!< build _dist from _la
     void coordinate();      //!< barrier completion step
     void runShardWindow(unsigned s);  //!< one shard's window (worker)
 
     std::vector<EventQueue *> _queues;
-    std::vector<Tick> _la;    //!< S*S (src, dst) lookahead matrix
-    std::vector<Tick> _dist;  //!< shortest-path closure of _la
+    Tick _la;  //!< minimum cross-shard latency
     unsigned _workers;
     Hooks _hooks;
 

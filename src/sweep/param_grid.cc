@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <set>
 
 #include "core/policy.hh"
@@ -88,24 +90,31 @@ stringArray(const minijson::Value &grid, const std::string &key,
     return out;
 }
 
-std::uint64_t
-u64Field(const minijson::Value &grid, const std::string &key,
-         std::uint64_t def, std::uint64_t min, const std::string &what)
+/**
+ * The integer at `key` (`def` when absent). Fatal, naming the key,
+ * unless it is a whole number in [min, max]. The double is
+ * range-checked against T before the cast: converting an out-of-range
+ * double is undefined, and a wrapped value could pass the checks.
+ */
+template <typename T>
+T
+intField(const minijson::Value &obj, const std::string &key, T def,
+         T min, const std::string &what,
+         T max = std::numeric_limits<T>::max())
 {
-    const minijson::Value *v = grid.find(key);
+    const minijson::Value *v = obj.find(key);
     if (v == nullptr)
         return def;
-    if (!v->isNumber() || v->number < 0 ||
-        v->number != double(std::uint64_t(v->number))) {
-        fatal("%s: \"%s\" must be a non-negative integer",
-              what.c_str(), key.c_str());
+    // 2^digits is exactly one past the type's maximum.
+    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    const double x = v->isNumber() ? v->number : std::nan("");
+    if (!(x >= double(min) && x < limit && x == std::trunc(x)) ||
+        T(x) > max) {
+        fatal("sweep grid %s: \"%s\" must be an integer in [%s, %s]",
+              what.c_str(), key.c_str(), std::to_string(min).c_str(),
+              std::to_string(max).c_str());
     }
-    const std::uint64_t n = std::uint64_t(v->number);
-    if (n < min) {
-        fatal("%s: \"%s\" must be >= %llu", what.c_str(), key.c_str(),
-              (unsigned long long)min);
-    }
-    return n;
+    return T(x);
 }
 
 } // namespace
@@ -192,9 +201,9 @@ ParamGrid::fromJsonText(const std::string &text,
 
     grid._maps = stringArray(g, "shardMaps", {"serial"}, what);
     for (const std::string &m : grid._maps) {
-        if (m != "serial" && m != "perCmp" && m != "perL1Bank") {
+        if (m != "serial" && m != "perCmp") {
             fatal("sweep grid %s: unknown shardMap '%s' (serial, "
-                  "perCmp, perL1Bank)", what.c_str(), m.c_str());
+                  "perCmp)", what.c_str(), m.c_str());
         }
     }
 
@@ -237,12 +246,14 @@ ParamGrid::fromJsonText(const std::string &text,
         grid._overrides.push_back({"default", {}});
     }
 
-    grid._seeds = unsigned(u64Field(g, "seeds", 1, 1, what));
-    grid._firstSeed = u64Field(g, "firstSeed", 1, 0, what);
-    grid._shardWorkers =
-        unsigned(u64Field(g, "shardWorkers", 2, 1, what));
-    grid._horizonNs =
-        u64Field(g, "horizonNs", 500000000, 1, what);
+    // Nanosecond fields must not overflow when scaled to ticks.
+    const std::uint64_t max_ns =
+        std::numeric_limits<Tick>::max() / ticksPerNs;
+    grid._seeds = intField(g, "seeds", 1u, 1u, what);
+    grid._firstSeed = intField<std::uint64_t>(g, "firstSeed", 1, 0, what);
+    grid._shardWorkers = intField(g, "shardWorkers", 2u, 1u, what);
+    grid._horizonNs = intField<std::uint64_t>(g, "horizonNs", 500000000,
+                                              1, what, max_ns);
     grid._horizon = ns(Tick(grid._horizonNs));
 
     if (const minijson::Value *wk = g.find("workloadKnobs")) {
@@ -258,15 +269,17 @@ ParamGrid::fromJsonText(const std::string &text,
                 fatal("sweep grid %s: unknown workloadKnobs key "
                       "\"%s\"", what.c_str(), key.c_str());
         }
-        grid._wl.opsPerProc =
-            unsigned(wk->getNumber("opsPerProc", 0));
-        grid._wl.keys = std::uint64_t(wk->getNumber("keys", 0));
+        const std::string wk_what = what + " workloadKnobs";
+        grid._wl.opsPerProc = intField(*wk, "opsPerProc", 0u, 0u,
+                                       wk_what);
+        grid._wl.keys =
+            intField<std::uint64_t>(*wk, "keys", 0, 0, wk_what);
         grid._wl.theta = wk->getNumber("theta", -1.0);
         grid._wl.writeFrac = wk->getNumber("writeFrac", -1.0);
-        grid._thinkMeanNs =
-            std::uint64_t(wk->getNumber("thinkMeanNs", 0));
+        grid._thinkMeanNs = intField<std::uint64_t>(
+            *wk, "thinkMeanNs", 0, 0, wk_what, max_ns);
         grid._wl.thinkMean = ns(Tick(grid._thinkMeanNs));
-        grid._wl.warmupOps = int(wk->getNumber("warmupOps", -1.0));
+        grid._wl.warmupOps = intField(*wk, "warmupOps", -1, -1, wk_what);
         grid._wl.inner = wk->getString("inner");
         grid._wl.schedule = wk->getString("schedule");
     }
@@ -396,13 +409,8 @@ ParamGrid::configFor(const SweepCell &cell) const
     cfg.workloadName = cell.workload;
     cfg.workloadParams = _wl;
 
-    if (cell.shardMap == "perCmp") {
+    if (cell.shardMap == "perCmp")
         cfg.shards = _shardWorkers;
-        cfg.shardMap.kind = ShardMapKind::PerCmp;
-    } else if (cell.shardMap == "perL1Bank") {
-        cfg.shards = _shardWorkers;
-        cfg.shardMap.kind = ShardMapKind::PerL1Bank;
-    }
 
     for (const KnobOverride &o : _overrides) {
         if (o.label != cell.overrideLabel)

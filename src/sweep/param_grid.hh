@@ -62,7 +62,7 @@ struct SweepCell
     unsigned index = 0;        //!< position in grid enumeration order
     std::string policy;        //!< policy name or a protocol special
     std::string workload;      //!< WorkloadRegistry name
-    std::string shardMap;      //!< "serial" | "perCmp" | "perL1Bank"
+    std::string shardMap;      //!< "serial" | "perCmp"
     std::string overrideLabel; //!< KnobOverride::label
     std::uint64_t seed = 0;
 

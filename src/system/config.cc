@@ -1,7 +1,5 @@
 #include "system/config.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace tokencmp {
@@ -48,100 +46,6 @@ allProtocols()
             Protocol::TokenDst4, Protocol::TokenDst1,
             Protocol::TokenDst1Pred, Protocol::TokenDst1Filt,
             Protocol::PerfectL2, Protocol::HierCMP};
-}
-
-const char *
-shardMapKindName(ShardMapKind k)
-{
-    switch (k) {
-      case ShardMapKind::PerCmp: return "perCmp";
-      case ShardMapKind::PerL1Bank: return "perL1Bank";
-      case ShardMapKind::Explicit: return "explicit";
-    }
-    return "?";
-}
-
-unsigned
-ShardMap::numDomains(const Topology &topo) const
-{
-    switch (kind) {
-      case ShardMapKind::PerCmp:
-        return topo.numCmps;
-      case ShardMapKind::PerL1Bank:
-        return topo.numCmps * (topo.procsPerCmp + 1);
-      case ShardMapKind::Explicit: {
-        if (domainOf.empty())
-            panic("explicit ShardMap without a domainOf table");
-        return *std::max_element(domainOf.begin(), domainOf.end()) + 1;
-      }
-    }
-    return 1;
-}
-
-std::vector<unsigned>
-ShardMap::domainTable(const Topology &topo) const
-{
-    switch (kind) {
-      case ShardMapKind::PerCmp: {
-        std::vector<unsigned> table(topo.numControllers(), 0);
-        for (unsigned c = 0; c < topo.numCmps; ++c) {
-            for (unsigned p = 0; p < topo.procsPerCmp; ++p) {
-                table[topo.globalIndex(topo.l1d(c, p))] = c;
-                table[topo.globalIndex(topo.l1i(c, p))] = c;
-            }
-            for (unsigned b = 0; b < topo.l2BanksPerCmp; ++b)
-                table[topo.globalIndex(topo.l2(c, b))] = c;
-            table[topo.globalIndex(topo.mem(c))] = c;
-        }
-        return table;
-      }
-      case ShardMapKind::PerL1Bank: {
-        // Per CMP: procsPerCmp L1-pair domains, then one uncore
-        // domain for the L2 banks and the memory controller.
-        std::vector<unsigned> table(topo.numControllers(), 0);
-        for (unsigned c = 0; c < topo.numCmps; ++c) {
-            const unsigned base = c * (topo.procsPerCmp + 1);
-            for (unsigned p = 0; p < topo.procsPerCmp; ++p) {
-                table[topo.globalIndex(topo.l1d(c, p))] = base + p;
-                table[topo.globalIndex(topo.l1i(c, p))] = base + p;
-            }
-            const unsigned uncore = base + topo.procsPerCmp;
-            for (unsigned b = 0; b < topo.l2BanksPerCmp; ++b)
-                table[topo.globalIndex(topo.l2(c, b))] = uncore;
-            table[topo.globalIndex(topo.mem(c))] = uncore;
-        }
-        return table;
-      }
-      case ShardMapKind::Explicit:
-        break;
-    }
-
-    if (domainOf.size() != topo.numControllers()) {
-        panic("explicit ShardMap: %zu domain assignments for %u "
-              "controllers", domainOf.size(), topo.numControllers());
-    }
-    const unsigned n = numDomains(topo);
-    std::vector<bool> used(n, false);
-    for (unsigned d : domainOf)
-        used[d] = true;
-    for (unsigned d = 0; d < n; ++d) {
-        if (!used[d])
-            panic("explicit ShardMap: domain %u of %u is empty", d, n);
-    }
-    for (unsigned c = 0; c < topo.numCmps; ++c) {
-        for (unsigned p = 0; p < topo.procsPerCmp; ++p) {
-            const unsigned dd = domainOf[topo.globalIndex(
-                topo.l1d(c, p))];
-            const unsigned di = domainOf[topo.globalIndex(
-                topo.l1i(c, p))];
-            if (dd != di) {
-                panic("explicit ShardMap splits the L1 I/D pair of "
-                      "cmp %u proc %u across domains %u and %u "
-                      "(the sequencer couples them)", c, p, di, dd);
-            }
-        }
-    }
-    return domainOf;
 }
 
 std::string

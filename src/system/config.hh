@@ -42,52 +42,22 @@ bool isToken(Protocol p);
 std::vector<Protocol> allProtocols();
 
 /**
- * How the machine decomposes into shard domains for the sharded
- * kernel. The decomposition fixes the execution (it chooses the
- * per-domain event queues, RNG streams and window boundaries), so
- * every map is its own deterministic execution: runs are bit-identical
- * across worker counts *within* a map, not across maps.
+ * Shard-domain decomposition for the sharded kernel. The only one is
+ * PerCmp: every CMP is one domain, so every cross-domain message
+ * crosses a 20 ns inter-CMP link.
  */
 enum class ShardMapKind : unsigned char {
-    /** One domain per CMP (the PR 3 decomposition): cross-domain
-     *  lookahead bottoms out at the 20 ns inter-CMP link, but a
-     *  2-CMP config can never use more than 2 workers. */
     PerCmp,
-    /** One domain per processor's L1 I/D bank pair, plus one uncore
-     *  domain (L2 banks + memory controller) per CMP: numCmps x
-     *  (procsPerCmp + 1) domains, so the paper's 4-proc-per-CMP
-     *  configs keep 8+ workers busy. Same-chip domain pairs window on
-     *  the 2 ns intra-CMP crossbar latency. */
-    PerL1Bank,
-    /** Caller-supplied controller -> domain table (`domainOf`). */
-    Explicit,
 };
 
-/** Printable shard-map name. */
-const char *shardMapKindName(ShardMapKind k);
-
-/** Shard-domain assignment for the sharded kernel. */
+/**
+ * Shard-map selection. It names the one decomposition there is, and
+ * stays only because `perfbench/cell.cc` assigns it; drop it together
+ * with that benchmark's sharded workload.
+ */
 struct ShardMap
 {
     ShardMapKind kind = ShardMapKind::PerCmp;
-
-    /**
-     * Explicit maps only: the shard domain of every controller,
-     * indexed by Topology::globalIndex. Domains must be the dense
-     * range [0, max+1), and a processor's L1 I and D banks must share
-     * a domain (its sequencer couples them without network hops).
-     */
-    std::vector<unsigned> domainOf;
-
-    /** Number of shard domains this map induces on `topo`. */
-    unsigned numDomains(const Topology &topo) const;
-
-    /**
-     * Controller -> domain table in Topology::globalIndex order;
-     * panics on invalid explicit maps (wrong size, domain gaps, an
-     * L1 I/D pair split across domains).
-     */
-    std::vector<unsigned> domainTable(const Topology &topo) const;
 };
 
 /** Full system configuration; defaults reproduce Table 3. */
@@ -126,26 +96,18 @@ struct SystemConfig
 
     /**
      * Worker threads for the sharded parallel kernel. 0 (default)
-     * runs the classic serial kernel. Any value >= 1 partitions the
-     * machine into shard domains under `shardMap` — each with its own
-     * EventQueue, RNG and network-link state — advanced in lock-step
-     * conservative lookahead windows by min(shards, numDomains)
-     * worker threads. For a fixed seed and a fixed shardMap the
-     * sharded run is bit-identical for every worker count (the shard
-     * decomposition is fixed; `shards` only chooses how many threads
-     * drive it). PerfectL2 cannot run sharded (its magic L2 bypasses
-     * the network).
+     * runs the classic serial kernel. Any value >= 1 makes every CMP
+     * one shard domain — with its own EventQueue, RNG and network-link
+     * state — advanced in lock-step conservative lookahead windows by
+     * min(shards, numCmps) worker threads. For a fixed seed the
+     * sharded run is bit-identical for every worker count (the domains
+     * are fixed; `shards` only chooses how many threads drive them).
+     * PerfectL2 cannot run sharded (its magic L2 bypasses the
+     * network).
      */
     unsigned shards = 0;
 
-    /**
-     * Shard-domain decomposition used when `shards > 0`. PerCmp (the
-     * default) reproduces the PR 3 one-domain-per-CMP mapping;
-     * PerL1Bank splits each CMP into per-processor L1 domains plus an
-     * uncore domain so small-CMP-count configs still scale to many
-     * workers. Each map is a distinct deterministic execution (see
-     * ShardMapKind).
-     */
+    /** Shard-domain decomposition (always PerCmp; see ShardMap). */
     ShardMap shardMap{};
 
     /**

@@ -41,12 +41,9 @@ class HierFamily : public ProtocolBuilder
                 cfg.token, cfg.audit));
         }
         if (cfg.shards > 0) {
-            // A CMP's L1 domains and its uncore domain (PerL1Bank map)
-            // mutate that CMP's globals concurrently, and home memory
-            // controllers on different domains insert into the shared
-            // functional store concurrently.
-            for (auto &tg : _tokenGlobals)
-                tg->enableConcurrent(t.numProcs());
+            // A CMP's token space lives wholly in its CMP's shard
+            // domain, but home memory controllers on different domains
+            // insert into the shared functional store concurrently.
             _dirGlobals->store.setThreadSafe(true);
         }
 

@@ -120,10 +120,9 @@ class System
      * each run.
      *
      * With `cfg.shards == 0` this drives the classic serial kernel;
-     * otherwise it drives the sharded kernel: shard domains chosen by
-     * `cfg.shardMap` (per CMP, per L1 bank, or explicit) advanced in
-     * lock-step windows under the network's (src, dst) lookahead
-     * matrix, completion detected by a finish-counter checked once
+     * otherwise it drives the sharded kernel: one shard domain per CMP,
+     * advanced in lock-step windows under the network's inter-CMP
+     * lookahead, completion detected by a finish-counter checked once
      * per window barrier.
      */
     RunResult run(Workload &workload, Tick horizon = ns(500000000));
@@ -131,33 +130,31 @@ class System
     /** Domain 0's context (the only one in serial mode). */
     SimContext &context() { return *_ctxs.front(); }
 
-    /** Execution domains: 1 serial, cfg.shardMap-determined sharded. */
+    /** Execution domains: 1 serial, one per CMP sharded. */
     unsigned numDomains() const { return unsigned(_ctxs.size()); }
 
     /** The context of shard domain `d` (domain 0 in serial mode). */
     SimContext &domainContext(unsigned d) { return *_ctxs.at(d); }
 
-    /** The context a controller at `id` must run in (its shard
-     *  domain under cfg.shardMap); protocol builders construct each
-     *  controller against this. */
+    /** The context a controller at `id` must run in (its CMP's
+     *  shard domain); protocol builders construct each controller
+     *  against this. */
     SimContext &
     contextFor(const MachineID &id)
     {
         if (_ctxs.size() == 1)
             return *_ctxs.front();
-        return *_ctxs[_domainOf[_cfg.topo.globalIndex(id)]];
+        return *_ctxs[id.cmp];
     }
 
     /** The context processor `proc`'s sequencer and thread run in
-     *  (the domain of its L1 pair). */
+     *  (its CMP's domain). */
     SimContext &
     contextForProc(unsigned proc)
     {
         if (_ctxs.size() == 1)
             return *_ctxs.front();
-        const Topology &t = _cfg.topo;
-        return contextFor(
-            t.l1d(proc / t.procsPerCmp, proc % t.procsPerCmp));
+        return *_ctxs[proc / _cfg.topo.procsPerCmp];
     }
 
     const SystemConfig &config() const { return _cfg; }
@@ -166,8 +163,8 @@ class System
     /**
      * Window-barrier rounds executed across all sharded phases of
      * run() (0 for serial runs). Deterministic for a fixed (config,
-     * workload), so it measures lookahead quality — wider matrix
-     * entries mean longer windows, fewer rounds, and less barrier
+     * workload), so it measures lookahead quality — a wider lookahead
+     * means longer windows, fewer rounds, and less barrier
      * synchronization per simulated tick — without wall-clock noise.
      */
     std::uint64_t shardedWindows() const { return _shardedWindows; }
@@ -227,7 +224,6 @@ class System
 
     SystemConfig _cfg;
     std::vector<std::unique_ptr<SimContext>> _ctxs;
-    std::vector<unsigned> _domainOf;  //!< controller -> shard domain
     std::unique_ptr<Network> _net;
     std::unique_ptr<ProtocolBuilder> _proto;
 

@@ -17,7 +17,7 @@
  * checker state must use the opt-in locking pattern (mutex-guarded,
  * values independent of interleaving) — the sharded kernel requires
  * every workload to be bit-identical across worker counts for a fixed
- * (kernel, shardMap).
+ * kernel.
  */
 
 #ifndef TOKENCMP_WORKLOAD_WORKLOAD_REGISTRY_HH

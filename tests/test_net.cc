@@ -214,6 +214,16 @@ TEST(Network, MemoryPathAddsMemLink)
     EXPECT_EQ(arr[0].first, ns(40) + 1000);
 }
 
+TEST(Network, LookaheadIsTheInterCmpControlHop)
+{
+    // Every cross-domain message crosses an inter-CMP link, so the
+    // fastest one is a control message on it: 20 ns + 8 B / 16 B/ns.
+    EXPECT_EQ(NetFixture().net->lookahead(), ns(20) + 500);
+    NetworkParams no_bw;
+    no_bw.modelBandwidth = false;
+    EXPECT_EQ(NetFixture(no_bw).net->lookahead(), ns(20));
+}
+
 TEST(Network, BandwidthSerializesBackToBackMessages)
 {
     NetFixture f;

@@ -8,17 +8,14 @@
  * machinery must deliver every handoff exactly once, at exactly its
  * arrival tick, in canonical (source shard, send order) sequence at
  * window boundaries. Adversarial same-tick multi-source bursts pin
- * the virtual-channel merge order exactly, cross-checked between the
+ * the mailbox merge order exactly, cross-checked between the
  * TimingWheel and ReferenceHeap backends.
  *
- * System level: fixed-seed full-machine runs (token and directory
- * protocols) must produce bit-identical statistics for every
- * `shards` worker count under every shard map (per CMP, per L1 bank,
- * explicit), with the serial ReferenceHeap kernel as the ordering
- * oracle for the sharded wheel. Different shard maps are *distinct*
- * deterministic executions (different domain decompositions, RNG
- * streams and window boundaries); the bit-identical contract is
- * per (kernel, shardMap).
+ * System level: fixed-seed full-machine runs (token, directory and
+ * hier protocols, one shard domain per CMP) must produce
+ * bit-identical statistics for every `shards` worker count, with the
+ * serial ReferenceHeap kernel as the ordering oracle for the sharded
+ * wheel.
  */
 
 #include <gtest/gtest.h>
@@ -286,123 +283,62 @@ TEST(ShardedKernel, HorizonStopsBeforeCrossingEvents)
     EXPECT_EQ(fired.size(), 3u);
 }
 
-TEST(ShardedKernel, LookaheadMatrixWidensWindowsForDistantPairs)
+/**
+ * Runs `events` (shard, tick) on a kernel with lookahead `la` and one
+ * worker, and returns the window round each event executed in.
+ */
+std::vector<std::uint64_t>
+windowOfEach(unsigned shards, Tick la,
+             const std::vector<std::pair<unsigned, Tick>> &events)
 {
-    // Three shards: 0 and 1 are "close" (lookahead 2 ns both ways),
-    // 2 is "far" from both (40 ns). The heterogeneous bounds must let
-    // the far shard run long windows while 0/1 window on 2 ns — and
-    // the execution must match the uniform-minimum kernel exactly.
-    const unsigned n = 3;
-    auto mk_matrix = [&] {
-        std::vector<Tick> la(n * n, ns(40));
-        la[0 * n + 1] = la[1 * n + 0] = ns(2);
-        return la;
-    };
+    std::vector<std::unique_ptr<EventQueue>> qs;
+    std::vector<EventQueue *> ptrs;
+    for (unsigned s = 0; s < shards; ++s) {
+        qs.push_back(std::make_unique<EventQueue>());
+        ptrs.push_back(qs.back().get());
+    }
+    ShardedKernel kernel(ptrs, la, 1);
+    std::vector<std::uint64_t> window(events.size(), 0);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const auto [shard, tick] = events[i];
+        qs[shard]->scheduleAbs(
+            tick, [&kernel, &window, i]() { window[i] = kernel.windows(); });
+    }
+    EXPECT_EQ(kernel.run(), ShardedKernel::Outcome::Drained);
+    return window;
+}
 
-    auto runOnce = [&](bool matrix) {
-        std::vector<std::unique_ptr<EventQueue>> qs;
-        for (unsigned s = 0; s < n; ++s)
-            qs.push_back(std::make_unique<EventQueue>());
-        std::vector<FlipMailbox<Ping>> mail(n * n);
-        std::vector<std::vector<TraceEntry>> traces(n);
-        std::vector<std::uint64_t> seqs(n * n, 0);
+TEST(ShardedKernel, WindowBoundIsUniformLookaheadRule)
+{
+    const Tick la = 10;
+    using W = std::vector<std::uint64_t>;
 
-        // Self-rescheduling chains that ping round-robin with the
-        // legal minimum latency for each pair.
-        struct Chain
-        {
-            unsigned shard;
-            std::uint64_t count = 0;
-        };
-        std::vector<Chain> chains;
-        for (unsigned s = 0; s < n; ++s)
-            chains.push_back({s});
-        std::function<void(unsigned)> hop = [&](unsigned s) {
-            Chain &c = chains[s];
-            if (++c.count > 600)
-                return;
-            traces[s].push_back({qs[s]->curTick(), c.count});
-            const unsigned dst = (s + 1 + unsigned(c.count % (n - 1))) % n;
-            if (dst != s) {
-                const Tick la =
-                    (s + dst == 1) ? ns(2) : ns(40);  // pair (0,1) close
-                Ping p;
-                // +50 ps keeps ping arrivals off the hop-tick grid
-                // (multiples of 100 ps), so same-tick ties between
-                // hops and pings — whose order is a per-kernel
-                // choice — cannot occur.
-                p.arrival = qs[s]->curTick() + la + 50;
-                p.srcShard = s;
-                p.srcSeq = ++seqs[s * n + dst];
-                p.payload = (std::uint64_t(s) << 32) | c.count;
-                mail[s * n + dst].push(p, p.arrival);
-            }
-            qs[s]->schedule(ns(1) + (c.count % 5) * 100,
-                            [&hop, s]() { hop(s); });
-        };
-        for (unsigned s = 0; s < n; ++s)
-            qs[s]->schedule(ns(1), [&hop, s]() { hop(s); });
+    // One active shard beside an idle one: only the round trip of its
+    // own traffic (2L) constrains it, so it runs to f + 2L - 1.
+    EXPECT_EQ(windowOfEach(2, la, {{0, 100}, {0, 119}, {0, 120}}),
+              (W{1, 1, 2}));
 
-        std::vector<EventQueue *> ptrs;
-        for (auto &q : qs)
-            ptrs.push_back(q.get());
-        auto kernel =
-            matrix ? std::make_unique<ShardedKernel>(ptrs, mk_matrix(), 2)
-                   : std::make_unique<ShardedKernel>(ptrs, ns(2), 2);
-        ShardedKernel::Hooks hooks;
-        hooks.onBarrier = [&](std::vector<Tick> &earliest) {
-            for (unsigned src = 0; src < n; ++src) {
-                for (unsigned dst = 0; dst < n; ++dst) {
-                    auto &mb = mail[src * n + dst];
-                    mb.flip();
-                    earliest[dst] =
-                        std::min(earliest[dst], mb.pendingMin());
-                }
-            }
-        };
-        hooks.intake = [&](unsigned dst) {
-            for (unsigned src = 0; src < n; ++src) {
-                auto &mb = mail[src * n + dst];
-                for (const Ping &p : mb.pending()) {
-                    EXPECT_GE(p.arrival, qs[dst]->curTick());
-                    const Ping ping = p;
-                    qs[dst]->scheduleAbs(p.arrival, [&traces, dst,
-                                                     ping]() {
-                        traces[dst].push_back(
-                            {ping.arrival, ping.payload});
-                    });
-                }
-                mb.clearPending();
-            }
-        };
-        kernel->setHooks(std::move(hooks));
-        EXPECT_EQ(kernel->run(), ShardedKernel::Outcome::Drained);
-        return std::make_pair(std::move(traces), kernel->windows());
-    };
+    // Two active shards: each is bound by the other's frontier + L
+    // (and its own + 2L). Shard 0 (f = 100) runs to 105 + L - 1 = 114;
+    // shard 1 (f = 105) runs to 100 + L - 1 = 109.
+    EXPECT_EQ(windowOfEach(2, la,
+                           {{0, 100}, {0, 114}, {0, 115},
+                            {1, 105}, {1, 109}, {1, 110}}),
+              (W{1, 1, 2, 1, 1, 2}));
 
-    auto [uniform_traces, uniform_windows] = runOnce(false);
-    auto [matrix_traces, matrix_windows] = runOnce(true);
-    // Same events at the same ticks under both kernels. Same-tick
-    // ping-vs-ping ties may order differently (window boundaries are
-    // a per-kernel choice), so compare as sorted (tick, payload).
-    auto canon = [](std::vector<TraceEntry> t) {
-        std::sort(t.begin(), t.end(),
-                  [](const TraceEntry &a, const TraceEntry &b) {
-                      return std::tie(a.tick, a.payload) <
-                             std::tie(b.tick, b.payload);
-                  });
-        return t;
-    };
-    for (unsigned s = 0; s < n; ++s)
-        EXPECT_TRUE(canon(matrix_traces[s]) == canon(uniform_traces[s]))
-            << "shard " << s;
-    // The matrix kernel must need *fewer* rounds: the far pairs no
-    // longer drag every window down to 2 ns.
-    EXPECT_LT(matrix_windows, uniform_windows);
+    // One shard has no round trip; only the cap applies.
+    const Tick cap = ShardedKernel::maxWindow;
+    EXPECT_EQ(windowOfEach(1, la, {{0, 100}, {0, 100 + cap},
+                                   {0, 101 + cap}}),
+              (W{1, 1, 2}));
+    // The cap also binds two shards whose lookahead reaches past it.
+    EXPECT_EQ(windowOfEach(2, 4 * cap, {{0, 100}, {0, 100 + cap},
+                                        {0, 101 + cap}}),
+              (W{1, 1, 2}));
 }
 
 // ---------------------------------------------------------------------
-// Adversarial virtual-channel merge ordering
+// Adversarial mailbox merge ordering
 // ---------------------------------------------------------------------
 
 /**
@@ -576,48 +512,15 @@ struct RunSummary
     std::map<std::string, double> stats;
 };
 
-/** An explicit map distinct from both built-ins: two domains per CMP
- *  (first half of the processors + the uncore, second half alone). */
-ShardMap
-halfCmpMap(const Topology &t)
-{
-    ShardMap m;
-    m.kind = ShardMapKind::Explicit;
-    m.domainOf.assign(t.numControllers(), 0);
-    for (unsigned c = 0; c < t.numCmps; ++c) {
-        for (unsigned p = 0; p < t.procsPerCmp; ++p) {
-            const unsigned d = 2 * c + (p >= t.procsPerCmp / 2 ? 1 : 0);
-            m.domainOf[t.globalIndex(t.l1d(c, p))] = d;
-            m.domainOf[t.globalIndex(t.l1i(c, p))] = d;
-        }
-        for (unsigned b = 0; b < t.l2BanksPerCmp; ++b)
-            m.domainOf[t.globalIndex(t.l2(c, b))] = 2 * c;
-        m.domainOf[t.globalIndex(t.mem(c))] = 2 * c;
-    }
-    return m;
-}
-
-ShardMap
-mapFor(const Topology &t, ShardMapKind kind)
-{
-    if (kind == ShardMapKind::Explicit)
-        return halfCmpMap(t);
-    ShardMap m;
-    m.kind = kind;
-    return m;
-}
-
 RunSummary
 runSystem(Protocol proto, unsigned shards, SchedulerKind sched,
-          std::uint64_t seed,
-          ShardMapKind map_kind = ShardMapKind::PerCmp)
+          std::uint64_t seed)
 {
     SystemConfig cfg;
     cfg.protocol = proto;
     cfg.seed = seed;
     cfg.shards = shards;
     cfg.scheduler = sched;
-    cfg.shardMap = mapFor(cfg.topo, map_kind);
     cfg.finalize();
 
     SyntheticParams p = oltpParams();
@@ -650,158 +553,97 @@ expectSameRun(const RunSummary &a, const RunSummary &b,
 }
 
 class ShardSweep
-    : public ::testing::TestWithParam<
-          std::tuple<Protocol, ShardMapKind, unsigned>>
+    : public ::testing::TestWithParam<std::tuple<Protocol, unsigned>>
 {};
 
 TEST_P(ShardSweep, StatsBitIdenticalAcrossWorkerCounts)
 {
     const Protocol proto = std::get<0>(GetParam());
-    const ShardMapKind map = std::get<1>(GetParam());
-    const unsigned shards = std::get<2>(GetParam());
+    const unsigned shards = std::get<1>(GetParam());
 
     // Worker-count invariance: shards=1 is the canonical sharded
-    // execution for this map; more workers only change the thread
-    // mapping.
+    // execution; more workers only change the thread mapping.
     const RunSummary base =
-        runSystem(proto, 1, SchedulerKind::TimingWheel, 11, map);
+        runSystem(proto, 1, SchedulerKind::TimingWheel, 11);
     ASSERT_TRUE(base.completed);
     EXPECT_EQ(base.violations, 0u);
 
     const RunSummary run =
-        runSystem(proto, shards, SchedulerKind::TimingWheel, 11, map);
+        runSystem(proto, shards, SchedulerKind::TimingWheel, 11);
     expectSameRun(run, base,
-                  std::string(protocolName(proto)) + " map=" +
-                      shardMapKindName(map) + " shards=" +
+                  std::string(protocolName(proto)) + " shards=" +
                       std::to_string(shards));
 }
 
 TEST_P(ShardSweep, ReferenceHeapOracleMatchesWheel)
 {
     const Protocol proto = std::get<0>(GetParam());
-    const ShardMapKind map = std::get<1>(GetParam());
-    const unsigned shards = std::get<2>(GetParam());
+    const unsigned shards = std::get<1>(GetParam());
 
     // The ReferenceHeap ordering oracle kept from the kernel overhaul:
     // per-shard wheels must order identically to per-shard heaps.
     const RunSummary wheel =
-        runSystem(proto, shards, SchedulerKind::TimingWheel, 23, map);
+        runSystem(proto, shards, SchedulerKind::TimingWheel, 23);
     const RunSummary heap =
-        runSystem(proto, shards, SchedulerKind::ReferenceHeap, 23,
-                  map);
+        runSystem(proto, shards, SchedulerKind::ReferenceHeap, 23);
     expectSameRun(wheel, heap,
-                  std::string(protocolName(proto)) + " oracle map=" +
-                      shardMapKindName(map) + " shards=" +
+                  std::string(protocolName(proto)) + " oracle shards=" +
                       std::to_string(shards));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ProtocolsByMapByShards, ShardSweep,
+    ProtocolsByShards, ShardSweep,
     ::testing::Combine(::testing::Values(Protocol::TokenDst1,
                                          Protocol::DirectoryCMP,
                                          Protocol::HierCMP),
-                       ::testing::Values(ShardMapKind::PerCmp,
-                                         ShardMapKind::PerL1Bank,
-                                         ShardMapKind::Explicit),
                        ::testing::Values(1u, 2u, 4u, 8u)),
     [](const auto &info) {
         std::string name(protocolName(std::get<0>(info.param)));
-        name += std::string("_") +
-                shardMapKindName(std::get<1>(info.param));
         for (char &c : name) {
             if (!std::isalnum(static_cast<unsigned char>(c)))
                 c = '_';
         }
         return name + "_shards" +
-               std::to_string(std::get<2>(info.param));
+               std::to_string(std::get<1>(info.param));
     });
 
 TEST(ShardedSystem, SerialAndShardedAgreeSemantically)
 {
     // The serial kernel and the sharded kernel order same-tick
-    // cross-domain events differently — and each shardMap is its own
-    // deterministic execution — so per-run timing statistics may
-    // legitimately diverge; the semantic outcome must not.
+    // cross-domain events differently, so per-run timing statistics
+    // may legitimately diverge; the semantic outcome must not.
     for (Protocol proto :
          {Protocol::TokenDst1, Protocol::DirectoryCMP,
           Protocol::HierCMP}) {
         const RunSummary serial =
             runSystem(proto, 0, SchedulerKind::ReferenceHeap, 31);
-        for (ShardMapKind map :
-             {ShardMapKind::PerCmp, ShardMapKind::PerL1Bank,
-              ShardMapKind::Explicit}) {
-            const RunSummary sharded = runSystem(
-                proto, 4, SchedulerKind::TimingWheel, 31, map);
-            EXPECT_TRUE(serial.completed);
-            EXPECT_TRUE(sharded.completed) << shardMapKindName(map);
-            EXPECT_EQ(serial.violations, 0u);
-            EXPECT_EQ(sharded.violations, 0u) << shardMapKindName(map);
-        }
+        const RunSummary sharded =
+            runSystem(proto, 4, SchedulerKind::TimingWheel, 31);
+        EXPECT_TRUE(serial.completed);
+        EXPECT_TRUE(sharded.completed) << protocolName(proto);
+        EXPECT_EQ(serial.violations, 0u);
+        EXPECT_EQ(sharded.violations, 0u) << protocolName(proto);
     }
 }
 
-TEST(ShardedSystem, TypeAwareLookaheadShrinksWindowCountSoundly)
+TEST(ShardedSystem, DomainsAreCmps)
 {
-    // The per-message-type serialization floor widens every lookahead
-    // matrix entry (every link's minimum shape still serializes for >=
-    // the 8-byte control time), so the same simulated work must need
-    // strictly fewer window-barrier rounds than the latency-only
-    // bound — while still completing and keeping the workload's
-    // invariants (an unsound, too-wide bound would deliver into a
-    // shard's past and panic, or corrupt the lock protocol).
-    auto windowsWith = [](bool type_aware) {
-        SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1;
-        cfg.seed = 11;
-        cfg.shards = 2;
-        // The finest shard map: its windows are bounded by the
-        // intra-CMP entries, which the serialization floor widens the
-        // most in relative terms (2 ns -> 2.125 ns).
-        cfg.shardMap.kind = ShardMapKind::PerL1Bank;
-        cfg.net.typeAwareLookahead = type_aware;
-        cfg.finalize();
-
-        SyntheticParams p = oltpParams();
-        p.opsPerProc = 40;
-        SyntheticWorkload wl(p);
-
-        System sys(cfg);
-        System::RunResult r = sys.run(wl);
-        EXPECT_TRUE(r.completed) << "typeAware=" << type_aware;
-        EXPECT_EQ(r.violations, 0u) << "typeAware=" << type_aware;
-        EXPECT_GT(sys.shardedWindows(), 0u);
-        return sys.shardedWindows();
-    };
-
-    const std::uint64_t type_aware = windowsWith(true);
-    const std::uint64_t latency_only = windowsWith(false);
-    EXPECT_LT(type_aware, latency_only);
-    std::printf("[          ] window rounds: type-aware=%llu "
-                "latency-only=%llu\n",
-                static_cast<unsigned long long>(type_aware),
-                static_cast<unsigned long long>(latency_only));
-}
-
-TEST(ShardMapDeathTest, InvalidExplicitMapsPanic)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    Topology t;
-
-    ShardMap wrong_size;
-    wrong_size.kind = ShardMapKind::Explicit;
-    wrong_size.domainOf.assign(3, 0);
-    EXPECT_DEATH(wrong_size.domainTable(t), "domain assignments");
-
-    ShardMap gap = halfCmpMap(t);
-    for (unsigned &d : gap.domainOf)
-        d *= 2;  // every odd domain empty
-    EXPECT_DEATH(gap.domainTable(t), "empty");
-
-    ShardMap split = halfCmpMap(t);
-    // Separate one L1I from its L1D partner.
-    split.domainOf[t.globalIndex(t.l1i(0, 0))] =
-        split.domainOf[t.globalIndex(t.l1d(0, 0))] + 1;
-    EXPECT_DEATH(split.domainTable(t), "L1 I/D pair");
+    SystemConfig cfg;
+    cfg.shards = 2;
+    System sys(cfg);
+    const Topology &t = sys.config().topo;
+    ASSERT_EQ(sys.numDomains(), t.numCmps);
+    for (unsigned c = 0; c < t.numCmps; ++c) {
+        SimContext *home = &sys.domainContext(c);
+        for (unsigned p = 0; p < t.procsPerCmp; ++p) {
+            EXPECT_EQ(&sys.contextFor(t.l1d(c, p)), home);
+            EXPECT_EQ(&sys.contextFor(t.l1i(c, p)), home);
+            EXPECT_EQ(&sys.contextForProc(c * t.procsPerCmp + p), home);
+        }
+        for (unsigned b = 0; b < t.l2BanksPerCmp; ++b)
+            EXPECT_EQ(&sys.contextFor(t.l2(c, b)), home);
+        EXPECT_EQ(&sys.contextFor(t.mem(c)), home);
+    }
 }
 
 } // namespace

@@ -297,6 +297,70 @@ TEST(ParamGridDeathTest, RejectsTyposLoudly)
         "unknown knob");
 }
 
+TEST(ParamGridDeathTest, ShardMapsAreSerialOrPerCmp)
+{
+    // Shard domains are CMPs; any finer map is an unknown name.
+    EXPECT_DEATH(ParamGrid::fromJsonText(
+                     R"({"name": "t", "policies": ["dst1"],
+                         "workloads": ["zipf"],
+                         "shardMaps": ["perCore"]})",
+                     "t"),
+                 "unknown shardMap 'perCore' \\(serial, perCmp\\)");
+}
+
+namespace {
+
+/** A one-cell grid with `field` spliced into the top level. */
+std::string
+gridWith(const std::string &field)
+{
+    return R"({"name": "t", "policies": ["dst1"], "workloads": ["zipf"], )" +
+           field + "}";
+}
+
+} // namespace
+
+TEST(ParamGridDeathTest, IntegerFieldsRangeCheckBeforeNarrowing)
+{
+    // 2^32 used to wrap to 0 through an unsigned cast: "shardWorkers"
+    // then passed the >= 1 check and ran a perCmp cell serially.
+    EXPECT_DEATH(ParamGrid::fromJsonText(
+                     gridWith(R"("shardMaps": ["perCmp"],
+                                 "shardWorkers": 4294967296)"),
+                     "t"),
+                 "\"shardWorkers\" must be an integer in \\[1, "
+                 "4294967295\\]");
+    EXPECT_DEATH(ParamGrid::fromJsonText(
+                     gridWith(R"("seeds": 4294967296)"), "t"),
+                 "\"seeds\" must be an integer in");
+    // Past 2^64 the old uint64 round trip itself was undefined.
+    EXPECT_DEATH(ParamGrid::fromJsonText(
+                     gridWith(R"("seeds": 1e300)"), "t"),
+                 "\"seeds\" must be an integer in");
+    EXPECT_DEATH(ParamGrid::fromJsonText(
+                     gridWith(R"("firstSeed": 1e300)"), "t"),
+                 "\"firstSeed\" must be an integer in");
+    // Nanosecond fields must still fit in ticks once scaled by 1000.
+    EXPECT_DEATH(ParamGrid::fromJsonText(
+                     gridWith(R"("horizonNs": 1e17)"), "t"),
+                 "\"horizonNs\" must be an integer in");
+}
+
+TEST(ParamGridDeathTest, WorkloadKnobIntegersAreChecked)
+{
+    // A negative key count used to wrap to 2^64 - 3 and hang the grid
+    // load building the key space.
+    EXPECT_DEATH(ParamGrid::fromJsonText(
+                     gridWith(R"("workloadKnobs": {"keys": -3})"), "t"),
+                 "workloadKnobs: \"keys\" must be an integer in");
+    // A fractional quota used to truncate silently, and its cell hash
+    // collided with the truncated value's.
+    EXPECT_DEATH(ParamGrid::fromJsonText(
+                     gridWith(R"("workloadKnobs": {"opsPerProc": 20.7})"),
+                     "t"),
+                 "workloadKnobs: \"opsPerProc\" must be an integer in");
+}
+
 // ---- SweepDriver ----------------------------------------------------
 
 namespace {

@@ -616,25 +616,22 @@ TEST(WorkloadSweep, NamedRunMatchesExplicitFactory)
 }
 
 // ---------------------------------------------------------------------
-// Determinism sweep: new generators across shard maps x workers
+// Determinism sweep: new generators across worker counts
 // ---------------------------------------------------------------------
 
 class GeneratorShardSweep
-    : public ::testing::TestWithParam<
-          std::tuple<const char *, ShardMapKind, unsigned>>
+    : public ::testing::TestWithParam<std::tuple<const char *, unsigned>>
 {};
 
 TEST_P(GeneratorShardSweep, StatsBitIdenticalAcrossWorkerCounts)
 {
     const std::string name = std::get<0>(GetParam());
-    const ShardMapKind map = std::get<1>(GetParam());
-    const unsigned shards = std::get<2>(GetParam());
+    const unsigned shards = std::get<1>(GetParam());
     const WorkloadParams wp = smallKnobs(name);
 
     auto run = [&](unsigned workers) {
         SystemConfig cfg = tokenConfig(17);
         cfg.shards = workers;
-        cfg.shardMap.kind = map;
         cfg.workloadName = name;
         cfg.workloadParams = wp;
         cfg.finalize();
@@ -643,30 +640,25 @@ TEST_P(GeneratorShardSweep, StatsBitIdenticalAcrossWorkerCounts)
         return runWorkload(*wl, cfg);
     };
 
-    // shards=1 is the canonical sharded execution for this map; more
-    // workers may only change the thread mapping, never the result.
+    // shards=1 is the canonical sharded execution; more workers may
+    // only change the thread mapping, never the result.
     const RunSummary base = run(1);
     ASSERT_TRUE(base.completed) << name;
     EXPECT_EQ(base.violations, 0u) << name;
 
     expectSameRun(run(shards), base,
-                  name + " map=" +
-                      std::string(shardMapKindName(map)) +
-                      " shards=" + std::to_string(shards));
+                  name + " shards=" + std::to_string(shards));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    GeneratorsByMapByShards, GeneratorShardSweep,
+    GeneratorsByShards, GeneratorShardSweep,
     ::testing::Combine(::testing::Values("zipf", "oltp", "phased",
                                          "prodcons"),
-                       ::testing::Values(ShardMapKind::PerCmp,
-                                         ShardMapKind::PerL1Bank),
                        ::testing::Values(2u, 4u, 8u)),
     [](const ::testing::TestParamInfo<
         GeneratorShardSweep::ParamType> &info) {
-        return std::string(std::get<0>(info.param)) + "_" +
-               shardMapKindName(std::get<1>(info.param)) + "_w" +
-               std::to_string(std::get<2>(info.param));
+        return std::string(std::get<0>(info.param)) + "_w" +
+               std::to_string(std::get<1>(info.param));
     });
 
 } // namespace tokencmp::test
