@@ -5,7 +5,8 @@
  *
  *  - the response-delay window (0 / 30 / 100 ns),
  *  - the timeout multiplier on the memory-latency EWMA,
- *  - the retry budget (dst1 vs dst2 vs dst4 behavior),
+ *  - the transient budget (the dst0, dst1 and dst4 rows: 0, 1 and 4
+ *    transients before a persistent request),
  *  - persistent *read* requests (disabled -> reads use full
  *    persistent requests) is covered implicitly by the variants.
  */
@@ -90,12 +91,9 @@ main(int argc, char **argv)
     }
 
     std::printf("\ntransient-request budget before persistent:\n");
-    for (unsigned budget : {1u, 2u, 4u}) {
+    for (unsigned budget : {0u, 1u, 4u}) {
         SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1;
-        cfg.customPolicy = true;
-        cfg.token.policy = token_variants::dst1();
-        cfg.token.policy.maxTransients = budget;
+        cfg.policyName = "dst" + std::to_string(budget);
         const std::string label =
             "transients=" + std::to_string(budget);
         const ExperimentResult hi = runCfg(cfg, 2, label);

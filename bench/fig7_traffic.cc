@@ -16,7 +16,6 @@
 #include <algorithm>
 
 #include "bench_util.hh"
-#include "core/policy.hh"
 #include "workload/synthetic.hh"
 
 using namespace tokencmp;
@@ -64,7 +63,7 @@ printLevel(const char *title, NetLevel level,
 }
 
 /**
- * Sweep every registered performance policy on the OLTP proxy and
+ * Sweep the flat-token performance policies on the OLTP proxy and
  * record normalized traffic (messages and inter-CMP bytes per L1
  * miss) — the per-policy cells the CI regression gate tracks. The
  * metrics are simulation counts over fixed seeds, so they are exactly
@@ -78,18 +77,22 @@ policySweep(JsonReport &report)
     auto factory = [&wl]() -> std::unique_ptr<Workload> {
         return std::make_unique<SyntheticWorkload>(wl);
     };
-    const std::vector<std::string> names =
-        PolicyRegistry::instance().names();
+    // Row order is the baseline's; hier's intra-CMP "arb4" is not a
+    // row.
+    const std::vector<std::string> names = {
+        "arb0", "bw-adapt", "dst-group", "dst-owner", "dst0",
+        "dst1", "dst1-filt", "dst1-pred", "dst4"};
 
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
-    const std::vector<ExperimentResult> cells =
-        Experiment::of(cfg)
-            .workload(factory)
-            .seeds(seedsPerPoint())
-            .parallelism(defaultParallelism())
-            .policies(names)
-            .runSweep();
+    std::vector<ExperimentResult> cells;
+    for (const std::string &name : names) {
+        SystemConfig cfg;
+        cfg.policyName = name;
+        cells.push_back(Experiment::of(cfg)
+                            .workload(factory)
+                            .seeds(seedsPerPoint())
+                            .parallelism(defaultParallelism())
+                            .run());
+    }
 
     std::printf("\n--- policy sweep (%s; per L1 miss) ---\n",
                 wl.label.c_str());

@@ -161,7 +161,6 @@ systemThroughput(bench::JsonReport &report, bool model_bandwidth)
     cfg.protocol = Protocol::TokenDst1;
     cfg.net.modelBandwidth = model_bandwidth;
     cfg.seed = 1;
-    cfg.finalize();
 
     LockingParams p;
     p.numLocks = 16;

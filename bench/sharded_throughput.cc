@@ -228,7 +228,6 @@ systemThroughput(const std::string &label, unsigned shards,
     cfg.protocol = Protocol::TokenDst1;
     cfg.seed = 1;
     cfg.shards = shards;
-    cfg.finalize();
 
     LockingParams p;
     p.numLocks = 16;
@@ -269,7 +268,6 @@ lowCouplingThroughput(const std::string &label, unsigned workers)
     cfg.protocol = Protocol::TokenDst1;
     cfg.seed = 1;
     cfg.shards = workers;
-    cfg.finalize();
 
     SyntheticParams p;
     p.label = "low_coupling";

@@ -156,34 +156,31 @@ main(int argc, char **argv)
         }
         record(report, spec.name, hier_cell);
 
-        // The token policy sweep, through the workloads() axis.
-        SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1;
-        cfg.workloadParams = spec.knobs;
-        const std::vector<ExperimentResult> cells =
-            Experiment::of(cfg)
-                .seeds(seedsPerPoint())
-                .parallelism(defaultParallelism())
-                .workloads({spec.name})
-                .policies(policies)
-                .runSweep();
-
+        // The token policy sweep.
         double dst1_inter = 0.0;
         double owner_inter = 0.0;
         double bw_inter = 0.0;
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const ExperimentResult &e = cells[i];
+        for (const std::string &policy : policies) {
+            SystemConfig cfg;
+            cfg.policyName = policy;
+            cfg.workloadName = spec.name;
+            cfg.workloadParams = spec.knobs;
+            const ExperimentResult e =
+                Experiment::of(cfg)
+                    .seeds(seedsPerPoint())
+                    .parallelism(defaultParallelism())
+                    .run();
             if (!e.allCompleted) {
                 std::fprintf(stderr, "FAILED: %s on %s\n",
-                             policies[i].c_str(), spec.name);
+                             policy.c_str(), spec.name);
                 return 1;
             }
             const CellMetrics m = record(report, spec.name, e);
-            if (policies[i] == "dst1")
+            if (policy == "dst1")
                 dst1_inter = m.interPerMiss;
-            else if (policies[i] == "dst-owner")
+            else if (policy == "dst-owner")
                 owner_inter = m.interPerMiss;
-            else if (policies[i] == "bw-adapt")
+            else if (policy == "bw-adapt")
                 bw_inter = m.interPerMiss;
         }
 

@@ -37,7 +37,6 @@ class FavoritePolicy final : public PerformancePolicy
 {
   public:
     using PerformancePolicy::PerformancePolicy;
-    const char *name() const override { return "example-favorite"; }
     unsigned
     maxTransients(bool is_write) const override
     {
@@ -104,28 +103,23 @@ main(int argc, char **argv)
     std::printf("%-22s %16s %10s %10s %12s %12s\n", "policy",
                 "runtime", "L1 misses", "msgs/miss", "inter bytes",
                 "intra bytes");
-    SystemConfig tok;
-    tok.protocol = Protocol::TokenDst1;
-    const std::vector<std::string> names =
-        PolicyRegistry::instance().names();
-    const std::vector<ExperimentResult> sweep =
-        Experiment::of(tok)
-            .workload(factory)
-            .seeds(3)
-            .parallelism(hw ? hw : 1)
-            .policies(names)
-            .runSweep();
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-        const ExperimentResult &e = sweep[i];
+    for (const std::string &name : PolicyRegistry::instance().names()) {
+        SystemConfig tok;
+        tok.policyName = name;
+        const ExperimentResult e = Experiment::of(tok)
+                                       .workload(factory)
+                                       .seeds(3)
+                                       .parallelism(hw ? hw : 1)
+                                       .run();
         if (!e.allCompleted) {
-            std::printf("%-22s DID NOT COMPLETE\n", names[i].c_str());
+            std::printf("%-22s DID NOT COMPLETE\n", name.c_str());
             continue;
         }
         const double rt = e.runtime.mean() / double(ticksPerNs);
         const double err = e.runtime.errorBar() / double(ticksPerNs);
         const double misses = e.stats.at("l1.misses").mean();
         std::printf("%-22s %8.0f±%5.0fns %10.0f %10.2f %12.0f %12.0f\n",
-                    names[i].c_str(), rt, err, misses,
+                    name.c_str(), rt, err, misses,
                     misses > 0
                         ? e.stats.at("net.messages").mean() / misses
                         : 0.0,

@@ -4,7 +4,8 @@
  * policy family: the paper's six TokenCMP rows expressed as one
  * row-parameterized plugin (broadcast destination sets, optional
  * contention predictor, optional sharer filter) registered under the
- * names "arb0", "dst0", "dst4", "dst1", "dst1-pred" and "dst1-filt".
+ * names "arb0", "dst0", "dst4", "dst1", "dst1-pred" and "dst1-filt",
+ * plus hier's intra-CMP row as "arb4".
  */
 
 #include "core/policy.hh"
@@ -117,6 +118,18 @@ PolicyRegistry::names() const
 
 namespace {
 
+/** One row of the paper's Table 1. */
+struct Table1Row
+{
+    /** Transient requests before falling back to a persistent
+     *  request: 0 = immediately persistent (arb0/dst0), 1 = dst1*,
+     *  4 = dst4. */
+    unsigned maxTransients;
+    PersistentActivation activation;
+    bool usePredictor;  //!< dst1-pred: contention predictor
+    bool useFilter;     //!< dst1-filt: filter external transients
+};
+
 /**
  * One Table 1 row as a policy: broadcast destination sets at both
  * levels, the row's transient budget and activation mechanism, plus
@@ -127,9 +140,8 @@ namespace {
 class Table1Policy final : public PerformancePolicy
 {
   public:
-    Table1Policy(const TokenPolicy &row, const char *name,
-                 const PolicyEnv &env)
-        : PerformancePolicy(env), _row(row), _name(name)
+    Table1Policy(const Table1Row &row, const PolicyEnv &env)
+        : PerformancePolicy(env), _row(row)
     {
         // The tables are allocated only where they are consulted: one
         // policy instance exists per controller, the predictor hooks
@@ -140,17 +152,12 @@ class Table1Policy final : public PerformancePolicy
         const bool at_l1 = env.self.type == MachineType::L1D ||
                            env.self.type == MachineType::L1I;
         if (_row.usePredictor && at_l1) {
-            _predictor = env.params != nullptr
-                             ? std::make_unique<ContentionPredictor>(
-                                   env.params->contentionEntries,
-                                   env.params->contentionWays)
-                             : std::make_unique<ContentionPredictor>();
+            _predictor = std::make_unique<ContentionPredictor>(
+                env.params->contentionEntries, env.params->contentionWays);
         }
         if (_row.useFilter && env.self.type == MachineType::L2Bank)
             _filter = std::make_unique<SharerFilter>();
     }
-
-    const char *name() const override { return _name; }
 
     unsigned
     maxTransients(bool is_write) const override
@@ -214,39 +221,42 @@ class Table1Policy final : public PerformancePolicy
     }
 
   private:
-    TokenPolicy _row;
-    const char *_name;
+    Table1Row _row;
     std::unique_ptr<ContentionPredictor> _predictor;
     std::unique_ptr<SharerFilter> _filter;
 };
 
 PolicyRegistry::Factory
-table1Factory(TokenPolicy row, const char *name)
+table1Factory(Table1Row row)
 {
-    return [row, name](const PolicyEnv &env) {
-        return std::make_unique<Table1Policy>(row, name, env);
+    return [row](const PolicyEnv &env) {
+        return std::make_unique<Table1Policy>(row, env);
     };
 }
 
-const PolicyRegistrar regArb0(
-    "arb0", table1Factory(token_variants::arb0(), "arb0"));
-const PolicyRegistrar regDst0(
-    "dst0", table1Factory(token_variants::dst0(), "dst0"));
-const PolicyRegistrar regDst4(
-    "dst4", table1Factory(token_variants::dst4(), "dst4"));
-const PolicyRegistrar regDst1(
-    "dst1", table1Factory(token_variants::dst1(), "dst1"));
-const PolicyRegistrar regDst1Pred(
-    "dst1-pred", table1Factory(token_variants::dst1Pred(), "dst1-pred"));
-const PolicyRegistrar regDst1Filt(
-    "dst1-filt", table1Factory(token_variants::dst1Filt(), "dst1-filt"));
+constexpr PersistentActivation kArb = PersistentActivation::Arbiter;
+constexpr PersistentActivation kDst = PersistentActivation::Distributed;
+
+const PolicyRegistrar regArb0("arb0",
+                              table1Factory({0, kArb, false, false}));
+const PolicyRegistrar regDst0("dst0",
+                              table1Factory({0, kDst, false, false}));
+const PolicyRegistrar regDst4("dst4",
+                              table1Factory({4, kDst, false, false}));
+const PolicyRegistrar regDst1("dst1",
+                              table1Factory({1, kDst, false, false}));
+const PolicyRegistrar regDst1Pred("dst1-pred",
+                                  table1Factory({1, kDst, true, false}));
+const PolicyRegistrar regDst1Filt("dst1-filt",
+                                  table1Factory({1, kDst, false, true}));
+/**
+ * Hier's intra-CMP policy: retried transient broadcasts inside the
+ * CMP, arbiter-based persistent activation at the local shim (the
+ * arbiter machine is per-CMP, selected by TokenL1::arbiterOf).
+ */
+const PolicyRegistrar regArb4("arb4",
+                              table1Factory({4, kArb, false, false}));
 
 } // namespace
-
-std::unique_ptr<PerformancePolicy>
-makeTable1Policy(const TokenPolicy &row, const PolicyEnv &env)
-{
-    return std::make_unique<Table1Policy>(row, "table1", env);
-}
 
 } // namespace tokencmp

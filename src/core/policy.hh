@@ -12,10 +12,12 @@
  * plugins cannot break safety or starvation freedom, only performance.
  *
  * Policies are selected by name through the self-registering
- * `PolicyRegistry` (`SystemConfig::policyName`); the six Table 1 rows
- * of the paper are registered as "arb0", "dst0", "dst4", "dst1",
- * "dst1-pred" and "dst1-filt", and policy_adaptive.cc adds
- * destination-set predictors the enum-based design could not express.
+ * `PolicyRegistry` (`SystemConfig::policyName`, or the policy column
+ * of the protocol table in system/config.cc); the six Table 1 rows of
+ * the paper are registered as "arb0", "dst0", "dst4", "dst1",
+ * "dst1-pred" and "dst1-filt", hier's intra-CMP row as "arb4", and
+ * policy_adaptive.cc adds destination-set predictors the enum-based
+ * design could not express.
  *
  * Determinism contract: a policy must keep all mutable state per
  * instance (one instance exists per controller, so instance state is
@@ -67,7 +69,7 @@ struct PolicyEnv
 {
     MachineID self{};                      //!< owning controller
     Topology topo{};
-    const TokenParams *params = nullptr;   //!< substrate parameters
+    const TokenParams *params = nullptr;   //!< substrate knobs; required
     SimContext *ctx = nullptr;             //!< clock / rng / network
 };
 
@@ -95,9 +97,6 @@ class PerformancePolicy
 
     PerformancePolicy(const PerformancePolicy &) = delete;
     PerformancePolicy &operator=(const PerformancePolicy &) = delete;
-
-    /** Registry name (Table 1 row or plugin name). */
-    virtual const char *name() const = 0;
 
     // -- Substrate knobs ---------------------------------------------
 
@@ -244,7 +243,7 @@ class PerformancePolicy
 /**
  * Process-wide map from policy names to factories. Policies
  * self-register at static-initialization time (see PolicyRegistrar);
- * like the ProtocolRegistry, the map is effectively immutable once
+ * the map is effectively immutable once
  * `main` begins, so concurrent experiment workers may create policy
  * instances without locking.
  */
@@ -283,15 +282,6 @@ struct PolicyRegistrar
                                                   std::move(factory));
     }
 };
-
-/**
- * The Table 1 policy family from an explicit row (used directly when
- * `SystemConfig::policyName` is empty, e.g. customPolicy ablations
- * sweeping individual row knobs; the registry's "arb0".."dst1-filt"
- * entries are the canned rows by name).
- */
-std::unique_ptr<PerformancePolicy>
-makeTable1Policy(const TokenPolicy &row, const PolicyEnv &env);
 
 } // namespace tokencmp
 

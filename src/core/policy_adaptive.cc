@@ -128,11 +128,8 @@ class DestSetPolicy : public PerformancePolicy
         // TokenParams knobs so sweeps can search it without
         // recompiling.
         if (env.self.type == MachineType::L2Bank) {
-            _pred = env.params != nullptr
-                        ? std::make_unique<CmpPredictor>(
-                              env.params->cmpPredEntries,
-                              env.params->cmpPredWays)
-                        : std::make_unique<CmpPredictor>();
+            _pred = std::make_unique<CmpPredictor>(
+                env.params->cmpPredEntries, env.params->cmpPredWays);
         }
     }
 
@@ -227,8 +224,6 @@ class OwnerGroupPolicy final : public DestSetPolicy
   public:
     using DestSetPolicy::DestSetPolicy;
 
-    const char *name() const override { return "dst-owner"; }
-
     void
     destinationSet(Addr addr, DestKind kind, bool is_write,
                    unsigned attempt, std::vector<MachineID> &out) override
@@ -253,8 +248,6 @@ class BandwidthAdaptivePolicy final : public DestSetPolicy
 {
   public:
     using DestSetPolicy::DestSetPolicy;
-
-    const char *name() const override { return "bw-adapt"; }
 
     void
     destinationSet(Addr addr, DestKind kind, bool is_write,
@@ -284,7 +277,7 @@ class BandwidthAdaptivePolicy final : public DestSetPolicy
     double
     busyUtil() const
     {
-        return env.params != nullptr ? env.params->bwBusyUtil : 0.01;
+        return env.params->bwBusyUtil;
     }
 
     /**
@@ -350,14 +343,10 @@ class GroupMulticastPolicy final : public DestSetPolicy
     {
         if (env.self.type == MachineType::L2Bank) {
             _groups = std::make_unique<Table>(
-                "GroupPredictor",
-                env.params != nullptr ? env.params->cmpPredEntries
-                                      : 512,
-                env.params != nullptr ? env.params->cmpPredWays : 4);
+                "GroupPredictor", env.params->cmpPredEntries,
+                env.params->cmpPredWays);
         }
     }
-
-    const char *name() const override { return "dst-group"; }
 
     /** Reads get the group multicast plus one full-broadcast retry
      *  before the persistent fallback; writes — whose broadcasts must

@@ -10,8 +10,6 @@ TokenGlobals::makePolicy(SimContext &ctx, const MachineID &self) const
     env.topo = ctx.topo;
     env.params = &params;
     env.ctx = &ctx;
-    if (policyName.empty())
-        return makeTable1Policy(params.policy, env);
     return PolicyRegistry::instance().create(policyName, env);
 }
 

@@ -28,8 +28,8 @@ namespace tokencmp {
 /** State shared by every controller of one token-coherent system. */
 struct TokenGlobals
 {
-    explicit TokenGlobals(const TokenParams &p, bool audit = true,
-                          std::string policy_name = "")
+    TokenGlobals(const TokenParams &p, bool audit,
+                 std::string policy_name)
         : params(p), auditor(p.totalTokens, audit),
           policyName(std::move(policy_name))
     {}
@@ -38,11 +38,7 @@ struct TokenGlobals
     TokenAuditor auditor;
     BackingStore store;
 
-    /**
-     * PolicyRegistry name of the system's performance policy; empty
-     * selects the Table 1 family configured by `params.policy` (the
-     * enum-compatible path and customPolicy ablations).
-     */
+    /** PolicyRegistry name of the system's performance policy. */
     std::string policyName;
 
     /**

@@ -1,7 +1,7 @@
 /**
  * @file
- * Configuration of the token coherence substrate and the TokenCMP
- * performance policies (paper Table 1).
+ * Configuration of the token coherence substrate. The performance
+ * policies (paper Table 1) are PolicyRegistry plugins (core/policy.hh).
  */
 
 #ifndef TOKENCMP_CORE_TOKEN_CONFIG_HH
@@ -15,33 +15,6 @@ namespace tokencmp {
 enum class PersistentActivation : unsigned char {
     Arbiter,      //!< original arbiter-based scheme at home memory
     Distributed,  //!< new distributed activation with marking/waves
-};
-
-/**
- * One row of the paper's Table 1.
- *
- * This struct is the *configuration* of the Table 1 policy family —
- * the executable policy behavior lives in core/policy.hh's
- * PerformancePolicy plugins (the row flags are interpreted by
- * Table1Policy in policy.cc). It survives as an alias layer so the
- * Protocol enum and customPolicy ablations keep working; prefer
- * selecting policies by PolicyRegistry name (SystemConfig::policyName).
- */
-struct TokenPolicy
-{
-    /**
-     * Transient requests before falling back to a persistent request:
-     * 0 = immediately persistent (arb0/dst0), 1 = dst1*, 4 = dst4.
-     */
-    unsigned maxTransients = 1;
-
-    PersistentActivation activation = PersistentActivation::Distributed;
-
-    /** dst1-pred: contention predictor chooses immediate persistent. */
-    bool usePredictor = false;
-
-    /** dst1-filt: filter external transient requests at the L2. */
-    bool useFilter = false;
 };
 
 /** Substrate-wide parameters. */
@@ -91,7 +64,7 @@ struct TokenParams
     /**
      * dst1-pred contention-predictor table geometry (per-L1 tables).
      * `entries` must be a nonzero multiple of `ways`; validated in
-     * SystemConfig::finalize() so sweep drivers can search geometries
+     * SystemConfig::validate() so sweep drivers can search geometries
      * without recompiling.
      */
     unsigned contentionEntries = 256;
@@ -108,57 +81,7 @@ struct TokenParams
      * of trusting the owner prediction.
      */
     double bwBusyUtil = 0.01;
-
-    TokenPolicy policy;
 };
-
-/** Canned Table 1 variants. */
-namespace token_variants {
-
-inline TokenPolicy
-arb0()
-{
-    return {0, PersistentActivation::Arbiter, false, false};
-}
-inline TokenPolicy
-dst0()
-{
-    return {0, PersistentActivation::Distributed, false, false};
-}
-inline TokenPolicy
-dst4()
-{
-    return {4, PersistentActivation::Distributed, false, false};
-}
-inline TokenPolicy
-dst1()
-{
-    return {1, PersistentActivation::Distributed, false, false};
-}
-inline TokenPolicy
-dst1Pred()
-{
-    return {1, PersistentActivation::Distributed, true, false};
-}
-inline TokenPolicy
-dst1Filt()
-{
-    return {1, PersistentActivation::Distributed, false, true};
-}
-
-/**
- * Intra-CMP policy of the hierarchical (directory-between-CMPs)
- * family: retried transient broadcasts inside the CMP, arbiter-based
- * persistent activation at the local shim (the arbiter machine is
- * per-CMP, selected by TokenL1::arbiterOf).
- */
-inline TokenPolicy
-hier()
-{
-    return {4, PersistentActivation::Arbiter, false, false};
-}
-
-} // namespace token_variants
 
 } // namespace tokencmp
 

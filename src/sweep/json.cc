@@ -35,6 +35,10 @@ namespace {
 /** Recursive-descent parser over a byte buffer. */
 class Parser
 {
+    /** Nesting cap: each level is a few stack frames, so an unbounded
+     *  depth lets a hostile file overflow the stack. */
+    static constexpr unsigned kMaxDepth = 256;
+
   public:
     Parser(const std::string &text, std::string *err)
         : _s(text), _err(err)
@@ -99,8 +103,17 @@ class Parser
         }
         const char c = _s[_pos];
         switch (c) {
-          case '{': return object();
-          case '[': return array();
+          case '{':
+          case '[': {
+            if (_depth == kMaxDepth) {
+                fail("nesting deeper than 256 levels");
+                return {};
+            }
+            ++_depth;
+            Value v = c == '{' ? object() : array();
+            --_depth;
+            return v;
+          }
           case '"': return string();
           case 't': {
             Value v;
@@ -294,6 +307,7 @@ class Parser
     const std::string &_s;
     std::string *_err;
     std::size_t _pos = 0;
+    unsigned _depth = 0;  //!< arrays/objects open at _pos
 };
 
 } // namespace

@@ -53,7 +53,8 @@ struct Value
 /**
  * Parse one JSON document. On failure returns a Null value and sets
  * `*err` to a one-line diagnostic with a byte offset; on success
- * clears `*err`. Trailing garbage after the document is an error.
+ * clears `*err`. Trailing garbage after the document, and arrays or
+ * objects nested more than 256 deep, are errors.
  */
 Value parse(const std::string &text, std::string *err);
 

@@ -45,24 +45,18 @@ joinNames(const std::vector<std::string> &names)
     return out;
 }
 
-/** The non-token "policies" axis specials. */
-bool
-isProtocolSpecial(const std::string &name, Protocol *out = nullptr)
+/** The protocol-table keys ("directory", "hier", ...): "policies"
+ *  axis names that select a protocol. Any other name is a
+ *  PolicyRegistry policy on the token family. */
+std::string
+protocolKeys()
 {
-    Protocol p;
-    if (name == "directory")
-        p = Protocol::DirectoryCMP;
-    else if (name == "directory-zero")
-        p = Protocol::DirectoryCMPZero;
-    else if (name == "perfect")
-        p = Protocol::PerfectL2;
-    else if (name == "hier")
-        p = Protocol::HierCMP;
-    else
-        return false;
-    if (out)
-        *out = p;
-    return true;
+    std::vector<std::string> keys;
+    for (Protocol p : allProtocols()) {
+        if (const char *key = protocolInfo(p).key)
+            keys.push_back(key);
+    }
+    return joinNames(keys);
 }
 
 std::vector<std::string>
@@ -91,10 +85,23 @@ stringArray(const minijson::Value &grid, const std::string &key,
 }
 
 /**
+ * Whether `x` is a whole number in [min, max]. The range is checked
+ * against T before any cast: converting an out-of-range double is
+ * undefined, and a wrapped value could pass later checks.
+ */
+template <typename T>
+bool
+wholeNumberIn(double x, T min, T max)
+{
+    // 2^digits is exactly one past the type's maximum.
+    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    return x >= double(min) && x < limit && x == std::trunc(x) &&
+           T(x) <= max;
+}
+
+/**
  * The integer at `key` (`def` when absent). Fatal, naming the key,
- * unless it is a whole number in [min, max]. The double is
- * range-checked against T before the cast: converting an out-of-range
- * double is undefined, and a wrapped value could pass the checks.
+ * unless it is a whole number in [min, max].
  */
 template <typename T>
 T
@@ -105,11 +112,8 @@ intField(const minijson::Value &obj, const std::string &key, T def,
     const minijson::Value *v = obj.find(key);
     if (v == nullptr)
         return def;
-    // 2^digits is exactly one past the type's maximum.
-    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
     const double x = v->isNumber() ? v->number : std::nan("");
-    if (!(x >= double(min) && x < limit && x == std::trunc(x)) ||
-        T(x) > max) {
+    if (!wholeNumberIn(x, min, max)) {
         fatal("sweep grid %s: \"%s\" must be an integer in [%s, %s]",
               what.c_str(), key.c_str(), std::to_string(min).c_str(),
               std::to_string(max).c_str());
@@ -175,14 +179,13 @@ ParamGrid::fromJsonText(const std::string &text,
     if (grid._policies.empty())
         fatal("sweep grid %s: missing \"policies\" axis", what.c_str());
     for (const std::string &p : grid._policies) {
-        if (!isProtocolSpecial(p) &&
+        if (findProtocol(p) == nullptr &&
             !PolicyRegistry::instance().known(p)) {
             fatal("sweep grid %s: unknown policy '%s' (registered: "
-                  "%s; specials: directory, directory-zero, perfect, "
-                  "hier)",
+                  "%s; protocols: %s)",
                   what.c_str(), p.c_str(),
-                  joinNames(PolicyRegistry::instance().names())
-                      .c_str());
+                  joinNames(PolicyRegistry::instance().names()).c_str(),
+                  protocolKeys().c_str());
         }
     }
 
@@ -236,6 +239,14 @@ ParamGrid::fromJsonText(const std::string &text,
                     if (!kval.isNumber())
                         fatal("sweep grid %s: knob '%s' must be a "
                               "number", what.c_str(), kname.c_str());
+                    const std::uint64_t max = findKnob(kname)->intMax;
+                    if (max != 0 &&
+                        !wholeNumberIn(kval.number, std::uint64_t(0),
+                                       max)) {
+                        fatal("sweep grid %s: knob '%s' must be an "
+                              "integer in [0, %llu]", what.c_str(),
+                              kname.c_str(), (unsigned long long)max);
+                    }
                     o.knobs.emplace_back(kname, kval.number);
                 }
                 std::sort(o.knobs.begin(), o.knobs.end());
@@ -325,7 +336,7 @@ ParamGrid::fromJsonText(const std::string &text,
               what.c_str());
 
     // Fail at submission, not mid-night: run every cell's config
-    // through finalize()'s validators (knob geometry, workload knob
+    // through SystemConfig::validate() (knob geometry, workload knob
     // ranges) before reporting the grid loadable.
     for (const SweepCell &cell : grid._cells)
         (void)grid.configFor(cell);
@@ -339,15 +350,14 @@ ParamGrid::enumerate()
     unsigned skipped_perfect = 0;
     unsigned index = 0;
     for (const std::string &p : _policies) {
-        Protocol special;
-        const bool is_special = isProtocolSpecial(p, &special);
+        const ProtocolInfo *row = findProtocol(p);
         for (const std::string &w : _workloads) {
             for (const std::string &m : _maps) {
                 // PerfectL2's magic L2 bypasses the network, so it
                 // cannot run sharded. Crossing axes makes such combos
                 // inevitable in mixed grids — they are skipped
                 // (deterministically), not fatal.
-                if (is_special && special == Protocol::PerfectL2 &&
+                if (row != nullptr && row->family == Family::Perfect &&
                     m != "serial") {
                     ++skipped_perfect;
                     continue;
@@ -399,9 +409,8 @@ SystemConfig
 ParamGrid::configFor(const SweepCell &cell) const
 {
     SystemConfig cfg;
-    Protocol special;
-    if (isProtocolSpecial(cell.policy, &special)) {
-        cfg.protocol = special;
+    if (const ProtocolInfo *row = findProtocol(cell.policy)) {
+        cfg.protocol = row->protocol;
     } else {
         cfg.protocol = Protocol::TokenDst1;
         cfg.policyName = cell.policy;
@@ -421,7 +430,7 @@ ParamGrid::configFor(const SweepCell &cell) const
     }
 
     cfg.seed = cell.seed;
-    cfg.finalize();
+    cfg.validate();
     return cfg;
 }
 

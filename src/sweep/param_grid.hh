@@ -29,8 +29,8 @@
  *   }
  *
  * "policies" entries are PolicyRegistry names on the token substrate,
- * plus the specials "directory" / "directory-zero" / "perfect" for
- * the non-token baselines and "hier" for the hierarchical family.
+ * plus the protocol-table keys of the non-token rows ("directory",
+ * "directory-zero", "perfect", "hier"; see system/config.cc).
  * Every name (policies, workloads, knobs) is
  * validated against its registry at load time — a typo dies before
  * any cell simulates, not at 3am in cell 900.
@@ -96,7 +96,7 @@ class ParamGrid
      *  fingerprint covers). */
     const std::string &canonical() const { return _canonical; }
 
-    /** The fully-finalized SystemConfig a cell runs (seed included).
+    /** The validated SystemConfig a cell runs (seed included).
      *  Called for every cell at load time too, so config-level
      *  validation failures surface at submission. */
     SystemConfig configFor(const SweepCell &cell) const;

@@ -4,59 +4,27 @@
 
 namespace tokencmp {
 
-const char *
-protocolName(Protocol p)
-{
-    switch (p) {
-      case Protocol::DirectoryCMP: return "DirectoryCMP";
-      case Protocol::DirectoryCMPZero: return "DirectoryCMP-zero";
-      case Protocol::TokenArb0: return "TokenCMP-arb0";
-      case Protocol::TokenDst0: return "TokenCMP-dst0";
-      case Protocol::TokenDst4: return "TokenCMP-dst4";
-      case Protocol::TokenDst1: return "TokenCMP-dst1";
-      case Protocol::TokenDst1Pred: return "TokenCMP-dst1-pred";
-      case Protocol::TokenDst1Filt: return "TokenCMP-dst1-filt";
-      case Protocol::PerfectL2: return "PerfectL2";
-      case Protocol::HierCMP: return "HierCMP";
-    }
-    return "?";
-}
-
-bool
-isToken(Protocol p)
-{
-    switch (p) {
-      case Protocol::TokenArb0:
-      case Protocol::TokenDst0:
-      case Protocol::TokenDst4:
-      case Protocol::TokenDst1:
-      case Protocol::TokenDst1Pred:
-      case Protocol::TokenDst1Filt:
-        return true;
-      default:
-        return false;
-    }
-}
-
-std::vector<Protocol>
-allProtocols()
-{
-    return {Protocol::DirectoryCMP, Protocol::DirectoryCMPZero,
-            Protocol::TokenArb0, Protocol::TokenDst0,
-            Protocol::TokenDst4, Protocol::TokenDst1,
-            Protocol::TokenDst1Pred, Protocol::TokenDst1Filt,
-            Protocol::PerfectL2, Protocol::HierCMP};
-}
-
-std::string
-SystemConfig::displayName() const
-{
-    if (!policyName.empty() && isToken(protocol))
-        return "TokenCMP-" + policyName;
-    return protocolName(protocol);
-}
-
 namespace {
+
+/** One row per Protocol, in enum order: protocolInfo() indexes by
+ *  value (tests/test_experiment.cc checks the order). */
+const ProtocolInfo kProtocols[] = {
+    {Protocol::DirectoryCMP, "DirectoryCMP", "directory",
+     Family::Directory, nullptr},
+    {Protocol::DirectoryCMPZero, "DirectoryCMP-zero", "directory-zero",
+     Family::Directory, nullptr},
+    {Protocol::TokenArb0, "TokenCMP-arb0", nullptr, Family::Token, "arb0"},
+    {Protocol::TokenDst0, "TokenCMP-dst0", nullptr, Family::Token, "dst0"},
+    {Protocol::TokenDst4, "TokenCMP-dst4", nullptr, Family::Token, "dst4"},
+    {Protocol::TokenDst1, "TokenCMP-dst1", nullptr, Family::Token, "dst1"},
+    {Protocol::TokenDst1Pred, "TokenCMP-dst1-pred", nullptr, Family::Token,
+     "dst1-pred"},
+    {Protocol::TokenDst1Filt, "TokenCMP-dst1-filt", nullptr, Family::Token,
+     "dst1-filt"},
+    {Protocol::PerfectL2, "PerfectL2", "perfect", Family::Perfect, nullptr},
+    // Tokens within each CMP run hier's intra-CMP policy.
+    {Protocol::HierCMP, "HierCMP", "hier", Family::Hier, "arb4"},
+};
 
 void
 checkTableGeometry(const char *what, unsigned entries, unsigned ways)
@@ -70,16 +38,54 @@ checkTableGeometry(const char *what, unsigned entries, unsigned ways)
 
 } // namespace
 
-void
-SystemConfig::finalize()
+const ProtocolInfo &
+protocolInfo(Protocol p)
 {
-    if (finalized())
-        return;
-    _finalized = true;
-    _finalizedFor = protocol;
-    _finalizedPolicy = policyName;
-    _finalizedWorkload = workloadName;
+    return kProtocols[unsigned(p)];
+}
 
+const ProtocolInfo *
+findProtocol(const std::string &key)
+{
+    for (const ProtocolInfo &row : kProtocols) {
+        if (row.key != nullptr && key == row.key)
+            return &row;
+    }
+    return nullptr;
+}
+
+const char *
+protocolName(Protocol p)
+{
+    return protocolInfo(p).name;
+}
+
+bool
+isToken(Protocol p)
+{
+    return protocolInfo(p).family == Family::Token;
+}
+
+std::vector<Protocol>
+allProtocols()
+{
+    std::vector<Protocol> out;
+    for (const ProtocolInfo &row : kProtocols)
+        out.push_back(row.protocol);
+    return out;
+}
+
+std::string
+SystemConfig::displayName() const
+{
+    if (!policyName.empty() && isToken(protocol))
+        return "TokenCMP-" + policyName;
+    return protocolName(protocol);
+}
+
+void
+SystemConfig::validate() const
+{
     if (!policyName.empty() && !isToken(protocol)) {
         fatal("policyName '%s' requires a TokenCMP protocol "
               "(configured protocol is %s)",
@@ -100,46 +106,6 @@ SystemConfig::finalize()
 
     if (!workloadName.empty())
         workloadParams.validate(workloadName);
-
-    if (customPolicy) {
-        // Ablation mode: only the directory latency presets apply.
-        if (protocol == Protocol::DirectoryCMPZero)
-            dir.dirLatency = 0;
-        return;
-    }
-    switch (protocol) {
-      case Protocol::DirectoryCMP:
-        dir.dirLatency = ns(80);
-        break;
-      case Protocol::DirectoryCMPZero:
-        dir.dirLatency = 0;
-        break;
-      case Protocol::TokenArb0:
-        token.policy = token_variants::arb0();
-        break;
-      case Protocol::TokenDst0:
-        token.policy = token_variants::dst0();
-        break;
-      case Protocol::TokenDst4:
-        token.policy = token_variants::dst4();
-        break;
-      case Protocol::TokenDst1:
-        token.policy = token_variants::dst1();
-        break;
-      case Protocol::TokenDst1Pred:
-        token.policy = token_variants::dst1Pred();
-        break;
-      case Protocol::TokenDst1Filt:
-        token.policy = token_variants::dst1Filt();
-        break;
-      case Protocol::PerfectL2:
-        break;
-      case Protocol::HierCMP:
-        // Tokens within each CMP, MOESI directory between CMPs.
-        token.policy = token_variants::hier();
-        dir.dirLatency = ns(80);
-        break;
-    }
 }
 
 } // namespace tokencmp

@@ -32,13 +32,41 @@ enum class Protocol : unsigned char {
     HierCMP,           //!< directory between CMPs, tokens within
 };
 
+/** The protocol families: each builds a complete System. */
+enum class Family : unsigned char {
+    Token,      //!< one token space over all CMPs (TokenCMP)
+    Directory,  //!< MOESI directory within and between CMPs
+    Perfect,    //!< the infinite shared L2 lower bound
+    Hier,       //!< MOESI directory between CMPs, tokens within
+};
+
+/**
+ * The one protocol table: what each `Protocol` means. A token
+ * policy is always built by its PolicyRegistry name.
+ */
+struct ProtocolInfo
+{
+    Protocol protocol;
+    const char *name;    //!< figure label (matches the paper's)
+    const char *key;     //!< sweep-grid name; nullptr for token rows,
+                         //!< which grids select by policy name
+    Family family;
+    const char *policy;  //!< PolicyRegistry name; nullptr if none
+};
+
+/** The row for `p`. */
+const ProtocolInfo &protocolInfo(Protocol p);
+
+/** The row whose `key` is `key`; nullptr when none is. */
+const ProtocolInfo *findProtocol(const std::string &key);
+
 /** Printable protocol name (matches the paper's figures). */
 const char *protocolName(Protocol p);
 
-/** True for the TokenCMP variants. */
+/** True for the flat TokenCMP variants. */
 bool isToken(Protocol p);
 
-/** All nine configurations. */
+/** All ten configurations, in table order. */
 std::vector<Protocol> allProtocols();
 
 /**
@@ -111,21 +139,12 @@ struct SystemConfig
     ShardMap shardMap{};
 
     /**
-     * Keep the caller's hand-set token policy instead of the Table 1
-     * preset implied by `protocol` (for ablations sweeping individual
-     * policy knobs).
-     */
-    bool customPolicy = false;
-
-    /**
      * Performance-policy selection by PolicyRegistry name ("dst1",
-     * "dst1-pred", "bw-adapt", ...). Empty (the default) derives the
-     * policy from `protocol`'s Table 1 preset — or from the hand-set
-     * `token.policy` row under `customPolicy` — so the Protocol enum
-     * remains a thin alias layer over the named plugins. Only
-     * meaningful for token protocols; finalize() rejects it elsewhere.
-     * An unknown name is diagnosed (listing every registered policy)
-     * when the System is built.
+     * "dst1-pred", "bw-adapt", ...). Empty (the default) uses the
+     * policy of `protocol`'s table row. Only meaningful for token
+     * protocols; validate() rejects it elsewhere. An unknown name is
+     * diagnosed (listing every registered policy) when the System is
+     * built.
      */
     std::string policyName;
 
@@ -134,46 +153,25 @@ struct SystemConfig
      * "phased", ...). Empty (the default) means the caller supplies a
      * workload object or factory directly, as before the registry
      * existed. When set, `Experiment` builds the workload from the
-     * registry with `workloadParams`; finalize() validates the knob
+     * registry with `workloadParams`; validate() checks the knob
      * table, and an unknown name is diagnosed (listing every
      * registered workload) when the workload is created.
      */
     std::string workloadName;
 
     /** Knob table for `workloadName` (skew, key count, write
-     *  fraction, phase schedule, ...); validated in finalize(). */
+     *  fraction, phase schedule, ...); checked by validate(). */
     WorkloadParams workloadParams;
 
     /** Row/figure label: "TokenCMP-<policyName>" when a named policy
      *  is selected, protocolName(protocol) otherwise. */
     std::string displayName() const;
 
-    /**
-     * Apply protocol-specific knobs (Table 1 policies, dir latency).
-     * Idempotent: a second call for the same protocol is a no-op, so a
-     * caller may finalize, hand-tune individual knobs, and still pass
-     * the config to `System` (which finalizes defensively) without the
-     * presets being re-applied over the tuning. Changing `protocol`
-     * re-arms finalization.
-     */
-    void finalize();
-
-    /** Whether finalize() has been applied for the current protocol,
-     *  policy and workload selection (changing any re-arms it, so the
-     *  compatibility and knob checks cannot be bypassed by assigning
-     *  after a finalize()). */
-    bool finalized() const
-    {
-        return _finalized && _finalizedFor == protocol &&
-               _finalizedPolicy == policyName &&
-               _finalizedWorkload == workloadName;
-    }
-
-  private:
-    bool _finalized = false;
-    Protocol _finalizedFor = Protocol::TokenDst1;
-    std::string _finalizedPolicy;
-    std::string _finalizedWorkload;
+    /** Fatal unless the selection and knobs are consistent: a policy
+     *  name needs a token protocol, predictor geometries and the
+     *  bw-adapt threshold must be valid, and a named workload's knobs
+     *  must be in range. `System` checks every config it builds. */
+    void validate() const;
 };
 
 } // namespace tokencmp

@@ -7,7 +7,6 @@
 #include <optional>
 #include <thread>
 
-#include "core/policy.hh"
 #include "sim/logging.hh"
 #include "system/knobs.hh"
 #include "workload/workload_registry.hh"
@@ -118,20 +117,6 @@ ExperimentRunner::seeds(unsigned n)
 }
 
 ExperimentRunner &
-ExperimentRunner::policies(std::vector<std::string> names)
-{
-    _policies = std::move(names);
-    return *this;
-}
-
-ExperimentRunner &
-ExperimentRunner::workloads(std::vector<std::string> names)
-{
-    _workloads = std::move(names);
-    return *this;
-}
-
-ExperimentRunner &
 ExperimentRunner::parallelism(unsigned n)
 {
     _parallelism = n;
@@ -159,72 +144,17 @@ ExperimentRunner::onSeedDone(ProgressFn fn)
     return *this;
 }
 
-std::vector<ExperimentResult>
-ExperimentRunner::runSweep() const
-{
-    if (!_workloads.empty()) {
-        // Fail fast on typos before any cell simulates.
-        for (const std::string &name : _workloads) {
-            if (!WorkloadRegistry::instance().known(name)) {
-                fatal("ExperimentRunner: unknown workload '%s' in the "
-                      "workloads() sweep", name.c_str());
-            }
-        }
-        std::vector<ExperimentResult> out;
-        for (const std::string &name : _workloads) {
-            ExperimentRunner cell = *this;
-            cell._workloads.clear();
-            cell._cfg.workloadName = name;
-            cell._factory = nullptr;  // the named workload drives cells
-            std::vector<ExperimentResult> sub = cell.runSweep();
-            for (ExperimentResult &r : sub)
-                out.push_back(std::move(r));
-        }
-        return out;
-    }
-    if (_policies.empty())
-        return {run()};
-    if (!isToken(_cfg.protocol)) {
-        fatal("ExperimentRunner: a policies() sweep needs a token "
-              "protocol base config (got %s)",
-              protocolName(_cfg.protocol));
-    }
-    // Fail fast on typos: a bad name in the last cell must not cost
-    // the minutes the earlier cells take to simulate.
-    for (const std::string &name : _policies) {
-        if (!PolicyRegistry::instance().known(name)) {
-            fatal("ExperimentRunner: unknown policy '%s' in the "
-                  "policies() sweep", name.c_str());
-        }
-    }
-    std::vector<ExperimentResult> out;
-    out.reserve(_policies.size());
-    for (const std::string &name : _policies) {
-        ExperimentRunner cell = *this;
-        cell._policies.clear();
-        cell._cfg.policyName = name;
-        out.push_back(cell.run());
-    }
-    return out;
-}
-
 ExperimentResult
 ExperimentRunner::run() const
 {
-    if (!_policies.empty())
-        fatal("ExperimentRunner: a policies() sweep is pending; "
-              "use runSweep()");
-    if (!_workloads.empty())
-        fatal("ExperimentRunner: a workloads() sweep is pending; "
-              "use runSweep()");
     if (_seeds == 0)
         fatal("ExperimentRunner: seeds must be >= 1");
 
-    SystemConfig base = _cfg;
-    base.finalize();
+    const SystemConfig &base = _cfg;
+    base.validate();
 
     // An explicit factory wins; otherwise the config names a
-    // registered workload (validated by finalize() above).
+    // registered workload (checked by validate() above).
     WorkloadFactory factory = _factory;
     if (!factory) {
         if (base.workloadName.empty()) {
@@ -309,7 +239,7 @@ ExperimentRunner::run() const
         if (!r.completed) {
             exp.allCompleted = false;
             warn("%s: seed %llu did not complete within horizon",
-                 protocolName(base.protocol),
+                 exp.protocol.c_str(),
                  (unsigned long long)(_firstSeed + i));
             continue;
         }

@@ -91,20 +91,6 @@ class ExperimentRunner
 
     ExperimentRunner &workload(WorkloadFactory factory);
     ExperimentRunner &seeds(unsigned n);
-    /**
-     * Policy sweep axis: run the whole experiment once per named
-     * performance policy (PolicyRegistry names; requires a token
-     * protocol in the base config). Execute with runSweep().
-     */
-    ExperimentRunner &policies(std::vector<std::string> names);
-    /**
-     * Workload sweep axis: run the whole experiment once per named
-     * workload (WorkloadRegistry names, parameterized by the base
-     * config's workloadParams). Crosses with a policies() sweep —
-     * results are ordered workload-major — and overrides any
-     * workload() factory. Execute with runSweep().
-     */
-    ExperimentRunner &workloads(std::vector<std::string> names);
     /** Worker threads; 1 (default) runs serially on this thread. */
     ExperimentRunner &parallelism(unsigned n);
     ExperimentRunner &horizon(Tick t);
@@ -120,25 +106,15 @@ class ExperimentRunner
     /** Execute all seeds and aggregate. The workload comes from the
      *  workload() factory, or — when none is set — from the base
      *  config's workloadName via the WorkloadRegistry. Fatal if
-     *  neither names a workload, or a policies()/workloads() sweep is
-     *  pending (use runSweep()). */
+     *  neither names a workload. To sweep policies or workloads, loop
+     *  over names and run() each config; ParamGrid crosses axes. */
     ExperimentResult run() const;
-
-    /**
-     * Execute the policies() sweep: one aggregated ExperimentResult
-     * per policy name, in the order given (each labeled
-     * "TokenCMP-<name>" via SystemConfig::displayName). Without a
-     * pending sweep this is {run()}.
-     */
-    std::vector<ExperimentResult> runSweep() const;
 
   private:
     explicit ExperimentRunner(const SystemConfig &cfg) : _cfg(cfg) {}
 
     SystemConfig _cfg;
     WorkloadFactory _factory;
-    std::vector<std::string> _policies;
-    std::vector<std::string> _workloads;
     unsigned _seeds = 1;
     unsigned _parallelism = 1;
     Tick _horizon = ns(500000000);

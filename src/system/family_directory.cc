@@ -1,14 +1,12 @@
 /**
  * @file
- * DirectoryCMP protocol family: registers a ProtocolBuilder for the
- * hierarchical MOESI directory baseline and its zero-latency-directory
- * variant.
+ * DirectoryCMP protocol family: the hierarchical MOESI directory
+ * baseline and its zero-latency-directory variant.
  */
 
 #include <memory>
 #include <vector>
 
-#include "system/protocol_registry.hh"
 #include "system/system.hh"
 
 namespace tokencmp {
@@ -22,7 +20,10 @@ class DirectoryFamily : public ProtocolBuilder
     {
         const SystemConfig &cfg = sys.config();
         const Topology &t = sys.config().topo;
-        _globals = std::make_unique<DirGlobals>(cfg.dir);
+        DirParams params = cfg.dir;
+        if (cfg.protocol == Protocol::DirectoryCMPZero)
+            params.dirLatency = 0;
+        _globals = std::make_unique<DirGlobals>(params);
         if (cfg.shards > 0) {
             // Home memory controllers on different shard domains
             // insert into the functional store concurrently.
@@ -89,9 +90,12 @@ class DirectoryFamily : public ProtocolBuilder
     std::vector<DirMem *> _mems;
 };
 
-const ProtocolRegistrar registrar(
-    {Protocol::DirectoryCMP, Protocol::DirectoryCMPZero},
-    []() { return std::make_unique<DirectoryFamily>(); });
-
 } // namespace
+
+std::unique_ptr<ProtocolBuilder>
+makeDirectoryFamily()
+{
+    return std::make_unique<DirectoryFamily>();
+}
+
 } // namespace tokencmp

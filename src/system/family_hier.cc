@@ -17,7 +17,6 @@
 #include "hier/hier_dir_mem.hh"
 #include "hier/hier_l1.hh"
 #include "hier/hier_shim.hh"
-#include "system/protocol_registry.hh"
 #include "system/system.hh"
 
 namespace tokencmp {
@@ -34,11 +33,11 @@ class HierFamily : public ProtocolBuilder
 
         _dirGlobals = std::make_unique<DirGlobals>(cfg.dir);
         for (unsigned c = 0; c < t.numCmps; ++c) {
-            // One private token space per CMP. The policy name stays
-            // empty: the intra-CMP policy is the hier() Table 1 row
-            // (local broadcast, arbiter activation at the shim).
+            // One private token space per CMP, running the protocol
+            // row's intra-CMP policy ("arb4": local broadcast, arbiter
+            // activation at the shim).
             _tokenGlobals.push_back(std::make_unique<TokenGlobals>(
-                cfg.token, cfg.audit));
+                cfg.token, cfg.audit, protocolInfo(cfg.protocol).policy));
         }
         if (cfg.shards > 0) {
             // A CMP's token space lives wholly in its CMP's shard
@@ -155,9 +154,12 @@ class HierFamily : public ProtocolBuilder
     std::vector<HierDirMem *> _mems;
 };
 
-const ProtocolRegistrar registrar(
-    {Protocol::HierCMP},
-    []() { return std::make_unique<HierFamily>(); });
-
 } // namespace
+
+std::unique_ptr<ProtocolBuilder>
+makeHierFamily()
+{
+    return std::make_unique<HierFamily>();
+}
+
 } // namespace tokencmp

@@ -1,7 +1,7 @@
 /**
  * @file
- * PerfectL2 pseudo-protocol family: registers a ProtocolBuilder for
- * the paper's unimplementable lower bound (Section 6). Its L1s are
+ * PerfectL2 pseudo-protocol family: the paper's unimplementable lower
+ * bound (Section 6). Its L1s are
  * never attached to the network — misses hit the magic shared L2
  * directly.
  */
@@ -9,7 +9,6 @@
 #include <memory>
 #include <vector>
 
-#include "system/protocol_registry.hh"
 #include "system/system.hh"
 
 namespace tokencmp {
@@ -64,9 +63,12 @@ class PerfectFamily : public ProtocolBuilder
     std::vector<PerfectL1 *> _l1s;
 };
 
-const ProtocolRegistrar registrar(
-    {Protocol::PerfectL2},
-    []() { return std::make_unique<PerfectFamily>(); });
-
 } // namespace
+
+std::unique_ptr<ProtocolBuilder>
+makePerfectFamily()
+{
+    return std::make_unique<PerfectFamily>();
+}
+
 } // namespace tokencmp

@@ -1,14 +1,13 @@
 /**
  * @file
- * TokenCMP protocol family: registers a ProtocolBuilder for the six
- * token-coherence variants (Table 1 performance policies over the
- * shared correctness substrate).
+ * TokenCMP protocol family: one token space over every CMP, with the
+ * performance policy named by `policyName` or by the protocol's row
+ * (the Table 1 rows over the shared correctness substrate).
  */
 
 #include <memory>
 #include <vector>
 
-#include "system/protocol_registry.hh"
 #include "system/system.hh"
 
 namespace tokencmp {
@@ -22,8 +21,10 @@ class TokenFamily : public ProtocolBuilder
     {
         const SystemConfig &cfg = sys.config();
         const Topology &t = sys.config().topo;
-        _globals = std::make_unique<TokenGlobals>(cfg.token, cfg.audit,
-                                                  cfg.policyName);
+        _globals = std::make_unique<TokenGlobals>(
+            cfg.token, cfg.audit,
+            cfg.policyName.empty() ? protocolInfo(cfg.protocol).policy
+                                   : cfg.policyName);
         if (cfg.shards > 0) {
             // Shard domains mutate the globals concurrently: guard the
             // auditor and functional memory, and pre-size the
@@ -90,8 +91,7 @@ class TokenFamily : public ProtocolBuilder
         out.add("l1.misses", double(misses));
 
         // Policy-specific statistics (summed across instances; the
-        // Table 1 policies contribute nothing, keeping enum-path
-        // stat sets unchanged).
+        // Table 1 policies contribute nothing).
         for (const TokenL1 *l1 : _l1s)
             l1->policy().exportStats(out);
         for (const TokenL2 *l2 : _l2s)
@@ -122,11 +122,12 @@ class TokenFamily : public ProtocolBuilder
     std::vector<TokenMem *> _mems;
 };
 
-const ProtocolRegistrar registrar(
-    {Protocol::TokenArb0, Protocol::TokenDst0, Protocol::TokenDst4,
-     Protocol::TokenDst1, Protocol::TokenDst1Pred,
-     Protocol::TokenDst1Filt},
-    []() { return std::make_unique<TokenFamily>(); });
-
 } // namespace
+
+std::unique_ptr<ProtocolBuilder>
+makeTokenFamily()
+{
+    return std::make_unique<TokenFamily>();
+}
+
 } // namespace tokencmp

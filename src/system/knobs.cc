@@ -1,6 +1,8 @@
 #include "system/knobs.hh"
 
 #include <cstdio>
+#include <limits>
+#include <type_traits>
 
 #include "system/config.hh"
 
@@ -14,7 +16,10 @@ namespace {
     {                                                                \
         path, doc,                                                   \
         [](const SystemConfig &c) { return double(c.field); },       \
-        [](SystemConfig &c, double v) { c.field = type(v); }         \
+        [](SystemConfig &c, double v) { c.field = type(v); },        \
+        std::uint64_t(std::is_integral_v<type>                       \
+                          ? std::numeric_limits<type>::max()         \
+                          : 0)                                       \
     }
 
 } // namespace

@@ -5,7 +5,7 @@
  * the docs draw from. Each knob is a (name, doc, get, set) row; the
  * names are dotted paths into the config ("token.bwBusyUtil"), and
  * everything a sweep may legally search must be listed here so a grid
- * file can never set a field the finalize() validators don't cover.
+ * file can never set a field SystemConfig::validate() doesn't cover.
  */
 
 #ifndef TOKENCMP_SYSTEM_KNOBS_HH
@@ -28,7 +28,12 @@ struct KnobDef
     const char *name;  //!< dotted path, e.g. "token.cmpPredEntries"
     const char *what;  //!< one-line description (docs / --help)
     double (*get)(const SystemConfig &);
+    /** Assigns by cast: callers check an integer knob's value
+     *  against intMax first. */
     void (*set)(SystemConfig &, double);
+    /** Largest value of an integer knob's (unsigned) field; 0 for a
+     *  real-valued knob. */
+    std::uint64_t intMax;
 };
 
 /** Every named knob, in a fixed documented order (hashes depend on

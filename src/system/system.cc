@@ -9,9 +9,10 @@ namespace tokencmp {
 
 System::System(const SystemConfig &cfg) : _cfg(cfg)
 {
-    _cfg.finalize();
+    _cfg.validate();
+    const Family family = protocolInfo(_cfg.protocol).family;
     const bool sharded = _cfg.shards > 0;
-    if (sharded && _cfg.protocol == Protocol::PerfectL2) {
+    if (sharded && family == Family::Perfect) {
         panic("PerfectL2's magic shared L2 bypasses the network; "
               "it cannot run on the sharded kernel");
     }
@@ -46,7 +47,12 @@ System::System(const SystemConfig &cfg) : _cfg(cfg)
             std::make_unique<Sequencer>(contextForProc(p), p));
     }
 
-    _proto = ProtocolRegistry::instance().create(_cfg.protocol);
+    switch (family) {
+      case Family::Token: _proto = makeTokenFamily(); break;
+      case Family::Directory: _proto = makeDirectoryFamily(); break;
+      case Family::Perfect: _proto = makePerfectFamily(); break;
+      case Family::Hier: _proto = makeHierFamily(); break;
+    }
     _proto->build(*this);
 }
 

@@ -1,12 +1,13 @@
 /**
  * @file
  * System builder: constructs the full M-CMP target (processors,
- * caches, interconnects, protocol controllers) for any registered
- * protocol configuration and runs workloads on it.
+ * caches, interconnects, protocol controllers) for any protocol in
+ * the protocol table and runs workloads on it.
  *
- * Protocol construction is pluggable: `System` asks the
- * `ProtocolRegistry` for the `ProtocolBuilder` registered for
- * `cfg.protocol` and hands it the builder-facing API (`adopt()`,
+ * Protocol construction is pluggable: `System` builds the
+ * `ProtocolBuilder` of the family `cfg.protocol`'s row in the
+ * protocol table (system/config.cc) names — each family_*.cc exports
+ * one make…Family() — and hands it the builder-facing API (`adopt()`,
  * `sequencer()`, `context()`); it never names a concrete controller
  * type. White-box access for tests goes through the typed lookup
  * `system.controller<TokenL1>(cmp, proc)` which resolves the
@@ -37,7 +38,6 @@
 #include "hier/hier_shim.hh"
 #include "sim/stats.hh"
 #include "system/config.hh"
-#include "system/protocol_registry.hh"
 #include "workload/workload.hh"
 
 namespace tokencmp {
@@ -94,6 +94,46 @@ template <> struct ControllerKey<HierShim> : L2Key<HierShim> {};
 template <> struct ControllerKey<HierDirMem> : MemKey<HierDirMem> {};
 
 } // namespace detail
+
+class System;
+
+/**
+ * Per-System protocol instance. `build()` constructs the family's
+ * controllers against the System under construction (registering them
+ * with the network and binding sequencers through the System's
+ * builder-facing API); the other hooks let the family report its
+ * protocol-specific statistics and run end-of-run checks without the
+ * System knowing any concrete controller type.
+ */
+class ProtocolBuilder
+{
+  public:
+    virtual ~ProtocolBuilder() = default;
+
+    /** Construct all controllers for `sys` (config via sys.config()). */
+    virtual void build(System &sys) = 0;
+
+    /** Harvest family-specific statistics after a run. */
+    virtual void harvest(StatSet &out) const = 0;
+
+    /** End-of-run invariant checks (e.g. token conservation). */
+    virtual void verifyQuiescent(bool fatal_on_violation) const
+    {
+        (void)fatal_on_violation;
+    }
+
+    /** Family-wide run statistics (e.g. persistent requests issued). */
+    virtual void exportRunStats(StatSet &out) const { (void)out; }
+
+    /** Token substrate globals, or nullptr for non-token families. */
+    virtual TokenGlobals *tokenGlobals() { return nullptr; }
+};
+
+/** The family builders, one per `Family` (family_*.cc). */
+std::unique_ptr<ProtocolBuilder> makeTokenFamily();
+std::unique_ptr<ProtocolBuilder> makeDirectoryFamily();
+std::unique_ptr<ProtocolBuilder> makePerfectFamily();
+std::unique_ptr<ProtocolBuilder> makeHierFamily();
 
 /** One fully built target machine. */
 class System

@@ -37,7 +37,8 @@ struct PhasePoint
  * Parse a schedule spec: comma-separated phases, each
  * `<mult>x<duration-ns>` (constant) or `<from>..<to>x<duration-ns>`
  * (linear ramp), e.g. "1x4000,0.25x2000,0.25..1x2000". Panics with a
- * grammar reminder on malformed input (finalize()-time validation).
+ * grammar reminder on malformed input (checked by
+ * SystemConfig::validate()).
  */
 std::vector<PhasePoint> parsePhaseSchedule(const std::string &spec);
 

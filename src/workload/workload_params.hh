@@ -69,7 +69,7 @@ struct WorkloadParams
     /**
      * Panic with a workload-prefixed diagnostic if any knob is out of
      * range (theta >= 1, writeFrac > 1, malformed schedule, ...).
-     * Called by SystemConfig::finalize() for named selections and
+     * Called by SystemConfig::validate() for named selections and
      * defensively by WorkloadRegistry::create().
      */
     void validate(const std::string &workload) const;

@@ -1,15 +1,14 @@
 /**
  * @file
- * Self-registering workload registry: the third first-class registry
- * alongside ProtocolRegistry (enum-keyed protocol families) and
+ * Self-registering workload registry, the counterpart of the
  * PolicyRegistry (string-keyed performance policies).
  *
  * Workloads register a name → factory mapping at static-initialization
  * time (see WorkloadRegistrar); `SystemConfig::workloadName` plus a
  * `WorkloadParams` knob table then selects and parameterizes one by
- * string, so sweep drivers (`Experiment::workloads({...})`,
- * bench/workload_sweep.cc) can cross workloads with protocols and
- * policies without compile-time knowledge of the concrete types.
+ * string, so sweep drivers (ParamGrid, bench/workload_sweep.cc) can
+ * cross workloads with protocols and policies without compile-time
+ * knowledge of the concrete types.
  *
  * Determinism contract for registered workloads: all per-thread
  * randomness must derive from the seeded per-thread RNG (the
@@ -53,7 +52,7 @@ class WorkloadRegistry
 
     /** Instantiate `name` with `params`; fatal (listing every
      *  registered name) if unknown. Validates `params` as a backstop
-     *  for callers that bypass SystemConfig::finalize(). */
+     *  for callers that bypass SystemConfig::validate(). */
     std::unique_ptr<Workload>
     create(const std::string &name, const WorkloadParams &params) const;
 

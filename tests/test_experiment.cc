@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the pluggable protocol registry and the parallel
- * ExperimentRunner: registry coverage of all nine Protocol values,
- * typed controller lookup equivalence with the old white-box
- * accessors, bit-identical parallel vs serial execution, progress
- * callbacks, scheduler-backend equivalence, and JSON export.
+ * Tests for the protocol table and the parallel ExperimentRunner:
+ * one table row per Protocol value, the controllers each family
+ * builds, bit-identical parallel vs serial execution, progress
+ * callbacks, scheduler-backend equivalence, JSON export, and the
+ * labels incomplete seeds are reported under.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <atomic>
 #include <set>
 
+#include "core/policy.hh"
 #include "test_util.hh"
 #include "workload/locking.hh"
 
@@ -32,19 +33,43 @@ smallLockingFactory()
 
 } // namespace
 
-TEST(ProtocolRegistry, CoversAllNineProtocols)
+TEST(ProtocolTable, CoversAllTenProtocols)
 {
-    const ProtocolRegistry &reg = ProtocolRegistry::instance();
-    for (Protocol p : allProtocols())
-        EXPECT_TRUE(reg.known(p)) << protocolName(p);
-    EXPECT_EQ(reg.registered().size(), allProtocols().size());
+    // One row per Protocol, in enum order, found by its own value;
+    // names are unique, and so are the keys of the non-token rows,
+    // which find their rows.
+    const std::vector<Protocol> all = allProtocols();
+    EXPECT_EQ(all.size(), 10u);
+    std::set<std::string> keys, names;
+    for (unsigned i = 0; i < all.size(); ++i) {
+        const Protocol p = all[i];
+        const ProtocolInfo &row = protocolInfo(p);
+        EXPECT_EQ(unsigned(p), i);
+        EXPECT_EQ(row.protocol, p);
+        EXPECT_TRUE(names.insert(row.name).second) << row.name;
+        EXPECT_EQ(row.key == nullptr, row.family == Family::Token)
+            << row.name;
+        if (row.key != nullptr) {
+            EXPECT_EQ(findProtocol(row.key), &row) << row.key;
+            EXPECT_TRUE(keys.insert(row.key).second) << row.key;
+        }
+        EXPECT_STREQ(protocolName(p), row.name);
+        EXPECT_EQ(isToken(p), row.family == Family::Token);
+        // Every policy a row names is registered.
+        if (row.policy != nullptr) {
+            EXPECT_TRUE(PolicyRegistry::instance().known(row.policy))
+                << row.policy;
+        }
+    }
+    EXPECT_EQ(findProtocol("no-such-protocol"), nullptr);
+    // Token rows are selected by policy name, not by key.
+    EXPECT_EQ(findProtocol("dst1"), nullptr);
 }
 
-TEST(ProtocolRegistry, TypedLookupMatchesOldAccessors)
+TEST(ProtocolTable, FamiliesBuildTheirControllers)
 {
-    // The registry-built System must expose exactly the controllers
-    // the old buildToken/buildDirectory/buildPerfect switches and
-    // white-box accessors did, at the same topological positions.
+    // The family a row names must build exactly these controllers at
+    // these topological positions.
     for (Protocol p : allProtocols()) {
         SystemConfig cfg;
         cfg.protocol = p;
@@ -52,14 +77,14 @@ TEST(ProtocolRegistry, TypedLookupMatchesOldAccessors)
         const Topology &t = sys.context().topo;
         SCOPED_TRACE(protocolName(p));
 
-        const bool token = isToken(p);
-        const bool dir = p == Protocol::DirectoryCMP ||
-                         p == Protocol::DirectoryCMPZero;
-        const bool perfect = p == Protocol::PerfectL2;
+        const Family family = protocolInfo(p).family;
+        const bool token = family == Family::Token;
+        const bool dir = family == Family::Directory;
+        const bool perfect = family == Family::Perfect;
         // Hier L1s are TokenL1 subclasses and the hier home is a
         // DirMem subclass, so those typed lookups resolve for hier
         // too; the shim is neither a TokenL2 nor a DirL2.
-        const bool hier = p == Protocol::HierCMP;
+        const bool hier = family == Family::Hier;
 
         for (unsigned c = 0; c < t.numCmps; ++c) {
             for (unsigned pr = 0; pr < t.procsPerCmp; ++pr) {
@@ -292,6 +317,27 @@ TEST(ExperimentRunner, IncompleteSeedsAreReported)
     EXPECT_NE(e.toJson().find("\"seeds\": 2"), std::string::npos);
     EXPECT_NE(e.toJson().find("\"seedsCompleted\": 0"),
               std::string::npos);
+}
+
+TEST(ExperimentRunner, IncompleteSeedsWarnUnderTheResultLabel)
+{
+    // The warning names the label the result is reported under: a
+    // named policy, and any knob override's hash.
+    SystemConfig cfg;
+    cfg.policyName = "bw-adapt";
+    cfg.token.cmpPredEntries = 64;
+    ::testing::internal::CaptureStderr();
+    const ExperimentResult e = Experiment::of(cfg)
+                                   .workload(smallLockingFactory())
+                                   .horizon(ns(1))
+                                   .run();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(e.allCompleted);
+    EXPECT_EQ(e.protocol, "TokenCMP-bw-adapt@" + e.knobHash);
+    EXPECT_NE(err.find(e.protocol +
+                       ": seed 1 did not complete within horizon"),
+              std::string::npos)
+        << err;
 }
 
 } // namespace tokencmp::test

@@ -261,7 +261,6 @@ runHierRace(unsigned shards)
     cfg.protocol = Protocol::HierCMP;
     cfg.seed = 7;
     cfg.shards = shards;
-    cfg.finalize();
 
     HierRaceWorkload wl(0x9000, 12);
     System sys(cfg);

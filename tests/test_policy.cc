@@ -3,7 +3,7 @@
  * PerformancePolicy API tests: registry behavior (names, duplicate
  * registration, unknown-name diagnostics), the fixed-seed equivalence
  * of every Table 1 Protocol enum row with its named-policy
- * counterpart, the Experiment policy-sweep axis, and the adaptive
+ * counterpart, per-policy Experiment labels, and the adaptive
  * destination-set policies (completion, token conservation, policy
  * statistics, determinism — serial and across sharded worker counts).
  */
@@ -69,8 +69,8 @@ TEST(PolicyRegistry, KnowsTable1RowsAndAdaptivePolicies)
     const std::vector<std::string> names =
         PolicyRegistry::instance().names();
     for (const char *expect : {"arb0", "dst0", "dst4", "dst1",
-                               "dst1-pred", "dst1-filt", "dst-owner",
-                               "bw-adapt"}) {
+                               "dst1-pred", "dst1-filt", "arb4",
+                               "dst-owner", "bw-adapt"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expect),
                   names.end())
             << expect << " is not registered";
@@ -101,32 +101,25 @@ TEST(PolicyRegistry, UnknownNameListsRegisteredPolicies)
 
 TEST(PolicyRegistry, NamedPolicyRequiresTokenProtocol)
 {
+    // A directory config must not slip an (ignored) policy selection
+    // through.
     SystemConfig cfg;
     cfg.protocol = Protocol::DirectoryCMP;
     cfg.policyName = "dst1";
-    EXPECT_DEATH(cfg.finalize(), "requires a TokenCMP protocol");
-}
-
-TEST(PolicyRegistry, PolicyNameAssignedAfterFinalizeStillValidated)
-{
-    // Assigning policyName re-arms finalize(); a finalized directory
-    // config must not slip an (ignored) policy selection through.
-    SystemConfig cfg;
-    cfg.protocol = Protocol::DirectoryCMP;
-    cfg.finalize();
-    EXPECT_TRUE(cfg.finalized());
+    EXPECT_DEATH(cfg.validate(), "requires a TokenCMP protocol");
     cfg.policyName = "bw-adapt";
-    EXPECT_FALSE(cfg.finalized());
-    EXPECT_DEATH(cfg.finalize(), "requires a TokenCMP protocol");
+    EXPECT_DEATH(System sys(cfg), "requires a TokenCMP protocol");
 }
 
 TEST(PolicyEquivalence, EnumRowsMatchNamedPolicies)
 {
     // The Protocol enum is a thin alias layer: for a fixed seed, each
-    // Table 1 enum row and its named PolicyRegistry counterpart must
-    // be the *same* execution, bit for bit.
+    // Table 1 enum row (its protocol-table policy) and the same policy
+    // selected by policyName must be the *same* execution, bit for
+    // bit.
     for (const auto &[proto, name] : kTable1Rows) {
         SCOPED_TRACE(name);
+        EXPECT_STREQ(protocolInfo(proto).policy, name);
 
         SystemConfig via_enum;
         via_enum.protocol = proto;
@@ -141,19 +134,21 @@ TEST(PolicyEquivalence, EnumRowsMatchNamedPolicies)
     }
 }
 
-TEST(PolicySweep, RunSweepLabelsOneResultPerPolicy)
+TEST(PolicySweep, RunLabelsOneResultPerPolicy)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
     SyntheticParams wl = smallWorkload();
-    const std::vector<ExperimentResult> results =
-        Experiment::of(cfg)
-            .workload([&wl]() -> std::unique_ptr<Workload> {
-                return std::make_unique<SyntheticWorkload>(wl);
-            })
-            .seeds(2)
-            .policies({"dst1", "dst-owner"})
-            .runSweep();
+    std::vector<ExperimentResult> results;
+    for (const char *name : {"dst1", "dst-owner"}) {
+        SystemConfig cfg;
+        cfg.policyName = name;
+        results.push_back(
+            Experiment::of(cfg)
+                .workload([&wl]() -> std::unique_ptr<Workload> {
+                    return std::make_unique<SyntheticWorkload>(wl);
+                })
+                .seeds(2)
+                .run());
+    }
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].protocol, "TokenCMP-dst1");
     EXPECT_EQ(results[1].protocol, "TokenCMP-dst-owner");
@@ -163,19 +158,6 @@ TEST(PolicySweep, RunSweepLabelsOneResultPerPolicy)
     // (loose 2x bound; the traffic benefit is gated in bench CI).
     EXPECT_LT(results[1].runtime.mean(),
               2.0 * results[0].runtime.mean());
-}
-
-TEST(PolicySweep, RunDiagnosesPendingSweep)
-{
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
-    SyntheticParams wl = smallWorkload();
-    auto runner = Experiment::of(cfg)
-                      .workload([&wl]() -> std::unique_ptr<Workload> {
-                          return std::make_unique<SyntheticWorkload>(wl);
-                      })
-                      .policies({"dst1"});
-    EXPECT_DEATH(runner.run(), "runSweep");
 }
 
 TEST(AdaptivePolicies, CompleteQuiesceAndExportStats)
@@ -212,7 +194,6 @@ TEST(AdaptivePolicies, PersistentActivationsTrainThePredictor)
     // the same read/write strengths as the transient signal.
     SystemConfig cfg;
     cfg.protocol = Protocol::TokenDst1;
-    cfg.finalize();
     System sys(cfg);
     const Topology &topo = sys.context().topo;
 

@@ -521,7 +521,6 @@ runSystem(Protocol proto, unsigned shards, SchedulerKind sched,
     cfg.seed = seed;
     cfg.shards = shards;
     cfg.scheduler = sched;
-    cfg.finalize();
 
     SyntheticParams p = oltpParams();
     p.opsPerProc = 40;  // fig6-style mix, test-sized

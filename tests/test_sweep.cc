@@ -346,6 +346,43 @@ TEST(ParamGridDeathTest, IntegerFieldsRangeCheckBeforeNarrowing)
                  "\"horizonNs\" must be an integer in");
 }
 
+TEST(ParamGridDeathTest, IntegerKnobsMustFitTheirField)
+{
+    // Each used to pass grid load through a bare cast: -64 became a
+    // 4-billion-entry table (std::bad_alloc in a bw-adapt cell), 2^32
+    // wrapped to 0 entries, and 2.5 ran as 2 ways under its own hash.
+    EXPECT_DEATH(ParamGrid::fromJsonText(
+                     gridWith(R"("overrides": [{"label": "neg", "knobs":
+                                  {"token.cmpPredEntries": -64}}])"),
+                     "t"),
+                 "knob 'token.cmpPredEntries' must be an integer in "
+                 "\\[0, 4294967295\\]");
+    EXPECT_DEATH(ParamGrid::fromJsonText(
+                     gridWith(R"("overrides": [{"label": "wrap", "knobs":
+                                  {"token.cmpPredEntries": 4294967296}}])"),
+                     "t"),
+                 "knob 'token.cmpPredEntries' must be an integer in");
+    EXPECT_DEATH(ParamGrid::fromJsonText(
+                     gridWith(R"("overrides": [{"label": "half", "knobs":
+                                  {"token.cmpPredWays": 2.5}}])"),
+                     "t"),
+                 "knob 'token.cmpPredWays' must be an integer in");
+}
+
+TEST(ParamGridDeathTest, DeepNestingFailsWithByteOffset)
+{
+    // 100000 nested arrays used to overflow the parser's stack.
+    const std::string deep =
+        std::string(100000, '[') + std::string(100000, ']');
+    EXPECT_DEATH(ParamGrid::fromJsonText(deep, "deep"),
+                 "sweep grid deep: nesting deeper than 256 levels "
+                 "\\(at byte 256\\)");
+    // 256 levels still parse.
+    std::string err;
+    minijson::parse(std::string(256, '[') + std::string(256, ']'), &err);
+    EXPECT_TRUE(err.empty()) << err;
+}
+
 TEST(ParamGridDeathTest, WorkloadKnobIntegersAreChecked)
 {
     // A negative key count used to wrap to 2^64 - 3 and hang the grid
@@ -544,6 +581,20 @@ TEST(SweepDriverDeathTest, CorruptMidJournalLineIsFatal)
               "not json at all\n"
               "{\"type\": \"cell\"}\n");
     EXPECT_DEATH(SweepDriver(grid, fx.opts()), "corrupt line 2");
+}
+
+TEST(SweepDriverDeathTest, DeeplyNestedJournalLineIsFatal)
+{
+    DriverFixture fx("deep");
+    ParamGrid grid = ParamGrid::fromFile(fx.gridPath);
+    writeFile(fx.journal,
+              "{\"type\": \"header\", \"grid\": \"tiny\", "
+              "\"fingerprint\": \"" + grid.fingerprint() +
+              "\", \"cells\": 4}\n" +
+              std::string(100000, '[') + std::string(100000, ']') +
+              "\n{\"type\": \"cell\"}\n");
+    EXPECT_DEATH(SweepDriver(grid, fx.opts()),
+                 "corrupt line 2: nesting deeper than 256 levels");
 }
 
 } // namespace tokencmp::test

@@ -1,82 +1,76 @@
 /**
  * @file
- * System-level unit tests: configuration finalization, protocol
- * naming, construction of all nine targets, statistics harvesting,
- * and the multi-seed experiment runner.
+ * System-level unit tests: the protocol table, protocol naming,
+ * construction of all ten targets, statistics harvesting, and the
+ * multi-seed experiment runner.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/policy.hh"
 #include "test_util.hh"
 #include "workload/locking.hh"
 #include "workload/synthetic.hh"
 
 namespace tokencmp::test {
 
-TEST(SystemConfig, FinalizeAppliesTable1Policies)
+TEST(SystemConfig, ProtocolTableResolvesPolicies)
 {
+    // Each token row's policy carries its Table 1 transient budget
+    // and activation mechanism; hier's intra-CMP row is "arb4".
+    struct Expect
+    {
+        Protocol protocol;
+        unsigned maxTransients;
+        PersistentActivation activation;
+    };
+    const Expect rows[] = {
+        {Protocol::TokenArb0, 0, PersistentActivation::Arbiter},
+        {Protocol::TokenDst0, 0, PersistentActivation::Distributed},
+        {Protocol::TokenDst4, 4, PersistentActivation::Distributed},
+        {Protocol::TokenDst1, 1, PersistentActivation::Distributed},
+        {Protocol::TokenDst1Pred, 1, PersistentActivation::Distributed},
+        {Protocol::TokenDst1Filt, 1, PersistentActivation::Distributed},
+        {Protocol::HierCMP, 4, PersistentActivation::Arbiter},
+    };
     SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst4;
-    cfg.finalize();
-    EXPECT_EQ(cfg.token.policy.maxTransients, 4u);
-    EXPECT_EQ(cfg.token.policy.activation,
-              PersistentActivation::Distributed);
-
-    cfg.protocol = Protocol::TokenArb0;
-    cfg.finalize();
-    EXPECT_EQ(cfg.token.policy.maxTransients, 0u);
-    EXPECT_EQ(cfg.token.policy.activation,
-              PersistentActivation::Arbiter);
-
-    cfg.protocol = Protocol::TokenDst1Pred;
-    cfg.finalize();
-    EXPECT_TRUE(cfg.token.policy.usePredictor);
-    EXPECT_FALSE(cfg.token.policy.useFilter);
-
-    cfg.protocol = Protocol::TokenDst1Filt;
-    cfg.finalize();
-    EXPECT_TRUE(cfg.token.policy.useFilter);
-
-    cfg.protocol = Protocol::DirectoryCMPZero;
-    cfg.finalize();
-    EXPECT_EQ(cfg.dir.dirLatency, 0u);
-
-    cfg.protocol = Protocol::DirectoryCMP;
-    cfg.finalize();
-    EXPECT_EQ(cfg.dir.dirLatency, ns(80));
+    PolicyEnv env;
+    env.self = cfg.topo.l1d(0, 0);
+    env.topo = cfg.topo;
+    env.params = &cfg.token;
+    for (const Expect &e : rows) {
+        const ProtocolInfo &row = protocolInfo(e.protocol);
+        SCOPED_TRACE(row.name);
+        ASSERT_NE(row.policy, nullptr);
+        auto policy = PolicyRegistry::instance().create(row.policy, env);
+        for (bool is_write : {false, true})
+            EXPECT_EQ(policy->maxTransients(is_write), e.maxTransients);
+        EXPECT_EQ(policy->activation(), e.activation);
+    }
+    for (Protocol p : {Protocol::DirectoryCMP, Protocol::DirectoryCMPZero,
+                       Protocol::PerfectL2}) {
+        EXPECT_EQ(protocolInfo(p).policy, nullptr) << protocolName(p);
+    }
 }
 
-TEST(SystemConfig, FinalizeIsIdempotent)
+TEST(SystemConfig, DirectoryZeroHasZeroCycleDirectory)
 {
-    // finalize(), hand-tune a knob, then finalize() again (as
-    // System's constructor does defensively): the preset must not be
-    // re-applied over the tuning.
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
-    cfg.finalize();
-    EXPECT_TRUE(cfg.finalized());
-    cfg.token.policy.maxTransients = 3;
-    cfg.finalize();
-    EXPECT_EQ(cfg.token.policy.maxTransients, 3u);
-
-    // Changing the protocol re-arms finalization.
-    cfg.protocol = Protocol::TokenDst4;
-    EXPECT_FALSE(cfg.finalized());
-    cfg.finalize();
-    EXPECT_EQ(cfg.token.policy.maxTransients, 4u);
-}
-
-TEST(SystemConfig, FinalizeIdempotentWithCustomPolicy)
-{
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
-    cfg.customPolicy = true;
-    cfg.token.policy = token_variants::dst1();
-    cfg.token.policy.maxTransients = 2;
-    cfg.finalize();
-    EXPECT_EQ(cfg.token.policy.maxTransients, 2u);
-    cfg.finalize();  // System's defensive call must not double-apply
-    EXPECT_EQ(cfg.token.policy.maxTransients, 2u);
+    // A sharing miss is forwarded by the home directory, so it pays
+    // the directory access: 80 ns on DirectoryCMP, 0 on the zero
+    // variant. Nothing else differs between the two.
+    Tick lat[2] = {0, 0};
+    unsigned i = 0;
+    for (Protocol p : {Protocol::DirectoryCMP,
+                       Protocol::DirectoryCMPZero}) {
+        SystemConfig cfg;
+        cfg.protocol = p;
+        System sys(cfg);
+        runStore(sys, 0, 0x1000, 7);
+        drain(sys);
+        EXPECT_EQ(runLoad(sys, 4, 0x1000, &lat[i++]), 7u);
+    }
+    EXPECT_EQ(SystemConfig{}.dir.dirLatency, ns(80));
+    EXPECT_EQ(lat[0] - lat[1], ns(80));
 }
 
 TEST(SystemConfig, ProtocolNamesMatchPaper)
@@ -96,7 +90,7 @@ TEST(SystemConfig, ProtocolNamesMatchPaper)
     EXPECT_FALSE(isToken(Protocol::HierCMP));
 }
 
-TEST(System, BuildsAllNineProtocols)
+TEST(System, BuildsAllProtocols)
 {
     for (Protocol p : allProtocols()) {
         SystemConfig cfg;

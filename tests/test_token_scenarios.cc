@@ -281,7 +281,6 @@ runPersistentRace(Protocol proto, unsigned shards, System **sys_out,
     cfg.protocol = proto;
     cfg.seed = 7;
     cfg.shards = shards;
-    cfg.finalize();
 
     RacingAtomicWorkload wl(0x9000, 12);
     keeper = std::make_unique<System>(cfg);

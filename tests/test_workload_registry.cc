@@ -86,7 +86,7 @@ runNamed(const std::string &name, const WorkloadParams &wp,
     SystemConfig cfg = base;
     cfg.workloadName = name;
     cfg.workloadParams = wp;
-    cfg.finalize();
+    cfg.validate();
     std::unique_ptr<Workload> wl =
         WorkloadRegistry::instance().create(name, wp);
     return runWorkload(*wl, cfg);
@@ -210,38 +210,33 @@ TEST(WorkloadParamsValidation, RejectsBadKnobs)
         "malformed phase schedule");
 }
 
-TEST(WorkloadParamsValidation, FinalizeValidatesNamedWorkload)
+TEST(WorkloadParamsValidation, ValidateChecksNamedWorkload)
 {
     SystemConfig cfg = tokenConfig();
     cfg.workloadName = "zipf";
     cfg.workloadParams.theta = 0.99;
-    cfg.finalize();
-    EXPECT_TRUE(cfg.finalized());
-
-    // Assigning workloadName re-arms finalize().
-    cfg.workloadName = "oltp";
-    EXPECT_FALSE(cfg.finalized());
-    cfg.finalize();
+    cfg.validate();
 
     SystemConfig bad = tokenConfig();
     bad.workloadName = "zipf";
     bad.workloadParams.theta = 2.0;
-    EXPECT_DEATH(bad.finalize(), "out of range");
+    EXPECT_DEATH(bad.validate(), "out of range");
+    EXPECT_DEATH(System sys(bad), "out of range");
 }
 
-TEST(PolicyKnobValidation, FinalizeChecksGeometryAndThreshold)
+TEST(PolicyKnobValidation, ValidateChecksGeometryAndThreshold)
 {
     SystemConfig cfg = tokenConfig();
     cfg.token.contentionEntries = 10;  // not a multiple of 4 ways
-    EXPECT_DEATH(cfg.finalize(), "multiple of");
+    EXPECT_DEATH(cfg.validate(), "multiple of");
 
     SystemConfig pred = tokenConfig();
     pred.token.cmpPredWays = 0;
-    EXPECT_DEATH(pred.finalize(), "multiple of");
+    EXPECT_DEATH(pred.validate(), "multiple of");
 
     SystemConfig bw = tokenConfig();
     bw.token.bwBusyUtil = 1.5;
-    EXPECT_DEATH(bw.finalize(), "out of range");
+    EXPECT_DEATH(bw.validate(), "out of range");
 }
 
 TEST(PolicyKnobs, DefaultsMatchLegacyHardcodedGeometry)
@@ -250,7 +245,6 @@ TEST(PolicyKnobs, DefaultsMatchLegacyHardcodedGeometry)
     // keep fixed-seed runs bit-identical to the pre-knob code paths.
     SystemConfig cfg = tokenConfig(7);
     cfg.policyName = "dst-owner";
-    cfg.finalize();
     const RunSummary defaults =
         runNamed("synthetic", smallKnobs("synthetic"), cfg);
 
@@ -490,7 +484,6 @@ class PartialWarmupWorkload : public WarmHeavyWorkload
 TEST(WarmupExclusion, TrafficCountersExcludeWarmupPhase)
 {
     SystemConfig cfg = tokenConfig();
-    cfg.finalize();
 
     // Control: the same block walk executed *inside* the measured
     // phase shows up in the traffic counters in full.
@@ -519,7 +512,6 @@ TEST(WarmupExclusion, TrafficCountersExcludeWarmupPhase)
 TEST(WarmupExclusion, PartialWarmupProvisionPanics)
 {
     SystemConfig cfg = tokenConfig();
-    cfg.finalize();
     PartialWarmupWorkload wl;
     System sys(cfg);
     EXPECT_DEATH(sys.run(wl), "all-or-nothing");
@@ -546,19 +538,22 @@ TEST(WarmupExclusion, ZipfWarmupReducesMeasuredMisses)
 }
 
 // ---------------------------------------------------------------------
-// Experiment workloads() sweep axis
+// Named workloads through Experiment::run()
 // ---------------------------------------------------------------------
 
-TEST(WorkloadSweep, CrossesWorkloadMajorWithPolicies)
+TEST(WorkloadSweep, NamedCellsCarryWorkloadAndPolicyLabels)
 {
-    SystemConfig cfg = tokenConfig();
-    cfg.workloadParams.opsPerProc = 12;
-    const std::vector<ExperimentResult> cells =
-        Experiment::of(cfg)
-            .seeds(1)
-            .workloads({"synthetic", "locking"})
-            .policies({"dst1", "dst4"})
-            .runSweep();
+    // A workload x policy sweep is a loop over names, one run() each.
+    std::vector<ExperimentResult> cells;
+    for (const char *workload : {"synthetic", "locking"}) {
+        for (const char *policy : {"dst1", "dst4"}) {
+            SystemConfig cfg = tokenConfig();
+            cfg.workloadParams.opsPerProc = 12;
+            cfg.workloadName = workload;
+            cfg.policyName = policy;
+            cells.push_back(Experiment::of(cfg).seeds(1).run());
+        }
+    }
 
     ASSERT_EQ(cells.size(), 4u);
     EXPECT_EQ(cells[0].workload, "synthetic");
@@ -573,19 +568,14 @@ TEST(WorkloadSweep, CrossesWorkloadMajorWithPolicies)
     }
 }
 
-TEST(WorkloadSweep, RunRequiresSweepAndNamesMustExist)
+TEST(WorkloadSweep, RunNeedsAWorkloadThatExists)
 {
-    SystemConfig cfg = tokenConfig();
-    ExperimentRunner pending =
-        Experiment::of(cfg).workloads({"zipf"});
-    EXPECT_DEATH(pending.run(), "runSweep");
+    SystemConfig typo = tokenConfig();
+    typo.workloadName = "zipff";
+    EXPECT_DEATH(Experiment::of(typo).run(), "zipff");
 
-    ExperimentRunner typo =
-        Experiment::of(cfg).workloads({"zipff"});
-    EXPECT_DEATH(typo.runSweep(), "unknown workload 'zipff'");
-
-    ExperimentRunner nothing = Experiment::of(cfg);
-    EXPECT_DEATH(nothing.run(), "no workload");
+    SystemConfig nothing = tokenConfig();
+    EXPECT_DEATH(Experiment::of(nothing).run(), "no workload");
 }
 
 TEST(WorkloadSweep, NamedRunMatchesExplicitFactory)
@@ -634,7 +624,7 @@ TEST_P(GeneratorShardSweep, StatsBitIdenticalAcrossWorkerCounts)
         cfg.shards = workers;
         cfg.workloadName = name;
         cfg.workloadParams = wp;
-        cfg.finalize();
+        cfg.validate();
         std::unique_ptr<Workload> wl =
             WorkloadRegistry::instance().create(name, wp);
         return runWorkload(*wl, cfg);
