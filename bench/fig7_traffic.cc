@@ -77,14 +77,14 @@ policySweep(JsonReport &report)
     auto factory = [&wl]() -> std::unique_ptr<Workload> {
         return std::make_unique<SyntheticWorkload>(wl);
     };
-    // Row order is the baseline's; hier's intra-CMP "arb4" is not a
-    // row.
-    const std::vector<std::string> names = {
-        "arb0", "bw-adapt", "dst-group", "dst-owner", "dst0",
-        "dst1", "dst1-filt", "dst1-pred", "dst4"};
-
+    // Every registered flat-token policy, in name order; hier's
+    // intra-CMP "arb4" is not a row.
+    std::vector<std::string> names;
     std::vector<ExperimentResult> cells;
-    for (const std::string &name : names) {
+    for (const std::string &name : PolicyRegistry::instance().names()) {
+        if (name == "arb4")
+            continue;
+        names.push_back(name);
         SystemConfig cfg;
         cfg.policyName = name;
         cells.push_back(Experiment::of(cfg)

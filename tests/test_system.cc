@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/policy.hh"
+#include "sim/random.hh"
 #include "test_util.hh"
 #include "workload/locking.hh"
 #include "workload/synthetic.hh"
@@ -16,36 +17,61 @@ namespace tokencmp::test {
 
 TEST(SystemConfig, ProtocolTableResolvesPolicies)
 {
-    // Each token row's policy carries its Table 1 transient budget
-    // and activation mechanism; hier's intra-CMP row is "arb4".
+    // Each token row's policy carries its Table 1 transient budget,
+    // activation mechanism, contention predictor (dst1-pred) and
+    // sharer filter (dst1-filt); hier's intra-CMP row is "arb4".
     struct Expect
     {
         Protocol protocol;
         unsigned maxTransients;
         PersistentActivation activation;
+        bool predictor;
+        bool filter;
     };
+    constexpr PersistentActivation kArb = PersistentActivation::Arbiter;
+    constexpr PersistentActivation kDst =
+        PersistentActivation::Distributed;
     const Expect rows[] = {
-        {Protocol::TokenArb0, 0, PersistentActivation::Arbiter},
-        {Protocol::TokenDst0, 0, PersistentActivation::Distributed},
-        {Protocol::TokenDst4, 4, PersistentActivation::Distributed},
-        {Protocol::TokenDst1, 1, PersistentActivation::Distributed},
-        {Protocol::TokenDst1Pred, 1, PersistentActivation::Distributed},
-        {Protocol::TokenDst1Filt, 1, PersistentActivation::Distributed},
-        {Protocol::HierCMP, 4, PersistentActivation::Arbiter},
+        {Protocol::TokenArb0, 0, kArb, false, false},
+        {Protocol::TokenDst0, 0, kDst, false, false},
+        {Protocol::TokenDst4, 4, kDst, false, false},
+        {Protocol::TokenDst1, 1, kDst, false, false},
+        {Protocol::TokenDst1Pred, 1, kDst, true, false},
+        {Protocol::TokenDst1Filt, 1, kDst, false, true},
+        {Protocol::HierCMP, 4, kArb, false, false},
     };
-    SystemConfig cfg;
-    PolicyEnv env;
-    env.self = cfg.topo.l1d(0, 0);
-    env.topo = cfg.topo;
-    env.params = &cfg.token;
+    const SystemConfig cfg;
+    const Addr addr = 0x1000;
+    const MachineID requestor = cfg.topo.l1d(0, 2);
     for (const Expect &e : rows) {
         const ProtocolInfo &row = protocolInfo(e.protocol);
         SCOPED_TRACE(row.name);
         ASSERT_NE(row.policy, nullptr);
-        auto policy = PolicyRegistry::instance().create(row.policy, env);
+
+        // At an L1: the transient budget and activation, and whether
+        // repeated timeouts on a block send its next miss straight to
+        // a persistent request.
+        PolicyEnv l1_env;
+        l1_env.self = cfg.topo.l1d(0, 0);
+        l1_env.topo = cfg.topo;
+        l1_env.params = &cfg.token;
+        auto l1 = PolicyRegistry::instance().create(row.policy, l1_env);
         for (bool is_write : {false, true})
-            EXPECT_EQ(policy->maxTransients(is_write), e.maxTransients);
-        EXPECT_EQ(policy->activation(), e.activation);
+            EXPECT_EQ(l1->maxTransients(is_write), e.maxTransients);
+        EXPECT_EQ(l1->activation(), e.activation);
+        Random rng(1);
+        for (int i = 0; i < 3; ++i)
+            l1->onRetry(addr, rng);
+        EXPECT_EQ(l1->shouldGoPersistent(addr, 0), e.predictor);
+
+        // At an L2 bank: whether a local request narrows the relay of
+        // external transients to the requesting L1.
+        PolicyEnv l2_env = l1_env;
+        l2_env.self = cfg.topo.l2BankFor(0, addr);
+        auto l2 = PolicyRegistry::instance().create(row.policy, l2_env);
+        l2->onLocalRequest(addr, requestor);
+        EXPECT_EQ(l2->filterExternal(addr),
+                  e.filter ? 1u << l1SlotOf(cfg.topo, requestor) : ~0u);
     }
     for (Protocol p : {Protocol::DirectoryCMP, Protocol::DirectoryCMPZero,
                        Protocol::PerfectL2}) {
