@@ -9,7 +9,6 @@
 #ifndef TOKENCMP_BENCH_BENCH_UTIL_HH
 #define TOKENCMP_BENCH_BENCH_UTIL_HH
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -88,7 +87,7 @@ inline unsigned
 seedsPerPoint()
 {
     if (const char *env = std::getenv("TOKENCMP_SEEDS"))
-        return unsigned(std::max(1, atoi(env)));
+        return parseCount(env, "TOKENCMP_SEEDS", 1);
     return 3;
 }
 
@@ -97,7 +96,7 @@ inline unsigned
 defaultParallelism()
 {
     if (const char *env = std::getenv("TOKENCMP_PARALLEL"))
-        return unsigned(std::max(1, atoi(env)));
+        return parseCount(env, "TOKENCMP_PARALLEL", 1);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }

@@ -3,11 +3,12 @@
 
 Walks a TOKENCMP_COVERAGE=ON build tree for .gcda files, asks gcov for
 JSON intermediate records, aggregates executed/instrumented lines per
-source file, and enforces a line-coverage floor (default 80%) on the
-simulation kernel — src/sim/ — via the exit code. The kernel is the
-piece whose determinism contracts the test batteries exist to pin
-down, so untested kernel lines are the first place an ordering bug
-would hide.
+source file, and enforces a line-coverage floor (default 80%) on each
+gated subtree via the exit code. The default subtree is the simulation
+kernel — src/sim/ — whose determinism contracts the test batteries
+exist to pin down, so untested kernel lines are the first place an
+ordering bug would hide. --gate-prefix may repeat; every named subtree
+must meet the floor on its own.
 
 Per-file percentages for the whole src/ tree are printed and written
 to --out as JSON (uploaded as a CI artifact next to the lcov HTML
@@ -15,7 +16,7 @@ report, which the workflow generates separately with lcov/genhtml).
 
 Usage:
   python3 bench/coverage_gate.py --build-dir build-cov \
-      [--floor 0.80] [--gate-prefix src/sim/] [--out cov.json]
+      [--floor 0.80] [--gate-prefix src/sim/ ...] [--out cov.json]
 """
 
 import argparse
@@ -62,9 +63,10 @@ def main():
     ap.add_argument("--src-root", default="src",
                     help="only report files under this prefix "
                          "(after repo-relative normalization)")
-    ap.add_argument("--gate-prefix", default="src/sim/",
+    ap.add_argument("--gate-prefix", action="append",
                     help="subtree whose aggregate line coverage "
-                         "must meet the floor")
+                         "must meet the floor (repeatable; default "
+                         "src/sim/)")
     ap.add_argument("--floor", type=float,
                     default=float(os.environ.get(
                         "TOKENCMP_COVERAGE_FLOOR", "0.80")),
@@ -73,6 +75,7 @@ def main():
     ap.add_argument("--out", default=None,
                     help="write the per-file summary JSON here")
     args = ap.parse_args()
+    prefixes = args.gate_prefix or ["src/sim/"]
 
     repo = os.path.abspath(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
@@ -99,39 +102,48 @@ def main():
         sys.exit("gcov produced no records for the source tree")
 
     summary = []
-    gate_total = gate_hit = 0
+    gates = {p: [0, 0] for p in prefixes}  # prefix -> [total, hit]
     for rel in sorted(lines):
         per = lines[rel]
         total = len(per)
         hit = sum(per.values())
         summary.append({"file": rel, "lines": total, "covered": hit,
                         "coverage": hit / total if total else 1.0})
-        if rel.startswith(args.gate_prefix):
-            gate_total += total
-            gate_hit += hit
+        for p in prefixes:
+            if rel.startswith(p):
+                gates[p][0] += total
+                gates[p][1] += hit
 
     for e in summary:
-        mark = "*" if e["file"].startswith(args.gate_prefix) else " "
+        mark = "*" if e["file"].startswith(tuple(prefixes)) else " "
         print(f" {mark} {e['file']:<44} {e['covered']:>5}/"
               f"{e['lines']:<5} {e['coverage']:7.1%}")
 
-    if gate_total == 0:
-        sys.exit(f"no instrumented lines under {args.gate_prefix}")
-    gate_cov = gate_hit / gate_total
-    result = {"gatePrefix": args.gate_prefix, "floor": args.floor,
-              "gateCoverage": gate_cov, "gateLines": gate_total,
-              "gateCovered": gate_hit, "files": summary}
+    for p, (total, _hit) in gates.items():
+        if total == 0:
+            sys.exit(f"no instrumented lines under {p}")
+    result = {"floor": args.floor,
+              "gates": [{"prefix": p, "coverage": hit / total,
+                         "lines": total, "covered": hit}
+                        for p, (total, hit) in gates.items()],
+              "files": summary}
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         with open(args.out, "w") as f:
             json.dump(result, f, indent=2)
         print(f"wrote {args.out}")
 
-    print(f"\n{args.gate_prefix} line coverage: {gate_cov:.1%} "
-          f"({gate_hit}/{gate_total} lines, floor {args.floor:.0%})")
-    if gate_cov < args.floor:
-        print(f"FAIL: {args.gate_prefix} below the "
-              f"{args.floor:.0%} coverage floor", file=sys.stderr)
+    failed = False
+    print()
+    for p, (total, hit) in gates.items():
+        cov = hit / total
+        print(f"{p} line coverage: {cov:.1%} "
+              f"({hit}/{total} lines, floor {args.floor:.0%})")
+        if cov < args.floor:
+            print(f"FAIL: {p} below the {args.floor:.0%} coverage "
+                  "floor", file=sys.stderr)
+            failed = True
+    if failed:
         return 1
     print("PASS")
     return 0

@@ -1,5 +1,7 @@
 #include "core/token_common.hh"
 
+#include <algorithm>
+
 namespace tokencmp {
 
 std::unique_ptr<PerformancePolicy>
@@ -143,6 +145,91 @@ TokenController::handlePersistTableMsg(const Msg &m)
 {
     if (applyPersistMsg(m))
         onPersistentTableChange(m.addr);
+}
+
+void
+PersistentArbiter::onRequest(const Msg &m)
+{
+    // The requester's Done may have overtaken this request.
+    if (_orphans.erase({m.prio, m.reqId}) != 0)
+        return;
+    Request req;
+    req.addr = blockAlign(m.addr);
+    req.isRead = m.isRead;
+    req.prio = m.prio;
+    req.seq = m.reqId;
+    req.initiator = m.requestor;
+
+    if (_busy) {
+        _queue.push_back(req);
+        stats.queueMax =
+            std::max<std::uint64_t>(stats.queueMax, _queue.size());
+        return;
+    }
+    activate(req);
+}
+
+void
+PersistentArbiter::activate(const Request &req)
+{
+    _busy = true;
+    _active = req;
+    ++stats.activations;
+
+    // Apply to the local table first so the host's own tokens flow.
+    _host.ptable.insert(req.prio, req.addr, req.isRead, req.initiator,
+                        req.seq);
+    _host.onPersistentTableChange(req.addr);
+
+    Msg m;
+    m.type = MsgType::PersistArbActivate;
+    m.addr = req.addr;
+    m.isRead = req.isRead;
+    m.prio = req.prio;
+    m.reqId = req.seq;
+    m.requestor = req.initiator;
+    for (const MachineID &t : _targets(req.addr)) {
+        m.dst = t;
+        _host.send(m, _latency);
+    }
+}
+
+void
+PersistentArbiter::onDone(const Msg &m)
+{
+    if (_busy && _active.prio == m.prio && _active.seq == m.reqId) {
+        // Deactivate everywhere, then start the next queued request —
+        // the indirect handoff that hurts under contention (Fig. 2).
+        if (_host.ptable.valid(_active.prio))
+            _host.ptable.erase(_active.prio);
+
+        Msg d;
+        d.type = MsgType::PersistArbDeactivate;
+        d.addr = _active.addr;
+        d.prio = _active.prio;
+        d.reqId = _active.seq;
+        for (const MachineID &t : _targets(_active.addr)) {
+            d.dst = t;
+            _host.send(d, _latency);
+        }
+
+        _busy = false;
+        if (!_queue.empty()) {
+            const Request next = _queue.front();
+            _queue.pop_front();
+            activate(next);
+        }
+        return;
+    }
+
+    // Completed before activation: drop it from the queue.
+    for (auto it = _queue.begin(); it != _queue.end(); ++it) {
+        if (it->prio == m.prio && it->seq == m.reqId) {
+            _queue.erase(it);
+            return;
+        }
+    }
+    _orphans.emplace(m.prio, m.reqId);
 }
 
 } // namespace tokencmp

@@ -128,48 +128,11 @@ TokenL1::evictLine(Line *line)
     const Addr addr = _array.tagOf(*line);
     TokenSt &st = line->st;
     if (st.tokens > 0 || st.owner) {
-        Msg m;
-        m.addr = addr;
-        m.tokens = st.tokens;
-        m.owner = st.owner;
-        m.hasData = st.owner;
-        m.value = st.value;
-        m.dirty = st.owner && st.dirty;
-
-        const int active = ptable.activeFor(addr);
-        if (active >= 0 &&
-            ptable.entry(active).initiator != _id) {
-            // Tokens are claimed by an active persistent request:
-            // hand them straight to the initiator.
-            m.type = MsgType::TokResponse;
-            m.dst = ptable.entry(active).initiator;
-            m.requestor = m.dst;
-        } else {
-            m.type = MsgType::TokWriteback;
-            m.dst = ctx.topo.l2BankFor(_id.cmp, addr);
-        }
         ++stats.writebacks;
-        sendTok(std::move(m), g.params.l1Latency);
+        evictTokens(st, addr, ctx.topo.l2BankFor(_id.cmp, addr),
+                    g.params.l1Latency);
     }
     _array.invalidate(line);
-}
-
-void
-TokenL1::mergeResponse(Line *line, const Msg &m)
-{
-    TokenSt &st = line->st;
-    st.tokens += m.tokens;
-    if (st.tokens > g.params.totalTokens)
-        panic("line exceeds total tokens at %s", _id.toString().c_str());
-    if (m.owner) {
-        st.owner = true;
-        st.dirty = m.dirty;
-    }
-    if (m.hasData) {
-        st.value = m.value;
-        st.validData = true;
-    }
-    _array.touch(line);
 }
 
 // ---------------------------------------------------------------------
@@ -386,15 +349,9 @@ TokenL1::tryComplete(Addr addr)
     // off-chip when the tokens are already on chip). Exclusive grants
     // (owner held) are kept intact for the read-then-write pattern.
     if (!txn.isWrite && !st.owner && st.tokens > 1 && st.validData) {
-        Msg shed;
-        shed.type = MsgType::TokWriteback;
-        shed.addr = addr;
-        shed.dst = ctx.topo.l2BankFor(_id.cmp, addr);
-        shed.tokens = st.tokens - 1;
-        shed.hasData = true;
-        shed.value = st.value;
-        st.tokens = 1;
-        sendTok(std::move(shed), g.params.l1Latency);
+        giveTokens(st, MsgType::TokWriteback, addr,
+                   ctx.topo.l2BankFor(_id.cmp, addr), st.tokens - 1,
+                   false, true, g.params.l1Latency);
     }
 
     MemResult res;
@@ -450,21 +407,18 @@ TokenL1::onResponse(const Msg &m)
         // tokens).
         if (m.tokens > 0 || m.owner) {
             ++stats.bounces;
-            Msg wb;
-            wb.type = MsgType::TokWriteback;
-            wb.addr = addr;
-            wb.dst = ctx.topo.l2BankFor(_id.cmp, addr);
-            wb.tokens = m.tokens;
-            wb.owner = m.owner;
-            wb.hasData = m.owner;
-            wb.value = m.value;
-            wb.dirty = m.owner && m.dirty;
-            sendTok(std::move(wb), g.params.l1Latency);
+            TokenSt stray;
+            absorbTokens(stray, m);
+            stray.value = m.value;
+            giveTokens(stray, MsgType::TokWriteback, addr,
+                       ctx.topo.l2BankFor(_id.cmp, addr), stray.tokens,
+                       stray.owner, stray.owner, g.params.l1Latency);
         }
         return;
     }
 
-    mergeResponse(line, m);
+    absorbTokens(line->st, m);
+    _array.touch(line);
     if (m.src.type == MachineType::Mem && _txns.count(addr))
         observeMemLatency(ctx.now() - _txns.at(addr).issued);
 
@@ -492,22 +446,13 @@ TokenL1::onTransientReq(const Msg &m)
     const bool is_write = m.type == MsgType::TokWriteReq;
     const bool local = m.requestor.cmp == _id.cmp;
     const int total = g.params.totalTokens;
-
-    Msg r;
-    r.type = MsgType::TokResponse;
-    r.addr = m.addr;
-    r.dst = m.requestor;
-    r.requestor = m.requestor;
+    const Tick lat = g.params.l1Latency;
 
     if (is_write) {
         // Give everything; only the owner attaches data.
-        r.tokens = st.tokens;
-        r.owner = st.owner;
-        r.hasData = st.owner;
-        r.value = st.value;
-        r.dirty = st.owner && st.dirty;
+        giveTokens(st, MsgType::TokResponse, m.addr, m.requestor,
+                   st.tokens, st.owner, st.owner, lat);
         _array.invalidate(line);
-        sendTok(std::move(r), g.params.l1Latency);
         return;
     }
 
@@ -517,24 +462,17 @@ TokenL1::onTransientReq(const Msg &m)
                            st.tokens == total;
     if (migratory) {
         ++stats.migratorySends;
-        r.tokens = st.tokens;
-        r.owner = true;
-        r.hasData = true;
-        r.value = st.value;
-        r.dirty = st.dirty;
+        giveTokens(st, MsgType::TokResponse, m.addr, m.requestor,
+                   st.tokens, true, true, lat);
         _array.invalidate(line);
-        sendTok(std::move(r), g.params.l1Latency);
         return;
     }
 
     if (local) {
         // On-chip read: share one token if we can spare one.
         if (st.tokens >= 2 && st.validData) {
-            r.tokens = 1;
-            r.hasData = true;
-            r.value = st.value;
-            st.tokens -= 1;
-            sendTok(std::move(r), g.params.l1Latency);
+            giveTokens(st, MsgType::TokResponse, m.addr, m.requestor, 1,
+                       false, true, lat);
         }
         return;
     }
@@ -544,22 +482,10 @@ TokenL1::onTransientReq(const Msg &m)
     if (!st.owner || !st.validData)
         return;
     const int k = std::min(g.params.cTokens, st.tokens);
-    r.tokens = k;
-    r.owner = (k == st.tokens);
-    r.hasData = true;
-    r.value = st.value;
-    r.dirty = r.owner && st.dirty;
-    st.tokens -= k;
-    if (r.owner) {
-        st.owner = false;
-        st.dirty = false;
-    }
-    if (st.tokens == 0) {
-        st.validData = false;
-        st.locallyModified = false;
+    giveTokens(st, MsgType::TokResponse, m.addr, m.requestor, k,
+               k == st.tokens, true, lat);
+    if (st.tokens == 0)
         _array.invalidate(line);
-    }
-    sendTok(std::move(r), g.params.l1Latency);
 }
 
 // ---------------------------------------------------------------------
@@ -588,11 +514,8 @@ TokenL1::resumeGatedTxn(Addr addr)
 void
 TokenL1::forwardPersistentTokens(Addr addr)
 {
-    const int active = ptable.activeFor(addr);
-    if (active < 0)
-        return;
-    const auto &entry = ptable.entry(active);
-    if (entry.initiator == _id)
+    const PersistentTable::Entry *entry = claimant(addr);
+    if (entry == nullptr)
         return;
 
     Line *line = _array.probe(addr);
@@ -614,34 +537,13 @@ TokenL1::forwardPersistentTokens(Addr addr)
         return;
     }
 
-    const PrForwardPlan plan =
-        planPersistentForward(st, entry.isRead, true);
-    if (plan.empty())
+    if (!givePersistent(st, addr, *entry, true, g.params.l1Latency))
         return;
-
-    Msg r;
-    r.type = MsgType::TokResponse;
-    r.addr = addr;
-    r.dst = entry.initiator;
-    r.requestor = entry.initiator;
-    r.tokens = plan.sendTokens;
-    r.owner = plan.sendOwner;
-    r.hasData = plan.sendData;
-    r.value = st.value;
-    r.dirty = plan.sendOwner && st.dirty;
-
-    st.tokens -= plan.sendTokens;
-    if (plan.sendOwner) {
-        st.owner = false;
-        st.dirty = false;
-    }
     if (st.tokens == 0) {
-        st.validData = false;
         st.locallyModified = false;
         if (_txns.count(addr) == 0)
             _array.invalidate(line);
     }
-    sendTok(std::move(r), g.params.l1Latency);
 }
 
 } // namespace tokencmp

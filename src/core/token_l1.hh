@@ -103,7 +103,6 @@ class TokenL1 : public TokenController, public L1CacheIF
 
     Line *allocLine(Addr addr);
     void evictLine(Line *line);
-    void mergeResponse(Line *line, const Msg &m);
 
     void startMiss(const MemRequest &req);
     void issueTransient(Addr addr, Txn &txn);

@@ -40,46 +40,10 @@ TokenL2::evictLine(Line *line)
     const Addr addr = _array.tagOf(*line);
     TokenSt &st = line->st;
     if (st.tokens > 0 || st.owner) {
-        Msg m;
-        m.addr = addr;
-        m.tokens = st.tokens;
-        m.owner = st.owner;
-        m.hasData = st.owner;
-        m.value = st.value;
-        m.dirty = st.owner && st.dirty;
-
-        const int active = ptable.activeFor(addr);
-        if (active >= 0 &&
-            ptable.entry(active).initiator != _id) {
-            m.type = MsgType::TokResponse;
-            m.dst = ptable.entry(active).initiator;
-            m.requestor = m.dst;
-        } else {
-            m.type = MsgType::TokWriteback;
-            m.dst = ctx.topo.homeOf(addr);
-        }
         ++stats.writebacksOut;
-        sendTok(std::move(m), g.params.l2Latency);
+        evictTokens(st, addr, ctx.topo.homeOf(addr), g.params.l2Latency);
     }
     _array.invalidate(line);
-}
-
-void
-TokenL2::mergeTokens(Line *line, const Msg &m)
-{
-    TokenSt &st = line->st;
-    st.tokens += m.tokens;
-    if (st.tokens > g.params.totalTokens)
-        panic("L2 line exceeds total tokens");
-    if (m.owner) {
-        st.owner = true;
-        st.dirty = m.dirty;
-    }
-    if (m.hasData) {
-        st.value = m.value;
-        st.validData = true;
-    }
-    _array.touch(line);
 }
 
 void
@@ -164,22 +128,13 @@ TokenL2::onLocalRequest(const Msg &m)
     }
 
     TokenSt &st = line->st;
-    Msg r;
-    r.type = MsgType::TokResponse;
-    r.addr = m.addr;
-    r.dst = m.requestor;
-    r.requestor = m.requestor;
-
+    const Tick lat = g.params.l2Latency;
     if (is_write) {
         const bool full = st.tokens == total && st.validData;
-        r.tokens = st.tokens;
-        r.owner = st.owner;
-        r.hasData = st.owner;
-        r.value = st.value;
-        r.dirty = st.owner && st.dirty;
-        _array.invalidate(line);
         ++stats.localResponses;
-        sendTok(std::move(r), g.params.l2Latency);
+        giveTokens(st, MsgType::TokResponse, m.addr, m.requestor,
+                   st.tokens, st.owner, st.owner, lat);
+        _array.invalidate(line);
         if (!full)
             escalate(m);
         return;
@@ -192,24 +147,18 @@ TokenL2::onLocalRequest(const Msg &m)
     }
     const bool migratory = g.params.migratory && st.owner &&
                            st.dirty && st.tokens == total;
+    ++stats.localResponses;
     if (migratory || st.tokens == 1) {
         // Hand over everything we hold (for a single token this is
         // the only way to supply data without losing conservation).
-        r.tokens = st.tokens;
-        r.owner = st.owner;
-        r.hasData = true;
-        r.value = st.value;
-        r.dirty = st.owner && st.dirty;
+        giveTokens(st, MsgType::TokResponse, m.addr, m.requestor,
+                   st.tokens, st.owner, true, lat);
         _array.invalidate(line);
     } else {
-        r.tokens = 1;
-        r.hasData = true;
-        r.value = st.value;
-        st.tokens -= 1;
+        giveTokens(st, MsgType::TokResponse, m.addr, m.requestor, 1,
+                   false, true, lat);
         _array.touch(line);
     }
-    ++stats.localResponses;
-    sendTok(std::move(r), g.params.l2Latency);
 }
 
 void
@@ -276,22 +225,12 @@ TokenL2::onExternalRequest(const Msg &m)
         return;
 
     TokenSt &st = line->st;
-
-    Msg r;
-    r.type = MsgType::TokResponse;
-    r.addr = m.addr;
-    r.dst = m.requestor;
-    r.requestor = m.requestor;
-
+    const Tick lat = g.params.l2Latency;
     if (is_write) {
-        r.tokens = st.tokens;
-        r.owner = st.owner;
-        r.hasData = st.owner;
-        r.value = st.value;
-        r.dirty = st.owner && st.dirty;
-        _array.invalidate(line);
         ++stats.externalResponses;
-        sendTok(std::move(r), g.params.l2Latency);
+        giveTokens(st, MsgType::TokResponse, m.addr, m.requestor,
+                   st.tokens, st.owner, st.owner, lat);
+        _array.invalidate(line);
         return;
     }
 
@@ -303,24 +242,13 @@ TokenL2::onExternalRequest(const Msg &m)
                            st.tokens == total;
     const int k = migratory ? st.tokens
                             : std::min(g.params.cTokens, st.tokens);
-    r.tokens = k;
-    r.owner = (k == st.tokens);
-    r.hasData = true;
-    r.value = st.value;
-    r.dirty = r.owner && st.dirty;
-    st.tokens -= k;
-    if (r.owner) {
-        st.owner = false;
-        st.dirty = false;
-    }
-    if (st.tokens == 0) {
-        st.validData = false;
-        _array.invalidate(line);
-    } else {
-        _array.touch(line);
-    }
     ++stats.externalResponses;
-    sendTok(std::move(r), g.params.l2Latency);
+    giveTokens(st, MsgType::TokResponse, m.addr, m.requestor, k,
+               k == st.tokens, true, lat);
+    if (st.tokens == 0)
+        _array.invalidate(line);
+    else
+        _array.touch(line);
 }
 
 void
@@ -332,57 +260,24 @@ TokenL2::onWriteback(const Msg &m)
     ++stats.writebacksIn;
     _policy->onTokensMoved(m.addr, m.src, m.tokens, m.owner);
     Line *line = allocLine(m.addr);
-    mergeTokens(line, m);
-    forwardPersistentTokens(m.addr);
+    absorbTokens(line->st, m);
+    _array.touch(line);
+    onPersistentTableChange(m.addr);
 }
 
 void
 TokenL2::onPersistentTableChange(Addr addr)
 {
-    forwardPersistentTokens(addr);
-}
-
-void
-TokenL2::forwardPersistentTokens(Addr addr)
-{
-    const int active = ptable.activeFor(addr);
-    if (active < 0)
+    const PersistentTable::Entry *entry = claimant(addr);
+    if (entry == nullptr)
         return;
-    const auto &entry = ptable.entry(active);
-    if (entry.initiator == _id)
-        return;
-
     Line *line = _array.probe(addr);
     if (line == nullptr || (line->st.tokens == 0 && !line->st.owner))
         return;
-    TokenSt &st = line->st;
-
-    const PrForwardPlan plan =
-        planPersistentForward(st, entry.isRead, true);
-    if (plan.empty())
-        return;
-
-    Msg r;
-    r.type = MsgType::TokResponse;
-    r.addr = addr;
-    r.dst = entry.initiator;
-    r.requestor = entry.initiator;
-    r.tokens = plan.sendTokens;
-    r.owner = plan.sendOwner;
-    r.hasData = plan.sendData;
-    r.value = st.value;
-    r.dirty = plan.sendOwner && st.dirty;
-
-    st.tokens -= plan.sendTokens;
-    if (plan.sendOwner) {
-        st.owner = false;
-        st.dirty = false;
-    }
-    if (st.tokens == 0) {
-        st.validData = false;
+    if (givePersistent(line->st, addr, *entry, true, g.params.l2Latency) &&
+        line->st.tokens == 0) {
         _array.invalidate(line);
     }
-    sendTok(std::move(r), g.params.l2Latency);
 }
 
 } // namespace tokencmp

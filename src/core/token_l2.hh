@@ -58,14 +58,12 @@ class TokenL2 : public TokenController
 
     Line *allocLine(Addr addr);
     void evictLine(Line *line);
-    void mergeTokens(Line *line, const Msg &m);
 
     void onLocalRequest(const Msg &m);
     void onExternalRequest(const Msg &m);
     void onWriteback(const Msg &m);
     void escalate(const Msg &m);
     void relayToL1s(const Msg &m);
-    void forwardPersistentTokens(Addr addr);
 
     Array _array;
     std::vector<MachineID> _destScratch;  //!< fan-out scratch buffer

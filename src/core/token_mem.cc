@@ -7,7 +7,12 @@
 namespace tokencmp {
 
 TokenMem::TokenMem(SimContext &ctx, MachineID id, TokenGlobals &g)
-    : TokenController(ctx, id, g)
+    : TokenController(ctx, id, g),
+      _arbiter(*this,
+               [this](Addr addr) {
+                   return persistTargets(this->ctx.topo, addr, _id);
+               },
+               g.params.memCtrlLatency)
 {
     if (id.type != MachineType::Mem)
         panic("TokenMem requires a Mem machine id");
@@ -60,10 +65,11 @@ TokenMem::handleMsg(const Msg &msg)
         handlePersistTableMsg(msg);
         return;
       case MsgType::PersistArbRequest:
-        onArbRequest(msg);
+        ensureBlock(msg.addr);
+        _arbiter.onRequest(msg);
         return;
       case MsgType::PersistArbDone:
-        onArbDone(msg);
+        _arbiter.onDone(msg);
         return;
       default:
         panic("%s: unexpected %s", _id.toString().c_str(),
@@ -80,20 +86,10 @@ TokenMem::onTransientReq(const Msg &m)
     if (b.tokens == 0)
         return;
 
-    const bool is_write = m.type == MsgType::TokWriteReq;
-    Msg r;
-    r.type = MsgType::TokResponse;
-    r.addr = m.addr;
-    r.dst = m.requestor;
-    r.requestor = m.requestor;
-
-    if (is_write) {
-        r.tokens = b.tokens;
-        r.owner = b.owner;
-        r.hasData = b.owner;
-        r.value = g.store.read(m.addr);
-        b.tokens = 0;
-        b.owner = false;
+    bool data;
+    if (m.type == MsgType::TokWriteReq) {
+        data = b.owner;
+        give(b, m.addr, m.requestor, b.tokens, b.owner, data);
     } else {
         // Reads are served only when memory has valid data (== owner).
         if (!b.owner)
@@ -105,24 +101,30 @@ TokenMem::onTransientReq(const Msg &m)
         const int k = b.tokens == g.params.totalTokens
                           ? b.tokens
                           : std::min(g.params.cTokens, b.tokens);
-        r.tokens = k;
-        r.owner = (k == b.tokens);
-        r.hasData = true;
-        r.value = g.store.read(m.addr);
-        b.tokens -= k;
-        if (r.owner)
-            b.owner = false;
+        data = true;
+        give(b, m.addr, m.requestor, k, k == b.tokens, data);
     }
-
-    // Token counts live alongside the data in DRAM (ECC-style), so
-    // every memory response pays one DRAM access.
-    const Tick lat = g.params.memCtrlLatency + g.params.dramLatency;
-    ++stats.dramAccesses;
-    if (r.hasData)
+    if (data)
         ++stats.dataResponses;
     else
         ++stats.tokenOnlyResponses;
-    sendTok(std::move(r), lat);
+}
+
+void
+TokenMem::give(MemBlock &b, Addr addr, const MachineID &dst, int tokens,
+               bool owner, bool data)
+{
+    TokenSt held;
+    held.tokens = b.tokens;
+    held.owner = b.owner;
+    held.value = g.store.read(addr);
+    // Token counts live alongside the data in DRAM (ECC-style), so
+    // every memory response pays one DRAM access.
+    ++stats.dramAccesses;
+    giveTokens(held, MsgType::TokResponse, addr, dst, tokens, owner, data,
+               g.params.memCtrlLatency + g.params.dramLatency);
+    b.tokens = held.tokens;
+    b.owner = held.owner;
 }
 
 void
@@ -144,151 +146,28 @@ TokenMem::onWriteback(const Msg &m)
             ++stats.dramAccesses;
         }
     }
-    forwardPersistentTokens(m.addr);
+    onPersistentTableChange(m.addr);
 }
 
 void
 TokenMem::onPersistentTableChange(Addr addr)
 {
-    forwardPersistentTokens(addr);
-}
-
-void
-TokenMem::forwardPersistentTokens(Addr addr)
-{
-    const int active = ptable.activeFor(addr);
-    if (active < 0)
+    const PersistentTable::Entry *entry = claimant(addr);
+    if (entry == nullptr)
         return;
-    const auto &entry = ptable.entry(active);
-
     auto it = _blocks.find(blockAlign(addr));
     if (it == _blocks.end() || it->second.tokens == 0)
         return;
     MemBlock &b = it->second;
-
-    TokenSt pseudo;
-    pseudo.tokens = b.tokens;
-    pseudo.owner = b.owner;
-    pseudo.validData = b.owner;
+    TokenSt held;
+    held.tokens = b.tokens;
+    held.owner = b.owner;
     const PrForwardPlan plan =
-        planPersistentForward(pseudo, entry.isRead, false);
-    if (plan.empty())
-        return;
-
-    Msg r;
-    r.type = MsgType::TokResponse;
-    r.addr = addr;
-    r.dst = entry.initiator;
-    r.requestor = entry.initiator;
-    r.tokens = plan.sendTokens;
-    r.owner = plan.sendOwner;
-    r.hasData = plan.sendData;
-    r.value = g.store.read(addr);
-
-    b.tokens -= plan.sendTokens;
-    if (plan.sendOwner)
-        b.owner = false;
-
-    const Tick lat = g.params.memCtrlLatency + g.params.dramLatency;
-    ++stats.dramAccesses;
-    sendTok(std::move(r), lat);
-}
-
-// ---------------------------------------------------------------------
-// Arbiter-based activation (Section 3.2)
-// ---------------------------------------------------------------------
-
-void
-TokenMem::onArbRequest(const Msg &m)
-{
-    ensureBlock(m.addr);
-    // The requester's Done may have overtaken this request.
-    const auto orphan = std::make_pair(m.prio, m.reqId);
-    if (_arbOrphans.erase(orphan) != 0)
-        return;
-    ArbReq req;
-    req.addr = blockAlign(m.addr);
-    req.isRead = m.isRead;
-    req.prio = m.prio;
-    req.seq = m.reqId;
-    req.initiator = m.requestor;
-
-    if (_arbBusy) {
-        _arbQueue.push_back(req);
-        stats.arbQueueMax =
-            std::max<std::uint64_t>(stats.arbQueueMax,
-                                    _arbQueue.size());
-        return;
+        planPersistentForward(held, entry->isRead, false);
+    if (!plan.empty()) {
+        give(b, addr, entry->initiator, plan.sendTokens, plan.sendOwner,
+             plan.sendData);
     }
-    activateArb(req);
-}
-
-void
-TokenMem::activateArb(const ArbReq &req)
-{
-    _arbBusy = true;
-    _arbActive = req;
-    ++stats.arbActivations;
-
-    // Apply to the local table first so memory's own tokens flow.
-    ptable.insert(req.prio, req.addr, req.isRead, req.initiator,
-                  req.seq);
-    onPersistentTableChange(req.addr);
-
-    Msg m;
-    m.type = MsgType::PersistArbActivate;
-    m.addr = req.addr;
-    m.isRead = req.isRead;
-    m.prio = req.prio;
-    m.reqId = req.seq;
-    m.requestor = req.initiator;
-    for (const MachineID &t :
-         persistTargets(ctx.topo, req.addr, _id)) {
-        m.dst = t;
-        send(m, g.params.memCtrlLatency);
-    }
-}
-
-void
-TokenMem::onArbDone(const Msg &m)
-{
-    if (_arbBusy && _arbActive.prio == m.prio &&
-        _arbActive.seq == m.reqId) {
-        // Deactivate everywhere, then start the next queued request —
-        // the indirect handoff that hurts under contention (Fig. 2).
-        if (ptable.valid(_arbActive.prio))
-            ptable.erase(_arbActive.prio);
-
-        Msg d;
-        d.type = MsgType::PersistArbDeactivate;
-        d.addr = _arbActive.addr;
-        d.prio = _arbActive.prio;
-        d.reqId = _arbActive.seq;
-        for (const MachineID &t :
-             persistTargets(ctx.topo, _arbActive.addr, _id)) {
-            d.dst = t;
-            send(d, g.params.memCtrlLatency);
-        }
-
-        _arbBusy = false;
-        if (!_arbQueue.empty()) {
-            const ArbReq next = _arbQueue.front();
-            _arbQueue.pop_front();
-            activateArb(next);
-        }
-        return;
-    }
-
-    // Completed before activation: drop it from the queue.
-    for (auto it = _arbQueue.begin(); it != _arbQueue.end(); ++it) {
-        if (it->prio == m.prio && it->seq == m.reqId) {
-            _arbQueue.erase(it);
-            return;
-        }
-    }
-    // Done overtook its own request: remember the orphan so the
-    // stale request is discarded instead of activated forever.
-    _arbOrphans.emplace(m.prio, m.reqId);
 }
 
 } // namespace tokencmp

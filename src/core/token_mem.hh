@@ -14,10 +14,7 @@
 #define TOKENCMP_CORE_TOKEN_MEM_HH
 
 #include <cstdint>
-#include <deque>
-#include <set>
 #include <unordered_map>
-#include <utility>
 
 #include "core/token_common.hh"
 
@@ -33,8 +30,6 @@ class TokenMem : public TokenController
         std::uint64_t tokenOnlyResponses = 0;
         std::uint64_t writebacks = 0;
         std::uint64_t dramAccesses = 0;
-        std::uint64_t arbActivations = 0;
-        std::uint64_t arbQueueMax = 0;
     };
 
     TokenMem(SimContext &ctx, MachineID id, TokenGlobals &g);
@@ -47,6 +42,9 @@ class TokenMem : public TokenController
     int tokensHeld(Addr addr) const;
     bool ownerHeld(Addr addr) const;
 
+    /** The arbiter of arbiter-activated persistent requests. */
+    const PersistentArbiter &arbiter() const { return _arbiter; }
+
   protected:
     void onPersistentTableChange(Addr addr) override;
 
@@ -58,38 +56,16 @@ class TokenMem : public TokenController
         bool owner = false;
     };
 
-    /** One queued arbiter request. */
-    struct ArbReq
-    {
-        Addr addr = 0;
-        bool isRead = false;
-        std::uint8_t prio = 0;
-        MsgSeq seq = 0;
-        MachineID initiator;
-    };
-
     MemBlock &ensureBlock(Addr addr);
 
     void onTransientReq(const Msg &m);
     void onWriteback(const Msg &m);
-    void onArbRequest(const Msg &m);
-    void onArbDone(const Msg &m);
-    void activateArb(const ArbReq &req);
-    void forwardPersistentTokens(Addr addr);
+    /** giveTokens from `b`, with the data read from the store. */
+    void give(MemBlock &b, Addr addr, const MachineID &dst, int tokens,
+              bool owner, bool data);
 
     std::unordered_map<Addr, MemBlock> _blocks;
-
-    bool _arbBusy = false;
-    ArbReq _arbActive;
-    std::deque<ArbReq> _arbQueue;
-    /**
-     * Dones that overtook their own requests (possible on unordered
-     * networks): the matching stale request is discarded on arrival
-     * instead of being activated forever. Found by the Section 5
-     * model checker; our point-to-point links happen to be FIFO, but
-     * the substrate must not depend on that.
-     */
-    std::set<std::pair<std::uint8_t, MsgSeq>> _arbOrphans;
+    PersistentArbiter _arbiter;
 };
 
 } // namespace tokencmp

@@ -31,12 +31,7 @@ HierL1::onRecall(const Msg &m)
         return;
     TokenSt &st = line->st;
     const bool down = m.isRead;  // downgrade: surrender ownership only
-
-    Msg r;
-    r.type = MsgType::TokResponse;
-    r.addr = addr;
-    r.dst = m.requestor;
-    r.requestor = m.requestor;
+    const Tick lat = g.params.l1Latency;
 
     if (down) {
         // The shim needs the owner token (and the authoritative data)
@@ -44,22 +39,12 @@ HierL1::onRecall(const Msg &m)
         // the line remains readable.
         if (!st.owner)
             return;
-        r.tokens = 1;
-        r.owner = true;
-        r.hasData = true;
-        r.value = st.value;
-        r.dirty = st.dirty;
-        st.tokens -= 1;
-        st.owner = false;
-        st.dirty = false;
-        st.locallyModified = false;
         ++hierStats.recallsDown;
-        if (st.tokens == 0) {
-            st.validData = false;
-            if (_txns.count(addr) == 0)
-                _array.invalidate(line);
-        }
-        sendTok(std::move(r), g.params.l1Latency);
+        giveTokens(st, MsgType::TokResponse, addr, m.requestor, 1, true,
+                   true, lat);
+        st.locallyModified = false;
+        if (st.tokens == 0 && _txns.count(addr) == 0)
+            _array.invalidate(line);
         return;
     }
 
@@ -75,16 +60,12 @@ HierL1::onRecall(const Msg &m)
         }
         return;
     }
-    r.tokens = st.tokens;
-    r.owner = st.owner;
-    r.hasData = st.owner;
-    r.value = st.value;
-    r.dirty = st.owner && st.dirty;
-    st = TokenSt{};
     ++hierStats.recallsFull;
+    giveTokens(st, MsgType::TokResponse, addr, m.requestor, st.tokens,
+               st.owner, st.owner, lat);
+    st = TokenSt{};
     if (_txns.count(addr) == 0)
         _array.invalidate(line);
-    sendTok(std::move(r), g.params.l1Latency);
 }
 
 } // namespace tokencmp

@@ -8,7 +8,12 @@ namespace tokencmp {
 
 HierShim::HierShim(SimContext &ctx, MachineID id, TokenGlobals &tg,
                    DirGlobals &dg, unsigned residency_cap)
-    : TokenController(ctx, id, tg), dg(dg), _residencyCap(residency_cap)
+    : TokenController(ctx, id, tg), dg(dg), _residencyCap(residency_cap),
+      _arbiter(*this,
+               [this](Addr) {
+                   return localL1Targets(this->ctx.topo, _id.cmp, _id);
+               },
+               tg.params.l2Latency)
 {
     if (id.type != MachineType::L2Bank)
         panic("HierShim requires an L2 machine id");
@@ -72,10 +77,11 @@ HierShim::handleMsg(const Msg &msg)
         handlePersistTableMsg(msg);
         return;
       case MsgType::PersistArbRequest:
-        onArbRequest(msg);
+        ensureBlock(msg.addr);
+        _arbiter.onRequest(msg);
         return;
       case MsgType::PersistArbDone:
-        onArbDone(msg);
+        _arbiter.onDone(msg);
         return;
       case MsgType::FwdGetS:
       case MsgType::FwdGetX:
@@ -142,50 +148,27 @@ bool
 HierShim::serveLocal(Addr addr, Blk &b, const MachineID &requestor,
                      bool is_write)
 {
-    Msg r;
-    r.type = MsgType::TokResponse;
-    r.addr = addr;
-    r.dst = requestor;
-    r.requestor = requestor;
-
+    int tokens;
+    bool owner = false;
     if (b.chip == ChipState::M) {
         // Full TokenMem semantics: the chip owns the block outright.
         if (is_write) {
             if (b.tokens == 0 && !b.owner)
                 return false;
-            r.tokens = b.tokens;
-            r.owner = b.owner;
-            r.hasData = b.owner;
-            r.value = b.value;
-            r.dirty = b.owner && b.dirty;
             if (b.owner && !b.validData)
                 panic("chip-M owner token without data at shim");
-            b.tokens = 0;
-            if (b.owner) {
-                b.owner = false;
-                b.validData = false;
-                b.dirty = false;
-            }
+            tokens = b.tokens;
+            owner = b.owner;
             b.chipStored = true;
         } else {
             if (!b.owner || b.tokens == 0)
                 return false;  // some local L1 owns; it will serve
             if (!b.validData)
                 panic("chip-M owner token without data at shim");
-            const int k = b.tokens == g.params.totalTokens
-                              ? b.tokens
-                              : std::min(g.params.cTokens, b.tokens);
-            r.tokens = k;
-            r.owner = (k == b.tokens);
-            r.hasData = true;
-            r.value = b.value;
-            r.dirty = r.owner && b.dirty;
-            b.tokens -= k;
-            if (r.owner) {
-                b.owner = false;
-                b.validData = false;
-                b.dirty = false;
-            }
+            tokens = b.tokens == g.params.totalTokens
+                         ? b.tokens
+                         : std::min(g.params.cTokens, b.tokens);
+            owner = tokens == b.tokens;
         }
     } else if (b.chip == ChipState::S || b.chip == ChipState::O) {
         // Anchor invariant: the owner token never leaves below M, so
@@ -195,16 +178,15 @@ HierShim::serveLocal(Addr addr, Blk &b, const MachineID &requestor,
         if (!b.owner || !b.validData)
             panic("chip-%s shim lost its anchor",
                   chipStateName(b.chip));
-        r.tokens = std::min(g.params.cTokens, b.tokens - 1);
-        r.hasData = true;
-        r.value = b.value;
-        b.tokens -= r.tokens;
+        tokens = std::min(g.params.cTokens, b.tokens - 1);
     } else {
         return false;
     }
 
     ++stats.localServes;
-    sendTok(std::move(r), g.params.l2Latency);
+    // Data rides with the owner token and with every read grant.
+    giveTokens(b, MsgType::TokResponse, addr, requestor, tokens, owner,
+               owner || !is_write, g.params.l2Latency);
     return true;
 }
 
@@ -216,33 +198,16 @@ HierShim::onTokensIn(const Msg &m)
     if (m.tokens == 0 && !m.owner)
         return;
     _policy->onTokensMoved(m.addr, m.src, m.tokens, m.owner);
-    b.tokens += m.tokens;
-    if (b.tokens > g.params.totalTokens)
-        panic("%s exceeds the CMP's total tokens",
-              _id.toString().c_str());
-    if (m.hasData) {
-        b.value = m.value;
-        b.validData = true;
-    }
-    if (m.owner) {
-        if (!m.hasData)
-            panic("owner token arrived at shim without data");
-        b.owner = true;
-        b.dirty = m.dirty;
-    }
+    if (m.owner && !m.hasData)
+        panic("owner token arrived at shim without data");
+    absorbTokens(b, m);
     if (b.recall != Recall::None)
         checkRecallDone(blockAlign(m.addr), b);
-    forwardPersistentTokens(m.addr);
+    onPersistentTableChange(m.addr);
 }
 
 void
 HierShim::onPersistentTableChange(Addr addr)
-{
-    forwardPersistentTokens(addr);
-}
-
-void
-HierShim::forwardPersistentTokens(Addr addr)
 {
     const int active = ptable.activeFor(addr);
     if (active < 0)
@@ -252,7 +217,7 @@ HierShim::forwardPersistentTokens(Addr addr)
     auto it = _blocks.find(blockAlign(addr));
     if (it == _blocks.end())
         return;
-    Blk &b = ensureBlock(addr);
+    Blk &b = it->second;
     // While servicing an external request the shim is a pure token
     // sink; completion re-invokes this hook.
     if (b.recall != Recall::None || b.extPending || b.wbPending)
@@ -265,38 +230,14 @@ HierShim::forwardPersistentTokens(Addr addr)
         return;
     }
 
+    const Tick lat = g.params.l2Latency;
     if (b.chip == ChipState::M) {
-        if (b.tokens == 0 && !b.owner)
-            return;
         // Memory-role plan: give everything (chip M may shed the
         // owner token).
-        TokenSt pseudo;
-        pseudo.tokens = b.tokens;
-        pseudo.owner = b.owner;
-        pseudo.validData = b.owner;
-        const PrForwardPlan plan =
-            planPersistentForward(pseudo, entry.isRead, false);
-        if (plan.empty())
-            return;
-        Msg r;
-        r.type = MsgType::TokResponse;
-        r.addr = blockAlign(addr);
-        r.dst = entry.initiator;
-        r.requestor = entry.initiator;
-        r.tokens = plan.sendTokens;
-        r.owner = plan.sendOwner;
-        r.hasData = plan.sendData;
-        r.value = b.value;
-        r.dirty = plan.sendOwner && b.dirty;
-        b.tokens -= plan.sendTokens;
-        if (plan.sendOwner) {
-            b.owner = false;
-            b.validData = false;
-            b.dirty = false;
-        }
-        if (!entry.isRead)
+        if (givePersistent(b, blockAlign(addr), entry, false, lat) &&
+            !entry.isRead) {
             b.chipStored = true;
-        sendTok(std::move(r), g.params.l2Latency);
+        }
         return;
     }
 
@@ -314,28 +255,14 @@ HierShim::forwardPersistentTokens(Addr addr)
             return;
         b.prServedPrio = std::uint8_t(active);
         b.prServedSeq = entry.seq;
-        Msg r;
-        r.type = MsgType::TokResponse;
-        r.addr = blockAlign(addr);
-        r.dst = entry.initiator;
-        r.requestor = entry.initiator;
-        r.tokens = std::max(spare, 0);
-        r.hasData = true;
-        r.value = b.value;
-        b.tokens -= r.tokens;
-        sendTok(std::move(r), g.params.l2Latency);
+        giveTokens(b, MsgType::TokResponse, blockAlign(addr),
+                   entry.initiator, std::max(spare, 0), false, true, lat);
         return;
     }
     // Persistent write: shed spare tokens, upgrade for the rest.
     if (spare > 0) {
-        Msg r;
-        r.type = MsgType::TokResponse;
-        r.addr = blockAlign(addr);
-        r.dst = entry.initiator;
-        r.requestor = entry.initiator;
-        r.tokens = spare;
-        b.tokens -= spare;
-        sendTok(std::move(r), g.params.l2Latency);
+        giveTokens(b, MsgType::TokResponse, blockAlign(addr),
+                   entry.initiator, spare, false, false, lat);
     }
     startFetch(blockAlign(addr), b, entry.initiator, true);
 }
@@ -463,7 +390,7 @@ HierShim::checkFetchComplete(Addr addr, Blk &b)
     const bool demand_valid = b.fetchForValid;
     b.fetchForValid = false;
     if (ptable.activeFor(addr) >= 0)
-        forwardPersistentTokens(addr);
+        onPersistentTableChange(addr);
     else if (demand_valid)
         serveLocal(addr, b, demand, demand_write);
 
@@ -546,7 +473,7 @@ HierShim::tryFinishExternal(Addr addr, Blk &b)
         r.requestor = _id;
         r.acks = 1;
         send(std::move(r), dg.params.l2Latency);
-        forwardPersistentTokens(addr);
+        onPersistentTableChange(addr);
         return;
     }
 
@@ -575,7 +502,7 @@ HierShim::tryFinishExternal(Addr addr, Blk &b)
             r.dirty = false;  // we keep the dirty owner copy (O)
             r.acks = m.acks;
             send(std::move(r), dg.params.l2Latency);
-            forwardPersistentTokens(addr);
+            onPersistentTableChange(addr);
             return;
         }
         if (b.tokens != total) {
@@ -613,7 +540,7 @@ HierShim::tryFinishExternal(Addr addr, Blk &b)
     if (b.fetch != Fetch::None)
         b.fetchHasData = false;
     send(std::move(r), dg.params.l2Latency);
-    forwardPersistentTokens(addr);
+    onPersistentTableChange(addr);
 }
 
 void
@@ -788,100 +715,7 @@ HierShim::onWbGrant(const Msg &m)
     send(std::move(r), dg.params.l2Latency);
     // A demand queued behind the writeback re-fires through the
     // persistent path (transients re-trigger via their own retries).
-    forwardPersistentTokens(addr);
-}
-
-// ---------------------------------------------------------------------
-// Intra-CMP persistent-request arbiter (TokenMem clone; the
-// activate/deactivate broadcast spans only this CMP's L1s)
-// ---------------------------------------------------------------------
-
-void
-HierShim::onArbRequest(const Msg &m)
-{
-    ensureBlock(m.addr);
-    const auto orphan = std::make_pair(m.prio, m.reqId);
-    if (_arbOrphans.erase(orphan) != 0)
-        return;
-    ArbReq req;
-    req.addr = blockAlign(m.addr);
-    req.isRead = m.isRead;
-    req.prio = m.prio;
-    req.seq = m.reqId;
-    req.initiator = m.requestor;
-
-    if (_arbBusy) {
-        _arbQueue.push_back(req);
-        stats.arbQueueMax =
-            std::max<std::uint64_t>(stats.arbQueueMax,
-                                    _arbQueue.size());
-        return;
-    }
-    activateArb(req);
-}
-
-void
-HierShim::activateArb(const ArbReq &req)
-{
-    _arbBusy = true;
-    _arbActive = req;
-    ++stats.arbActivations;
-
-    // Local table first so the shim's own tokens flow (or a fetch
-    // starts) immediately.
-    ptable.insert(req.prio, req.addr, req.isRead, req.initiator,
-                  req.seq);
-    onPersistentTableChange(req.addr);
-
-    Msg m;
-    m.type = MsgType::PersistArbActivate;
-    m.addr = req.addr;
-    m.isRead = req.isRead;
-    m.prio = req.prio;
-    m.reqId = req.seq;
-    m.requestor = req.initiator;
-    for (const MachineID &t :
-         localL1Targets(ctx.topo, _id.cmp, _id)) {
-        m.dst = t;
-        send(m, g.params.l2Latency);
-    }
-}
-
-void
-HierShim::onArbDone(const Msg &m)
-{
-    if (_arbBusy && _arbActive.prio == m.prio &&
-        _arbActive.seq == m.reqId) {
-        if (ptable.valid(_arbActive.prio))
-            ptable.erase(_arbActive.prio);
-
-        Msg d;
-        d.type = MsgType::PersistArbDeactivate;
-        d.addr = _arbActive.addr;
-        d.prio = _arbActive.prio;
-        d.reqId = _arbActive.seq;
-        for (const MachineID &t :
-             localL1Targets(ctx.topo, _id.cmp, _id)) {
-            d.dst = t;
-            send(d, g.params.l2Latency);
-        }
-
-        _arbBusy = false;
-        if (!_arbQueue.empty()) {
-            const ArbReq next = _arbQueue.front();
-            _arbQueue.pop_front();
-            activateArb(next);
-        }
-        return;
-    }
-
-    for (auto it = _arbQueue.begin(); it != _arbQueue.end(); ++it) {
-        if (it->prio == m.prio && it->seq == m.reqId) {
-            _arbQueue.erase(it);
-            return;
-        }
-    }
-    _arbOrphans.emplace(m.prio, m.reqId);
+    onPersistentTableChange(addr);
 }
 
 } // namespace tokencmp

@@ -8,8 +8,8 @@
  *
  *  1. *Intra-CMP token home*: the CMP's T tokens for every block are
  *     materialized here (the per-CMP analogue of TokenMem), including
- *     the arbiter of the persistent-request scheme — local L1s
- *     arbitrate at the shim, never off-chip.
+ *     a PersistentArbiter — local L1s arbitrate at the shim, never
+ *     off-chip, and its broadcasts span only this CMP's L1s.
  *  2. *Chip agent*: towards the home directory the shim is the whole
  *     CMP — it issues GetS/GetX, collects remote invalidation acks,
  *     unblocks the home, and runs the three-phase writeback (the DirL2
@@ -59,9 +59,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <set>
 #include <unordered_map>
-#include <utility>
 
 #include "core/token_common.hh"
 #include "directory/dir_common.hh"
@@ -88,8 +86,6 @@ class HierShim : public TokenController
         std::uint64_t writebacksOut = 0;
         std::uint64_t writebacksCancelled = 0;
         std::uint64_t silentDrops = 0;
-        std::uint64_t arbActivations = 0;
-        std::uint64_t arbQueueMax = 0;
     };
 
     /**
@@ -112,6 +108,9 @@ class HierShim : public TokenController
     int tokensHeld(Addr addr) const;
     bool ownerHeld(Addr addr) const;
     ChipState peekChip(Addr addr) const;
+
+    /** The intra-CMP persistent-request arbiter. */
+    const PersistentArbiter &arbiter() const { return _arbiter; }
 
   protected:
     void onPersistentTableChange(Addr addr) override;
@@ -166,16 +165,6 @@ class HierShim : public TokenController
         bool inLru = false;        //!< residency-queue membership
     };
 
-    /** One queued intra-CMP arbiter request (TokenMem clone). */
-    struct ArbReq
-    {
-        Addr addr = 0;
-        bool isRead = false;
-        std::uint8_t prio = 0;
-        MsgSeq seq = 0;
-        MachineID initiator;
-    };
-
     Blk &ensureBlock(Addr addr);
 
     // Intra half.
@@ -183,7 +172,6 @@ class HierShim : public TokenController
     bool serveLocal(Addr addr, Blk &b, const MachineID &requestor,
                     bool is_write);
     void onTokensIn(const Msg &m);
-    void forwardPersistentTokens(Addr addr);
 
     // Inter half.
     void startFetch(Addr addr, Blk &b, const MachineID &demand,
@@ -205,21 +193,11 @@ class HierShim : public TokenController
     void maybeEvict(Addr just_fetched);
     void startWb(Addr addr, Blk &b);
 
-    // Intra-CMP persistent-request arbiter (TokenMem clone, but the
-    // activate/deactivate broadcast only spans this CMP's L1s).
-    void onArbRequest(const Msg &m);
-    void onArbDone(const Msg &m);
-    void activateArb(const ArbReq &req);
-
     DirGlobals &dg;
     unsigned _residencyCap;
 
     std::unordered_map<Addr, Blk> _blocks;
-
-    bool _arbBusy = false;
-    ArbReq _arbActive;
-    std::deque<ArbReq> _arbQueue;
-    std::set<std::pair<std::uint8_t, MsgSeq>> _arbOrphans;
+    PersistentArbiter _arbiter;
 
     std::deque<Addr> _lru;     //!< FIFO residency queue (lazy entries)
     unsigned _resident = 0;

@@ -1,7 +1,9 @@
 #include "sim/logging.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace tokencmp {
 
@@ -53,6 +55,19 @@ inform(const char *fmt, ...)
     va_start(ap, fmt);
     vreport("info", fmt, ap);
     va_end(ap);
+}
+
+unsigned
+parseCount(const char *text, const char *what, unsigned min)
+{
+    const char *end = text + std::strlen(text);
+    unsigned v = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr != end || ptr == text || v < min) {
+        fatal("%s: expected a whole number >= %u, got '%s'", what, min,
+              text);
+    }
+    return v;
 }
 
 } // namespace tokencmp

@@ -27,6 +27,14 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Print an informational message to stderr. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/**
+ * Parse `text` as a whole decimal count of at least `min`. Anything
+ * else — a sign, trailing characters, an empty string, overflow — is
+ * fatal, naming `what` (the flag or environment variable it came
+ * from).
+ */
+unsigned parseCount(const char *text, const char *what, unsigned min);
+
 } // namespace tokencmp
 
 #endif // TOKENCMP_SIM_LOGGING_HH

@@ -114,7 +114,7 @@ class HierFamily : public ProtocolBuilder
                     double(s->stats.writebacksCancelled));
             out.add("hier.silentDrops", double(s->stats.silentDrops));
             out.add("token.arbActivations",
-                    double(s->stats.arbActivations));
+                    double(s->arbiter().stats.activations));
         }
         out.add("l1.hits", double(hits));
         out.add("l1.misses", double(misses));

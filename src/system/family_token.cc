@@ -86,7 +86,7 @@ class TokenFamily : public ProtocolBuilder
         }
         for (const TokenMem *m : _mems)
             out.add("token.arbActivations",
-                    double(m->stats.arbActivations));
+                    double(m->arbiter().stats.activations));
         out.add("l1.hits", double(hits));
         out.add("l1.misses", double(misses));
 

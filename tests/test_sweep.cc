@@ -13,6 +13,9 @@
 #include <cstdio>
 #include <string>
 
+#include <sys/wait.h>
+
+#include "sim/logging.hh"
 #include "sweep/json.hh"
 #include "sweep/param_grid.hh"
 #include "sweep/sweep_driver.hh"
@@ -51,6 +54,23 @@ writeFile(const std::string &path, const std::string &text)
     ASSERT_NE(f, nullptr) << path;
     std::fputs(text.c_str(), f);
     std::fclose(f);
+}
+
+/** Run `cmd` through the shell; returns its exit status and sets
+ *  `out` to its combined stdout and stderr. */
+int
+runCommand(const std::string &cmd, std::string &out)
+{
+    out.clear();
+    std::FILE *p = popen((cmd + " 2>&1").c_str(), "r");
+    if (p == nullptr)
+        return -1;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), p)) > 0)
+        out.append(buf, n);
+    const int status = pclose(p);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 std::string
@@ -595,6 +615,62 @@ TEST(SweepDriverDeathTest, DeeplyNestedJournalLineIsFatal)
               "\n{\"type\": \"cell\"}\n");
     EXPECT_DEATH(SweepDriver(grid, fx.opts()),
                  "corrupt line 2: nesting deeper than 256 levels");
+}
+
+// ---- count parsing (sweep CLI flags, bench env knobs) -------------
+
+TEST(ParseCount, AcceptsWholeNumbersAtOrAboveTheMinimum)
+{
+    EXPECT_EQ(parseCount("0", "--procs", 0), 0u);
+    EXPECT_EQ(parseCount("1", "TOKENCMP_SEEDS", 1), 1u);
+    EXPECT_EQ(parseCount("12", "--threads", 1), 12u);
+}
+
+TEST(ParseCountDeathTest, RejectsSignsJunkAndOverflowNamingTheSource)
+{
+    for (const char *bad : {"-1", "abc", "2x", "", " 3", "+3",
+                            "99999999999"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_DEATH(parseCount(bad, "TOKENCMP_PARALLEL", 1),
+                     "TOKENCMP_PARALLEL");
+    }
+    EXPECT_DEATH(parseCount("0", "TOKENCMP_SEEDS", 1), "TOKENCMP_SEEDS");
+}
+
+TEST(SweepCli, RejectsNegativeAndNonNumericCounts)
+{
+    // The grid path does not exist: a flag that slipped through would
+    // fail on the grid instead, without naming the flag.
+    const std::string tool = TOKENCMP_SWEEP_TOOL;
+    const std::string grid = tmpPath("no_such_grid.json");
+    for (const char *flag : {"--threads", "--procs", "--stop-after"}) {
+        for (const char *value : {"-1", "abc"}) {
+            SCOPED_TRACE(std::string(flag) + " " + value);
+            std::string out;
+            EXPECT_EQ(runCommand(tool + " --grid " + grid + " " + flag +
+                                     " " + value,
+                                 out),
+                      1);
+            EXPECT_NE(out.find(flag), std::string::npos) << out;
+        }
+    }
+    std::string out;
+    EXPECT_EQ(runCommand(tool + " --grid " + grid + " --threads 0", out),
+              1);
+    EXPECT_NE(out.find("--threads"), std::string::npos) << out;
+}
+
+TEST(SweepCli, ZeroProcsAndStopAfterKeepTheirMeaning)
+{
+    const std::string grid = tmpPath("zero_counts.json");
+    writeFile(grid, kTinyGrid);
+    std::string out;
+    EXPECT_EQ(runCommand(std::string(TOKENCMP_SWEEP_TOOL) + " --grid " +
+                             grid + " --procs 0 --stop-after 0 --list",
+                         out),
+              0)
+        << out;
+    EXPECT_NE(out.find("grid tiny: 4 cells"), std::string::npos) << out;
 }
 
 } // namespace tokencmp::test

@@ -122,13 +122,13 @@ main(int argc, char **argv)
         } else if (std::strcmp(a, "--out") == 0) {
             outPath = argOf(i);
         } else if (std::strcmp(a, "--threads") == 0) {
-            opts.threads = unsigned(std::atoi(argOf(i)));
+            opts.threads = parseCount(argOf(i), a, 1);
         } else if (std::strcmp(a, "--procs") == 0) {
-            opts.processes = unsigned(std::atoi(argOf(i)));
+            opts.processes = parseCount(argOf(i), a, 0);
         } else if (std::strcmp(a, "--pin") == 0) {
             opts.pin = true;
         } else if (std::strcmp(a, "--stop-after") == 0) {
-            opts.stopAfter = unsigned(std::atoi(argOf(i)));
+            opts.stopAfter = parseCount(argOf(i), a, 0);
         } else if (std::strcmp(a, "--fresh") == 0) {
             fresh = true;
         } else if (std::strcmp(a, "--list") == 0) {
