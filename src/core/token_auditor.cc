@@ -4,34 +4,19 @@
 
 namespace tokencmp {
 
-TokenAuditor::BlockInfo *
-TokenAuditor::find(Addr addr)
-{
-    auto it = _blocks.find(blockAlign(addr));
-    return it == _blocks.end() ? nullptr : &it->second;
-}
-
-const TokenAuditor::BlockInfo *
-TokenAuditor::find(Addr addr) const
-{
-    auto it = _blocks.find(blockAlign(addr));
-    return it == _blocks.end() ? nullptr : &it->second;
-}
-
 void
 TokenAuditor::initBlock(Addr addr)
 {
     if (!_enabled)
         return;
     auto lock = _mu.lock();
-    const Addr blk = blockAlign(addr);
-    if (_blocks.count(blk))
+    bool inserted = false;
+    BlockInfo &info = _blocks.get(addr, &inserted);
+    if (!inserted)
         panic("auditor: block %llx initialized twice",
-              static_cast<unsigned long long>(blk));
-    BlockInfo info;
+              static_cast<unsigned long long>(blockAlign(addr)));
     info.held = _total;
     info.ownerHeld = 1;
-    _blocks.emplace(blk, info);
 }
 
 void
@@ -40,7 +25,7 @@ TokenAuditor::onSend(Addr addr, int tokens, bool owner, bool has_data)
     if (!_enabled)
         return;
     auto lock = _mu.lock();
-    BlockInfo *b = find(addr);
+    BlockInfo *b = _blocks.find(addr);
     if (b == nullptr)
         panic("auditor: send for untracked block %llx",
               static_cast<unsigned long long>(addr));
@@ -65,7 +50,7 @@ TokenAuditor::onReceive(Addr addr, int tokens, bool owner)
     if (!_enabled)
         return;
     auto lock = _mu.lock();
-    BlockInfo *b = find(addr);
+    BlockInfo *b = _blocks.find(addr);
     if (b == nullptr)
         panic("auditor: receive for untracked block %llx",
               static_cast<unsigned long long>(addr));
@@ -83,7 +68,7 @@ TokenAuditor::checkLocked(Addr addr) const
 {
     if (!_enabled)
         return;
-    const BlockInfo *b = find(addr);
+    const BlockInfo *b = _blocks.find(addr);
     if (b == nullptr)
         return;
     const auto a = static_cast<unsigned long long>(blockAlign(addr));
@@ -113,13 +98,13 @@ TokenAuditor::checkAll(bool expect_quiescent) const
     if (!_enabled)
         return;
     auto lock = _mu.lock();
-    for (const auto &[addr, info] : _blocks) {
+    _blocks.forEach([&](Addr addr, const BlockInfo &info) {
         checkLocked(addr);
         if (expect_quiescent && info.inFlight != 0)
             panic("auditor: %d tokens in flight at quiescence "
                   "(block %llx)",
                   info.inFlight, static_cast<unsigned long long>(addr));
-    }
+    });
 }
 
 std::size_t

@@ -18,8 +18,8 @@
 #define TOKENCMP_CORE_TOKEN_AUDITOR_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "mem/block_table.hh"
 #include "sim/optional_mutex.hh"
 #include "sim/types.hh"
 
@@ -74,9 +74,6 @@ class TokenAuditor
         int ownerInFlight = 0; //!< owner tokens on the wire
     };
 
-    BlockInfo *find(Addr addr);
-    const BlockInfo *find(Addr addr) const;
-
     /** Lock held variant of check() (callers already own _mu). */
     void checkLocked(Addr addr) const;
 
@@ -85,7 +82,7 @@ class TokenAuditor
     /** Engaged only after setThreadSafe(true). */
     OptionalMutex _mu;
     std::uint64_t _transfers = 0;
-    std::unordered_map<Addr, BlockInfo> _blocks;
+    BlockTable<BlockInfo> _blocks;
 };
 
 } // namespace tokencmp

@@ -33,7 +33,7 @@ TokenL1::cpuRequest(const MemRequest &req)
     const Addr addr = blockAlign(req.addr);
     if (_id.type == MachineType::L1I && req.op != MemOp::Ifetch)
         panic("non-fetch op at L1I");
-    if (_txns.count(addr))
+    if (_txns.find(addr))
         panic("duplicate outstanding miss at %s", _id.toString().c_str());
 
     Line *line = _array.probe(addr);
@@ -80,25 +80,23 @@ TokenL1::startMiss(const MemRequest &req)
     const Addr addr = blockAlign(req.addr);
     allocLine(addr);
 
-    Txn txn;
+    Txn &txn = _txns.get(addr);
     txn.req = req;
     txn.isWrite = isWriteOp(req.op);
     txn.issued = ctx.now();
-    auto [it, ok] = _txns.emplace(addr, std::move(txn));
-    (void)ok;
 
-    if (_policy->maxTransients(it->second.isWrite) == 0) {
-        issuePersistent(addr, it->second);
+    if (_policy->maxTransients(txn.isWrite) == 0) {
+        issuePersistent(addr, txn);
         return;
     }
     if (_policy->shouldGoPersistent(addr, 0)) {
         ++stats.predictedPersistents;
-        issuePersistent(addr, it->second);
+        issuePersistent(addr, txn);
         return;
     }
-    it->second.attempts = 1;
-    issueTransient(addr, it->second);
-    armTimeout(addr, it->second);
+    txn.attempts = 1;
+    issueTransient(addr, txn);
+    armTimeout(addr, txn);
 }
 
 // ---------------------------------------------------------------------
@@ -112,7 +110,7 @@ TokenL1::allocLine(Addr addr)
     if (line != nullptr)
         return line;
     Line *victim = _array.victimWhere(addr, [this](const Line &l) {
-        return _txns.count(_array.tagOf(l)) == 0;
+        return !_txns.find(_array.tagOf(l));
     });
     if (victim == nullptr)
         panic("all ways pinned at %s", _id.toString().c_str());
@@ -188,12 +186,10 @@ TokenL1::armTimeout(Addr addr, Txn &txn)
 void
 TokenL1::onTimeout(Addr addr, std::uint64_t gen)
 {
-    auto it = _txns.find(addr);
-    if (it == _txns.end() || it->second.gen != gen ||
-        it->second.persistent) {
+    Txn *pending = _txns.find(addr);
+    if (pending == nullptr || pending->gen != gen || pending->persistent)
         return;
-    }
-    Txn &txn = it->second;
+    Txn &txn = *pending;
     _policy->onRetry(addr, ctx.rng);
     if (txn.attempts < _policy->maxTransients(txn.isWrite)) {
         ++txn.attempts;
@@ -314,10 +310,10 @@ TokenL1::deactivatePersistent(Addr addr, Txn &txn)
 void
 TokenL1::tryComplete(Addr addr)
 {
-    auto it = _txns.find(addr);
-    if (it == _txns.end())
+    Txn *pending = _txns.find(addr);
+    if (pending == nullptr)
         return;
-    Txn &txn = it->second;
+    Txn &txn = *pending;
     Line *line = _array.probe(addr);
     if (line == nullptr)
         panic("transaction without a pinned line");
@@ -359,8 +355,8 @@ TokenL1::tryComplete(Addr addr)
     res.latency = ctx.now() - txn.req.issued;
     auto cb = txn.req.callback;
 
-    Txn done = std::move(it->second);
-    _txns.erase(it);
+    Txn done = std::move(txn);
+    _txns.erase(addr);
     deactivatePersistent(addr, done);
     cb(res);
 }
@@ -419,8 +415,10 @@ TokenL1::onResponse(const Msg &m)
 
     absorbTokens(line->st, m);
     _array.touch(line);
-    if (m.src.type == MachineType::Mem && _txns.count(addr))
-        observeMemLatency(ctx.now() - _txns.at(addr).issued);
+    if (m.src.type == MachineType::Mem) {
+        if (const Txn *txn = _txns.find(addr))
+            observeMemLatency(ctx.now() - txn->issued);
+    }
 
     tryComplete(addr);
     forwardPersistentTokens(addr);
@@ -435,7 +433,7 @@ TokenL1::onTransientReq(const Msg &m)
     // Competing for this block ourselves, or an active persistent
     // request owns the tokens, or we're inside the response-delay
     // window: stay silent; the requester retries or escalates.
-    if (_txns.count(m.addr))
+    if (_txns.find(m.addr))
         return;
     if (ptable.activeFor(m.addr) >= 0)
         return;
@@ -502,13 +500,13 @@ TokenL1::onPersistentTableChange(Addr addr)
 void
 TokenL1::resumeGatedTxn(Addr addr)
 {
-    auto it = _txns.find(addr);
-    if (it == _txns.end() || !it->second.gatePending)
+    Txn *txn = _txns.find(addr);
+    if (txn == nullptr || !txn->gatePending)
         return;
     if (ptable.anyMarkedFor(addr))
         return;
-    it->second.gatePending = false;
-    activatePersistent(addr, it->second);
+    txn->gatePending = false;
+    activatePersistent(addr, *txn);
 }
 
 void
@@ -541,7 +539,7 @@ TokenL1::forwardPersistentTokens(Addr addr)
         return;
     if (st.tokens == 0) {
         st.locallyModified = false;
-        if (_txns.count(addr) == 0)
+        if (!_txns.find(addr))
             _array.invalidate(line);
     }
 }

@@ -16,10 +16,10 @@
 #define TOKENCMP_CORE_TOKEN_L1_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "core/token_common.hh"
 #include "cpu/sequencer.hh"
+#include "mem/block_table.hh"
 #include "mem/cache_array.hh"
 
 namespace tokencmp {
@@ -122,7 +122,7 @@ class TokenL1 : public TokenController, public L1CacheIF
     void observeMemLatency(Tick sample);
 
     Array _array;
-    std::unordered_map<Addr, Txn> _txns;
+    BlockTable<Txn> _txns;
     std::vector<MachineID> _destScratch;  //!< fan-out scratch buffer
     double _ewmaMemLat;  //!< EWMA of memory response latency (ticks)
 

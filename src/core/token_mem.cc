@@ -21,30 +21,28 @@ TokenMem::TokenMem(SimContext &ctx, MachineID id, TokenGlobals &g)
 TokenMem::MemBlock &
 TokenMem::ensureBlock(Addr addr)
 {
-    const Addr blk = blockAlign(addr);
-    auto it = _blocks.find(blk);
-    if (it == _blocks.end()) {
-        MemBlock b;
+    bool inserted = false;
+    MemBlock &b = _blocks.get(addr, &inserted);
+    if (inserted) {
         b.tokens = g.params.totalTokens;
         b.owner = true;
-        it = _blocks.emplace(blk, b).first;
-        g.auditor.initBlock(blk);
+        g.auditor.initBlock(addr);
     }
-    return it->second;
+    return b;
 }
 
 int
 TokenMem::tokensHeld(Addr addr) const
 {
-    auto it = _blocks.find(blockAlign(addr));
-    return it == _blocks.end() ? -1 : it->second.tokens;
+    const MemBlock *b = _blocks.find(addr);
+    return b == nullptr ? -1 : b->tokens;
 }
 
 bool
 TokenMem::ownerHeld(Addr addr) const
 {
-    auto it = _blocks.find(blockAlign(addr));
-    return it != _blocks.end() && it->second.owner;
+    const MemBlock *b = _blocks.find(addr);
+    return b != nullptr && b->owner;
 }
 
 void
@@ -155,10 +153,10 @@ TokenMem::onPersistentTableChange(Addr addr)
     const PersistentTable::Entry *entry = claimant(addr);
     if (entry == nullptr)
         return;
-    auto it = _blocks.find(blockAlign(addr));
-    if (it == _blocks.end() || it->second.tokens == 0)
+    MemBlock *found = _blocks.find(addr);
+    if (found == nullptr || found->tokens == 0)
         return;
-    MemBlock &b = it->second;
+    MemBlock &b = *found;
     TokenSt held;
     held.tokens = b.tokens;
     held.owner = b.owner;

@@ -14,9 +14,9 @@
 #define TOKENCMP_CORE_TOKEN_MEM_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "core/token_common.hh"
+#include "mem/block_table.hh"
 
 namespace tokencmp {
 
@@ -64,7 +64,7 @@ class TokenMem : public TokenController
     void give(MemBlock &b, Addr addr, const MachineID &dst, int tokens,
               bool owner, bool data);
 
-    std::unordered_map<Addr, MemBlock> _blocks;
+    BlockTable<MemBlock> _blocks;
     PersistentArbiter _arbiter;
 };
 

@@ -29,13 +29,13 @@ DirL1::cpuRequest(const MemRequest &req)
     const Addr addr = blockAlign(req.addr);
     if (_id.type == MachineType::L1I && req.op != MemOp::Ifetch)
         panic("non-fetch op at L1I");
-    if (_txns.count(addr))
+    if (_txns.find(addr))
         panic("duplicate outstanding miss at %s", _id.toString().c_str());
 
     // A block mid-writeback: replay the request when the writeback
     // completes (bounded three-phase exchange).
-    if (_wb.count(addr)) {
-        _wbWaiters[addr].push_back(req);
+    if (_wb.find(addr)) {
+        _wbWaiters.get(addr).push_back(req);
         return;
     }
 
@@ -90,10 +90,9 @@ void
 DirL1::startMiss(const MemRequest &req)
 {
     const Addr addr = blockAlign(req.addr);
-    Txn txn;
+    Txn &txn = _txns.get(addr);
     txn.req = req;
     txn.isWrite = isWriteOp(req.op);
-    _txns.emplace(addr, std::move(txn));
 
     Msg m;
     m.type = txn.isWrite ? MsgType::GetX : MsgType::GetS;
@@ -119,7 +118,7 @@ DirL1::allocLine(Addr addr)
         return line;
     Line *victim = _array.victimWhere(addr, [this](const Line &l) {
         const Addr tag = _array.tagOf(l);
-        return _txns.count(tag) == 0 && _wb.count(tag) == 0;
+        return !_txns.find(tag) && !_wb.find(tag);
     });
     if (victim == nullptr)
         panic("all L1 ways pinned at %s", _id.toString().c_str());
@@ -137,10 +136,9 @@ DirL1::evictLine(Line *line)
     if (st.state == L1State::M || st.state == L1State::E) {
         // Three-phase writeback: ask permission, keep answering
         // forwards from the buffered copy until granted.
-        WbEntry wb;
+        WbEntry &wb = _wb.get(addr);
         wb.value = st.value;
         wb.dirty = st.dirty;
-        _wb.emplace(addr, wb);
         ++stats.writebacks;
         Msg m;
         m.type = MsgType::WbRequest;
@@ -157,11 +155,11 @@ DirL1::evictLine(Line *line)
 void
 DirL1::complete(Addr addr, std::uint64_t value)
 {
-    auto it = _txns.find(addr);
-    if (it == _txns.end())
+    const Txn *txn = _txns.find(addr);
+    if (txn == nullptr)
         panic("completing unknown transaction");
-    const MemRequest req = it->second.req;
-    _txns.erase(it);
+    const MemRequest req = txn->req;
+    _txns.erase(addr);
     MemResult res;
     res.value = value;
     res.latency = ctx.now() - req.issued;
@@ -202,11 +200,11 @@ void
 DirL1::onData(const Msg &m, bool exclusive)
 {
     const Addr addr = m.addr;
-    auto it = _txns.find(addr);
-    if (it == _txns.end())
+    Txn *pending = _txns.find(addr);
+    if (pending == nullptr)
         panic("data response without transaction at %s",
               _id.toString().c_str());
-    Txn &txn = it->second;
+    Txn &txn = *pending;
 
     Line *line = allocLine(addr);
     DirL1St &st = line->st;
@@ -258,9 +256,8 @@ DirL1::onFwd(const Msg &m, bool force)
     const bool wants_exclusive = m.type == MsgType::FwdGetX;
 
     // Forwards to a block mid-writeback are served from the buffer.
-    auto wit = _wb.find(addr);
-    if (wit != _wb.end()) {
-        WbEntry &wb = wit->second;
+    if (WbEntry *pending = _wb.find(addr)) {
+        WbEntry &wb = *pending;
         ++stats.fwdsServed;
         Msg r;
         r.type = wants_exclusive ? MsgType::DataEx : MsgType::Data;
@@ -330,11 +327,11 @@ void
 DirL1::onWbGrant(const Msg &m)
 {
     const Addr addr = m.addr;
-    auto it = _wb.find(addr);
-    if (it == _wb.end())
+    const WbEntry *pending = _wb.find(addr);
+    if (pending == nullptr)
         panic("WbGrant without a pending writeback");
-    const WbEntry wb = it->second;
-    _wb.erase(it);
+    const WbEntry wb = *pending;
+    _wb.erase(addr);
 
     Msg r;
     r.addr = addr;
@@ -352,10 +349,9 @@ DirL1::onWbGrant(const Msg &m)
     send(std::move(r), g.params.l1Latency);
 
     // Replay any CPU requests that arrived during the writeback.
-    auto qit = _wbWaiters.find(addr);
-    if (qit != _wbWaiters.end()) {
-        const std::vector<MemRequest> queued = std::move(qit->second);
-        _wbWaiters.erase(qit);
+    if (std::vector<MemRequest> *waiters = _wbWaiters.find(addr)) {
+        const std::vector<MemRequest> queued = std::move(*waiters);
+        _wbWaiters.erase(addr);
         for (const MemRequest &req : queued)
             cpuRequest(req);
     }

@@ -15,12 +15,12 @@
 #define TOKENCMP_DIRECTORY_DIR_L1_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "directory/dir_common.hh"
 #include "directory/dir_state.hh"
 #include "cpu/sequencer.hh"
+#include "mem/block_table.hh"
 #include "mem/cache_array.hh"
 #include "net/controller.hh"
 
@@ -96,9 +96,9 @@ class DirL1 : public Controller, public L1CacheIF
     void onWbGrant(const Msg &m);
 
     Array _array;
-    std::unordered_map<Addr, Txn> _txns;
-    std::unordered_map<Addr, WbEntry> _wb;
-    std::unordered_map<Addr, std::vector<MemRequest>> _wbWaiters;
+    BlockTable<Txn> _txns;
+    BlockTable<WbEntry> _wb;
+    BlockTable<std::vector<MemRequest>> _wbWaiters;
 
     DirGlobals &g;
 };

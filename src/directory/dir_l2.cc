@@ -30,7 +30,7 @@ DirL2::debugDump() const
                      _id.toString().c_str(),
                      static_cast<unsigned long long>(a), kind);
     };
-    for (const auto &[a, t] : _home) {
+    _home.forEach([&](Addr a, const HomeTxn &t) {
         hdr(a, "HOME");
         std::fprintf(stderr,
                      " isWrite=%d hasData=%d extAcks=%d/%d "
@@ -38,38 +38,36 @@ DirL2::debugDump() const
                      t.isWrite, t.hasData, t.extAcksGot,
                      t.extAcksNeeded, t.localAcksGot,
                      t.localAcksNeeded, t.l1Req.toString().c_str());
-    }
-    for (const auto &[a, t] : _local) {
+    });
+    _local.forEach([&](Addr a, const LocalTxn &t) {
         hdr(a, "LOCAL");
         std::fprintf(stderr, " isWrite=%d acks=%d/%d waitData=%d\n",
                      t.isWrite, t.acksGot, t.acksNeeded,
                      t.waitingData);
-    }
-    for (const auto &[a, t] : _ext) {
+    });
+    _ext.forEach([&](Addr a, const ExtSvc &t) {
         hdr(a, "EXT");
         std::fprintf(stderr, " isWrite=%d isInv=%d acks=%d/%d "
                      "waitData=%d\n",
                      t.isWrite, t.isInv, t.acksGot, t.acksNeeded,
                      t.waitingData);
-    }
-    for (const auto &[a, t] : _wbLocal) {
+    });
+    _wbLocal.forEach([&](Addr a, const WbLocal &t) {
         hdr(a, "WBLOCAL");
         std::fprintf(stderr, " l1=%s\n", t.l1.toString().c_str());
-    }
-    for (const auto &[a, t] : _wbHome) {
+    });
+    _wbHome.forEach([&](Addr a, const HomeWb &t) {
         hdr(a, "WBHOME");
         std::fprintf(stderr, " dirty=%d cancelled=%d\n", t.dirty,
                      t.cancelled);
-    }
-    for (const auto &[a, q] : _deferred) {
-        if (q.empty())
-            continue;
+    });
+    _deferred.forEach([&](Addr a, const std::vector<Msg> &q) {
         hdr(a, "DEFER");
         for (const Msg &m : q)
             std::fprintf(stderr, " [%s from %s]", msgTypeName(m.type),
                          m.requestor.toString().c_str());
         std::fprintf(stderr, "\n");
-    }
+    });
 }
 
 unsigned
@@ -155,9 +153,8 @@ DirL2::startRecall(Line *victim)
     const DirL2St st = victim->st;
     _array.invalidate(victim);
 
-    RecallSvc svc;
+    RecallSvc &svc = _recall.get(addr);
     svc.svcId = ++_svcSeq;
-    _recall.emplace(addr, svc);
 
     // Pull the data back from the owning L1; when it arrives the
     // block flows home through the ordinary three-phase writeback,
@@ -180,10 +177,9 @@ DirL2::evictLine(Line *line)
         if (!st.l2DataValid)
             panic("evicting owner line without data");
         // Three-phase writeback to the home directory.
-        HomeWb wb;
+        HomeWb &wb = _wbHome.get(addr);
         wb.value = st.value;
         wb.dirty = st.l2Dirty;
-        _wbHome.emplace(addr, wb);
         ++stats.wbHomeOut;
         Msg m;
         m.type = MsgType::WbRequest;
@@ -199,7 +195,7 @@ DirL2::evictLine(Line *line)
 void
 DirL2::invalidateChipLine(Addr addr, Line *line)
 {
-    if (_home.count(addr)) {
+    if (_home.find(addr)) {
         // A home transaction still needs the line as its landing slot.
         line->st = DirL2St{};
     } else {
@@ -215,21 +211,19 @@ void
 DirL2::defer(const Msg &m)
 {
     ++stats.deferrals;
-    _deferred[m.addr].push_back(m);
+    _deferred.get(m.addr).push_back(m);
 }
 
 void
 DirL2::pump(Addr addr)
 {
-    auto it = _deferred.find(addr);
-    if (it == _deferred.end() || it->second.empty())
+    std::vector<Msg> *q = _deferred.find(addr);
+    if (q == nullptr || busyForLocal(addr))
         return;
-    if (busyForLocal(addr))
-        return;
-    const Msg next = it->second.front();
-    it->second.pop_front();
-    if (it->second.empty())
-        _deferred.erase(it);
+    const Msg next = q->front();
+    q->erase(q->begin());
+    if (q->empty())
+        _deferred.erase(addr);
     // Re-dispatch from a fresh event to bound recursion, and keep
     // draining: an immediately-granted request creates no busy state,
     // so it must not strand the rest of the queue.
@@ -251,7 +245,7 @@ DirL2::handleMsg(const Msg &msg)
       case MsgType::GetS:
       case MsgType::GetX:
         // FIFO fairness: new requests may not overtake deferred ones.
-        if (busyForLocal(addr) || _deferred.count(addr)) {
+        if (busyForLocal(addr) || _deferred.find(addr)) {
             defer(msg);
             pump(addr);
             return;
@@ -280,10 +274,10 @@ DirL2::handleMsg(const Msg &msg)
         return;
 
       case MsgType::AckCount: {
-        auto it = _home.find(addr);
-        if (it == _home.end())
+        HomeTxn *t = _home.find(addr);
+        if (t == nullptr)
             panic("AckCount without home transaction");
-        it->second.extAcksNeeded = msg.acks;
+        t->extAcksNeeded = msg.acks;
         checkHomeComplete(addr);
         return;
       }
@@ -354,12 +348,11 @@ DirL2::dispatchLocal(const Msg &m)
 
     if (!is_write) {
         if (st.ownerSlot >= 0) {
-            LocalTxn t;
+            LocalTxn &t = _local.get(addr);
             t.isWrite = false;
             t.l1Req = m.requestor;
             t.svcId = ++_svcSeq;
             t.waitingData = true;
-            _local.emplace(addr, t);
             Msg f;
             f.type = MsgType::FwdGetS;
             f.addr = addr;
@@ -393,12 +386,11 @@ DirL2::dispatchLocal(const Msg &m)
     // GetX.
     if (st.chip == ChipState::M) {
         if (st.ownerSlot >= 0) {
-            LocalTxn t;
+            LocalTxn &t = _local.get(addr);
             t.isWrite = true;
             t.l1Req = m.requestor;
             t.svcId = ++_svcSeq;
             t.waitingData = true;
-            _local.emplace(addr, t);
             Msg f;
             f.type = MsgType::FwdGetX;
             f.addr = addr;
@@ -411,12 +403,11 @@ DirL2::dispatchLocal(const Msg &m)
         const std::uint8_t invs =
             st.sharers & ~std::uint8_t(1u << l1Slot(m.requestor));
         if (invs != 0) {
-            LocalTxn t;
+            LocalTxn &t = _local.get(addr);
             t.isWrite = true;
             t.l1Req = m.requestor;
             t.svcId = ++_svcSeq;
             t.acksNeeded = std::popcount(invs);
-            _local.emplace(addr, t);
             Msg inv;
             inv.type = MsgType::Inv;
             inv.addr = addr;
@@ -447,7 +438,7 @@ DirL2::startHomeTxn(const Msg &m, Line *line)
     if (line == nullptr)
         line = allocLine(addr);
 
-    HomeTxn t;
+    HomeTxn &t = _home.get(addr);
     t.isWrite = is_write;
     t.l1Req = m.requestor;
     t.svcId = ++_svcSeq;
@@ -481,7 +472,6 @@ DirL2::startHomeTxn(const Msg &m, Line *line)
     } else {
         ++stats.homeGetS;
     }
-    _home.emplace(addr, t);
 
     Msg req;
     req.type = m.type;
@@ -494,10 +484,10 @@ DirL2::startHomeTxn(const Msg &m, Line *line)
 void
 DirL2::checkHomeComplete(Addr addr)
 {
-    auto it = _home.find(addr);
-    if (it == _home.end())
+    HomeTxn *pending = _home.find(addr);
+    if (pending == nullptr)
         return;
-    HomeTxn &t = it->second;
+    HomeTxn &t = *pending;
     if (!t.hasData || t.extAcksNeeded < 0 ||
         t.extAcksGot < t.extAcksNeeded ||
         t.localAcksGot < t.localAcksNeeded) {
@@ -553,18 +543,18 @@ DirL2::checkHomeComplete(Addr addr)
     }
     send(std::move(unb), g.params.l2Latency);
     _array.touch(line);
-    _home.erase(it);
+    _home.erase(addr);
     pump(addr);
 }
 
 void
 DirL2::onHomeData(const Msg &m)
 {
-    auto it = _home.find(m.addr);
-    if (it == _home.end())
+    HomeTxn *pending = _home.find(m.addr);
+    if (pending == nullptr)
         panic("home data without transaction at %s",
               _id.toString().c_str());
-    HomeTxn &t = it->second;
+    HomeTxn &t = *pending;
     t.hasData = true;
     t.value = m.value;
     t.dirty = m.dirty;
@@ -584,9 +574,9 @@ DirL2::onL1Data(const Msg &m)
 {
     const Addr addr = m.addr;
 
-    auto lit = _local.find(addr);
-    if (lit != _local.end() && lit->second.svcId == m.reqId) {
-        LocalTxn &t = lit->second;
+    LocalTxn *lt = _local.find(addr);
+    if (lt != nullptr && lt->svcId == m.reqId) {
+        LocalTxn &t = *lt;
         Line *line = _array.probe(addr);
         if (line == nullptr)
             panic("local transaction lost its line");
@@ -623,19 +613,18 @@ DirL2::onL1Data(const Msg &m)
             r.dirty = m.dirty;
         }
         send(std::move(r), g.params.l2Latency);
-        _local.erase(lit);
+        _local.erase(addr);
         pump(addr);
         return;
     }
 
-    auto rit = _recall.find(addr);
-    if (rit != _recall.end() && rit->second.svcId == m.reqId) {
+    const RecallSvc *recall = _recall.find(addr);
+    if (recall != nullptr && recall->svcId == m.reqId) {
         // Inclusion-victim recall completed: write the line home.
-        _recall.erase(rit);
-        HomeWb wb;
+        _recall.erase(addr);
+        HomeWb &wb = _wbHome.get(addr);
         wb.value = m.value;
         wb.dirty = m.dirty;
-        _wbHome.emplace(addr, wb);
         ++stats.wbHomeOut;
         Msg req;
         req.type = MsgType::WbRequest;
@@ -647,9 +636,9 @@ DirL2::onL1Data(const Msg &m)
         return;
     }
 
-    auto eit = _ext.find(addr);
-    if (eit != _ext.end() && eit->second.svcId == m.reqId) {
-        ExtSvc &svc = eit->second;
+    ExtSvc *ext = _ext.find(addr);
+    if (ext != nullptr && ext->svcId == m.reqId) {
+        ExtSvc &svc = *ext;
         Line *line = _array.probe(addr);
         if (line == nullptr)
             panic("external service lost its line");
@@ -687,38 +676,38 @@ DirL2::onInvAck(const Msg &m)
                              m.src.type == MachineType::Mem;
 
     if (from_remote) {
-        auto it = _home.find(addr);
-        if (it == _home.end())
+        HomeTxn *t = _home.find(addr);
+        if (t == nullptr)
             panic("remote InvAck without home transaction");
-        ++it->second.extAcksGot;
+        ++t->extAcksGot;
         checkHomeComplete(addr);
         return;
     }
 
     // Local ack: route by service id.
-    auto hit = _home.find(addr);
-    if (hit != _home.end() && hit->second.svcId == m.reqId) {
-        ++hit->second.localAcksGot;
+    HomeTxn *home = _home.find(addr);
+    if (home != nullptr && home->svcId == m.reqId) {
+        ++home->localAcksGot;
         checkHomeComplete(addr);
         return;
     }
-    auto lit = _local.find(addr);
-    if (lit != _local.end() && lit->second.svcId == m.reqId) {
-        LocalTxn &t = lit->second;
+    LocalTxn *lt = _local.find(addr);
+    if (lt != nullptr && lt->svcId == m.reqId) {
+        LocalTxn &t = *lt;
         ++t.acksGot;
         if (t.acksGot >= t.acksNeeded && !t.waitingData) {
             Line *line = _array.probe(addr);
             if (line == nullptr)
                 panic("local transaction lost its line");
             grantExclusiveLocal(line, t.l1Req, t.isWrite);
-            _local.erase(lit);
+            _local.erase(addr);
             pump(addr);
         }
         return;
     }
-    auto eit = _ext.find(addr);
-    if (eit != _ext.end() && eit->second.svcId == m.reqId) {
-        ExtSvc &svc = eit->second;
+    ExtSvc *ext = _ext.find(addr);
+    if (ext != nullptr && ext->svcId == m.reqId) {
+        ExtSvc &svc = *ext;
         ++svc.acksGot;
         if (svc.acksGot >= svc.acksNeeded && !svc.waitingData)
             finishExtSvc(addr);
@@ -738,18 +727,17 @@ DirL2::startExtSvc(const Msg &m)
 
     // Strictly-local work completes without home involvement; defer
     // behind it (bounded, deadlock-free). Never defer behind _home.
-    if (_local.count(addr) || _wbLocal.count(addr) ||
-        _recall.count(addr)) {
+    if (_local.find(addr) || _wbLocal.find(addr) ||
+        _recall.find(addr)) {
         defer(m);
         return;
     }
-    if (_ext.count(addr))
+    if (_ext.find(addr))
         panic("home forwarded two requests for one block");
 
     // Block mid-writeback to home: serve from the buffer.
-    auto wit = _wbHome.find(addr);
-    if (wit != _wbHome.end()) {
-        HomeWb &wb = wit->second;
+    if (HomeWb *pending = _wbHome.find(addr)) {
+        HomeWb &wb = *pending;
         Msg r;
         r.addr = addr;
         r.dst = m.requestor;
@@ -792,7 +780,7 @@ DirL2::startExtSvc(const Msg &m)
             send(std::move(ack), g.params.l2Latency);
             return;
         }
-        ExtSvc svc;
+        ExtSvc &svc = _ext.get(addr);
         svc.isInv = true;
         svc.remote = m.requestor;
         svc.svcId = ++_svcSeq;
@@ -809,7 +797,6 @@ DirL2::startExtSvc(const Msg &m)
             }
         }
         line->st.sharers = 0;
-        _ext.emplace(addr, svc);
         return;
     }
 
@@ -820,7 +807,7 @@ DirL2::startExtSvc(const Msg &m)
               _id.toString().c_str());
     DirL2St &st = line->st;
 
-    ExtSvc svc;
+    ExtSvc &svc = _ext.get(addr);
     svc.isWrite = wants_x;
     svc.remote = m.requestor;
     svc.fwdAcks = m.acks;
@@ -835,7 +822,6 @@ DirL2::startExtSvc(const Msg &m)
         f.requestor = m.requestor;
         f.reqId = svc.svcId;
         send(std::move(f), g.params.l2Latency);
-        _ext.emplace(addr, svc);
         return;
     }
 
@@ -866,22 +852,20 @@ DirL2::startExtSvc(const Msg &m)
             }
         }
         st.sharers = 0;
-        _ext.emplace(addr, svc);
         return;
     }
 
-    _ext.emplace(addr, svc);
     finishExtSvc(addr);
 }
 
 void
 DirL2::finishExtSvc(Addr addr)
 {
-    auto it = _ext.find(addr);
-    if (it == _ext.end())
+    const ExtSvc *pending = _ext.find(addr);
+    if (pending == nullptr)
         panic("finishing unknown external service");
-    const ExtSvc svc = it->second;
-    _ext.erase(it);
+    const ExtSvc svc = *pending;
+    _ext.erase(addr);
 
     Line *line = _array.probe(addr);
     Msg r;
@@ -906,9 +890,8 @@ DirL2::finishExtSvc(Addr addr)
         if (line != nullptr)
             invalidateChipLine(addr, line);
         // A pending upgrade just lost its data.
-        auto hit = _home.find(addr);
-        if (hit != _home.end())
-            hit->second.hasData = false;
+        if (HomeTxn *t = _home.find(addr))
+            t->hasData = false;
         send(std::move(r), g.params.l2Latency);
     } else {
         // Shared forward: we remain the owner chip.
@@ -935,9 +918,7 @@ DirL2::onWbRequest(const Msg &m)
         defer(m);
         return;
     }
-    WbLocal svc;
-    svc.l1 = m.requestor;
-    _wbLocal.emplace(addr, svc);
+    _wbLocal.get(addr).l1 = m.requestor;
     Msg grant_msg;
     grant_msg.type = MsgType::WbGrant;
     grant_msg.addr = addr;
@@ -950,8 +931,7 @@ void
 DirL2::onWbDataOrCancel(const Msg &m)
 {
     const Addr addr = m.addr;
-    auto it = _wbLocal.find(addr);
-    if (it == _wbLocal.end())
+    if (_wbLocal.find(addr) == nullptr)
         panic("writeback data without grant window");
     ++stats.wbLocalIn;
 
@@ -968,7 +948,7 @@ DirL2::onWbDataOrCancel(const Msg &m)
         }
         _array.touch(line);
     }
-    _wbLocal.erase(it);
+    _wbLocal.erase(addr);
     pump(addr);
 }
 
@@ -976,11 +956,11 @@ void
 DirL2::onWbGrantFromHome(const Msg &m)
 {
     const Addr addr = m.addr;
-    auto it = _wbHome.find(addr);
-    if (it == _wbHome.end())
+    const HomeWb *pending = _wbHome.find(addr);
+    if (pending == nullptr)
         panic("home WbGrant without pending writeback");
-    const HomeWb wb = it->second;
-    _wbHome.erase(it);
+    const HomeWb wb = *pending;
+    _wbHome.erase(addr);
 
     Msg r;
     r.addr = addr;

@@ -21,11 +21,11 @@
 #define TOKENCMP_DIRECTORY_DIR_L2_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <vector>
 
 #include "directory/dir_common.hh"
 #include "directory/dir_state.hh"
+#include "mem/block_table.hh"
 #include "mem/cache_array.hh"
 #include "net/controller.hh"
 
@@ -136,14 +136,13 @@ class DirL2 : public Controller
     bool
     busyAny(Addr a) const
     {
-        return _home.count(a) || _local.count(a) ||
-               _wbLocal.count(a) || _wbHome.count(a) ||
-               _recall.count(a);
+        return _home.find(a) || _local.find(a) || _wbLocal.find(a) ||
+               _wbHome.find(a) || _recall.find(a);
     }
     bool
     busyForLocal(Addr a) const
     {
-        return busyAny(a) || _ext.count(a);
+        return busyAny(a) || _ext.find(a);
     }
 
     Line *allocLine(Addr addr);
@@ -170,13 +169,13 @@ class DirL2 : public Controller
     void onWbGrantFromHome(const Msg &m);
 
     Array _array;
-    std::unordered_map<Addr, HomeTxn> _home;
-    std::unordered_map<Addr, LocalTxn> _local;
-    std::unordered_map<Addr, ExtSvc> _ext;
-    std::unordered_map<Addr, WbLocal> _wbLocal;
-    std::unordered_map<Addr, HomeWb> _wbHome;
-    std::unordered_map<Addr, RecallSvc> _recall;
-    std::unordered_map<Addr, std::deque<Msg>> _deferred;
+    BlockTable<HomeTxn> _home;
+    BlockTable<LocalTxn> _local;
+    BlockTable<ExtSvc> _ext;
+    BlockTable<WbLocal> _wbLocal;
+    BlockTable<HomeWb> _wbHome;
+    BlockTable<RecallSvc> _recall;
+    BlockTable<std::vector<Msg>> _deferred;  //!< FIFO per block
     MsgSeq _svcSeq = 0;
 
     DirGlobals &g;

@@ -14,54 +14,48 @@ DirMem::DirMem(SimContext &ctx, MachineID id, DirGlobals &g)
         panic("DirMem requires a Mem machine id");
 }
 
-DirMem::Entry &
-DirMem::entryFor(Addr addr)
-{
-    const Addr blk = blockAlign(addr);
-    auto it = _dir.find(blk);
-    if (it == _dir.end())
-        it = _dir.emplace(blk, Entry{}).first;
-    return it->second;
-}
-
 DirState
 DirMem::peekState(Addr addr) const
 {
-    auto it = _dir.find(blockAlign(addr));
-    return it == _dir.end() ? DirState::Uncached : it->second.state;
+    const Entry *e = _dir.find(addr);
+    return e == nullptr ? DirState::Uncached : e->state;
 }
 
 void
 DirMem::debugDump() const
 {
-    for (const auto &[addr, e] : _dir) {
-        if (!e.busy && e.deferred.empty())
-            continue;
+    _dir.forEach([this](Addr addr, const Entry &e) {
+        const std::vector<Msg> *q = _deferred.find(addr);
+        if (!e.busy && q == nullptr)
+            return;
         std::fprintf(stderr,
                      "  %s block %llx: state=%s busy=%d owner=%d "
                      "presence=%x deferred=%zu",
                      _id.toString().c_str(),
                      static_cast<unsigned long long>(addr),
                      dirStateName(e.state), e.busy, int(e.ownerCmp),
-                     unsigned(e.presence), e.deferred.size());
-        for (const Msg &m : e.deferred)
-            std::fprintf(stderr, " [%s from %s]", msgTypeName(m.type),
-                         m.requestor.toString().c_str());
+                     unsigned(e.presence), q ? q->size() : 0);
+        if (q != nullptr) {
+            for (const Msg &m : *q)
+                std::fprintf(stderr, " [%s from %s]",
+                             msgTypeName(m.type),
+                             m.requestor.toString().c_str());
+        }
         std::fprintf(stderr, "\n");
-    }
+    });
 }
 
 void
 DirMem::handleMsg(const Msg &msg)
 {
-    Entry &e = entryFor(msg.addr);
+    Entry &e = _dir.get(msg.addr);
     switch (msg.type) {
       case MsgType::GetS:
       case MsgType::GetX:
       case MsgType::WbRequest:
         if (e.busy) {
             ++stats.deferrals;
-            e.deferred.push_back(msg);
+            _deferred.get(msg.addr).push_back(msg);
             return;
         }
         dispatch(msg, e);
@@ -106,12 +100,14 @@ void
 DirMem::release(Addr addr, Entry &e)
 {
     e.busy = false;
-    if (e.deferred.empty())
+    std::vector<Msg> *q = _deferred.find(addr);
+    if (q == nullptr)
         return;
-    const Msg next = e.deferred.front();
-    e.deferred.pop_front();
+    const Msg next = q->front();
+    q->erase(q->begin());
+    if (q->empty())
+        _deferred.erase(addr);
     ctx.eventq.schedule(0, [this, next]() { handleMsg(next); });
-    (void)addr;
 }
 
 void
@@ -271,8 +267,7 @@ DirMem::onUnblock(const Msg &m, Entry &e)
     // Directory update occupies the controller briefly before the
     // next deferred request dispatches.
     ctx.eventq.schedule(g.params.memCtrlLatency, [this, addr = m.addr]() {
-        Entry &entry = entryFor(addr);
-        release(blockAlign(addr), entry);
+        release(addr, _dir.get(addr));
     });
 }
 
@@ -310,8 +305,7 @@ DirMem::onWbData(const Msg &m, Entry &e)
     }
 
     ctx.eventq.schedule(g.params.memCtrlLatency, [this, addr = m.addr]() {
-        Entry &entry = entryFor(addr);
-        release(blockAlign(addr), entry);
+        release(addr, _dir.get(addr));
     });
 }
 

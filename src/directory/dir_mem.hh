@@ -14,11 +14,11 @@
 #define TOKENCMP_DIRECTORY_DIR_MEM_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <vector>
 
 #include "directory/dir_common.hh"
 #include "directory/dir_state.hh"
+#include "mem/block_table.hh"
 #include "net/controller.hh"
 
 namespace tokencmp {
@@ -57,10 +57,7 @@ class DirMem : public Controller
         std::uint8_t presence = 0;  //!< sharer CMPs (excluding owner)
         std::int8_t ownerCmp = -1;
         bool busy = false;
-        std::deque<Msg> deferred;
     };
-
-    Entry &entryFor(Addr addr);
 
     /** Latency of a directory dispatch (+DRAM when data supplied). */
     Tick
@@ -84,7 +81,9 @@ class DirMem : public Controller
     void sendInvs(Addr addr, Entry &e, std::uint8_t targets,
                   const MachineID &collector);
 
-    std::unordered_map<Addr, Entry> _dir;
+    BlockTable<Entry> _dir;
+    /** FIFO of requests that arrived while their block was busy. */
+    BlockTable<std::vector<Msg>> _deferred;
     DirGlobals &g;
 };
 

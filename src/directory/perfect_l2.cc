@@ -39,10 +39,11 @@ PerfectL1::cpuRequest(const MemRequest &req)
         lat += 2 * g.linkLatency + g.l2Latency;
         auto *victim = _array.victim(addr);
         if (_array.isValid(*victim))
-            g.holders[_array.tagOf(*victim)] &= ~_selfBit;
+            g.holders.get(_array.tagOf(*victim)) &= ~_selfBit;
         _array.install(victim, addr);
     }
-    g.holders[addr] |= _selfBit;
+    std::uint64_t &holders = g.holders.get(addr);
+    holders |= _selfBit;
 
     // Functional execution against the shared store; writes magically
     // invalidate all other copies so spin loops observe updates.
@@ -51,12 +52,12 @@ PerfectL1::cpuRequest(const MemRequest &req)
         const std::uint64_t next =
             req.op == MemOp::Atomic ? req.rmw(old) : req.operand;
         g.store.write(addr, next);
-        std::uint64_t others = g.holders[addr] & ~_selfBit;
+        std::uint64_t others = holders & ~_selfBit;
         for (std::size_t i = 0; others != 0; ++i, others >>= 1) {
             if ((others & 1) && g.l1s[i] != nullptr)
                 g.l1s[i]->magicInvalidate(addr);
         }
-        g.holders[addr] &= _selfBit;
+        holders &= _selfBit;
     }
 
     auto cb = req.callback;

@@ -13,11 +13,11 @@
 #define TOKENCMP_DIRECTORY_PERFECT_L2_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cpu/sequencer.hh"
 #include "mem/backing_store.hh"
+#include "mem/block_table.hh"
 #include "mem/cache_array.hh"
 #include "net/controller.hh"
 
@@ -34,7 +34,7 @@ struct PerfectGlobals
 
     BackingStore store;
     /** Which L1s (by global controller index) hold each block. */
-    std::unordered_map<Addr, std::uint64_t> holders;
+    BlockTable<std::uint64_t> holders;
     std::vector<PerfectL1 *> l1s;
 };
 

@@ -43,7 +43,7 @@ HierL1::onRecall(const Msg &m)
         giveTokens(st, MsgType::TokResponse, addr, m.requestor, 1, true,
                    true, lat);
         st.locallyModified = false;
-        if (st.tokens == 0 && _txns.count(addr) == 0)
+        if (st.tokens == 0 && !_txns.find(addr))
             _array.invalidate(line);
         return;
     }
@@ -54,7 +54,7 @@ HierL1::onRecall(const Msg &m)
     // installed as its landing slot; its tokens go back too (it will
     // re-gather them, ultimately from the shim after its refetch).
     if (st.tokens == 0 && !st.owner) {
-        if (_txns.count(addr) == 0 && st.validData) {
+        if (!_txns.find(addr) && st.validData) {
             // Token-less valid-data line: nothing to send, just drop.
             _array.invalidate(line);
         }
@@ -64,7 +64,7 @@ HierL1::onRecall(const Msg &m)
     giveTokens(st, MsgType::TokResponse, addr, m.requestor, st.tokens,
                st.owner, st.owner, lat);
     st = TokenSt{};
-    if (_txns.count(addr) == 0)
+    if (!_txns.find(addr))
         _array.invalidate(line);
 }
 

@@ -22,41 +22,39 @@ HierShim::HierShim(SimContext &ctx, MachineID id, TokenGlobals &tg,
 HierShim::Blk &
 HierShim::ensureBlock(Addr addr)
 {
-    const Addr blk = blockAlign(addr);
-    auto it = _blocks.find(blk);
-    if (it == _blocks.end()) {
-        Blk b;
+    bool inserted = false;
+    Blk &b = _blocks.get(addr, &inserted);
+    if (inserted) {
         // The CMP's private token space materializes here: all T
         // tokens (and the owner token) at the shim, but *no* data —
         // data authority at chip I is the home store, reached by a
         // directory fetch.
         b.tokens = g.params.totalTokens;
         b.owner = true;
-        it = _blocks.emplace(blk, b).first;
-        g.auditor.initBlock(blk);
+        g.auditor.initBlock(addr);
     }
-    return it->second;
+    return b;
 }
 
 int
 HierShim::tokensHeld(Addr addr) const
 {
-    auto it = _blocks.find(blockAlign(addr));
-    return it == _blocks.end() ? -1 : it->second.tokens;
+    const Blk *b = _blocks.find(addr);
+    return b == nullptr ? -1 : b->tokens;
 }
 
 bool
 HierShim::ownerHeld(Addr addr) const
 {
-    auto it = _blocks.find(blockAlign(addr));
-    return it != _blocks.end() && it->second.owner;
+    const Blk *b = _blocks.find(addr);
+    return b != nullptr && b->owner;
 }
 
 ChipState
 HierShim::peekChip(Addr addr) const
 {
-    auto it = _blocks.find(blockAlign(addr));
-    return it == _blocks.end() ? ChipState::I : it->second.chip;
+    const Blk *b = _blocks.find(addr);
+    return b == nullptr ? ChipState::I : b->chip;
 }
 
 void
@@ -214,10 +212,10 @@ HierShim::onPersistentTableChange(Addr addr)
         return;
     const auto &entry = ptable.entry(unsigned(active));
 
-    auto it = _blocks.find(blockAlign(addr));
-    if (it == _blocks.end())
+    Blk *found = _blocks.find(addr);
+    if (found == nullptr)
         return;
-    Blk &b = it->second;
+    Blk &b = *found;
     // While servicing an external request the shim is a pure token
     // sink; completion re-invokes this hook.
     if (b.recall != Recall::None || b.extPending || b.wbPending)
@@ -580,10 +578,10 @@ HierShim::scheduleRecallRetry(Addr addr, std::uint64_t gen)
     const Tick period =
         4 * (g.params.l1Latency + g.params.l2Latency);
     ctx.eventq.schedule(period, [this, addr, gen]() {
-        auto it = _blocks.find(addr);
-        if (it == _blocks.end())
+        const Blk *found = _blocks.find(addr);
+        if (found == nullptr)
             return;
-        const Blk &b = it->second;
+        const Blk &b = *found;
         if (b.recall == Recall::None || b.recallGen != gen)
             return;
         ++stats.recallRebroadcasts;
@@ -641,10 +639,10 @@ HierShim::maybeEvict(Addr just_fetched)
     while (_resident > _residencyCap && scans-- > 0 && !_lru.empty()) {
         const Addr a = _lru.front();
         _lru.pop_front();
-        auto it = _blocks.find(a);
-        if (it == _blocks.end() || !it->second.inLru)
+        Blk *found = _blocks.find(a);
+        if (found == nullptr || !found->inLru)
             continue;  // stale queue entry
-        Blk &b = ensureBlock(a);
+        Blk &b = *found;
         const bool busy = b.fetch != Fetch::None ||
                           b.recall != Recall::None || b.wbPending ||
                           b.extPending || ptable.activeFor(a) >= 0;

@@ -59,11 +59,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 
 #include "core/token_common.hh"
 #include "directory/dir_common.hh"
 #include "directory/dir_state.hh"
+#include "mem/block_table.hh"
 
 namespace tokencmp {
 
@@ -196,7 +196,7 @@ class HierShim : public TokenController
     DirGlobals &dg;
     unsigned _residencyCap;
 
-    std::unordered_map<Addr, Blk> _blocks;
+    BlockTable<Blk> _blocks;
     PersistentArbiter _arbiter;
 
     std::deque<Addr> _lru;     //!< FIFO residency queue (lazy entries)

@@ -13,8 +13,8 @@
 #define TOKENCMP_MEM_BACKING_STORE_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "mem/block_table.hh"
 #include "sim/optional_mutex.hh"
 #include "sim/types.hh"
 
@@ -25,10 +25,10 @@ class BackingStore
 {
   public:
     /**
-     * Guard the map with a mutex so home memory controllers on
+     * Guard the table with a mutex so home memory controllers on
      * concurrent shard domains may touch it. Each block has exactly
      * one home, so per-block values are still updated by a single
-     * domain; the lock only protects the map's structure (rehashing
+     * domain; the lock only protects the table's structure (rehashing
      * on insert). Serial runs leave this off and pay nothing.
      */
     void setThreadSafe(bool on) { _mu.enable(on); }
@@ -38,8 +38,8 @@ class BackingStore
     read(Addr addr) const
     {
         auto lock = _mu.lock();
-        auto it = _mem.find(blockAlign(addr));
-        return it == _mem.end() ? 0 : it->second;
+        const std::uint64_t *v = _mem.find(addr);
+        return v == nullptr ? 0 : *v;
     }
 
     /** Update the memory image of a block. */
@@ -47,7 +47,7 @@ class BackingStore
     write(Addr addr, std::uint64_t v)
     {
         auto lock = _mu.lock();
-        _mem[blockAlign(addr)] = v;
+        _mem.get(addr) = v;
     }
 
     /** Number of blocks ever written. */
@@ -61,7 +61,7 @@ class BackingStore
   private:
     /** Engaged only after setThreadSafe(true). */
     OptionalMutex _mu;
-    std::unordered_map<Addr, std::uint64_t> _mem;
+    BlockTable<std::uint64_t> _mem;
 };
 
 } // namespace tokencmp

@@ -54,6 +54,21 @@ TEST(TokenAuditor, DetectsLossAtQuiescence)
     EXPECT_DEATH(a.checkAll(true), "in flight");
 }
 
+TEST(TokenAuditor, DetectsDoubleInit)
+{
+    TokenAuditor a(10);
+    a.initBlock(0x40);
+    // Any address inside the block names the same block.
+    EXPECT_DEATH(a.initBlock(0x47), "initialized twice");
+}
+
+TEST(TokenAuditor, DetectsSendForUntrackedBlock)
+{
+    TokenAuditor a(10);
+    a.initBlock(0x40);
+    EXPECT_DEATH(a.onSend(0x80, 1, false, false), "untracked");
+}
+
 TEST(TokenAuditor, DisabledIsNoOp)
 {
     TokenAuditor a(10, false);
