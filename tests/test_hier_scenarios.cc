@@ -171,6 +171,58 @@ TEST(HierScenario, ResidencyCapForcesChipWritebacks)
     sys.verifyQuiescent();
 }
 
+TEST(HierScenario, ResidencyWritebackRaceWithRemoteStoreIsCancelled)
+{
+    // Same set-conflict pattern as above: each store evicts the L1's
+    // LRU block, whose tokens return to the shim, and the next fetch
+    // completion writes that block home to honour the residency cap.
+    // The seventh store writes back the third block; a remote atomic
+    // on it issued 90 ns later (the race occurs for 2-184 ns) is
+    // forwarded to the shim inside the writeback window, served from
+    // the buffer, and cancels the writeback.
+    SystemConfig cfg = hierCfg();
+    cfg.hierResidencyCap = 2;
+    cfg.l1Bytes = 1024;
+    System sys(cfg);
+    const Addr base = 4 * blockBytes;
+    const Addr stride = 4 * 4 * 8192 * blockBytes;  // same set + bank
+    const Addr victim = base + 2 * stride;
+    for (unsigned i = 0; i < 6; ++i)
+        runStore(sys, 0, base + Addr(i) * stride, 50 + i);
+    drain(sys);
+
+    unsigned done = 0;
+    std::uint64_t old = 0;
+    sys.sequencer(0).store(base + 6 * stride, 56,
+                           [&](const MemResult &) { ++done; });
+    sys.context().eventq.schedule(ns(90), [&]() {
+        sys.sequencer(4).atomic(
+            victim, [](std::uint64_t v) { return v + 1; },
+            [&](const MemResult &r) {
+                old = r.value;
+                ++done;
+            });
+    });
+    sys.context().eventq.runUntil([&]() { return done == 2; });
+    drain(sys);
+
+    EXPECT_GT(sumShims(sys, 0,
+                       [](const HierShim::Stats &st) {
+                           return st.writebacksCancelled;
+                       }),
+              0u);
+    EXPECT_EQ(old, 52u);
+    EXPECT_EQ(runLoad(sys, 12, victim), 53u);
+    for (unsigned i = 0; i < 7; ++i) {
+        const Addr a = base + Addr(i) * stride;
+        if (a != victim) {
+            EXPECT_EQ(runLoad(sys, 8, a), 50u + i);
+        }
+    }
+    drain(sys);
+    sys.verifyQuiescent();
+}
+
 namespace {
 
 /**
