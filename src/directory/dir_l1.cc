@@ -94,16 +94,13 @@ DirL1::startMiss(const MemRequest &req)
     txn.req = req;
     txn.isWrite = isWriteOp(req.op);
 
-    Msg m;
-    m.type = txn.isWrite ? MsgType::GetX : MsgType::GetS;
-    m.addr = addr;
-    m.dst = myL2(addr);
-    m.requestor = _id;
     if (txn.isWrite)
         ++stats.getX;
     else
         ++stats.getS;
-    send(std::move(m), g.params.l1Latency);
+    send(dirMsg(txn.isWrite ? MsgType::GetX : MsgType::GetS, addr,
+                myL2(addr), _id),
+         g.params.l1Latency);
 }
 
 // ---------------------------------------------------------------------
@@ -136,16 +133,10 @@ DirL1::evictLine(Line *line)
     if (st.state == L1State::M || st.state == L1State::E) {
         // Three-phase writeback: ask permission, keep answering
         // forwards from the buffered copy until granted.
-        WbEntry &wb = _wb.get(addr);
-        wb.value = st.value;
-        wb.dirty = st.dirty;
+        _wb.get(addr) = PendingWb{st.value, st.dirty};
         ++stats.writebacks;
-        Msg m;
-        m.type = MsgType::WbRequest;
-        m.addr = addr;
-        m.dst = myL2(addr);
-        m.requestor = _id;
-        send(std::move(m), g.params.l1Latency);
+        send(PendingWb::request(addr, myL2(addr), _id),
+             g.params.l1Latency);
     }
     // S lines are dropped silently; the intra directory tolerates
     // stale sharer bits (spurious Invs are acked from state I).
@@ -239,14 +230,7 @@ DirL1::onInv(const Msg &m)
         }
         _array.invalidate(line);
     }
-    Msg ack;
-    ack.type = MsgType::InvAck;
-    ack.addr = m.addr;
-    ack.dst = m.src;
-    ack.requestor = _id;
-    ack.reqId = m.reqId;
-    ack.acks = 1;
-    send(std::move(ack), g.params.l1Latency);
+    send(invAckMsg(m.addr, m.src, _id, m.reqId), g.params.l1Latency);
 }
 
 void
@@ -256,21 +240,9 @@ DirL1::onFwd(const Msg &m, bool force)
     const bool wants_exclusive = m.type == MsgType::FwdGetX;
 
     // Forwards to a block mid-writeback are served from the buffer.
-    if (WbEntry *pending = _wb.find(addr)) {
-        WbEntry &wb = *pending;
+    if (PendingWb *wb = _wb.find(addr)) {
         ++stats.fwdsServed;
-        Msg r;
-        r.type = wants_exclusive ? MsgType::DataEx : MsgType::Data;
-        r.addr = addr;
-        r.dst = m.src;
-        r.requestor = m.requestor;
-        r.reqId = m.reqId;
-        r.hasData = true;
-        r.value = wb.value;
-        r.dirty = wb.dirty;
-        if (wants_exclusive)
-            wb.cancelled = true;  // ownership moved; cancel on grant
-        send(std::move(r), g.params.l1Latency);
+        send(wb->reply(m, _id, false), g.params.l1Latency);
         return;
     }
 
@@ -293,29 +265,19 @@ DirL1::onFwd(const Msg &m, bool force)
     }
 
     ++stats.fwdsServed;
-    Msg r;
-    r.addr = addr;
-    r.dst = m.src;  // data routes through the L2 (intra directory)
-    r.requestor = m.requestor;
+    // Migratory sharing hands the reader read/write permission.
+    const bool migrate = !wants_exclusive && g.params.migratory &&
+                         st.state == L1State::M && st.locallyStored;
+    // Data routes through the L2 (the intra-CMP directory).
+    Msg r = dataMsg(wants_exclusive || migrate, addr, m.src, m.requestor,
+                    st.value, st.dirty);
     r.reqId = m.reqId;
-    r.hasData = true;
-    r.value = st.value;
-
-    if (wants_exclusive) {
-        r.type = MsgType::DataEx;
-        r.dirty = st.dirty;
-        _array.invalidate(line);
-    } else if (g.params.migratory && st.state == L1State::M &&
-               st.locallyStored) {
-        // Migratory sharing: hand over read/write permission.
-        ++stats.migratorySends;
-        r.type = MsgType::DataEx;
-        r.dirty = st.dirty;
+    if (wants_exclusive || migrate) {
+        if (migrate)
+            ++stats.migratorySends;
         _array.invalidate(line);
     } else {
         // Downgrade; the L2 copy becomes the on-chip authority.
-        r.type = MsgType::Data;
-        r.dirty = st.dirty;
         st.state = L1State::S;
         st.dirty = false;
         st.locallyStored = false;
@@ -327,26 +289,15 @@ void
 DirL1::onWbGrant(const Msg &m)
 {
     const Addr addr = m.addr;
-    const WbEntry *pending = _wb.find(addr);
+    const PendingWb *pending = _wb.find(addr);
     if (pending == nullptr)
         panic("WbGrant without a pending writeback");
-    const WbEntry wb = *pending;
+    const PendingWb wb = *pending;
     _wb.erase(addr);
 
-    Msg r;
-    r.addr = addr;
-    r.dst = m.src;
-    r.requestor = _id;
-    if (wb.cancelled) {
+    if (wb.cancelled)
         ++stats.wbCancels;
-        r.type = MsgType::WbCancel;
-    } else {
-        r.type = MsgType::WbData;
-        r.hasData = wb.dirty;
-        r.value = wb.value;
-        r.dirty = wb.dirty;
-    }
-    send(std::move(r), g.params.l1Latency);
+    send(wb.grantReply(addr, m.src, _id), g.params.l1Latency);
 
     // Replay any CPU requests that arrived during the writeback.
     if (std::vector<MemRequest> *waiters = _wbWaiters.find(addr)) {

@@ -64,14 +64,6 @@ class DirL1 : public Controller, public L1CacheIF
         bool isWrite = false;
     };
 
-    /** A dirty/exclusive eviction awaiting its WbGrant. */
-    struct WbEntry
-    {
-        std::uint64_t value = 0;
-        bool dirty = false;
-        bool cancelled = false;  //!< block taken by a forward meanwhile
-    };
-
     bool isWriteOp(MemOp op) const
     {
         return op == MemOp::Store || op == MemOp::Atomic;
@@ -97,7 +89,7 @@ class DirL1 : public Controller, public L1CacheIF
 
     Array _array;
     BlockTable<Txn> _txns;
-    BlockTable<WbEntry> _wb;
+    BlockTable<PendingWb> _wb;  //!< M/E evictions awaiting WbGrant
     BlockTable<std::vector<MemRequest>> _wbWaiters;
 
     DirGlobals &g;

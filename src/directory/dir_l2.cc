@@ -35,8 +35,8 @@ DirL2::debugDump() const
         std::fprintf(stderr,
                      " isWrite=%d hasData=%d extAcks=%d/%d "
                      "localAcks=%d/%d l1=%s\n",
-                     t.isWrite, t.hasData, t.extAcksGot,
-                     t.extAcksNeeded, t.localAcksGot,
+                     t.isWrite, t.fetch.hasData, t.fetch.acksGot,
+                     t.fetch.acksNeeded, t.localAcksGot,
                      t.localAcksNeeded, t.l1Req.toString().c_str());
     });
     _local.forEach([&](Addr a, const LocalTxn &t) {
@@ -56,7 +56,7 @@ DirL2::debugDump() const
         hdr(a, "WBLOCAL");
         std::fprintf(stderr, " l1=%s\n", t.l1.toString().c_str());
     });
-    _wbHome.forEach([&](Addr a, const HomeWb &t) {
+    _wbHome.forEach([&](Addr a, const PendingWb &t) {
         hdr(a, "WBHOME");
         std::fprintf(stderr, " dirty=%d cancelled=%d\n", t.dirty,
                      t.cancelled);
@@ -126,17 +126,8 @@ DirL2::allocLine(Addr addr)
             return victim;
         }
         if (_array.isValid(*victim) && victim->st.sharers != 0) {
-            Msg inv;
-            inv.type = MsgType::Inv;
-            inv.addr = _array.tagOf(*victim);
-            inv.requestor = _id;
-            inv.reqId = 0;  // acks are ignored
-            for (unsigned s = 0; s < 2 * ctx.topo.procsPerCmp; ++s) {
-                if (victim->st.sharers & (1u << s)) {
-                    inv.dst = l1OfSlot(s);
-                    send(inv, g.params.l2Latency);
-                }
-            }
+            // Service id 0: the acks are ignored.
+            invalidateL1s(_array.tagOf(*victim), victim->st.sharers, 0);
             _array.invalidate(victim);
         }
     }
@@ -159,13 +150,30 @@ DirL2::startRecall(Line *victim)
     // Pull the data back from the owning L1; when it arrives the
     // block flows home through the ordinary three-phase writeback,
     // whose buffer already serves racing forwards.
-    Msg f;
-    f.type = MsgType::FwdGetX;
-    f.addr = addr;
-    f.dst = l1OfSlot(unsigned(st.ownerSlot));
-    f.requestor = _id;
-    f.reqId = svc.svcId;
-    send(std::move(f), g.params.l2Latency);
+    send(dirMsg(MsgType::FwdGetX, addr, l1OfSlot(unsigned(st.ownerSlot)),
+                _id, svc.svcId),
+         g.params.l2Latency);
+}
+
+void
+DirL2::startHomeWb(Addr addr, std::uint64_t value, bool dirty)
+{
+    _wbHome.get(addr) = PendingWb{value, dirty};
+    ++stats.wbHomeOut;
+    send(PendingWb::request(addr, ctx.topo.homeOf(addr), _id),
+         g.params.l2Latency);
+}
+
+void
+DirL2::invalidateL1s(Addr addr, std::uint8_t slots, MsgSeq svc_id)
+{
+    Msg inv = dirMsg(MsgType::Inv, addr, MachineID{}, _id, svc_id);
+    for (unsigned s = 0; s < 2 * ctx.topo.procsPerCmp; ++s) {
+        if (slots & (1u << s)) {
+            inv.dst = l1OfSlot(s);
+            send(inv, g.params.l2Latency);
+        }
+    }
 }
 
 void
@@ -177,16 +185,7 @@ DirL2::evictLine(Line *line)
         if (!st.l2DataValid)
             panic("evicting owner line without data");
         // Three-phase writeback to the home directory.
-        HomeWb &wb = _wbHome.get(addr);
-        wb.value = st.value;
-        wb.dirty = st.l2Dirty;
-        ++stats.wbHomeOut;
-        Msg m;
-        m.type = MsgType::WbRequest;
-        m.addr = addr;
-        m.dst = ctx.topo.homeOf(addr);
-        m.requestor = _id;
-        send(std::move(m), g.params.l2Latency);
+        startHomeWb(addr, st.value, st.l2Dirty);
     }
     // Chip-S lines are dropped silently at the inter level.
     _array.invalidate(line);
@@ -273,14 +272,9 @@ DirL2::handleMsg(const Msg &msg)
         }
         return;
 
-      case MsgType::AckCount: {
-        HomeTxn *t = _home.find(addr);
-        if (t == nullptr)
-            panic("AckCount without home transaction");
-        t->extAcksNeeded = msg.acks;
-        checkHomeComplete(addr);
+      case MsgType::AckCount:
+        onHomeData(msg);
         return;
-      }
 
       case MsgType::InvAck:
         onInvAck(msg);
@@ -311,14 +305,7 @@ DirL2::grantExclusiveLocal(Line *line, const MachineID &l1,
 {
     DirL2St &st = line->st;
     ++stats.grants;
-    Msg r;
-    r.type = MsgType::DataEx;
-    r.addr = _array.tagOf(*line);
-    r.dst = l1;
-    r.requestor = l1;
-    r.hasData = true;
-    r.value = st.value;
-    r.dirty = st.l2Dirty;
+    Msg r = dataMsg(true, _array.tagOf(*line), l1, l1, st.value, st.l2Dirty);
     st.ownerSlot = std::int8_t(l1Slot(l1));
     st.sharers = 0;
     st.l2DataValid = false;
@@ -353,13 +340,10 @@ DirL2::dispatchLocal(const Msg &m)
             t.l1Req = m.requestor;
             t.svcId = ++_svcSeq;
             t.waitingData = true;
-            Msg f;
-            f.type = MsgType::FwdGetS;
-            f.addr = addr;
-            f.dst = l1OfSlot(unsigned(st.ownerSlot));
-            f.requestor = m.requestor;
-            f.reqId = t.svcId;
-            send(std::move(f), g.params.l2Latency);
+            send(dirMsg(MsgType::FwdGetS, addr,
+                        l1OfSlot(unsigned(st.ownerSlot)), m.requestor,
+                        t.svcId),
+                 g.params.l2Latency);
             return;
         }
         if (!st.l2DataValid)
@@ -370,13 +354,8 @@ DirL2::dispatchLocal(const Msg &m)
             return;
         }
         ++stats.grants;
-        Msg r;
-        r.type = MsgType::Data;
-        r.addr = addr;
-        r.dst = m.requestor;
-        r.requestor = m.requestor;
-        r.hasData = true;
-        r.value = st.value;
+        Msg r = dataMsg(false, addr, m.requestor, m.requestor, st.value,
+                        false);
         st.sharers |= (1u << l1Slot(m.requestor));
         _array.touch(line);
         send(std::move(r), g.params.l2Latency);
@@ -391,13 +370,10 @@ DirL2::dispatchLocal(const Msg &m)
             t.l1Req = m.requestor;
             t.svcId = ++_svcSeq;
             t.waitingData = true;
-            Msg f;
-            f.type = MsgType::FwdGetX;
-            f.addr = addr;
-            f.dst = l1OfSlot(unsigned(st.ownerSlot));
-            f.requestor = m.requestor;
-            f.reqId = t.svcId;
-            send(std::move(f), g.params.l2Latency);
+            send(dirMsg(MsgType::FwdGetX, addr,
+                        l1OfSlot(unsigned(st.ownerSlot)), m.requestor,
+                        t.svcId),
+                 g.params.l2Latency);
             return;
         }
         const std::uint8_t invs =
@@ -408,17 +384,7 @@ DirL2::dispatchLocal(const Msg &m)
             t.l1Req = m.requestor;
             t.svcId = ++_svcSeq;
             t.acksNeeded = std::popcount(invs);
-            Msg inv;
-            inv.type = MsgType::Inv;
-            inv.addr = addr;
-            inv.requestor = _id;
-            inv.reqId = t.svcId;
-            for (unsigned s = 0; s < 2 * ctx.topo.procsPerCmp; ++s) {
-                if (invs & (1u << s)) {
-                    inv.dst = l1OfSlot(s);
-                    send(inv, g.params.l2Latency);
-                }
-            }
+            invalidateL1s(addr, invs, t.svcId);
             st.sharers &= std::uint8_t(1u << l1Slot(m.requestor));
             return;
         }
@@ -447,25 +413,13 @@ DirL2::startHomeTxn(const Msg &m, Line *line)
         DirL2St &st = line->st;
         if (st.chip == ChipState::O && st.l2DataValid) {
             // Owner upgrade: we may complete on acks alone.
-            t.hasData = true;
-            t.value = st.value;
-            t.dirty = st.l2Dirty;
+            t.fetch.preset(st.value, st.l2Dirty);
         }
         const std::uint8_t invs =
             st.sharers & ~std::uint8_t(1u << l1Slot(m.requestor));
         if (invs != 0) {
             t.localAcksNeeded = std::popcount(invs);
-            Msg inv;
-            inv.type = MsgType::Inv;
-            inv.addr = addr;
-            inv.requestor = _id;
-            inv.reqId = t.svcId;
-            for (unsigned s = 0; s < 2 * ctx.topo.procsPerCmp; ++s) {
-                if (invs & (1u << s)) {
-                    inv.dst = l1OfSlot(s);
-                    send(inv, g.params.l2Latency);
-                }
-            }
+            invalidateL1s(addr, invs, t.svcId);
             st.sharers &= std::uint8_t(1u << l1Slot(m.requestor));
         }
         ++stats.homeGetX;
@@ -473,12 +427,8 @@ DirL2::startHomeTxn(const Msg &m, Line *line)
         ++stats.homeGetS;
     }
 
-    Msg req;
-    req.type = m.type;
-    req.addr = addr;
-    req.dst = ctx.topo.homeOf(addr);
-    req.requestor = _id;
-    send(std::move(req), g.params.l2Latency);
+    send(dirMsg(m.type, addr, ctx.topo.homeOf(addr), _id),
+         g.params.l2Latency);
 }
 
 void
@@ -488,60 +438,36 @@ DirL2::checkHomeComplete(Addr addr)
     if (pending == nullptr)
         return;
     HomeTxn &t = *pending;
-    if (!t.hasData || t.extAcksNeeded < 0 ||
-        t.extAcksGot < t.extAcksNeeded ||
-        t.localAcksGot < t.localAcksNeeded) {
+    if (!t.fetch.ready() || t.localAcksGot < t.localAcksNeeded)
         return;
-    }
 
     Line *line = _array.probe(addr);
     if (line == nullptr)
         panic("home transaction lost its line");
     DirL2St &st = line->st;
 
-    Msg unb;
-    unb.addr = addr;
-    unb.dst = ctx.topo.homeOf(addr);
-    unb.requestor = _id;
-
-    if (t.isWrite || t.exclusive) {
+    const bool excl = t.isWrite || t.fetch.exclusive;
+    st.value = t.fetch.value;
+    if (excl) {
         st.chip = ChipState::M;
-        st.value = t.value;
-        st.l2Dirty = t.dirty;
+        st.l2Dirty = t.fetch.dirty;
         st.l2DataValid = false;
         st.sharers = 0;
         st.ownerSlot = std::int8_t(l1Slot(t.l1Req));
         if (t.isWrite)
             st.storedHere = true;
-        ++stats.grants;
-        Msg r;
-        r.type = MsgType::DataEx;
-        r.addr = addr;
-        r.dst = t.l1Req;
-        r.requestor = t.l1Req;
-        r.hasData = true;
-        r.value = t.value;
-        r.dirty = t.dirty;
-        send(std::move(r), g.params.l2Latency);
-        unb.type = MsgType::UnblockEx;
     } else {
         st.chip = ChipState::S;
-        st.value = t.value;
         st.l2Dirty = false;
         st.l2DataValid = true;
         st.sharers |= (1u << l1Slot(t.l1Req));
-        ++stats.grants;
-        Msg r;
-        r.type = MsgType::Data;
-        r.addr = addr;
-        r.dst = t.l1Req;
-        r.requestor = t.l1Req;
-        r.hasData = true;
-        r.value = t.value;
-        send(std::move(r), g.params.l2Latency);
-        unb.type = MsgType::Unblock;
     }
-    send(std::move(unb), g.params.l2Latency);
+    ++stats.grants;
+    send(dataMsg(excl, addr, t.l1Req, t.l1Req, t.fetch.value,
+                 excl && t.fetch.dirty),
+         g.params.l2Latency);
+    send(t.fetch.unblock(addr, ctx.topo.homeOf(addr), _id, t.isWrite),
+         g.params.l2Latency);
     _array.touch(line);
     _home.erase(addr);
     pump(addr);
@@ -552,16 +478,9 @@ DirL2::onHomeData(const Msg &m)
 {
     HomeTxn *pending = _home.find(m.addr);
     if (pending == nullptr)
-        panic("home data without transaction at %s",
+        panic("%s without home transaction at %s", msgTypeName(m.type),
               _id.toString().c_str());
-    HomeTxn &t = *pending;
-    t.hasData = true;
-    t.value = m.value;
-    t.dirty = m.dirty;
-    if (m.type == MsgType::DataEx)
-        t.exclusive = true;
-    if (t.extAcksNeeded < 0)
-        t.extAcksNeeded = m.acks;
+    pending->fetch.absorb(m);
     checkHomeComplete(m.addr);
 }
 
@@ -584,14 +503,10 @@ DirL2::onL1Data(const Msg &m)
         const int old_owner = st.ownerSlot;
 
         ++stats.grants;
-        Msg r;
-        r.addr = addr;
-        r.dst = t.l1Req;
-        r.requestor = t.l1Req;
-        r.hasData = true;
-        r.value = m.value;
-
-        if (!t.isWrite && m.type == MsgType::Data) {
+        const bool shared = !t.isWrite && m.type == MsgType::Data;
+        Msg r = dataMsg(!shared, addr, t.l1Req, t.l1Req, m.value,
+                        !shared && m.dirty);
+        if (shared) {
             // Owner downgraded; the L2 copy becomes the on-chip
             // authority and both L1s end up sharers.
             st.l2DataValid = true;
@@ -601,7 +516,6 @@ DirL2::onL1Data(const Msg &m)
                 st.sharers |= (1u << unsigned(old_owner));
             st.ownerSlot = -1;
             st.sharers |= (1u << l1Slot(t.l1Req));
-            r.type = MsgType::Data;
         } else {
             // Migratory read grant or write grant: new exclusive L1.
             st.ownerSlot = std::int8_t(l1Slot(t.l1Req));
@@ -609,8 +523,6 @@ DirL2::onL1Data(const Msg &m)
             st.l2DataValid = false;
             if (t.isWrite)
                 st.storedHere = true;
-            r.type = MsgType::DataEx;
-            r.dirty = m.dirty;
         }
         send(std::move(r), g.params.l2Latency);
         _local.erase(addr);
@@ -622,16 +534,7 @@ DirL2::onL1Data(const Msg &m)
     if (recall != nullptr && recall->svcId == m.reqId) {
         // Inclusion-victim recall completed: write the line home.
         _recall.erase(addr);
-        HomeWb &wb = _wbHome.get(addr);
-        wb.value = m.value;
-        wb.dirty = m.dirty;
-        ++stats.wbHomeOut;
-        Msg req;
-        req.type = MsgType::WbRequest;
-        req.addr = addr;
-        req.dst = ctx.topo.homeOf(addr);
-        req.requestor = _id;
-        send(std::move(req), g.params.l2Latency);
+        startHomeWb(addr, m.value, m.dirty);
         pump(addr);
         return;
     }
@@ -676,11 +579,7 @@ DirL2::onInvAck(const Msg &m)
                              m.src.type == MachineType::Mem;
 
     if (from_remote) {
-        HomeTxn *t = _home.find(addr);
-        if (t == nullptr)
-            panic("remote InvAck without home transaction");
-        ++t->extAcksGot;
-        checkHomeComplete(addr);
+        onHomeData(m);
         return;
     }
 
@@ -736,30 +635,8 @@ DirL2::startExtSvc(const Msg &m)
         panic("home forwarded two requests for one block");
 
     // Block mid-writeback to home: serve from the buffer.
-    if (HomeWb *pending = _wbHome.find(addr)) {
-        HomeWb &wb = *pending;
-        Msg r;
-        r.addr = addr;
-        r.dst = m.requestor;
-        r.requestor = m.requestor;
-        r.reqId = m.reqId;
-        if (m.type == MsgType::Inv) {
-            r.type = MsgType::InvAck;
-            r.acks = 1;
-        } else {
-            r.hasData = true;
-            r.value = wb.value;
-            r.dirty = wb.dirty;
-            r.acks = m.acks;
-            if (m.type == MsgType::FwdGetX) {
-                r.type = MsgType::DataEx;
-                wb.cancelled = true;
-            } else {
-                r.type = MsgType::Data;
-                r.dirty = false;
-            }
-        }
-        send(std::move(r), g.params.l2Latency);
+    if (PendingWb *wb = _wbHome.find(addr)) {
+        send(wb->reply(m, _id, true), g.params.l2Latency);
         return;
     }
 
@@ -771,13 +648,7 @@ DirL2::startExtSvc(const Msg &m)
             line->st.sharers == 0) {
             if (line != nullptr)
                 invalidateChipLine(addr, line);
-            Msg ack;
-            ack.type = MsgType::InvAck;
-            ack.addr = addr;
-            ack.dst = m.requestor;
-            ack.requestor = _id;
-            ack.acks = 1;
-            send(std::move(ack), g.params.l2Latency);
+            send(invAckMsg(addr, m.requestor, _id), g.params.l2Latency);
             return;
         }
         ExtSvc &svc = _ext.get(addr);
@@ -785,17 +656,7 @@ DirL2::startExtSvc(const Msg &m)
         svc.remote = m.requestor;
         svc.svcId = ++_svcSeq;
         svc.acksNeeded = std::popcount(line->st.sharers);
-        Msg inv;
-        inv.type = MsgType::Inv;
-        inv.addr = addr;
-        inv.requestor = _id;
-        inv.reqId = svc.svcId;
-        for (unsigned s = 0; s < 2 * ctx.topo.procsPerCmp; ++s) {
-            if (line->st.sharers & (1u << s)) {
-                inv.dst = l1OfSlot(s);
-                send(inv, g.params.l2Latency);
-            }
-        }
+        invalidateL1s(addr, line->st.sharers, svc.svcId);
         line->st.sharers = 0;
         return;
     }
@@ -815,13 +676,9 @@ DirL2::startExtSvc(const Msg &m)
 
     if (st.ownerSlot >= 0) {
         svc.waitingData = true;
-        Msg f;
-        f.type = m.type;
-        f.addr = addr;
-        f.dst = l1OfSlot(unsigned(st.ownerSlot));
-        f.requestor = m.requestor;
-        f.reqId = svc.svcId;
-        send(std::move(f), g.params.l2Latency);
+        send(dirMsg(m.type, addr, l1OfSlot(unsigned(st.ownerSlot)),
+                    m.requestor, svc.svcId),
+             g.params.l2Latency);
         return;
     }
 
@@ -840,17 +697,7 @@ DirL2::startExtSvc(const Msg &m)
         (wants_x || svc.migratory) ? st.sharers : 0;
     if (invs != 0) {
         svc.acksNeeded = std::popcount(invs);
-        Msg inv;
-        inv.type = MsgType::Inv;
-        inv.addr = addr;
-        inv.requestor = _id;
-        inv.reqId = svc.svcId;
-        for (unsigned s = 0; s < 2 * ctx.topo.procsPerCmp; ++s) {
-            if (invs & (1u << s)) {
-                inv.dst = l1OfSlot(s);
-                send(inv, g.params.l2Latency);
-            }
-        }
+        invalidateL1s(addr, invs, svc.svcId);
         st.sharers = 0;
         return;
     }
@@ -868,39 +715,29 @@ DirL2::finishExtSvc(Addr addr)
     _ext.erase(addr);
 
     Line *line = _array.probe(addr);
-    Msg r;
-    r.addr = addr;
-    r.dst = svc.remote;
-    r.requestor = svc.remote;
-    r.acks = svc.fwdAcks;
-
     if (svc.isInv) {
-        r.type = MsgType::InvAck;
-        r.acks = 1;
         if (line != nullptr)
             invalidateChipLine(addr, line);
-        send(std::move(r), g.params.l2Latency);
-    } else if (svc.isWrite || svc.migratory) {
-        r.type = MsgType::DataEx;
-        r.hasData = true;
-        r.value = svc.value;
-        r.dirty = svc.dirty;
-        if (svc.migratory)
-            ++stats.migratoryChip;
-        if (line != nullptr)
-            invalidateChipLine(addr, line);
-        // A pending upgrade just lost its data.
-        if (HomeTxn *t = _home.find(addr))
-            t->hasData = false;
-        send(std::move(r), g.params.l2Latency);
+        send(invAckMsg(addr, svc.remote, _id), g.params.l2Latency);
     } else {
-        // Shared forward: we remain the owner chip.
-        r.type = MsgType::Data;
-        r.hasData = true;
-        r.value = svc.value;
-        r.dirty = false;
-        if (line != nullptr)
-            line->st.chip = ChipState::O;
+        // Exclusive handoff (write or migratory), or a shared forward
+        // after which we remain the owner chip.
+        const bool exclusive = svc.isWrite || svc.migratory;
+        Msg r = dataMsg(exclusive, addr, svc.remote, svc.remote, svc.value,
+                        exclusive && svc.dirty);
+        r.acks = svc.fwdAcks;
+        if (!exclusive) {
+            if (line != nullptr)
+                line->st.chip = ChipState::O;
+        } else {
+            if (svc.migratory)
+                ++stats.migratoryChip;
+            if (line != nullptr)
+                invalidateChipLine(addr, line);
+            // A pending upgrade just lost its data.
+            if (HomeTxn *t = _home.find(addr))
+                t->fetch.hasData = false;
+        }
         send(std::move(r), g.params.l2Latency);
     }
     pump(addr);
@@ -919,12 +756,8 @@ DirL2::onWbRequest(const Msg &m)
         return;
     }
     _wbLocal.get(addr).l1 = m.requestor;
-    Msg grant_msg;
-    grant_msg.type = MsgType::WbGrant;
-    grant_msg.addr = addr;
-    grant_msg.dst = m.requestor;
-    grant_msg.requestor = m.requestor;
-    send(std::move(grant_msg), g.params.l2Latency);
+    send(dirMsg(MsgType::WbGrant, addr, m.requestor, m.requestor),
+         g.params.l2Latency);
 }
 
 void
@@ -956,25 +789,13 @@ void
 DirL2::onWbGrantFromHome(const Msg &m)
 {
     const Addr addr = m.addr;
-    const HomeWb *pending = _wbHome.find(addr);
+    const PendingWb *pending = _wbHome.find(addr);
     if (pending == nullptr)
         panic("home WbGrant without pending writeback");
-    const HomeWb wb = *pending;
+    const PendingWb wb = *pending;
     _wbHome.erase(addr);
-
-    Msg r;
-    r.addr = addr;
-    r.dst = ctx.topo.homeOf(addr);
-    r.requestor = _id;
-    if (wb.cancelled) {
-        r.type = MsgType::WbCancel;
-    } else {
-        r.type = MsgType::WbData;
-        r.hasData = wb.dirty;
-        r.value = wb.value;
-        r.dirty = wb.dirty;
-    }
-    send(std::move(r), g.params.l2Latency);
+    send(wb.grantReply(addr, ctx.topo.homeOf(addr), _id),
+         g.params.l2Latency);
     pump(addr);
 }
 

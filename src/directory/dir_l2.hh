@@ -72,12 +72,7 @@ class DirL2 : public Controller
     {
         bool isWrite = false;
         MachineID l1Req;
-        bool hasData = false;
-        bool dirty = false;
-        bool exclusive = false;
-        std::uint64_t value = 0;
-        int extAcksNeeded = -1;  //!< unknown until home tells us
-        int extAcksGot = 0;
+        HomeFetch fetch;  //!< the home's data and remote acks
         int localAcksNeeded = 0;
         int localAcksGot = 0;
         MsgSeq svcId = 0;
@@ -116,14 +111,6 @@ class DirL2 : public Controller
         MachineID l1;
     };
 
-    /** Our own chip-to-home writeback awaiting the grant. */
-    struct HomeWb
-    {
-        std::uint64_t value = 0;
-        bool dirty = false;
-        bool cancelled = false;
-    };
-
     /** Inclusion-victim recall: pulling a line back from its L1. */
     struct RecallSvc
     {
@@ -148,6 +135,8 @@ class DirL2 : public Controller
     Line *allocLine(Addr addr);
     void evictLine(Line *line);
     void startRecall(Line *victim);
+    void startHomeWb(Addr addr, std::uint64_t value, bool dirty);
+    void invalidateL1s(Addr addr, std::uint8_t slots, MsgSeq svc_id);
     void invalidateChipLine(Addr addr, Line *line);
     void defer(const Msg &m);
     void pump(Addr addr);
@@ -173,7 +162,7 @@ class DirL2 : public Controller
     BlockTable<LocalTxn> _local;
     BlockTable<ExtSvc> _ext;
     BlockTable<WbLocal> _wbLocal;
-    BlockTable<HomeWb> _wbHome;
+    BlockTable<PendingWb> _wbHome;  //!< our writebacks to the home
     BlockTable<RecallSvc> _recall;
     BlockTable<std::vector<Msg>> _deferred;  //!< FIFO per block
     MsgSeq _svcSeq = 0;

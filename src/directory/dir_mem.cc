@@ -114,10 +114,7 @@ void
 DirMem::sendInvs(Addr addr, Entry &e, std::uint8_t targets,
                  const MachineID &collector)
 {
-    Msg inv;
-    inv.type = MsgType::Inv;
-    inv.addr = addr;
-    inv.requestor = collector;
+    Msg inv = dirMsg(MsgType::Inv, addr, MachineID{}, collector);
     for (unsigned c = 0; c < ctx.topo.numCmps; ++c) {
         if (targets & (1u << c)) {
             inv.dst = ctx.topo.l2BankFor(c, addr);
@@ -135,44 +132,22 @@ DirMem::onGetS(const Msg &m, Entry &e)
     const Addr addr = blockAlign(m.addr);
 
     switch (e.state) {
-      case DirState::Uncached: {
-        // Exclusive-clean grant (MOESI E) to the sole requester.
+      case DirState::Uncached:
+      case DirState::Shared:
+        // Uncached: an exclusive-clean grant (MOESI E) to the sole
+        // requester.
         ++stats.memResponses;
-        Msg r;
-        r.type = MsgType::DataEx;
-        r.addr = addr;
-        r.dst = m.requestor;
-        r.requestor = m.requestor;
-        r.hasData = true;
-        r.value = g.store.read(addr);
-        r.dirty = false;
-        r.acks = 0;
-        send(std::move(r), dispatchLat(true));
+        send(dataMsg(e.state == DirState::Uncached, addr, m.requestor,
+                     m.requestor, g.store.read(addr), false),
+             dispatchLat(true));
         return;
-      }
-      case DirState::Shared: {
-        ++stats.memResponses;
-        Msg r;
-        r.type = MsgType::Data;
-        r.addr = addr;
-        r.dst = m.requestor;
-        r.requestor = m.requestor;
-        r.hasData = true;
-        r.value = g.store.read(addr);
-        r.acks = 0;
-        send(std::move(r), dispatchLat(true));
-        return;
-      }
       case DirState::Owned:
       case DirState::Modified: {
         // Sharing miss: the indirection TokenCMP avoids.
         ++stats.forwards;
-        Msg f;
-        f.type = MsgType::FwdGetS;
-        f.addr = addr;
-        f.dst = ctx.topo.l2BankFor(unsigned(e.ownerCmp), addr);
-        f.requestor = m.requestor;
-        f.acks = 0;
+        Msg f = dirMsg(MsgType::FwdGetS, addr,
+                       ctx.topo.l2BankFor(unsigned(e.ownerCmp), addr),
+                       m.requestor);
         // Migratory transfer permitted only with no other sharers.
         f.owner = e.presence == 0;
         send(std::move(f), dispatchLat(false));
@@ -190,30 +165,13 @@ DirMem::onGetX(const Msg &m, Entry &e)
     const std::uint8_t req_bit = std::uint8_t(1u << req_cmp);
 
     switch (e.state) {
-      case DirState::Uncached: {
-        ++stats.memResponses;
-        Msg r;
-        r.type = MsgType::DataEx;
-        r.addr = addr;
-        r.dst = m.requestor;
-        r.requestor = m.requestor;
-        r.hasData = true;
-        r.value = g.store.read(addr);
-        r.acks = 0;
-        send(std::move(r), dispatchLat(true));
-        return;
-      }
+      case DirState::Uncached:
       case DirState::Shared: {
         const std::uint8_t invs = e.presence & ~req_bit;
         sendInvs(addr, e, invs, m.requestor);
         ++stats.memResponses;
-        Msg r;
-        r.type = MsgType::DataEx;
-        r.addr = addr;
-        r.dst = m.requestor;
-        r.requestor = m.requestor;
-        r.hasData = true;
-        r.value = g.store.read(addr);
+        Msg r = dataMsg(true, addr, m.requestor, m.requestor,
+                        g.store.read(addr), false);
         r.acks = std::popcount(invs);
         send(std::move(r), dispatchLat(true));
         return;
@@ -224,11 +182,8 @@ DirMem::onGetX(const Msg &m, Entry &e)
             // Owner upgrade: acks only, no data.
             const std::uint8_t invs = e.presence & ~req_bit;
             sendInvs(addr, e, invs, m.requestor);
-            Msg a;
-            a.type = MsgType::AckCount;
-            a.addr = addr;
-            a.dst = m.requestor;
-            a.requestor = m.requestor;
+            Msg a = dirMsg(MsgType::AckCount, addr, m.requestor,
+                           m.requestor);
             a.acks = std::popcount(invs);
             send(std::move(a), dispatchLat(false));
             return;
@@ -236,11 +191,9 @@ DirMem::onGetX(const Msg &m, Entry &e)
         const std::uint8_t invs = e.presence & ~req_bit;
         sendInvs(addr, e, invs, m.requestor);
         ++stats.forwards;
-        Msg f;
-        f.type = MsgType::FwdGetX;
-        f.addr = addr;
-        f.dst = ctx.topo.l2BankFor(unsigned(e.ownerCmp), addr);
-        f.requestor = m.requestor;
+        Msg f = dirMsg(MsgType::FwdGetX, addr,
+                       ctx.topo.l2BankFor(unsigned(e.ownerCmp), addr),
+                       m.requestor);
         f.acks = std::popcount(invs);
         send(std::move(f), dispatchLat(false));
         return;
@@ -275,12 +228,8 @@ void
 DirMem::onWbRequest(const Msg &m, Entry &e)
 {
     (void)e;
-    Msg r;
-    r.type = MsgType::WbGrant;
-    r.addr = m.addr;
-    r.dst = m.requestor;
-    r.requestor = m.requestor;
-    send(std::move(r), dispatchLat(false));
+    send(dirMsg(MsgType::WbGrant, m.addr, m.requestor, m.requestor),
+         dispatchLat(false));
 }
 
 void

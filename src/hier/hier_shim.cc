@@ -115,11 +115,11 @@ HierShim::onLocalTransient(const Msg &m)
     Blk &b = ensureBlock(m.addr);
     if (ptable.activeFor(m.addr) >= 0)
         return;  // tokens are reserved for the persistent winner
-    if (b.recall != Recall::None || b.extPending || b.wbPending)
+    const Addr addr = blockAlign(m.addr);
+    if (b.recall != Recall::None || b.extPending || _wb.find(addr))
         return;  // external request first; the L1 will retry
 
     const bool is_write = m.type == MsgType::TokWriteReq;
-    const Addr addr = blockAlign(m.addr);
 
     switch (b.chip) {
       case ChipState::I:
@@ -218,7 +218,7 @@ HierShim::onPersistentTableChange(Addr addr)
     Blk &b = *found;
     // While servicing an external request the shim is a pure token
     // sink; completion re-invokes this hook.
-    if (b.recall != Recall::None || b.extPending || b.wbPending)
+    if (b.recall != Recall::None || b.extPending || _wb.find(addr))
         return;
 
     if (b.chip == ChipState::I) {
@@ -273,59 +273,36 @@ void
 HierShim::startFetch(Addr addr, Blk &b, const MachineID &demand,
                      bool is_write)
 {
-    if (b.fetch != Fetch::None || b.wbPending || b.extPending ||
+    if (b.fetching || _wb.find(addr) || b.extPending ||
         b.recall != Recall::None) {
         return;  // one outstanding; demand re-arrives via retries
     }
-    b.fetch = is_write ? Fetch::GetX : Fetch::GetS;
-    b.fetchHasData = false;
-    b.fetchExclusive = false;
-    b.fetchDirty = false;
-    b.fetchValue = 0;
-    b.acksNeeded = -1;
-    b.acksGot = 0;
+    b.fetching = true;
+    b.fetch = HomeFetch{};
     b.fetchFor = demand;
     b.fetchForWrite = is_write;
     b.fetchForValid = true;
 
-    if (b.chip == ChipState::O) {
-        // Owner upgrade may complete on an AckCount alone: preset the
-        // data we already hold (cleared if a racing Fwd-GetX takes it).
-        b.fetchHasData = true;
-        b.fetchValue = b.value;
-        b.fetchDirty = b.dirty;
-    }
+    // An owner upgrade may complete on an AckCount alone.
+    if (b.chip == ChipState::O)
+        b.fetch.preset(b.value, b.dirty);
 
-    Msg q;
-    q.type = is_write ? MsgType::GetX : MsgType::GetS;
-    q.addr = addr;
-    q.dst = ctx.topo.homeOf(addr);
-    q.requestor = _id;
     ++stats.fetches;
-    send(std::move(q), dg.params.l2Latency);
+    send(dirMsg(is_write ? MsgType::GetX : MsgType::GetS, addr,
+                ctx.topo.homeOf(addr), _id),
+         dg.params.l2Latency);
 }
 
 void
 HierShim::onHomeData(const Msg &m)
 {
     Blk &b = ensureBlock(m.addr);
-    if (b.fetch == Fetch::None)
+    if (!b.fetching)
         panic("%s: home response without fetch",
               _id.toString().c_str());
     if (b.recall != Recall::None || b.extPending)
         panic("home response while servicing an external request");
-
-    if (m.type == MsgType::AckCount) {
-        b.acksNeeded = m.acks;
-    } else {
-        b.fetchHasData = true;
-        b.fetchValue = m.value;
-        b.fetchDirty = m.dirty;
-        if (m.type == MsgType::DataEx)
-            b.fetchExclusive = true;
-        if (b.acksNeeded < 0)
-            b.acksNeeded = m.acks;
-    }
+    b.fetch.absorb(m);
     checkFetchComplete(blockAlign(m.addr), b);
 }
 
@@ -335,33 +312,29 @@ HierShim::onInvAck(const Msg &m)
     if (m.src.cmp == _id.cmp && m.src.type != MachineType::Mem)
         panic("local InvAck at shim (recalls use token responses)");
     Blk &b = ensureBlock(m.addr);
-    if (b.fetch == Fetch::None)
+    if (!b.fetching)
         panic("%s: InvAck without fetch", _id.toString().c_str());
-    ++b.acksGot;
+    b.fetch.absorb(m);
     checkFetchComplete(blockAlign(m.addr), b);
 }
 
 void
 HierShim::checkFetchComplete(Addr addr, Blk &b)
 {
-    if (b.fetch == Fetch::None)
+    if (!b.fetching || !b.fetch.ready())
         return;
-    if (!b.fetchHasData || b.acksNeeded < 0 ||
-        b.acksGot < b.acksNeeded) {
-        return;
-    }
-    const bool excl = b.fetchExclusive || b.fetch == Fetch::GetX;
+    const bool excl = b.fetch.exclusive || b.fetchForWrite;
     const bool upgrade = b.chip != ChipState::I;
-    b.fetch = Fetch::None;
+    b.fetching = false;
 
     // The shim holds the intra owner token in every fetch-start state
     // (I, S and O all anchor it), so it is the intra data authority:
     // adopt the fetched value.
     if (!b.owner)
         panic("fetch completed without the intra owner token home");
-    b.value = b.fetchValue;
+    b.value = b.fetch.value;
     b.validData = true;
-    b.dirty = b.fetchDirty;
+    b.dirty = b.fetch.dirty;
     if (excl) {
         b.chip = ChipState::M;
         if (b.fetchForWrite)
@@ -372,12 +345,9 @@ HierShim::checkFetchComplete(Addr addr, Blk &b)
     if (upgrade)
         ++stats.fetchUpgrades;
 
-    Msg u;
-    u.type = excl ? MsgType::UnblockEx : MsgType::Unblock;
-    u.addr = addr;
-    u.dst = ctx.topo.homeOf(addr);
-    u.requestor = _id;
-    send(std::move(u), dg.params.l2Latency);
+    send(b.fetch.unblock(addr, ctx.topo.homeOf(addr), _id,
+                         b.fetchForWrite),
+         dg.params.l2Latency);
 
     becomeResident(addr, b);
 
@@ -411,29 +381,9 @@ HierShim::startExternal(const Msg &m)
       default:               ++stats.extFwdGetX; break;
     }
 
-    // Mid-writeback: serve from the buffer (DirL2's race handling).
-    if (b.wbPending) {
-        Msg r;
-        r.addr = addr;
-        r.dst = m.requestor;
-        r.requestor = m.requestor;
-        if (m.type == MsgType::Inv) {
-            r.type = MsgType::InvAck;
-            r.acks = 1;
-        } else {
-            r.hasData = true;
-            r.value = b.wbValue;
-            r.dirty = b.wbDirty;
-            r.acks = m.acks;
-            if (m.type == MsgType::FwdGetX) {
-                r.type = MsgType::DataEx;
-                b.wbCancelled = true;
-            } else {
-                r.type = MsgType::Data;
-                r.dirty = false;
-            }
-        }
-        send(std::move(r), dg.params.l2Latency);
+    // Mid-writeback: serve from the buffer.
+    if (PendingWb *wb = _wb.find(addr)) {
+        send(wb->reply(m, _id, true), dg.params.l2Latency);
         return;
     }
 
@@ -464,13 +414,7 @@ HierShim::tryFinishExternal(Addr addr, Blk &b)
         b.dirty = false;
         b.chipStored = false;
         leaveResident(b);
-        Msg r;
-        r.type = MsgType::InvAck;
-        r.addr = addr;
-        r.dst = m.requestor;
-        r.requestor = _id;
-        r.acks = 1;
-        send(std::move(r), dg.params.l2Latency);
+        send(invAckMsg(addr, m.requestor, _id), dg.params.l2Latency);
         onPersistentTableChange(addr);
         return;
     }
@@ -490,14 +434,9 @@ HierShim::tryFinishExternal(Addr addr, Blk &b)
             }
             b.extPending = false;
             b.chip = ChipState::O;
-            Msg r;
-            r.type = MsgType::Data;
-            r.addr = addr;
-            r.dst = m.requestor;
-            r.requestor = m.requestor;
-            r.hasData = true;
-            r.value = b.value;
-            r.dirty = false;  // we keep the dirty owner copy (O)
+            // Clean: we keep the dirty owner copy (O).
+            Msg r = dataMsg(false, addr, m.requestor, m.requestor,
+                            b.value, false);
             r.acks = m.acks;
             send(std::move(r), dg.params.l2Latency);
             onPersistentTableChange(addr);
@@ -519,14 +458,8 @@ HierShim::tryFinishExternal(Addr addr, Blk &b)
     if (!b.owner || !b.validData)
         panic("exclusive handoff without data at shim");
     b.extPending = false;
-    Msg r;
-    r.type = MsgType::DataEx;
-    r.addr = addr;
-    r.dst = m.requestor;
-    r.requestor = m.requestor;
-    r.hasData = true;
-    r.value = b.value;
-    r.dirty = b.dirty;
+    Msg r = dataMsg(true, addr, m.requestor, m.requestor, b.value,
+                    b.dirty);
     r.acks = m.acks;
     b.chip = ChipState::I;
     b.validData = false;
@@ -535,8 +468,8 @@ HierShim::tryFinishExternal(Addr addr, Blk &b)
     leaveResident(b);
     // A pending owner upgrade just lost its data: the home will
     // answer the demoted GetX with a full DataEx instead.
-    if (b.fetch != Fetch::None)
-        b.fetchHasData = false;
+    if (b.fetching)
+        b.fetch.hasData = false;
     send(std::move(r), dg.params.l2Latency);
     onPersistentTableChange(addr);
 }
@@ -556,10 +489,7 @@ HierShim::startRecall(Addr addr, Blk &b, Recall kind)
 void
 HierShim::broadcastRecall(Addr addr, Recall kind)
 {
-    Msg inv;
-    inv.type = MsgType::Inv;
-    inv.addr = addr;
-    inv.requestor = _id;
+    Msg inv = dirMsg(MsgType::Inv, addr, MachineID{}, _id);
     inv.isRead = (kind == Recall::Down);
     for (const MachineID &t :
          localL1Targets(ctx.topo, _id.cmp, _id)) {
@@ -643,8 +573,8 @@ HierShim::maybeEvict(Addr just_fetched)
         if (found == nullptr || !found->inLru)
             continue;  // stale queue entry
         Blk &b = *found;
-        const bool busy = b.fetch != Fetch::None ||
-                          b.recall != Recall::None || b.wbPending ||
+        const bool busy = b.fetching || b.recall != Recall::None ||
+                          _wb.find(a) ||
                           b.extPending || ptable.activeFor(a) >= 0;
         if (busy || b.tokens != g.params.totalTokens ||
             a == just_fetched) {
@@ -670,47 +600,30 @@ HierShim::startWb(Addr addr, Blk &b)
 {
     if (!b.owner || !b.validData)
         panic("writeback without the owner copy");
-    b.wbPending = true;
-    b.wbValue = b.value;
-    b.wbDirty = b.dirty;
-    b.wbCancelled = false;
+    _wb.get(addr) = PendingWb{b.value, b.dirty};
     b.chip = ChipState::I;
     b.validData = false;
     b.dirty = false;
     b.chipStored = false;
     leaveResident(b);
     ++stats.writebacksOut;
-    Msg m;
-    m.type = MsgType::WbRequest;
-    m.addr = addr;
-    m.dst = ctx.topo.homeOf(addr);
-    m.requestor = _id;
-    send(std::move(m), dg.params.l2Latency);
+    send(PendingWb::request(addr, ctx.topo.homeOf(addr), _id),
+         dg.params.l2Latency);
 }
 
 void
 HierShim::onWbGrant(const Msg &m)
 {
     const Addr addr = blockAlign(m.addr);
-    Blk &b = ensureBlock(addr);
-    if (!b.wbPending)
+    const PendingWb *pending = _wb.find(addr);
+    if (pending == nullptr)
         panic("home WbGrant without pending writeback");
-    Msg r;
-    r.addr = addr;
-    r.dst = ctx.topo.homeOf(addr);
-    r.requestor = _id;
-    if (b.wbCancelled) {
-        r.type = MsgType::WbCancel;
+    const PendingWb wb = *pending;
+    _wb.erase(addr);
+    if (wb.cancelled)
         ++stats.writebacksCancelled;
-    } else {
-        r.type = MsgType::WbData;
-        r.hasData = b.wbDirty;
-        r.value = b.wbValue;
-        r.dirty = b.wbDirty;
-    }
-    b.wbPending = false;
-    b.wbCancelled = false;
-    send(std::move(r), dg.params.l2Latency);
+    send(wb.grantReply(addr, ctx.topo.homeOf(addr), _id),
+         dg.params.l2Latency);
     // A demand queued behind the writeback re-fires through the
     // persistent path (transients re-trigger via their own retries).
     onPersistentTableChange(addr);

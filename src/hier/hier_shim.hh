@@ -47,8 +47,8 @@
  *    forwarding keeps routing to the local initiator, so the recall
  *    converges even against an activated local write.
  *  - writeback vs forward: a racing Fwd-GetX/GetS/Inv is served from
- *    the writeback buffer (Fwd-GetX cancels the writeback), exactly
- *    like the directory chip agent.
+ *    the writeback buffer (Fwd-GetX cancels the writeback) by the
+ *    directory substrate's PendingWb, as at a DirL2 bank.
  *  - upgrade losing its data: a Fwd-GetX arriving before an owner
  *    upgrade's AckCount clears the preset data; the home later answers
  *    the demoted GetX with a full DataEx.
@@ -116,7 +116,6 @@ class HierShim : public TokenController
     void onPersistentTableChange(Addr addr) override;
 
   private:
-    enum class Fetch : std::uint8_t { None, GetS, GetX };
     enum class Recall : std::uint8_t { None, Down, Full };
 
     /** Per-block two-level state. */
@@ -133,14 +132,10 @@ class HierShim : public TokenController
         ChipState chip = ChipState::I;
         bool chipStored = false;   //!< a local write happened at M
 
-        // One outstanding home fetch per block.
-        Fetch fetch = Fetch::None;
-        bool fetchHasData = false;
-        bool fetchExclusive = false;
-        bool fetchDirty = false;
-        std::uint64_t fetchValue = 0;
-        int acksNeeded = -1;       //!< -1 until Data/DataEx/AckCount
-        int acksGot = 0;
+        // One outstanding home fetch per block (a GetX iff the demand
+        // is a write).
+        bool fetching = false;
+        HomeFetch fetch;
         MachineID fetchFor;        //!< demand L1 to serve on completion
         bool fetchForWrite = false;
         bool fetchForValid = false;
@@ -150,12 +145,6 @@ class HierShim : public TokenController
         std::uint64_t recallGen = 0;  //!< invalidates stale retry events
         bool extPending = false;
         Msg ext{};                 //!< the Fwd/Inv being serviced
-
-        // Three-phase writeback to the home.
-        bool wbPending = false;
-        bool wbDirty = false;
-        bool wbCancelled = false;
-        std::uint64_t wbValue = 0;
 
         // Persistent data-only dedup (chip S/O read with no spare
         // tokens must still supply data — exactly once per entry).
@@ -197,6 +186,7 @@ class HierShim : public TokenController
     unsigned _residencyCap;
 
     BlockTable<Blk> _blocks;
+    BlockTable<PendingWb> _wb;  //!< chip writebacks awaiting WbGrant
     PersistentArbiter _arbiter;
 
     std::deque<Addr> _lru;     //!< FIFO residency queue (lazy entries)

@@ -14,7 +14,7 @@
 #include <memory>
 #include <vector>
 
-#include "hier/hier_dir_mem.hh"
+#include "directory/dir_mem.hh"
 #include "hier/hier_l1.hh"
 #include "hier/hier_shim.hh"
 #include "system/system.hh"
@@ -69,7 +69,7 @@ class HierFamily : public ProtocolBuilder
                 _shims.push_back(shim.get());
                 sys.adopt(std::move(shim));
             }
-            auto mem = std::make_unique<HierDirMem>(
+            auto mem = std::make_unique<DirMem>(
                 sys.contextFor(t.mem(c)), t.mem(c), *_dirGlobals);
             _mems.push_back(mem.get());
             sys.adopt(std::move(mem));
@@ -151,7 +151,7 @@ class HierFamily : public ProtocolBuilder
     std::unique_ptr<DirGlobals> _dirGlobals;
     std::vector<HierL1 *> _l1s;
     std::vector<HierShim *> _shims;
-    std::vector<HierDirMem *> _mems;
+    std::vector<DirMem *> _mems;
 };
 
 } // namespace

@@ -33,7 +33,6 @@
 #include "directory/dir_l2.hh"
 #include "directory/dir_mem.hh"
 #include "directory/perfect_l2.hh"
-#include "hier/hier_dir_mem.hh"
 #include "hier/hier_l1.hh"
 #include "hier/hier_shim.hh"
 #include "sim/stats.hh"
@@ -91,7 +90,6 @@ template <> struct ControllerKey<TokenMem> : MemKey<TokenMem> {};
 template <> struct ControllerKey<DirMem> : MemKey<DirMem> {};
 template <> struct ControllerKey<HierL1> : L1Key<HierL1> {};
 template <> struct ControllerKey<HierShim> : L2Key<HierShim> {};
-template <> struct ControllerKey<HierDirMem> : MemKey<HierDirMem> {};
 
 } // namespace detail
 
