@@ -98,8 +98,6 @@ isHandoffKey(std::uint64_t seq)
 class EventQueue
 {
   public:
-    using Action = std::function<void()>;  //!< legacy closure alias
-
     explicit EventQueue(SchedulerKind kind = SchedulerKind::TimingWheel)
         : _kind(kind)
     {}

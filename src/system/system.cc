@@ -100,11 +100,6 @@ System::harvest(StatSet &out) const
     // worker counts — the ShardSweep bit-identity tests cover it like
     // any other stat.
     out.add("kernel.windows", double(_shardedWindows));
-    // Counters of the retired optimistic kernel, always zero. Kept so
-    // the committed fig6/fig7/sweep baselines, which carry them, stay
-    // byte-identical; drop them with the next baseline refresh.
-    out.add("kernel.aborts", 0.0);
-    out.add("kernel.commits", 0.0);
 
     _proto->harvest(out);
 }
