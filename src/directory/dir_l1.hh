@@ -54,6 +54,14 @@ class DirL1 : public Controller, public L1CacheIF
     /** Line state inspection for tests. */
     L1State peekState(Addr addr) const;
 
+    /** No miss, writeback window or waiting request in flight. */
+    bool
+    quiescent() const
+    {
+        return _txns.size() == 0 && _wb.size() == 0 &&
+               _wbWaiters.size() == 0;
+    }
+
   private:
     using Array = CacheArray<DirL1St>;
     using Line = Array::Line;

@@ -63,6 +63,16 @@ class DirL2 : public Controller
     /** Print in-flight transactions and deferred queues (debugging). */
     void debugDump() const;
 
+    /** No transaction, writeback window or deferred request. */
+    bool
+    quiescent() const
+    {
+        return _home.size() == 0 && _local.size() == 0 &&
+               _ext.size() == 0 && _wbLocal.size() == 0 &&
+               _wbHome.size() == 0 && _recall.size() == 0 &&
+               _deferred.size() == 0;
+    }
+
   private:
     using Array = CacheArray<DirL2St>;
     using Line = Array::Line;

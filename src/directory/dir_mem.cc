@@ -45,6 +45,14 @@ DirMem::debugDump() const
     });
 }
 
+bool
+DirMem::quiescent() const
+{
+    bool idle = _deferred.size() == 0;
+    _dir.forEach([&idle](Addr, const Entry &e) { idle = idle && !e.busy; });
+    return idle;
+}
+
 void
 DirMem::handleMsg(const Msg &msg)
 {

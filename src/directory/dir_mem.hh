@@ -50,6 +50,9 @@ class DirMem : public Controller
     /** Print busy entries and deferred queues (debugging). */
     void debugDump() const;
 
+    /** No busy block and no deferred request. */
+    bool quiescent() const;
+
   private:
     struct Entry
     {

@@ -57,6 +57,17 @@ HierShim::peekChip(Addr addr) const
     return b == nullptr ? ChipState::I : b->chip;
 }
 
+bool
+HierShim::quiescent() const
+{
+    bool idle = _wb.size() == 0;
+    _blocks.forEach([&idle](Addr, const Blk &b) {
+        idle = idle && !b.fetching && !b.extPending &&
+               b.recall == Recall::None;
+    });
+    return idle;
+}
+
 void
 HierShim::handleMsg(const Msg &msg)
 {

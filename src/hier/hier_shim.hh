@@ -109,6 +109,9 @@ class HierShim : public TokenController
     bool ownerHeld(Addr addr) const;
     ChipState peekChip(Addr addr) const;
 
+    /** No home fetch, external service or writeback in flight. */
+    bool quiescent() const;
+
     /** The intra-CMP persistent-request arbiter. */
     const PersistentArbiter &arbiter() const { return _arbiter; }
 

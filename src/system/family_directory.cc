@@ -62,6 +62,21 @@ class DirectoryFamily : public ProtocolBuilder
     }
 
     void
+    verifyQuiescent(bool fatal_on_violation) const override
+    {
+        if (!fatal_on_violation)
+            return;
+        // Once the drain leaves no events, every transaction,
+        // writeback window and deferred request must have retired.
+        for (const DirL1 *l1 : _l1s)
+            requireQuiescent(*l1);
+        for (const DirL2 *l2 : _l2s)
+            requireQuiescent(*l2);
+        for (const DirMem *m : _mems)
+            requireQuiescent(*m);
+    }
+
+    void
     harvest(StatSet &out) const override
     {
         std::uint64_t hits = 0, misses = 0;

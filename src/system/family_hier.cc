@@ -131,6 +131,12 @@ class HierFamily : public ProtocolBuilder
         // Each CMP's token space conserves independently.
         for (const auto &tg : _tokenGlobals)
             tg->auditor.checkAll(fatal_on_violation);
+        if (!fatal_on_violation)
+            return;
+        for (const HierShim *s : _shims)
+            requireQuiescent(*s);
+        for (const DirMem *m : _mems)
+            requireQuiescent(*m);
     }
 
     void

@@ -125,6 +125,17 @@ class ProtocolBuilder
 
     /** Token substrate globals, or nullptr for non-token families. */
     virtual TokenGlobals *tokenGlobals() { return nullptr; }
+
+  protected:
+    /** Panic unless controller `c` reports itself quiescent. */
+    template <typename C>
+    static void
+    requireQuiescent(const C &c)
+    {
+        if (!c.quiescent())
+            panic("%s has work in flight at quiescence",
+                  c.id().toString().c_str());
+    }
 };
 
 /** The family builders, one per `Family` (family_*.cc). */

@@ -269,6 +269,21 @@ TEST(DirScenario, HomeSharedStateServesReadsAndWrites)
     sys.verifyQuiescent();
 }
 
+TEST(DirScenarioDeathTest, QuiescenceAuditSeesWorkInFlight)
+{
+    // The audit must not pass vacuously: with a miss still at the home
+    // directory, some controller reports work in flight.
+    EXPECT_DEATH(
+        {
+            System sys(dirCfg());
+            sys.sequencer(0).store(4 * blockBytes, 1,
+                                   [](const MemResult &) {});
+            sys.context().eventq.run(ns(50));
+            sys.verifyQuiescent();
+        },
+        "work in flight at quiescence");
+}
+
 TEST(DirScenario, StateNames)
 {
     EXPECT_STREQ(l1StateName(L1State::I), "I");

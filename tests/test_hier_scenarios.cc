@@ -223,6 +223,20 @@ TEST(HierScenario, ResidencyWritebackRaceWithRemoteStoreIsCancelled)
     sys.verifyQuiescent();
 }
 
+TEST(HierScenarioDeathTest, QuiescenceAuditSeesFetchInFlight)
+{
+    // A home fetch still in flight must fail the shim's audit.
+    EXPECT_DEATH(
+        {
+            System sys(hierCfg());
+            sys.sequencer(0).store(4 * blockBytes, 1,
+                                   [](const MemResult &) {});
+            sys.context().eventq.run(ns(50));
+            sys.verifyQuiescent();
+        },
+        "work in flight at quiescence");
+}
+
 namespace {
 
 /**
