@@ -175,6 +175,8 @@ DirMem::onGetX(const Msg &m, Entry &e)
     switch (e.state) {
       case DirState::Uncached:
       case DirState::Shared: {
+        // Memory supplies the data. An Uncached block has no sharers
+        // (presence 0), so it sends no Invs and expects no acks.
         const std::uint8_t invs = e.presence & ~req_bit;
         sendInvs(addr, e, invs, m.requestor);
         ++stats.memResponses;
