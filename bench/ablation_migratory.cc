@@ -19,16 +19,13 @@ using namespace tokencmp::bench;
 namespace {
 
 ExperimentResult
-runWith(Protocol proto, bool migratory, const WorkloadFactory &factory,
-        const std::string &wl_name)
+runWith(const std::string &name, bool migratory,
+        const WorkloadFactory &factory, const std::string &wl_name)
 {
-    SystemConfig cfg;
-    cfg.protocol = proto;
-    cfg.token.migratory = migratory;
-    cfg.dir.migratory = migratory;
+    SystemConfig cfg = SystemConfig::select(name);
+    cfg.machine.migratory = migratory;
     return runExperiment(cfg, factory,
-                         std::string(protocolName(proto)) + "/" +
-                             wl_name +
+                         cfg.displayName() + "/" + wl_name +
                              (migratory ? "/migratory-on"
                                         : "/migratory-off"));
 }
@@ -46,8 +43,7 @@ main(int argc, char **argv)
            "substantially without it; pure locking is less "
            "sensitive (atomics already take all tokens)");
 
-    const std::vector<Protocol> protos = {Protocol::DirectoryCMP,
-                                          Protocol::TokenDst1};
+    const std::vector<std::string> configs = {"directory", "dst1"};
 
     auto oltp = []() -> std::unique_ptr<Workload> {
         return std::make_unique<SyntheticWorkload>(oltpParams());
@@ -60,22 +56,22 @@ main(int argc, char **argv)
     };
 
     printHeaderRow({"on(ns)", "off(ns)", "off/on"});
-    for (Protocol proto : protos) {
+    for (const std::string &config : configs) {
         for (const auto &[name, factory] :
              {std::pair<const char *,
                         std::function<std::unique_ptr<Workload>()>>{
                   "OLTP", oltp},
               {"locking", locking}}) {
             const ExperimentResult on =
-                runWith(proto, true, factory, name);
+                runWith(config, true, factory, name);
             const ExperimentResult off =
-                runWith(proto, false, factory, name);
+                runWith(config, false, factory, name);
             if (!on.allCompleted || !off.allCompleted) {
                 std::fprintf(stderr, "FAILED: %s\n",
-                             protocolName(proto));
+                             on.protocol.c_str());
                 return 1;
             }
-            printRow(std::string(protocolName(proto)) + "/" + name,
+            printRow(on.protocol + "/" + name,
                      {on.runtime.mean() / double(ticksPerNs),
                       off.runtime.mean() / double(ticksPerNs),
                       off.runtime.mean() / on.runtime.mean()},

@@ -57,10 +57,8 @@ main(int argc, char **argv)
 
     std::printf("\nresponse-delay window:\n");
     for (Tick delay : {Tick(0), ns(30), ns(100)}) {
-        SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1;
-        cfg.token.responseDelay = delay;
-        cfg.dir.responseDelay = delay;
+        SystemConfig cfg = SystemConfig::select("dst1");
+        cfg.machine.responseDelay = delay;
         const std::string label =
             "delay=" + std::to_string(delay / ticksPerNs) + "ns";
         const ExperimentResult hi = runCfg(cfg, 2, label);
@@ -75,8 +73,7 @@ main(int argc, char **argv)
 
     std::printf("\ntimeout multiplier (x EWMA of memory latency):\n");
     for (double mult : {1.0, 2.0, 4.0, 8.0}) {
-        SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1;
+        SystemConfig cfg = SystemConfig::select("dst1");
         cfg.token.timeoutMult = mult;
         char label[32];
         std::snprintf(label, sizeof(label), "timeout-x%.0f", mult);
@@ -92,8 +89,8 @@ main(int argc, char **argv)
 
     std::printf("\ntransient-request budget before persistent:\n");
     for (unsigned budget : {0u, 1u, 4u}) {
-        SystemConfig cfg;
-        cfg.policyName = "dst" + std::to_string(budget);
+        const SystemConfig cfg =
+            SystemConfig::select("dst" + std::to_string(budget));
         const std::string label =
             "transients=" + std::to_string(budget);
         const ExperimentResult hi = runCfg(cfg, 2, label);
@@ -108,9 +105,8 @@ main(int argc, char **argv)
 
     std::printf("\npredictor (dst1-pred) table size:\n");
     for (unsigned locks : {2u, 64u}) {
-        SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1Pred;
-        const ExperimentResult e = runCfg(cfg, locks, "dst1-pred");
+        const ExperimentResult e =
+            runCfg(SystemConfig::select("dst1-pred"), locks, "dst1-pred");
         if (!e.allCompleted)
             return 1;
         printRow("dst1-pred @" + std::to_string(locks),

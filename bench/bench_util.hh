@@ -216,14 +216,14 @@ runExperiment(const SystemConfig &cfg, const WorkloadFactory &factory,
     return e;
 }
 
-/** Run one (protocol, workload) cell with default Table 3 config. */
+/** Run one named configuration (SystemConfig::select) on a workload
+ *  with the default Table 3 parameters. */
 inline ExperimentResult
-runCell(Protocol proto, const WorkloadFactory &factory,
+runCell(const std::string &name, const WorkloadFactory &factory,
         const std::string &label = "", unsigned seeds = 0)
 {
-    SystemConfig cfg;
-    cfg.protocol = proto;
-    return runExperiment(cfg, factory, label, seeds);
+    return runExperiment(SystemConfig::select(name), factory, label,
+                         seeds);
 }
 
 inline void

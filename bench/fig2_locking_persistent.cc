@@ -32,9 +32,8 @@ main(int argc, char **argv)
 
     const std::vector<unsigned> lock_counts = {2,  4,  8,   16,  32,
                                                64, 128, 256, 512};
-    const std::vector<Protocol> protos = {
-        Protocol::TokenArb0, Protocol::DirectoryCMP,
-        Protocol::DirectoryCMPZero, Protocol::TokenDst0};
+    const std::vector<std::string> configs = {"arb0", "directory",
+                                              "directory-zero", "dst0"};
 
     auto factory = [](unsigned locks) {
         return [locks]() -> std::unique_ptr<Workload> {
@@ -47,7 +46,7 @@ main(int argc, char **argv)
 
     // Baseline: DirectoryCMP at 512 locks.
     const ExperimentResult base =
-        runCell(Protocol::DirectoryCMP, factory(512), "baseline@512");
+        runCell("directory", factory(512), "baseline@512");
     const double base_rt = base.runtime.mean();
     std::printf("baseline DirectoryCMP @512 locks: %.0f ns\n\n",
                 base_rt / double(ticksPerNs));
@@ -59,22 +58,22 @@ main(int argc, char **argv)
                 "(high contention -> low contention)\n");
     printHeaderRow(cols);
 
-    for (Protocol proto : protos) {
+    for (const std::string &name : configs) {
+        const std::string label = SystemConfig::select(name).displayName();
         std::vector<double> vals, errs;
         for (unsigned locks : lock_counts) {
             const ExperimentResult e =
-                runCell(proto, factory(locks),
-                        std::string(protocolName(proto)) + "@" +
-                            std::to_string(locks));
+                runCell(name, factory(locks),
+                        label + "@" + std::to_string(locks));
             if (!e.allCompleted || e.violations != 0) {
                 std::fprintf(stderr, "FAILED: %s @%u locks\n",
-                             protocolName(proto), locks);
+                             label.c_str(), locks);
                 return 1;
             }
             vals.push_back(e.runtime.mean() / base_rt);
             errs.push_back(e.runtime.errorBar() / base_rt);
         }
-        printRow(protocolName(proto), vals, errs);
+        printRow(label, vals, errs);
     }
     return 0;
 }

@@ -30,29 +30,27 @@ main(int argc, char **argv)
 
     const std::vector<SyntheticParams> workloads = {
         oltpParams(), apacheParams(), jbbParams()};
-    const std::vector<Protocol> protos = {
-        Protocol::DirectoryCMP,  Protocol::DirectoryCMPZero,
-        Protocol::TokenDst4,     Protocol::TokenDst1,
-        Protocol::TokenDst1Pred, Protocol::TokenDst1Filt,
-        Protocol::HierCMP,       Protocol::PerfectL2};
+    const std::vector<std::string> configs = {
+        "directory", "directory-zero", "dst4", "dst1",
+        "dst1-pred", "dst1-filt",      "hier", "perfect"};
 
     for (const SyntheticParams &wl : workloads) {
         auto factory = [&wl]() -> std::unique_ptr<Workload> {
             return std::make_unique<SyntheticWorkload>(wl);
         };
         const ExperimentResult base =
-            runCell(Protocol::DirectoryCMP, factory,
+            runCell("directory", factory,
                     "baseline/" + wl.label);
         const double base_rt = base.runtime.mean();
 
         std::printf("\n--- %s (baseline %.0f ns) ---\n",
                     wl.label.c_str(), base_rt / double(ticksPerNs));
         printHeaderRow({"norm.rt", "speedup%", "persist%"});
-        for (Protocol proto : protos) {
-            const ExperimentResult e = runCell(proto, factory);
+        for (const std::string &name : configs) {
+            const ExperimentResult e = runCell(name, factory);
             if (!e.allCompleted) {
                 std::fprintf(stderr, "FAILED: %s on %s\n",
-                             protocolName(proto), wl.label.c_str());
+                             e.protocol.c_str(), wl.label.c_str());
                 return 1;
             }
             const double rt = e.runtime.mean();
@@ -65,7 +63,7 @@ main(int argc, char **argv)
                 persist_pct =
                     100.0 * pi->second.mean() / mi->second.mean();
             }
-            printRow(protocolName(proto),
+            printRow(e.protocol,
                      {rt / base_rt, speedup, persist_pct},
                      {e.runtime.errorBar() / base_rt, 0.0, 0.0});
             // The CI-gated row: simulated runtime over fixed seeds is
@@ -73,8 +71,7 @@ main(int argc, char **argv)
             // the protocol's behavior actually changed.
             report.addRaw(
                 "{\"label\": " +
-                json::quote("macro/" + wl.label + "/" +
-                            protocolName(proto)) +
+                json::quote("macro/" + wl.label + "/" + e.protocol) +
                 ", \"runtimeNs\": " +
                 json::number(rt / double(ticksPerNs)) +
                 ", \"normRuntime\": " + json::number(rt / base_rt) +

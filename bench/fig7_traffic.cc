@@ -41,8 +41,7 @@ classBytes(const ExperimentResult &e, NetLevel level, TrafficClass c)
 
 void
 printLevel(const char *title, NetLevel level,
-           const std::vector<std::pair<Protocol, ExperimentResult>> &cells,
-           double base_total)
+           const std::vector<ExperimentResult> &cells, double base_total)
 {
     std::printf("\n--- %s (normalized to DirectoryCMP total) ---\n",
                 title);
@@ -50,8 +49,8 @@ printLevel(const char *title, NetLevel level,
     for (TrafficClass c : kClasses)
         std::printf(" %9.9s", trafficClassName(c));
     std::printf(" %9s\n", "TOTAL");
-    for (const auto &[proto, e] : cells) {
-        std::printf("%-22s", protocolName(proto));
+    for (const ExperimentResult &e : cells) {
+        std::printf("%-22s", e.protocol.c_str());
         double total = 0.0;
         for (TrafficClass c : kClasses) {
             const double b = classBytes(e, level, c);
@@ -85,9 +84,7 @@ policySweep(JsonReport &report)
         if (name == "arb4")
             continue;
         names.push_back(name);
-        SystemConfig cfg;
-        cfg.policyName = name;
-        cells.push_back(Experiment::of(cfg)
+        cells.push_back(Experiment::of(SystemConfig::select(name))
                             .workload(factory)
                             .seeds(seedsPerPoint())
                             .parallelism(defaultParallelism())
@@ -190,10 +187,8 @@ main(int argc, char **argv)
            "broadcast) vs more response-data bytes (directory L2 "
            "indirection); dst1-filt trims intra-CMP traffic");
 
-    const std::vector<Protocol> protos = {
-        Protocol::DirectoryCMP,  Protocol::TokenDst4,
-        Protocol::TokenDst1,     Protocol::TokenDst1Pred,
-        Protocol::TokenDst1Filt, Protocol::HierCMP};
+    const std::vector<std::string> configs = {
+        "directory", "dst4", "dst1", "dst1-pred", "dst1-filt", "hier"};
 
     const std::vector<SyntheticParams> workloads = {
         oltpParams(), apacheParams(), jbbParams()};
@@ -203,18 +198,17 @@ main(int argc, char **argv)
             return std::make_unique<SyntheticWorkload>(wl);
         };
         std::printf("\n===== workload %s =====\n", wl.label.c_str());
-        std::vector<std::pair<Protocol, ExperimentResult>> cells;
-        for (Protocol proto : protos)
-            cells.emplace_back(proto, runCell(proto, factory));
-        for (const auto &[proto, e] : cells) {
+        std::vector<ExperimentResult> cells;
+        for (const std::string &name : configs)
+            cells.push_back(runCell(name, factory));
+        for (const ExperimentResult &e : cells) {
             if (!e.allCompleted) {
-                std::fprintf(stderr, "FAILED: %s\n",
-                             protocolName(proto));
+                std::fprintf(stderr, "FAILED: %s\n", e.protocol.c_str());
                 return 1;
             }
         }
-        const double base_inter = cells.front().second.interBytes.mean();
-        const double base_intra = cells.front().second.intraBytes.mean();
+        const double base_inter = cells.front().interBytes.mean();
+        const double base_intra = cells.front().intraBytes.mean();
         printLevel("(a) inter-CMP traffic", NetLevel::Inter, cells,
                    base_inter);
         printLevel("(b) intra-CMP traffic", NetLevel::Intra, cells,

@@ -157,8 +157,7 @@ rawCell(const std::string &label, double events_per_sec,
 void
 systemThroughput(bench::JsonReport &report, bool model_bandwidth)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    SystemConfig cfg = SystemConfig::select("dst1");
     cfg.net.modelBandwidth = model_bandwidth;
     cfg.seed = 1;
 

@@ -224,8 +224,7 @@ double
 systemThroughput(const std::string &label, unsigned shards,
                  std::uint64_t &windows)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    SystemConfig cfg = SystemConfig::select("dst1");
     cfg.seed = 1;
     cfg.shards = shards;
 
@@ -264,8 +263,7 @@ systemThroughput(const std::string &label, unsigned shards,
 double
 lowCouplingThroughput(const std::string &label, unsigned workers)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    SystemConfig cfg = SystemConfig::select("dst1");
     cfg.seed = 1;
     cfg.shards = workers;
 

@@ -28,11 +28,9 @@ main(int argc, char **argv)
            "paper bolds 1.40/1.29 and 1.15/1.01); other TokenCMP "
            "variants at or below 1.0");
 
-    const std::vector<Protocol> protos = {
-        Protocol::TokenArb0,     Protocol::TokenDst0,
-        Protocol::DirectoryCMP,  Protocol::DirectoryCMPZero,
-        Protocol::TokenDst4,     Protocol::TokenDst1,
-        Protocol::TokenDst1Pred, Protocol::TokenDst1Filt};
+    const std::vector<std::string> configs = {
+        "arb0", "dst0", "directory", "directory-zero",
+        "dst4", "dst1", "dst1-pred", "dst1-filt"};
 
     auto factory = [](Tick jitter) {
         return [jitter]() -> std::unique_ptr<Workload> {
@@ -46,29 +44,27 @@ main(int argc, char **argv)
 
     double base_fixed = 0.0, base_var = 0.0;
     {
-        const ExperimentResult f = runCell(
-            Protocol::DirectoryCMP, factory(0), "baseline/fixed");
+        const ExperimentResult f =
+            runCell("directory", factory(0), "baseline/fixed");
         const ExperimentResult v =
-            runCell(Protocol::DirectoryCMP, factory(ns(1000)),
-                    "baseline/jitter");
+            runCell("directory", factory(ns(1000)), "baseline/jitter");
         base_fixed = f.runtime.mean();
         base_var = v.runtime.mean();
     }
 
     printHeaderRow({"3000ns", "3000±U(1000)"});
-    for (Protocol proto : protos) {
+    for (const std::string &name : configs) {
+        const std::string label = SystemConfig::select(name).displayName();
         const ExperimentResult f =
-            runCell(proto, factory(0),
-                    std::string(protocolName(proto)) + "/fixed");
+            runCell(name, factory(0), label + "/fixed");
         const ExperimentResult v =
-            runCell(proto, factory(ns(1000)),
-                    std::string(protocolName(proto)) + "/jitter");
+            runCell(name, factory(ns(1000)), label + "/jitter");
         if (!f.allCompleted || !v.allCompleted ||
             f.violations + v.violations != 0) {
-            std::fprintf(stderr, "FAILED: %s\n", protocolName(proto));
+            std::fprintf(stderr, "FAILED: %s\n", label.c_str());
             return 1;
         }
-        printRow(protocolName(proto),
+        printRow(label,
                  {f.runtime.mean() / base_fixed,
                   v.runtime.mean() / base_var},
                  {f.runtime.errorBar() / base_fixed,

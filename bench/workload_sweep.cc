@@ -122,8 +122,7 @@ main(int argc, char **argv)
                     "runtime(ns)");
 
         // Directory baseline through the same registry-named path.
-        SystemConfig dir_cfg;
-        dir_cfg.protocol = Protocol::DirectoryCMP;
+        SystemConfig dir_cfg = SystemConfig::select("directory");
         dir_cfg.workloadName = spec.name;
         dir_cfg.workloadParams = spec.knobs;
         const ExperimentResult dir_cell =
@@ -140,8 +139,7 @@ main(int argc, char **argv)
 
         // The hierarchical family: directory between CMPs, tokens
         // within — the protocol axis the policy sweep can't reach.
-        SystemConfig hier_cfg;
-        hier_cfg.protocol = Protocol::HierCMP;
+        SystemConfig hier_cfg = SystemConfig::select("hier");
         hier_cfg.workloadName = spec.name;
         hier_cfg.workloadParams = spec.knobs;
         const ExperimentResult hier_cell =
@@ -161,8 +159,7 @@ main(int argc, char **argv)
         double owner_inter = 0.0;
         double bw_inter = 0.0;
         for (const std::string &policy : policies) {
-            SystemConfig cfg;
-            cfg.policyName = policy;
+            SystemConfig cfg = SystemConfig::select(policy);
             cfg.workloadName = spec.name;
             cfg.workloadParams = spec.knobs;
             const ExperimentResult e =

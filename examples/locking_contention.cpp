@@ -1,12 +1,16 @@
 /**
  * @file
  * Contention study: sweep the lock count of the Table 2 locking
- * micro-benchmark for one protocol through the ExperimentRunner and
- * print runtime (with 95% confidence bars), persistent request usage
+ * micro-benchmark for one configuration through the ExperimentRunner
+ * and print runtime (with 95% confidence bars), persistent request usage
  * and traffic — the raw material behind Figures 2/3. Per-seed progress
  * is streamed via the runner's onSeedDone callback.
  *
- *   $ ./locking_contention [protocol 0..8] [acquires] [seeds]
+ *   $ ./locking_contention [configuration] [acquires] [seeds]
+ *
+ * The configuration is one of allProtocols()'s names ("directory",
+ * "dst1-pred", "hier", ...) or any other registered policy; dst1 by
+ * default.
  */
 
 #include <algorithm>
@@ -22,11 +26,8 @@ using namespace tokencmp;
 int
 main(int argc, char **argv)
 {
-    const auto protos = allProtocols();
-    unsigned pidx = 5;  // TokenCMP-dst1
-    if (argc > 1)
-        pidx = unsigned(std::atoi(argv[1])) % protos.size();
-    const Protocol proto = protos[pidx];
+    const SystemConfig cfg =
+        SystemConfig::select(argc > 1 ? argv[1] : "dst1");
     unsigned acquires = 25;
     if (argc > 2)
         acquires = unsigned(std::atoi(argv[2]));
@@ -37,15 +38,14 @@ main(int argc, char **argv)
     const unsigned hw = std::thread::hardware_concurrency();
     std::printf("protocol: %s, %u acquires per processor, %u seeds, "
                 "parallelism %u\n\n",
-                protocolName(proto), acquires, seeds, hw ? hw : 1);
+                cfg.displayName().c_str(), acquires, seeds,
+                hw ? hw : 1);
     std::printf("%8s %18s %10s %12s %12s %10s\n", "locks",
                 "runtime(ns)", "L1 misses", "persistents",
                 "inter bytes", "viol");
 
     for (unsigned locks : {2u, 4u, 8u, 16u, 32u, 64u, 128u, 256u,
                            512u}) {
-        SystemConfig cfg;
-        cfg.protocol = proto;
         ExperimentResult e =
             Experiment::of(cfg)
                 .workload([locks,

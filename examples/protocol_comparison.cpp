@@ -70,25 +70,22 @@ main(int argc, char **argv)
                 "intra bytes");
 
     double dir_runtime = 0.0;
-    for (Protocol proto : allProtocols()) {
-        SystemConfig cfg;
-        cfg.protocol = proto;
-        ExperimentResult e = Experiment::of(cfg)
+    for (const std::string &name : allProtocols()) {
+        ExperimentResult e = Experiment::of(SystemConfig::select(name))
                                  .workload(factory)
                                  .seeds(3)
                                  .parallelism(hw ? hw : 1)
                                  .run();
         if (!e.allCompleted) {
-            std::printf("%-22s DID NOT COMPLETE\n",
-                        protocolName(proto));
-            continue;
+            std::printf("%-22s DID NOT COMPLETE\n", e.protocol.c_str());
+            return 1;
         }
         const double rt = e.runtime.mean() / double(ticksPerNs);
         const double err = e.runtime.errorBar() / double(ticksPerNs);
-        if (proto == Protocol::DirectoryCMP)
+        if (name == "directory")
             dir_runtime = rt;
         std::printf("%-22s %8.0f±%5.0fns %7.2fx %10.0f %12.0f %12.0f\n",
-                    protocolName(proto), rt, err,
+                    e.protocol.c_str(), rt, err,
                     dir_runtime > 0 ? dir_runtime / rt : 1.0,
                     e.stats["l1.misses"].mean(), e.interBytes.mean(),
                     e.intraBytes.mean());
@@ -104,16 +101,15 @@ main(int argc, char **argv)
                 "runtime", "L1 misses", "msgs/miss", "inter bytes",
                 "intra bytes");
     for (const std::string &name : PolicyRegistry::instance().names()) {
-        SystemConfig tok;
-        tok.policyName = name;
-        const ExperimentResult e = Experiment::of(tok)
-                                       .workload(factory)
-                                       .seeds(3)
-                                       .parallelism(hw ? hw : 1)
-                                       .run();
+        const ExperimentResult e =
+            Experiment::of(SystemConfig::select(name))
+                .workload(factory)
+                .seeds(3)
+                .parallelism(hw ? hw : 1)
+                .run();
         if (!e.allCompleted) {
             std::printf("%-22s DID NOT COMPLETE\n", name.c_str());
-            continue;
+            return 1;
         }
         const double rt = e.runtime.mean() / double(ticksPerNs);
         const double err = e.runtime.errorBar() / double(ticksPerNs);

@@ -20,9 +20,8 @@ int
 main()
 {
     // 1. Configure the target (defaults follow paper Table 3) and
-    //    pick a protocol from Table 1.
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    //    pick a configuration by name: a Table 1 policy or a protocol.
+    const SystemConfig cfg = SystemConfig::select("dst1");
     System sys(cfg);
 
     // 2. Issue individual memory operations through a processor's
@@ -51,9 +50,7 @@ main()
     sys.context().eventq.runUntil([&]() { return done; });
 
     // 3. Run a whole workload (Table 2 locking micro-benchmark).
-    SystemConfig cfg2;
-    cfg2.protocol = Protocol::TokenDst1;
-    System sys2(cfg2);
+    System sys2(cfg);
     LockingParams p;
     p.numLocks = 16;
     p.acquiresPerProc = 20;

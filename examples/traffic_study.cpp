@@ -29,13 +29,10 @@ main(int argc, char **argv)
 
     std::printf("workload: %s\n", wl.label.c_str());
 
-    for (Protocol proto :
-         {Protocol::DirectoryCMP, Protocol::TokenDst1}) {
-        SystemConfig cfg;
-        cfg.protocol = proto;
+    for (const char *name : {"directory", "dst1"}) {
         // One seed: we want the anatomy of a single run, not CIs.
         ExperimentResult e =
-            Experiment::of(cfg)
+            Experiment::of(SystemConfig::select(name))
                 .workload([&wl]() -> std::unique_ptr<Workload> {
                     return std::make_unique<SyntheticWorkload>(wl);
                 })
@@ -45,7 +42,7 @@ main(int argc, char **argv)
             return 1;
         const System::RunResult &res = e.perSeed.front();
 
-        std::printf("\n%s (runtime %llu ns)\n", protocolName(proto),
+        std::printf("\n%s (runtime %llu ns)\n", e.protocol.c_str(),
                     (unsigned long long)(res.runtime / ticksPerNs));
         std::printf("  %-20s %12s %12s %12s\n", "message class",
                     "intra", "inter", "memlink");

@@ -114,8 +114,7 @@ main(int argc, char **argv)
     std::printf("%-22s %16s %10s %10s %12s\n", "workload", "runtime",
                 "L1 misses", "msgs/miss", "inter bytes");
     for (const std::string &n : WorkloadRegistry::instance().names()) {
-        SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1;
+        SystemConfig cfg = SystemConfig::select("dst1");
         cfg.workloadName = n;
         cfg.workloadParams = knobs;
         ExperimentResult e = Experiment::of(cfg)

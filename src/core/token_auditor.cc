@@ -7,8 +7,6 @@ namespace tokencmp {
 void
 TokenAuditor::initBlock(Addr addr)
 {
-    if (!_enabled)
-        return;
     auto lock = _mu.lock();
     bool inserted = false;
     BlockInfo &info = _blocks.get(addr, &inserted);
@@ -22,8 +20,6 @@ TokenAuditor::initBlock(Addr addr)
 void
 TokenAuditor::onSend(Addr addr, int tokens, bool owner, bool has_data)
 {
-    if (!_enabled)
-        return;
     auto lock = _mu.lock();
     BlockInfo *b = _blocks.find(addr);
     if (b == nullptr)
@@ -47,8 +43,6 @@ TokenAuditor::onSend(Addr addr, int tokens, bool owner, bool has_data)
 void
 TokenAuditor::onReceive(Addr addr, int tokens, bool owner)
 {
-    if (!_enabled)
-        return;
     auto lock = _mu.lock();
     BlockInfo *b = _blocks.find(addr);
     if (b == nullptr)
@@ -66,8 +60,6 @@ TokenAuditor::onReceive(Addr addr, int tokens, bool owner)
 void
 TokenAuditor::checkLocked(Addr addr) const
 {
-    if (!_enabled)
-        return;
     const BlockInfo *b = _blocks.find(addr);
     if (b == nullptr)
         return;
@@ -86,8 +78,6 @@ TokenAuditor::checkLocked(Addr addr) const
 void
 TokenAuditor::check(Addr addr) const
 {
-    if (!_enabled)
-        return;
     auto lock = _mu.lock();
     checkLocked(addr);
 }
@@ -95,8 +85,6 @@ TokenAuditor::check(Addr addr) const
 void
 TokenAuditor::checkAll(bool expect_quiescent) const
 {
-    if (!_enabled)
-        return;
     auto lock = _mu.lock();
     _blocks.forEach([&](Addr addr, const BlockInfo &info) {
         checkLocked(addr);

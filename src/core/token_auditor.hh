@@ -11,7 +11,7 @@
  *   3. owner-data rule: messages carrying the owner token carry data.
  *
  * This turns the flat correctness substrate's model-checked invariants
- * into always-on (or opt-out) dynamic checks during simulation.
+ * into always-on dynamic checks during simulation.
  */
 
 #ifndef TOKENCMP_CORE_TOKEN_AUDITOR_HH
@@ -29,11 +29,7 @@ namespace tokencmp {
 class TokenAuditor
 {
   public:
-    explicit TokenAuditor(int total_tokens, bool enabled = true)
-        : _total(total_tokens), _enabled(enabled)
-    {}
-
-    bool enabled() const { return _enabled; }
+    explicit TokenAuditor(int total_tokens) : _total(total_tokens) {}
 
     /**
      * Guard the shadow table with a mutex so controllers on
@@ -78,7 +74,6 @@ class TokenAuditor
     void checkLocked(Addr addr) const;
 
     int _total;
-    bool _enabled;
     /** Engaged only after setThreadSafe(true). */
     OptionalMutex _mu;
     std::uint64_t _transfers = 0;

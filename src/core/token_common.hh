@@ -35,13 +35,14 @@ namespace tokencmp {
 /** State shared by every controller of one token-coherent system. */
 struct TokenGlobals
 {
-    TokenGlobals(const TokenParams &p, bool audit,
+    TokenGlobals(const TokenParams &p, const MachineParams &m,
                  std::string policy_name)
-        : params(p), auditor(p.totalTokens, audit),
+        : params(p), machine(m), auditor(p.totalTokens),
           policyName(std::move(policy_name))
     {}
 
     TokenParams params;
+    MachineParams machine;
     TokenAuditor auditor;
     BackingStore store;
 

@@ -1,7 +1,9 @@
 /**
  * @file
  * Configuration of the token coherence substrate. The performance
- * policies (paper Table 1) are PolicyRegistry plugins (core/policy.hh).
+ * policies (paper Table 1) are PolicyRegistry plugins (core/policy.hh);
+ * the cache and memory timing every family shares is MachineParams
+ * (net/machine.hh).
  */
 
 #ifndef TOKENCMP_CORE_TOKEN_CONFIG_HH
@@ -33,33 +35,12 @@ struct TokenParams
      */
     int cTokens = 9;
 
-    /** Enable the migratory-sharing token-transfer optimization. */
-    bool migratory = true;
-
-    /** Cache/controller access latencies (paper Table 3). */
-    Tick l1Latency = ns(2);
-    Tick l2Latency = ns(7);
-    Tick memCtrlLatency = ns(6);
-    Tick dramLatency = ns(80);
-
     /**
      * Timeout threshold = timeoutMult x EWMA(memory response latency),
-     * clamped to [timeoutMin, timeoutMax]. Seeded at timeoutInitial.
-     * Memory responses only: averaging in fast on-chip hits caused
-     * retry bursts (Section 4).
+     * clamped to a fixed range (TokenL1). Memory responses only:
+     * averaging in fast on-chip hits caused retry bursts (Section 4).
      */
     double timeoutMult = 1.5;
-    Tick timeoutInitial = ns(250);
-    Tick timeoutMin = ns(100);
-    Tick timeoutMax = ns(4000);
-
-    /**
-     * Response-delay window (Section 3.2, Rajwar-style): after a write
-     * acquisition, hold tokens against external theft long enough to
-     * finish a short critical section. Bounded, so starvation freedom
-     * is unaffected.
-     */
-    Tick responseDelay = ns(30);
 
     /**
      * dst1-pred contention-predictor table geometry (per-L1 tables).

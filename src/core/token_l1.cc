@@ -6,11 +6,21 @@
 
 namespace tokencmp {
 
+namespace {
+
+/** The memory-latency EWMA's seed, and the range the timeout
+ *  threshold is clamped to before the per-retry backoff. */
+constexpr Tick kTimeoutInitial = ns(250);
+constexpr Tick kTimeoutMin = ns(100);
+constexpr Tick kTimeoutMax = ns(4000);
+
+} // namespace
+
 TokenL1::TokenL1(SimContext &ctx, MachineID id, TokenGlobals &g,
                  std::uint64_t size_bytes, unsigned assoc)
     : TokenController(ctx, id, g),
       _array(size_bytes, assoc),
-      _ewmaMemLat(static_cast<double>(g.params.timeoutInitial))
+      _ewmaMemLat(static_cast<double>(kTimeoutInitial))
 {
     if (id.type != MachineType::L1D && id.type != MachineType::L1I)
         panic("TokenL1 requires an L1 machine id");
@@ -59,10 +69,10 @@ TokenL1::cpuRequest(const MemRequest &req)
             // to the next contender.
             if (req.op == MemOp::Atomic) {
                 line->st.holdUntil =
-                    ctx.now() + g.params.responseDelay;
+                    ctx.now() + g.machine.responseDelay;
             }
         }
-        const Tick lat = g.params.l1Latency;
+        const Tick lat = g.machine.l1Latency;
         auto cb = req.callback;
         ctx.eventq.schedule(lat, [cb, old, lat]() {
             cb(MemResult{old, lat});
@@ -128,7 +138,7 @@ TokenL1::evictLine(Line *line)
     if (st.tokens > 0 || st.owner) {
         ++stats.writebacks;
         evictTokens(st, addr, ctx.topo.l2BankFor(_id.cmp, addr),
-                    g.params.l1Latency);
+                    g.machine.l1Latency);
     }
     _array.invalidate(line);
 }
@@ -152,17 +162,16 @@ TokenL1::issueTransient(Addr addr, Txn &txn)
                             txn.attempts, _destScratch);
     for (const MachineID &t : _destScratch) {
         m.dst = t;
-        send(m, g.params.l1Latency);
+        send(m, g.machine.l1Latency);
     }
 }
 
 Tick
 TokenL1::timeoutThreshold(unsigned attempts) const
 {
-    const auto &p = g.params;
-    double thr = p.timeoutMult * _ewmaMemLat;
-    thr = std::clamp(thr, static_cast<double>(p.timeoutMin),
-                     static_cast<double>(p.timeoutMax));
+    double thr = g.params.timeoutMult * _ewmaMemLat;
+    thr = std::clamp(thr, static_cast<double>(kTimeoutMin),
+                     static_cast<double>(kTimeoutMax));
     // Linear backoff across retries.
     thr *= static_cast<double>(attempts);
     return static_cast<Tick>(thr);
@@ -230,7 +239,7 @@ TokenL1::issuePersistent(Addr addr, Txn &txn)
         m.reqId = txn.prSeq;
         m.requestor = _id;
         m.dst = arbiterOf(addr);
-        send(std::move(m), g.params.l1Latency);
+        send(std::move(m), g.machine.l1Latency);
         txn.activated = true;  // the arbiter handles activation
         return;
     }
@@ -261,7 +270,7 @@ TokenL1::activatePersistent(Addr addr, Txn &txn)
     m.requestor = _id;
     for (const MachineID &t : persistTargets(ctx.topo, addr, _id)) {
         m.dst = t;
-        send(m, g.params.l1Latency);
+        send(m, g.machine.l1Latency);
     }
 }
 
@@ -279,7 +288,7 @@ TokenL1::deactivatePersistent(Addr addr, Txn &txn)
         m.reqId = txn.prSeq;
         m.requestor = _id;
         m.dst = arbiterOf(addr);
-        send(std::move(m), g.params.l1Latency);
+        send(std::move(m), g.machine.l1Latency);
         return;
     }
 
@@ -294,7 +303,7 @@ TokenL1::deactivatePersistent(Addr addr, Txn &txn)
     m.requestor = _id;
     for (const MachineID &t : persistTargets(ctx.topo, addr, _id)) {
         m.dst = t;
-        send(m, g.params.l1Latency);
+        send(m, g.machine.l1Latency);
     }
 
     // Minimum-latency handoff: our own table names the next-priority
@@ -328,7 +337,7 @@ TokenL1::tryComplete(Addr addr)
                                                : txn.req.operand;
         st.dirty = true;
         st.locallyModified = true;
-        st.holdUntil = ctx.now() + g.params.responseDelay;
+        st.holdUntil = ctx.now() + g.machine.responseDelay;
     } else {
         if (!st.readable())
             return;
@@ -347,7 +356,7 @@ TokenL1::tryComplete(Addr addr)
     if (!txn.isWrite && !st.owner && st.tokens > 1 && st.validData) {
         giveTokens(st, MsgType::TokWriteback, addr,
                    ctx.topo.l2BankFor(_id.cmp, addr), st.tokens - 1,
-                   false, true, g.params.l1Latency);
+                   false, true, g.machine.l1Latency);
     }
 
     MemResult res;
@@ -408,7 +417,7 @@ TokenL1::onResponse(const Msg &m)
             stray.value = m.value;
             giveTokens(stray, MsgType::TokWriteback, addr,
                        ctx.topo.l2BankFor(_id.cmp, addr), stray.tokens,
-                       stray.owner, stray.owner, g.params.l1Latency);
+                       stray.owner, stray.owner, g.machine.l1Latency);
         }
         return;
     }
@@ -444,7 +453,7 @@ TokenL1::onTransientReq(const Msg &m)
     const bool is_write = m.type == MsgType::TokWriteReq;
     const bool local = m.requestor.cmp == _id.cmp;
     const int total = g.params.totalTokens;
-    const Tick lat = g.params.l1Latency;
+    const Tick lat = g.machine.l1Latency;
 
     if (is_write) {
         // Give everything; only the owner attaches data.
@@ -455,7 +464,7 @@ TokenL1::onTransientReq(const Msg &m)
     }
 
     // Read request.
-    const bool migratory = g.params.migratory && st.owner &&
+    const bool migratory = g.machine.migratory && st.owner &&
                            st.locallyModified && st.validData &&
                            st.tokens == total;
     if (migratory) {
@@ -535,7 +544,7 @@ TokenL1::forwardPersistentTokens(Addr addr)
         return;
     }
 
-    if (!givePersistent(st, addr, *entry, true, g.params.l1Latency))
+    if (!givePersistent(st, addr, *entry, true, g.machine.l1Latency))
         return;
     if (st.tokens == 0) {
         st.locallyModified = false;

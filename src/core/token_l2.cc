@@ -41,7 +41,7 @@ TokenL2::evictLine(Line *line)
     TokenSt &st = line->st;
     if (st.tokens > 0 || st.owner) {
         ++stats.writebacksOut;
-        evictTokens(st, addr, ctx.topo.homeOf(addr), g.params.l2Latency);
+        evictTokens(st, addr, ctx.topo.homeOf(addr), g.machine.l2Latency);
     }
     _array.invalidate(line);
 }
@@ -103,7 +103,7 @@ TokenL2::escalate(const Msg &m)
     Msg fwd = m;
     for (const MachineID &t : _destScratch) {
         fwd.dst = t;
-        send(fwd, g.params.l2Latency);
+        send(fwd, g.machine.l2Latency);
     }
 }
 
@@ -128,7 +128,7 @@ TokenL2::onLocalRequest(const Msg &m)
     }
 
     TokenSt &st = line->st;
-    const Tick lat = g.params.l2Latency;
+    const Tick lat = g.machine.l2Latency;
     if (is_write) {
         const bool full = st.tokens == total && st.validData;
         ++stats.localResponses;
@@ -145,7 +145,7 @@ TokenL2::onLocalRequest(const Msg &m)
         escalate(m);
         return;
     }
-    const bool migratory = g.params.migratory && st.owner &&
+    const bool migratory = g.machine.migratory && st.owner &&
                            st.dirty && st.tokens == total;
     ++stats.localResponses;
     if (migratory || st.tokens == 1) {
@@ -172,14 +172,14 @@ TokenL2::relayToL1s(const Msg &m)
         const MachineID i = ctx.topo.l1i(_id.cmp, p);
         if (mask & (1u << l1SlotOf(ctx.topo, d))) {
             fwd.dst = d;
-            send(fwd, g.params.l2Latency);
+            send(fwd, g.machine.l2Latency);
             ++stats.relaysToL1;
         } else {
             ++stats.filteredRelays;
         }
         if (mask & (1u << l1SlotOf(ctx.topo, i))) {
             fwd.dst = i;
-            send(fwd, g.params.l2Latency);
+            send(fwd, g.machine.l2Latency);
             ++stats.relaysToL1;
         } else {
             ++stats.filteredRelays;
@@ -199,7 +199,7 @@ TokenL2::onExternalRequest(const Msg &m)
     if (ctx.topo.homeCmpOf(m.addr) == _id.cmp) {
         Msg fwd = m;
         fwd.dst = ctx.topo.homeOf(m.addr);
-        send(fwd, g.params.l2Latency);
+        send(fwd, g.machine.l2Latency);
     }
 
     Line *line = _array.probe(m.addr);
@@ -225,7 +225,7 @@ TokenL2::onExternalRequest(const Msg &m)
         return;
 
     TokenSt &st = line->st;
-    const Tick lat = g.params.l2Latency;
+    const Tick lat = g.machine.l2Latency;
     if (is_write) {
         ++stats.externalResponses;
         giveTokens(st, MsgType::TokResponse, m.addr, m.requestor,
@@ -238,7 +238,7 @@ TokenL2::onExternalRequest(const Msg &m)
     // C tokens when possible to seed the requesting CMP.
     if (!st.owner || !st.validData)
         return;
-    const bool migratory = g.params.migratory && st.dirty &&
+    const bool migratory = g.machine.migratory && st.dirty &&
                            st.tokens == total;
     const int k = migratory ? st.tokens
                             : std::min(g.params.cTokens, st.tokens);
@@ -274,7 +274,7 @@ TokenL2::onPersistentTableChange(Addr addr)
     Line *line = _array.probe(addr);
     if (line == nullptr || (line->st.tokens == 0 && !line->st.owner))
         return;
-    if (givePersistent(line->st, addr, *entry, true, g.params.l2Latency) &&
+    if (givePersistent(line->st, addr, *entry, true, g.machine.l2Latency) &&
         line->st.tokens == 0) {
         _array.invalidate(line);
     }

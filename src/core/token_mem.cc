@@ -12,7 +12,7 @@ TokenMem::TokenMem(SimContext &ctx, MachineID id, TokenGlobals &g)
                [this](Addr addr) {
                    return persistTargets(this->ctx.topo, addr, _id);
                },
-               g.params.memCtrlLatency)
+               g.machine.memCtrlLatency)
 {
     if (id.type != MachineType::Mem)
         panic("TokenMem requires a Mem machine id");
@@ -120,7 +120,7 @@ TokenMem::give(MemBlock &b, Addr addr, const MachineID &dst, int tokens,
     // every memory response pays one DRAM access.
     ++stats.dramAccesses;
     giveTokens(held, MsgType::TokResponse, addr, dst, tokens, owner, data,
-               g.params.memCtrlLatency + g.params.dramLatency);
+               g.machine.memCtrlLatency + g.machine.dramLatency);
     b.tokens = held.tokens;
     b.owner = held.owner;
 }

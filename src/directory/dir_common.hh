@@ -30,9 +30,12 @@ namespace tokencmp {
 /** State shared by every controller of one DirectoryCMP system. */
 struct DirGlobals
 {
-    explicit DirGlobals(const DirParams &p) : params(p) {}
+    DirGlobals(const DirParams &p, const MachineParams &m)
+        : params(p), machine(m)
+    {}
 
     DirParams params;
+    MachineParams machine;
     BackingStore store;
 };
 

@@ -1,6 +1,8 @@
 /**
  * @file
- * Configuration for the DirectoryCMP baseline (paper Section 2).
+ * Configuration for the DirectoryCMP baseline (paper Section 2). The
+ * cache and memory timing it shares with every family is MachineParams
+ * (net/machine.hh).
  */
 
 #ifndef TOKENCMP_DIRECTORY_DIR_CONFIG_HH
@@ -13,23 +15,12 @@ namespace tokencmp {
 /** DirectoryCMP parameters. */
 struct DirParams
 {
-    Tick l1Latency = ns(2);
-    Tick l2Latency = ns(7);
-    Tick memCtrlLatency = ns(6);
-    Tick dramLatency = ns(80);
-
     /**
      * Latency of an inter-CMP directory access. The directory state is
      * stored in DRAM (80 ns); the paper also evaluates an unrealistic
      * zero-cycle directory (DirectoryCMP-zero).
      */
     Tick dirLatency = ns(80);
-
-    /** Migratory-sharing optimization (Section 2). */
-    bool migratory = true;
-
-    /** Response-delay window (all protocols implement it). */
-    Tick responseDelay = ns(30);
 };
 
 } // namespace tokencmp

@@ -54,7 +54,7 @@ DirL1::cpuRequest(const MemRequest &req)
             if (is_write) {
                 applyWrite(line, req, old);
             }
-            const Tick lat = g.params.l1Latency;
+            const Tick lat = g.machine.l1Latency;
             auto cb = req.callback;
             ctx.eventq.schedule(lat, [cb, old, lat]() {
                 cb(MemResult{old, lat});
@@ -83,7 +83,7 @@ DirL1::applyWrite(Line *line, const MemRequest &req, std::uint64_t &old)
     // acquisition; a plain store *hit* (typically the release) must
     // not extend it and delay the handoff.
     if (req.op == MemOp::Atomic || !was_exclusive)
-        st.holdUntil = ctx.now() + g.params.responseDelay;
+        st.holdUntil = ctx.now() + g.machine.responseDelay;
 }
 
 void
@@ -100,7 +100,7 @@ DirL1::startMiss(const MemRequest &req)
         ++stats.getS;
     send(dirMsg(txn.isWrite ? MsgType::GetX : MsgType::GetS, addr,
                 myL2(addr), _id),
-         g.params.l1Latency);
+         g.machine.l1Latency);
 }
 
 // ---------------------------------------------------------------------
@@ -136,7 +136,7 @@ DirL1::evictLine(Line *line)
         _wb.get(addr) = PendingWb{st.value, st.dirty};
         ++stats.writebacks;
         send(PendingWb::request(addr, myL2(addr), _id),
-             g.params.l1Latency);
+             g.machine.l1Latency);
     }
     // S lines are dropped silently; the intra directory tolerates
     // stale sharer bits (spurious Invs are acked from state I).
@@ -230,7 +230,7 @@ DirL1::onInv(const Msg &m)
         }
         _array.invalidate(line);
     }
-    send(invAckMsg(m.addr, m.src, _id, m.reqId), g.params.l1Latency);
+    send(invAckMsg(m.addr, m.src, _id, m.reqId), g.machine.l1Latency);
 }
 
 void
@@ -242,7 +242,7 @@ DirL1::onFwd(const Msg &m, bool force)
     // Forwards to a block mid-writeback are served from the buffer.
     if (PendingWb *wb = _wb.find(addr)) {
         ++stats.fwdsServed;
-        send(wb->reply(m, _id, false), g.params.l1Latency);
+        send(wb->reply(m, _id, false), g.machine.l1Latency);
         return;
     }
 
@@ -266,7 +266,7 @@ DirL1::onFwd(const Msg &m, bool force)
 
     ++stats.fwdsServed;
     // Migratory sharing hands the reader read/write permission.
-    const bool migrate = !wants_exclusive && g.params.migratory &&
+    const bool migrate = !wants_exclusive && g.machine.migratory &&
                          st.state == L1State::M && st.locallyStored;
     // Data routes through the L2 (the intra-CMP directory).
     Msg r = dataMsg(wants_exclusive || migrate, addr, m.src, m.requestor,
@@ -282,7 +282,7 @@ DirL1::onFwd(const Msg &m, bool force)
         st.dirty = false;
         st.locallyStored = false;
     }
-    send(std::move(r), g.params.l1Latency);
+    send(std::move(r), g.machine.l1Latency);
 }
 
 void
@@ -297,7 +297,7 @@ DirL1::onWbGrant(const Msg &m)
 
     if (wb.cancelled)
         ++stats.wbCancels;
-    send(wb.grantReply(addr, m.src, _id), g.params.l1Latency);
+    send(wb.grantReply(addr, m.src, _id), g.machine.l1Latency);
 
     // Replay any CPU requests that arrived during the writeback.
     if (std::vector<MemRequest> *waiters = _wbWaiters.find(addr)) {

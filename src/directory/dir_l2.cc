@@ -1,7 +1,6 @@
 #include "directory/dir_l2.hh"
 
 #include <bit>
-#include <cstdio>
 
 #include "sim/logging.hh"
 
@@ -20,54 +19,6 @@ DirL2::peekChip(Addr addr) const
 {
     const auto *line = _array.probe(addr);
     return line ? line->st.chip : ChipState::I;
-}
-
-void
-DirL2::debugDump() const
-{
-    auto hdr = [this](Addr a, const char *kind) {
-        std::fprintf(stderr, "  %s block %llx: %s",
-                     _id.toString().c_str(),
-                     static_cast<unsigned long long>(a), kind);
-    };
-    _home.forEach([&](Addr a, const HomeTxn &t) {
-        hdr(a, "HOME");
-        std::fprintf(stderr,
-                     " isWrite=%d hasData=%d extAcks=%d/%d "
-                     "localAcks=%d/%d l1=%s\n",
-                     t.isWrite, t.fetch.hasData, t.fetch.acksGot,
-                     t.fetch.acksNeeded, t.localAcksGot,
-                     t.localAcksNeeded, t.l1Req.toString().c_str());
-    });
-    _local.forEach([&](Addr a, const LocalTxn &t) {
-        hdr(a, "LOCAL");
-        std::fprintf(stderr, " isWrite=%d acks=%d/%d waitData=%d\n",
-                     t.isWrite, t.acksGot, t.acksNeeded,
-                     t.waitingData);
-    });
-    _ext.forEach([&](Addr a, const ExtSvc &t) {
-        hdr(a, "EXT");
-        std::fprintf(stderr, " isWrite=%d isInv=%d acks=%d/%d "
-                     "waitData=%d\n",
-                     t.isWrite, t.isInv, t.acksGot, t.acksNeeded,
-                     t.waitingData);
-    });
-    _wbLocal.forEach([&](Addr a, const WbLocal &t) {
-        hdr(a, "WBLOCAL");
-        std::fprintf(stderr, " l1=%s\n", t.l1.toString().c_str());
-    });
-    _wbHome.forEach([&](Addr a, const PendingWb &t) {
-        hdr(a, "WBHOME");
-        std::fprintf(stderr, " dirty=%d cancelled=%d\n", t.dirty,
-                     t.cancelled);
-    });
-    _deferred.forEach([&](Addr a, const std::vector<Msg> &q) {
-        hdr(a, "DEFER");
-        for (const Msg &m : q)
-            std::fprintf(stderr, " [%s from %s]", msgTypeName(m.type),
-                         m.requestor.toString().c_str());
-        std::fprintf(stderr, "\n");
-    });
 }
 
 unsigned
@@ -152,7 +103,7 @@ DirL2::startRecall(Line *victim)
     // whose buffer already serves racing forwards.
     send(dirMsg(MsgType::FwdGetX, addr, l1OfSlot(unsigned(st.ownerSlot)),
                 _id, svc.svcId),
-         g.params.l2Latency);
+         g.machine.l2Latency);
 }
 
 void
@@ -161,7 +112,7 @@ DirL2::startHomeWb(Addr addr, std::uint64_t value, bool dirty)
     _wbHome.get(addr) = PendingWb{value, dirty};
     ++stats.wbHomeOut;
     send(PendingWb::request(addr, ctx.topo.homeOf(addr), _id),
-         g.params.l2Latency);
+         g.machine.l2Latency);
 }
 
 void
@@ -171,7 +122,7 @@ DirL2::invalidateL1s(Addr addr, std::uint8_t slots, MsgSeq svc_id)
     for (unsigned s = 0; s < 2 * ctx.topo.procsPerCmp; ++s) {
         if (slots & (1u << s)) {
             inv.dst = l1OfSlot(s);
-            send(inv, g.params.l2Latency);
+            send(inv, g.machine.l2Latency);
         }
     }
 }
@@ -312,7 +263,7 @@ DirL2::grantExclusiveLocal(Line *line, const MachineID &l1,
     st.chip = ChipState::M;
     if (for_write)
         st.storedHere = true;
-    send(std::move(r), g.params.l2Latency);
+    send(std::move(r), g.machine.l2Latency);
 }
 
 void
@@ -343,7 +294,7 @@ DirL2::dispatchLocal(const Msg &m)
             send(dirMsg(MsgType::FwdGetS, addr,
                         l1OfSlot(unsigned(st.ownerSlot)), m.requestor,
                         t.svcId),
-                 g.params.l2Latency);
+                 g.machine.l2Latency);
             return;
         }
         if (!st.l2DataValid)
@@ -358,7 +309,7 @@ DirL2::dispatchLocal(const Msg &m)
                         false);
         st.sharers |= (1u << l1Slot(m.requestor));
         _array.touch(line);
-        send(std::move(r), g.params.l2Latency);
+        send(std::move(r), g.machine.l2Latency);
         return;
     }
 
@@ -373,7 +324,7 @@ DirL2::dispatchLocal(const Msg &m)
             send(dirMsg(MsgType::FwdGetX, addr,
                         l1OfSlot(unsigned(st.ownerSlot)), m.requestor,
                         t.svcId),
-                 g.params.l2Latency);
+                 g.machine.l2Latency);
             return;
         }
         const std::uint8_t invs =
@@ -428,7 +379,7 @@ DirL2::startHomeTxn(const Msg &m, Line *line)
     }
 
     send(dirMsg(m.type, addr, ctx.topo.homeOf(addr), _id),
-         g.params.l2Latency);
+         g.machine.l2Latency);
 }
 
 void
@@ -465,9 +416,9 @@ DirL2::checkHomeComplete(Addr addr)
     ++stats.grants;
     send(dataMsg(excl, addr, t.l1Req, t.l1Req, t.fetch.value,
                  excl && t.fetch.dirty),
-         g.params.l2Latency);
+         g.machine.l2Latency);
     send(t.fetch.unblock(addr, ctx.topo.homeOf(addr), _id, t.isWrite),
-         g.params.l2Latency);
+         g.machine.l2Latency);
     _array.touch(line);
     _home.erase(addr);
     pump(addr);
@@ -524,7 +475,7 @@ DirL2::onL1Data(const Msg &m)
             if (t.isWrite)
                 st.storedHere = true;
         }
-        send(std::move(r), g.params.l2Latency);
+        send(std::move(r), g.machine.l2Latency);
         _local.erase(addr);
         pump(addr);
         return;
@@ -636,7 +587,7 @@ DirL2::startExtSvc(const Msg &m)
 
     // Block mid-writeback to home: serve from the buffer.
     if (PendingWb *wb = _wbHome.find(addr)) {
-        send(wb->reply(m, _id, true), g.params.l2Latency);
+        send(wb->reply(m, _id, true), g.machine.l2Latency);
         return;
     }
 
@@ -648,7 +599,7 @@ DirL2::startExtSvc(const Msg &m)
             line->st.sharers == 0) {
             if (line != nullptr)
                 invalidateChipLine(addr, line);
-            send(invAckMsg(addr, m.requestor, _id), g.params.l2Latency);
+            send(invAckMsg(addr, m.requestor, _id), g.machine.l2Latency);
             return;
         }
         ExtSvc &svc = _ext.get(addr);
@@ -678,7 +629,7 @@ DirL2::startExtSvc(const Msg &m)
         svc.waitingData = true;
         send(dirMsg(m.type, addr, l1OfSlot(unsigned(st.ownerSlot)),
                     m.requestor, svc.svcId),
-             g.params.l2Latency);
+             g.machine.l2Latency);
         return;
     }
 
@@ -689,7 +640,7 @@ DirL2::startExtSvc(const Msg &m)
 
     // msg.owner on a FwdGetS means the home saw no other sharers, so
     // a migratory transfer is permitted.
-    svc.migratory = !wants_x && g.params.migratory &&
+    svc.migratory = !wants_x && g.machine.migratory &&
                     st.chip == ChipState::M && st.storedHere &&
                     m.owner;
 
@@ -718,7 +669,7 @@ DirL2::finishExtSvc(Addr addr)
     if (svc.isInv) {
         if (line != nullptr)
             invalidateChipLine(addr, line);
-        send(invAckMsg(addr, svc.remote, _id), g.params.l2Latency);
+        send(invAckMsg(addr, svc.remote, _id), g.machine.l2Latency);
     } else {
         // Exclusive handoff (write or migratory), or a shared forward
         // after which we remain the owner chip.
@@ -738,7 +689,7 @@ DirL2::finishExtSvc(Addr addr)
             if (HomeTxn *t = _home.find(addr))
                 t->fetch.hasData = false;
         }
-        send(std::move(r), g.params.l2Latency);
+        send(std::move(r), g.machine.l2Latency);
     }
     pump(addr);
 }
@@ -757,7 +708,7 @@ DirL2::onWbRequest(const Msg &m)
     }
     _wbLocal.get(addr).l1 = m.requestor;
     send(dirMsg(MsgType::WbGrant, addr, m.requestor, m.requestor),
-         g.params.l2Latency);
+         g.machine.l2Latency);
 }
 
 void
@@ -795,7 +746,7 @@ DirL2::onWbGrantFromHome(const Msg &m)
     const PendingWb wb = *pending;
     _wbHome.erase(addr);
     send(wb.grantReply(addr, ctx.topo.homeOf(addr), _id),
-         g.params.l2Latency);
+         g.machine.l2Latency);
     pump(addr);
 }
 

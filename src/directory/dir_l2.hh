@@ -60,9 +60,6 @@ class DirL2 : public Controller
     /** Chip-level state of a block (tests). */
     ChipState peekChip(Addr addr) const;
 
-    /** Print in-flight transactions and deferred queues (debugging). */
-    void debugDump() const;
-
     /** No transaction, writeback window or deferred request. */
     bool
     quiescent() const

@@ -1,7 +1,6 @@
 #include "directory/dir_mem.hh"
 
 #include <bit>
-#include <cstdio>
 
 #include "sim/logging.hh"
 
@@ -19,30 +18,6 @@ DirMem::peekState(Addr addr) const
 {
     const Entry *e = _dir.find(addr);
     return e == nullptr ? DirState::Uncached : e->state;
-}
-
-void
-DirMem::debugDump() const
-{
-    _dir.forEach([this](Addr addr, const Entry &e) {
-        const std::vector<Msg> *q = _deferred.find(addr);
-        if (!e.busy && q == nullptr)
-            return;
-        std::fprintf(stderr,
-                     "  %s block %llx: state=%s busy=%d owner=%d "
-                     "presence=%x deferred=%zu",
-                     _id.toString().c_str(),
-                     static_cast<unsigned long long>(addr),
-                     dirStateName(e.state), e.busy, int(e.ownerCmp),
-                     unsigned(e.presence), q ? q->size() : 0);
-        if (q != nullptr) {
-            for (const Msg &m : *q)
-                std::fprintf(stderr, " [%s from %s]",
-                             msgTypeName(m.type),
-                             m.requestor.toString().c_str());
-        }
-        std::fprintf(stderr, "\n");
-    });
 }
 
 bool
@@ -229,7 +204,7 @@ DirMem::onUnblock(const Msg &m, Entry &e)
 
     // Directory update occupies the controller briefly before the
     // next deferred request dispatches.
-    ctx.eventq.schedule(g.params.memCtrlLatency, [this, addr = m.addr]() {
+    ctx.eventq.schedule(g.machine.memCtrlLatency, [this, addr = m.addr]() {
         release(addr, _dir.get(addr));
     });
 }
@@ -247,9 +222,11 @@ DirMem::onWbData(const Msg &m, Entry &e)
 {
     if (!e.busy)
         panic("writeback data while not busy");
-    ++stats.writebacks;
 
-    if (m.type == MsgType::WbData) {
+    if (m.type == MsgType::WbCancel) {
+        ++stats.writebacksCancelled;
+    } else {
+        ++stats.writebacks;
         const unsigned src_cmp = m.src.cmp;
         if (m.hasData)
             g.store.write(m.addr, m.value);
@@ -263,7 +240,7 @@ DirMem::onWbData(const Msg &m, Entry &e)
         }
     }
 
-    ctx.eventq.schedule(g.params.memCtrlLatency, [this, addr = m.addr]() {
+    ctx.eventq.schedule(g.machine.memCtrlLatency, [this, addr = m.addr]() {
         release(addr, _dir.get(addr));
     });
 }

@@ -34,7 +34,8 @@ class DirMem : public Controller
         std::uint64_t forwards = 0;      //!< sharing-miss indirections
         std::uint64_t memResponses = 0;  //!< data supplied from DRAM
         std::uint64_t invalidations = 0;
-        std::uint64_t writebacks = 0;
+        std::uint64_t writebacks = 0;           //!< WbData received
+        std::uint64_t writebacksCancelled = 0;  //!< WbCancel received
         std::uint64_t deferrals = 0;
     };
 
@@ -46,9 +47,6 @@ class DirMem : public Controller
 
     /** Directory state for a block (tests). */
     DirState peekState(Addr addr) const;
-
-    /** Print busy entries and deferred queues (debugging). */
-    void debugDump() const;
 
     /** No busy block and no deferred request. */
     bool quiescent() const;
@@ -68,8 +66,8 @@ class DirMem : public Controller
     {
         const Tick access =
             std::max(g.params.dirLatency,
-                     data ? g.params.dramLatency : Tick(0));
-        return g.params.memCtrlLatency + access;
+                     data ? g.machine.dramLatency : Tick(0));
+        return g.machine.memCtrlLatency + access;
     }
 
     void dispatch(const Msg &m, Entry &e);

@@ -30,13 +30,13 @@ PerfectL1::cpuRequest(const MemRequest &req)
 
     auto *line = _array.probe(addr);
     const bool hit = line != nullptr;
-    Tick lat = g.l1Latency;
+    Tick lat = g.machine.l1Latency;
     if (hit) {
         ++stats.hits;
         _array.touch(line);
     } else {
         ++stats.misses;
-        lat += 2 * g.linkLatency + g.l2Latency;
+        lat += 2 * g.linkLatency + g.machine.l2Latency;
         auto *victim = _array.victim(addr);
         if (_array.isValid(*victim))
             g.holders.get(_array.tagOf(*victim)) &= ~_selfBit;

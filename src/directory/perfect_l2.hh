@@ -28,9 +28,12 @@ class PerfectL1;
 /** Shared state of the PerfectL2 pseudo-protocol. */
 struct PerfectGlobals
 {
-    Tick l1Latency = ns(2);
-    Tick l2Latency = ns(7);
-    Tick linkLatency = ns(2);
+    PerfectGlobals(const MachineParams &m, Tick link_latency)
+        : machine(m), linkLatency(link_latency)
+    {}
+
+    MachineParams machine;
+    Tick linkLatency;
 
     BackingStore store;
     /** Which L1s (by global controller index) hold each block. */

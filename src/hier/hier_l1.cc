@@ -31,7 +31,7 @@ HierL1::onRecall(const Msg &m)
         return;
     TokenSt &st = line->st;
     const bool down = m.isRead;  // downgrade: surrender ownership only
-    const Tick lat = g.params.l1Latency;
+    const Tick lat = g.machine.l1Latency;
 
     if (down) {
         // The shim needs the owner token (and the authoritative data)

@@ -7,13 +7,13 @@
 namespace tokencmp {
 
 HierShim::HierShim(SimContext &ctx, MachineID id, TokenGlobals &tg,
-                   DirGlobals &dg, unsigned residency_cap)
-    : TokenController(ctx, id, tg), dg(dg), _residencyCap(residency_cap),
+                   unsigned residency_cap)
+    : TokenController(ctx, id, tg), _residencyCap(residency_cap),
       _arbiter(*this,
                [this](Addr) {
                    return localL1Targets(this->ctx.topo, _id.cmp, _id);
                },
-               tg.params.l2Latency)
+               tg.machine.l2Latency)
 {
     if (id.type != MachineType::L2Bank)
         panic("HierShim requires an L2 machine id");
@@ -195,7 +195,7 @@ HierShim::serveLocal(Addr addr, Blk &b, const MachineID &requestor,
     ++stats.localServes;
     // Data rides with the owner token and with every read grant.
     giveTokens(b, MsgType::TokResponse, addr, requestor, tokens, owner,
-               owner || !is_write, g.params.l2Latency);
+               owner || !is_write, g.machine.l2Latency);
     return true;
 }
 
@@ -239,7 +239,7 @@ HierShim::onPersistentTableChange(Addr addr)
         return;
     }
 
-    const Tick lat = g.params.l2Latency;
+    const Tick lat = g.machine.l2Latency;
     if (b.chip == ChipState::M) {
         // Memory-role plan: give everything (chip M may shed the
         // owner token).
@@ -301,7 +301,7 @@ HierShim::startFetch(Addr addr, Blk &b, const MachineID &demand,
     ++stats.fetches;
     send(dirMsg(is_write ? MsgType::GetX : MsgType::GetS, addr,
                 ctx.topo.homeOf(addr), _id),
-         dg.params.l2Latency);
+         g.machine.l2Latency);
 }
 
 void
@@ -358,7 +358,7 @@ HierShim::checkFetchComplete(Addr addr, Blk &b)
 
     send(b.fetch.unblock(addr, ctx.topo.homeOf(addr), _id,
                          b.fetchForWrite),
-         dg.params.l2Latency);
+         g.machine.l2Latency);
 
     becomeResident(addr, b);
 
@@ -394,7 +394,7 @@ HierShim::startExternal(const Msg &m)
 
     // Mid-writeback: serve from the buffer.
     if (PendingWb *wb = _wb.find(addr)) {
-        send(wb->reply(m, _id, true), dg.params.l2Latency);
+        send(wb->reply(m, _id, true), g.machine.l2Latency);
         return;
     }
 
@@ -425,7 +425,7 @@ HierShim::tryFinishExternal(Addr addr, Blk &b)
         b.dirty = false;
         b.chipStored = false;
         leaveResident(b);
-        send(invAckMsg(addr, m.requestor, _id), dg.params.l2Latency);
+        send(invAckMsg(addr, m.requestor, _id), g.machine.l2Latency);
         onPersistentTableChange(addr);
         return;
     }
@@ -436,7 +436,7 @@ HierShim::tryFinishExternal(Addr addr, Blk &b)
 
     if (m.type == MsgType::FwdGetS) {
         // m.owner = home saw no other sharers (migratory permitted).
-        const bool mig = dg.params.migratory && m.owner &&
+        const bool mig = g.machine.migratory && m.owner &&
                          b.chip == ChipState::M && b.chipStored;
         if (!mig) {
             if (!b.owner || !b.validData) {
@@ -449,7 +449,7 @@ HierShim::tryFinishExternal(Addr addr, Blk &b)
             Msg r = dataMsg(false, addr, m.requestor, m.requestor,
                             b.value, false);
             r.acks = m.acks;
-            send(std::move(r), dg.params.l2Latency);
+            send(std::move(r), g.machine.l2Latency);
             onPersistentTableChange(addr);
             return;
         }
@@ -481,7 +481,7 @@ HierShim::tryFinishExternal(Addr addr, Blk &b)
     // answer the demoted GetX with a full DataEx instead.
     if (b.fetching)
         b.fetch.hasData = false;
-    send(std::move(r), dg.params.l2Latency);
+    send(std::move(r), g.machine.l2Latency);
     onPersistentTableChange(addr);
 }
 
@@ -505,7 +505,7 @@ HierShim::broadcastRecall(Addr addr, Recall kind)
     for (const MachineID &t :
          localL1Targets(ctx.topo, _id.cmp, _id)) {
         inv.dst = t;
-        send(inv, g.params.l2Latency);
+        send(inv, g.machine.l2Latency);
     }
 }
 
@@ -517,7 +517,7 @@ HierShim::scheduleRecallRetry(Addr addr, std::uint64_t gen)
     // in-flight-persistent race) are re-collected every period; each
     // round strictly grows the shim's sink, so the recall converges.
     const Tick period =
-        4 * (g.params.l1Latency + g.params.l2Latency);
+        4 * (g.machine.l1Latency + g.machine.l2Latency);
     ctx.eventq.schedule(period, [this, addr, gen]() {
         const Blk *found = _blocks.find(addr);
         if (found == nullptr)
@@ -619,7 +619,7 @@ HierShim::startWb(Addr addr, Blk &b)
     leaveResident(b);
     ++stats.writebacksOut;
     send(PendingWb::request(addr, ctx.topo.homeOf(addr), _id),
-         dg.params.l2Latency);
+         g.machine.l2Latency);
 }
 
 void
@@ -634,7 +634,7 @@ HierShim::onWbGrant(const Msg &m)
     if (wb.cancelled)
         ++stats.writebacksCancelled;
     send(wb.grantReply(addr, ctx.topo.homeOf(addr), _id),
-         dg.params.l2Latency);
+         g.machine.l2Latency);
     // A demand queued behind the writeback re-fires through the
     // persistent path (transients re-trigger via their own retries).
     onPersistentTableChange(addr);

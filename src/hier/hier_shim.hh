@@ -91,14 +91,12 @@ class HierShim : public TokenController
     /**
      * @param tg  this CMP's token globals (auditor tracks the CMP's
      *            private T-token space)
-     * @param dg  the inter-CMP directory globals (home store is the
-     *            system's data authority)
      * @param residency_cap soft cap on blocks held by this shim with
      *            chip rights (0 = unbounded); exceeding it starts
      *            chip-level evictions/writebacks FIFO-ish.
      */
     HierShim(SimContext &ctx, MachineID id, TokenGlobals &tg,
-             DirGlobals &dg, unsigned residency_cap);
+             unsigned residency_cap);
 
     void handleMsg(const Msg &msg) override;
 
@@ -185,7 +183,6 @@ class HierShim : public TokenController
     void maybeEvict(Addr just_fetched);
     void startWb(Addr addr, Blk &b);
 
-    DirGlobals &dg;
     unsigned _residencyCap;
 
     BlockTable<Blk> _blocks;

@@ -168,6 +168,31 @@ struct Topology
     }
 };
 
+/**
+ * The cache and memory timing of paper Table 3 and the two sharing
+ * optimizations every protocol family implements: one block for all
+ * families, so a setting moves token, directory, PerfectL2 and hier
+ * runs alike.
+ */
+struct MachineParams
+{
+    Tick l1Latency = ns(2);
+    Tick l2Latency = ns(7);
+    Tick memCtrlLatency = ns(6);
+    Tick dramLatency = ns(80);
+
+    /**
+     * Response-delay window (Section 3.2, Rajwar-style): after a write
+     * acquisition, hold the block against external requests long
+     * enough to finish a short critical section. Bounded, so
+     * starvation freedom is unaffected.
+     */
+    Tick responseDelay = ns(30);
+
+    /** Migratory-sharing optimization (Section 2). */
+    bool migratory = true;
+};
+
 } // namespace tokencmp
 
 namespace std {

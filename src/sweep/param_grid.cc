@@ -7,7 +7,6 @@
 #include <limits>
 #include <set>
 
-#include "core/policy.hh"
 #include "sim/logging.hh"
 #include "sweep/json.hh"
 #include "system/knobs.hh"
@@ -43,20 +42,6 @@ joinNames(const std::vector<std::string> &names)
         out += n;
     }
     return out;
-}
-
-/** The protocol-table keys ("directory", "hier", ...): "policies"
- *  axis names that select a protocol. Any other name is a
- *  PolicyRegistry policy on the token family. */
-std::string
-protocolKeys()
-{
-    std::vector<std::string> keys;
-    for (Protocol p : allProtocols()) {
-        if (const char *key = protocolInfo(p).key)
-            keys.push_back(key);
-    }
-    return joinNames(keys);
 }
 
 std::vector<std::string>
@@ -178,16 +163,8 @@ ParamGrid::fromJsonText(const std::string &text,
     grid._policies = stringArray(g, "policies", {}, what);
     if (grid._policies.empty())
         fatal("sweep grid %s: missing \"policies\" axis", what.c_str());
-    for (const std::string &p : grid._policies) {
-        if (findProtocol(p) == nullptr &&
-            !PolicyRegistry::instance().known(p)) {
-            fatal("sweep grid %s: unknown policy '%s' (registered: "
-                  "%s; protocols: %s)",
-                  what.c_str(), p.c_str(),
-                  joinNames(PolicyRegistry::instance().names()).c_str(),
-                  protocolKeys().c_str());
-        }
-    }
+    // An unknown name dies in configFor() below, when every cell's
+    // config is built at load.
 
     grid._workloads = stringArray(g, "workloads", {}, what);
     if (grid._workloads.empty())
@@ -408,13 +385,7 @@ ParamGrid::enumerate()
 SystemConfig
 ParamGrid::configFor(const SweepCell &cell) const
 {
-    SystemConfig cfg;
-    if (const ProtocolInfo *row = findProtocol(cell.policy)) {
-        cfg.protocol = row->protocol;
-    } else {
-        cfg.protocol = Protocol::TokenDst1;
-        cfg.policyName = cell.policy;
-    }
+    SystemConfig cfg = SystemConfig::select(cell.policy);
     cfg.workloadName = cell.workload;
     cfg.workloadParams = _wl;
 

@@ -28,9 +28,10 @@
  *     ]
  *   }
  *
- * "policies" entries are PolicyRegistry names on the token substrate,
+ * "policies" entries are configuration names, resolved by
+ * SystemConfig::select(): PolicyRegistry names on the token substrate,
  * plus the protocol-table keys of the non-token rows ("directory",
- * "directory-zero", "perfect", "hier"; see system/config.cc).
+ * "directory-zero", "perfect", "hier").
  * Every name (policies, workloads, knobs) is
  * validated against its registry at load time — a typo dies before
  * any cell simulates, not at 3am in cell 900.

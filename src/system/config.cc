@@ -1,5 +1,6 @@
 #include "system/config.hh"
 
+#include "core/policy.hh"
 #include "sim/logging.hh"
 
 namespace tokencmp {
@@ -13,14 +14,7 @@ const ProtocolInfo kProtocols[] = {
      Family::Directory, nullptr},
     {Protocol::DirectoryCMPZero, "DirectoryCMP-zero", "directory-zero",
      Family::Directory, nullptr},
-    {Protocol::TokenArb0, "TokenCMP-arb0", nullptr, Family::Token, "arb0"},
-    {Protocol::TokenDst0, "TokenCMP-dst0", nullptr, Family::Token, "dst0"},
-    {Protocol::TokenDst4, "TokenCMP-dst4", nullptr, Family::Token, "dst4"},
     {Protocol::TokenDst1, "TokenCMP-dst1", nullptr, Family::Token, "dst1"},
-    {Protocol::TokenDst1Pred, "TokenCMP-dst1-pred", nullptr, Family::Token,
-     "dst1-pred"},
-    {Protocol::TokenDst1Filt, "TokenCMP-dst1-filt", nullptr, Family::Token,
-     "dst1-filt"},
     {Protocol::PerfectL2, "PerfectL2", "perfect", Family::Perfect, nullptr},
     // Tokens within each CMP run hier's intra-CMP policy.
     {Protocol::HierCMP, "HierCMP", "hier", Family::Hier, "arb4"},
@@ -66,13 +60,38 @@ isToken(Protocol p)
     return protocolInfo(p).family == Family::Token;
 }
 
-std::vector<Protocol>
+const std::vector<std::string> &
 allProtocols()
 {
-    std::vector<Protocol> out;
-    for (const ProtocolInfo &row : kProtocols)
-        out.push_back(row.protocol);
-    return out;
+    static const std::vector<std::string> names = {
+        "directory", "directory-zero", "arb0",      "dst0",
+        "dst4",      "dst1",           "dst1-pred", "dst1-filt",
+        "perfect",   "hier"};
+    return names;
+}
+
+SystemConfig
+SystemConfig::select(const std::string &name)
+{
+    SystemConfig cfg;
+    if (const ProtocolInfo *row = findProtocol(name)) {
+        cfg.protocol = row->protocol;
+    } else if (PolicyRegistry::instance().known(name)) {
+        cfg.protocol = Protocol::TokenDst1;
+        cfg.policyName = name;
+    } else {
+        std::string keys;
+        for (const ProtocolInfo &row : kProtocols) {
+            if (row.key != nullptr)
+                keys += std::string(keys.empty() ? "" : ", ") + row.key;
+        }
+        std::string policies;
+        for (const std::string &p : PolicyRegistry::instance().names())
+            policies += (policies.empty() ? "" : ", ") + p;
+        fatal("unknown configuration '%s' (protocols: %s; policies: %s)",
+              name.c_str(), keys.c_str(), policies.c_str());
+    }
+    return cfg;
 }
 
 std::string

@@ -18,16 +18,20 @@
 
 namespace tokencmp {
 
-/** Every protocol evaluated in the paper (Sections 6-8). */
+/**
+ * The protocol families' table rows. A flat-token performance policy
+ * (paper Table 1: dst1, dst1-pred, ...) is not a row: it is chosen by
+ * `SystemConfig::policyName`.
+ */
 enum class Protocol : unsigned char {
     DirectoryCMP,      //!< hierarchical MOESI directory, DRAM directory
     DirectoryCMPZero,  //!< unrealistic zero-cycle directory
-    TokenArb0,         //!< persistent-only, arbiter activation
-    TokenDst0,         //!< persistent-only, distributed activation
-    TokenDst4,         //!< 1 transient + 3 retries
-    TokenDst1,         //!< 1 transient, then persistent
-    TokenDst1Pred,     //!< dst1 + contention predictor
-    TokenDst1Filt,     //!< dst1 + external-request filter
+    /**
+     * The flat TokenCMP family, running `policyName` (dst1 when it is
+     * empty). Named for its default policy only because perfbench
+     * selects it by this name; the next benchmark change renames it.
+     */
+    TokenDst1,
     PerfectL2,         //!< infinite shared L2 lower bound
     HierCMP,           //!< directory between CMPs, tokens within
 };
@@ -48,8 +52,8 @@ struct ProtocolInfo
 {
     Protocol protocol;
     const char *name;    //!< figure label (matches the paper's)
-    const char *key;     //!< sweep-grid name; nullptr for token rows,
-                         //!< which grids select by policy name
+    const char *key;     //!< configuration name; nullptr for the token
+                         //!< row, which is selected by policy name
     Family family;
     const char *policy;  //!< PolicyRegistry name; nullptr if none
 };
@@ -63,11 +67,14 @@ const ProtocolInfo *findProtocol(const std::string &key);
 /** Printable protocol name (matches the paper's figures). */
 const char *protocolName(Protocol p);
 
-/** True for the flat TokenCMP variants. */
+/** True for the flat TokenCMP family. */
 bool isToken(Protocol p);
 
-/** All ten configurations, in table order. */
-std::vector<Protocol> allProtocols();
+/**
+ * The names of the paper's ten configurations, in the order the
+ * figures list them; SystemConfig::select() accepts each.
+ */
+const std::vector<std::string> &allProtocols();
 
 /**
  * Shard-domain decomposition for the sharded kernel. The only one is
@@ -100,6 +107,7 @@ struct SystemConfig
     unsigned l2Assoc = 4;
 
     NetworkParams net{};
+    MachineParams machine{};  //!< Table 3 timing, shared by all families
     TokenParams token{};
     DirParams dir{};
 
@@ -112,7 +120,6 @@ struct SystemConfig
     unsigned hierResidencyCap = 1024;
 
     std::uint64_t seed = 1;
-    bool audit = true;  //!< token-conservation auditing
 
     /**
      * Event-kernel backend. TimingWheel is the fast default;
@@ -141,8 +148,8 @@ struct SystemConfig
     /**
      * Performance-policy selection by PolicyRegistry name ("dst1",
      * "dst1-pred", "bw-adapt", ...). Empty (the default) uses the
-     * policy of `protocol`'s table row. Only meaningful for token
-     * protocols; validate() rejects it elsewhere. An unknown name is
+     * policy of `protocol`'s table row. Only meaningful for the token
+     * family; validate() rejects it elsewhere. An unknown name is
      * diagnosed (listing every registered policy) when the System is
      * built.
      */
@@ -162,6 +169,15 @@ struct SystemConfig
     /** Knob table for `workloadName` (skew, key count, write
      *  fraction, phase schedule, ...); checked by validate(). */
     WorkloadParams workloadParams;
+
+    /**
+     * The default (Table 3) configuration named `name`: a protocol
+     * table key ("directory", "directory-zero", "perfect", "hier")
+     * selects that row; any other name must be a PolicyRegistry
+     * policy, run on the flat token family. Fatal, listing both
+     * kinds of name, for anything else.
+     */
+    static SystemConfig select(const std::string &name);
 
     /** Row/figure label: "TokenCMP-<policyName>" when a named policy
      *  is selected, protocolName(protocol) otherwise. */

@@ -23,7 +23,7 @@ class DirectoryFamily : public ProtocolBuilder
         DirParams params = cfg.dir;
         if (cfg.protocol == Protocol::DirectoryCMPZero)
             params.dirLatency = 0;
-        _globals = std::make_unique<DirGlobals>(params);
+        _globals = std::make_unique<DirGlobals>(params, cfg.machine);
         if (cfg.shards > 0) {
             // Home memory controllers on different shard domains
             // insert into the functional store concurrently.

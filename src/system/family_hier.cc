@@ -31,13 +31,13 @@ class HierFamily : public ProtocolBuilder
         const SystemConfig &cfg = sys.config();
         const Topology &t = sys.config().topo;
 
-        _dirGlobals = std::make_unique<DirGlobals>(cfg.dir);
+        _dirGlobals = std::make_unique<DirGlobals>(cfg.dir, cfg.machine);
         for (unsigned c = 0; c < t.numCmps; ++c) {
             // One private token space per CMP, running the protocol
             // row's intra-CMP policy ("arb4": local broadcast, arbiter
             // activation at the shim).
             _tokenGlobals.push_back(std::make_unique<TokenGlobals>(
-                cfg.token, cfg.audit, protocolInfo(cfg.protocol).policy));
+                cfg.token, cfg.machine, protocolInfo(cfg.protocol).policy));
         }
         if (cfg.shards > 0) {
             // A CMP's token space lives wholly in its CMP's shard
@@ -65,7 +65,7 @@ class HierFamily : public ProtocolBuilder
             for (unsigned b = 0; b < t.l2BanksPerCmp; ++b) {
                 auto shim = std::make_unique<HierShim>(
                     sys.contextFor(t.l2(c, b)), t.l2(c, b), tg,
-                    *_dirGlobals, cfg.hierResidencyCap);
+                    cfg.hierResidencyCap);
                 _shims.push_back(shim.get());
                 sys.adopt(std::move(shim));
             }

@@ -23,10 +23,8 @@ class PerfectFamily : public ProtocolBuilder
         const SystemConfig &cfg = sys.config();
         SimContext &ctx = sys.context();
         const Topology &t = ctx.topo;
-        _globals = std::make_unique<PerfectGlobals>();
-        _globals->l1Latency = cfg.token.l1Latency;
-        _globals->l2Latency = cfg.token.l2Latency;
-        _globals->linkLatency = cfg.net.intraLatency;
+        _globals = std::make_unique<PerfectGlobals>(cfg.machine,
+                                                    cfg.net.intraLatency);
 
         for (unsigned c = 0; c < t.numCmps; ++c) {
             for (unsigned p = 0; p < t.procsPerCmp; ++p) {

@@ -1,8 +1,8 @@
 /**
  * @file
  * TokenCMP protocol family: one token space over every CMP, with the
- * performance policy named by `policyName` or by the protocol's row
- * (the Table 1 rows over the shared correctness substrate).
+ * performance policy named by `policyName` (dst1 when empty): the
+ * Table 1 rows over the shared correctness substrate.
  */
 
 #include <memory>
@@ -22,7 +22,7 @@ class TokenFamily : public ProtocolBuilder
         const SystemConfig &cfg = sys.config();
         const Topology &t = sys.config().topo;
         _globals = std::make_unique<TokenGlobals>(
-            cfg.token, cfg.audit,
+            cfg.token, cfg.machine,
             cfg.policyName.empty() ? protocolInfo(cfg.protocol).policy
                                    : cfg.policyName);
         if (cfg.shards > 0) {

@@ -3,7 +3,8 @@
  * Parameterized configuration sweeps: the protocols must stay correct
  * across machine shapes (CMP count, processors per CMP), token-count
  * choices (T must merely exceed the number of caches able to hold a
- * block), C-token transfer sizes, and response-delay windows.
+ * block), C-token transfer sizes, and response-delay windows; and the
+ * one shared timing block must reach every family it times.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +22,7 @@ struct Shape
     unsigned procs;  //!< per CMP
 };
 
-using ShapeParam = std::tuple<Shape, Protocol>;
+using ShapeParam = std::tuple<Shape, std::string>;
 
 class MachineShapes : public ::testing::TestWithParam<ShapeParam>
 {};
@@ -30,11 +31,7 @@ std::string
 shapeName(const ::testing::TestParamInfo<ShapeParam> &info)
 {
     const Shape shape = std::get<0>(info.param);
-    std::string n = protocolName(std::get<1>(info.param));
-    for (char &c : n) {
-        if (c == '-')
-            c = '_';
-    }
+    const std::string n = configTestName(std::get<1>(info.param));
     // Built with += to dodge GCC 12's -Wrestrict false positive on
     // operator+(const char *, std::string &&).
     std::string out = "c";
@@ -66,9 +63,8 @@ unsignedName(const ::testing::TestParamInfo<unsigned> &info)
 
 TEST_P(MachineShapes, CounterLinearizableOnShape)
 {
-    const auto [shape, proto] = GetParam();
-    SystemConfig cfg;
-    cfg.protocol = proto;
+    const auto [shape, name] = GetParam();
+    SystemConfig cfg = SystemConfig::select(name);
     cfg.topo.numCmps = shape.cmps;
     cfg.topo.procsPerCmp = shape.procs;
     // T must exceed the caches-per-block count for the new shape.
@@ -89,9 +85,8 @@ TEST_P(MachineShapes, CounterLinearizableOnShape)
 
 TEST_P(MachineShapes, LockingMutualExclusionOnShape)
 {
-    const auto [shape, proto] = GetParam();
-    SystemConfig cfg;
-    cfg.protocol = proto;
+    const auto [shape, name] = GetParam();
+    SystemConfig cfg = SystemConfig::select(name);
     cfg.topo.numCmps = shape.cmps;
     cfg.topo.procsPerCmp = shape.procs;
     cfg.token.totalTokens =
@@ -112,8 +107,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(Shape{2, 2}, Shape{2, 4}, Shape{4, 2},
                           Shape{4, 4}),
-        ::testing::Values(Protocol::TokenDst1, Protocol::TokenDst0,
-                          Protocol::DirectoryCMP)),
+        ::testing::Values("dst1", "dst0", "directory")),
     shapeName);
 
 namespace {
@@ -127,8 +121,7 @@ TEST_P(TokenKnobs, TotalTokensAboveFloorAllWork)
 {
     // Any T > #caches-per-block satisfies the substrate's
     // requirements; correctness must be insensitive to the choice.
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    SystemConfig cfg = SystemConfig::select("dst1");
     cfg.token.totalTokens = GetParam();
     System sys(cfg);
     CounterWorkload wl(0xa000, 5);
@@ -153,10 +146,8 @@ TEST_P(DelayKnobs, ResponseDelayNeverBreaksCorrectness)
 {
     // The hold window is a performance lever; any bounded value must
     // preserve mutual exclusion and completion.
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
-    cfg.token.responseDelay = ns(GetParam());
-    cfg.dir.responseDelay = ns(GetParam());
+    SystemConfig cfg = SystemConfig::select("dst1");
+    cfg.machine.responseDelay = ns(GetParam());
     System sys(cfg);
     LockingParams p;
     p.numLocks = 2;
@@ -182,8 +173,7 @@ class CTokenKnobs : public ::testing::TestWithParam<int>
 
 TEST_P(CTokenKnobs, ReadResponseSizeIsPerformanceOnly)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    SystemConfig cfg = SystemConfig::select("dst1");
     cfg.token.cTokens = GetParam();
     System sys(cfg);
     // Shared-read pattern across CMPs.
@@ -197,5 +187,41 @@ TEST_P(CTokenKnobs, ReadResponseSizeIsPerformanceOnly)
 
 INSTANTIATE_TEST_SUITE_P(CTokens, CTokenKnobs,
                          ::testing::Values(1, 4, 9, 16), intName);
+
+namespace {
+
+class SharedTiming : public ::testing::TestWithParam<std::string>
+{};
+
+} // namespace
+
+TEST_P(SharedTiming, ResponseDelayMovesEveryFamily)
+{
+    // The response-delay window lives in the one MachineParams block:
+    // set once, it must reach the controllers of whichever family the
+    // configuration builds. A contended lock turns the window into
+    // runtime.
+    Tick runtime[2] = {0, 0};
+    for (unsigned i = 0; i < 2; ++i) {
+        SystemConfig cfg = SystemConfig::select(GetParam());
+        cfg.machine.responseDelay = i == 0 ? 0 : ns(300);
+        System sys(cfg);
+        LockingParams p;
+        p.numLocks = 2;
+        p.acquiresPerProc = 8;
+        LockingWorkload wl(p);
+        const System::RunResult res = sys.run(wl);
+        ASSERT_TRUE(res.completed);
+        EXPECT_EQ(res.violations, 0u);
+        runtime[i] = res.runtime;
+    }
+    EXPECT_NE(runtime[0], runtime[1]);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, SharedTiming, ::testing::Values("dst1", "directory", "hier"),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 } // namespace tokencmp::test

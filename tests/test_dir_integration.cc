@@ -13,10 +13,9 @@ namespace tokencmp::test {
 namespace {
 
 SystemConfig
-dirCfg(Protocol p = Protocol::DirectoryCMP)
+dirCfg(const std::string &name = "directory")
 {
-    SystemConfig cfg;
-    cfg.protocol = p;
+    SystemConfig cfg = SystemConfig::select(name);
     cfg.seed = 7;
     return cfg;
 }
@@ -128,13 +127,13 @@ TEST(DirIntegration, ZeroCycleDirectoryIsFasterOnSharingMisses)
 {
     Tick lat_dram = 0, lat_zero = 0;
     {
-        System sys(dirCfg(Protocol::DirectoryCMP));
+        System sys(dirCfg());
         runStore(sys, 0, 0x9000, 1);
         drain(sys);
         runLoad(sys, 4, 0x9000, &lat_dram);
     }
     {
-        System sys(dirCfg(Protocol::DirectoryCMPZero));
+        System sys(dirCfg("directory-zero"));
         runStore(sys, 0, 0x9000, 1);
         drain(sys);
         runLoad(sys, 4, 0x9000, &lat_zero);
@@ -147,14 +146,13 @@ TEST(DirIntegration, SharingMissIsSlowerThanToken)
 {
     Tick lat_dir = 0, lat_tok = 0;
     {
-        System sys(dirCfg(Protocol::DirectoryCMP));
+        System sys(dirCfg());
         runStore(sys, 0, 0xa000, 1);
         drain(sys);
         runLoad(sys, 4, 0xa000, &lat_dir);
     }
     {
-        SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1;
+        SystemConfig cfg = SystemConfig::select("dst1");
         System sys(cfg);
         runStore(sys, 0, 0xa000, 1);
         drain(sys);
@@ -167,8 +165,7 @@ TEST(DirIntegration, SharingMissIsSlowerThanToken)
 
 TEST(PerfectL2, AllMissesHitMagicL2)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::PerfectL2;
+    SystemConfig cfg = SystemConfig::select("perfect");
     System sys(cfg);
     Tick lat = 0;
     EXPECT_EQ(runLoad(sys, 0, 0x1000, &lat), 0u);
@@ -179,8 +176,7 @@ TEST(PerfectL2, AllMissesHitMagicL2)
 
 TEST(PerfectL2, AtomicCounterIsLinearizable)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::PerfectL2;
+    SystemConfig cfg = SystemConfig::select("perfect");
     System sys(cfg);
     CounterWorkload wl(0xb000, 10);
     auto res = sys.run(wl);

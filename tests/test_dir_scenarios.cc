@@ -16,8 +16,7 @@ namespace {
 SystemConfig
 dirCfg()
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::DirectoryCMP;
+    SystemConfig cfg = SystemConfig::select("directory");
     cfg.seed = 13;
     return cfg;
 }
@@ -180,8 +179,8 @@ TEST(DirScenario, RecallWritebackRaceWithRemoteStoreIsCancelled)
     // occurs for 0-14 ns) reaches the home first: the home forwards
     // its Fwd-GetX to chip 0 and defers the WbRequest, so the L2
     // answers from its writeback buffer and cancels on the grant. No
-    // writeback data crosses the network although the home counts
-    // one writeback.
+    // writeback data crosses the network, and the home counts the
+    // cancel, not a writeback.
     System sys(dirCfg());
     const Addr base = 4 * blockBytes;
     const Addr set_stride = 8192 * blockBytes;  // same L2 set and home
@@ -208,9 +207,10 @@ TEST(DirScenario, RecallWritebackRaceWithRemoteStoreIsCancelled)
     EXPECT_EQ(sys.controller<DirL2>(0, topo.l2BankOf(base))
                   ->stats.wbHomeOut,
               1u);
-    EXPECT_EQ(sys.controller<DirMem>(topo.homeCmpOf(base))
-                  ->stats.writebacks,
-              1u);
+    const DirMem::Stats &home =
+        sys.controller<DirMem>(topo.homeCmpOf(base))->stats;
+    EXPECT_EQ(home.writebacks, 0u);
+    EXPECT_EQ(home.writebacksCancelled, 1u);
     std::uint64_t wb_data = 0;
     for (NetLevel l : {NetLevel::Intra, NetLevel::Inter, NetLevel::MemLink})
         wb_data += sys.context().net->bytes(l, TrafficClass::WritebackData);
@@ -230,7 +230,7 @@ TEST(DirScenario, HomeSharedStateServesReadsAndWrites)
     // chip 0 the owner (O) and chip 1 a sharer; conflicting L2 fills
     // then write `a` home from O, and the home lands in Shared.
     SystemConfig cfg = dirCfg();
-    cfg.dir.migratory = false;
+    cfg.machine.migratory = false;
     System sys(cfg);
     const Topology &topo = sys.context().topo;
     const Addr a = 4 * blockBytes;
@@ -320,8 +320,8 @@ TEST(DirScenario, InclusionVictimRecall)
 
 TEST(DirScenario, ZeroDirVariantSameSemantics)
 {
-    SystemConfig cfg = dirCfg();
-    cfg.protocol = Protocol::DirectoryCMPZero;
+    SystemConfig cfg = SystemConfig::select("directory-zero");
+    cfg.seed = dirCfg().seed;
     System sys(cfg);
     CounterWorkload wl(0xa000, 12);
     auto res = sys.run(wl);
@@ -358,7 +358,7 @@ TEST(DirScenario, DeferredRequestsDrainInOrder)
 TEST(DirScenario, MigratoryOffKeepsSharers)
 {
     SystemConfig cfg = dirCfg();
-    cfg.dir.migratory = false;
+    cfg.machine.migratory = false;
     System sys(cfg);
     const Addr a = 4 * blockBytes;
     runStore(sys, 0, a, 9);

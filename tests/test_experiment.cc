@@ -33,18 +33,22 @@ smallLockingFactory()
 
 } // namespace
 
-TEST(ProtocolTable, CoversAllTenProtocols)
+TEST(ProtocolTable, CoversEveryProtocol)
 {
-    // One row per Protocol, in enum order, found by its own value;
-    // names are unique, and so are the keys of the non-token rows,
-    // which find their rows.
-    const std::vector<Protocol> all = allProtocols();
-    EXPECT_EQ(all.size(), 10u);
+    // The ten configuration names reach all five rows. One row per
+    // Protocol, in enum order, found by its own value; names are
+    // unique, and so are the keys of the non-token rows, which find
+    // their rows.
+    constexpr unsigned kRows = 5;
+    std::set<Protocol> reached;
+    for (const std::string &name : allProtocols())
+        reached.insert(SystemConfig::select(name).protocol);
+    EXPECT_EQ(reached.size(), kRows);
     std::set<std::string> keys, names;
-    for (unsigned i = 0; i < all.size(); ++i) {
-        const Protocol p = all[i];
+    for (unsigned i = 0; i < kRows; ++i) {
+        const Protocol p = Protocol(i);
         const ProtocolInfo &row = protocolInfo(p);
-        EXPECT_EQ(unsigned(p), i);
+        EXPECT_TRUE(reached.count(p)) << row.name;
         EXPECT_EQ(row.protocol, p);
         EXPECT_TRUE(names.insert(row.name).second) << row.name;
         EXPECT_EQ(row.key == nullptr, row.family == Family::Token)
@@ -70,14 +74,12 @@ TEST(ProtocolTable, FamiliesBuildTheirControllers)
 {
     // The family a row names must build exactly these controllers at
     // these topological positions.
-    for (Protocol p : allProtocols()) {
-        SystemConfig cfg;
-        cfg.protocol = p;
-        System sys(cfg);
+    for (const std::string &name : allProtocols()) {
+        System sys(SystemConfig::select(name));
         const Topology &t = sys.context().topo;
-        SCOPED_TRACE(protocolName(p));
+        SCOPED_TRACE(name);
 
-        const Family family = protocolInfo(p).family;
+        const Family family = protocolInfo(sys.config().protocol).family;
         const bool token = family == Family::Token;
         const bool dir = family == Family::Directory;
         const bool perfect = family == Family::Perfect;
@@ -128,8 +130,7 @@ TEST(ProtocolTable, FamiliesBuildTheirControllers)
 
 TEST(ExperimentRunner, ParallelBitIdenticalToSerial)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    SystemConfig cfg = SystemConfig::select("dst1");
     const unsigned kSeeds = 6;
 
     auto serial = Experiment::of(cfg)
@@ -169,8 +170,7 @@ TEST(ExperimentRunner, ParallelBitIdenticalToSerial)
 
 TEST(ExperimentRunner, ProgressCallbackFiresOncePerSeed)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    SystemConfig cfg = SystemConfig::select("dst1");
     std::set<std::uint64_t> seen;
     unsigned calls = 0, max_done = 0;
     auto e = Experiment::of(cfg)
@@ -196,8 +196,7 @@ TEST(ExperimentRunner, ProgressCallbackFiresOncePerSeed)
 
 TEST(ExperimentRunner, FirstSeedOffsetsSeedValues)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::DirectoryCMP;
+    SystemConfig cfg = SystemConfig::select("directory");
     std::set<std::uint64_t> seen;
     auto e = Experiment::of(cfg)
                  .workload(smallLockingFactory())
@@ -216,8 +215,7 @@ TEST(ExperimentRunner, TimingWheelMatchesReferenceHeap)
     // The timing-wheel kernel must be observationally identical to the
     // reference binary heap: same (tick, seq) execution order, so the
     // whole multi-seed experiment aggregates bit for bit.
-    SystemConfig wheel_cfg;
-    wheel_cfg.protocol = Protocol::TokenDst1;
+    SystemConfig wheel_cfg = SystemConfig::select("dst1");
     wheel_cfg.scheduler = SchedulerKind::TimingWheel;
     SystemConfig heap_cfg = wheel_cfg;
     heap_cfg.scheduler = SchedulerKind::ReferenceHeap;
@@ -245,8 +243,7 @@ TEST(ExperimentRunner, TimingWheelMatchesReferenceHeap)
 
 TEST(ExperimentResult, JsonExportIsWellFormed)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    SystemConfig cfg = SystemConfig::select("dst1");
     auto e = Experiment::of(cfg)
                  .workload(smallLockingFactory())
                  .seeds(2)
@@ -281,8 +278,7 @@ TEST(ExperimentResult, KnobOverridesDisambiguateProtocolLabels)
     // to produce colliding labels; the knob-override hash suffix
     // keeps them distinct (and default-knob labels unchanged, so
     // existing baselines still match).
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    SystemConfig cfg = SystemConfig::select("dst1");
     auto plain = Experiment::of(cfg)
                      .workload(smallLockingFactory())
                      .run();
@@ -301,8 +297,7 @@ TEST(ExperimentResult, KnobOverridesDisambiguateProtocolLabels)
 
 TEST(ExperimentRunner, IncompleteSeedsAreReported)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    SystemConfig cfg = SystemConfig::select("dst1");
     // A horizon far too short for the workload to finish.
     auto e = Experiment::of(cfg)
                  .workload(smallLockingFactory())
@@ -323,8 +318,7 @@ TEST(ExperimentRunner, IncompleteSeedsWarnUnderTheResultLabel)
 {
     // The warning names the label the result is reported under: a
     // named policy, and any knob override's hash.
-    SystemConfig cfg;
-    cfg.policyName = "bw-adapt";
+    SystemConfig cfg = SystemConfig::select("bw-adapt");
     cfg.token.cmpPredEntries = 64;
     ::testing::internal::CaptureStderr();
     const ExperimentResult e = Experiment::of(cfg)

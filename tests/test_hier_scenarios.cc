@@ -22,8 +22,7 @@ namespace {
 SystemConfig
 hierCfg()
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::HierCMP;
+    SystemConfig cfg = SystemConfig::select("hier");
     cfg.seed = 11;
     return cfg;
 }
@@ -323,8 +322,7 @@ class HierRaceWorkload : public Workload
 StatSet
 runHierRace(unsigned shards)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::HierCMP;
+    SystemConfig cfg = SystemConfig::select("hier");
     cfg.seed = 7;
     cfg.shards = shards;
 

@@ -1,9 +1,8 @@
 /**
  * @file
  * PerformancePolicy API tests: registry behavior (names, duplicate
- * registration, unknown-name diagnostics), the fixed-seed equivalence
- * of every Table 1 Protocol enum row with its named-policy
- * counterpart, per-policy Experiment labels, and the adaptive
+ * registration, unknown-name diagnostics), per-policy Experiment
+ * labels, and the adaptive
  * destination-set policies (completion, token conservation, policy
  * statistics, determinism — serial and across sharded worker counts).
  */
@@ -19,16 +18,6 @@
 namespace tokencmp::test {
 
 namespace {
-
-/** The six Table 1 rows: enum value and PolicyRegistry name. */
-const std::vector<std::pair<Protocol, const char *>> kTable1Rows = {
-    {Protocol::TokenArb0, "arb0"},
-    {Protocol::TokenDst0, "dst0"},
-    {Protocol::TokenDst4, "dst4"},
-    {Protocol::TokenDst1, "dst1"},
-    {Protocol::TokenDst1Pred, "dst1-pred"},
-    {Protocol::TokenDst1Filt, "dst1-filt"},
-};
 
 SyntheticParams
 smallWorkload()
@@ -91,8 +80,7 @@ TEST(PolicyRegistry, DuplicateRegistrationDies)
 
 TEST(PolicyRegistry, UnknownNameListsRegisteredPolicies)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    SystemConfig cfg = SystemConfig::select("dst1");
     cfg.policyName = "no-such-policy";
     // The diagnostic must name the typo and list what *is* registered.
     EXPECT_DEATH(System sys(cfg),
@@ -103,35 +91,11 @@ TEST(PolicyRegistry, NamedPolicyRequiresTokenProtocol)
 {
     // A directory config must not slip an (ignored) policy selection
     // through.
-    SystemConfig cfg;
-    cfg.protocol = Protocol::DirectoryCMP;
+    SystemConfig cfg = SystemConfig::select("directory");
     cfg.policyName = "dst1";
     EXPECT_DEATH(cfg.validate(), "requires a TokenCMP protocol");
     cfg.policyName = "bw-adapt";
     EXPECT_DEATH(System sys(cfg), "requires a TokenCMP protocol");
-}
-
-TEST(PolicyEquivalence, EnumRowsMatchNamedPolicies)
-{
-    // The Protocol enum is a thin alias layer: for a fixed seed, each
-    // Table 1 enum row (its protocol-table policy) and the same policy
-    // selected by policyName must be the *same* execution, bit for
-    // bit.
-    for (const auto &[proto, name] : kTable1Rows) {
-        SCOPED_TRACE(name);
-        EXPECT_STREQ(protocolInfo(proto).policy, name);
-
-        SystemConfig via_enum;
-        via_enum.protocol = proto;
-
-        SystemConfig via_name;
-        via_name.protocol = Protocol::TokenDst1;  // row comes from name
-        via_name.policyName = name;
-
-        expectIdenticalRuns(runOnce(via_enum), runOnce(via_name));
-        EXPECT_EQ(via_enum.displayName(),
-                  "TokenCMP-" + std::string(name));
-    }
 }
 
 TEST(PolicySweep, RunLabelsOneResultPerPolicy)
@@ -139,10 +103,8 @@ TEST(PolicySweep, RunLabelsOneResultPerPolicy)
     SyntheticParams wl = smallWorkload();
     std::vector<ExperimentResult> results;
     for (const char *name : {"dst1", "dst-owner"}) {
-        SystemConfig cfg;
-        cfg.policyName = name;
         results.push_back(
-            Experiment::of(cfg)
+            Experiment::of(SystemConfig::select(name))
                 .workload([&wl]() -> std::unique_ptr<Workload> {
                     return std::make_unique<SyntheticWorkload>(wl);
                 })
@@ -164,9 +126,7 @@ TEST(AdaptivePolicies, CompleteQuiesceAndExportStats)
 {
     for (const char *name : {"dst-owner", "bw-adapt"}) {
         SCOPED_TRACE(name);
-        SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1;
-        cfg.policyName = name;
+        SystemConfig cfg = SystemConfig::select(name);
         // runOnce runs verifyQuiescent(fatal) internally on
         // completion, so token conservation is checked too.
         const System::RunResult r = runOnce(cfg);
@@ -192,9 +152,7 @@ TEST(AdaptivePolicies, PersistentActivationsTrainThePredictor)
     // escalation for its block remained a full broadcast. New
     // behavior: a fresh remote activation trains the predictor with
     // the same read/write strengths as the transient signal.
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
-    System sys(cfg);
+    System sys(SystemConfig::select("dst1"));
     const Topology &topo = sys.context().topo;
 
     PolicyEnv env;
@@ -243,9 +201,7 @@ TEST(AdaptivePolicies, FixedSeedRunsReproduce)
 {
     for (const char *name : {"dst-owner", "bw-adapt"}) {
         SCOPED_TRACE(name);
-        SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1;
-        cfg.policyName = name;
+        SystemConfig cfg = SystemConfig::select(name);
         expectIdenticalRuns(runOnce(cfg), runOnce(cfg));
     }
 }
@@ -261,9 +217,7 @@ TEST(AdaptivePolicies, ShardedRunsAreWorkerCountInvariant)
         System::RunResult runs[2];
         unsigned i = 0;
         for (unsigned workers : {1u, 4u}) {
-            SystemConfig cfg;
-            cfg.protocol = Protocol::TokenDst1;
-            cfg.policyName = name;
+            SystemConfig cfg = SystemConfig::select(name);
             cfg.shards = workers;
             runs[i++] = runOnce(cfg);
         }

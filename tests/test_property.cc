@@ -100,7 +100,7 @@ class SoupWorkload : public Workload
     std::uint64_t _incs = 0;
 };
 
-using Param = std::tuple<Protocol, unsigned>;
+using Param = std::tuple<std::string, unsigned>;
 
 class ProtocolSoup : public ::testing::TestWithParam<Param>
 {};
@@ -109,19 +109,18 @@ class ProtocolSoup : public ::testing::TestWithParam<Param>
 
 TEST_P(ProtocolSoup, RandomOpsPreserveCoherence)
 {
-    const auto [proto, seed] = GetParam();
-    SystemConfig cfg;
-    cfg.protocol = proto;
+    const auto [name, seed] = GetParam();
+    SystemConfig cfg = SystemConfig::select(name);
     cfg.seed = seed;
     System sys(cfg);
 
     SoupWorkload wl(6, 60, seed * 977);
     auto res = sys.run(wl);
-    ASSERT_TRUE(res.completed) << protocolName(proto);
+    ASSERT_TRUE(res.completed) << name;
 
     // Linearizability: the atomic-increment count must be exact.
     EXPECT_EQ(runLoad(sys, seed % 16, 0x60000), wl._incs)
-        << protocolName(proto) << " seed " << seed;
+        << name << " seed " << seed;
 
     drain(sys);
     if (sys.tokenGlobals() != nullptr)
@@ -133,12 +132,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(allProtocols()),
                        ::testing::Values(1u, 2u, 3u, 4u, 5u)),
     [](const ::testing::TestParamInfo<Param> &info) {
-        std::string n = protocolName(std::get<0>(info.param));
-        for (char &c : n) {
-            if (c == '-')
-                c = '_';
-        }
-        return n + "_seed" + std::to_string(std::get<1>(info.param));
+        return configTestName(std::get<0>(info.param)) + "_seed" +
+               std::to_string(std::get<1>(info.param));
     });
 
 } // namespace tokencmp::test

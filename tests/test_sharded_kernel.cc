@@ -513,11 +513,10 @@ struct RunSummary
 };
 
 RunSummary
-runSystem(Protocol proto, unsigned shards, SchedulerKind sched,
+runSystem(const std::string &name, unsigned shards, SchedulerKind sched,
           std::uint64_t seed)
 {
-    SystemConfig cfg;
-    cfg.protocol = proto;
+    SystemConfig cfg = SystemConfig::select(name);
     cfg.seed = seed;
     cfg.shards = shards;
     cfg.scheduler = sched;
@@ -552,57 +551,47 @@ expectSameRun(const RunSummary &a, const RunSummary &b,
 }
 
 class ShardSweep
-    : public ::testing::TestWithParam<std::tuple<Protocol, unsigned>>
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
 {};
 
 TEST_P(ShardSweep, StatsBitIdenticalAcrossWorkerCounts)
 {
-    const Protocol proto = std::get<0>(GetParam());
+    const std::string name = std::get<0>(GetParam());
     const unsigned shards = std::get<1>(GetParam());
 
     // Worker-count invariance: shards=1 is the canonical sharded
     // execution; more workers only change the thread mapping.
     const RunSummary base =
-        runSystem(proto, 1, SchedulerKind::TimingWheel, 11);
+        runSystem(name, 1, SchedulerKind::TimingWheel, 11);
     ASSERT_TRUE(base.completed);
     EXPECT_EQ(base.violations, 0u);
 
     const RunSummary run =
-        runSystem(proto, shards, SchedulerKind::TimingWheel, 11);
-    expectSameRun(run, base,
-                  std::string(protocolName(proto)) + " shards=" +
-                      std::to_string(shards));
+        runSystem(name, shards, SchedulerKind::TimingWheel, 11);
+    expectSameRun(run, base, name + " shards=" + std::to_string(shards));
 }
 
 TEST_P(ShardSweep, ReferenceHeapOracleMatchesWheel)
 {
-    const Protocol proto = std::get<0>(GetParam());
+    const std::string name = std::get<0>(GetParam());
     const unsigned shards = std::get<1>(GetParam());
 
     // The ReferenceHeap ordering oracle kept from the kernel overhaul:
     // per-shard wheels must order identically to per-shard heaps.
     const RunSummary wheel =
-        runSystem(proto, shards, SchedulerKind::TimingWheel, 23);
+        runSystem(name, shards, SchedulerKind::TimingWheel, 23);
     const RunSummary heap =
-        runSystem(proto, shards, SchedulerKind::ReferenceHeap, 23);
+        runSystem(name, shards, SchedulerKind::ReferenceHeap, 23);
     expectSameRun(wheel, heap,
-                  std::string(protocolName(proto)) + " oracle shards=" +
-                      std::to_string(shards));
+                  name + " oracle shards=" + std::to_string(shards));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ProtocolsByShards, ShardSweep,
-    ::testing::Combine(::testing::Values(Protocol::TokenDst1,
-                                         Protocol::DirectoryCMP,
-                                         Protocol::HierCMP),
+    ::testing::Combine(::testing::Values("dst1", "directory", "hier"),
                        ::testing::Values(1u, 2u, 4u, 8u)),
     [](const auto &info) {
-        std::string name(protocolName(std::get<0>(info.param)));
-        for (char &c : name) {
-            if (!std::isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        }
-        return name + "_shards" +
+        return configTestName(std::get<0>(info.param)) + "_shards" +
                std::to_string(std::get<1>(info.param));
     });
 
@@ -611,17 +600,15 @@ TEST(ShardedSystem, SerialAndShardedAgreeSemantically)
     // The serial kernel and the sharded kernel order same-tick
     // cross-domain events differently, so per-run timing statistics
     // may legitimately diverge; the semantic outcome must not.
-    for (Protocol proto :
-         {Protocol::TokenDst1, Protocol::DirectoryCMP,
-          Protocol::HierCMP}) {
+    for (const char *name : {"dst1", "directory", "hier"}) {
         const RunSummary serial =
-            runSystem(proto, 0, SchedulerKind::ReferenceHeap, 31);
+            runSystem(name, 0, SchedulerKind::ReferenceHeap, 31);
         const RunSummary sharded =
-            runSystem(proto, 4, SchedulerKind::TimingWheel, 31);
+            runSystem(name, 4, SchedulerKind::TimingWheel, 31);
         EXPECT_TRUE(serial.completed);
-        EXPECT_TRUE(sharded.completed) << protocolName(proto);
+        EXPECT_TRUE(sharded.completed) << name;
         EXPECT_EQ(serial.violations, 0u);
-        EXPECT_EQ(sharded.violations, 0u) << protocolName(proto);
+        EXPECT_EQ(sharded.violations, 0u) << name;
     }
 }
 

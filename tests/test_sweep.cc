@@ -279,6 +279,16 @@ TEST(ParamGrid, ConfigForAppliesAxes)
         g.cellByHash("05d6f506cc21f803");  // directory x default
     ASSERT_NE(dir, nullptr);
     EXPECT_EQ(g.configFor(*dir).protocol, Protocol::DirectoryCMP);
+
+    // Every cell selects exactly what SystemConfig::select() does for
+    // its policy-axis name.
+    for (const SweepCell &c : g.cells()) {
+        const SystemConfig sel = SystemConfig::select(c.policy);
+        const SystemConfig grid = g.configFor(c);
+        EXPECT_EQ(grid.protocol, sel.protocol) << c.label;
+        EXPECT_EQ(grid.policyName, sel.policyName) << c.label;
+        EXPECT_EQ(grid.displayName(), sel.displayName()) << c.label;
+    }
 }
 
 using ParamGridDeathTest = ::testing::Test;
@@ -301,7 +311,7 @@ TEST(ParamGridDeathTest, RejectsTyposLoudly)
                      R"({"name": "t", "policies": ["dts1"],
                          "workloads": ["zipf"]})",
                      "t"),
-                 "unknown policy");
+                 "unknown configuration .dts1.");
     EXPECT_DEATH(ParamGrid::fromJsonText(
                      R"({"name": "t", "policies": ["dst1"],
                          "workloads": ["zpif"]})",

@@ -15,14 +15,66 @@
 
 namespace tokencmp::test {
 
-TEST(SystemConfig, ProtocolTableResolvesPolicies)
+TEST(SystemConfig, SelectResolvesEveryConfiguration)
 {
-    // Each token row's policy carries its Table 1 transient budget,
+    // Each of the paper's ten names selects the protocol, policy and
+    // figure label it always has: a token policy runs on the one
+    // token row, every other name is its protocol's row.
+    struct Expect
+    {
+        const char *name;
+        Protocol protocol;
+        const char *policyName;
+        const char *label;
+    };
+    const Expect rows[] = {
+        {"directory", Protocol::DirectoryCMP, "", "DirectoryCMP"},
+        {"directory-zero", Protocol::DirectoryCMPZero, "",
+         "DirectoryCMP-zero"},
+        {"arb0", Protocol::TokenDst1, "arb0", "TokenCMP-arb0"},
+        {"dst0", Protocol::TokenDst1, "dst0", "TokenCMP-dst0"},
+        {"dst4", Protocol::TokenDst1, "dst4", "TokenCMP-dst4"},
+        {"dst1", Protocol::TokenDst1, "dst1", "TokenCMP-dst1"},
+        {"dst1-pred", Protocol::TokenDst1, "dst1-pred",
+         "TokenCMP-dst1-pred"},
+        {"dst1-filt", Protocol::TokenDst1, "dst1-filt",
+         "TokenCMP-dst1-filt"},
+        {"perfect", Protocol::PerfectL2, "", "PerfectL2"},
+        {"hier", Protocol::HierCMP, "", "HierCMP"},
+    };
+    ASSERT_EQ(allProtocols().size(), std::size(rows));
+    for (std::size_t i = 0; i < std::size(rows); ++i) {
+        const Expect &e = rows[i];
+        SCOPED_TRACE(e.name);
+        EXPECT_EQ(allProtocols()[i], e.name);
+        const SystemConfig cfg = SystemConfig::select(e.name);
+        EXPECT_EQ(cfg.protocol, e.protocol);
+        EXPECT_EQ(cfg.policyName, e.policyName);
+        EXPECT_EQ(cfg.displayName(), e.label);
+        cfg.validate();
+    }
+    // The token row runs dst1 when no policy is named.
+    EXPECT_STREQ(protocolInfo(Protocol::TokenDst1).policy, "dst1");
+    EXPECT_EQ(SystemConfig{}.displayName(), "TokenCMP-dst1");
+}
+
+TEST(SystemConfigDeathTest, SelectRejectsUnknownNames)
+{
+    // The diagnostic names the typo and lists both kinds of name.
+    EXPECT_DEATH(SystemConfig::select("dts1"),
+                 "unknown configuration 'dts1' \\(protocols: directory, "
+                 "directory-zero, perfect, hier; policies: arb0, .*dst1, "
+                 ".*dst1-pred");
+}
+
+TEST(SystemConfig, PoliciesCarryTable1Mechanisms)
+{
+    // Each token policy carries its Table 1 transient budget,
     // activation mechanism, contention predictor (dst1-pred) and
     // sharer filter (dst1-filt); hier's intra-CMP row is "arb4".
     struct Expect
     {
-        Protocol protocol;
+        const char *policy;
         unsigned maxTransients;
         PersistentActivation activation;
         bool predictor;
@@ -32,21 +84,19 @@ TEST(SystemConfig, ProtocolTableResolvesPolicies)
     constexpr PersistentActivation kDst =
         PersistentActivation::Distributed;
     const Expect rows[] = {
-        {Protocol::TokenArb0, 0, kArb, false, false},
-        {Protocol::TokenDst0, 0, kDst, false, false},
-        {Protocol::TokenDst4, 4, kDst, false, false},
-        {Protocol::TokenDst1, 1, kDst, false, false},
-        {Protocol::TokenDst1Pred, 1, kDst, true, false},
-        {Protocol::TokenDst1Filt, 1, kDst, false, true},
-        {Protocol::HierCMP, 4, kArb, false, false},
+        {"arb0", 0, kArb, false, false},
+        {"dst0", 0, kDst, false, false},
+        {"dst4", 4, kDst, false, false},
+        {"dst1", 1, kDst, false, false},
+        {"dst1-pred", 1, kDst, true, false},
+        {"dst1-filt", 1, kDst, false, true},
+        {protocolInfo(Protocol::HierCMP).policy, 4, kArb, false, false},
     };
     const SystemConfig cfg;
     const Addr addr = 0x1000;
     const MachineID requestor = cfg.topo.l1d(0, 2);
     for (const Expect &e : rows) {
-        const ProtocolInfo &row = protocolInfo(e.protocol);
-        SCOPED_TRACE(row.name);
-        ASSERT_NE(row.policy, nullptr);
+        SCOPED_TRACE(e.policy);
 
         // At an L1: the transient budget and activation, and whether
         // repeated timeouts on a block send its next miss straight to
@@ -55,7 +105,7 @@ TEST(SystemConfig, ProtocolTableResolvesPolicies)
         l1_env.self = cfg.topo.l1d(0, 0);
         l1_env.topo = cfg.topo;
         l1_env.params = &cfg.token;
-        auto l1 = PolicyRegistry::instance().create(row.policy, l1_env);
+        auto l1 = PolicyRegistry::instance().create(e.policy, l1_env);
         for (bool is_write : {false, true})
             EXPECT_EQ(l1->maxTransients(is_write), e.maxTransients);
         EXPECT_EQ(l1->activation(), e.activation);
@@ -68,11 +118,12 @@ TEST(SystemConfig, ProtocolTableResolvesPolicies)
         // external transients to the requesting L1.
         PolicyEnv l2_env = l1_env;
         l2_env.self = cfg.topo.l2BankFor(0, addr);
-        auto l2 = PolicyRegistry::instance().create(row.policy, l2_env);
+        auto l2 = PolicyRegistry::instance().create(e.policy, l2_env);
         l2->onLocalRequest(addr, requestor);
         EXPECT_EQ(l2->filterExternal(addr),
                   e.filter ? 1u << l1SlotOf(cfg.topo, requestor) : ~0u);
     }
+    EXPECT_STREQ(protocolInfo(Protocol::HierCMP).policy, "arb4");
     for (Protocol p : {Protocol::DirectoryCMP, Protocol::DirectoryCMPZero,
                        Protocol::PerfectL2}) {
         EXPECT_EQ(protocolInfo(p).policy, nullptr) << protocolName(p);
@@ -86,11 +137,8 @@ TEST(SystemConfig, DirectoryZeroHasZeroCycleDirectory)
     // variant. Nothing else differs between the two.
     Tick lat[2] = {0, 0};
     unsigned i = 0;
-    for (Protocol p : {Protocol::DirectoryCMP,
-                       Protocol::DirectoryCMPZero}) {
-        SystemConfig cfg;
-        cfg.protocol = p;
-        System sys(cfg);
+    for (const char *name : {"directory", "directory-zero"}) {
+        System sys(SystemConfig::select(name));
         runStore(sys, 0, 0x1000, 7);
         drain(sys);
         EXPECT_EQ(runLoad(sys, 4, 0x1000, &lat[i++]), 7u);
@@ -102,13 +150,10 @@ TEST(SystemConfig, DirectoryZeroHasZeroCycleDirectory)
 TEST(SystemConfig, ProtocolNamesMatchPaper)
 {
     EXPECT_STREQ(protocolName(Protocol::TokenDst1), "TokenCMP-dst1");
-    EXPECT_STREQ(protocolName(Protocol::TokenDst1Filt),
-                 "TokenCMP-dst1-filt");
     EXPECT_STREQ(protocolName(Protocol::DirectoryCMPZero),
                  "DirectoryCMP-zero");
     EXPECT_STREQ(protocolName(Protocol::HierCMP), "HierCMP");
-    EXPECT_EQ(allProtocols().size(), 10u);
-    EXPECT_TRUE(isToken(Protocol::TokenArb0));
+    EXPECT_TRUE(isToken(Protocol::TokenDst1));
     EXPECT_FALSE(isToken(Protocol::PerfectL2));
     EXPECT_FALSE(isToken(Protocol::DirectoryCMP));
     // Hier has a token substrate inside each CMP but is not one of the
@@ -118,20 +163,17 @@ TEST(SystemConfig, ProtocolNamesMatchPaper)
 
 TEST(System, BuildsAllProtocols)
 {
-    for (Protocol p : allProtocols()) {
-        SystemConfig cfg;
-        cfg.protocol = p;
-        System sys(cfg);
+    for (const std::string &name : allProtocols()) {
+        System sys(SystemConfig::select(name));
         // Every processor must be able to complete a basic op.
-        EXPECT_EQ(runLoad(sys, 0, 0x1000), 0u) << protocolName(p);
-        EXPECT_EQ(runLoad(sys, 15, 0x1000), 0u) << protocolName(p);
+        EXPECT_EQ(runLoad(sys, 0, 0x1000), 0u) << name;
+        EXPECT_EQ(runLoad(sys, 15, 0x1000), 0u) << name;
     }
 }
 
 TEST(System, ControllerAccessorsMatchProtocol)
 {
-    SystemConfig tok;
-    tok.protocol = Protocol::TokenDst1;
+    SystemConfig tok = SystemConfig::select("dst1");
     System ts(tok);
     EXPECT_NE(ts.controller<TokenL1>(0, 0), nullptr);
     EXPECT_NE(ts.controller<TokenL1>(3, 3, true), nullptr);
@@ -139,8 +181,7 @@ TEST(System, ControllerAccessorsMatchProtocol)
     EXPECT_NE(ts.controller<TokenMem>(1), nullptr);
     EXPECT_EQ(ts.controller<DirL1>(0, 0), nullptr);
 
-    SystemConfig dir;
-    dir.protocol = Protocol::DirectoryCMP;
+    SystemConfig dir = SystemConfig::select("directory");
     System ds(dir);
     EXPECT_NE(ds.controller<DirL1>(0, 0), nullptr);
     EXPECT_NE(ds.controller<DirL2>(1, 2), nullptr);
@@ -150,8 +191,7 @@ TEST(System, ControllerAccessorsMatchProtocol)
 
 TEST(System, HarvestedStatsArePopulated)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    SystemConfig cfg = SystemConfig::select("dst1");
     System sys(cfg);
     LockingParams p;
     p.numLocks = 8;
@@ -170,8 +210,7 @@ TEST(System, HarvestedStatsArePopulated)
 TEST(System, SeedsPerturbButReproduce)
 {
     auto run_with_seed = [](std::uint64_t seed) {
-        SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1;
+        SystemConfig cfg = SystemConfig::select("dst1");
         cfg.seed = seed;
         System sys(cfg);
         LockingParams p;
@@ -189,8 +228,7 @@ TEST(System, SeedsPerturbButReproduce)
 
 TEST(System, ExperimentComputesErrorBars)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::DirectoryCMP;
+    SystemConfig cfg = SystemConfig::select("directory");
     LockingParams p;
     p.numLocks = 16;
     p.acquiresPerProc = 5;
@@ -220,15 +258,13 @@ TEST(System, Figure6RunIsKernelInvariant)
     SyntheticParams wl = oltpParams();
     wl.opsPerProc = 120;  // keep the regression fast
 
-    for (Protocol proto :
-         {Protocol::TokenDst1, Protocol::DirectoryCMP}) {
-        SCOPED_TRACE(protocolName(proto));
+    for (const char *name : {"dst1", "directory"}) {
+        SCOPED_TRACE(name);
         System::RunResult results[2];
         unsigned i = 0;
         for (SchedulerKind kind : {SchedulerKind::TimingWheel,
                                    SchedulerKind::ReferenceHeap}) {
-            SystemConfig cfg;
-            cfg.protocol = proto;
+            SystemConfig cfg = SystemConfig::select(name);
             cfg.scheduler = kind;
             cfg.seed = 12345;
             System sys(cfg);
@@ -249,8 +285,7 @@ TEST(System, Figure6RunIsKernelInvariant)
 
 TEST(System, MeasureStartExcludesWarmup)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::DirectoryCMP;
+    SystemConfig cfg = SystemConfig::select("directory");
     LockingParams warm, cold;
     warm.numLocks = 64;
     warm.acquiresPerProc = 5;

@@ -15,10 +15,9 @@ namespace tokencmp::test {
 namespace {
 
 SystemConfig
-tokenCfg(Protocol p = Protocol::TokenDst1)
+tokenCfg(const std::string &policy = "dst1")
 {
-    SystemConfig cfg;
-    cfg.protocol = p;
+    SystemConfig cfg = SystemConfig::select(policy);
     cfg.seed = 7;
     return cfg;
 }
@@ -139,7 +138,7 @@ TEST(TokenIntegration, AtomicCounterIsLinearizable)
     EXPECT_EQ(runLoad(sys, 3, 0x7000), 16u * 10u);
 }
 
-class TokenVariants : public ::testing::TestWithParam<Protocol>
+class TokenVariants : public ::testing::TestWithParam<std::string>
 {};
 
 TEST_P(TokenVariants, AtomicCounterLinearizableUnderContention)
@@ -148,9 +147,8 @@ TEST_P(TokenVariants, AtomicCounterLinearizableUnderContention)
     System sys(cfg);
     CounterWorkload wl(0x8000, 8);
     auto res = sys.run(wl);
-    ASSERT_TRUE(res.completed) << protocolName(GetParam());
-    EXPECT_EQ(runLoad(sys, 0, 0x8000), 16u * 8u)
-        << protocolName(GetParam());
+    ASSERT_TRUE(res.completed) << GetParam();
+    EXPECT_EQ(runLoad(sys, 0, 0x8000), 16u * 8u) << GetParam();
     drain(sys);
     sys.tokenGlobals()->auditor.checkAll(true);
 }
@@ -171,21 +169,15 @@ TEST_P(TokenVariants, ReadersAndWriterMix)
 
 INSTANTIATE_TEST_SUITE_P(
     AllTokenVariants, TokenVariants,
-    ::testing::Values(Protocol::TokenArb0, Protocol::TokenDst0,
-                      Protocol::TokenDst4, Protocol::TokenDst1,
-                      Protocol::TokenDst1Pred, Protocol::TokenDst1Filt),
-    [](const ::testing::TestParamInfo<Protocol> &info) {
-        std::string n = protocolName(info.param);
-        for (char &c : n) {
-            if (c == '-')
-                c = '_';
-        }
-        return n;
+    ::testing::Values("arb0", "dst0", "dst4", "dst1", "dst1-pred",
+                      "dst1-filt"),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return configTestName(info.param);
     });
 
 TEST(TokenIntegration, PersistentOnlyVariantCompletesOps)
 {
-    System sys(tokenCfg(Protocol::TokenDst0));
+    System sys(tokenCfg("dst0"));
     EXPECT_EQ(runLoad(sys, 0, 0xa000), 0u);
     runStore(sys, 9, 0xa000, 13);
     EXPECT_EQ(runLoad(sys, 2, 0xa000), 13u);
@@ -197,7 +189,7 @@ TEST(TokenIntegration, PersistentOnlyVariantCompletesOps)
 
 TEST(TokenIntegration, ArbiterVariantCompletesOps)
 {
-    System sys(tokenCfg(Protocol::TokenArb0));
+    System sys(tokenCfg("arb0"));
     runStore(sys, 0, 0xb000, 1);
     runStore(sys, 5, 0xb000, 2);
     runStore(sys, 10, 0xb000, 3);

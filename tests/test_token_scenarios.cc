@@ -18,10 +18,9 @@ namespace tokencmp::test {
 namespace {
 
 SystemConfig
-tokenCfg(Protocol p = Protocol::TokenDst1)
+tokenCfg(const std::string &policy = "dst1")
 {
-    SystemConfig cfg;
-    cfg.protocol = p;
+    SystemConfig cfg = SystemConfig::select(policy);
     cfg.seed = 11;
     return cfg;
 }
@@ -100,7 +99,7 @@ TEST(TokenScenario, PersistentReadLeavesReadersReadable)
 {
     // dst0 issues persistent requests for every miss; persistent
     // *reads* must not strip other readers below one token.
-    System sys(tokenCfg(Protocol::TokenDst0));
+    System sys(tokenCfg("dst0"));
     runLoad(sys, 0, 0x4000);
     drain(sys);
     runLoad(sys, 4, 0x4000);
@@ -118,7 +117,7 @@ TEST(TokenScenario, PersistentReadLeavesReadersReadable)
 
 TEST(TokenScenario, FilterVariantStillServesExternalRequests)
 {
-    System sys(tokenCfg(Protocol::TokenDst1Filt));
+    System sys(tokenCfg("dst1-filt"));
     runStore(sys, 1, 0x5000, 9);   // CMP 0, L1 of proc 1
     drain(sys);
     // Remote read must find the block despite the filter.
@@ -131,7 +130,7 @@ TEST(TokenScenario, FilterVariantStillServesExternalRequests)
 
 TEST(TokenScenario, PredictorVariantShortcutsHotBlocks)
 {
-    SystemConfig cfg = tokenCfg(Protocol::TokenDst1Pred);
+    SystemConfig cfg = tokenCfg("dst1-pred");
     System sys(cfg);
     CounterWorkload wl(0x6000, 30);
     auto res = sys.run(wl);
@@ -274,11 +273,10 @@ class RacingAtomicWorkload : public Workload
 
 /** Run the race on `shards` workers; return the gathered stats. */
 StatSet
-runPersistentRace(Protocol proto, unsigned shards, System **sys_out,
-                  std::unique_ptr<System> &keeper)
+runPersistentRace(const std::string &policy, unsigned shards,
+                  System **sys_out, std::unique_ptr<System> &keeper)
 {
-    SystemConfig cfg;
-    cfg.protocol = proto;
+    SystemConfig cfg = SystemConfig::select(policy);
     cfg.seed = 7;
     cfg.shards = shards;
 
@@ -292,10 +290,9 @@ runPersistentRace(Protocol proto, unsigned shards, System **sys_out,
     const std::uint64_t expected = 12ull * cfg.topo.numProcs();
 
     // Starvation-freedom: every processor's every increment finished.
-    EXPECT_TRUE(r.completed) << protocolName(proto)
-                             << " shards=" << shards;
+    EXPECT_TRUE(r.completed) << policy << " shards=" << shards;
     EXPECT_TRUE(wl.serializedCleanly(expected))
-        << protocolName(proto) << " shards=" << shards;
+        << policy << " shards=" << shards;
     // Token conservation, owner uniqueness, and quiescence.
     sys.tokenGlobals()->auditor.checkAll(true);
     return r.stats;
@@ -313,8 +310,7 @@ TEST(TokenScenario, RacingPersistentRequestsAcrossCmpsStarvationFree)
     for (unsigned shards : {0u, 4u}) {
         std::unique_ptr<System> keeper;
         System *sys = nullptr;
-        StatSet stats = runPersistentRace(Protocol::TokenDst0, shards,
-                                          &sys, keeper);
+        StatSet stats = runPersistentRace("dst0", shards, &sys, keeper);
         EXPECT_GT(stats.get("token.persistents"), 0.0);
         // The race really spanned CMPs: persistent requests were
         // issued from L1s on at least two different chips.
@@ -334,17 +330,15 @@ TEST(TokenScenario, RacingPersistentRequestsShardInvariant)
     // The same adversarial race must be bit-identical for every
     // sharded worker count (the determinism contract under maximal
     // persistent-table contention), for both activation styles.
-    for (Protocol proto : {Protocol::TokenDst0, Protocol::TokenArb0}) {
+    for (const char *policy : {"dst0", "arb0"}) {
         std::unique_ptr<System> k1, k4, k8;
-        StatSet s1 = runPersistentRace(proto, 1, nullptr, k1);
-        StatSet s4 = runPersistentRace(proto, 4, nullptr, k4);
-        StatSet s8 = runPersistentRace(proto, 8, nullptr, k8);
+        StatSet s1 = runPersistentRace(policy, 1, nullptr, k1);
+        StatSet s4 = runPersistentRace(policy, 4, nullptr, k4);
+        StatSet s8 = runPersistentRace(policy, 8, nullptr, k8);
         ASSERT_EQ(s1.all().size(), s4.all().size());
         for (const auto &[key, val] : s1.all()) {
-            EXPECT_EQ(val, s4.get(key))
-                << protocolName(proto) << ": " << key;
-            EXPECT_EQ(val, s8.get(key))
-                << protocolName(proto) << ": " << key;
+            EXPECT_EQ(val, s4.get(key)) << policy << ": " << key;
+            EXPECT_EQ(val, s8.get(key)) << policy << ": " << key;
         }
     }
 }

@@ -149,9 +149,7 @@ const PolicyRegistrar regChaosArb("chaos-arb", [](const PolicyEnv &env) {
 System::RunResult
 runChaos(const char *policy, std::uint64_t seed, Workload &wl)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
-    cfg.policyName = policy;
+    SystemConfig cfg = SystemConfig::select(policy);
     cfg.seed = seed;
     System sys(cfg);
     wl.reset();

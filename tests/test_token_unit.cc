@@ -69,13 +69,6 @@ TEST(TokenAuditor, DetectsSendForUntrackedBlock)
     EXPECT_DEATH(a.onSend(0x80, 1, false, false), "untracked");
 }
 
-TEST(TokenAuditor, DisabledIsNoOp)
-{
-    TokenAuditor a(10, false);
-    a.onSend(0x40, 99, true, false);  // would panic if enabled
-    a.checkAll(true);
-}
-
 TEST(PersistentTable, HighestPriorityWins)
 {
     PersistentTable t(16);

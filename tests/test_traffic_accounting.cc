@@ -48,8 +48,7 @@ TEST(Section8Accounting, HomeIsRemote)
 
 TEST(Section8Accounting, TokenFetchExclusiveIs96Bytes)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    SystemConfig cfg = SystemConfig::select("dst1");
     System sys(cfg);
     runStore(sys, 0, kRemoteBlock, 1);  // proc 0 lives in CMP 0
     drain(sys);
@@ -62,8 +61,7 @@ TEST(Section8Accounting, TokenFetchExclusiveIs96Bytes)
 
 TEST(Section8Accounting, DirectoryFetchExclusiveIs88Bytes)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::DirectoryCMP;
+    SystemConfig cfg = SystemConfig::select("directory");
     System sys(cfg);
     runStore(sys, 0, kRemoteBlock, 1);
     drain(sys);
@@ -97,8 +95,7 @@ forceWriteback(System &sys)
 
 TEST(Section8Accounting, TokenWritebackIsOneDataMessage)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    SystemConfig cfg = SystemConfig::select("dst1");
     System sys(cfg);
     forceWriteback(sys);
     // Token writebacks are a single data message, no control
@@ -110,8 +107,7 @@ TEST(Section8Accounting, TokenWritebackIsOneDataMessage)
 
 TEST(Section8Accounting, DirectoryWritebackIsThreePhase)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::DirectoryCMP;
+    SystemConfig cfg = SystemConfig::select("directory");
     System sys(cfg);
     forceWriteback(sys);
     const double wb_data =
@@ -131,16 +127,14 @@ TEST(Section8Accounting, FullSequenceFavorsToken)
     // compose to the paper's totals.
     double token_total = 0, dir_total = 0;
     {
-        SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1;
+        SystemConfig cfg = SystemConfig::select("dst1");
         System sys(cfg);
         runStore(sys, 0, kRemoteBlock, 1);
         drain(sys);
         token_total = interTotal(sys) + 72.0;  // + the writeback leg
     }
     {
-        SystemConfig cfg;
-        cfg.protocol = Protocol::DirectoryCMP;
+        SystemConfig cfg = SystemConfig::select("directory");
         System sys(cfg);
         runStore(sys, 0, kRemoteBlock, 1);
         drain(sys);

@@ -7,8 +7,10 @@
 #ifndef TOKENCMP_TESTS_TEST_UTIL_HH
 #define TOKENCMP_TESTS_TEST_UTIL_HH
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <string>
 
 #include "system/experiment.hh"
 #include "system/system.hh"
@@ -65,6 +67,16 @@ class CounterWorkload : public Workload
     Addr _addr;
     unsigned _increments;
 };
+
+/** A gtest parameter name for configuration `name`: its figure label
+ *  with '-' spelled '_' ("TokenCMP_dst1_pred"). */
+inline std::string
+configTestName(const std::string &name)
+{
+    std::string n = SystemConfig::select(name).displayName();
+    std::replace(n.begin(), n.end(), '-', '_');
+    return n;
+}
 
 /** Run a single memory op to completion on a system; returns value. */
 inline std::uint64_t

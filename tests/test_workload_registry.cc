@@ -110,8 +110,7 @@ expectSameRun(const RunSummary &a, const RunSummary &b,
 SystemConfig
 tokenConfig(std::uint64_t seed = 42)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    SystemConfig cfg = SystemConfig::select("dst1");
     cfg.seed = seed;
     return cfg;
 }

@@ -15,14 +15,13 @@
 
 namespace tokencmp::test {
 
-class AllProtocols : public ::testing::TestWithParam<Protocol>
+class AllProtocols : public ::testing::TestWithParam<std::string>
 {
   protected:
     SystemConfig
     cfg() const
     {
-        SystemConfig c;
-        c.protocol = GetParam();
+        SystemConfig c = SystemConfig::select(GetParam());
         c.seed = 3;
         return c;
     }
@@ -36,8 +35,8 @@ TEST_P(AllProtocols, LockingHighContentionMutualExclusion)
     p.acquiresPerProc = 12;
     LockingWorkload wl(p);
     auto res = sys.run(wl);
-    ASSERT_TRUE(res.completed) << protocolName(GetParam());
-    EXPECT_EQ(res.violations, 0u) << protocolName(GetParam());
+    ASSERT_TRUE(res.completed) << GetParam();
+    EXPECT_EQ(res.violations, 0u) << GetParam();
     EXPECT_EQ(wl.totalAcquires(), 16u * 12u);
     if (sys.tokenGlobals() != nullptr)
         sys.tokenGlobals()->auditor.checkAll(true);
@@ -51,8 +50,8 @@ TEST_P(AllProtocols, LockingLowContention)
     p.acquiresPerProc = 10;
     LockingWorkload wl(p);
     auto res = sys.run(wl);
-    ASSERT_TRUE(res.completed) << protocolName(GetParam());
-    EXPECT_EQ(res.violations, 0u) << protocolName(GetParam());
+    ASSERT_TRUE(res.completed) << GetParam();
+    EXPECT_EQ(res.violations, 0u) << GetParam();
 }
 
 TEST_P(AllProtocols, BarrierPhasesStayAligned)
@@ -63,8 +62,8 @@ TEST_P(AllProtocols, BarrierPhasesStayAligned)
     p.workTime = ns(300);
     BarrierWorkload wl(p);
     auto res = sys.run(wl);
-    ASSERT_TRUE(res.completed) << protocolName(GetParam());
-    EXPECT_EQ(res.violations, 0u) << protocolName(GetParam());
+    ASSERT_TRUE(res.completed) << GetParam();
+    EXPECT_EQ(res.violations, 0u) << GetParam();
     if (sys.tokenGlobals() != nullptr)
         sys.tokenGlobals()->auditor.checkAll(true);
 }
@@ -78,8 +77,8 @@ TEST_P(AllProtocols, BarrierWithJitter)
     p.workJitter = ns(100);
     BarrierWorkload wl(p);
     auto res = sys.run(wl);
-    ASSERT_TRUE(res.completed) << protocolName(GetParam());
-    EXPECT_EQ(res.violations, 0u) << protocolName(GetParam());
+    ASSERT_TRUE(res.completed) << GetParam();
+    EXPECT_EQ(res.violations, 0u) << GetParam();
 }
 
 TEST_P(AllProtocols, SyntheticCommercialMixCompletes)
@@ -89,7 +88,7 @@ TEST_P(AllProtocols, SyntheticCommercialMixCompletes)
     p.opsPerProc = 120;
     SyntheticWorkload wl(p);
     auto res = sys.run(wl);
-    ASSERT_TRUE(res.completed) << protocolName(GetParam());
+    ASSERT_TRUE(res.completed) << GetParam();
     EXPECT_GT(res.stats.get("l1.misses"), 0.0);
     if (sys.tokenGlobals() != nullptr)
         sys.tokenGlobals()->auditor.checkAll(true);
@@ -98,13 +97,8 @@ TEST_P(AllProtocols, SyntheticCommercialMixCompletes)
 INSTANTIATE_TEST_SUITE_P(
     Everything, AllProtocols,
     ::testing::ValuesIn(allProtocols()),
-    [](const ::testing::TestParamInfo<Protocol> &info) {
-        std::string n = protocolName(info.param);
-        for (char &c : n) {
-            if (c == '-')
-                c = '_';
-        }
-        return n;
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return configTestName(info.param);
     });
 
 TEST(WorkloadChecks, LockingCheckerDetectsViolations)
@@ -120,8 +114,7 @@ TEST(WorkloadChecks, LockingCheckerDetectsViolations)
 
 TEST(WorkloadChecks, SeedsPerturbRuntimes)
 {
-    SystemConfig c;
-    c.protocol = Protocol::TokenDst1;
+    SystemConfig c = SystemConfig::select("dst1");
     LockingParams p;
     p.numLocks = 8;
     p.acquiresPerProc = 6;
