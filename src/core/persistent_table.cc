@@ -9,6 +9,7 @@ PersistentTable::insert(unsigned proc, Addr addr, bool is_read,
                         const MachineID &initiator, MsgSeq seq)
 {
     Entry &e = _entries.at(proc);
+    _numValid += e.valid ? 0 : 1;
     e.valid = true;
     e.marked = false;
     e.isRead = is_read;
@@ -20,12 +21,16 @@ PersistentTable::insert(unsigned proc, Addr addr, bool is_read,
 void
 PersistentTable::erase(unsigned proc)
 {
-    _entries.at(proc) = Entry{};
+    Entry &e = _entries.at(proc);
+    _numValid -= e.valid ? 1 : 0;
+    e = Entry{};
 }
 
 int
 PersistentTable::activeFor(Addr addr) const
 {
+    if (_numValid == 0)
+        return -1;
     const Addr blk = blockAlign(addr);
     for (unsigned p = 0; p < _entries.size(); ++p) {
         if (_entries[p].valid && _entries[p].addr == blk)
@@ -37,6 +42,8 @@ PersistentTable::activeFor(Addr addr) const
 void
 PersistentTable::markAllFor(Addr addr)
 {
+    if (_numValid == 0)
+        return;
     const Addr blk = blockAlign(addr);
     for (auto &e : _entries) {
         if (e.valid && e.addr == blk)
@@ -47,21 +54,14 @@ PersistentTable::markAllFor(Addr addr)
 bool
 PersistentTable::anyMarkedFor(Addr addr) const
 {
+    if (_numValid == 0)
+        return false;
     const Addr blk = blockAlign(addr);
     for (const auto &e : _entries) {
         if (e.valid && e.marked && e.addr == blk)
             return true;
     }
     return false;
-}
-
-unsigned
-PersistentTable::numValid() const
-{
-    unsigned n = 0;
-    for (const auto &e : _entries)
-        n += e.valid ? 1 : 0;
-    return n;
 }
 
 } // namespace tokencmp

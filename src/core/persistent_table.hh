@@ -72,11 +72,12 @@ class PersistentTable
     /** Any marked entry for `addr` still present? */
     bool anyMarkedFor(Addr addr) const;
 
-    /** Number of valid entries (for tests/stats). */
-    unsigned numValid() const;
+    /** Number of valid entries: O(1), kept by insert() and erase(). */
+    unsigned numValid() const { return _numValid; }
 
   private:
     std::vector<Entry> _entries;
+    unsigned _numValid = 0;
 };
 
 } // namespace tokencmp

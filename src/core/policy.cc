@@ -24,10 +24,7 @@ PerformancePolicy::broadcastSet(Addr addr, DestKind kind,
     switch (kind) {
       case DestKind::L1Transient:
         // Every peer L1 on the chip, then the responsible L2 bank.
-        for (const MachineID &peer :
-             localL1Targets(env.topo, env.self.cmp, env.self)) {
-            out.push_back(peer);
-        }
+        localL1Targets(env.topo, env.self.cmp, env.self, out);
         out.push_back(env.topo.l2BankFor(env.self.cmp, addr));
         return;
       case DestKind::L2Escalate:
@@ -35,10 +32,7 @@ PerformancePolicy::broadcastSet(Addr addr, DestKind kind,
         // controller is reached through its own CMP's L2 (Figure 1),
         // except when *this* CMP hosts the home, which goes straight
         // down the local memory link.
-        for (const MachineID &t :
-             remoteL2Targets(env.topo, addr, env.self.cmp)) {
-            out.push_back(t);
-        }
+        remoteL2Targets(env.topo, addr, env.self.cmp, out);
         if (env.topo.homeCmpOf(addr) == env.self.cmp)
             out.push_back(env.topo.homeOf(addr));
         return;

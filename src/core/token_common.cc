@@ -15,45 +15,34 @@ TokenGlobals::makePolicy(SimContext &ctx, const MachineID &self) const
     return PolicyRegistry::instance().create(policyName, env);
 }
 
-std::vector<MachineID>
+void
 localL1Targets(const Topology &topo, unsigned cmp,
-               const MachineID &exclude)
+               const MachineID &exclude, std::vector<MachineID> &out)
 {
-    std::vector<MachineID> out;
-    out.reserve(2 * topo.procsPerCmp);
     for (unsigned p = 0; p < topo.procsPerCmp; ++p) {
         for (MachineID id : {topo.l1d(cmp, p), topo.l1i(cmp, p)}) {
             if (id != exclude)
                 out.push_back(id);
         }
     }
-    return out;
 }
 
-std::vector<MachineID>
-remoteL2Targets(const Topology &topo, Addr addr, unsigned cmp)
+void
+remoteL2Targets(const Topology &topo, Addr addr, unsigned cmp,
+                std::vector<MachineID> &out)
 {
-    std::vector<MachineID> out;
-    out.reserve(topo.numCmps - 1);
     for (unsigned c = 0; c < topo.numCmps; ++c) {
         if (c != cmp)
             out.push_back(topo.l2BankFor(c, addr));
     }
-    return out;
 }
 
-std::vector<MachineID>
-persistTargets(const Topology &topo, Addr addr, const MachineID &exclude)
+void
+persistTargets(const Topology &topo, Addr addr, const MachineID &exclude,
+               std::vector<MachineID> &out)
 {
-    std::vector<MachineID> out;
-    out.reserve(topo.numCmps * (2 * topo.procsPerCmp + 1) + 1);
     for (unsigned c = 0; c < topo.numCmps; ++c) {
-        for (unsigned p = 0; p < topo.procsPerCmp; ++p) {
-            for (MachineID id : {topo.l1d(c, p), topo.l1i(c, p)}) {
-                if (id != exclude)
-                    out.push_back(id);
-            }
-        }
+        localL1Targets(topo, c, exclude, out);
         MachineID bank = topo.l2BankFor(c, addr);
         if (bank != exclude)
             out.push_back(bank);
@@ -61,7 +50,6 @@ persistTargets(const Topology &topo, Addr addr, const MachineID &exclude)
     MachineID home = topo.homeOf(addr);
     if (home != exclude)
         out.push_back(home);
-    return out;
 }
 
 PrForwardPlan
@@ -188,10 +176,15 @@ PersistentArbiter::activate(const Request &req)
     m.prio = req.prio;
     m.reqId = req.seq;
     m.requestor = req.initiator;
-    for (const MachineID &t : _targets(req.addr)) {
-        m.dst = t;
-        _host.send(m, _latency);
-    }
+    broadcast(m, req.addr);
+}
+
+void
+PersistentArbiter::broadcast(const Msg &m, Addr addr)
+{
+    _destScratch.clear();
+    _targets(addr, _destScratch);
+    _host.multicast(m, _destScratch, _latency);
 }
 
 void
@@ -208,10 +201,7 @@ PersistentArbiter::onDone(const Msg &m)
         d.addr = _active.addr;
         d.prio = _active.prio;
         d.reqId = _active.seq;
-        for (const MachineID &t : _targets(_active.addr)) {
-            d.dst = t;
-            _host.send(d, _latency);
-        }
+        broadcast(d, _active.addr);
 
         _busy = false;
         if (!_queue.empty()) {

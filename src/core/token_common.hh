@@ -95,22 +95,22 @@ struct TokenGlobals
     std::vector<MsgSeq> _prSeq;
 };
 
-/** All local L1 caches of `cmp` except `exclude`. */
-std::vector<MachineID> localL1Targets(const Topology &topo, unsigned cmp,
-                                      const MachineID &exclude);
+/** Append every local L1 cache of `cmp` except `exclude` to `out`. */
+void localL1Targets(const Topology &topo, unsigned cmp,
+                    const MachineID &exclude, std::vector<MachineID> &out);
 
-/** The L2 banks responsible for `addr` on every other CMP. */
-std::vector<MachineID> remoteL2Targets(const Topology &topo, Addr addr,
-                                       unsigned cmp);
+/** Append the L2 bank responsible for `addr` on every other CMP. */
+void remoteL2Targets(const Topology &topo, Addr addr, unsigned cmp,
+                     std::vector<MachineID> &out);
 
 /**
- * Persistent-request broadcast targets for `addr`: every L1 in the
- * system, the responsible L2 bank on every CMP, and the home memory
- * controller — excluding `exclude` (the sender updates its own table
- * locally).
+ * Append the persistent-request broadcast targets for `addr`: every L1
+ * in the system, the responsible L2 bank on every CMP, and the home
+ * memory controller — excluding `exclude` (the sender updates its own
+ * table locally).
  */
-std::vector<MachineID> persistTargets(const Topology &topo, Addr addr,
-                                      const MachineID &exclude);
+void persistTargets(const Topology &topo, Addr addr,
+                    const MachineID &exclude, std::vector<MachineID> &out);
 
 /** What a controller sends when an active persistent request claims
  *  its tokens. */
@@ -322,8 +322,9 @@ class PersistentArbiter
         std::uint64_t queueMax = 0;   //!< deepest FIFO backlog
     };
 
-    /** Activate/deactivate broadcast targets for a block. */
-    using Targets = std::function<std::vector<MachineID>(Addr)>;
+    /** Appends a block's activate/deactivate broadcast targets. */
+    using Targets =
+        std::function<void(Addr, std::vector<MachineID> &)>;
 
     PersistentArbiter(TokenController &host, Targets targets,
                       Tick latency)
@@ -350,9 +351,13 @@ class PersistentArbiter
 
     void activate(const Request &req);
 
+    /** Multicast `m` to `addr`'s broadcast targets. */
+    void broadcast(const Msg &m, Addr addr);
+
     TokenController &_host;
     Targets _targets;
     Tick _latency;
+    std::vector<MachineID> _destScratch;  //!< fan-out scratch buffer
 
     bool _busy = false;
     Request _active;

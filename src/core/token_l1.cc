@@ -160,10 +160,7 @@ TokenL1::issueTransient(Addr addr, Txn &txn)
     _destScratch.clear();
     _policy->destinationSet(addr, DestKind::L1Transient, txn.isWrite,
                             txn.attempts, _destScratch);
-    for (const MachineID &t : _destScratch) {
-        m.dst = t;
-        send(m, g.machine.l1Latency);
-    }
+    multicast(m, _destScratch, g.machine.l1Latency);
 }
 
 Tick
@@ -268,10 +265,9 @@ TokenL1::activatePersistent(Addr addr, Txn &txn)
     m.prio = std::uint8_t(myProc());
     m.reqId = txn.prSeq;
     m.requestor = _id;
-    for (const MachineID &t : persistTargets(ctx.topo, addr, _id)) {
-        m.dst = t;
-        send(m, g.machine.l1Latency);
-    }
+    _destScratch.clear();
+    persistTargets(ctx.topo, addr, _id, _destScratch);
+    multicast(m, _destScratch, g.machine.l1Latency);
 }
 
 void
@@ -301,10 +297,9 @@ TokenL1::deactivatePersistent(Addr addr, Txn &txn)
     m.prio = std::uint8_t(myProc());
     m.reqId = txn.prSeq;
     m.requestor = _id;
-    for (const MachineID &t : persistTargets(ctx.topo, addr, _id)) {
-        m.dst = t;
-        send(m, g.machine.l1Latency);
-    }
+    _destScratch.clear();
+    persistTargets(ctx.topo, addr, _id, _destScratch);
+    multicast(m, _destScratch, g.machine.l1Latency);
 
     // Minimum-latency handoff: our own table names the next-priority
     // requester; the forwarding hook sends it the block (after the
@@ -422,7 +417,10 @@ TokenL1::onResponse(const Msg &m)
         return;
     }
 
+    const bool had_tokens = line->st.tokens > 0;
     absorbTokens(line->st, m);
+    if (!had_tokens && line->st.tokens > 0)
+        ctx.net->wake(_id, addr);
     _array.touch(line);
     if (m.src.type == MachineType::Mem) {
         if (const Txn *txn = _txns.find(addr))

@@ -56,6 +56,23 @@ class TokenL1 : public TokenController, public L1CacheIF
     // Controller
     void handleMsg(const Msg &msg) override;
 
+    /**
+     * A transient request to a block this L1 holds no tokens for: the
+     * first return of onTransientReq. A line gains tokens only in
+     * onResponse, which wakes the block's parked requests.
+     */
+    bool
+    ignores(const Msg &msg) const override
+    {
+        if (msg.type != MsgType::TokReadReq &&
+            msg.type != MsgType::TokWriteReq)
+            return false;
+        if (_array.numValid() == 0)
+            return true;
+        const Line *line = _array.probe(msg.addr);
+        return line == nullptr || line->st.tokens == 0;
+    }
+
     Stats stats;
 
     /** Outstanding-miss count (0 or 1 per processor in practice). */

@@ -100,11 +100,7 @@ TokenL2::escalate(const Msg &m)
     _policy->destinationSet(m.addr, DestKind::L2Escalate,
                             m.type == MsgType::TokWriteReq, m.attempt,
                             _destScratch);
-    Msg fwd = m;
-    for (const MachineID &t : _destScratch) {
-        fwd.dst = t;
-        send(fwd, g.machine.l2Latency);
-    }
+    multicast(m, _destScratch, g.machine.l2Latency);
 }
 
 void
@@ -164,27 +160,19 @@ TokenL2::onLocalRequest(const Msg &m)
 void
 TokenL2::relayToL1s(const Msg &m)
 {
-    Msg fwd = m;
     const std::uint32_t mask = _policy->filterExternal(m.addr);
-
+    _destScratch.clear();
     for (unsigned p = 0; p < ctx.topo.procsPerCmp; ++p) {
-        const MachineID d = ctx.topo.l1d(_id.cmp, p);
-        const MachineID i = ctx.topo.l1i(_id.cmp, p);
-        if (mask & (1u << l1SlotOf(ctx.topo, d))) {
-            fwd.dst = d;
-            send(fwd, g.machine.l2Latency);
-            ++stats.relaysToL1;
-        } else {
-            ++stats.filteredRelays;
-        }
-        if (mask & (1u << l1SlotOf(ctx.topo, i))) {
-            fwd.dst = i;
-            send(fwd, g.machine.l2Latency);
-            ++stats.relaysToL1;
-        } else {
-            ++stats.filteredRelays;
+        for (MachineID id :
+             {ctx.topo.l1d(_id.cmp, p), ctx.topo.l1i(_id.cmp, p)}) {
+            if (mask & (1u << l1SlotOf(ctx.topo, id)))
+                _destScratch.push_back(id);
+            else
+                ++stats.filteredRelays;
         }
     }
+    stats.relaysToL1 += _destScratch.size();
+    multicast(m, _destScratch, g.machine.l2Latency);
 }
 
 void

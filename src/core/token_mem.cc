@@ -9,8 +9,8 @@ namespace tokencmp {
 TokenMem::TokenMem(SimContext &ctx, MachineID id, TokenGlobals &g)
     : TokenController(ctx, id, g),
       _arbiter(*this,
-               [this](Addr addr) {
-                   return persistTargets(this->ctx.topo, addr, _id);
+               [this](Addr addr, std::vector<MachineID> &out) {
+                   persistTargets(this->ctx.topo, addr, _id, out);
                },
                g.machine.memCtrlLatency)
 {

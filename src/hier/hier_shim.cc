@@ -10,8 +10,8 @@ HierShim::HierShim(SimContext &ctx, MachineID id, TokenGlobals &tg,
                    unsigned residency_cap)
     : TokenController(ctx, id, tg), _residencyCap(residency_cap),
       _arbiter(*this,
-               [this](Addr) {
-                   return localL1Targets(this->ctx.topo, _id.cmp, _id);
+               [this](Addr, std::vector<MachineID> &out) {
+                   localL1Targets(this->ctx.topo, _id.cmp, _id, out);
                },
                tg.machine.l2Latency)
 {
@@ -502,11 +502,9 @@ HierShim::broadcastRecall(Addr addr, Recall kind)
 {
     Msg inv = dirMsg(MsgType::Inv, addr, MachineID{}, _id);
     inv.isRead = (kind == Recall::Down);
-    for (const MachineID &t :
-         localL1Targets(ctx.topo, _id.cmp, _id)) {
-        inv.dst = t;
-        send(inv, g.machine.l2Latency);
-    }
+    _destScratch.clear();
+    localL1Targets(ctx.topo, _id.cmp, _id, _destScratch);
+    multicast(inv, _destScratch, g.machine.l2Latency);
 }
 
 void

@@ -145,7 +145,9 @@ class CacheArray
     void
     install(Line *line, Addr addr)
     {
-        _tags[indexOf(*line)] = blockAlign(addr) | 1;
+        Addr &tag = _tags[indexOf(*line)];
+        _numValid += tag == 0 ? 1 : 0;
+        tag = blockAlign(addr) | 1;
         line->st = StateT{};
         touch(line);
     }
@@ -154,7 +156,9 @@ class CacheArray
     void
     invalidate(Line *line)
     {
-        _tags[indexOf(*line)] = 0;
+        Addr &tag = _tags[indexOf(*line)];
+        _numValid -= tag != 0 ? 1 : 0;
+        tag = 0;
         line->st = StateT{};
     }
 
@@ -169,15 +173,9 @@ class CacheArray
         }
     }
 
-    /** Number of valid lines (for tests). */
-    std::size_t
-    numValid() const
-    {
-        std::size_t n = 0;
-        for (const Addr t : _tags)
-            n += t != 0 ? 1 : 0;
-        return n;
-    }
+    /** Number of valid lines: O(1), kept by install() and
+     *  invalidate(), the only tag writers. */
+    std::size_t numValid() const { return _numValid; }
 
   private:
     static constexpr std::size_t npos = ~std::size_t(0);
@@ -213,6 +211,7 @@ class CacheArray
     unsigned _assoc;
     std::size_t _numSets;
     std::uint64_t _useCounter = 0;
+    std::size_t _numValid = 0;
     std::vector<Addr> _tags;  //!< per way: blockAlign(addr) | 1, or 0
     std::vector<Line> _lines;
 };

@@ -47,6 +47,7 @@ Network::Network(EventQueue &eq, const Topology &topo,
     _serMem = serTicks(_p.memLinkBytesPerNs);
     _eqs.assign(1, &eq);
     _controllers.assign(_topo.numControllers(), nullptr);
+    _parked.resize(_topo.numControllers());
     _intraPorts.assign(_topo.numControllers(), Link{});
     _intraGateways.assign(_topo.numCmps, Link{});
     _interLinks.assign(_topo.numCmps * _topo.numCmps, Link{});
@@ -125,6 +126,45 @@ Network::account(NetLevel level, const Msg &msg, unsigned domain)
 void
 Network::send(const Msg &msg, Tick sender_delay)
 {
+    const unsigned sd = domain(msg.src);
+    deliver(msg, route(msg, sender_delay, sd), sd);
+}
+
+void
+Network::multicast(const Msg &msg, const std::vector<MachineID> &dsts,
+                   Tick sender_delay)
+{
+    const unsigned sd = domain(msg.src);
+    std::vector<std::uint8_t> &ignored = _dom[sd].ignored;
+    Msg m = msg;
+
+    // Pass 1: ask every same-domain destination whether it would act
+    // on its copy. The probes read only the destinations' own state;
+    // issuing them all before any routing lets their host-cache
+    // misses overlap, where probing inside each send serialized them.
+    ignored.resize(dsts.size());
+    for (std::size_t i = 0; i < dsts.size(); ++i) {
+        m.dst = dsts[i];
+        const Controller *c = _controllers[_topo.globalIndex(m.dst)];
+        ignored[i] = domain(m.dst) == sd && c != nullptr &&
+                     c->ignores(m);
+    }
+
+    // Pass 2: route every copy in destination order, exactly as send()
+    // would, and schedule only the copies that can act.
+    for (std::size_t i = 0; i < dsts.size(); ++i) {
+        m.dst = dsts[i];
+        const Tick t = route(m, sender_delay, sd);
+        if (ignored[i])
+            park(m, t, sd);
+        else
+            deliver(m, t, sd);
+    }
+}
+
+Tick
+Network::route(const Msg &msg, Tick sender_delay, unsigned sd)
+{
     if (msg.src == msg.dst)
         panic("message to self: %s at %s", msgTypeName(msg.type),
               msg.src.toString().c_str());
@@ -133,8 +173,6 @@ Network::send(const Msg &msg, Tick sender_delay)
     const bool dst_is_mem = msg.dst.type == MachineType::Mem;
     const unsigned scmp = msg.src.cmp;
     const unsigned dcmp = msg.dst.cmp;
-    const unsigned sd = domain(msg.src);
-    const unsigned dd = domain(msg.dst);
 
     // The sender executes on its own domain; every link below is
     // source-owned (the home memory ingress through its per-source
@@ -190,15 +228,58 @@ Network::send(const Msg &msg, Tick sender_delay)
     }
 
     ++_dom[sd].totalMsgs;
+    return t;
+}
 
+void
+Network::deliver(const Msg &msg, Tick when, unsigned sd)
+{
+    const unsigned dd = domain(msg.dst);
     if (sd != dd) {
         // The canonical delivery key: (source domain, send order).
-        const Handoff h{msg, t, handoffKey(sd, _dom[sd].sendSeq++)};
+        const Handoff h{msg, when, handoffKey(sd, _dom[sd].sendSeq++)};
         _mailboxed.fetch_add(1, std::memory_order_relaxed);
-        mailbox(sd, dd).push(h, t);
+        mailbox(sd, dd).push(h, when);
         return;
     }
-    _eqs[dd]->scheduleEvent(makeDelivery(msg, dd), t);
+    _eqs[dd]->scheduleEvent(makeDelivery(msg, dd), when);
+}
+
+void
+Network::park(const Msg &msg, Tick when, unsigned domain)
+{
+    ParkedList &pl = _parked[_topo.globalIndex(msg.dst)];
+    EventQueue &eq = *_eqs[domain];
+    if (pl.copies.size() >= pl.sweepAt) {
+        std::erase_if(pl.copies,
+                      [&eq](const Parked &p) { return p.behind(eq); });
+        pl.sweepAt =
+            std::max(ParkedList::firstSweep, 2 * pl.copies.size());
+    }
+    pl.copies.push_back(Parked{when, eq.reserveSeq(), msg});
+}
+
+void
+Network::wake(const MachineID &id, Addr addr)
+{
+    ParkedList &pl = _parked[_topo.globalIndex(id)];
+    if (pl.copies.empty())
+        return;
+    const unsigned d = domain(id);
+    EventQueue &eq = *_eqs[d];
+    const Addr blk = blockAlign(addr);
+    // A copy behind the running event was due while `id` could not
+    // act: eager delivery ran it as a no-op, so it is dropped. The
+    // block's copies still ahead go back into the queue at the keys
+    // eager delivery used, so they run in exactly the eager order.
+    std::erase_if(pl.copies, [&](const Parked &p) {
+        if (p.behind(eq))
+            return true;
+        if (blockAlign(p.msg.addr) != blk)
+            return false;
+        eq.scheduleKeyed(makeDelivery(p.msg, d), p.when, p.seq);
+        return true;
+    });
 }
 
 DeliverEvent *

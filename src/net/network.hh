@@ -22,6 +22,20 @@
  * in the event queue, so the delivery order is exactly the send order
  * within a tick.
  *
+ * A protocol fan-out is one multicast(): the same link traversal,
+ * arrival ticks, traffic bytes and message count as one send() per
+ * destination in order. The one difference is a copy its (same-domain)
+ * destination would ignore on arrival (Controller::ignores): it is
+ * *parked* in the destination's list with its arrival tick and the
+ * sequence number its DeliverEvent would have drawn, instead of being
+ * scheduled. When the destination's state changes so that it could
+ * act on such a copy, it calls wake(), which schedules the copies
+ * still ahead of the running event at their reserved (tick, seq) keys
+ * and drops the ones already behind it. Execution order is therefore
+ * exactly the order of eager delivery; only the no-op events are
+ * gone. Parked copies count as sent but are neither in flight nor
+ * delivery wakeups.
+ *
  * Sharded delivery (shard()): when the System runs the sharded kernel,
  * every CMP is one shard *domain* with its own EventQueue and
  * DomainState (delivery pool, traffic counters), so domains share no
@@ -174,6 +188,23 @@ class Network
      */
     void send(const Msg &msg, Tick sender_delay = 0);
 
+    /**
+     * Send one copy of `msg` to each of `dsts`, in order: identical to
+     * one send() per destination (duplicates included), except that a
+     * same-domain copy its destination ignores() is parked rather
+     * than scheduled (see the file comment).
+     */
+    void multicast(const Msg &msg, const std::vector<MachineID> &dsts,
+                   Tick sender_delay = 0);
+
+    /**
+     * `id` may now act on messages for `addr`'s block: schedule its
+     * parked copies for the block that are keyed after the running
+     * event, at their reserved keys, and drop every parked copy keyed
+     * before it. Must run on `id`'s own domain.
+     */
+    void wake(const MachineID &id, Addr addr);
+
     /** Messages currently in flight (for quiescence detection). */
     std::uint64_t inFlight() const;
 
@@ -248,6 +279,9 @@ class Network
         std::uint64_t totalMsgs = 0;
         std::uint64_t wakeups = 0;
         std::uint64_t sendSeq = 0;  //!< band-1 key source
+        /** multicast()'s pass-1 verdicts, one per destination: per
+         *  domain, because shard workers multicast concurrently. */
+        std::vector<std::uint8_t> ignored;
         std::array<std::array<std::uint64_t,
                               unsigned(TrafficClass::NumClasses)>,
                    unsigned(NetLevel::NumLevels)>
@@ -292,7 +326,47 @@ class Network
 
     static SerTicks serTicks(double bytes_per_ns);
 
+    /** A copy its destination would have ignored on arrival: the
+     *  (tick, seq) key its DeliverEvent would have run at. */
+    struct Parked
+    {
+        Tick when = 0;
+        std::uint64_t seq = 0;
+        Msg msg;
+
+        /** Keyed at or before `eq`'s running event: already due. */
+        bool
+        behind(const EventQueue &eq) const
+        {
+            return when < eq.curTick() ||
+                   (when == eq.curTick() && seq <= eq.curSeq());
+        }
+    };
+
+    /** One controller's parked copies, in park order. */
+    struct ParkedList
+    {
+        std::vector<Parked> copies;
+        static constexpr std::size_t firstSweep = 16;
+
+        /** Size at which park() next drops the copies already behind
+         *  the running event (they can never act), so a destination
+         *  that is never woken holds O(live copies). */
+        std::size_t sweepAt = firstSweep;
+    };
+
     void account(NetLevel level, const Msg &msg, unsigned domain);
+
+    /** Traverse every link on `msg`'s path from sender domain `sd`,
+     *  accounting its bytes; returns the arrival tick. */
+    Tick route(const Msg &msg, Tick sender_delay, unsigned sd);
+
+    /** Hand a routed message to its destination: scheduled at `when`
+     *  on its own domain, or mailboxed across domains. */
+    void deliver(const Msg &msg, Tick when, unsigned sd);
+
+    /** Park a routed same-domain copy, reserving its delivery key. */
+    void park(const Msg &msg, Tick when, unsigned domain);
 
     /** A delivery event for `msg`, drawn from `domain`'s pool and
      *  counted in flight; the caller schedules it. */
@@ -335,6 +409,7 @@ class Network
     SerTicks _serIntra, _serInter, _serMem;
 
     std::vector<Controller *> _controllers;       //!< by global index
+    std::vector<ParkedList> _parked;              //!< by global index
     std::vector<Link> _intraPorts;                //!< per source port
     std::vector<Link> _intraGateways;             //!< inbound, per CMP
     std::vector<Link> _interLinks;  //!< per (src CMP, dst CMP)

@@ -450,6 +450,7 @@ EventQueue::reset()
 {
     releaseAll();
     _curTick = 0;
+    _curSeq = 0;
     _nextSeq = 0;
     _executed = 0;
     _pos = 0;

@@ -109,6 +109,11 @@ class EventQueue
     /** Current simulated time. */
     Tick curTick() const { return _curTick; }
 
+    /** Sequence key of the event executing now (or last executed):
+     *  with curTick(), the position in (tick, seq) order that every
+     *  event scheduled from here on must follow. */
+    std::uint64_t curSeq() const { return _curSeq; }
+
     /** Active scheduler backend. */
     SchedulerKind kind() const { return _kind; }
 
@@ -124,13 +129,25 @@ class EventQueue
 
     /**
      * Schedule a typed event with an explicit sequence key instead of
-     * the insertion counter. Used for cross-domain handoffs, whose
-     * band-1 keys (see handoffKey) give equal-tick deliveries a
-     * canonical (srcDomain, sendSeq) order independent of which window
-     * or worker performed the intake. Keys must be unique per queue;
-     * the insertion counter is not consumed.
+     * the insertion counter. Two kinds of key use it: the band-1 keys
+     * of cross-domain handoffs (see handoffKey), which give equal-tick
+     * deliveries a canonical (srcDomain, sendSeq) order independent of
+     * which window or worker performed the intake; and band-0 keys
+     * taken earlier from reserveSeq(), which place a late-scheduled
+     * event exactly where scheduleEvent() would have placed it when
+     * the key was reserved. Keys must be unique per queue; the
+     * insertion counter is not consumed.
      */
     void scheduleKeyed(Event *e, Tick when, std::uint64_t key);
+
+    /**
+     * Take the band-0 sequence number the next scheduleEvent() would
+     * have used, without scheduling anything. An event scheduled later
+     * with scheduleKeyed() at this key runs in the position it would
+     * have held had it been scheduled now. reset() invalidates every
+     * key reserved before it.
+     */
+    std::uint64_t reserveSeq() { return _nextSeq++; }
 
     /** Schedule a closure at absolute tick `when` (>= curTick). */
     template <typename F>
@@ -322,6 +339,7 @@ class EventQueue
         e->_sched = false;
         --_pending;
         _curTick = e->_when;
+        _curSeq = e->_seq;
         ++_executed;
         e->process();
         if (!e->_sched)
@@ -332,6 +350,7 @@ class EventQueue
 
     SchedulerKind _kind;
     Tick _curTick = 0;
+    std::uint64_t _curSeq = 0;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;
     std::size_t _pending = 0;

@@ -104,7 +104,12 @@ TEST(Message, TrafficClassTaxonomy)
 
 namespace {
 
-/** Controller that records message arrival times. */
+/**
+ * Controller that records message arrival times (and, through `log`,
+ * the global arrival order). While `ignoring`, it asks the network to
+ * park every multicast copy; a token response ends that and wakes the
+ * response's block, like an L1 line gaining its first token.
+ */
 class SinkController : public Controller
 {
   public:
@@ -114,14 +119,32 @@ class SinkController : public Controller
     handleMsg(const Msg &msg) override
     {
         arrivals.push_back({ctx.now(), msg});
+        if (log != nullptr)
+            log->push_back(id());
+        if (msg.type == MsgType::TokResponse && ignoring) {
+            ignoring = false;
+            ctx.net->wake(id(), msg.addr);
+        }
     }
+    bool ignores(const Msg &) const override { return ignoring; }
+
     std::vector<std::pair<Tick, Msg>> arrivals;
+    std::vector<MachineID> *log = nullptr;
+    bool ignoring = false;
 
     /** Expose send for tests. */
     void
     testSend(Msg m, Tick delay = 0)
     {
         send(std::move(m), delay);
+    }
+
+    /** Expose multicast for tests. */
+    void
+    testMulticast(Msg m, const std::vector<MachineID> &dsts,
+                  Tick delay = 0)
+    {
+        multicast(std::move(m), dsts, delay);
     }
 };
 
@@ -130,6 +153,7 @@ struct NetFixture
     SimContext ctx;
     std::unique_ptr<Network> net;
     std::vector<std::unique_ptr<SinkController>> sinks;
+    std::vector<MachineID> order;  //!< every arrival, in execution order
 
     explicit NetFixture(const NetworkParams &params = {})
     {
@@ -151,6 +175,7 @@ struct NetFixture
     add(MachineID id)
     {
         auto s = std::make_unique<SinkController>(ctx, id);
+        s->log = &order;
         net->registerController(s.get());
         sinks.push_back(std::move(s));
     }
@@ -337,6 +362,125 @@ TEST(Network, ResetWithMessagesInFlight)
     EXPECT_TRUE(f.sink(t.l1d(1, 0)).arrivals.empty());
     EXPECT_EQ(f.net->inFlight(), 0u);
     EXPECT_EQ(f.net->deliveryWakeups(), 1u);
+}
+
+TEST(Network, MulticastMatchesSendsAndParksIgnoredCopies)
+{
+    // One multicast must route, time and account exactly like one
+    // send() per destination in order (duplicates included); the only
+    // difference is that copies to ignoring destinations never run.
+    NetworkParams no_bw;
+    no_bw.modelBandwidth = false;
+    for (const NetworkParams &params : {NetworkParams{}, no_bw}) {
+        NetFixture eager(params), lazy(params);
+        const Topology &t = eager.ctx.topo;
+        const MachineID src = t.l2(0, 1);
+        const std::vector<MachineID> dsts = {
+            t.l1d(0, 0), t.l1i(0, 0), t.l1d(0, 1), t.l1d(0, 0),
+            t.l1d(1, 0), t.l2(2, 1),  t.mem(3),    t.l1i(0, 3)};
+        const std::vector<MachineID> ignoring = {t.l1i(0, 0),
+                                                 t.l1d(0, 0),
+                                                 t.l1d(1, 0)};
+        for (const MachineID &id : ignoring)
+            lazy.sink(id).ignoring = true;
+
+        Msg m;
+        m.type = MsgType::TokReadReq;
+        m.requestor = src;
+        std::uint64_t parked = 0;
+        for (Addr a : {Addr(0x1000), Addr(0x2040)}) {
+            m.addr = a;
+            for (const MachineID &d : dsts) {
+                m.dst = d;
+                eager.sink(src).testSend(m, ns(1));
+                for (const MachineID &id : ignoring)
+                    parked += d == id ? 1 : 0;
+            }
+            lazy.sink(src).testMulticast(m, dsts, ns(1));
+        }
+        eager.ctx.eventq.run();
+        lazy.ctx.eventq.run();
+
+        std::vector<MachineID> want;
+        for (const MachineID &id : eager.order) {
+            if (!lazy.sink(id).ignoring)
+                want.push_back(id);
+        }
+        EXPECT_EQ(lazy.order, want);
+        for (const MachineID &d : dsts) {
+            const auto &got = lazy.sink(d).arrivals;
+            if (lazy.sink(d).ignoring) {
+                EXPECT_TRUE(got.empty()) << d.toString();
+                continue;
+            }
+            const auto &ref = eager.sink(d).arrivals;
+            ASSERT_EQ(got.size(), ref.size()) << d.toString();
+            for (std::size_t i = 0; i < ref.size(); ++i) {
+                EXPECT_EQ(got[i].first, ref[i].first) << d.toString();
+                EXPECT_EQ(got[i].second.addr, ref[i].second.addr);
+            }
+        }
+        for (unsigned l = 0; l < unsigned(NetLevel::NumLevels); ++l) {
+            for (unsigned c = 0; c < unsigned(TrafficClass::NumClasses);
+                 ++c) {
+                EXPECT_EQ(lazy.net->bytes(NetLevel(l), TrafficClass(c)),
+                          eager.net->bytes(NetLevel(l), TrafficClass(c)));
+            }
+        }
+        EXPECT_EQ(lazy.net->totalMessages(), eager.net->totalMessages());
+        EXPECT_EQ(parked, 8u);  // 4 ignored copies (one duplicate) x 2
+        EXPECT_EQ(lazy.net->deliveryWakeups(),
+                  eager.net->deliveryWakeups() - parked);
+        EXPECT_EQ(lazy.net->inFlight(), 0u);
+    }
+}
+
+TEST(Network, ParkedCopyRunsOnlyIfKeyedAfterTheWakingArrival)
+{
+    // A request parked at an ignoring destination and the token
+    // response that ends the ignoring arrive at the same tick. Eager
+    // delivery runs them in send order: request first means it found
+    // no tokens (a no-op, so it must not run late); response first
+    // means the request sees the tokens, so the wake must schedule it
+    // at its reserved key, which is still ahead.
+    NetworkParams p;
+    p.modelBandwidth = false;
+    for (bool response_first : {true, false}) {
+        SCOPED_TRACE(response_first ? "response keyed first"
+                                    : "request keyed first");
+        NetFixture f(p);
+        const Topology &t = f.ctx.topo;
+        const MachineID x = t.l1d(0, 0);
+        SinkController &sink = f.sink(x);
+        sink.ignoring = true;
+
+        Msg tok;
+        tok.type = MsgType::TokResponse;
+        tok.addr = 0x1000;
+        tok.dst = x;
+        Msg req;
+        req.type = MsgType::TokReadReq;
+        req.addr = 0x1000;
+        Msg other = req;  // another block: stays parked through the wake
+        other.addr = 0x2000;
+
+        if (response_first)
+            f.sink(t.l1d(0, 1)).testSend(tok);
+        f.sink(t.l2(0, 0)).testMulticast(other, {x});
+        f.sink(t.l2(0, 0)).testMulticast(req, {x});
+        if (!response_first)
+            f.sink(t.l1d(0, 1)).testSend(tok);
+        f.ctx.eventq.run();
+
+        ASSERT_EQ(sink.arrivals.size(), response_first ? 2u : 1u);
+        EXPECT_EQ(sink.arrivals[0].second.type, MsgType::TokResponse);
+        for (const auto &[when, msg] : sink.arrivals)
+            EXPECT_EQ(when, ns(2));
+        if (response_first) {
+            EXPECT_EQ(sink.arrivals[1].second.addr, 0x1000u);
+        }
+        EXPECT_EQ(f.net->totalMessages(), 3u);
+    }
 }
 
 TEST(Network, SelfSendPanics)

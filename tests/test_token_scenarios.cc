@@ -343,6 +343,44 @@ TEST(TokenScenario, RacingPersistentRequestsShardInvariant)
     }
 }
 
+TEST(TokenScenario, RequestParkedBeforeTokensArriveIsAnswered)
+{
+    // Proc 1's load miss gets every token of an uncached block at tick
+    // `filled`. Proc 0's store miss multicasts its transient request
+    // `early` ticks before that, so the copy to proc 1's L1 (which
+    // still holds no tokens) is parked; it arrives 4.125 ns later,
+    // after the tokens. Eager delivery finds proc 1 holding them and
+    // idle, so it hands everything over and proc 0 needs no retry.
+    // Without the wake on proc 1's first token the copy is lost and
+    // proc 0 only succeeds by timing out (dst1 then goes persistent).
+    constexpr Addr kAddr = 0x5000;
+    Tick filled = 0;
+    {
+        System sys(tokenCfg());
+        runLoad(sys, 1, kAddr, &filled);
+    }
+    for (Tick early = 250; early < ns(4); early += 250) {
+        SCOPED_TRACE("store issued " + std::to_string(early) +
+                     " ticks before the load's tokens arrive");
+        System sys(tokenCfg());
+        bool loaded = false, stored = false;
+        sys.sequencer(1).load(kAddr,
+                              [&](const MemResult &) { loaded = true; });
+        sys.context().eventq.scheduleAbs(filled - early, [&]() {
+            sys.sequencer(0).store(
+                kAddr, 9, [&](const MemResult &) { stored = true; });
+        });
+        sys.context().eventq.runUntil(
+            [&]() { return loaded && stored; }, ns(1000000));
+        ASSERT_TRUE(loaded && stored);
+        const TokenL1::Stats &st = sys.controller<TokenL1>(0, 0)->stats;
+        EXPECT_EQ(st.retries + st.persistents, 0u);
+        EXPECT_EQ(sys.controller<TokenL1>(0, 1)->peek(kAddr), nullptr);
+        drain(sys);
+        sys.tokenGlobals()->auditor.checkAll(true);
+    }
+}
+
 TEST(TokenScenario, MixedInstructionAndDataSharing)
 {
     System sys(tokenCfg());

@@ -66,8 +66,7 @@ class ArbiterTest : public ::testing::Test
     System sys{SystemConfig{}};
     TokenMem &host = *sys.controller<TokenMem>(0);
     PersistentArbiter arb{host,
-                          [](Addr) { return std::vector<MachineID>{}; },
-                          0};
+                          [](Addr, std::vector<MachineID> &) {}, 0};
 };
 
 // ---- Hostile performance policy -------------------------------------
@@ -145,7 +144,12 @@ const PolicyRegistrar regChaosArb("chaos-arb", [](const PolicyEnv &env) {
     return std::make_unique<ChaosPolicy>(env, PersistentActivation::Arbiter);
 });
 
-/** Run `wl` under `policy`; run() audits quiescence (fatal) itself. */
+/**
+ * Run `wl` under `policy`; run() audits quiescence (fatal) itself.
+ * The hostile destination sets (empty, partial, duplicated) and relay
+ * masks all go through Network::multicast, so the run must also have
+ * parked copies that were sent but never delivered.
+ */
 System::RunResult
 runChaos(const char *policy, std::uint64_t seed, Workload &wl)
 {
@@ -155,6 +159,9 @@ runChaos(const char *policy, std::uint64_t seed, Workload &wl)
     wl.reset();
     System::RunResult r = sys.run(wl);
     sys.verifyQuiescent(true);
+    const Network &net = *sys.context().net;
+    EXPECT_EQ(net.inFlight(), 0u);
+    EXPECT_LT(net.deliveryWakeups(), net.totalMessages());
     return r;
 }
 

@@ -95,6 +95,33 @@ TEST(PersistentTable, PerBlockIsolation)
     EXPECT_EQ(t.numValid(), 2u);
 }
 
+TEST(PersistentTable, ValidCountSurvivesReinsertAndEmptyErase)
+{
+    // The count is what lets activeFor/markAllFor/anyMarkedFor skip
+    // the scan on an empty table, so it must not drift when a valid
+    // slot is overwritten or an empty slot is erased.
+    PersistentTable t(16);
+    MachineID m{MachineType::L1D, 0, 0};
+    t.erase(9);  // never valid
+    EXPECT_EQ(t.numValid(), 0u);
+    t.insert(3, 0x1000, false, m, 1);
+    t.insert(3, 0x2000, true, m, 2);  // re-insert into a valid slot
+    EXPECT_EQ(t.numValid(), 1u);
+    EXPECT_EQ(t.activeFor(0x1000), -1);
+    EXPECT_EQ(t.activeFor(0x2000), 3);
+    t.markAllFor(0x2000);
+    EXPECT_TRUE(t.anyMarkedFor(0x2000));
+    t.erase(3);
+    t.erase(3);  // already empty
+    EXPECT_EQ(t.numValid(), 0u);
+    EXPECT_EQ(t.activeFor(0x2000), -1);
+    EXPECT_FALSE(t.anyMarkedFor(0x2000));
+    t.insert(5, 0x2000, false, m, 3);
+    EXPECT_EQ(t.numValid(), 1u);
+    EXPECT_EQ(t.activeFor(0x2000), 5);
+    EXPECT_FALSE(t.anyMarkedFor(0x2000));  // a fresh entry is unmarked
+}
+
 TEST(PersistentTable, MarkingGatesReissue)
 {
     PersistentTable t(16);
@@ -263,7 +290,8 @@ TEST(PersistTargets, CoversAllCachesAndHome)
     Topology topo;
     const Addr addr = 0x1000;
     MachineID self = topo.l1d(0, 0);
-    auto targets = persistTargets(topo, addr, self);
+    std::vector<MachineID> targets;
+    persistTargets(topo, addr, self, targets);
     // 32 L1s - self + 4 L2 banks + 1 home.
     EXPECT_EQ(targets.size(), 31u + 4u + 1u);
     for (const auto &t : targets)
