@@ -66,8 +66,9 @@ printLevel(const char *title, NetLevel level,
  * record normalized traffic (messages and inter-CMP bytes per L1
  * miss) — the per-policy cells the CI regression gate tracks. The
  * metrics are simulation counts over fixed seeds, so they are exactly
- * reproducible across machines. Returns false if the
- * bandwidth-adaptive policy fails to beat broadcast dst1 traffic.
+ * reproducible across machines. Returns false if dst-group's
+ * multicast fails to land between the dst4 and dst1 traffic brackets
+ * at dst1's runtime.
  */
 bool
 policySweep(JsonReport &report)
@@ -98,8 +99,7 @@ policySweep(JsonReport &report)
                 "runtime(ns)", "narrowed");
     double dst1_inter = 0.0, dst1_rt = 0.0;
     double dst4_inter = 0.0;
-    double group_inter = 0.0, group_narrowed = 0.0;
-    double bw_inter = 0.0, bw_rt = 0.0, bw_narrowed = 0.0;
+    double group_inter = 0.0, group_rt = 0.0, group_narrowed = 0.0;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const ExperimentResult &e = cells[i];
         if (!e.allCompleted) {
@@ -126,11 +126,8 @@ policySweep(JsonReport &report)
             dst4_inter = inter;
         } else if (names[i] == "dst-group") {
             group_inter = inter;
+            group_rt = rt;
             group_narrowed = narrowed;
-        } else if (names[i] == "bw-adapt") {
-            bw_inter = inter;
-            bw_rt = rt;
-            bw_narrowed = narrowed;
         }
         report.addRaw("{\"label\": " +
                       json::quote("policy_sweep/" + names[i]) +
@@ -142,34 +139,23 @@ policySweep(JsonReport &report)
                       json::number(narrowed) + "}");
     }
 
-    // The decoupling's payoff: adapting the destination set to link
-    // occupancy must cut inter-CMP traffic vs broadcast dst1 without
-    // costing runtime (2% runtime slack absorbs seed noise) — and the
-    // occupancy-gated narrowing must actually have fired (much of the
-    // raw dst1 delta comes from the shared dst4-style retry budget;
-    // without this clause a broken utilization gate would degenerate
-    // bw-adapt to plain dst4 and still "pass").
-    const bool ok = bw_inter < dst1_inter && bw_rt <= dst1_rt * 1.02 &&
-                    bw_narrowed > 0.0;
-    std::printf("\nbw-adapt vs dst1: %.1f vs %.1f inter bytes/miss, "
-                "%.0f vs %.0f ns runtime, %.0f narrowed escalations "
-                "-> %s\n",
-                bw_inter, dst1_inter, bw_rt, dst1_rt, bw_narrowed,
-                ok ? "PASS" : "FAIL");
-
-    // Group multicast is the middle fan-out: its inter-CMP bytes per
-    // miss must land strictly between the narrow and broadcast
-    // endpoints of the same retry budget (dst1 and dst4 brackets),
-    // and the group path must actually have fired.
+    // The decoupling's payoff: group multicast is the middle fan-out,
+    // so its inter-CMP bytes per miss must land strictly between the
+    // narrow and broadcast endpoints of the same retry budget (dst1
+    // and dst4 brackets) without costing runtime vs dst1 (2% slack
+    // absorbs seed noise) — and the group path must actually have
+    // fired, or a broken mask would degenerate it to a plain retry
+    // budget and still "pass".
     const double lo = std::min(dst1_inter, dst4_inter);
     const double hi = std::max(dst1_inter, dst4_inter);
-    const bool group_ok = group_inter > lo && group_inter < hi &&
-                          group_narrowed > 0.0;
-    std::printf("dst-group between brackets: %.1f in (%.1f, %.1f) "
-                "inter bytes/miss, %.0f grouped escalations -> %s\n",
-                group_inter, lo, hi, group_narrowed,
-                group_ok ? "PASS" : "FAIL");
-    return ok && group_ok;
+    const bool ok = group_inter > lo && group_inter < hi &&
+                    group_rt <= dst1_rt * 1.02 && group_narrowed > 0.0;
+    std::printf("\ndst-group between brackets: %.1f in (%.1f, %.1f) "
+                "inter bytes/miss, %.0f vs dst1 %.0f ns runtime, %.0f "
+                "grouped escalations -> %s\n",
+                group_inter, lo, hi, group_rt, dst1_rt, group_narrowed,
+                ok ? "PASS" : "FAIL");
+    return ok;
 }
 
 } // namespace

@@ -93,7 +93,7 @@ main(int argc, char **argv)
     std::printf("\n(vs Dir > 1.0 means faster than DirectoryCMP)\n");
 
     // Every performance policy the registry knows about — Table 1
-    // rows, the adaptive destination-set policies, and the plugin
+    // rows, the dst-group destination-set policy, and the plugin
     // registered by this very file.
     std::printf("\nregistered performance policies on the TokenCMP "
                 "substrate:\n\n");

@@ -16,17 +16,16 @@
  * of the protocol table in system/config.cc); the six Table 1 rows of
  * the paper are registered as "arb0", "dst0", "dst4", "dst1",
  * "dst1-pred" and "dst1-filt", hier's intra-CMP row as "arb4", and
- * policy_adaptive.cc adds destination-set predictors the enum-based
- * design could not express.
+ * policy_adaptive.cc adds the "dst-group" destination-set predictor
+ * the enum-based design could not express.
  *
  * Determinism contract: a policy must keep all mutable state per
  * instance (one instance exists per controller, so instance state is
- * owned by that controller's shard domain) and may only read network
- * occupancy through probes scoped to its own controller's domain
- * (`Network::interOccupancy`). Policies that draw from the controller
- * RNG (the `onRetry` hook's `rng`) shift every later draw, so enabling
- * such a policy is a *different deterministic execution*, not a
- * perturbation of the old one — same caveat as changing the shard map.
+ * owned by that controller's shard domain). Policies that draw from
+ * the controller RNG (the `onRetry` hook's `rng`) shift every later
+ * draw, so enabling such a policy is a *different deterministic
+ * execution*, not a perturbation of the old one — same caveat as
+ * changing the shard map.
  */
 
 #ifndef TOKENCMP_CORE_POLICY_HH
@@ -85,13 +84,6 @@ struct PolicyEnv
 class PerformancePolicy
 {
   public:
-    /** Fan-out accounting (L2 escalation decisions only). */
-    struct Stats
-    {
-        std::uint64_t narrowed = 0;    //!< below-broadcast fan-outs
-        std::uint64_t broadcasts = 0;  //!< full-broadcast fan-outs
-    };
-
     explicit PerformancePolicy(const PolicyEnv &env) : env(env) {}
     virtual ~PerformancePolicy() = default;
 
@@ -184,7 +176,7 @@ class PerformancePolicy
 
     /** An external CMP's transient request passed through this
      *  controller — `requestor` is acquiring the block, the natural
-     *  training signal for owner/destination-set predictors. */
+     *  training signal for destination-set predictors. */
     virtual void
     onExternalRequest(Addr addr, const MachineID &requestor,
                       bool is_write)
@@ -198,7 +190,7 @@ class PerformancePolicy
      * A fresh persistent-request activation from another chip was
      * installed in this controller's table — `requestor` is about to
      * drain the block's tokens (all of them for a write). This is the
-     * strongest owner-prediction signal there is, and one the
+     * strongest destination-set training signal there is, and one the
      * transient hook above never sees when the requester's own
      * narrowed retries went unanswered and it escalated straight to a
      * persistent request.
@@ -229,8 +221,6 @@ class PerformancePolicy
     /** Contribute policy-specific statistics to a run's StatSet
      *  (keys are summed across controller instances). */
     virtual void exportStats(StatSet &out) const { (void)out; }
-
-    Stats stats;
 
   protected:
     /** The default full-broadcast destination set for `kind`. */

@@ -2,9 +2,9 @@
  * @file
  * Generic set-associative LRU table.
  *
- * One implementation of the organization three predictors hand-rolled
- * independently (ContentionPredictor, SharerFilter, CmpPredictor):
- * `entries` slots split into `entries / ways` sets, block-aligned tags,
+ * One implementation of the organization ContentionPredictor and
+ * SharerFilter hand-rolled independently, also backing dst-group's
+ * sharer-group table: `entries` slots split into `entries / ways` sets, block-aligned tags,
  * and per-set LRU replacement driven by a strictly monotone use
  * counter.
  *
@@ -23,7 +23,7 @@
  *    callers touch() exactly where their pre-refactor code bumped the
  *    use counter, keeping the counter stream identical.
  *
- * tests/test_set_assoc_table.cc holds the three pre-refactor
+ * tests/test_set_assoc_table.cc holds the two pre-refactor
  * implementations verbatim and drives them lock-step against the
  * rebased predictors on fixed seeds.
  */

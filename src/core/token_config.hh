@@ -51,17 +51,10 @@ struct TokenParams
     unsigned contentionEntries = 256;
     unsigned contentionWays = 4;
 
-    /** dst-owner / bw-adapt CMP-owner predictor table geometry
-     *  (per-L2-bank tables); same multiple-of-ways constraint. */
+    /** dst-group sharer-group table geometry (per-L2-bank tables);
+     *  same multiple-of-ways constraint. */
     unsigned cmpPredEntries = 512;
     unsigned cmpPredWays = 4;
-
-    /**
-     * bw-adapt: inter-CMP link utilization (EWMA occupancy fraction in
-     * [0, 1]) above which escalations fall back to broadcast instead
-     * of trusting the owner prediction.
-     */
-    double bwBusyUtil = 0.01;
 };
 
 } // namespace tokencmp

@@ -328,19 +328,6 @@ Network::intakeMailboxes(unsigned domain)
     }
 }
 
-Network::LinkOccupancy
-Network::interOccupancy(const MachineID &src, unsigned dst_cmp) const
-{
-    LinkOccupancy o;
-    o.now = _eqs[domain(src)]->curTick();
-    if (!_p.modelBandwidth || src.cmp == dst_cmp)
-        return o;
-    const Link &l = _interLinks[src.cmp * _topo.numCmps + dst_cmp];
-    o.busyTicks = l.busy;
-    o.backlog = l.nextFree > o.now ? l.nextFree - o.now : 0;
-    return o;
-}
-
 std::uint64_t
 Network::inFlight() const
 {

@@ -218,24 +218,6 @@ class Network
      *  for readers of the old batching statistic. */
     std::uint64_t batchedMessages() const { return 0; }
 
-    /** Occupancy snapshot of one outbound inter-CMP link. */
-    struct LinkOccupancy
-    {
-        Tick busyTicks = 0;  //!< cumulative serialization time
-        Tick backlog = 0;    //!< ticks until the channel frees again
-        Tick now = 0;        //!< the owning domain's current tick
-    };
-
-    /**
-     * Occupancy of the outbound inter-CMP link src.cmp -> dst_cmp —
-     * the raw occupancy feed for bandwidth-adaptive performance
-     * policies. Deterministic under sharding: the link belongs to the
-     * caller's own domain. Zeroes (with the current tick) when the
-     * CMPs coincide or bandwidth modeling is off.
-     */
-    LinkOccupancy interOccupancy(const MachineID &src,
-                                 unsigned dst_cmp) const;
-
     /** Bytes moved on a level for one traffic class. */
     std::uint64_t bytes(NetLevel level, TrafficClass cls) const;
 
@@ -258,7 +240,6 @@ class Network
     struct Link
     {
         Tick nextFree = 0;
-        Tick busy = 0;  //!< cumulative serialization (busy) time
     };
 
     /** A message crossing a domain boundary: its final arrival tick
@@ -306,7 +287,6 @@ class Network
             return earliest + latency;
         const Tick start = std::max(earliest, link.nextFree);
         link.nextFree = start + ser;
-        link.busy += ser;
         return start + ser + latency;
     }
 

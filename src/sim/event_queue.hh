@@ -192,9 +192,6 @@ class EventQueue
     /** Total events executed so far. */
     std::uint64_t executed() const { return _executed; }
 
-    /** Sequence number the next scheduled event will receive. */
-    std::uint64_t nextSeq() const { return _nextSeq; }
-
     /**
      * Run until the queue is empty or the horizon is reached.
      *

@@ -13,7 +13,7 @@
  *
  *   {
  *     "name": "fig7_policy",
- *     "policies": ["dst1", "bw-adapt", "directory"],
+ *     "policies": ["dst1", "dst-group", "directory"],
  *     "workloads": ["zipf", "oltp"],
  *     "shardMaps": ["serial"],            // optional, default
  *     "seeds": 2, "firstSeed": 1,

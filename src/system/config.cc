@@ -116,12 +116,8 @@ SystemConfig::validate() const
     // geometry into a later token run.
     checkTableGeometry("contention predictor", token.contentionEntries,
                        token.contentionWays);
-    checkTableGeometry("CMP-owner predictor", token.cmpPredEntries,
+    checkTableGeometry("sharer-group predictor", token.cmpPredEntries,
                        token.cmpPredWays);
-    if (token.bwBusyUtil < 0.0 || token.bwBusyUtil > 1.0) {
-        fatal("bw-adapt busy-utilization threshold %f out of range "
-              "[0, 1]", token.bwBusyUtil);
-    }
 
     if (!workloadName.empty())
         workloadParams.validate(workloadName);

@@ -147,7 +147,7 @@ struct SystemConfig
 
     /**
      * Performance-policy selection by PolicyRegistry name ("dst1",
-     * "dst1-pred", "bw-adapt", ...). Empty (the default) uses the
+     * "dst1-pred", "dst-group", ...). Empty (the default) uses the
      * policy of `protocol`'s table row. Only meaningful for the token
      * family; validate() rejects it elsewhere. An unknown name is
      * diagnosed (listing every registered policy) when the System is
@@ -184,9 +184,9 @@ struct SystemConfig
     std::string displayName() const;
 
     /** Fatal unless the selection and knobs are consistent: a policy
-     *  name needs a token protocol, predictor geometries and the
-     *  bw-adapt threshold must be valid, and a named workload's knobs
-     *  must be in range. `System` checks every config it builds. */
+     *  name needs a token protocol, predictor geometries must be
+     *  valid, and a named workload's knobs must be in range. `System`
+     *  checks every config it builds. */
     void validate() const;
 };
 

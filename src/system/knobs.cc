@@ -38,17 +38,12 @@ knobTable()
                       "dst1-pred contention predictor associativity",
                       token.contentionWays, unsigned),
         TOKENCMP_KNOB("token.cmpPredEntries",
-                      "dst-owner/bw-adapt CMP-owner predictor entries "
+                      "dst-group sharer-group predictor entries "
                       "(nonzero multiple of ways)",
                       token.cmpPredEntries, unsigned),
         TOKENCMP_KNOB("token.cmpPredWays",
-                      "dst-owner/bw-adapt CMP-owner predictor "
-                      "associativity",
+                      "dst-group sharer-group predictor associativity",
                       token.cmpPredWays, unsigned),
-        TOKENCMP_KNOB("token.bwBusyUtil",
-                      "bw-adapt busy-link utilization threshold in "
-                      "[0, 1]",
-                      token.bwBusyUtil, double),
     };
     return table;
 }

@@ -3,7 +3,7 @@
  * Named numeric knobs over SystemConfig — the one source of truth the
  * sweep driver's "overrides" axis, the knob-override label hash and
  * the docs draw from. Each knob is a (name, doc, get, set) row; the
- * names are dotted paths into the config ("token.bwBusyUtil"), and
+ * names are dotted paths into the config ("token.cmpPredWays"), and
  * everything a sweep may legally search must be listed here so a grid
  * file can never set a field SystemConfig::validate() doesn't cover.
  */

@@ -9,8 +9,8 @@
  *
  * Unlike the statistical `synthetic` proxy (which reproduces Barroso
  * et al.'s *class mix*), this generator has transaction structure and
- * a tunable hot-key skew — the shape under which adaptive
- * destination-set policies differentiate.
+ * a tunable hot-key skew — the shape under which destination-set
+ * policies differentiate.
  */
 
 #ifndef TOKENCMP_WORKLOAD_OLTP_HH

@@ -5,9 +5,8 @@
  * single-consumer ring consumed by processor p + P/2 — with the
  * default four-CMP topology the pairs always straddle chips, so every
  * queue slot, head and tail block migrates CMP-to-CMP in a strict
- * hand-off pattern. This is the steady-state migratory traffic the
- * owner-predicting policies (`dst-owner`) are built for, sustained
- * rather than the one-shot hand-offs of `ablation_migratory`.
+ * hand-off pattern: steady-state migratory traffic, sustained rather
+ * than the one-shot hand-offs of `ablation_migratory`.
  *
  * The consumer checks that items arrive in sequence order, turning
  * the workload into an end-to-end store-visibility checker.

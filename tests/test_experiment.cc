@@ -318,7 +318,7 @@ TEST(ExperimentRunner, IncompleteSeedsWarnUnderTheResultLabel)
 {
     // The warning names the label the result is reported under: a
     // named policy, and any knob override's hash.
-    SystemConfig cfg = SystemConfig::select("bw-adapt");
+    SystemConfig cfg = SystemConfig::select("dst-group");
     cfg.token.cmpPredEntries = 64;
     ::testing::internal::CaptureStderr();
     const ExperimentResult e = Experiment::of(cfg)
@@ -327,7 +327,7 @@ TEST(ExperimentRunner, IncompleteSeedsWarnUnderTheResultLabel)
                                    .run();
     const std::string err = ::testing::internal::GetCapturedStderr();
     EXPECT_FALSE(e.allCompleted);
-    EXPECT_EQ(e.protocol, "TokenCMP-bw-adapt@" + e.knobHash);
+    EXPECT_EQ(e.protocol, "TokenCMP-dst-group@" + e.knobHash);
     EXPECT_NE(err.find(e.protocol +
                        ": seed 1 did not complete within horizon"),
               std::string::npos)

@@ -2,9 +2,9 @@
  * @file
  * PerformancePolicy API tests: registry behavior (names, duplicate
  * registration, unknown-name diagnostics), per-policy Experiment
- * labels, and the adaptive
- * destination-set policies (completion, token conservation, policy
- * statistics, determinism — serial and across sharded worker counts).
+ * labels, and the dst-group destination-set policy (completion, token
+ * conservation, policy statistics, the sharer-group mask, determinism
+ * — serial and across sharded worker counts).
  */
 
 #include <gtest/gtest.h>
@@ -53,13 +53,13 @@ expectIdenticalRuns(const System::RunResult &a,
 
 } // namespace
 
-TEST(PolicyRegistry, KnowsTable1RowsAndAdaptivePolicies)
+TEST(PolicyRegistry, KnowsTable1RowsAndGroupPolicy)
 {
     const std::vector<std::string> names =
         PolicyRegistry::instance().names();
     for (const char *expect : {"arb0", "dst0", "dst4", "dst1",
                                "dst1-pred", "dst1-filt", "arb4",
-                               "dst-owner", "bw-adapt"}) {
+                               "dst-group"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expect),
                   names.end())
             << expect << " is not registered";
@@ -84,7 +84,7 @@ TEST(PolicyRegistry, UnknownNameListsRegisteredPolicies)
     cfg.policyName = "no-such-policy";
     // The diagnostic must name the typo and list what *is* registered.
     EXPECT_DEATH(System sys(cfg),
-                 "no-such-policy.*arb0.*bw-adapt.*dst1-pred");
+                 "no-such-policy.*arb0.*dst-group.*dst1-pred");
 }
 
 TEST(PolicyRegistry, NamedPolicyRequiresTokenProtocol)
@@ -94,7 +94,7 @@ TEST(PolicyRegistry, NamedPolicyRequiresTokenProtocol)
     SystemConfig cfg = SystemConfig::select("directory");
     cfg.policyName = "dst1";
     EXPECT_DEATH(cfg.validate(), "requires a TokenCMP protocol");
-    cfg.policyName = "bw-adapt";
+    cfg.policyName = "dst-group";
     EXPECT_DEATH(System sys(cfg), "requires a TokenCMP protocol");
 }
 
@@ -102,7 +102,7 @@ TEST(PolicySweep, RunLabelsOneResultPerPolicy)
 {
     SyntheticParams wl = smallWorkload();
     std::vector<ExperimentResult> results;
-    for (const char *name : {"dst1", "dst-owner"}) {
+    for (const char *name : {"dst1", "dst-group"}) {
         results.push_back(
             Experiment::of(SystemConfig::select(name))
                 .workload([&wl]() -> std::unique_ptr<Workload> {
@@ -113,7 +113,7 @@ TEST(PolicySweep, RunLabelsOneResultPerPolicy)
     }
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].protocol, "TokenCMP-dst1");
-    EXPECT_EQ(results[1].protocol, "TokenCMP-dst-owner");
+    EXPECT_EQ(results[1].protocol, "TokenCMP-dst-group");
     EXPECT_TRUE(results[0].allCompleted);
     EXPECT_TRUE(results[1].allCompleted);
     // The narrowing policy must not inflate runtime pathologically
@@ -122,107 +122,115 @@ TEST(PolicySweep, RunLabelsOneResultPerPolicy)
               2.0 * results[0].runtime.mean());
 }
 
-TEST(AdaptivePolicies, CompleteQuiesceAndExportStats)
+TEST(GroupPolicy, CompletesQuiescesAndNarrows)
 {
-    for (const char *name : {"dst-owner", "bw-adapt"}) {
-        SCOPED_TRACE(name);
-        SystemConfig cfg = SystemConfig::select(name);
-        // runOnce runs verifyQuiescent(fatal) internally on
-        // completion, so token conservation is checked too.
-        const System::RunResult r = runOnce(cfg);
-        ASSERT_TRUE(r.completed);
-        EXPECT_EQ(r.violations, 0u);
-        EXPECT_TRUE(r.stats.has("policy.narrowedEscalations"));
-        EXPECT_TRUE(r.stats.has("policy.broadcastEscalations"));
-        // The owner predictor must actually narrow something on a
-        // migratory workload.
-        if (std::string(name) == "dst-owner") {
-            EXPECT_GT(r.stats.get("policy.narrowedEscalations"), 0.0);
-        }
-    }
+    // runOnce runs verifyQuiescent(fatal) internally on completion,
+    // so token conservation is checked too.
+    const System::RunResult r = runOnce(SystemConfig::select("dst-group"));
+    ASSERT_TRUE(r.completed);
+    EXPECT_EQ(r.violations, 0u);
+    EXPECT_TRUE(r.stats.has("policy.broadcastEscalations"));
+    EXPECT_TRUE(r.stats.has("policy.persistentTrainings"));
+    // The group mask must actually narrow something on a migratory
+    // workload.
+    EXPECT_GT(r.stats.get("policy.narrowedEscalations"), 0.0);
 }
 
-TEST(AdaptivePolicies, PersistentActivationsTrainThePredictor)
+TEST(GroupPolicy, GroupMaskTracksAcquirers)
 {
-    // Pins the persistent-broadcast training path. Old behavior
-    // (first three expectations): only relayed transient externals
-    // trained the owner predictor, so a requester whose narrowed
-    // retries all missed — and which therefore escalated straight to
-    // a persistent request — stayed invisible, and the next
-    // escalation for its block remained a full broadcast. New
-    // behavior: a fresh remote activation trains the predictor with
-    // the same read/write strengths as the transient signal.
+    // One L2 bank's instance on CMP 0, for a block homed on CMP 3 (so
+    // the broadcast set is the three remote banks and never includes
+    // home memory). A private clock lets the test age the table.
     System sys(SystemConfig::select("dst1"));
     const Topology &topo = sys.context().topo;
+    SimContext ctx;
+    ctx.topo = topo;
 
     PolicyEnv env;
     env.self = topo.l2(0, 0);
     env.topo = topo;
     env.params = &sys.config().token;
-    env.ctx = &sys.context();
-    auto pol = PolicyRegistry::instance().create("dst-owner", env);
+    env.ctx = &ctx;
+    auto pol = PolicyRegistry::instance().create("dst-group", env);
 
     Addr addr = 0;
     while (topo.homeCmpOf(addr) != 3)
         addr += blockBytes;
+    std::vector<MachineID> out;
+    auto escalate = [&](bool is_write, unsigned attempt) {
+        out.clear();
+        pol->destinationSet(addr, DestKind::L2Escalate, is_write,
+                            attempt, out);
+    };
 
     // Untrained: the escalation is the full 3-CMP broadcast.
-    std::vector<MachineID> out;
-    pol->destinationSet(addr, DestKind::L2Escalate, false, 1, out);
+    escalate(false, 1);
     EXPECT_EQ(out.size(), 3u);
 
-    // A persistent *read* activation trains at strength 1 — below
-    // confidence, exactly like a relayed transient read.
+    // Persistent reads add their requester's CMP to the group.
     pol->onPersistentActivate(addr, topo.l1d(2, 1), true);
-    out.clear();
-    pol->destinationSet(addr, DestKind::L2Escalate, false, 1, out);
+    escalate(false, 1);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_TRUE(out[0] == topo.l2BankFor(2, addr));
+    pol->onPersistentActivate(addr, topo.l1d(1, 0), true);
+    escalate(false, 1);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_TRUE(out[0] == topo.l2BankFor(1, addr));
+    EXPECT_TRUE(out[1] == topo.l2BankFor(2, addr));
+
+    // A persistent write collapses the group to the writer.
+    pol->onPersistentActivate(addr, topo.l1d(3, 2), false);
+    escalate(false, 1);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_TRUE(out[0] == topo.l2BankFor(3, addr));
+
+    // Writes and retries always broadcast, however fresh the group.
+    escalate(true, 1);
+    EXPECT_EQ(out.size(), 3u);
+    escalate(false, 2);
     EXPECT_EQ(out.size(), 3u);
 
-    // A persistent *write* activation saturates confidence: the next
-    // read escalation narrows to {predicted holder, home path}.
-    pol->onPersistentActivate(addr, topo.l1d(2, 1), false);
-    out.clear();
-    pol->destinationSet(addr, DestKind::L2Escalate, false, 1, out);
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_TRUE(out[0] == topo.l2BankFor(2, addr));
-    EXPECT_TRUE(out[1] == topo.l2BankFor(3, addr));
+    // This CMP is never its own multicast target: a group of only
+    // itself is no group, and the escalation broadcasts.
+    pol->onPersistentActivate(addr, topo.l1d(0, 3), false);
+    escalate(false, 1);
+    EXPECT_EQ(out.size(), 3u);
 
-    // Writes must still broadcast no matter how confident.
-    out.clear();
-    pol->destinationSet(addr, DestKind::L2Escalate, true, 1, out);
+    // A group older than the freshness window falls back to broadcast.
+    pol->onPersistentActivate(addr, topo.l1d(2, 0), false);
+    escalate(false, 1);
+    ASSERT_EQ(out.size(), 1u);
+    ctx.eventq.schedule(ns(2001), []() {});
+    ctx.eventq.run();
+    escalate(false, 1);
     EXPECT_EQ(out.size(), 3u);
 
     StatSet stats;
     pol->exportStats(stats);
-    EXPECT_EQ(stats.get("policy.persistentTrainings"), 2.0);
+    EXPECT_EQ(stats.get("policy.persistentTrainings"), 5.0);
+    EXPECT_EQ(stats.get("policy.narrowedEscalations"), 4.0);
+    EXPECT_EQ(stats.get("policy.broadcastEscalations"), 5.0);
 }
 
-TEST(AdaptivePolicies, FixedSeedRunsReproduce)
+TEST(GroupPolicy, FixedSeedRunsReproduce)
 {
-    for (const char *name : {"dst-owner", "bw-adapt"}) {
-        SCOPED_TRACE(name);
-        SystemConfig cfg = SystemConfig::select(name);
-        expectIdenticalRuns(runOnce(cfg), runOnce(cfg));
-    }
+    const SystemConfig cfg = SystemConfig::select("dst-group");
+    expectIdenticalRuns(runOnce(cfg), runOnce(cfg));
 }
 
-TEST(AdaptivePolicies, ShardedRunsAreWorkerCountInvariant)
+TEST(GroupPolicy, ShardedRunsAreWorkerCountInvariant)
 {
-    // The adaptive policies keep per-instance state and probe only
-    // their own domain's links, so the sharded kernel's contract —
-    // bit-identical results for any worker count over a fixed shard
-    // map — must survive them.
-    for (const char *name : {"dst-owner", "bw-adapt"}) {
-        SCOPED_TRACE(name);
-        System::RunResult runs[2];
-        unsigned i = 0;
-        for (unsigned workers : {1u, 4u}) {
-            SystemConfig cfg = SystemConfig::select(name);
-            cfg.shards = workers;
-            runs[i++] = runOnce(cfg);
-        }
-        expectIdenticalRuns(runs[0], runs[1]);
+    // The group table is per-instance state, so the sharded kernel's
+    // contract — bit-identical results for any worker count over a
+    // fixed shard map — must survive it.
+    System::RunResult runs[2];
+    unsigned i = 0;
+    for (unsigned workers : {1u, 4u}) {
+        SystemConfig cfg = SystemConfig::select("dst-group");
+        cfg.shards = workers;
+        runs[i++] = runOnce(cfg);
     }
+    expectIdenticalRuns(runs[0], runs[1]);
 }
 
 } // namespace tokencmp::test

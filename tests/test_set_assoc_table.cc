@@ -1,8 +1,8 @@
 /**
  * @file
- * SetAssocTable unit tests plus the refactor's safety net: the three
+ * SetAssocTable unit tests plus the refactor's safety net: the two
  * predictors that were rebased onto it (ContentionPredictor,
- * SharerFilter, CmpPredictor) are driven lock-step against verbatim
+ * SharerFilter) are driven lock-step against verbatim
  * copies of their pre-refactor hand-rolled implementations on fixed
  * seeds. Replacement order is pinned by fixed-seed figures, so the
  * equivalence is the test, not a hope.
@@ -233,150 +233,6 @@ class RefSharerFilter
     std::uint64_t _useCounter = 0;
 };
 
-/**
- * The pre-refactor CmpPredictor: one fused scan per observe(), which
- * kept the *last* invalid way as victim (no break) and guarded the
- * lru comparison on victim->valid.
- */
-class RefCmpPredictor
-{
-  public:
-    explicit RefCmpPredictor(unsigned entries = 512, unsigned ways = 4)
-        : _ways(ways), _sets(entries / ways), _entries(entries)
-    {}
-
-    int
-    predict(Addr addr, unsigned min_conf, Tick now, Tick max_age) const
-    {
-        const Addr blk = blockAlign(addr);
-        const std::size_t base = setIndex(addr) * _ways;
-        for (unsigned w = 0; w < _ways; ++w) {
-            const Entry &e = _entries[base + w];
-            if (e.valid && e.tag == blk) {
-                if (e.conf < min_conf || now - e.seen > max_age)
-                    return -1;
-                return int(e.cmp);
-            }
-        }
-        return -1;
-    }
-
-    void
-    observe(Addr addr, unsigned cmp, unsigned strength, Tick now)
-    {
-        const Addr blk = blockAlign(addr);
-        const std::size_t base = setIndex(addr) * _ways;
-        Entry *victim = &_entries[base];
-        for (unsigned w = 0; w < _ways; ++w) {
-            Entry &e = _entries[base + w];
-            if (e.valid && e.tag == blk) {
-                if (e.cmp == cmp) {
-                    e.conf = std::min<unsigned>(e.conf + strength, 3);
-                } else if (e.conf > strength) {
-                    e.conf -= strength;
-                } else {
-                    e.cmp = std::uint8_t(cmp);
-                    e.conf = std::uint8_t(strength);
-                }
-                e.lru = ++_useCounter;
-                e.seen = now;
-                return;
-            }
-            if (!e.valid) {
-                victim = &e;
-            } else if (victim->valid && e.lru < victim->lru) {
-                victim = &e;
-            }
-        }
-        victim->valid = true;
-        victim->tag = blk;
-        victim->cmp = std::uint8_t(cmp);
-        victim->conf = std::uint8_t(strength);
-        victim->lru = ++_useCounter;
-        victim->seen = now;
-    }
-
-  private:
-    struct Entry
-    {
-        bool valid = false;
-        Addr tag = 0;
-        std::uint8_t cmp = 0;
-        std::uint8_t conf = 0;
-        std::uint64_t lru = 0;
-        Tick seen = 0;
-    };
-
-    std::size_t
-    setIndex(Addr addr) const
-    {
-        return static_cast<std::size_t>(blockNumber(addr)) % _sets;
-    }
-
-    unsigned _ways;
-    std::size_t _sets;
-    std::vector<Entry> _entries;
-    std::uint64_t _useCounter = 0;
-};
-
-/**
- * Mirror of the rebased CmpPredictor in policy_adaptive.cc (the real
- * one lives in an anonymous namespace there). Must stay in sync with
- * that file; the lock-step test below is what proves the two-pass
- * find/allocate structure equivalent to the fused reference scan.
- */
-class TableCmpPredictor
-{
-  public:
-    explicit TableCmpPredictor(unsigned entries = 512, unsigned ways = 4)
-        : _table("CmpPredictor", entries, ways)
-    {}
-
-    int
-    predict(Addr addr, unsigned min_conf, Tick now, Tick max_age) const
-    {
-        const Table::Entry *e = _table.find(addr);
-        if (e == nullptr || e->data.conf < min_conf
-            || now - e->data.seen > max_age)
-            return -1;
-        return int(e->data.cmp);
-    }
-
-    void
-    observe(Addr addr, unsigned cmp, unsigned strength, Tick now)
-    {
-        Table::Entry *e = _table.find(addr);
-        if (e != nullptr) {
-            Owner &o = e->data;
-            if (o.cmp == cmp) {
-                o.conf = std::min<unsigned>(o.conf + strength, 3);
-            } else if (o.conf > strength) {
-                o.conf -= strength;
-            } else {
-                o.cmp = std::uint8_t(cmp);
-                o.conf = std::uint8_t(strength);
-            }
-        } else {
-            e = _table.allocate(addr);
-            e->data.cmp = std::uint8_t(cmp);
-            e->data.conf = std::uint8_t(strength);
-        }
-        _table.touch(*e);
-        e->data.seen = now;
-    }
-
-  private:
-    struct Owner
-    {
-        std::uint8_t cmp = 0;
-        std::uint8_t conf = 0;
-        Tick seen = 0;
-    };
-    using Table = SetAssocTable<Owner>;
-
-    Table _table;
-};
-
 /** Block address `i` (distinct blocks, natural set striping). */
 Addr
 blockAddr(std::uint64_t i)
@@ -538,38 +394,6 @@ TEST(SetAssocTableEquivalence, SharerFilterLockStep)
             for (unsigned b = 0; b < kBlocks; ++b)
                 ASSERT_EQ(now.sharers(blockAddr(b)),
                           ref.sharers(blockAddr(b)))
-                    << "step " << step << " block " << b;
-        }
-    }
-}
-
-TEST(SetAssocTableEquivalence, CmpPredictorLockStep)
-{
-    TableCmpPredictor now(16, 4);
-    RefCmpPredictor ref(16, 4);
-    Random ops(0xDEADBEEFu);
-
-    constexpr unsigned kBlocks = 64;
-    constexpr Tick kMaxAge = 5000;
-    Tick t = 0;
-    for (unsigned step = 0; step < 20000; ++step) {
-        t += ops.uniform(40);
-        const Addr a = blockAddr(ops.uniform(kBlocks));
-        if (ops.chance(0.5)) {
-            const unsigned cmp = unsigned(ops.uniform(4));
-            const unsigned strength = ops.chance(0.5) ? 2u : 1u;
-            now.observe(a, cmp, strength, t);
-            ref.observe(a, cmp, strength, t);
-        }
-        const Addr probe = blockAddr(ops.uniform(kBlocks));
-        const unsigned min_conf = unsigned(ops.uniform(4));
-        ASSERT_EQ(now.predict(probe, min_conf, t, kMaxAge),
-                  ref.predict(probe, min_conf, t, kMaxAge))
-            << "step " << step;
-        if (step % 256 == 0) {
-            for (unsigned b = 0; b < kBlocks; ++b)
-                ASSERT_EQ(now.predict(blockAddr(b), 1, t, kMaxAge),
-                          ref.predict(blockAddr(b), 1, t, kMaxAge))
                     << "step " << step << " block " << b;
         }
     }

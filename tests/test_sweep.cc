@@ -153,7 +153,7 @@ TEST(Knobs, StableHashMatchesFnv1aTestVectors)
 
 TEST(Knobs, TableLookupAndRoundTrip)
 {
-    EXPECT_EQ(knobTable().size(), 5u);
+    EXPECT_EQ(knobTable().size(), 4u);
     EXPECT_EQ(findKnob("no.such.knob"), nullptr);
 
     const KnobDef *k = findKnob("token.cmpPredEntries");
@@ -161,7 +161,7 @@ TEST(Knobs, TableLookupAndRoundTrip)
     SystemConfig cfg;
     k->set(cfg, 64);
     EXPECT_EQ(k->get(cfg), 64.0);
-    EXPECT_NE(knobNameList().find("token.bwBusyUtil"),
+    EXPECT_NE(knobNameList().find("token.cmpPredWays"),
               std::string::npos);
 }
 
@@ -379,7 +379,7 @@ TEST(ParamGridDeathTest, IntegerFieldsRangeCheckBeforeNarrowing)
 TEST(ParamGridDeathTest, IntegerKnobsMustFitTheirField)
 {
     // Each used to pass grid load through a bare cast: -64 became a
-    // 4-billion-entry table (std::bad_alloc in a bw-adapt cell), 2^32
+    // 4-billion-entry table (std::bad_alloc in a dst-group cell), 2^32
     // wrapped to 0 entries, and 2.5 ran as 2 ways under its own hash.
     EXPECT_DEATH(ParamGrid::fromJsonText(
                      gridWith(R"("overrides": [{"label": "neg", "knobs":

@@ -223,7 +223,7 @@ TEST(WorkloadParamsValidation, ValidateChecksNamedWorkload)
     EXPECT_DEATH(System sys(bad), "out of range");
 }
 
-TEST(PolicyKnobValidation, ValidateChecksGeometryAndThreshold)
+TEST(PolicyKnobValidation, ValidateChecksTableGeometry)
 {
     SystemConfig cfg = tokenConfig();
     cfg.token.contentionEntries = 10;  // not a multiple of 4 ways
@@ -232,10 +232,6 @@ TEST(PolicyKnobValidation, ValidateChecksGeometryAndThreshold)
     SystemConfig pred = tokenConfig();
     pred.token.cmpPredWays = 0;
     EXPECT_DEATH(pred.validate(), "multiple of");
-
-    SystemConfig bw = tokenConfig();
-    bw.token.bwBusyUtil = 1.5;
-    EXPECT_DEATH(bw.validate(), "out of range");
 }
 
 TEST(PolicyKnobs, DefaultsMatchLegacyHardcodedGeometry)
@@ -243,7 +239,7 @@ TEST(PolicyKnobs, DefaultsMatchLegacyHardcodedGeometry)
     // The knobs replaced hard-coded constants; their defaults must
     // keep fixed-seed runs bit-identical to the pre-knob code paths.
     SystemConfig cfg = tokenConfig(7);
-    cfg.policyName = "dst-owner";
+    cfg.policyName = "dst-group";
     const RunSummary defaults =
         runNamed("synthetic", smallKnobs("synthetic"), cfg);
 
@@ -252,7 +248,7 @@ TEST(PolicyKnobs, DefaultsMatchLegacyHardcodedGeometry)
     explicit_cfg.token.cmpPredWays = 4;
     const RunSummary spelled =
         runNamed("synthetic", smallKnobs("synthetic"), explicit_cfg);
-    expectSameRun(defaults, spelled, "dst-owner default geometry");
+    expectSameRun(defaults, spelled, "dst-group default geometry");
 
     // And a *different* geometry is a different (but valid) run.
     SystemConfig tiny = cfg;
