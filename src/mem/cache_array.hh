@@ -6,6 +6,13 @@
  * substrate and DirectoryCMP reuse the same structure. Geometry follows
  * the paper's Table 3 (L1: 128 kB 4-way; L2 bank: 2 MB 4-way; 64 B
  * blocks).
+ *
+ * A set gets storage on first use. Each set has a 4 B slot (0 while
+ * the set is untouched); the first victim() in a set appends its tag
+ * words and lines to dense arrays, in first-use order. Capacity for
+ * every set is reserved at construction but never written, so a run
+ * pays in memory and page faults only for the sets it touches, and
+ * storage never moves: every Line * stays valid for the array's life.
  */
 
 #ifndef TOKENCMP_MEM_CACHE_ARRAY_HH
@@ -36,10 +43,11 @@ struct CacheLine
  *
  * Tags are stored apart from the lines, one 8 B word per way:
  * `blockAlign(addr) | 1` for a valid way, 0 for an invalid one (block
- * addresses are 64 B aligned, so bit 0 is free). A lookup scans only
- * the set's tag words, so the broadcast probes that miss in most L1s
- * never touch line state; victim selection reads line LRU stamps only
- * when the set is full.
+ * addresses are 64 B aligned, so bit 0 is free). A lookup reads the
+ * set's slot and then only the set's tag words, so the broadcast
+ * probes that miss in most L1s never touch line state (nor, for an
+ * untouched set, any tag); victim selection reads line LRU stamps
+ * only when the set is full.
  */
 template <typename StateT>
 class CacheArray
@@ -60,14 +68,35 @@ class CacheArray
         _numSets = size_bytes / (assoc * blockBytes);
         if ((_numSets & (_numSets - 1)) != 0)
             fatal("CacheArray: set count must be a power of two");
-        // Written eagerly: first-touch page faults belong in set-up,
-        // not in the measured run.
-        _tags.assign(_numSets * _assoc, 0);
-        _lines.assign(_numSets * _assoc, Line{});
+        if (_numSets > UINT32_MAX)
+            fatal("CacheArray: too many sets");
+        _slot.assign(_numSets, 0);
+        // Reserved, not written: useSet() appends within this capacity,
+        // so the arrays never reallocate.
+        _tags.reserve(_numSets * _assoc);
+        _lines.reserve(_numSets * _assoc);
     }
+
+    // A copy would not carry the reserved capacity, so its lines
+    // could move.
+    CacheArray(const CacheArray &) = delete;
+    CacheArray &operator=(const CacheArray &) = delete;
 
     unsigned numSets() const { return _numSets; }
     unsigned assoc() const { return _assoc; }
+
+    /** Sets that have storage: those a victim() has touched. */
+    std::size_t setsInUse() const { return _lines.size() / _assoc; }
+
+    /** Way `way` of set `set`, or nullptr while the set is untouched
+     *  (for tests that inspect the array way by way). */
+    Line *
+    lineAt(std::size_t set, unsigned way)
+    {
+        const std::uint32_t s = _slot[set];
+        return s == 0 ? nullptr
+                      : &_lines[(s - 1) * std::size_t(_assoc) + way];
+    }
 
     /** Find the valid line holding `addr`'s block, or nullptr. */
     Line *
@@ -101,7 +130,8 @@ class CacheArray
     /**
      * Choose a victim way in `addr`'s set: an invalid line if one
      * exists, otherwise the least-recently-used valid line. The caller
-     * must evict a valid victim's contents before reusing it.
+     * must evict a valid victim's contents before reusing it. Gives
+     * the set storage if it has none yet.
      */
     Line *
     victim(Addr addr)
@@ -118,7 +148,7 @@ class CacheArray
     Line *
     victimWhere(Addr addr, Pred ok)
     {
-        const std::size_t base = setBase(blockAlign(addr));
+        const std::size_t base = useSet(setIndex(blockAlign(addr)));
         for (std::size_t i = base; i < base + _assoc; ++i) {
             if (_tags[i] == 0)
                 return &_lines[i];
@@ -162,7 +192,8 @@ class CacheArray
         line->st = StateT{};
     }
 
-    /** Apply `fn(line)` to every valid line. */
+    /** Apply `fn(line)` to every valid line, in the order the sets
+     *  were first used. */
     template <typename Fn>
     void
     forEachValid(Fn fn)
@@ -181,20 +212,35 @@ class CacheArray
     static constexpr std::size_t npos = ~std::size_t(0);
 
     std::size_t
-    setBase(Addr blk) const
+    setIndex(Addr blk) const
     {
-        const std::size_t set =
-            static_cast<std::size_t>(blockNumber(blk)) & (_numSets - 1);
-        return set * _assoc;
+        return static_cast<std::size_t>(blockNumber(blk)) & (_numSets - 1);
     }
 
-    /** Way index of `addr`'s block, or npos. */
+    /** Dense index of `set`'s way 0, appending the set's ways first if
+     *  it has none. */
+    std::size_t
+    useSet(std::size_t set)
+    {
+        std::uint32_t &s = _slot[set];
+        if (s == 0) {
+            s = static_cast<std::uint32_t>(setsInUse() + 1);
+            _tags.resize(_tags.size() + _assoc, 0);
+            _lines.resize(_lines.size() + _assoc);
+        }
+        return (s - 1) * std::size_t(_assoc);
+    }
+
+    /** Dense index of `addr`'s block, or npos. */
     std::size_t
     find(Addr addr) const
     {
         const Addr blk = blockAlign(addr);
         const Addr key = blk | 1;
-        const std::size_t base = setBase(blk);
+        const std::uint32_t s = _slot[setIndex(blk)];
+        if (s == 0)
+            return npos;
+        const std::size_t base = (s - 1) * std::size_t(_assoc);
         for (std::size_t i = base; i < base + _assoc; ++i) {
             if (_tags[i] == key)
                 return i;
@@ -212,8 +258,10 @@ class CacheArray
     std::size_t _numSets;
     std::uint64_t _useCounter = 0;
     std::size_t _numValid = 0;
-    std::vector<Addr> _tags;  //!< per way: blockAlign(addr) | 1, or 0
-    std::vector<Line> _lines;
+    /** Per set: 1 + its dense set index, or 0 while untouched. */
+    std::vector<std::uint32_t> _slot;
+    std::vector<Addr> _tags;  //!< per used way: blockAlign(addr) | 1, or 0
+    std::vector<Line> _lines; //!< per used way, sets in first-use order
 };
 
 } // namespace tokencmp

@@ -217,8 +217,7 @@ ParamGrid::fromJsonText(const std::string &text,
                         fatal("sweep grid %s: knob '%s' must be a "
                               "number", what.c_str(), kname.c_str());
                     const std::uint64_t max = findKnob(kname)->intMax;
-                    if (max != 0 &&
-                        !wholeNumberIn(kval.number, std::uint64_t(0),
+                    if (!wholeNumberIn(kval.number, std::uint64_t(0),
                                        max)) {
                         fatal("sweep grid %s: knob '%s' must be an "
                               "integer in [0, %llu]", what.c_str(),

@@ -16,6 +16,7 @@
 #include "sim/logging.hh"
 #include "sweep/json.hh"
 #include "system/experiment.hh"
+#include "system/knobs.hh"
 
 namespace tokencmp {
 
@@ -80,6 +81,20 @@ SweepDriver::SweepDriver(const ParamGrid &grid, SweepOptions opts)
     loadJournal();
 }
 
+const std::string &
+SweepDriver::buildDigest()
+{
+    static const std::string digest = [] {
+        bool ok = false;
+        const std::string exe = readWholeFile("/proc/self/exe", &ok);
+        if (!ok || exe.empty())
+            fatal("sweep: cannot read /proc/self/exe to digest this "
+                  "build for the journal header");
+        return hashHex(stableHash64(exe));
+    }();
+    return digest;
+}
+
 void
 SweepDriver::loadJournal()
 {
@@ -130,6 +145,17 @@ SweepDriver::loadJournal()
                       _opts.journalPath.c_str(), fp.c_str(),
                       _grid.name().c_str(),
                       _grid.fingerprint().c_str());
+            }
+            const std::string build = v.getString("build");
+            if (build != buildDigest()) {
+                fatal("sweep journal %s was written by build %s, but "
+                      "this binary is build %s — its cell results may "
+                      "come from different code or defaults. Rerun "
+                      "with --fresh to discard the journal, or resume "
+                      "with the build that began it.",
+                      _opts.journalPath.c_str(),
+                      build.empty() ? "(none recorded)" : build.c_str(),
+                      buildDigest().c_str());
             }
             saw_header = true;
             continue;
@@ -191,7 +217,8 @@ SweepDriver::run()
         appendJournal(
             "{\"type\": \"header\", \"grid\": " +
             json::quote(_grid.name()) + ", \"fingerprint\": " +
-            json::quote(_grid.fingerprint()) + ", \"cells\": " +
+            json::quote(_grid.fingerprint()) + ", \"build\": " +
+            json::quote(buildDigest()) + ", \"cells\": " +
             std::to_string(_grid.cells().size()) + "}");
         _journalStarted = true;
     }

@@ -80,8 +80,14 @@ class SweepDriver
 {
   public:
     /** Binds to `grid` and loads the journal (fatal on a fingerprint
-     *  mismatch). `grid` must outlive the driver. */
+     *  or build-digest mismatch). `grid` must outlive the driver. */
     SweepDriver(const ParamGrid &grid, SweepOptions opts);
+
+    /** 16 hex chars of stableHash64 over this executable's bytes
+     *  (/proc/self/exe), written into the journal header: a journal
+     *  resumes only under the build that began it. Kept out of the
+     *  grid fingerprint and the merged report. */
+    static const std::string &buildDigest();
 
     struct Summary
     {

@@ -10,6 +10,17 @@ namespace tokencmp {
 
 namespace {
 
+/** Largest value of a knob field of type T. Knobs are unsigned
+ *  integers only, so every grid value is range-checked against it. */
+template <typename T>
+constexpr std::uint64_t
+knobMax()
+{
+    static_assert(std::is_integral_v<T> && std::is_unsigned_v<T>,
+                  "a knob must be an unsigned integer field");
+    return std::numeric_limits<T>::max();
+}
+
 /** Declarative row builder: getter/setter lambdas over one field. */
 #define TOKENCMP_KNOB(path, doc, field, type)                        \
     KnobDef                                                          \
@@ -17,9 +28,7 @@ namespace {
         path, doc,                                                   \
         [](const SystemConfig &c) { return double(c.field); },       \
         [](SystemConfig &c, double v) { c.field = type(v); },        \
-        std::uint64_t(std::is_integral_v<type>                       \
-                          ? std::numeric_limits<type>::max()         \
-                          : 0)                                       \
+        knobMax<type>()                                              \
     }
 
 } // namespace

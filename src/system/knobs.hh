@@ -20,19 +20,19 @@ namespace tokencmp {
 
 struct SystemConfig;
 
-/** One sweepable SystemConfig knob. All knobs are numeric (doubles
- *  carry the integral ones exactly up to 2^53, far beyond any table
- *  geometry). */
+/** One sweepable SystemConfig knob. Every knob is an unsigned
+ *  integer field (TOKENCMP_KNOB static_asserts it), carried as a
+ *  double, which holds integers exactly up to 2^53, far beyond any
+ *  table geometry. */
 struct KnobDef
 {
     const char *name;  //!< dotted path, e.g. "token.cmpPredEntries"
     const char *what;  //!< one-line description (docs / --help)
     double (*get)(const SystemConfig &);
-    /** Assigns by cast: callers check an integer knob's value
-     *  against intMax first. */
+    /** Assigns by cast: callers check the value is a whole number
+     *  in [0, intMax] first. */
     void (*set)(SystemConfig &, double);
-    /** Largest value of an integer knob's (unsigned) field; 0 for a
-     *  real-valued knob. */
+    /** Largest value of the knob's unsigned field. */
     std::uint64_t intMax;
 };
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the cache array (geometry, LRU, pinning-aware victim
- * selection, lock-step equivalence with the array-of-structs layout),
+ * selection, first-use set storage, lock-step equivalence with the
+ * array-of-structs layout),
  * the backing store, and the sequencer.
  */
 
@@ -107,6 +108,66 @@ TEST(CacheArray, InvalidatedLineHasNoTag)
     a.invalidate(v);
     EXPECT_FALSE(a.isValid(*v));
     EXPECT_EQ(a.probe(0x0), nullptr);
+}
+
+TEST(CacheArray, FreshArrayHoldsNoSetStorage)
+{
+    CacheArray<St> l2(2 * 1024 * 1024, 4);
+    EXPECT_EQ(l2.setsInUse(), 0u);
+    EXPECT_EQ(l2.numValid(), 0u);
+    EXPECT_EQ(l2.lineAt(0, 0), nullptr);
+    EXPECT_EQ(l2.lineAt(l2.numSets() - 1, 3), nullptr);
+}
+
+TEST(CacheArray, ProbesOfUntouchedSetsAllocateNothing)
+{
+    CacheArray<St> a(128 * 1024, 4);
+    for (Addr blk = 0; blk < 4 * a.numSets(); ++blk)
+        EXPECT_EQ(a.probe(blk * blockBytes), nullptr);
+    const CacheArray<St> &ca = a;
+    EXPECT_EQ(ca.probe(0x40), nullptr);
+    EXPECT_EQ(a.setsInUse(), 0u);
+}
+
+TEST(CacheArray, InstallsInDistinctSetsAllocateOneSetEach)
+{
+    CacheArray<St> a(128 * 1024, 4);
+    const unsigned n = 37;
+    for (unsigned i = 0; i < n; ++i) {
+        // Every third set, twice per set: the second install reuses
+        // the set's storage.
+        const Addr addr = Addr(3 * i) * blockBytes;
+        a.install(a.victim(addr), addr);
+        const Addr alias = addr + Addr(a.numSets()) * blockBytes;
+        a.install(a.victim(alias), alias);
+        EXPECT_EQ(a.setsInUse(), i + 1);
+    }
+    EXPECT_EQ(a.numValid(), 2u * n);
+    // victim() alone gives a set storage even when nothing installs.
+    a.victim(Addr(1) * blockBytes);
+    EXPECT_EQ(a.setsInUse(), n + 1);
+    EXPECT_EQ(a.numValid(), 2u * n);
+}
+
+TEST(CacheArray, EarlyLinePointerSurvivesLaterAllocations)
+{
+    CacheArray<St> a(2 * 1024 * 1024, 4);
+    auto *first = a.victim(0x40);
+    a.install(first, 0x40);
+    first->st.v = 1234;
+    // Thousands of later sets get storage after the first one.
+    for (Addr blk = 2; blk < a.numSets(); ++blk) {
+        auto *v = a.victim(blk * blockBytes);
+        a.install(v, blk * blockBytes);
+        v->st.v = int(blk);
+    }
+    EXPECT_EQ(a.setsInUse(), a.numSets() - 1);
+    // Storage that moved would leave `first` dangling: stop here.
+    ASSERT_EQ(a.probe(0x40), first);
+    EXPECT_TRUE(a.isValid(*first));
+    EXPECT_EQ(a.tagOf(*first), 0x40u);
+    EXPECT_EQ(first->st.v, 1234);
+    EXPECT_EQ(a.probe(5 * blockBytes)->st.v, 5);
 }
 
 namespace {
@@ -223,7 +284,8 @@ class AosArray
 };
 
 /** Drive CacheArray and AosArray through one seeded op sequence and
- *  require identical way choices and tag/validity state throughout. */
+ *  require identical (set, way) choices and identical tag, validity
+ *  and state in every way throughout. */
 void
 lockStep(unsigned assoc, std::uint64_t seed)
 {
@@ -233,10 +295,20 @@ lockStep(unsigned assoc, std::uint64_t seed)
     CacheArray<St> a(bytes, assoc);
     AosArray ref(bytes, assoc);
     using Line = CacheArray<St>::Line;
-    // Way 0 of set 0 is the first invalid way of a fresh array.
-    const Line *base = a.victim(0);
+    // A line's flat (set * assoc + way) position, found through the
+    // array's own per-set view: sets get storage in first-use order,
+    // so pointer distance says nothing about the set.
     auto idx = [&](const Line *l) -> std::ptrdiff_t {
-        return l == nullptr ? -1 : l - base;
+        if (l == nullptr)
+            return -1;
+        for (unsigned set = 0; set < sets; ++set) {
+            for (unsigned w = 0; w < assoc; ++w) {
+                if (a.lineAt(set, w) == l)
+                    return std::ptrdiff_t(set * assoc + w);
+            }
+        }
+        ADD_FAILURE() << "line outside every set";
+        return -2;
     };
 
     std::mt19937_64 rng(seed);
@@ -303,12 +375,14 @@ lockStep(unsigned assoc, std::uint64_t seed)
         ASSERT_EQ(a.numValid(), ref.numValid()) << "step " << step;
         const auto &rl = ref.lines();
         for (std::size_t i = 0; i < rl.size(); ++i) {
-            ASSERT_EQ(a.isValid(base[i]), rl[i].valid)
+            const Line *w = a.lineAt(i / assoc, unsigned(i % assoc));
+            // An untouched set has no storage and holds nothing.
+            ASSERT_EQ(w != nullptr && a.isValid(*w), rl[i].valid)
                 << "way " << i << ", step " << step;
             if (rl[i].valid) {
-                ASSERT_EQ(a.tagOf(base[i]), rl[i].tag)
+                ASSERT_EQ(a.tagOf(*w), rl[i].tag)
                     << "way " << i << ", step " << step;
-                ASSERT_EQ(base[i].st.v, rl[i].st.v)
+                ASSERT_EQ(w->st.v, rl[i].st.v)
                     << "way " << i << ", step " << step;
             }
         }

@@ -1,11 +1,14 @@
 /**
  * @file
- * Unit tests for topology maps, message sizing/classification, and
- * the interconnect's latency, bandwidth, traffic accounting and
- * per-message delivery order.
+ * Unit tests for topology maps, message sizing, classification and
+ * names, and the interconnect's latency, bandwidth, traffic
+ * accounting and per-message delivery order.
  */
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
 
 #include "net/controller.hh"
 #include "net/machine.hh"
@@ -73,6 +76,30 @@ TEST(Message, SizesFollowSection8)
     EXPECT_EQ(m.size(), 8u);  // control
     m.hasData = true;
     EXPECT_EQ(m.size(), 72u);  // 8B header + 64B block
+}
+
+TEST(Message, NamesAreDistinctAndKnown)
+{
+    // Traces, panics and the traffic tables print these names.
+    std::set<std::string> seen;
+    for (unsigned t = 0; t <= unsigned(MsgType::WbAck); ++t) {
+        const std::string name = msgTypeName(MsgType(t));
+        EXPECT_NE(name, "?") << t;
+        EXPECT_TRUE(seen.insert(name).second) << name;
+    }
+    seen.clear();
+    for (unsigned c = 0; c < unsigned(TrafficClass::NumClasses); ++c) {
+        const std::string name = trafficClassName(TrafficClass(c));
+        EXPECT_NE(name, "?") << c;
+        EXPECT_TRUE(seen.insert(name).second) << name;
+    }
+    EXPECT_STREQ(trafficClassName(TrafficClass::NumClasses), "?");
+
+    Topology t;
+    EXPECT_EQ(t.l1i(0, 0).toString(), "L1I[c0.0]");
+    EXPECT_EQ(t.l1d(1, 2).toString(), "L1D[c1.2]");
+    EXPECT_EQ(t.l2(3, 1).toString(), "L2[c3.1]");
+    EXPECT_EQ(t.mem(2).toString(), "Mem[c2.0]");
 }
 
 TEST(Message, TrafficClassTaxonomy)
@@ -481,6 +508,97 @@ TEST(Network, ParkedCopyRunsOnlyIfKeyedAfterTheWakingArrival)
         }
         EXPECT_EQ(f.net->totalMessages(), 3u);
     }
+}
+
+TEST(Network, WakeRunsOnlyTheWokenParkedCopy)
+{
+    // One fan-out of six on-chip copies whose 2nd and 5th are parked.
+    // A token response reaches the 5th's destination before its copy
+    // would have: the wake schedules that copy at its eager (tick,
+    // seq), and the 2nd, never woken, never runs.
+    NetFixture eager, lazy;
+    const Topology &t = eager.ctx.topo;
+    const MachineID src = t.l2(0, 0);
+    const std::vector<MachineID> dsts = {t.l1d(0, 0), t.l1i(0, 0),
+                                         t.l1d(0, 1), t.l1i(0, 1),
+                                         t.l1d(0, 2), t.l1i(0, 2)};
+    const MachineID second = dsts[1], fifth = dsts[4];
+    lazy.sink(second).ignoring = true;
+    lazy.sink(fifth).ignoring = true;
+
+    Msg tok;
+    tok.type = MsgType::TokResponse;
+    tok.addr = 0x1000;
+    tok.dst = fifth;
+    Msg req;
+    req.type = MsgType::TokReadReq;
+    req.addr = 0x1000;
+    req.requestor = t.l1d(0, 3);
+    for (NetFixture *f : {&eager, &lazy})
+        f->sink(t.l1d(0, 3)).testSend(tok);
+    for (const MachineID &d : dsts) {
+        req.dst = d;
+        eager.sink(src).testSend(req, ns(10));
+    }
+    lazy.sink(src).testMulticast(req, dsts, ns(10));
+    EXPECT_EQ(lazy.net->inFlight(), 5u);  // the response + 4 acting
+    lazy.ctx.eventq.run();
+    eager.ctx.eventq.run();
+
+    std::vector<MachineID> want = eager.order;
+    std::erase(want, second);
+    EXPECT_EQ(lazy.order, want);
+    EXPECT_TRUE(lazy.sink(second).arrivals.empty());
+    const auto &got = lazy.sink(fifth).arrivals;
+    const auto &ref = eager.sink(fifth).arrivals;
+    ASSERT_EQ(got.size(), 2u);
+    ASSERT_EQ(ref.size(), 2u);
+    EXPECT_EQ(got[0].second.type, MsgType::TokResponse);
+    EXPECT_EQ(got[1].second.type, MsgType::TokReadReq);
+    EXPECT_EQ(got[1].first, ref[1].first);
+    // 10 ns delay, five 8 B copies on the port, 2 ns hop.
+    EXPECT_EQ(got[1].first, ns(12) + 5 * 125);
+    EXPECT_EQ(lazy.net->totalMessages(), eager.net->totalMessages());
+    EXPECT_EQ(lazy.net->deliveryWakeups(),
+              eager.net->deliveryWakeups() - 1);
+    EXPECT_EQ(lazy.net->inFlight(), 0u);
+}
+
+TEST(Network, WakeAfterParkedArrivalPassedSchedulesNothing)
+{
+    // A copy parked and never woken before its arrival tick was a
+    // no-op under eager delivery. Once the clock has passed it (and a
+    // later fan-out from the same sender has parked another copy for
+    // the same destination), a wake for its block must not bring it
+    // back.
+    NetFixture f;
+    const Topology &t = f.ctx.topo;
+    const MachineID x = t.l1d(0, 1);
+    SinkController &sink = f.sink(x);
+    sink.ignoring = true;
+    Msg req;
+    req.type = MsgType::TokReadReq;
+    req.addr = 0x1000;
+    req.requestor = t.l1d(0, 0);
+    f.sink(t.l1d(0, 0)).testMulticast(req, {x, t.l1d(0, 2)});
+    f.ctx.eventq.run();
+    EXPECT_TRUE(sink.arrivals.empty());
+
+    // Later traffic from the same domain parks another copy.
+    req.addr = 0x2000;
+    f.sink(t.l1d(0, 3)).testMulticast(req, {x});
+    Msg tok;
+    tok.type = MsgType::TokResponse;
+    tok.addr = 0x1000;
+    tok.dst = x;
+    f.sink(t.l1d(0, 2)).testSend(tok, ns(5));
+    f.ctx.eventq.run();
+
+    ASSERT_EQ(sink.arrivals.size(), 1u);
+    EXPECT_EQ(sink.arrivals[0].second.type, MsgType::TokResponse);
+    EXPECT_EQ(f.sink(t.l1d(0, 2)).arrivals.size(), 1u);
+    EXPECT_EQ(f.net->totalMessages(), 4u);
+    EXPECT_EQ(f.net->inFlight(), 0u);
 }
 
 TEST(Network, SelfSendPanics)

@@ -397,6 +397,17 @@ TEST(ParamGridDeathTest, IntegerKnobsMustFitTheirField)
                                   {"token.cmpPredWays": 2.5}}])"),
                      "t"),
                  "knob 'token.cmpPredWays' must be an integer in");
+    // Every knob is range-checked, not only some: a value a hair off
+    // a whole number dies on each of them.
+    for (const KnobDef &k : knobTable()) {
+        EXPECT_DEATH(ParamGrid::fromJsonText(
+                         gridWith(std::string(R"("overrides": [{"label":
+                                  "frac", "knobs": {")") +
+                                  k.name + R"(": 4.000001}}])"),
+                         "t"),
+                     std::string("knob '") + k.name +
+                         "' must be an integer in");
+    }
 }
 
 TEST(ParamGridDeathTest, DeepNestingFailsWithByteOffset)
@@ -600,6 +611,43 @@ TEST(SweepDriverDeathTest, EditedGridAgainstOldJournalIsFatal)
                  "the grid was edited");
 }
 
+TEST(SweepDriverDeathTest, JournalFromAnotherBuildIsFatal)
+{
+    // A rebuilt binary must not resume an old build's journal: its
+    // results may come from different code or defaults. A header
+    // naming another build, or none, dies naming both digests.
+    DriverFixture fx("builddeath");
+    ParamGrid grid = ParamGrid::fromFile(fx.gridPath);
+    {
+        SweepOptions o = fx.opts();
+        o.stopAfter = 1;
+        SweepDriver d(grid, o);
+        d.run();
+    }
+    const std::string text = readFile(fx.journal);
+    const std::string mine = SweepDriver::buildDigest();
+    ASSERT_EQ(mine.size(), 16u);
+    const std::string field = "\"build\": \"" + mine + "\"";
+    const std::size_t at = text.find(field);
+    ASSERT_NE(at, std::string::npos);
+    // The same journal resumes under this build.
+    EXPECT_EQ(SweepDriver(grid, fx.opts()).cellsDone(), 1u);
+
+    std::string other = text;
+    other.replace(at, field.size(), "\"build\": \"0123456789abcdef\"");
+    writeFile(fx.journal, other);
+    EXPECT_DEATH(SweepDriver(grid, fx.opts()),
+                 "written by build 0123456789abcdef, but this binary "
+                 "is build " + mine + ".*--fresh");
+
+    std::string none = text;
+    none.replace(at, field.size() + 2, "");  // the field and its ", "
+    writeFile(fx.journal, none);
+    EXPECT_DEATH(SweepDriver(grid, fx.opts()),
+                 "written by build \\(none recorded\\), but this "
+                 "binary is build " + mine + ".*--fresh");
+}
+
 TEST(SweepDriverDeathTest, CorruptMidJournalLineIsFatal)
 {
     DriverFixture fx("corrupt");
@@ -607,6 +655,7 @@ TEST(SweepDriverDeathTest, CorruptMidJournalLineIsFatal)
     writeFile(fx.journal,
               "{\"type\": \"header\", \"grid\": \"tiny\", "
               "\"fingerprint\": \"" + grid.fingerprint() +
+              "\", \"build\": \"" + SweepDriver::buildDigest() +
               "\", \"cells\": 4}\n"
               "not json at all\n"
               "{\"type\": \"cell\"}\n");
@@ -620,6 +669,7 @@ TEST(SweepDriverDeathTest, DeeplyNestedJournalLineIsFatal)
     writeFile(fx.journal,
               "{\"type\": \"header\", \"grid\": \"tiny\", "
               "\"fingerprint\": \"" + grid.fingerprint() +
+              "\", \"build\": \"" + SweepDriver::buildDigest() +
               "\", \"cells\": 4}\n" +
               std::string(100000, '[') + std::string(100000, ']') +
               "\n{\"type\": \"cell\"}\n");

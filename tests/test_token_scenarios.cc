@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "test_util.hh"
@@ -379,6 +381,151 @@ TEST(TokenScenario, RequestParkedBeforeTokensArriveIsAnswered)
         drain(sys);
         sys.tokenGlobals()->auditor.checkAll(true);
     }
+}
+
+namespace {
+
+/** Everything an ignored request must leave alone at one L1. */
+struct L1Snapshot
+{
+    bool hasLine = false;
+    TokenSt st;
+    std::size_t outstanding = 0;
+    TokenL1::Stats stats;
+    std::uint64_t messages = 0;
+    std::size_t events = 0;
+};
+
+L1Snapshot
+snapshot(System &sys, const TokenL1 &l1, Addr addr)
+{
+    L1Snapshot s;
+    if (const TokenSt *st = l1.peek(addr)) {
+        s.hasLine = true;
+        s.st = *st;
+    }
+    s.outstanding = l1.outstanding();
+    s.stats = l1.stats;
+    s.messages = sys.context().net->totalMessages();
+    s.events = sys.context().eventq.size();
+    return s;
+}
+
+void
+expectSame(const L1Snapshot &a, const L1Snapshot &b)
+{
+    static_assert(
+        std::has_unique_object_representations_v<TokenL1::Stats>);
+    EXPECT_EQ(a.hasLine, b.hasLine);
+    EXPECT_EQ(a.st.tokens, b.st.tokens);
+    EXPECT_EQ(a.st.owner, b.st.owner);
+    EXPECT_EQ(a.st.validData, b.st.validData);
+    EXPECT_EQ(a.st.dirty, b.st.dirty);
+    EXPECT_EQ(a.st.locallyModified, b.st.locallyModified);
+    EXPECT_EQ(a.st.value, b.st.value);
+    EXPECT_EQ(a.st.holdUntil, b.st.holdUntil);
+    EXPECT_EQ(a.st.recheckScheduled, b.st.recheckScheduled);
+    EXPECT_EQ(a.outstanding, b.outstanding);
+    EXPECT_EQ(std::memcmp(&a.stats, &b.stats, sizeof(a.stats)), 0);
+    EXPECT_EQ(a.messages, b.messages);
+    EXPECT_EQ(a.events, b.events);
+}
+
+} // namespace
+
+TEST(TokenScenario, IgnoredTransientRequestsChangeNothing)
+{
+    // Parking rests on Controller::ignores: a request TokenL1 says it
+    // ignores would, delivered, change no state and send nothing. Put
+    // proc 1's L1 through no, some and all tokens, a lost line, an
+    // outstanding miss and active persistent requests, then deliver
+    // every transient request it claims to ignore straight to
+    // handleMsg and compare everything it could have touched.
+    constexpr Addr kFresh = 0x9000, kSome = 0xa000, kAll = 0xb000,
+                   kGone = 0xc000, kMiss = 0xd000, kPers = 0xe000;
+    System sys(tokenCfg());
+    const Topology &t = sys.context().topo;
+    TokenL1 &l1 = *sys.controller<TokenL1>(0, 1);
+    const MachineID self = t.l1d(0, 1);
+
+    unsigned checked = 0;
+    auto deliverIgnored = [&](Addr addr, bool want_ignored) {
+        SCOPED_TRACE(testing::Message() << "block 0x" << std::hex
+                                        << addr);
+        for (MsgType type : {MsgType::TokReadReq, MsgType::TokWriteReq}) {
+            // A peer L1's own request, and a remote request relayed
+            // by the local L2 bank.
+            for (bool relayed : {false, true}) {
+                Msg m;
+                m.type = type;
+                m.addr = addr;
+                m.requestor = relayed ? t.l1d(1, 0) : t.l1d(0, 2);
+                m.src = relayed ? t.l2BankFor(0, addr) : m.requestor;
+                m.dst = self;
+                EXPECT_EQ(l1.ignores(m), want_ignored)
+                    << msgTypeName(type) << (relayed ? " relayed" : "");
+                if (!l1.ignores(m))
+                    continue;
+                ++checked;
+                const L1Snapshot before = snapshot(sys, l1, addr);
+                l1.handleMsg(m);
+                expectSame(before, snapshot(sys, l1, addr));
+            }
+        }
+    };
+
+    // No valid line at all: the O(1) empty-array answer.
+    deliverIgnored(kFresh, true);
+
+    runLoad(sys, 0, kSome);  // proc 0: every token
+    runLoad(sys, 1, kSome);  // proc 1: one of them
+    ASSERT_NE(l1.peek(kSome), nullptr);
+    ASSERT_GT(l1.peek(kSome)->tokens, 0);
+    ASSERT_LT(l1.peek(kSome)->tokens, sys.tokenGlobals()->params.totalTokens);
+    runStore(sys, 1, kAll, 7);
+    ASSERT_EQ(l1.peek(kAll)->tokens, sys.tokenGlobals()->params.totalTokens);
+    runStore(sys, 1, kGone, 8);
+    runStore(sys, 2, kGone, 9);  // takes every token from proc 1
+    ASSERT_EQ(l1.peek(kGone), nullptr);
+    drain(sys);
+
+    deliverIgnored(kFresh, true);
+    deliverIgnored(kSome, false);
+    deliverIgnored(kAll, false);
+    deliverIgnored(kGone, true);
+
+    // An outstanding miss: the L1 holds a 0-token line for it.
+    bool loaded = false;
+    sys.sequencer(1).load(kMiss, [&](const MemResult &) { loaded = true; });
+    sys.context().eventq.runUntil([&]() { return l1.outstanding() > 0; },
+                                  sys.context().eventq.curTick() + ns(100));
+    ASSERT_EQ(l1.outstanding(), 1u);
+    ASSERT_NE(l1.peek(kMiss), nullptr);
+    ASSERT_EQ(l1.peek(kMiss)->tokens, 0);
+    deliverIgnored(kMiss, true);
+
+    // Active persistent requests from procs 5 and 6, for a block the
+    // L1 does not hold and for the block of its outstanding miss.
+    for (unsigned p : {1u, 2u}) {
+        const Addr addr = p == 1 ? kPers : kMiss;
+        Msg pa;
+        pa.type = MsgType::PersistActivate;
+        pa.addr = addr;
+        pa.isRead = false;
+        pa.prio = std::uint8_t(t.procsPerCmp + p);
+        pa.reqId = 1;
+        pa.requestor = t.l1d(1, p);
+        pa.src = pa.requestor;
+        pa.dst = self;
+        l1.handleMsg(pa);
+        ASSERT_GE(l1.persistentTable().activeFor(addr), 0);
+    }
+    deliverIgnored(kPers, true);
+    deliverIgnored(kMiss, true);
+    deliverIgnored(kSome, false);
+    deliverIgnored(kAll, false);
+    // 2 types x 2 sources x 6 ignored (block, state) pairs.
+    EXPECT_EQ(checked, 24u);
 }
 
 TEST(TokenScenario, MixedInstructionAndDataSharing)
