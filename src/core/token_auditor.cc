@@ -5,11 +5,19 @@
 namespace tokencmp {
 
 void
+TokenAuditor::setThreadSafe(bool on)
+{
+    for (Stripe &s : _stripes)
+        s.mu.enable(on);
+}
+
+void
 TokenAuditor::initBlock(Addr addr)
 {
-    auto lock = _mu.lock();
+    Stripe &s = stripe(addr);
+    auto lock = s.mu.lock();
     bool inserted = false;
-    BlockInfo &info = _blocks.get(addr, &inserted);
+    BlockInfo &info = s.blocks.get(addr, &inserted);
     if (!inserted)
         panic("auditor: block %llx initialized twice",
               static_cast<unsigned long long>(blockAlign(addr)));
@@ -20,8 +28,9 @@ TokenAuditor::initBlock(Addr addr)
 void
 TokenAuditor::onSend(Addr addr, int tokens, bool owner, bool has_data)
 {
-    auto lock = _mu.lock();
-    BlockInfo *b = _blocks.find(addr);
+    Stripe &s = stripe(addr);
+    auto lock = s.mu.lock();
+    BlockInfo *b = s.blocks.find(addr);
     if (b == nullptr)
         panic("auditor: send for untracked block %llx",
               static_cast<unsigned long long>(addr));
@@ -36,15 +45,16 @@ TokenAuditor::onSend(Addr addr, int tokens, bool owner, bool has_data)
         b->ownerHeld -= 1;
         b->ownerInFlight += 1;
     }
-    ++_transfers;
-    checkLocked(addr);
+    ++s.transfers;
+    checkLocked(s, addr);
 }
 
 void
 TokenAuditor::onReceive(Addr addr, int tokens, bool owner)
 {
-    auto lock = _mu.lock();
-    BlockInfo *b = _blocks.find(addr);
+    Stripe &s = stripe(addr);
+    auto lock = s.mu.lock();
+    BlockInfo *b = s.blocks.find(addr);
     if (b == nullptr)
         panic("auditor: receive for untracked block %llx",
               static_cast<unsigned long long>(addr));
@@ -54,13 +64,13 @@ TokenAuditor::onReceive(Addr addr, int tokens, bool owner)
         b->ownerInFlight -= 1;
         b->ownerHeld += 1;
     }
-    checkLocked(addr);
+    checkLocked(s, addr);
 }
 
 void
-TokenAuditor::checkLocked(Addr addr) const
+TokenAuditor::checkLocked(const Stripe &s, Addr addr) const
 {
-    const BlockInfo *b = _blocks.find(addr);
+    const BlockInfo *b = s.blocks.find(addr);
     if (b == nullptr)
         return;
     const auto a = static_cast<unsigned long long>(blockAlign(addr));
@@ -73,40 +83,58 @@ TokenAuditor::checkLocked(Addr addr) const
     if (b->ownerHeld + b->ownerInFlight != 1)
         panic("auditor: owner multiplicity %d for block %llx",
               b->ownerHeld + b->ownerInFlight, a);
+    // The sum alone misses an owner token sent twice: -1 held, 2 on
+    // the wire.
+    if (b->ownerHeld < 0 || b->ownerInFlight < 0)
+        panic("auditor: owner multiplicity violated for block %llx: "
+              "%d held, %d in flight",
+              a, b->ownerHeld, b->ownerInFlight);
 }
 
 void
 TokenAuditor::check(Addr addr) const
 {
-    auto lock = _mu.lock();
-    checkLocked(addr);
+    const Stripe &s = stripe(addr);
+    auto lock = s.mu.lock();
+    checkLocked(s, addr);
 }
 
 void
 TokenAuditor::checkAll(bool expect_quiescent) const
 {
-    auto lock = _mu.lock();
-    _blocks.forEach([&](Addr addr, const BlockInfo &info) {
-        checkLocked(addr);
-        if (expect_quiescent && info.inFlight != 0)
-            panic("auditor: %d tokens in flight at quiescence "
-                  "(block %llx)",
-                  info.inFlight, static_cast<unsigned long long>(addr));
-    });
+    for (const Stripe &s : _stripes) {
+        auto lock = s.mu.lock();
+        s.blocks.forEach([&](Addr addr, const BlockInfo &info) {
+            checkLocked(s, addr);
+            if (expect_quiescent && info.inFlight != 0)
+                panic("auditor: %d tokens in flight at quiescence "
+                      "(block %llx)",
+                      info.inFlight,
+                      static_cast<unsigned long long>(addr));
+        });
+    }
 }
 
 std::size_t
 TokenAuditor::trackedBlocks() const
 {
-    auto lock = _mu.lock();
-    return _blocks.size();
+    std::size_t n = 0;
+    for (const Stripe &s : _stripes) {
+        auto lock = s.mu.lock();
+        n += s.blocks.size();
+    }
+    return n;
 }
 
 std::uint64_t
 TokenAuditor::transfers() const
 {
-    auto lock = _mu.lock();
-    return _transfers;
+    std::uint64_t n = 0;
+    for (const Stripe &s : _stripes) {
+        auto lock = s.mu.lock();
+        n += s.transfers;
+    }
+    return n;
 }
 
 } // namespace tokencmp

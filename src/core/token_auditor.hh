@@ -17,6 +17,7 @@
 #ifndef TOKENCMP_CORE_TOKEN_AUDITOR_HH
 #define TOKENCMP_CORE_TOKEN_AUDITOR_HH
 
+#include <array>
 #include <cstdint>
 
 #include "mem/block_table.hh"
@@ -29,16 +30,20 @@ namespace tokencmp {
 class TokenAuditor
 {
   public:
+    /** Shadow-table stripes, chosen by block number. */
+    static constexpr unsigned numStripes = 64;
+
     explicit TokenAuditor(int total_tokens) : _total(total_tokens) {}
 
     /**
-     * Guard the shadow table with a mutex so controllers on
-     * concurrent shard domains may audit transfers. Every operation
-     * is a commutative transfer between the held/in-flight columns,
-     * so the invariants (and any violation) are independent of the
-     * locking order; serial runs leave this off and pay nothing.
+     * Guard every stripe with its own mutex so controllers on
+     * concurrent shard domains may audit transfers. A transfer touches
+     * one block, hence one stripe, so each check stays exact; every
+     * operation is a commutative transfer between the held/in-flight
+     * columns, so the invariants (and any violation) are independent
+     * of the locking order. Serial runs leave this off and pay nothing.
      */
-    void setThreadSafe(bool on) { _mu.enable(on); }
+    void setThreadSafe(bool on);
 
     /** Memory lazily creates a block's tokens (all T, owner, at mem). */
     void initBlock(Addr addr);
@@ -70,14 +75,33 @@ class TokenAuditor
         int ownerInFlight = 0; //!< owner tokens on the wire
     };
 
-    /** Lock held variant of check() (callers already own _mu). */
-    void checkLocked(Addr addr) const;
+    /** One slice of the shadow table, on cache lines of its own so
+     *  domains auditing different stripes share nothing. */
+    struct alignas(64) Stripe
+    {
+        /** Engaged only after setThreadSafe(true). */
+        OptionalMutex mu;
+        std::uint64_t transfers = 0;
+        BlockTable<BlockInfo> blocks;
+    };
+
+    Stripe &
+    stripe(Addr addr)
+    {
+        return _stripes[blockNumber(addr) % numStripes];
+    }
+
+    const Stripe &
+    stripe(Addr addr) const
+    {
+        return _stripes[blockNumber(addr) % numStripes];
+    }
+
+    /** Check one block of `s`; the caller holds s.mu. */
+    void checkLocked(const Stripe &s, Addr addr) const;
 
     int _total;
-    /** Engaged only after setThreadSafe(true). */
-    OptionalMutex _mu;
-    std::uint64_t _transfers = 0;
-    BlockTable<BlockInfo> _blocks;
+    std::array<Stripe, numStripes> _stripes;
 };
 
 } // namespace tokencmp

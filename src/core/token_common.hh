@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared state and helpers for the token coherence controllers:
- * globals (parameters, auditor, functional memory), broadcast target
+ * globals (parameters, auditor, policy), broadcast target
  * enumeration, the persistent-request forwarding plan, the
  * TokenController base class that owns a persistent table, the
  * sequence-numbered activate/deactivate handling and the one give /
@@ -26,7 +26,6 @@
 #include "core/token_auditor.hh"
 #include "core/token_config.hh"
 #include "core/token_state.hh"
-#include "mem/backing_store.hh"
 #include "net/controller.hh"
 #include "sim/logging.hh"
 
@@ -44,7 +43,6 @@ struct TokenGlobals
     TokenParams params;
     MachineParams machine;
     TokenAuditor auditor;
-    BackingStore store;
 
     /** PolicyRegistry name of the system's performance policy. */
     std::string policyName;
@@ -65,15 +63,14 @@ struct TokenGlobals
 
     /**
      * Prepare the globals for concurrent shard domains: lock the
-     * auditor and the functional store, and pre-size the persistent
-     * sequence table (each slot is then only ever touched by its own
-     * processor's L1I/L1D, which share a domain).
+     * auditor's stripes, and pre-size the persistent sequence table
+     * (each slot is then only ever touched by its own processor's
+     * L1I/L1D, which share a domain).
      */
     void
     enableConcurrent(unsigned num_procs)
     {
         auditor.setThreadSafe(true);
-        store.setThreadSafe(true);
         if (_prSeq.size() < num_procs)
             _prSeq.resize(num_procs, 0);
     }

@@ -115,7 +115,7 @@ TokenMem::give(MemBlock &b, Addr addr, const MachineID &dst, int tokens,
     TokenSt held;
     held.tokens = b.tokens;
     held.owner = b.owner;
-    held.value = g.store.read(addr);
+    held.value = _store.read(addr);
     // Token counts live alongside the data in DRAM (ECC-style), so
     // every memory response pays one DRAM access.
     ++stats.dramAccesses;
@@ -140,7 +140,7 @@ TokenMem::onWriteback(const Msg &m)
     if (m.owner) {
         b.owner = true;
         if (m.hasData) {
-            g.store.write(m.addr, m.value);
+            _store.write(m.addr, m.value);
             ++stats.dramAccesses;
         }
     }

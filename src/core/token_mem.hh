@@ -16,6 +16,7 @@
 #include <cstdint>
 
 #include "core/token_common.hh"
+#include "mem/backing_store.hh"
 #include "mem/block_table.hh"
 
 namespace tokencmp {
@@ -60,11 +61,13 @@ class TokenMem : public TokenController
 
     void onTransientReq(const Msg &m);
     void onWriteback(const Msg &m);
-    /** giveTokens from `b`, with the data read from the store. */
+    /** giveTokens from `b`, with the data read from `_store`. */
     void give(MemBlock &b, Addr addr, const MachineID &dst, int tokens,
               bool owner, bool data);
 
     BlockTable<MemBlock> _blocks;
+    /** Functional memory of the blocks this controller homes. */
+    BackingStore _store;
     PersistentArbiter _arbiter;
 };
 

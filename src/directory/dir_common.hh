@@ -22,7 +22,6 @@
 #include <cstdint>
 
 #include "directory/dir_config.hh"
-#include "mem/backing_store.hh"
 #include "net/message.hh"
 
 namespace tokencmp {
@@ -36,7 +35,6 @@ struct DirGlobals
 
     DirParams params;
     MachineParams machine;
-    BackingStore store;
 };
 
 /** A control message with its routing fields set. */

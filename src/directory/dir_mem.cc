@@ -121,7 +121,7 @@ DirMem::onGetS(const Msg &m, Entry &e)
         // requester.
         ++stats.memResponses;
         send(dataMsg(e.state == DirState::Uncached, addr, m.requestor,
-                     m.requestor, g.store.read(addr), false),
+                     m.requestor, _store.read(addr), false),
              dispatchLat(true));
         return;
       case DirState::Owned:
@@ -156,7 +156,7 @@ DirMem::onGetX(const Msg &m, Entry &e)
         sendInvs(addr, e, invs, m.requestor);
         ++stats.memResponses;
         Msg r = dataMsg(true, addr, m.requestor, m.requestor,
-                        g.store.read(addr), false);
+                        _store.read(addr), false);
         r.acks = std::popcount(invs);
         send(std::move(r), dispatchLat(true));
         return;
@@ -229,7 +229,7 @@ DirMem::onWbData(const Msg &m, Entry &e)
         ++stats.writebacks;
         const unsigned src_cmp = m.src.cmp;
         if (m.hasData)
-            g.store.write(m.addr, m.value);
+            _store.write(m.addr, m.value);
         if (e.ownerCmp == std::int8_t(src_cmp)) {
             e.ownerCmp = -1;
             e.state = e.presence != 0 ? DirState::Shared

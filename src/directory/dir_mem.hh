@@ -18,6 +18,7 @@
 
 #include "directory/dir_common.hh"
 #include "directory/dir_state.hh"
+#include "mem/backing_store.hh"
 #include "mem/block_table.hh"
 #include "net/controller.hh"
 
@@ -85,6 +86,8 @@ class DirMem : public Controller
     BlockTable<Entry> _dir;
     /** FIFO of requests that arrived while their block was busy. */
     BlockTable<std::vector<Msg>> _deferred;
+    /** Functional memory of the blocks this controller homes. */
+    BackingStore _store;
     DirGlobals &g;
 };
 

@@ -7,6 +7,10 @@
  * barriers really gate) and correctness failures in a protocol surface
  * as wrong values, not just wrong timing. Modeling 8 of the 64 bytes is
  * enough because workloads address at block granularity.
+ *
+ * Only a block's home memory controller reads or writes its value, so
+ * each home keeps its own store: under the sharded kernel no two shard
+ * domains ever touch the same one, and it needs no lock.
  */
 
 #ifndef TOKENCMP_MEM_BACKING_STORE_HH
@@ -15,29 +19,18 @@
 #include <cstdint>
 
 #include "mem/block_table.hh"
-#include "sim/optional_mutex.hh"
 #include "sim/types.hh"
 
 namespace tokencmp {
 
-/** Sparse functional memory image, shared by all memory controllers. */
+/** Sparse functional memory image; every owner keeps its own. */
 class BackingStore
 {
   public:
-    /**
-     * Guard the table with a mutex so home memory controllers on
-     * concurrent shard domains may touch it. Each block has exactly
-     * one home, so per-block values are still updated by a single
-     * domain; the lock only protects the table's structure (rehashing
-     * on insert). Serial runs leave this off and pay nothing.
-     */
-    void setThreadSafe(bool on) { _mu.enable(on); }
-
     /** Current memory value of a block (0 if never written). */
     std::uint64_t
     read(Addr addr) const
     {
-        auto lock = _mu.lock();
         const std::uint64_t *v = _mem.find(addr);
         return v == nullptr ? 0 : *v;
     }
@@ -46,7 +39,6 @@ class BackingStore
     void
     write(Addr addr, std::uint64_t v)
     {
-        auto lock = _mu.lock();
         _mem.get(addr) = v;
     }
 
@@ -54,13 +46,10 @@ class BackingStore
     std::size_t
     footprint() const
     {
-        auto lock = _mu.lock();
         return _mem.size();
     }
 
   private:
-    /** Engaged only after setThreadSafe(true). */
-    OptionalMutex _mu;
     BlockTable<std::uint64_t> _mem;
 };
 

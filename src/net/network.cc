@@ -238,7 +238,7 @@ Network::deliver(const Msg &msg, Tick when, unsigned sd)
     if (sd != dd) {
         // The canonical delivery key: (source domain, send order).
         const Handoff h{msg, when, handoffKey(sd, _dom[sd].sendSeq++)};
-        _mailboxed.fetch_add(1, std::memory_order_relaxed);
+        ++_dom[sd].handoffs;
         mailbox(sd, dd).push(h, when);
         return;
     }
@@ -317,12 +317,13 @@ void
 Network::intakeMailboxes(unsigned domain)
 {
     const unsigned n = numDomains();
+    DomainState &ds = _dom[domain];
     for (unsigned src = 0; src < n; ++src) {
         FlipMailbox<Handoff> &mb = mailbox(src, domain);
         for (const Handoff &h : mb.pending()) {
             _eqs[domain]->scheduleKeyed(makeDelivery(h.msg, domain),
                                         h.tick, h.key);
-            _mailboxed.fetch_sub(1, std::memory_order_relaxed);
+            --ds.handoffs;
         }
         mb.clearPending();
     }
@@ -331,10 +332,10 @@ Network::intakeMailboxes(unsigned domain)
 std::uint64_t
 Network::inFlight() const
 {
-    std::uint64_t sum = _mailboxed.load(std::memory_order_relaxed);
+    std::int64_t sum = 0;
     for (const DomainState &d : _dom)
-        sum += d.inFlight;
-    return sum;
+        sum += std::int64_t(d.inFlight) + d.handoffs;
+    return std::uint64_t(sum);
 }
 
 std::uint64_t

@@ -68,7 +68,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -205,7 +204,8 @@ class Network
      */
     void wake(const MachineID &id, Addr addr);
 
-    /** Messages currently in flight (for quiescence detection). */
+    /** Messages currently in flight (for quiescence detection). Sums
+     *  per-domain counters, so call it only while no domain runs. */
     std::uint64_t inFlight() const;
 
     /** Total messages ever sent. */
@@ -252,11 +252,17 @@ class Network
         std::uint64_t key = 0;
     };
 
-    /** Mutable delivery state owned by exactly one domain. */
-    struct DomainState
+    /** Mutable delivery state owned by exactly one domain, on cache
+     *  lines of its own so domains running concurrently never write
+     *  the same line. */
+    struct alignas(64) DomainState
     {
         EventPool<DeliverEvent> pool;
         std::uint64_t inFlight = 0;
+        /** Handoffs this domain pushed into a mailbox minus those it
+         *  took in: negative on a pure receiver, and summed over the
+         *  domains it counts the handoffs not yet enqueued. */
+        std::int64_t handoffs = 0;
         std::uint64_t totalMsgs = 0;
         std::uint64_t wakeups = 0;
         std::uint64_t sendSeq = 0;  //!< band-1 key source
@@ -399,10 +405,6 @@ class Network
     std::vector<EventQueue *> _eqs;   //!< per-domain queues ({&_eq} serial)
     std::vector<DomainState> _dom;    //!< per-domain delivery state
     std::vector<FlipMailbox<Handoff>> _mail;  //!< numDomains^2 channels
-
-    /** Handoffs pushed but not yet enqueued at a destination; relaxed
-     *  increments/decrements from domain workers, read at barriers. */
-    std::atomic<std::uint64_t> _mailboxed{0};
 };
 
 } // namespace tokencmp

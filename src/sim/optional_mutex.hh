@@ -2,11 +2,11 @@
  * @file
  * A mutex that is free until someone asks for it.
  *
- * Shared model state that is single-threaded under the serial kernel
- * but shared between shard domains under the sharded kernel (token
- * auditor, functional backing store) guards itself with an
- * OptionalMutex: serial runs never touch the mutex; sharded setup
- * calls enable(true) once before threads exist.
+ * Model state that is single-threaded under the serial kernel but
+ * shared between shard domains under the sharded kernel (the token
+ * auditor's stripes) guards itself with an OptionalMutex: serial runs
+ * never touch the mutex; sharded setup calls enable(true) once before
+ * threads exist.
  */
 
 #ifndef TOKENCMP_SIM_OPTIONAL_MUTEX_HH

@@ -1,12 +1,97 @@
 #include "sim/sharded_kernel.hh"
 
 #include <algorithm>
-#include <barrier>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <thread>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "sim/logging.hh"
 
 namespace tokencmp {
+namespace {
+
+/** Tell the core this thread is spinning (frees pipeline resources for
+ *  a sibling hyperthread); a no-op off x86. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    _mm_pause();
+#endif
+}
+
+/**
+ * Sense-reversing window barrier: the last worker to arrive runs the
+ * completion step and then publishes the flipped sense with release
+ * ordering; every other worker spins on the sense for up to
+ * `spinBudget` and then blocks in std::atomic::wait until the last
+ * arriver wakes it.
+ *
+ * A window is only 10-20 us of work per worker, so a worker that
+ * parks on a futex at every barrier pays a scheduler wake-up (several
+ * microseconds on a VM) per window. The budget covers a typical
+ * window, so balanced workers never sleep; it is also short enough
+ * that workers outnumbering CPUs (ctest -j, sanitizer builds, a
+ * pinned single CPU) give their time slice back instead of burning
+ * it while the thread they wait for cannot run.
+ */
+class WindowBarrier
+{
+  public:
+    static constexpr auto spinBudget = std::chrono::microseconds(50);
+
+    explicit WindowBarrier(unsigned workers)
+        : _workers(workers), _left(workers)
+    {}
+
+    /**
+     * Arrive and wait for every other worker. `sense` is the calling
+     * worker's own copy of the barrier sense (starts at 0); the last
+     * arriver runs `completion` before anyone leaves.
+     */
+    template <typename Completion>
+    void
+    arriveAndWait(std::uint32_t &sense, Completion &&completion)
+    {
+        sense ^= 1;
+        if (_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            _left.store(_workers, std::memory_order_relaxed);
+            completion();
+            _sense.store(sense, std::memory_order_release);
+            _sense.notify_all();
+            return;
+        }
+        const auto give_up = std::chrono::steady_clock::now() + spinBudget;
+        for (unsigned spins = 1;; ++spins) {
+            if (_sense.load(std::memory_order_acquire) == sense)
+                return;
+            cpuRelax();
+            // Read the clock only every 64 pauses: it costs more than
+            // the pause itself.
+            if (spins % 64 == 0 &&
+                std::chrono::steady_clock::now() >= give_up)
+                break;
+        }
+        for (std::uint32_t seen;
+             (seen = _sense.load(std::memory_order_acquire)) != sense;)
+            _sense.wait(seen, std::memory_order_acquire);
+    }
+
+  private:
+    const unsigned _workers;
+    /** Workers yet to arrive this round; written by every arrival. */
+    alignas(64) std::atomic<unsigned> _left;
+    /** Flipped once per round by the last arriver; read by spinners,
+     *  so it lives on a line of its own. */
+    alignas(64) std::atomic<std::uint32_t> _sense{0};
+};
+
+} // namespace
 
 const char *
 outcomeName(ShardedKernel::Outcome o)
@@ -123,20 +208,15 @@ ShardedKernel::run(Tick horizon)
     _stop = false;
     _outcome = Outcome::Drained;
 
-    struct Completion
-    {
-        ShardedKernel *k;
-        void operator()() noexcept { k->coordinate(); }
-    };
-    std::barrier<Completion> bar(std::ptrdiff_t(_workers),
-                                 Completion{this});
+    WindowBarrier bar(_workers);
 
     auto loop = [this, &bar](unsigned w) {
+        std::uint32_t sense = 0;
         for (;;) {
             // The completion step (coordinate()) runs when the last
-            // worker arrives; the barrier orders its writes before
-            // every worker's reads below.
-            bar.arrive_and_wait();
+            // worker arrives; the release/acquire on the barrier sense
+            // orders its writes before every worker's reads below.
+            bar.arriveAndWait(sense, [this]() { coordinate(); });
             if (_stop)
                 return;
             for (unsigned s = w; s < numShards(); s += _workers)

@@ -10,8 +10,8 @@
  * interaction is a message whose delivery latency is at least a
  * uniform *lookahead* L (the inter-CMP link, one shard per CMP), a
  * shard executing its window can never receive an event for a tick it
- * has already passed. Within a window the shards share nothing, so any
- * number of worker threads may execute them in any order.
+ * has already passed. Within a window the shards exchange no events,
+ * so any number of worker threads may execute them in any order.
  *
  * At each barrier the coordinator computes, for every shard d, the
  * inclusive bound
@@ -46,6 +46,19 @@
  * of timestamp-token frontier tracking) lets the coordinator jump idle
  * stretches: window bounds derive from shard frontiers, never from
  * fixed-size steps, so empty stretches cost one round, not many.
+ *
+ * The window barrier is sense-reversing: the last worker to arrive
+ * runs the coordinator step and publishes the new sense; the others
+ * spin for a short fixed budget and then block until woken. Shards
+ * are assigned to workers statically (shard s to worker s mod W), so
+ * a domain's state stays in one core's cache. How workers wait, where
+ * they run and which locks they take never reach a result: only the
+ * window rule and the delivery keys order events.
+ *
+ * The only model state the domains share inside a window is the
+ * token auditor's shadow table, striped by block with one lock per
+ * stripe. The functional memory image is partitioned by home memory
+ * controller, and every network counter is per domain.
  */
 
 #ifndef TOKENCMP_SIM_SHARDED_KERNEL_HH
@@ -139,11 +152,11 @@ class FlipMailbox
  * The kernel does not know what a "message" is; model code supplies
  * three hooks:
  *
- *  - onBarrier: runs single-threaded at every window boundary (all
- *    workers parked). Flips the model's mailboxes and lowers
- *    `earliest[d]` to the earliest arrival tick among shard d's
- *    flipped-but-not-yet-enqueued handoffs (entries arrive preset to
- *    EventQueue::noTick). A conservative lower bound is fine: an
+ *  - onBarrier: runs single-threaded at every window boundary (every
+ *    other worker waits in the barrier). Flips the model's mailboxes
+ *    and lowers `earliest[d]` to the earliest arrival tick among shard
+ *    d's flipped-but-not-yet-enqueued handoffs (entries arrive preset
+ *    to EventQueue::noTick). A conservative lower bound is fine: an
  *    overly-early entry just costs a shorter window.
  *  - intake: runs on the owning worker before each shard executes a
  *    window; enqueues the shard's flipped handoffs into its queue.

@@ -24,11 +24,6 @@ class DirectoryFamily : public ProtocolBuilder
         if (cfg.protocol == Protocol::DirectoryCMPZero)
             params.dirLatency = 0;
         _globals = std::make_unique<DirGlobals>(params, cfg.machine);
-        if (cfg.shards > 0) {
-            // Home memory controllers on different shard domains
-            // insert into the functional store concurrently.
-            _globals->store.setThreadSafe(true);
-        }
 
         // Each controller runs in its CMP's shard domain (one shared
         // domain in serial mode).

@@ -39,12 +39,6 @@ class HierFamily : public ProtocolBuilder
             _tokenGlobals.push_back(std::make_unique<TokenGlobals>(
                 cfg.token, cfg.machine, protocolInfo(cfg.protocol).policy));
         }
-        if (cfg.shards > 0) {
-            // A CMP's token space lives wholly in its CMP's shard
-            // domain, but home memory controllers on different domains
-            // insert into the shared functional store concurrently.
-            _dirGlobals->store.setThreadSafe(true);
-        }
 
         for (unsigned c = 0; c < t.numCmps; ++c) {
             TokenGlobals &tg = *_tokenGlobals[c];

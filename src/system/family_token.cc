@@ -26,10 +26,9 @@ class TokenFamily : public ProtocolBuilder
             cfg.policyName.empty() ? protocolInfo(cfg.protocol).policy
                                    : cfg.policyName);
         if (cfg.shards > 0) {
-            // Shard domains mutate the globals concurrently: guard the
-            // auditor and functional memory, and pre-size the
-            // per-processor persistent-sequence table so lookups never
-            // reallocate it.
+            // Shard domains mutate the globals concurrently: lock the
+            // auditor's stripes, and pre-size the per-processor
+            // persistent-sequence table so lookups never reallocate it.
             _globals->enableConcurrent(t.numProcs());
         }
 

@@ -16,9 +16,15 @@
  * bit-identical statistics for every `shards` worker count, with the
  * serial ReferenceHeap kernel as the ordering oracle for the sharded
  * wheel.
+ *
+ * Oversubscribed: four workers confined to one CPU must still finish
+ * bit-identically, with waiters blocking rather than spinning out
+ * their time slices.
  */
 
 #include <gtest/gtest.h>
+#include <sched.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <map>
@@ -610,6 +616,88 @@ TEST(ShardedSystem, SerialAndShardedAgreeSemantically)
         EXPECT_EQ(serial.violations, 0u);
         EXPECT_EQ(sharded.violations, 0u) << name;
     }
+}
+
+/** Confines the calling thread, and every thread it starts, to the
+ *  first CPU it may run on; restores its CPU mask when destroyed. */
+class OneCpu
+{
+  public:
+    OneCpu()
+    {
+        if (sched_getaffinity(0, sizeof(_saved), &_saved) != 0)
+            return;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        for (int c = 0; c < CPU_SETSIZE; ++c) {
+            if (CPU_ISSET(c, &_saved)) {
+                CPU_SET(c, &one);
+                break;
+            }
+        }
+        _pinned = sched_setaffinity(0, sizeof(one), &one) == 0;
+    }
+
+    ~OneCpu()
+    {
+        if (_pinned)
+            sched_setaffinity(0, sizeof(_saved), &_saved);
+    }
+
+    OneCpu(const OneCpu &) = delete;
+    OneCpu &operator=(const OneCpu &) = delete;
+
+    bool pinned() const { return _pinned; }
+
+  private:
+    cpu_set_t _saved;
+    bool _pinned = false;
+};
+
+/** CPU seconds this process's threads have used so far. */
+double
+cpuSeconds()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return double(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+           1e-6 * double(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+}
+
+TEST(ShardedKernel, OversubscribedWorkersStayBitIdentical)
+{
+    double start = cpuSeconds();
+    ToySim reference(4, 8, 2500, 42);
+    reference.run(1);
+    const double reference_cpu = cpuSeconds() - start;
+    const RunSummary base =
+        runSystem("dst1", 1, SchedulerKind::TimingWheel, 11);
+    ASSERT_TRUE(base.completed);
+
+    // Four workers on one CPU: the worker a waiter waits for cannot
+    // run until the waiter gives the CPU up.
+    OneCpu cpu;
+    ASSERT_TRUE(cpu.pinned());
+    start = cpuSeconds();
+    ToySim sim(4, 8, 2500, 42);
+    sim.run(4);  // asserts the run drained
+    const double spent = cpuSeconds() - start;
+
+    EXPECT_EQ(sim.windows(), reference.windows());
+    EXPECT_EQ(sim.pingsSent(), reference.pingsSent());
+    EXPECT_EQ(sim.pingsReceived(), reference.pingsReceived());
+    for (unsigned s = 0; s < 4; ++s)
+        EXPECT_TRUE(sim.trace(s) == reference.trace(s)) << "shard " << s;
+    // Each waiter spins for at most the barrier's 50 us budget before
+    // it yields and blocks. One that only spun would keep the CPU
+    // until the scheduler preempts it, at least ~1 ms of CPU for each
+    // of the three waiters of every window.
+    EXPECT_LT(spent - reference_cpu, 1e-3 * double(sim.windows()))
+        << "waiters spun out their time slices over " << sim.windows()
+        << " windows";
+
+    expectSameRun(runSystem("dst1", 4, SchedulerKind::TimingWheel, 11),
+                  base, "dst1 shards=4 on one CPU");
 }
 
 TEST(ShardedSystem, DomainsAreCmps)

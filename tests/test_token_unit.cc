@@ -1,12 +1,16 @@
 /**
  * @file
  * Unit tests for the token substrate components: the auditor's
- * invariants, the persistent-request table (priority, marking,
+ * invariants (also with its stripes locked and two threads auditing
+ * at once), the persistent-request table (priority, marking,
  * sequence robustness), the forwarding plan, the contention
  * predictor, and the sharer filter.
  */
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 #include "core/contention_predictor.hh"
 #include "core/persistent_table.hh"
@@ -67,6 +71,57 @@ TEST(TokenAuditor, DetectsSendForUntrackedBlock)
     TokenAuditor a(10);
     a.initBlock(0x40);
     EXPECT_DEATH(a.onSend(0x80, 1, false, false), "untracked");
+}
+
+TEST(TokenAuditor, ThreadSafeStillPanicsOnViolations)
+{
+    TokenAuditor a(10);
+    a.setThreadSafe(true);
+    a.initBlock(0x40);
+    a.onSend(0x40, 10, true, true);
+    EXPECT_DEATH(a.onReceive(0x40, 11, true), "negative|conservation");
+    a.initBlock(0x80);
+    a.onSend(0x80, 1, true, true);
+    EXPECT_DEATH(a.onSend(0x80, 1, true, true), "owner multiplicity");
+}
+
+TEST(TokenAuditor, ConcurrentTransfersAcrossStripes)
+{
+    // Two threads, as two shard domains would, move tokens for the
+    // same blocks at the same time, over blocks spanning every stripe
+    // four times. Each moves the owner token only of its own half, as
+    // only one holder can own a block.
+    constexpr int total = 16;
+    constexpr unsigned blocks = 4 * TokenAuditor::numStripes;
+    constexpr unsigned rounds = 500;
+    TokenAuditor a(total);
+    a.setThreadSafe(true);
+    for (unsigned b = 0; b < blocks; ++b)
+        a.initBlock(Addr(b) * blockBytes);
+
+    std::atomic<bool> go{false};
+    auto mover = [&a, &go](unsigned self) {
+        while (!go.load())
+            std::this_thread::yield();
+        for (unsigned r = 0; r < rounds; ++r) {
+            for (unsigned b = 0; b < blocks; ++b) {
+                const Addr addr = Addr(b) * blockBytes;
+                const bool owner = b % 2 == self;
+                const int tokens = 1 + int((b + r + self) % 3);
+                a.onSend(addr, tokens, owner, owner);
+                a.onReceive(addr, tokens, owner);
+            }
+        }
+    };
+    std::thread t0(mover, 0u);
+    std::thread t1(mover, 1u);
+    go.store(true);
+    t0.join();
+    t1.join();
+
+    a.checkAll(true);
+    EXPECT_EQ(a.trackedBlocks(), std::size_t(blocks));
+    EXPECT_EQ(a.transfers(), std::uint64_t(2) * rounds * blocks);
 }
 
 TEST(PersistentTable, HighestPriorityWins)
