@@ -37,9 +37,6 @@ envKnobs()
          "seeds per data point (default 3; CI baselines use 2)"},
         {"TOKENCMP_PARALLEL",
          "worker threads per experiment (default: hardware threads)"},
-        {"TOKENCMP_ENFORCE_SHARDED_GATE",
-         "set: enforce the 4-worker sharded speedup gate even on "
-         "hosts with < 4 hardware threads (sharded_throughput)"},
     };
     return knobs;
 }

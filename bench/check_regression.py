@@ -1,56 +1,43 @@
 #!/usr/bin/env python3
-"""Bench-regression gate for the Release CI leg.
+"""Bench-regression gate: one rule for every committed baseline.
 
-Compares the freshly produced BENCH_<name>.json records against the
-committed baselines in bench/baselines/<name>.json and fails (exit 1)
-when any events/sec cell drops by more than the tolerance (default
-15%, override with --tolerance or TOKENCMP_BENCH_TOLERANCE).
+Simulated results gate exactly; host speed gates only as a
+same-process ratio.
 
-Four kinds of cells gate:
-  - "messagesPerSec" (whole-system throughput, higher is better):
-    fails when the current value drops more than the tolerance below
-    baseline. A cell that records it gates on it instead of
-    eventsPerSec: a full-system run's event count per message is a
-    property of the delivery design (parked multicast copies are
-    messages that never become events), not of host speed.
-  - "eventsPerSec" (kernel throughput, higher is better): same rule.
-  - "msgsPerMiss" (normalized traffic, lower is better): fails when
-    the current value rises more than the tolerance above baseline.
-    Unlike wall-clock throughput, these are simulation counts over
-    fixed seeds, so they are exactly reproducible across runner
-    classes — drift means the protocol's traffic actually changed.
-  - "runtimeNs" (simulated runtime, lower is better): same
-    deterministic contract as msgsPerMiss; gates the fig6 macro
-    rows, where the paper claim *is* the runtime.
-"ratio" cells (speedups) are reported informationally but do not
-gate, since their pass/fail thresholds are enforced by the benches
-themselves. A label present in the baseline but missing from the
-current record is a failure (the bench silently shrank); new labels
-are reported and ignored. For benches named in --allow-missing the
-missing-label case instead warns and skips — the workload sweep's
-cell set is expected to grow and shrink as workloads and policies
-are added, and a stale baseline row must not brick the gate.
+BENCH_<name>.json records (--benches) are compared with
+bench/baselines/<name>.json cell by cell, paired by label:
 
-A baseline whose meta.hwThreads exceeds this machine's core count
-warns and skips its wall-clock (eventsPerSec) cells instead of
-gating — a laptop or container cannot hold a many-core runner's
-parallel throughput. msgsPerMiss cells still gate: they are
-simulation counts, identical on any runner.
+  - every field of a cell must be equal, nested "stats" included:
+    for a fixed seed count the simulator reproduces its counts bit
+    for bit on any host, so any drift is a real model change;
+  - a "ratio" field is a same-process ratio against the in-tree
+    reference-heap kernel (kernel_throughput). It fails when it falls
+    below 0.85x the baseline's;
+  - a "...PerSec" field is an absolute host rate. It is reported,
+    never gated: it moves with the host, not with the code.
 
-A machine-readable diff is written to --out for upload as a CI
-artifact, whether or not the gate trips.
+The records' "meta" blocks are not compared. A label present on only
+one side fails: a change that adds, drops or moves a count re-records
+the baseline and says why.
 
-Baselines are runner-class specific: refresh them (copy the
-BENCH_*.json produced by a Release build on the CI runner class into
-bench/baselines/) whenever the runner hardware or the benchmark
-workload intentionally changes.
+Merged sweep reports (--sweeps NAME: <current-dir>/SWEEP_NAME.json,
+written by tools/sweep) are compared with bench/baselines/NAME.json:
+cells pair up by their axis values, each pair's result must be equal
+once its "label" is dropped, and every marginal table must be equal.
+Hashes, labels and the grid fingerprint may differ, so a re-keying
+change passes while an edited grid fails until its baseline is
+re-recorded. --ignore-axis byX (repeatable) skips the marginal axis
+byX and drops the matching cell axis, if any, from the pairing.
+
+A machine-readable diff is written to --out, whether or not the gate
+trips.
 
 Usage:
-  python3 bench/check_regression.py \
-      --baseline-dir bench/baselines --current-dir build \
-      --out build/bench_regression_diff.json \
-      [--tolerance 0.15] \
-      [--benches kernel_throughput sharded_throughput fig7_traffic]
+  python3 bench/check_regression.py \\
+      --baseline-dir bench/baselines --current-dir build \\
+      --out build/bench_regression_diff.json \\
+      [--benches kernel_throughput fig7_traffic] \\
+      [--sweeps sweep_smoke] [--ignore-axis byShardMap]
 """
 
 import argparse
@@ -58,301 +45,200 @@ import json
 import os
 import sys
 
-
-def load_record(path):
-    """Return ({label: cell-dict}, meta-dict) for one BENCH_*.json."""
-    with open(path) as f:
-        record = json.load(f)
-    cells = {}
-    for cell in record.get("cells", []):
-        label = cell.get("label")
-        if label:
-            cells[label] = cell
-    return cells, record.get("meta", {})
+RATIO_FLOOR = 0.85
+CELL_AXES = ("policy", "workload", "shardMap", "override", "seed")
 
 
-def compare(name, baseline_dir, current_dir, tolerance,
-            allow_missing=False):
-    base_path = os.path.join(baseline_dir, name + ".json")
-    cur_path = os.path.join(current_dir, "BENCH_" + name + ".json")
-    result = {"bench": name, "cells": [], "failures": [],
-              "warnings": []}
-
-    if not os.path.exists(base_path):
-        result["failures"].append(f"missing baseline: {base_path}")
-        return result
-    if not os.path.exists(cur_path):
-        result["failures"].append(f"missing current record: {cur_path}")
-        return result
-
-    base, base_meta = load_record(base_path)
-    cur, cur_meta = load_record(cur_path)
-    # Provenance travels with the diff artifact: which commit/compiler
-    # produced each side decides whether a drift is even meaningful.
-    result["meta"] = {"baseline": base_meta, "current": cur_meta}
-
-    # A baseline recorded on a bigger machine cannot gate wall-clock
-    # cells here: parallel benches legitimately lose their speedup
-    # when the worker threads outnumber the cores. Warn and skip the
-    # wall-clock cells; msgsPerMiss cells are simulation counts over
-    # fixed seeds and stay armed regardless of the runner class.
-    base_hw = base_meta.get("hwThreads", base_meta.get("hw_threads"))
-    machine_hw = os.cpu_count()
-    hw_short = (base_hw is not None and machine_hw is not None
-                and int(base_hw) > machine_hw)
-    if hw_short:
-        result["warnings"].append(
-            f"{name}: baseline recorded on {base_hw} hardware "
-            f"threads, this machine has {machine_hw} — wall-clock "
-            f"cells skipped")
-
-    # metric key -> (unit, True when higher values are better). Order
-    # matters: a cell carrying several keys gates on the first match,
-    # so fig7 policy rows keep gating on msgs/miss even though they
-    # also record a runtimeNs field.
-    gated_metrics = {"messagesPerSec": ("msg/s", True),
-                     "eventsPerSec": ("ev/s", True),
-                     "msgsPerMiss": ("msgs/miss", False),
-                     "runtimeNs": ("ns", False)}
-    wall_clock = ("messagesPerSec", "eventsPerSec")
-
-    for label, bcell in sorted(base.items()):
-        ccell = cur.get(label)
-        entry = {"label": label}
-        metric = next((m for m in gated_metrics if m in bcell), None)
-        if metric is not None:
-            unit, higher_is_better = gated_metrics[metric]
-            entry["metric"] = metric
-            if metric in wall_clock and hw_short:
-                entry["verdict"] = "skipped"
-            elif ccell is None or metric not in ccell:
-                msg = (f"{name}/{label}: present in baseline, "
-                       f"missing from current record")
-                if allow_missing:
-                    entry["verdict"] = "skipped"
-                    result["warnings"].append(msg)
-                else:
-                    entry["verdict"] = "missing"
-                    result["failures"].append(msg)
+def differences(base, cur, path):
+    """Yield one line per leaf where two JSON values differ."""
+    if isinstance(base, dict) and isinstance(cur, dict):
+        for key in sorted(set(base) | set(cur)):
+            sub = f"{path}.{key}"
+            if key not in cur:
+                yield f"{sub}: missing from current"
+            elif key not in base:
+                yield f"{sub}: not in baseline"
             else:
-                b = float(bcell[metric])
-                c = float(ccell[metric])
-                entry["baseline"] = b
-                entry["current"] = c
-                entry["change"] = (c - b) / b if b else 0.0
-                if higher_is_better:
-                    bad = b > 0 and c < b * (1.0 - tolerance)
-                else:
-                    bad = b > 0 and c > b * (1.0 + tolerance)
-                if bad:
-                    drift = (f"{(1 - c / b) * 100:.1f}% below"
-                             if higher_is_better else
-                             f"{(c / b - 1) * 100:.1f}% above")
-                    entry["verdict"] = "regressed"
-                    result["failures"].append(
-                        f"{name}/{label}: {c:.3e} {unit} is "
-                        f"{drift} baseline "
-                        f"{b:.3e} (tolerance {tolerance * 100:.0f}%)")
-                else:
-                    entry["verdict"] = "ok"
-        elif "ratio" in bcell:
-            entry["baseline"] = bcell["ratio"]
-            entry["current"] = (ccell or {}).get("ratio")
-            entry["verdict"] = "info"
-        else:
+                yield from differences(base[key], cur[key], sub)
+    elif base != cur:
+        yield f"{path}: {base!r} -> {cur!r}"
+
+
+def is_rate(key):
+    return key.endswith("PerSec")
+
+
+def load(path, failures):
+    if not os.path.exists(path):
+        failures.append(f"missing file: {path}")
+        return None
+    with open(path) as f:
+        return json.load(f)
+
+
+def by_label(record):
+    return {c["label"]: c for c in record.get("cells", [])}
+
+
+def compare_bench(name, baseline_dir, current_dir):
+    result = {"bench": name, "failures": [], "ratios": [], "rates": []}
+    fails = result["failures"]
+    base = load(os.path.join(baseline_dir, name + ".json"), fails)
+    cur = load(os.path.join(current_dir, "BENCH_" + name + ".json"),
+               fails)
+    if base is None or cur is None:
+        return result
+    # Provenance travels with the diff artifact.
+    result["meta"] = {"baseline": base.get("meta"),
+                      "current": cur.get("meta")}
+    base_cells, cur_cells = by_label(base), by_label(cur)
+    for label in sorted(set(base_cells) | set(cur_cells)):
+        where = f"{name}/{label}"
+        b, c = base_cells.get(label), cur_cells.get(label)
+        if c is None:
+            fails.append(f"{where}: in baseline, missing from current")
             continue
-        result["cells"].append(entry)
-
-    for label in sorted(set(cur) - set(base)):
-        result["cells"].append({"label": label, "verdict": "new"})
-
-    # Old -> new summary over the gated cells: one number per bench
-    # for the PR-diff reader, beyond the per-cell rows.
-    changes = [e["change"] for e in result["cells"]
-               if "change" in e and e.get("metric")]
-    if changes:
-        result["summary"] = {
-            "gatedCells": len(changes),
-            "meanChange": sum(changes) / len(changes),
-        }
+        if b is None:
+            fails.append(f"{where}: not in baseline")
+            continue
+        # Host-speed fields leave the exact comparison; a ratio on one
+        # side only stays in it and fails there.
+        host = {k for k in set(b) | set(c) if is_rate(k)}
+        if "ratio" in b and "ratio" in c:
+            host.add("ratio")
+        fails.extend(differences(
+            {k: v for k, v in b.items() if k not in host},
+            {k: v for k, v in c.items() if k not in host}, where))
+        for key in sorted(k for k in host if is_rate(k)
+                          and k in b and k in c):
+            result["rates"].append({"label": label, "field": key,
+                                    "baseline": b[key],
+                                    "current": c[key]})
+        if "ratio" in host:
+            floor = RATIO_FLOOR * b["ratio"]
+            ok = c["ratio"] >= floor
+            result["ratios"].append({"label": label,
+                                     "baseline": b["ratio"],
+                                     "current": c["ratio"],
+                                     "floor": floor, "ok": ok})
+            if not ok:
+                fails.append(f"{where}.ratio: {c['ratio']:.3f} below "
+                             f"{RATIO_FLOOR}x baseline {b['ratio']:.3f}"
+                             f" ({floor:.3f})")
+    result["cells"] = len(base_cells)
     return result
 
 
-def compare_sweep(name, baseline_dir, current_dir, tolerance):
-    """Gate one SWEEP_<name>.json merged sweep report.
+def axis_field(marginal_axis):
+    """The cell field a marginal axis groups by: byShardMap -> shardMap."""
+    name = marginal_axis[2:]
+    return name[:1].lower() + name[1:]
 
-    Sweep marginals are simulation statistics over fixed seeds —
-    deterministic on any runner class — so every marginal mean gates,
-    in both directions (these are correctness-ish counts, not
-    wall-clock). The baseline only applies when its grid fingerprint
-    matches the current report's: an intentionally edited grid warns
-    and skips (refresh the baseline with the new report), it does not
-    brick the gate.
-    """
-    base_path = os.path.join(baseline_dir, name + ".json")
-    cur_path = os.path.join(current_dir, "SWEEP_" + name + ".json")
-    result = {"bench": "sweep:" + name, "cells": [], "failures": [],
-              "warnings": []}
 
-    if not os.path.exists(base_path):
-        result["failures"].append(f"missing sweep baseline: "
-                                  f"{base_path}")
-        return result
-    if not os.path.exists(cur_path):
-        result["failures"].append(f"missing sweep report: {cur_path}")
-        return result
+def sweep_cells(report, axes, where, fails):
+    cells = {}
+    for cell in report.get("cells", []):
+        key = tuple((a, cell.get(a)) for a in axes)
+        if key in cells:
+            fails.append(f"{where}: two cells at {dict(key)}")
+        cells[key] = cell
+    return cells
 
-    with open(base_path) as f:
-        base = json.load(f)
-    with open(cur_path) as f:
-        cur = json.load(f)
 
-    for key in ("sweep", "fingerprint", "cellsTotal", "cellsDone",
-                "marginals"):
-        if key not in cur:
-            result["failures"].append(
-                f"sweep {name}: report lacks '{key}'")
-            return result
-    if cur["cellsDone"] != cur["cellsTotal"]:
-        result["failures"].append(
-            f"sweep {name}: incomplete report "
-            f"({cur['cellsDone']}/{cur['cellsTotal']} cells)")
+def compare_sweep(name, baseline_dir, current_dir, ignore_axes):
+    where = "sweep:" + name
+    result = {"bench": where, "failures": []}
+    fails = result["failures"]
+    base = load(os.path.join(baseline_dir, name + ".json"), fails)
+    cur = load(os.path.join(current_dir, "SWEEP_" + name + ".json"),
+               fails)
+    if base is None or cur is None:
         return result
 
-    if base.get("fingerprint") != cur.get("fingerprint"):
-        result["warnings"].append(
-            f"sweep {name}: grid fingerprint changed "
-            f"({base.get('fingerprint')} -> {cur.get('fingerprint')});"
-            f" marginals skipped — refresh bench/baselines/"
-            f"{name}.json from the new report")
-        return result
+    ignored_fields = {axis_field(a) for a in ignore_axes}
+    axes = [a for a in CELL_AXES if a not in ignored_fields]
+    base_cells = sweep_cells(base, axes, where, fails)
+    cur_cells = sweep_cells(cur, axes, where, fails)
+    for key in sorted(set(base_cells) | set(cur_cells), key=repr):
+        cell = f"{where}/{dict(key)}"
+        b, c = base_cells.get(key), cur_cells.get(key)
+        if c is None:
+            fails.append(f"{cell}: in baseline, missing from current")
+        elif b is None:
+            fails.append(f"{cell}: not in baseline")
+        else:
+            fails.extend(differences(
+                {k: v for k, v in b["result"].items() if k != "label"},
+                {k: v for k, v in c["result"].items() if k != "label"},
+                cell))
 
-    for metric, axes in sorted(base.get("marginals", {}).items()):
-        cur_axes = cur["marginals"].get(metric, {})
-        for axis, table in sorted(axes.items()):
-            cur_table = cur_axes.get(axis, {})
-            for key, bcell in sorted(table.items()):
-                label = f"{metric}.{axis}.{key}"
-                entry = {"label": label, "metric": metric}
-                ccell = cur_table.get(key)
-                if ccell is None:
-                    entry["verdict"] = "missing"
-                    result["failures"].append(
-                        f"sweep {name}/{label}: present in baseline, "
-                        f"missing from report")
-                else:
-                    b, c = float(bcell["mean"]), float(ccell["mean"])
-                    entry["baseline"] = b
-                    entry["current"] = c
-                    entry["change"] = (c - b) / b if b else 0.0
-                    if b > 0 and abs(c - b) > b * tolerance:
-                        entry["verdict"] = "regressed"
-                        result["failures"].append(
-                            f"sweep {name}/{label}: {c:.6g} drifted "
-                            f"{entry['change']:+.1%} from baseline "
-                            f"{b:.6g} (tolerance "
-                            f"{tolerance * 100:.0f}%)")
-                    else:
-                        entry["verdict"] = "ok"
-                result["cells"].append(entry)
+    def kept(marginals):
+        return {metric: {axis: table for axis, table in by_axis.items()
+                         if axis not in ignore_axes}
+                for metric, by_axis in marginals.items()}
 
-    changes = [e["change"] for e in result["cells"] if "change" in e]
-    if changes:
-        result["summary"] = {
-            "gatedCells": len(changes),
-            "meanChange": sum(changes) / len(changes),
-        }
+    fails.extend(differences(kept(base.get("marginals", {})),
+                             kept(cur.get("marginals", {})),
+                             where + "/marginals"))
+    result["cells"] = len(base_cells)
     return result
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--baseline-dir", default="bench/baselines")
     ap.add_argument("--current-dir", default="build")
     ap.add_argument("--out", default=None,
                     help="write the diff JSON here")
-    ap.add_argument("--tolerance", type=float,
-                    default=float(os.environ.get(
-                        "TOKENCMP_BENCH_TOLERANCE", "0.15")),
-                    help="allowed fractional drift: events/sec drop "
-                         "or msgs/miss rise (default 0.15)")
     ap.add_argument("--benches", nargs="*",
-                    default=["kernel_throughput", "sharded_throughput",
-                             "fig6_macro_runtime", "fig7_traffic",
-                             "workload_sweep"],
+                    default=["kernel_throughput", "fig6_macro_runtime",
+                             "fig7_traffic", "workload_sweep"],
                     help="bench records to gate; pass with no names "
                          "to gate only --sweeps")
-    ap.add_argument("--allow-missing", nargs="*", default=
-                    ["workload_sweep"], metavar="BENCH",
-                    help="benches whose baseline-only labels warn and "
-                         "skip instead of failing (default: "
-                         "workload_sweep, whose cell set grows with "
-                         "the workload registry)")
     ap.add_argument("--sweeps", nargs="*", default=[],
                     metavar="SWEEP",
                     help="merged sweep reports to gate: for each NAME "
-                         "compare <current-dir>/SWEEP_NAME.json "
-                         "marginals against bench/baselines/NAME.json "
-                         "(fingerprint-matched)")
+                         "compare <current-dir>/SWEEP_NAME.json with "
+                         "<baseline-dir>/NAME.json")
+    ap.add_argument("--ignore-axis", action="append", default=[],
+                    metavar="AXIS",
+                    help="sweep marginal axis to skip, e.g. "
+                         "byShardMap (repeatable)")
     args = ap.parse_args()
 
-    diff = {"tolerance": args.tolerance, "benches": [], "ok": True}
-    failures = []
-    warnings = []
-    for name in args.benches:
-        result = compare(name, args.baseline_dir, args.current_dir,
-                         args.tolerance,
-                         allow_missing=name in args.allow_missing)
-        diff["benches"].append(result)
-        failures.extend(result["failures"])
-        warnings.extend(result["warnings"])
-    for name in args.sweeps:
-        result = compare_sweep(name, args.baseline_dir,
-                               args.current_dir, args.tolerance)
-        diff["benches"].append(result)
-        failures.extend(result["failures"])
-        warnings.extend(result["warnings"])
+    results = [compare_bench(n, args.baseline_dir, args.current_dir)
+               for n in args.benches]
+    results += [compare_sweep(n, args.baseline_dir, args.current_dir,
+                              args.ignore_axis)
+                for n in args.sweeps]
+    failures = [f for r in results for f in r["failures"]]
 
-    diff["ok"] = not failures
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         with open(args.out, "w") as f:
-            json.dump(diff, f, indent=2)
+            json.dump({"ratioFloor": RATIO_FLOOR, "benches": results,
+                       "ok": not failures}, f, indent=2)
         print(f"wrote {args.out}")
 
-    for result in diff["benches"]:
-        for entry in result["cells"]:
-            label = f"{result['bench']}/{entry['label']}"
-            if entry.get("verdict") == "ok":
-                unit = {"messagesPerSec": "msg/s",
-                        "eventsPerSec": "ev/s",
-                        "msgsPerMiss": "msgs/miss"}.get(
-                            entry.get("metric"), "")
-                print(f"  OK   {label}: {entry['current']:.3e} {unit} "
-                      f"({entry['change']:+.1%} vs baseline)")
-            elif entry.get("verdict") == "info":
-                print(f"  INFO {label}: {entry.get('current')} "
-                      f"(baseline {entry.get('baseline')})")
-            elif entry.get("verdict") == "new":
-                print(f"  NEW  {label}")
-
-    for result in diff["benches"]:
-        s = result.get("summary")
-        if s:
-            print(f"  ---- {result['bench']}: mean old->new delta "
-                  f"{s['meanChange']:+.1%} over {s['gatedCells']} "
-                  f"gated cell(s)")
-
-    for w in warnings:
-        print(f"  WARN {w} (allowed; skipped)")
+    for r in results:
+        print(f"  {r['bench']}: {r.get('cells', 0)} baseline cell(s), "
+              f"{len(r['failures'])} failure(s)")
+        for e in r.get("ratios", []):
+            print(f"    RATIO {e['label']}: {e['current']:.3f} "
+                  f"(baseline {e['baseline']:.3f}, floor "
+                  f"{e['floor']:.3f})")
+        for e in r.get("rates", []):
+            print(f"    INFO  {e['label']}.{e['field']}: "
+                  f"{e['current']:.3e} (baseline {e['baseline']:.3e})")
 
     if failures:
         print("\nBench regression gate FAILED:", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print(f"\nBench regression gate passed "
-          f"(tolerance {args.tolerance:.0%}).")
+    print("\nBench regression gate passed.")
     return 0
 
 
