@@ -1,7 +1,9 @@
 /**
  * @file
  * Figure 6 reproduction: commercial-workload runtime normalized to
- * DirectoryCMP for OLTP, Apache and SPECjbb proxies.
+ * DirectoryCMP for the OLTP, Apache and SPECjbb SyntheticParams
+ * presets (the statistical class-mix proxies; the registry's
+ * transaction-structured `oltp` is a different workload).
  *
  * Paper shape: TokenCMP-dst1 is faster than DirectoryCMP (DRAM
  * directory) by ~50% on OLTP, ~29% on Apache and ~10% on SPECjbb
@@ -23,7 +25,8 @@ main(int argc, char **argv)
         "Figure 6 reproduction: commercial-workload runtime normalized to DirectoryCMP.");
     JsonReport report("fig6_macro_runtime");
     banner("Figure 6: commercial workload runtime "
-           "(normalized to DirectoryCMP)",
+           "(normalized to DirectoryCMP; OLTP is the SyntheticParams "
+           "preset oltpParams(), not the registry's oltp)",
            "TokenCMP-dst1 faster than DirectoryCMP by ~50% (OLTP), "
            "~29% (Apache), ~10% (SPECjbb); all token variants "
            "similar; persistent requests < 0.3% of L1 misses");

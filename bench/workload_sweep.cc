@@ -1,16 +1,17 @@
 /**
  * @file
  * Workload characterization sweep: protocol x policy x workload over
- * the production-shaped generators the WorkloadRegistry provides
- * (zipf hot keys, oltp transaction mixes, producer/consumer hand-off,
- * phased bursts). Emits BENCH_workload_sweep.json with per-miss
- * traffic metrics per cell — the table check_regression.py gates.
+ * the WorkloadRegistry's two sharing patterns that rank the
+ * configurations differently: oltp (Zipf-skewed transactions) and
+ * prodcons (producer/consumer hand-off). Emits
+ * BENCH_workload_sweep.json with per-miss traffic metrics per cell —
+ * the table check_regression.py gates.
  *
  * Expectation: the `dst-group` extension earns its place only while
  * it sits on the (runtime, inter-CMP bytes/miss) Pareto front. The
  * exit code enforces the keep rule: a swept paper row (dst1, dst4 or
  * dst1-pred) may dominate `dst-group` — be no worse on both axes and
- * better on one — on at most 2 of the 4 workloads.
+ * better on one — on at most half of the swept workloads.
  */
 
 #include <cstdio>
@@ -38,13 +39,6 @@ sweepWorkloads()
 {
     std::vector<WlSpec> out;
 
-    WlSpec zipf{"zipf", {}};
-    zipf.knobs.opsPerProc = 260;
-    zipf.knobs.keys = 2048;
-    zipf.knobs.theta = 0.95;   // hot: top key draws ~12% of accesses
-    zipf.knobs.writeFrac = 0.15;
-    out.push_back(zipf);
-
     WlSpec oltp{"oltp", {}};
     oltp.knobs.opsPerProc = 45;  // transactions (6 record ops each)
     oltp.knobs.keys = 4096;
@@ -54,13 +48,6 @@ sweepWorkloads()
     WlSpec prodcons{"prodcons", {}};
     prodcons.knobs.opsPerProc = 180;
     out.push_back(prodcons);
-
-    WlSpec phased{"phased", {}};
-    phased.knobs.inner = "oltp";
-    phased.knobs.schedule = "1x4000,0.25x2000,0.25..1x2000";
-    phased.knobs.opsPerProc = 35;
-    phased.knobs.theta = 0.9;
-    out.push_back(phased);
 
     return out;
 }
@@ -106,8 +93,8 @@ main(int argc, char **argv)
     JsonReport report("workload_sweep");
     banner("Workload sweep: protocol x policy x workload",
            "dst-group stays on the (runtime, inter-CMP bytes/miss) "
-           "Pareto front: a paper row dominates it on at most 2 of "
-           "the 4 workloads");
+           "Pareto front: a paper row dominates it on at most half "
+           "of the swept workloads");
 
     const std::vector<std::string> policies = {
         "dst1", "dst4", "dst1-pred", "dst-group"};
@@ -189,9 +176,10 @@ main(int argc, char **argv)
                     by.empty() ? "none" : by.c_str());
     }
 
-    const bool ok = dominated <= 2;
+    const unsigned half = workloads / 2;
+    const bool ok = dominated <= half;
     std::printf("\nkeep gate: dst-group dominated on %u of %u workloads "
-                "(at most 2) -> %s\n",
-                dominated, workloads, ok ? "PASS" : "FAIL");
+                "(at most %u) -> %s\n",
+                dominated, workloads, half, ok ? "PASS" : "FAIL");
     return ok ? 0 : 1;
 }

@@ -25,24 +25,6 @@
 namespace tokencmp {
 
 /**
- * Time-varying load shaping: maps a thread's requested think duration
- * to the duration actually slept, as a function of the current tick.
- * The phased workload wrapper installs one per thread to impose
- * burst/ramp/idle schedules on any inner workload without the inner
- * workload knowing. Implementations must be pure functions of
- * (dur, now) — a shaper is shared-read across a thread's whole run and
- * may be consulted from that thread's shard domain only.
- */
-class LoadShaper
-{
-  public:
-    virtual ~LoadShaper() = default;
-
-    /** The shaped duration for a think() of `dur` issued at `now`. */
-    virtual Tick shape(Tick dur, Tick now) const = 0;
-};
-
-/**
  * Base class for one software thread pinned to one processor.
  *
  * Derived classes implement start() and chain the protected
@@ -81,19 +63,12 @@ class ThreadContext
         _finishCounter = counter;
     }
 
-    /** Install a think-time shaper (nullptr = passthrough). The
-     *  shaper must outlive the thread; the phased wrapper owns its
-     *  shapers alongside the threads it creates. */
-    void setLoadShaper(const LoadShaper *shaper) { _shaper = shaper; }
-
   protected:
     /** Spend `dur` ticks of compute, then continue. */
     template <typename K>
     void
     think(Tick dur, K &&k)
     {
-        if (_shaper != nullptr)
-            dur = _shaper->shape(dur, _ctx.now());
         _ctx.eventq.schedule(dur, std::forward<K>(k));
     }
 
@@ -165,7 +140,6 @@ class ThreadContext
     bool _done = false;
     Tick _finishTick = 0;
     std::atomic<std::uint32_t> *_finishCounter = nullptr;
-    const LoadShaper *_shaper = nullptr;
 };
 
 } // namespace tokencmp

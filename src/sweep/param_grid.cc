@@ -32,6 +32,19 @@ fmtU64(std::uint64_t v)
     return buf;
 }
 
+/** The workload-knob segment shared by the grid canonical form and
+ *  every cell key. */
+std::string
+workloadKnobSegment(const WorkloadParams &wl)
+{
+    return "wl={ops=" + fmtU64(wl.opsPerProc) +
+           ";keys=" + fmtU64(wl.keys) +
+           ";theta=" + fmtNum(wl.theta) +
+           ";write=" + fmtNum(wl.writeFrac) +
+           ";thinkNs=" + fmtU64(wl.thinkMean / ticksPerNs) +
+           ";warmup=" + std::to_string(wl.warmupOps) + "}";
+}
+
 std::string
 joinNames(const std::vector<std::string> &names)
 {
@@ -249,7 +262,7 @@ ParamGrid::fromJsonText(const std::string &text,
                   "object", what.c_str());
         static const std::set<std::string> wl_keys = {
             "opsPerProc", "keys", "theta", "writeFrac", "thinkMeanNs",
-            "warmupOps", "inner", "schedule"};
+            "warmupOps"};
         for (const auto &[key, value] : wk->obj) {
             (void)value;
             if (!wl_keys.count(key))
@@ -263,19 +276,16 @@ ParamGrid::fromJsonText(const std::string &text,
             intField<std::uint64_t>(*wk, "keys", 0, 0, wk_what);
         grid._wl.theta = wk->getNumber("theta", -1.0);
         grid._wl.writeFrac = wk->getNumber("writeFrac", -1.0);
-        grid._thinkMeanNs = intField<std::uint64_t>(
-            *wk, "thinkMeanNs", 0, 0, wk_what, max_ns);
-        grid._wl.thinkMean = ns(Tick(grid._thinkMeanNs));
+        grid._wl.thinkMean = ns(Tick(intField<std::uint64_t>(
+            *wk, "thinkMeanNs", 0, 0, wk_what, max_ns)));
         grid._wl.warmupOps = intField(*wk, "warmupOps", -1, -1, wk_what);
-        grid._wl.inner = wk->getString("inner");
-        grid._wl.schedule = wk->getString("schedule");
     }
 
     // Canonical form: versioned, field order fixed. The fingerprint
     // over this string is what the resume journal checks, so any
     // semantic edit to the grid must change it (and a reformat of the
     // JSON file must not).
-    std::string c = "gridv2|name=" + grid._name + "|policies=";
+    std::string c = "gridv3|name=" + grid._name + "|policies=";
     for (const std::string &p : grid._policies)
         c += p + ",";
     c += "|workloads=";
@@ -295,14 +305,7 @@ ParamGrid::fromJsonText(const std::string &text,
     c += "|firstSeed=" + fmtU64(grid._firstSeed);
     c += "|shardWorkers=" + fmtU64(grid._shardWorkers);
     c += "|horizonNs=" + fmtU64(grid._horizonNs);
-    c += "|wl={ops=" + fmtU64(grid._wl.opsPerProc) +
-         ";keys=" + fmtU64(grid._wl.keys) +
-         ";theta=" + fmtNum(grid._wl.theta) +
-         ";write=" + fmtNum(grid._wl.writeFrac) +
-         ";thinkNs=" + fmtU64(grid._thinkMeanNs) +
-         ";warmup=" + std::to_string(grid._wl.warmupOps) +
-         ";inner=" + grid._wl.inner +
-         ";sched=" + grid._wl.schedule + "}";
+    c += "|" + workloadKnobSegment(grid._wl);
     grid._canonical = std::move(c);
     grid._fingerprint = hashHex(stableHash64(grid._canonical));
 
@@ -348,22 +351,14 @@ ParamGrid::enumerate()
                         cell.overrideLabel = o.label;
                         cell.seed = _firstSeed + i;
 
-                        std::string k = "cellv2|policy=" + p +
+                        std::string k = "cellv3|policy=" + p +
                             "|workload=" + w + "|map=" + m +
                             "|knobs=" + o.label + "{";
                         for (const auto &[kn, kv] : o.knobs)
                             k += kn + "=" + fmtNum(kv) + ";";
                         k += "}|seed=" + fmtU64(cell.seed) +
-                             "|horizonNs=" + fmtU64(_horizonNs) +
-                             "|wl={ops=" + fmtU64(_wl.opsPerProc) +
-                             ";keys=" + fmtU64(_wl.keys) +
-                             ";theta=" + fmtNum(_wl.theta) +
-                             ";write=" + fmtNum(_wl.writeFrac) +
-                             ";thinkNs=" + fmtU64(_thinkMeanNs) +
-                             ";warmup=" +
-                             std::to_string(_wl.warmupOps) +
-                             ";inner=" + _wl.inner +
-                             ";sched=" + _wl.schedule + "}";
+                             "|horizonNs=" + fmtU64(_horizonNs) + "|" +
+                             workloadKnobSegment(_wl);
                         cell.key = std::move(k);
                         cell.hash = hashHex(stableHash64(cell.key));
                         cell.label = p + "/" + w + "/" + m + "/" +

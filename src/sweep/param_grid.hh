@@ -14,7 +14,7 @@
  *   {
  *     "name": "fig7_policy",
  *     "policies": ["dst1", "dst-group", "directory"],
- *     "workloads": ["zipf", "oltp"],
+ *     "workloads": ["oltp", "prodcons"],
  *     "shardMaps": ["serial"],            // optional, default
  *     "seeds": 2, "firstSeed": 1,
  *     "shardWorkers": 4,                  // threads per sharded cell
@@ -132,7 +132,6 @@ class ParamGrid
     Tick _horizon = 0;
     std::uint64_t _horizonNs = 0;
     WorkloadParams _wl;
-    std::uint64_t _thinkMeanNs = 0;
 
     std::string _canonical;
     std::string _fingerprint;

@@ -156,8 +156,8 @@ struct SystemConfig
     std::string policyName;
 
     /**
-     * Workload selection by WorkloadRegistry name ("locking", "zipf",
-     * "phased", ...). Empty (the default) means the caller supplies a
+     * Workload selection by WorkloadRegistry name ("locking", "oltp",
+     * "prodcons", ...). Empty (the default) means the caller supplies a
      * workload object or factory directly, as before the registry
      * existed. When set, `Experiment` builds the workload from the
      * registry with `workloadParams`; validate() checks the knob
@@ -167,7 +167,7 @@ struct SystemConfig
     std::string workloadName;
 
     /** Knob table for `workloadName` (skew, key count, write
-     *  fraction, phase schedule, ...); checked by validate(). */
+     *  fraction, ...); checked by validate(). */
     WorkloadParams workloadParams;
 
     /**

@@ -3,8 +3,8 @@
  * The WorkloadRegistry's shared knob table: a small set of named
  * parameters every registered workload interprets in its own units
  * (acquires, transactions, queue items...), so sweep drivers can vary
- * load shape without knowing concrete workload types. A zero /
- * negative / empty value means "use the workload's default"; setting
+ * load shape without knowing concrete workload types. A zero or
+ * negative value means "use the workload's default"; setting
  * a knob a workload does not consume is harmless (and documented per
  * workload in the README's knob table).
  *
@@ -23,27 +23,26 @@
 
 namespace tokencmp {
 
-/** Named knobs consumed by registered workloads (0 / <0 / "" = keep
- *  the workload's default). */
+/** Named knobs consumed by registered workloads (0 / <0 = keep the
+ *  workload's default). */
 struct WorkloadParams
 {
     /** Per-processor work quota: lock acquires (locking), barrier
-     *  phases (barrier), memory ops (synthetic, zipf), transactions
+     *  phases (barrier), memory ops (synthetic), transactions
      *  (oltp), queue items (prodcons). */
     unsigned opsPerProc = 0;
 
-    /** Size of the contended object pool: locks (locking), keys
-     *  (zipf), records (oltp), migratory blocks (synthetic), ring
-     *  slots (prodcons). */
+    /** Size of the contended object pool: locks (locking), records
+     *  (oltp), migratory blocks (synthetic), ring slots (prodcons). */
     std::uint64_t keys = 0;
 
-    /** Zipfian skew theta in [0, 1) (zipf, oltp); < 0 keeps the
-     *  workload default. Higher is hotter: 0 is uniform, 0.99 is the
-     *  classic YCSB hot-key distribution. */
+    /** Zipfian skew theta in [0, 1) (oltp); < 0 keeps the workload
+     *  default. Higher is hotter: 0 is uniform, 0.99 is the classic
+     *  YCSB hot-key distribution. */
     double theta = -1.0;
 
-    /** Store fraction in [0, 1] (zipf, oltp, synthetic); < 0 keeps
-     *  the workload default. */
+    /** Store fraction in [0, 1] (oltp, synthetic); < 0 keeps the
+     *  workload default. */
     double writeFrac = -1.0;
 
     /** Mean compute time between operations; 0 keeps the default. */
@@ -53,24 +52,11 @@ struct WorkloadParams
      *  the workload default, 0 disables the warm-up phase. */
     int warmupOps = -1;
 
-    /** phased only: registry name of the wrapped workload
-     *  ("" = synthetic). The remaining knobs forward to it. */
-    std::string inner;
-
     /**
-     * phased only: the cyclic think-time schedule, phases separated
-     * by commas. Each phase is `<mult>x<duration-ns>` or
-     * `<from>..<to>x<duration-ns>` (a linear ramp); `mult` scales
-     * every think() of the inner workload, so mult < 1 is a burst and
-     * mult > 1 an idle/trough phase. "" keeps the workload default.
-     */
-    std::string schedule;
-
-    /**
-     * Panic with a workload-prefixed diagnostic if any knob is out of
-     * range (theta >= 1, writeFrac > 1, malformed schedule, ...).
-     * Called by SystemConfig::validate() for named selections and
-     * defensively by WorkloadRegistry::create().
+     * Panic with a workload-prefixed diagnostic if a knob is out of
+     * range (theta >= 1, writeFrac > 1). Called by
+     * SystemConfig::validate() for named selections and defensively
+     * by WorkloadRegistry::create().
      */
     void validate(const std::string &workload) const;
 };

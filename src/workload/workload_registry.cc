@@ -3,13 +3,12 @@
  * WorkloadRegistry implementation plus WorkloadParams range
  * validation. The concrete workloads register themselves from their
  * own translation units (locking.cc, barrier.cc, synthetic.cc,
- * zipf.cc, oltp.cc, phased.cc, prodcons.cc).
+ * oltp.cc, prodcons.cc).
  */
 
 #include "workload/workload_registry.hh"
 
 #include "sim/logging.hh"
-#include "workload/phased.hh"
 
 namespace tokencmp {
 
@@ -26,16 +25,6 @@ WorkloadParams::validate(const std::string &workload) const
         panic("workload '%s': writeFrac %f out of range [0, 1]",
               wl, writeFrac);
     }
-    if (!inner.empty() && workload != "phased") {
-        panic("workload '%s': the 'inner' knob is only meaningful for "
-              "the phased wrapper",
-              wl);
-    }
-    if (inner == "phased")
-        panic("workload 'phased' cannot wrap itself");
-    // Parse for errors only; phased re-parses when constructed.
-    if (!schedule.empty())
-        parsePhaseSchedule(schedule);
 }
 
 WorkloadRegistry &

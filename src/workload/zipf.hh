@@ -1,25 +1,17 @@
 /**
  * @file
- * Scrambled-Zipfian key-access workload: production-shaped hot-key
- * traffic ("heavy traffic from millions of users" concentrates on few
- * keys). Ranks are drawn from a Zipfian distribution with skew theta
- * (Gray et al.'s rejection-free inversion, the YCSB generator) and
- * hash-scrambled into the key space, so the hottest keys land on
- * *different* L2 banks and home memory controllers instead of
- * clustering at the bottom of the address region.
- *
- * Each access is a read, or — with probability writeFrac — a
- * read-modify-write, making the hot keys migratory: exactly the
- * traffic under which destination-set prediction and bandwidth
- * adaptation differentiate from blind broadcast.
+ * Scrambled-Zipfian key generator, the record-popularity source of the
+ * `oltp` workload. Ranks are drawn from a Zipfian distribution with
+ * skew theta (Gray et al.'s rejection-free inversion, the YCSB
+ * generator) and hash-scrambled into the key space, so the hottest
+ * keys land on *different* L2 banks and home memory controllers
+ * instead of clustering at the bottom of the address region.
  */
 
 #ifndef TOKENCMP_WORKLOAD_ZIPF_HH
 #define TOKENCMP_WORKLOAD_ZIPF_HH
 
 #include "sim/random.hh"
-#include "workload/workload.hh"
-#include "workload/workload_params.hh"
 
 namespace tokencmp {
 
@@ -55,45 +47,6 @@ class ZipfGenerator
     double _zetan;   //!< sum of 1/i^theta, i = 1..n
     double _alpha;   //!< 1 / (1 - theta)
     double _eta;     //!< Gray et al.'s tail-correction factor
-};
-
-/** Parameters of the scrambled-Zipfian workload. */
-struct ZipfParams
-{
-    unsigned opsPerProc = 300;
-    std::uint64_t numKeys = 8192;
-    double theta = 0.9;          //!< skew; 0.99 is the YCSB hot default
-    double writeFrac = 0.10;     //!< RMW fraction (migratory hot keys)
-    Tick thinkMean = ns(40);
-    unsigned warmupOps = 48;     //!< read-only warm-up draws per proc
-    Addr base = 0x20000000;      //!< keys at base + key*blockBytes
-};
-
-/** Scrambled-Zipfian hot-key workload ("zipf" in the registry). */
-class ZipfWorkload : public Workload
-{
-  public:
-    explicit ZipfWorkload(const ZipfParams &p = {});
-
-    /** Construct from the registry knob table. */
-    explicit ZipfWorkload(const WorkloadParams &wp);
-
-    std::unique_ptr<ThreadContext>
-    makeThread(SimContext &ctx, Sequencer &seq, unsigned num_procs,
-               std::uint64_t seed) override;
-
-    std::unique_ptr<ThreadContext>
-    makeWarmupThread(SimContext &ctx, Sequencer &seq,
-                     unsigned num_procs, std::uint64_t seed) override;
-
-    std::string name() const override { return "zipf"; }
-
-    const ZipfParams &params() const { return _p; }
-    const ZipfGenerator &generator() const { return _gen; }
-
-  private:
-    ZipfParams _p;
-    ZipfGenerator _gen;
 };
 
 } // namespace tokencmp

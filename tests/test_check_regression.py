@@ -38,9 +38,9 @@ BENCH = {
 
 
 def sweep_cell(policy, shard_map, seed, runtime):
-    label = f"{policy}/zipf/{shard_map}/default/s{seed}"
+    label = f"{policy}/oltp/{shard_map}/default/s{seed}"
     return {"hash": f"{policy}{seed}", "label": label, "policy": policy,
-            "workload": "zipf", "shardMap": shard_map,
+            "workload": "oltp", "shardMap": shard_map,
             "override": "default", "seed": seed,
             "result": {"label": label, "runtime": {"mean": runtime},
                        "stats": {"l1.misses": {"mean": 7119}}}}

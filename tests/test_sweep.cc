@@ -30,7 +30,7 @@ namespace {
 const char *kTinyGrid = R"({
   "name": "tiny",
   "policies": ["dst1", "directory"],
-  "workloads": ["zipf"],
+  "workloads": ["oltp"],
   "seeds": 1,
   "horizonNs": 500000000,
   "workloadKnobs": {"opsPerProc": 60, "keys": 64},
@@ -190,15 +190,15 @@ TEST(ParamGrid, GoldenFingerprintAndCellHashes)
     // platforms, compilers and refactors. Any change here is a
     // breaking change for existing journals — bump deliberately.
     ParamGrid g = ParamGrid::fromJsonText(kTinyGrid, "tiny-test");
-    EXPECT_EQ(g.fingerprint(), "25457d69951bd8f5");
+    EXPECT_EQ(g.fingerprint(), "e735c52f1c4e3cdd");
     ASSERT_EQ(g.cells().size(), 4u);
-    EXPECT_EQ(g.cells()[0].hash, "b14cf5219698e816");
-    EXPECT_EQ(g.cells()[0].label, "dst1/zipf/serial/default/s1");
-    EXPECT_EQ(g.cells()[1].hash, "b60a5fd3fc2b68fb");
-    EXPECT_EQ(g.cells()[2].hash, "05d6f506cc21f803");
-    EXPECT_EQ(g.cells()[3].hash, "95b2727b3347986a");
+    EXPECT_EQ(g.cells()[0].hash, "167dd31ef55b8e36");
+    EXPECT_EQ(g.cells()[0].label, "dst1/oltp/serial/default/s1");
+    EXPECT_EQ(g.cells()[1].hash, "589051f8f52982a3");
+    EXPECT_EQ(g.cells()[2].hash, "7db9f3eb677d6cdd");
+    EXPECT_EQ(g.cells()[3].hash, "04f7a18ae7d99ecc");
 
-    EXPECT_EQ(g.cellByHash("b14cf5219698e816"), &g.cells()[0]);
+    EXPECT_EQ(g.cellByHash("167dd31ef55b8e36"), &g.cells()[0]);
     EXPECT_EQ(g.cellByHash("0000000000000000"), nullptr);
 }
 
@@ -207,7 +207,7 @@ TEST(ParamGrid, FingerprintIgnoresFormattingDetectsEdits)
     ParamGrid a = ParamGrid::fromJsonText(kTinyGrid, "a");
     // Same grid, hostile formatting: one line, shuffled key order.
     ParamGrid b = ParamGrid::fromJsonText(
-        R"({"workloads":["zipf"],"horizonNs":500000000,)"
+        R"({"workloads":["oltp"],"horizonNs":500000000,)"
         R"("overrides":[{"label":"default"},{"label":"smallpred",)"
         R"("knobs":{"token.cmpPredWays":2,"token.cmpPredEntries":64}}],)"
         R"("seeds":1,"policies":["dst1","directory"],)"
@@ -227,7 +227,7 @@ TEST(ParamGrid, CellHashesExcludeWorkerCount)
     // so re-running a journal with different shardWorkers must still
     // resume (same cell hashes) while the fingerprint flags the edit.
     const char *base = R"({
-      "name": "w", "policies": ["dst1"], "workloads": ["zipf"],
+      "name": "w", "policies": ["dst1"], "workloads": ["oltp"],
       "shardMaps": ["perCmp"], "shardWorkers": %u,
       "workloadKnobs": {"opsPerProc": 30, "keys": 32}})";
     char buf[512];
@@ -248,7 +248,7 @@ TEST(ParamGrid, SkipsInvalidAxisCombinations)
     // axes must skip it, not die.
     ParamGrid g = ParamGrid::fromJsonText(
         R"({"name": "mix", "policies": ["dst1", "perfect"],
-            "workloads": ["zipf"],
+            "workloads": ["oltp"],
             "shardMaps": ["serial", "perCmp"],
             "workloadKnobs": {"opsPerProc": 30, "keys": 32}})",
         "mix");
@@ -264,19 +264,19 @@ TEST(ParamGrid, ConfigForAppliesAxes)
 {
     ParamGrid g = ParamGrid::fromJsonText(kTinyGrid, "cfg-test");
     const SweepCell *smallpred =
-        g.cellByHash("b60a5fd3fc2b68fb");  // dst1 x smallpred
+        g.cellByHash("589051f8f52982a3");  // dst1 x smallpred
     ASSERT_NE(smallpred, nullptr);
     SystemConfig cfg = g.configFor(*smallpred);
     EXPECT_EQ(cfg.protocol, Protocol::TokenDst1);
     EXPECT_EQ(cfg.policyName, "dst1");
-    EXPECT_EQ(cfg.workloadName, "zipf");
+    EXPECT_EQ(cfg.workloadName, "oltp");
     EXPECT_EQ(cfg.seed, 1u);
     EXPECT_EQ(findKnob("token.cmpPredEntries")->get(cfg), 64.0);
     EXPECT_EQ(findKnob("token.cmpPredWays")->get(cfg), 2.0);
     EXPECT_EQ(cfg.workloadParams.opsPerProc, 60u);
 
     const SweepCell *dir =
-        g.cellByHash("05d6f506cc21f803");  // directory x default
+        g.cellByHash("7db9f3eb677d6cdd");  // directory x default
     ASSERT_NE(dir, nullptr);
     EXPECT_EQ(g.configFor(*dir).protocol, Protocol::DirectoryCMP);
 
@@ -291,40 +291,61 @@ TEST(ParamGrid, ConfigForAppliesAxes)
     }
 }
 
+namespace {
+
+/** A one-cell grid with `field` spliced into the top level. */
+std::string
+gridWith(const std::string &field)
+{
+    return R"({"name": "t", "policies": ["dst1"], "workloads": ["oltp"], )" +
+           field + "}";
+}
+
+} // namespace
+
 using ParamGridDeathTest = ::testing::Test;
 
 TEST(ParamGridDeathTest, RejectsTyposLoudly)
 {
     EXPECT_DEATH(ParamGrid::fromJsonText(
                      R"({"name": "t", "polices": ["dst1"],
-                         "workloads": ["zipf"]})",
+                         "workloads": ["oltp"]})",
                      "t"),
                  "unknown key");
     // The retired speculation axis is an unknown key too.
     EXPECT_DEATH(ParamGrid::fromJsonText(
                      R"({"name": "t", "policies": ["dst1"],
-                         "workloads": ["zipf"],
+                         "workloads": ["oltp"],
                          "speculation": ["off"]})",
                      "t"),
                  "unknown key \"speculation\"");
     EXPECT_DEATH(ParamGrid::fromJsonText(
                      R"({"name": "t", "policies": ["dts1"],
-                         "workloads": ["zipf"]})",
+                         "workloads": ["oltp"]})",
                      "t"),
                  "unknown configuration .dts1.");
     EXPECT_DEATH(ParamGrid::fromJsonText(
                      R"({"name": "t", "policies": ["dst1"],
-                         "workloads": ["zpif"]})",
+                         "workloads": ["otlp"]})",
                      "t"),
                  "unknown workload");
     EXPECT_DEATH(
         ParamGrid::fromJsonText(
             R"({"name": "t", "policies": ["dst1"],
-                "workloads": ["zipf"],
+                "workloads": ["oltp"],
                 "overrides": [{"label": "x",
                                "knobs": {"token.predEntries": 1}}]})",
             "t"),
         "unknown knob");
+    // The two retired load-schedule knobs are unknown keys too.
+    for (const char *retired : {"inner", "schedule"}) {
+        EXPECT_DEATH(ParamGrid::fromJsonText(
+                         gridWith(std::string(R"("workloadKnobs": {")") +
+                                  retired + R"(": "oltp"})"),
+                         "t"),
+                     std::string("unknown workloadKnobs key \"") +
+                         retired + "\"");
+    }
 }
 
 TEST(ParamGridDeathTest, ShardMapsAreSerialOrPerCmp)
@@ -332,23 +353,11 @@ TEST(ParamGridDeathTest, ShardMapsAreSerialOrPerCmp)
     // Shard domains are CMPs; any finer map is an unknown name.
     EXPECT_DEATH(ParamGrid::fromJsonText(
                      R"({"name": "t", "policies": ["dst1"],
-                         "workloads": ["zipf"],
+                         "workloads": ["oltp"],
                          "shardMaps": ["perCore"]})",
                      "t"),
                  "unknown shardMap 'perCore' \\(serial, perCmp\\)");
 }
-
-namespace {
-
-/** A one-cell grid with `field` spliced into the top level. */
-std::string
-gridWith(const std::string &field)
-{
-    return R"({"name": "t", "policies": ["dst1"], "workloads": ["zipf"], )" +
-           field + "}";
-}
-
-} // namespace
 
 TEST(ParamGridDeathTest, IntegerFieldsRangeCheckBeforeNarrowing)
 {
@@ -575,9 +584,9 @@ TEST(SweepDriver, OverriddenCellsGetDistinctProtocolLabels)
     // must produce distinct result labels (protocol "@<hash>").
     ParamGrid grid = ParamGrid::fromJsonText(kTinyGrid, "labels");
     const std::string def = SweepDriver::runCellJson(
-        grid, *grid.cellByHash("b14cf5219698e816"));
+        grid, *grid.cellByHash("167dd31ef55b8e36"));
     const std::string ovr = SweepDriver::runCellJson(
-        grid, *grid.cellByHash("b60a5fd3fc2b68fb"));
+        grid, *grid.cellByHash("589051f8f52982a3"));
 
     std::string err;
     minijson::Value dj = minijson::parse(def, &err);

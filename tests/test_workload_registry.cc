@@ -30,17 +30,10 @@ WorkloadParams
 smallKnobs(const std::string &name)
 {
     WorkloadParams wp;
-    if (name == "zipf") {
-        wp.opsPerProc = 24;
-        wp.keys = 256;
-        wp.warmupOps = 8;
-    } else if (name == "oltp") {
+    if (name == "oltp") {
         wp.opsPerProc = 6;  // transactions
         wp.keys = 256;
         wp.warmupOps = 2;
-    } else if (name == "phased") {
-        wp.inner = "synthetic";
-        wp.opsPerProc = 20;
     } else if (name == "prodcons") {
         wp.opsPerProc = 24;  // items per producer/consumer pair
         wp.keys = 4;         // queue slots
@@ -123,16 +116,11 @@ tokenConfig(std::uint64_t seed = 42)
 
 TEST(WorkloadRegistry, KnowsPortedAndProductionWorkloads)
 {
-    const std::vector<std::string> names =
-        WorkloadRegistry::instance().names();
-    for (const char *expect : {"locking", "barrier", "synthetic",
-                               "zipf", "oltp", "phased", "prodcons"}) {
-        EXPECT_NE(std::find(names.begin(), names.end(), expect),
-                  names.end())
-            << expect << " is not registered";
-    }
-    EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-    EXPECT_TRUE(WorkloadRegistry::instance().known("zipf"));
+    // Exactly these, in name order.
+    const std::vector<std::string> expect = {
+        "barrier", "locking", "oltp", "prodcons", "synthetic"};
+    EXPECT_EQ(WorkloadRegistry::instance().names(), expect);
+    EXPECT_TRUE(WorkloadRegistry::instance().known("oltp"));
     EXPECT_FALSE(WorkloadRegistry::instance().known("no-such-wl"));
 }
 
@@ -142,7 +130,7 @@ TEST(WorkloadRegistry, DuplicateRegistrationDies)
         return std::unique_ptr<Workload>();
     };
     EXPECT_DEATH(WorkloadRegistry::instance().registerWorkload(
-                     "zipf", factory),
+                     "oltp", factory),
                  "registered twice");
     EXPECT_DEATH(
         WorkloadRegistry::instance().registerWorkload("", factory),
@@ -153,7 +141,8 @@ TEST(WorkloadRegistry, UnknownNameListsRegisteredWorkloads)
 {
     // The diagnostic must name the typo and list what *is* registered.
     EXPECT_DEATH(WorkloadRegistry::instance().create("no-such-wl", {}),
-                 "no-such-wl.*barrier.*oltp.*zipf");
+                 "no-such-wl.*barrier.*locking.*oltp.*prodcons.*"
+                 "synthetic");
 }
 
 TEST(WorkloadRegistry, CreateYieldsTheNamedWorkload)
@@ -163,11 +152,7 @@ TEST(WorkloadRegistry, CreateYieldsTheNamedWorkload)
         std::unique_ptr<Workload> wl =
             WorkloadRegistry::instance().create(n, smallKnobs(n));
         ASSERT_NE(wl, nullptr) << n;
-        // phased reports which inner workload it wraps.
-        if (n == "phased")
-            EXPECT_EQ(wl->name(), "phased-synthetic");
-        else
-            EXPECT_EQ(wl->name(), n);
+        EXPECT_EQ(wl->name(), n);
     }
 }
 
@@ -179,45 +164,24 @@ TEST(WorkloadParamsValidation, RejectsBadKnobs)
 {
     WorkloadParams hot;
     hot.theta = 1.0;  // the zeta series diverges at theta = 1
-    EXPECT_DEATH(WorkloadRegistry::instance().create("zipf", hot),
+    EXPECT_DEATH(WorkloadRegistry::instance().create("oltp", hot),
                  "out of range");
 
     WorkloadParams writey;
     writey.writeFrac = 1.5;
     EXPECT_DEATH(WorkloadRegistry::instance().create("oltp", writey),
                  "out of range");
-
-    WorkloadParams inner;
-    inner.inner = "oltp";
-    EXPECT_DEATH(WorkloadRegistry::instance().create("zipf", inner),
-                 "only meaningful for");
-
-    WorkloadParams self;
-    self.inner = "phased";
-    EXPECT_DEATH(WorkloadRegistry::instance().create("phased", self),
-                 "cannot wrap itself");
-
-    WorkloadParams sched;
-    sched.schedule = "1x4000,nonsense";
-    EXPECT_DEATH(WorkloadRegistry::instance().create("phased", sched),
-                 "malformed phase schedule");
-
-    WorkloadParams zero_dur;
-    zero_dur.schedule = "1x0";
-    EXPECT_DEATH(
-        WorkloadRegistry::instance().create("phased", zero_dur),
-        "malformed phase schedule");
 }
 
 TEST(WorkloadParamsValidation, ValidateChecksNamedWorkload)
 {
     SystemConfig cfg = tokenConfig();
-    cfg.workloadName = "zipf";
+    cfg.workloadName = "oltp";
     cfg.workloadParams.theta = 0.99;
     cfg.validate();
 
     SystemConfig bad = tokenConfig();
-    bad.workloadName = "zipf";
+    bad.workloadName = "oltp";
     bad.workloadParams.theta = 2.0;
     EXPECT_DEATH(bad.validate(), "out of range");
     EXPECT_DEATH(System sys(bad), "out of range");
@@ -512,18 +476,18 @@ TEST(WarmupExclusion, PartialWarmupProvisionPanics)
     EXPECT_DEATH(sys.run(wl), "all-or-nothing");
 }
 
-TEST(WarmupExclusion, ZipfWarmupReducesMeasuredMisses)
+TEST(WarmupExclusion, OltpWarmupReducesMeasuredMisses)
 {
-    // Warming the hot set must strictly lower measured cold misses
-    // for the same measured op count.
+    // Warming the hot records must strictly lower measured cold
+    // misses for the same measured transaction count.
     SystemConfig cfg = tokenConfig(11);
-    WorkloadParams cold = smallKnobs("zipf");
+    WorkloadParams cold = smallKnobs("oltp");
     cold.warmupOps = 0;
-    WorkloadParams warm = smallKnobs("zipf");
+    WorkloadParams warm = smallKnobs("oltp");
     warm.warmupOps = 64;
 
-    const RunSummary without = runNamed("zipf", cold, cfg);
-    const RunSummary with = runNamed("zipf", warm, cfg);
+    const RunSummary without = runNamed("oltp", cold, cfg);
+    const RunSummary with = runNamed("oltp", warm, cfg);
     ASSERT_TRUE(without.completed);
     ASSERT_TRUE(with.completed);
     EXPECT_EQ(without.violations, 0u);
@@ -566,8 +530,8 @@ TEST(WorkloadSweep, NamedCellsCarryWorkloadAndPolicyLabels)
 TEST(WorkloadSweep, RunNeedsAWorkloadThatExists)
 {
     SystemConfig typo = tokenConfig();
-    typo.workloadName = "zipff";
-    EXPECT_DEATH(Experiment::of(typo).run(), "zipff");
+    typo.workloadName = "oltpp";
+    EXPECT_DEATH(Experiment::of(typo).run(), "oltpp");
 
     SystemConfig nothing = tokenConfig();
     EXPECT_DEATH(Experiment::of(nothing).run(), "no workload");
@@ -578,8 +542,8 @@ TEST(WorkloadSweep, NamedRunMatchesExplicitFactory)
     // The registry-backed default factory is the same execution as an
     // explicit workload() factory over the same knobs.
     SystemConfig named_cfg = tokenConfig();
-    named_cfg.workloadName = "zipf";
-    named_cfg.workloadParams = smallKnobs("zipf");
+    named_cfg.workloadName = "oltp";
+    named_cfg.workloadParams = smallKnobs("oltp");
     const ExperimentResult named =
         Experiment::of(named_cfg).seeds(2).run();
 
@@ -589,7 +553,7 @@ TEST(WorkloadSweep, NamedRunMatchesExplicitFactory)
             .seeds(2)
             .workload([]() {
                 return WorkloadRegistry::instance().create(
-                    "zipf", smallKnobs("zipf"));
+                    "oltp", smallKnobs("oltp"));
             })
             .run();
 
@@ -637,8 +601,7 @@ TEST_P(GeneratorShardSweep, StatsBitIdenticalAcrossWorkerCounts)
 
 INSTANTIATE_TEST_SUITE_P(
     GeneratorsByShards, GeneratorShardSweep,
-    ::testing::Combine(::testing::Values("zipf", "oltp", "phased",
-                                         "prodcons"),
+    ::testing::Combine(::testing::Values("oltp", "prodcons"),
                        ::testing::Values(2u, 4u, 8u)),
     [](const ::testing::TestParamInfo<
         GeneratorShardSweep::ParamType> &info) {
