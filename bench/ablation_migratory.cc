@@ -9,9 +9,9 @@
  * and on the locking micro-benchmark, for both protocol families.
  */
 
+#include <tuple>
+
 #include "bench_util.hh"
-#include "workload/locking.hh"
-#include "workload/synthetic.hh"
 
 using namespace tokencmp;
 using namespace tokencmp::bench;
@@ -20,11 +20,12 @@ namespace {
 
 ExperimentResult
 runWith(const std::string &name, bool migratory,
-        const WorkloadFactory &factory, const std::string &wl_name)
+        const std::string &workload, const WorkloadParams &knobs,
+        const std::string &wl_name)
 {
-    SystemConfig cfg = SystemConfig::select(name);
+    SystemConfig cfg = cellConfig(name, workload, knobs);
     cfg.machine.migratory = migratory;
-    return runExperiment(cfg, factory,
+    return runExperiment(cfg,
                          cfg.displayName() + "/" + wl_name +
                              (migratory ? "/migratory-on"
                                         : "/migratory-off"));
@@ -45,27 +46,21 @@ main(int argc, char **argv)
 
     const std::vector<std::string> configs = {"directory", "dst1"};
 
-    auto oltp = []() -> std::unique_ptr<Workload> {
-        return std::make_unique<SyntheticWorkload>(oltpParams());
-    };
-    auto locking = []() -> std::unique_ptr<Workload> {
-        LockingParams p;
-        p.numLocks = 32;
-        p.acquiresPerProc = 25;
-        return std::make_unique<LockingWorkload>(p);
-    };
+    WorkloadParams locking;
+    locking.keys = 32;
+    locking.opsPerProc = 25;
+    const std::vector<
+        std::tuple<const char *, const char *, WorkloadParams>>
+        workloads = {{"OLTP", "synthetic-oltp", {}},
+                     {"locking", "locking", locking}};
 
     printHeaderRow({"on(ns)", "off(ns)", "off/on"});
     for (const std::string &config : configs) {
-        for (const auto &[name, factory] :
-             {std::pair<const char *,
-                        std::function<std::unique_ptr<Workload>()>>{
-                  "OLTP", oltp},
-              {"locking", locking}}) {
+        for (const auto &[name, workload, knobs] : workloads) {
             const ExperimentResult on =
-                runWith(config, true, factory, name);
+                runWith(config, true, workload, knobs, name);
             const ExperimentResult off =
-                runWith(config, false, factory, name);
+                runWith(config, false, workload, knobs, name);
             if (!on.allCompleted || !off.allCompleted) {
                 std::fprintf(stderr, "FAILED: %s\n",
                              on.protocol.c_str());

@@ -12,31 +12,20 @@
  */
 
 #include "bench_util.hh"
-#include "workload/locking.hh"
 
 using namespace tokencmp;
 using namespace tokencmp::bench;
 
 namespace {
 
-WorkloadFactory
-lockFactory(unsigned locks)
-{
-    return [locks]() -> std::unique_ptr<Workload> {
-        LockingParams p;
-        p.numLocks = locks;
-        p.acquiresPerProc = 25;
-        return std::make_unique<LockingWorkload>(p);
-    };
-}
-
 ExperimentResult
-runCfg(const SystemConfig &cfg, unsigned locks,
-       const std::string &label)
+runCfg(SystemConfig cfg, unsigned locks, const std::string &label)
 {
-    return runExperiment(cfg, lockFactory(locks),
-                         label + "@" + std::to_string(locks) +
-                             "locks");
+    cfg.workloadName = "locking";
+    cfg.workloadParams.keys = locks;
+    cfg.workloadParams.opsPerProc = 25;
+    return runExperiment(cfg, label + "@" + std::to_string(locks) +
+                                  "locks");
 }
 
 } // namespace

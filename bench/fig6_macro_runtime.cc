@@ -2,8 +2,10 @@
  * @file
  * Figure 6 reproduction: commercial-workload runtime normalized to
  * DirectoryCMP for the OLTP, Apache and SPECjbb SyntheticParams
- * presets (the statistical class-mix proxies; the registry's
- * transaction-structured `oltp` is a different workload).
+ * presets, run by their registry names synthetic-oltp,
+ * synthetic-apache and synthetic-jbb (the statistical class-mix
+ * proxies; the registry's transaction-structured `oltp` is a
+ * different workload).
  *
  * Paper shape: TokenCMP-dst1 is faster than DirectoryCMP (DRAM
  * directory) by ~50% on OLTP, ~29% on Apache and ~10% on SPECjbb
@@ -13,7 +15,6 @@
  */
 
 #include "bench_util.hh"
-#include "workload/synthetic.hh"
 
 using namespace tokencmp;
 using namespace tokencmp::bench;
@@ -25,38 +26,36 @@ main(int argc, char **argv)
         "Figure 6 reproduction: commercial-workload runtime normalized to DirectoryCMP.");
     JsonReport report("fig6_macro_runtime");
     banner("Figure 6: commercial workload runtime "
-           "(normalized to DirectoryCMP; OLTP is the SyntheticParams "
-           "preset oltpParams(), not the registry's oltp)",
+           "(normalized to DirectoryCMP; OLTP is synthetic-oltp, "
+           "not the registry's oltp)",
            "TokenCMP-dst1 faster than DirectoryCMP by ~50% (OLTP), "
            "~29% (Apache), ~10% (SPECjbb); all token variants "
            "similar; persistent requests < 0.3% of L1 misses");
 
-    const std::vector<SyntheticParams> workloads = {
-        oltpParams(), apacheParams(), jbbParams()};
+    const std::vector<std::string> workloads = {
+        "synthetic-oltp", "synthetic-apache", "synthetic-jbb"};
+    // The directory row comes first: it is the normalizer.
     const std::vector<std::string> configs = {
         "directory", "directory-zero", "dst4", "dst1",
         "dst1-pred", "dst1-filt",      "hier", "perfect"};
 
-    for (const SyntheticParams &wl : workloads) {
-        auto factory = [&wl]() -> std::unique_ptr<Workload> {
-            return std::make_unique<SyntheticWorkload>(wl);
-        };
-        const ExperimentResult base =
-            runCell("directory", factory,
-                    "baseline/" + wl.label);
-        const double base_rt = base.runtime.mean();
-
-        std::printf("\n--- %s (baseline %.0f ns) ---\n",
-                    wl.label.c_str(), base_rt / double(ticksPerNs));
-        printHeaderRow({"norm.rt", "speedup%", "persist%"});
+    for (const std::string &wl : workloads) {
+        double base_rt = 0.0;
         for (const std::string &name : configs) {
-            const ExperimentResult e = runCell(name, factory);
+            const ExperimentResult e = runCell(name, wl);
             if (!e.allCompleted) {
                 std::fprintf(stderr, "FAILED: %s on %s\n",
-                             e.protocol.c_str(), wl.label.c_str());
+                             e.protocol.c_str(), e.workload.c_str());
                 return 1;
             }
             const double rt = e.runtime.mean();
+            if (name == "directory") {
+                base_rt = rt;
+                std::printf("\n--- %s (baseline %.0f ns) ---\n",
+                            e.workload.c_str(),
+                            base_rt / double(ticksPerNs));
+                printHeaderRow({"norm.rt", "speedup%", "persist%"});
+            }
             const double speedup = (base_rt / rt - 1.0) * 100.0;
             double persist_pct = 0.0;
             auto mi = e.stats.find("l1.misses");
@@ -74,7 +73,7 @@ main(int argc, char **argv)
             // the protocol's behavior actually changed.
             report.addRaw(
                 "{\"label\": " +
-                json::quote("macro/" + wl.label + "/" + e.protocol) +
+                json::quote("macro/" + e.workload + "/" + e.protocol) +
                 ", \"runtimeNs\": " +
                 json::number(rt / double(ticksPerNs)) +
                 ", \"normRuntime\": " + json::number(rt / base_rt) +

@@ -16,7 +16,6 @@
 #include <algorithm>
 
 #include "bench_util.hh"
-#include "workload/synthetic.hh"
 
 using namespace tokencmp;
 using namespace tokencmp::bench;
@@ -73,10 +72,6 @@ printLevel(const char *title, NetLevel level,
 bool
 policySweep(JsonReport &report)
 {
-    const SyntheticParams wl = oltpParams();
-    auto factory = [&wl]() -> std::unique_ptr<Workload> {
-        return std::make_unique<SyntheticWorkload>(wl);
-    };
     // Every registered flat-token policy, in name order; hier's
     // intra-CMP "arb4" is not a row.
     std::vector<std::string> names;
@@ -85,15 +80,15 @@ policySweep(JsonReport &report)
         if (name == "arb4")
             continue;
         names.push_back(name);
-        cells.push_back(Experiment::of(SystemConfig::select(name))
-                            .workload(factory)
-                            .seeds(seedsPerPoint())
-                            .parallelism(defaultParallelism())
-                            .run());
+        cells.push_back(
+            Experiment::of(cellConfig(name, "synthetic-oltp"))
+                .seeds(seedsPerPoint())
+                .parallelism(defaultParallelism())
+                .run());
     }
 
     std::printf("\n--- policy sweep (%s; per L1 miss) ---\n",
-                wl.label.c_str());
+                cells.front().workload.c_str());
     std::printf("%-22s %10s %12s %12s %12s %10s\n", "policy",
                 "msgs/miss", "interB/miss", "intraB/miss",
                 "runtime(ns)", "narrowed");
@@ -176,17 +171,13 @@ main(int argc, char **argv)
     const std::vector<std::string> configs = {
         "directory", "dst4", "dst1", "dst1-pred", "dst1-filt", "hier"};
 
-    const std::vector<SyntheticParams> workloads = {
-        oltpParams(), apacheParams(), jbbParams()};
-
-    for (const SyntheticParams &wl : workloads) {
-        auto factory = [&wl]() -> std::unique_ptr<Workload> {
-            return std::make_unique<SyntheticWorkload>(wl);
-        };
-        std::printf("\n===== workload %s =====\n", wl.label.c_str());
+    for (const char *wl :
+         {"synthetic-oltp", "synthetic-apache", "synthetic-jbb"}) {
         std::vector<ExperimentResult> cells;
         for (const std::string &name : configs)
-            cells.push_back(runCell(name, factory));
+            cells.push_back(runCell(name, wl));
+        std::printf("\n===== workload %s =====\n",
+                    cells.front().workload.c_str());
         for (const ExperimentResult &e : cells) {
             if (!e.allCompleted) {
                 std::fprintf(stderr, "FAILED: %s\n", e.protocol.c_str());

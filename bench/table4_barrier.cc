@@ -11,7 +11,6 @@
  */
 
 #include "bench_util.hh"
-#include "workload/barrier.hh"
 
 using namespace tokencmp;
 using namespace tokencmp::bench;
@@ -32,39 +31,39 @@ main(int argc, char **argv)
         "arb0", "dst0", "directory", "directory-zero",
         "dst4", "dst1", "dst1-pred", "dst1-filt"};
 
-    auto factory = [](Tick jitter) {
-        return [jitter]() -> std::unique_ptr<Workload> {
-            BarrierParams p;
-            p.phases = 40;
-            p.workTime = ns(3000);
-            p.workJitter = jitter;
-            return std::make_unique<BarrierWorkload>(p);
-        };
+    // 40 phases of 3000 ns work, fixed and +/- U(1000 ns).
+    auto barrier = [](Tick jitter) {
+        WorkloadParams wp;
+        wp.opsPerProc = 40;
+        wp.thinkMean = ns(3000);
+        wp.thinkJitter = jitter;
+        return wp;
     };
 
+    // Run every row first: the table normalizes to the directory row.
+    std::vector<std::pair<ExperimentResult, ExperimentResult>> rows;
     double base_fixed = 0.0, base_var = 0.0;
-    {
-        const ExperimentResult f =
-            runCell("directory", factory(0), "baseline/fixed");
-        const ExperimentResult v =
-            runCell("directory", factory(ns(1000)), "baseline/jitter");
-        base_fixed = f.runtime.mean();
-        base_var = v.runtime.mean();
-    }
-
-    printHeaderRow({"3000ns", "3000±U(1000)"});
     for (const std::string &name : configs) {
         const std::string label = SystemConfig::select(name).displayName();
         const ExperimentResult f =
-            runCell(name, factory(0), label + "/fixed");
+            runCell(name, "barrier", barrier(0), label + "/fixed");
         const ExperimentResult v =
-            runCell(name, factory(ns(1000)), label + "/jitter");
+            runCell(name, "barrier", barrier(ns(1000)), label + "/jitter");
         if (!f.allCompleted || !v.allCompleted ||
             f.violations + v.violations != 0) {
             std::fprintf(stderr, "FAILED: %s\n", label.c_str());
             return 1;
         }
-        printRow(label,
+        if (name == "directory") {
+            base_fixed = f.runtime.mean();
+            base_var = v.runtime.mean();
+        }
+        rows.emplace_back(f, v);
+    }
+
+    printHeaderRow({"3000ns", "3000±U(1000)"});
+    for (const auto &[f, v] : rows) {
+        printRow(f.protocol,
                  {f.runtime.mean() / base_fixed,
                   v.runtime.mean() / base_var},
                  {f.runtime.errorBar() / base_fixed,

@@ -98,6 +98,8 @@ main(int argc, char **argv)
 
     const std::vector<std::string> policies = {
         "dst1", "dst4", "dst1-pred", "dst-group"};
+    std::vector<std::string> configs = {"directory", "hier"};
+    configs.insert(configs.end(), policies.begin(), policies.end());
 
     unsigned workloads = 0;
     unsigned dominated = 0;
@@ -107,56 +109,22 @@ main(int argc, char **argv)
                     "msgs/miss", "interB/miss", "intraB/miss",
                     "runtime(ns)");
 
-        // Directory baseline through the same registry-named path.
-        SystemConfig dir_cfg = SystemConfig::select("directory");
-        dir_cfg.workloadName = spec.name;
-        dir_cfg.workloadParams = spec.knobs;
-        const ExperimentResult dir_cell =
-            Experiment::of(dir_cfg)
-                .seeds(seedsPerPoint())
-                .parallelism(defaultParallelism())
-                .run();
-        if (!dir_cell.allCompleted) {
-            std::fprintf(stderr, "FAILED: DirectoryCMP on %s\n",
-                         spec.name);
-            return 1;
-        }
-        record(report, spec.name, dir_cell);
-
-        // The hierarchical family: directory between CMPs, tokens
-        // within — the protocol axis the policy sweep can't reach.
-        SystemConfig hier_cfg = SystemConfig::select("hier");
-        hier_cfg.workloadName = spec.name;
-        hier_cfg.workloadParams = spec.knobs;
-        const ExperimentResult hier_cell =
-            Experiment::of(hier_cfg)
-                .seeds(seedsPerPoint())
-                .parallelism(defaultParallelism())
-                .run();
-        if (!hier_cell.allCompleted) {
-            std::fprintf(stderr, "FAILED: HierCMP on %s\n",
-                         spec.name);
-            return 1;
-        }
-        record(report, spec.name, hier_cell);
-
-        // The token policy sweep.
+        // The directory baseline and the hierarchical family
+        // (directory between CMPs, tokens within: the protocol axis
+        // the policy sweep can't reach), then the token policies.
         std::map<std::string, CellMetrics> cells;
-        for (const std::string &policy : policies) {
-            SystemConfig cfg = SystemConfig::select(policy);
-            cfg.workloadName = spec.name;
-            cfg.workloadParams = spec.knobs;
+        for (const std::string &name : configs) {
             const ExperimentResult e =
-                Experiment::of(cfg)
+                Experiment::of(cellConfig(name, spec.name, spec.knobs))
                     .seeds(seedsPerPoint())
                     .parallelism(defaultParallelism())
                     .run();
             if (!e.allCompleted) {
                 std::fprintf(stderr, "FAILED: %s on %s\n",
-                             policy.c_str(), spec.name);
+                             e.protocol.c_str(), spec.name);
                 return 1;
             }
-            cells[policy] = record(report, spec.name, e);
+            cells[name] = record(report, spec.name, e);
         }
 
         const CellMetrics &g = cells.at("dst-group");

@@ -1,7 +1,7 @@
 /**
  * @file
  * Contention study: sweep the lock count of the Table 2 locking
- * micro-benchmark for one configuration through the ExperimentRunner
+ * micro-benchmark for one configuration through the Experiment runner
  * and print runtime (with 95% confidence bars), persistent request usage
  * and traffic — the raw material behind Figures 2/3. Per-seed progress
  * is streamed via the runner's onSeedDone callback.
@@ -19,18 +19,18 @@
 #include <thread>
 
 #include "system/experiment.hh"
-#include "workload/locking.hh"
 
 using namespace tokencmp;
 
 int
 main(int argc, char **argv)
 {
-    const SystemConfig cfg =
-        SystemConfig::select(argc > 1 ? argv[1] : "dst1");
+    SystemConfig cfg = SystemConfig::select(argc > 1 ? argv[1] : "dst1");
+    cfg.workloadName = "locking";
     unsigned acquires = 25;
     if (argc > 2)
         acquires = unsigned(std::atoi(argv[2]));
+    cfg.workloadParams.opsPerProc = acquires;
     unsigned seeds = 3;
     if (argc > 3)
         seeds = unsigned(std::max(1, std::atoi(argv[3])));
@@ -46,15 +46,9 @@ main(int argc, char **argv)
 
     for (unsigned locks : {2u, 4u, 8u, 16u, 32u, 64u, 128u, 256u,
                            512u}) {
+        cfg.workloadParams.keys = locks;
         ExperimentResult e =
             Experiment::of(cfg)
-                .workload([locks,
-                           acquires]() -> std::unique_ptr<Workload> {
-                    LockingParams p;
-                    p.numLocks = locks;
-                    p.acquiresPerProc = acquires;
-                    return std::make_unique<LockingWorkload>(p);
-                })
                 .seeds(seeds)
                 .parallelism(hw ? hw : 1)
                 .onSeedDone([locks](const SeedProgress &p) {

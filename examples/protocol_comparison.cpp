@@ -1,10 +1,11 @@
 /**
  * @file
  * Protocol comparison on a commercial-style workload: runs the OLTP
- * proxy (migratory, sharing-miss dominated — the paper's headline
- * case) on every registered protocol configuration through the
- * ExperimentRunner (3 perturbed seeds, run in parallel) and prints
- * runtime with 95% confidence bars, miss counts and traffic.
+ * proxy synthetic-oltp (migratory, sharing-miss dominated — the
+ * paper's headline case) on every registered protocol configuration
+ * through the Experiment runner (3 perturbed seeds, run in parallel)
+ * and prints runtime with 95% confidence bars, miss counts and
+ * traffic.
  *
  * It then sweeps every performance policy in the PolicyRegistry on
  * the TokenCMP substrate — including "example-favorite", a throwaway
@@ -55,11 +56,15 @@ const PolicyRegistrar regFavorite(
 int
 main(int argc, char **argv)
 {
-    SyntheticParams wl = oltpParams();
+    WorkloadParams wl;
+    wl.opsPerProc = oltpParams().opsPerProc;
     if (argc > 1)
         wl.opsPerProc = unsigned(std::atoi(argv[1]));
-    auto factory = [&wl]() -> std::unique_ptr<Workload> {
-        return std::make_unique<SyntheticWorkload>(wl);
+    auto config = [&wl](const std::string &name) {
+        SystemConfig cfg = SystemConfig::select(name);
+        cfg.workloadName = "synthetic-oltp";
+        cfg.workloadParams = wl;
+        return cfg;
     };
     const unsigned hw = std::thread::hardware_concurrency();
 
@@ -71,8 +76,7 @@ main(int argc, char **argv)
 
     double dir_runtime = 0.0;
     for (const std::string &name : allProtocols()) {
-        ExperimentResult e = Experiment::of(SystemConfig::select(name))
-                                 .workload(factory)
+        ExperimentResult e = Experiment::of(config(name))
                                  .seeds(3)
                                  .parallelism(hw ? hw : 1)
                                  .run();
@@ -102,8 +106,7 @@ main(int argc, char **argv)
                 "intra bytes");
     for (const std::string &name : PolicyRegistry::instance().names()) {
         const ExperimentResult e =
-            Experiment::of(SystemConfig::select(name))
-                .workload(factory)
+            Experiment::of(config(name))
                 .seeds(3)
                 .parallelism(hw ? hw : 1)
                 .run();

@@ -4,7 +4,7 @@
  * TokenCMP-dst1 protocol, run a few memory operations and a small
  * lock-contention workload, print headline statistics, peek inside a
  * controller through the typed registry lookup, and finish with a
- * multi-seed experiment through the fluent ExperimentRunner.
+ * multi-seed experiment through the fluent Experiment runner.
  *
  *   $ ./quickstart
  */
@@ -85,20 +85,15 @@ main()
                     (unsigned long long)l1->stats.misses);
     }
 
-    // 5. Multi-seed experiments (perturbed runs, 95% CIs) go through
-    //    the fluent runner; parallelism(N) fans seeds across threads
-    //    with bit-identical aggregate results.
+    // 5. Multi-seed experiments (perturbed runs, 95% CIs) run the
+    //    registry workload the config names; parallelism(N) fans
+    //    seeds across threads with bit-identical aggregate results.
+    SystemConfig exp_cfg = cfg;
+    exp_cfg.workloadName = "locking";
+    exp_cfg.workloadParams.keys = 16;
+    exp_cfg.workloadParams.opsPerProc = 20;
     ExperimentResult e =
-        Experiment::of(cfg)
-            .workload([]() -> std::unique_ptr<Workload> {
-                LockingParams lp;
-                lp.numLocks = 16;
-                lp.acquiresPerProc = 20;
-                return std::make_unique<LockingWorkload>(lp);
-            })
-            .seeds(4)
-            .parallelism(2)
-            .run();
+        Experiment::of(exp_cfg).seeds(4).parallelism(2).run();
     std::printf("4-seed experiment: runtime %.0f ± %.0f ns\n",
                 e.runtime.mean() / double(ticksPerNs),
                 e.runtime.errorBar() / double(ticksPerNs));

@@ -7,37 +7,30 @@
  * writeback exchanges) while TokenCMP spends more on broadcast
  * requests.
  *
- *   $ ./traffic_study [apache|oltp|jbb]
+ *   $ ./traffic_study [workload]
+ *
+ * `workload` is any WorkloadRegistry name (default synthetic-apache;
+ * the Figure 7 presets are synthetic-oltp, synthetic-apache and
+ * synthetic-jbb).
  */
 
 #include <cstdio>
-#include <cstring>
 
 #include "system/experiment.hh"
-#include "workload/synthetic.hh"
 
 using namespace tokencmp;
 
 int
 main(int argc, char **argv)
 {
-    SyntheticParams wl = apacheParams();
-    if (argc > 1 && std::strcmp(argv[1], "oltp") == 0)
-        wl = oltpParams();
-    else if (argc > 1 && std::strcmp(argv[1], "jbb") == 0)
-        wl = jbbParams();
-
-    std::printf("workload: %s\n", wl.label.c_str());
+    const char *workload = argc > 1 ? argv[1] : "synthetic-apache";
+    std::printf("workload: %s\n", workload);
 
     for (const char *name : {"directory", "dst1"}) {
+        SystemConfig cfg = SystemConfig::select(name);
+        cfg.workloadName = workload;
         // One seed: we want the anatomy of a single run, not CIs.
-        ExperimentResult e =
-            Experiment::of(SystemConfig::select(name))
-                .workload([&wl]() -> std::unique_ptr<Workload> {
-                    return std::make_unique<SyntheticWorkload>(wl);
-                })
-                .seeds(1)
-                .run();
+        ExperimentResult e = Experiment::of(cfg).seeds(1).run();
         if (!e.allCompleted)
             return 1;
         const System::RunResult &res = e.perSeed.front();

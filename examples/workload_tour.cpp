@@ -131,7 +131,7 @@ main(int argc, char **argv)
         const double err = e.runtime.errorBar() / double(ticksPerNs);
         const double misses = e.stats.at("l1.misses").mean();
         std::printf("%-22s %8.0f±%5.0fns %10.0f %10.2f %12.0f\n",
-                    e.workload.c_str(), rt, err, misses,
+                    n.c_str(), rt, err, misses,
                     misses > 0
                         ? e.stats.at("net.messages").mean() / misses
                         : 0.0,

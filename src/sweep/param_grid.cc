@@ -42,6 +42,7 @@ workloadKnobSegment(const WorkloadParams &wl)
            ";theta=" + fmtNum(wl.theta) +
            ";write=" + fmtNum(wl.writeFrac) +
            ";thinkNs=" + fmtU64(wl.thinkMean / ticksPerNs) +
+           ";jitterNs=" + fmtU64(wl.thinkJitter / ticksPerNs) +
            ";warmup=" + std::to_string(wl.warmupOps) + "}";
 }
 
@@ -262,7 +263,7 @@ ParamGrid::fromJsonText(const std::string &text,
                   "object", what.c_str());
         static const std::set<std::string> wl_keys = {
             "opsPerProc", "keys", "theta", "writeFrac", "thinkMeanNs",
-            "warmupOps"};
+            "thinkJitterNs", "warmupOps"};
         for (const auto &[key, value] : wk->obj) {
             (void)value;
             if (!wl_keys.count(key))
@@ -272,12 +273,13 @@ ParamGrid::fromJsonText(const std::string &text,
         const std::string wk_what = what + " workloadKnobs";
         grid._wl.opsPerProc = intField(*wk, "opsPerProc", 0u, 0u,
                                        wk_what);
-        grid._wl.keys =
-            intField<std::uint64_t>(*wk, "keys", 0, 0, wk_what);
+        grid._wl.keys = intField(*wk, "keys", 0u, 0u, wk_what);
         grid._wl.theta = wk->getNumber("theta", -1.0);
         grid._wl.writeFrac = wk->getNumber("writeFrac", -1.0);
         grid._wl.thinkMean = ns(Tick(intField<std::uint64_t>(
             *wk, "thinkMeanNs", 0, 0, wk_what, max_ns)));
+        grid._wl.thinkJitter = ns(Tick(intField<std::uint64_t>(
+            *wk, "thinkJitterNs", 0, 0, wk_what, max_ns)));
         grid._wl.warmupOps = intField(*wk, "warmupOps", -1, -1, wk_what);
     }
 
@@ -285,7 +287,7 @@ ParamGrid::fromJsonText(const std::string &text,
     // over this string is what the resume journal checks, so any
     // semantic edit to the grid must change it (and a reformat of the
     // JSON file must not).
-    std::string c = "gridv3|name=" + grid._name + "|policies=";
+    std::string c = "gridv4|name=" + grid._name + "|policies=";
     for (const std::string &p : grid._policies)
         c += p + ",";
     c += "|workloads=";
@@ -351,7 +353,7 @@ ParamGrid::enumerate()
                         cell.overrideLabel = o.label;
                         cell.seed = _firstSeed + i;
 
-                        std::string k = "cellv3|policy=" + p +
+                        std::string k = "cellv4|policy=" + p +
                             "|workload=" + w + "|map=" + m +
                             "|knobs=" + o.label + "{";
                         for (const auto &[kn, kv] : o.knobs)

@@ -2,7 +2,7 @@
  * @file
  * Resumable sweep executor over a ParamGrid.
  *
- * Execution is cell-at-a-time through ExperimentRunner (one seed per
+ * Execution is cell-at-a-time through Experiment (one seed per
  * cell — the grid's seed axis is the resume granularity). Progress is
  * journaled to a JSONL file, one line per completed cell keyed by the
  * cell's stable hash and guarded by the grid fingerprint:

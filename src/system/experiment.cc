@@ -96,94 +96,74 @@ ExperimentResult::toJson(const std::string &label) const
     return out + "}}";
 }
 
-ExperimentRunner
-ExperimentRunner::of(const SystemConfig &cfg)
+Experiment
+Experiment::of(const SystemConfig &cfg)
 {
-    return ExperimentRunner(cfg);
+    return Experiment(cfg);
 }
 
-ExperimentRunner &
-ExperimentRunner::workload(WorkloadFactory factory)
-{
-    _factory = std::move(factory);
-    return *this;
-}
-
-ExperimentRunner &
-ExperimentRunner::seeds(unsigned n)
+Experiment &
+Experiment::seeds(unsigned n)
 {
     _seeds = n;
     return *this;
 }
 
-ExperimentRunner &
-ExperimentRunner::parallelism(unsigned n)
+Experiment &
+Experiment::parallelism(unsigned n)
 {
     _parallelism = n;
     return *this;
 }
 
-ExperimentRunner &
-ExperimentRunner::horizon(Tick t)
+Experiment &
+Experiment::horizon(Tick t)
 {
     _horizon = t;
     return *this;
 }
 
-ExperimentRunner &
-ExperimentRunner::firstSeed(std::uint64_t s)
+Experiment &
+Experiment::firstSeed(std::uint64_t s)
 {
     _firstSeed = s;
     return *this;
 }
 
-ExperimentRunner &
-ExperimentRunner::onSeedDone(ProgressFn fn)
+Experiment &
+Experiment::onSeedDone(ProgressFn fn)
 {
     _progress = std::move(fn);
     return *this;
 }
 
 ExperimentResult
-ExperimentRunner::run() const
+Experiment::run() const
 {
     if (_seeds == 0)
-        fatal("ExperimentRunner: seeds must be >= 1");
+        fatal("Experiment: seeds must be >= 1");
 
     const SystemConfig &base = _cfg;
     base.validate();
-
-    // An explicit factory wins; otherwise the config names a
-    // registered workload (checked by validate() above).
-    WorkloadFactory factory = _factory;
-    if (!factory) {
-        if (base.workloadName.empty()) {
-            fatal("ExperimentRunner: no workload — set a workload() "
-                  "factory or name one via SystemConfig::workloadName");
-        }
-        factory = [name = base.workloadName,
-                   wp = base.workloadParams]() {
-            return WorkloadRegistry::instance().create(name, wp);
-        };
+    if (base.workloadName.empty()) {
+        fatal("Experiment: no workload — name one via "
+              "SystemConfig::workloadName");
     }
 
     const unsigned n = _seeds;
     std::vector<std::optional<System::RunResult>> results(n);
     std::string workload_name;
-    std::mutex mu;  //!< guards factory calls, progress, done count
+    std::mutex mu;  //!< guards progress, done count, workload name
     unsigned done = 0;
 
     auto run_one = [&](unsigned i) {
         SystemConfig cfg = base;
         cfg.seed = _firstSeed + i;
-        std::unique_ptr<Workload> wl;
-        {
-            // Factories are usually cheap closures over parameters;
-            // serialize the calls so they need not be thread-safe.
-            std::lock_guard<std::mutex> lock(mu);
-            wl = factory();
-        }
-        wl->reset();
+        // The registry is immutable once main() runs, so workers
+        // create their instances without locking.
+        const std::unique_ptr<Workload> wl =
+            WorkloadRegistry::instance().create(base.workloadName,
+                                                base.workloadParams);
         System sys(cfg);
         System::RunResult r = sys.run(*wl, _horizon);
 

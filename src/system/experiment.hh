@@ -2,19 +2,28 @@
  * @file
  * Multi-seed experiment driver: a fluent, parallel runner.
  *
+ *   SystemConfig cfg = SystemConfig::select("dst1");
+ *   cfg.workloadName = "locking";   // a WorkloadRegistry name
+ *   cfg.workloadParams.keys = 16;   // and its knobs
  *   auto result = Experiment::of(cfg)
- *                     .workload([] { return std::make_unique<...>(); })
  *                     .seeds(20)
  *                     .parallelism(4)
  *                     .onSeedDone([](const SeedProgress &p) { ... })
  *                     .run();
  *
- * Seeds run on a std::thread pool (each on a fresh System, so nothing
- * is shared between workers); results are aggregated in seed order, so
- * any parallelism level produces bit-identical `ExperimentResult`s to
- * serial execution (Alameldeen & Wood perturbation methodology, HPCA
- * 2003). `ExperimentResult::toJson()` exports machine-readable results
- * for the bench harnesses.
+ * The workload comes only from the config: each seed creates a fresh
+ * instance of `cfg.workloadName` from the WorkloadRegistry. A custom
+ * workload plugs in through a WorkloadRegistrar (see
+ * examples/workload_tour.cpp); `System::run(Workload &)` is the
+ * single-run primitive.
+ *
+ * Seeds run on a std::thread pool (each on a fresh System and
+ * workload, so nothing is shared between workers); results are
+ * aggregated in seed order, so any parallelism level produces
+ * bit-identical `ExperimentResult`s to serial execution (Alameldeen &
+ * Wood perturbation methodology, HPCA 2003).
+ * `ExperimentResult::toJson()` exports machine-readable results for
+ * the bench harnesses.
  */
 
 #ifndef TOKENCMP_SYSTEM_EXPERIMENT_HH
@@ -22,7 +31,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,9 +47,6 @@ std::string number(double v);
 std::string quote(const std::string &s);
 
 } // namespace json
-
-/** Creates one fresh Workload instance per seed. */
-using WorkloadFactory = std::function<std::unique_ptr<Workload>()>;
 
 /** Progress report delivered after each seed finishes. */
 struct SeedProgress
@@ -81,49 +86,43 @@ struct ExperimentResult
 };
 
 /** Fluent multi-seed experiment runner. */
-class ExperimentRunner
+class Experiment
 {
   public:
     using ProgressFn = std::function<void(const SeedProgress &)>;
 
     /** Start describing an experiment over `cfg`. */
-    static ExperimentRunner of(const SystemConfig &cfg);
+    static Experiment of(const SystemConfig &cfg);
 
-    ExperimentRunner &workload(WorkloadFactory factory);
-    ExperimentRunner &seeds(unsigned n);
+    Experiment &seeds(unsigned n);
     /** Worker threads; 1 (default) runs serially on this thread. */
-    ExperimentRunner &parallelism(unsigned n);
-    ExperimentRunner &horizon(Tick t);
+    Experiment &parallelism(unsigned n);
+    Experiment &horizon(Tick t);
     /** First seed value (default 1; seeds run first..first+n-1). */
-    ExperimentRunner &firstSeed(std::uint64_t s);
+    Experiment &firstSeed(std::uint64_t s);
     /**
      * Per-seed completion callback. Invoked serialized (never
      * concurrently) but, with parallelism > 1, from worker threads and
      * not necessarily in seed order.
      */
-    ExperimentRunner &onSeedDone(ProgressFn fn);
+    Experiment &onSeedDone(ProgressFn fn);
 
-    /** Execute all seeds and aggregate. The workload comes from the
-     *  workload() factory, or — when none is set — from the base
-     *  config's workloadName via the WorkloadRegistry. Fatal if
-     *  neither names a workload. To sweep policies or workloads, loop
+    /** Execute all seeds and aggregate. The workload is the base
+     *  config's workloadName, created through the WorkloadRegistry;
+     *  fatal if it names none. To sweep policies or workloads, loop
      *  over names and run() each config; ParamGrid crosses axes. */
     ExperimentResult run() const;
 
   private:
-    explicit ExperimentRunner(const SystemConfig &cfg) : _cfg(cfg) {}
+    explicit Experiment(const SystemConfig &cfg) : _cfg(cfg) {}
 
     SystemConfig _cfg;
-    WorkloadFactory _factory;
     unsigned _seeds = 1;
     unsigned _parallelism = 1;
     Tick _horizon = ns(500000000);
     std::uint64_t _firstSeed = 1;
     ProgressFn _progress;
 };
-
-/** Fluent entry point alias: Experiment::of(cfg).workload(...).run(). */
-using Experiment = ExperimentRunner;
 
 } // namespace tokencmp
 

@@ -14,7 +14,7 @@
  * controller's `MachineID` from the topology and down-casts, returning
  * nullptr when the running protocol family doesn't provide that type.
  *
- * Multi-seed experiments are driven by `ExperimentRunner` in
+ * Multi-seed experiments are driven by `Experiment` in
  * system/experiment.hh; a System itself is single-use.
  */
 

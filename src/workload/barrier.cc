@@ -15,6 +15,7 @@ const WorkloadRegistrar regBarrier(
             p.phases = wp.opsPerProc;
         if (wp.thinkMean != 0)
             p.workTime = wp.thinkMean;
+        p.workJitter = wp.thinkJitter;
         return std::make_unique<BarrierWorkload>(p);
     });
 

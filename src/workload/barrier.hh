@@ -24,7 +24,7 @@ struct BarrierParams
 {
     unsigned phases = 100;
     Tick workTime = ns(3000);
-    Tick workJitter = 0;        //!< uniform +/- jitter (0 or 1000 ns)
+    Tick workJitter = 0;        //!< uniform +/- jitter, <= workTime
     Tick spinDelay = ns(4);
     Addr base = 0x40000;        //!< lock, count, flag blocks
 };

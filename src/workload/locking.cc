@@ -12,7 +12,7 @@ const WorkloadRegistrar regLocking(
         if (wp.opsPerProc != 0)
             p.acquiresPerProc = wp.opsPerProc;
         if (wp.keys != 0)
-            p.numLocks = unsigned(wp.keys);
+            p.numLocks = wp.keys;
         if (wp.thinkMean != 0)
             p.thinkTime = wp.thinkMean;
         if (wp.warmupOps == 0)

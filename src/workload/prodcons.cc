@@ -185,7 +185,7 @@ fromKnobs(const WorkloadParams &wp)
     if (wp.opsPerProc != 0)
         p.itemsPerPair = wp.opsPerProc;
     if (wp.keys != 0)
-        p.queueSlots = unsigned(wp.keys);
+        p.queueSlots = wp.keys;
     if (wp.thinkMean != 0)
         p.thinkMean = wp.thinkMean;
     if (wp.warmupOps == 0)

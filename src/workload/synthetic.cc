@@ -6,19 +6,30 @@ namespace tokencmp {
 
 namespace {
 
-const WorkloadRegistrar regSynthetic(
-    "synthetic", [](const WorkloadParams &wp) {
-        SyntheticParams p;
+/** The `synthetic` knob mapping on top of `preset`. */
+WorkloadRegistry::Factory
+knobbed(SyntheticParams (*preset)())
+{
+    return [preset](const WorkloadParams &wp) {
+        SyntheticParams p = preset();
         if (wp.opsPerProc != 0)
             p.opsPerProc = wp.opsPerProc;
         if (wp.keys != 0)
-            p.migratoryBlocks = unsigned(wp.keys);
+            p.migratoryBlocks = wp.keys;
         if (wp.writeFrac >= 0.0)
             p.privateWriteFrac = wp.writeFrac;
         if (wp.thinkMean != 0)
             p.thinkMean = wp.thinkMean;
         return std::make_unique<SyntheticWorkload>(p);
-    });
+    };
+}
+
+const WorkloadRegistrar regSynthetic(
+    "synthetic", knobbed([] { return SyntheticParams{}; }));
+const WorkloadRegistrar regOltp("synthetic-oltp", knobbed(oltpParams));
+const WorkloadRegistrar regApache("synthetic-apache",
+                                  knobbed(apacheParams));
+const WorkloadRegistrar regJbb("synthetic-jbb", knobbed(jbbParams));
 
 } // namespace
 

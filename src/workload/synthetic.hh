@@ -43,7 +43,9 @@ struct SyntheticParams
     Addr privateBase = 0x10000000;   //!< per-proc regions spaced out
 };
 
-/** Paper Table 2 workload presets (see DESIGN.md for rationale). */
+/** Paper Table 2 workload presets (see DESIGN.md for rationale),
+ *  registered as synthetic-oltp, synthetic-apache and synthetic-jbb
+ *  with the `synthetic` knob mapping on top. */
 SyntheticParams oltpParams();
 SyntheticParams apacheParams();
 SyntheticParams jbbParams();

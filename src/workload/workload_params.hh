@@ -5,8 +5,8 @@
  * (acquires, transactions, queue items...), so sweep drivers can vary
  * load shape without knowing concrete workload types. A zero or
  * negative value means "use the workload's default"; setting
- * a knob a workload does not consume is harmless (and documented per
- * workload in the README's knob table).
+ * a knob a workload does not consume is harmless (docs/sweeps.md,
+ * "Workload knobs", says which workload reads which knob).
  *
  * Kept dependency-free (types + <string>) so SystemConfig can embed a
  * WorkloadParams without pulling the workload headers into every
@@ -33,20 +33,25 @@ struct WorkloadParams
     unsigned opsPerProc = 0;
 
     /** Size of the contended object pool: locks (locking), records
-     *  (oltp), migratory blocks (synthetic), ring slots (prodcons). */
-    std::uint64_t keys = 0;
+     *  (oltp), migratory blocks (synthetic*), ring slots (prodcons). */
+    unsigned keys = 0;
 
     /** Zipfian skew theta in [0, 1) (oltp); < 0 keeps the workload
      *  default. Higher is hotter: 0 is uniform, 0.99 is the classic
      *  YCSB hot-key distribution. */
     double theta = -1.0;
 
-    /** Store fraction in [0, 1] (oltp, synthetic); < 0 keeps the
+    /** Store fraction in [0, 1] (oltp, synthetic*); < 0 keeps the
      *  workload default. */
     double writeFrac = -1.0;
 
     /** Mean compute time between operations; 0 keeps the default. */
     Tick thinkMean = 0;
+
+    /** Uniform +/- jitter on each compute time (barrier: work time
+     *  thinkMean +/- U(thinkJitter)); 0 keeps it fixed. At most
+     *  thinkMean, which must then be set explicitly. */
+    Tick thinkJitter = 0;
 
     /** Warm-up operations per processor before measurement; < 0 keeps
      *  the workload default, 0 disables the warm-up phase. */
@@ -54,9 +59,9 @@ struct WorkloadParams
 
     /**
      * Panic with a workload-prefixed diagnostic if a knob is out of
-     * range (theta >= 1, writeFrac > 1). Called by
-     * SystemConfig::validate() for named selections and defensively
-     * by WorkloadRegistry::create().
+     * range (theta >= 1, writeFrac > 1, thinkJitter > thinkMean).
+     * Called by SystemConfig::validate() for named selections and
+     * defensively by WorkloadRegistry::create().
      */
     void validate(const std::string &workload) const;
 };

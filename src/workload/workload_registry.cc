@@ -25,6 +25,13 @@ WorkloadParams::validate(const std::string &workload) const
         panic("workload '%s': writeFrac %f out of range [0, 1]",
               wl, writeFrac);
     }
+    if (thinkJitter > thinkMean) {
+        panic("workload '%s': thinkJitter %llu ns exceeds thinkMean "
+              "%llu ns (set thinkMean explicitly; a work time may not "
+              "go below zero)",
+              wl, (unsigned long long)(thinkJitter / ticksPerNs),
+              (unsigned long long)(thinkMean / ticksPerNs));
+    }
 }
 
 WorkloadRegistry &

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the protocol table and the parallel ExperimentRunner:
+ * Tests for the protocol table and the parallel Experiment runner:
  * one table row per Protocol value, the controllers each family
  * builds, bit-identical parallel vs serial execution, progress
  * callbacks, scheduler-backend equivalence, JSON export, and the
@@ -14,21 +14,20 @@
 
 #include "core/policy.hh"
 #include "test_util.hh"
-#include "workload/locking.hh"
 
 namespace tokencmp::test {
 
 namespace {
 
-WorkloadFactory
-smallLockingFactory()
+/** Configuration `name` running a small locking workload. */
+SystemConfig
+smallLocking(const std::string &name)
 {
-    return []() -> std::unique_ptr<Workload> {
-        LockingParams p;
-        p.numLocks = 8;
-        p.acquiresPerProc = 4;
-        return std::make_unique<LockingWorkload>(p);
-    };
+    SystemConfig cfg = SystemConfig::select(name);
+    cfg.workloadName = "locking";
+    cfg.workloadParams.keys = 8;
+    cfg.workloadParams.opsPerProc = 4;
+    return cfg;
 }
 
 } // namespace
@@ -128,18 +127,16 @@ TEST(ProtocolTable, FamiliesBuildTheirControllers)
     }
 }
 
-TEST(ExperimentRunner, ParallelBitIdenticalToSerial)
+TEST(Experiment, ParallelBitIdenticalToSerial)
 {
-    SystemConfig cfg = SystemConfig::select("dst1");
+    SystemConfig cfg = smallLocking("dst1");
     const unsigned kSeeds = 6;
 
     auto serial = Experiment::of(cfg)
-                      .workload(smallLockingFactory())
                       .seeds(kSeeds)
                       .parallelism(1)
                       .run();
     auto parallel = Experiment::of(cfg)
-                        .workload(smallLockingFactory())
                         .seeds(kSeeds)
                         .parallelism(4)
                         .run();
@@ -168,13 +165,12 @@ TEST(ExperimentRunner, ParallelBitIdenticalToSerial)
               parallel.intraBytes.samples());
 }
 
-TEST(ExperimentRunner, ProgressCallbackFiresOncePerSeed)
+TEST(Experiment, ProgressCallbackFiresOncePerSeed)
 {
-    SystemConfig cfg = SystemConfig::select("dst1");
+    SystemConfig cfg = smallLocking("dst1");
     std::set<std::uint64_t> seen;
     unsigned calls = 0, max_done = 0;
     auto e = Experiment::of(cfg)
-                 .workload(smallLockingFactory())
                  .seeds(5)
                  .parallelism(3)
                  .onSeedDone([&](const SeedProgress &p) {
@@ -194,12 +190,11 @@ TEST(ExperimentRunner, ProgressCallbackFiresOncePerSeed)
     EXPECT_EQ(*seen.rbegin(), 5u);
 }
 
-TEST(ExperimentRunner, FirstSeedOffsetsSeedValues)
+TEST(Experiment, FirstSeedOffsetsSeedValues)
 {
-    SystemConfig cfg = SystemConfig::select("directory");
+    SystemConfig cfg = smallLocking("directory");
     std::set<std::uint64_t> seen;
     auto e = Experiment::of(cfg)
-                 .workload(smallLockingFactory())
                  .seeds(2)
                  .firstSeed(7)
                  .onSeedDone([&](const SeedProgress &p) {
@@ -210,24 +205,18 @@ TEST(ExperimentRunner, FirstSeedOffsetsSeedValues)
     EXPECT_EQ(seen, (std::set<std::uint64_t>{7, 8}));
 }
 
-TEST(ExperimentRunner, TimingWheelMatchesReferenceHeap)
+TEST(Experiment, TimingWheelMatchesReferenceHeap)
 {
     // The timing-wheel kernel must be observationally identical to the
     // reference binary heap: same (tick, seq) execution order, so the
     // whole multi-seed experiment aggregates bit for bit.
-    SystemConfig wheel_cfg = SystemConfig::select("dst1");
+    SystemConfig wheel_cfg = smallLocking("dst1");
     wheel_cfg.scheduler = SchedulerKind::TimingWheel;
     SystemConfig heap_cfg = wheel_cfg;
     heap_cfg.scheduler = SchedulerKind::ReferenceHeap;
 
-    auto wheel = Experiment::of(wheel_cfg)
-                     .workload(smallLockingFactory())
-                     .seeds(3)
-                     .run();
-    auto heap = Experiment::of(heap_cfg)
-                    .workload(smallLockingFactory())
-                    .seeds(3)
-                    .run();
+    auto wheel = Experiment::of(wheel_cfg).seeds(3).run();
+    auto heap = Experiment::of(heap_cfg).seeds(3).run();
     ASSERT_TRUE(wheel.allCompleted);
     ASSERT_TRUE(heap.allCompleted);
     EXPECT_EQ(wheel.runtime.samples(), heap.runtime.samples());
@@ -243,11 +232,8 @@ TEST(ExperimentRunner, TimingWheelMatchesReferenceHeap)
 
 TEST(ExperimentResult, JsonExportIsWellFormed)
 {
-    SystemConfig cfg = SystemConfig::select("dst1");
-    auto e = Experiment::of(cfg)
-                 .workload(smallLockingFactory())
-                 .seeds(2)
-                 .run();
+    SystemConfig cfg = smallLocking("dst1");
+    auto e = Experiment::of(cfg).seeds(2).run();
     const std::string json = e.toJson("cell-label");
     EXPECT_NE(json.find("\"label\": \"cell-label\""),
               std::string::npos);
@@ -278,29 +264,24 @@ TEST(ExperimentResult, KnobOverridesDisambiguateProtocolLabels)
     // to produce colliding labels; the knob-override hash suffix
     // keeps them distinct (and default-knob labels unchanged, so
     // existing baselines still match).
-    SystemConfig cfg = SystemConfig::select("dst1");
-    auto plain = Experiment::of(cfg)
-                     .workload(smallLockingFactory())
-                     .run();
+    SystemConfig cfg = smallLocking("dst1");
+    auto plain = Experiment::of(cfg).run();
     EXPECT_EQ(plain.protocol, "TokenCMP-dst1");
     EXPECT_EQ(plain.knobHash, "");
 
     cfg.token.cmpPredEntries = 64;
-    auto tuned = Experiment::of(cfg)
-                     .workload(smallLockingFactory())
-                     .run();
+    auto tuned = Experiment::of(cfg).run();
     EXPECT_EQ(tuned.knobHash.size(), 8u);
     EXPECT_EQ(tuned.protocol, "TokenCMP-dst1@" + tuned.knobHash);
     EXPECT_NE(tuned.toJson().find("\"knobHash\": \"" + tuned.knobHash),
               std::string::npos);
 }
 
-TEST(ExperimentRunner, IncompleteSeedsAreReported)
+TEST(Experiment, IncompleteSeedsAreReported)
 {
-    SystemConfig cfg = SystemConfig::select("dst1");
+    SystemConfig cfg = smallLocking("dst1");
     // A horizon far too short for the workload to finish.
     auto e = Experiment::of(cfg)
-                 .workload(smallLockingFactory())
                  .seeds(2)
                  .horizon(ns(10))
                  .run();
@@ -314,17 +295,15 @@ TEST(ExperimentRunner, IncompleteSeedsAreReported)
               std::string::npos);
 }
 
-TEST(ExperimentRunner, IncompleteSeedsWarnUnderTheResultLabel)
+TEST(Experiment, IncompleteSeedsWarnUnderTheResultLabel)
 {
     // The warning names the label the result is reported under: a
     // named policy, and any knob override's hash.
-    SystemConfig cfg = SystemConfig::select("dst-group");
+    SystemConfig cfg = smallLocking("dst-group");
     cfg.token.cmpPredEntries = 64;
     ::testing::internal::CaptureStderr();
-    const ExperimentResult e = Experiment::of(cfg)
-                                   .workload(smallLockingFactory())
-                                   .horizon(ns(1))
-                                   .run();
+    const ExperimentResult e =
+        Experiment::of(cfg).horizon(ns(1)).run();
     const std::string err = ::testing::internal::GetCapturedStderr();
     EXPECT_FALSE(e.allCompleted);
     EXPECT_EQ(e.protocol, "TokenCMP-dst-group@" + e.knobHash);

@@ -100,16 +100,12 @@ TEST(PolicyRegistry, NamedPolicyRequiresTokenProtocol)
 
 TEST(PolicySweep, RunLabelsOneResultPerPolicy)
 {
-    SyntheticParams wl = smallWorkload();
     std::vector<ExperimentResult> results;
     for (const char *name : {"dst1", "dst-group"}) {
-        results.push_back(
-            Experiment::of(SystemConfig::select(name))
-                .workload([&wl]() -> std::unique_ptr<Workload> {
-                    return std::make_unique<SyntheticWorkload>(wl);
-                })
-                .seeds(2)
-                .run());
+        SystemConfig cfg = SystemConfig::select(name);
+        cfg.workloadName = "synthetic-oltp";
+        cfg.workloadParams.opsPerProc = smallWorkload().opsPerProc;
+        results.push_back(Experiment::of(cfg).seeds(2).run());
     }
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].protocol, "TokenCMP-dst1");

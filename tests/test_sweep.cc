@@ -190,15 +190,15 @@ TEST(ParamGrid, GoldenFingerprintAndCellHashes)
     // platforms, compilers and refactors. Any change here is a
     // breaking change for existing journals — bump deliberately.
     ParamGrid g = ParamGrid::fromJsonText(kTinyGrid, "tiny-test");
-    EXPECT_EQ(g.fingerprint(), "e735c52f1c4e3cdd");
+    EXPECT_EQ(g.fingerprint(), "25c0192397eb389d");
     ASSERT_EQ(g.cells().size(), 4u);
-    EXPECT_EQ(g.cells()[0].hash, "167dd31ef55b8e36");
+    EXPECT_EQ(g.cells()[0].hash, "8f71a33aff31a8ec");
     EXPECT_EQ(g.cells()[0].label, "dst1/oltp/serial/default/s1");
-    EXPECT_EQ(g.cells()[1].hash, "589051f8f52982a3");
-    EXPECT_EQ(g.cells()[2].hash, "7db9f3eb677d6cdd");
-    EXPECT_EQ(g.cells()[3].hash, "04f7a18ae7d99ecc");
+    EXPECT_EQ(g.cells()[1].hash, "9b6dd4ff5782b7b7");
+    EXPECT_EQ(g.cells()[2].hash, "e9a65479969c5277");
+    EXPECT_EQ(g.cells()[3].hash, "0ae9768ae5963668");
 
-    EXPECT_EQ(g.cellByHash("167dd31ef55b8e36"), &g.cells()[0]);
+    EXPECT_EQ(g.cellByHash("8f71a33aff31a8ec"), &g.cells()[0]);
     EXPECT_EQ(g.cellByHash("0000000000000000"), nullptr);
 }
 
@@ -264,7 +264,7 @@ TEST(ParamGrid, ConfigForAppliesAxes)
 {
     ParamGrid g = ParamGrid::fromJsonText(kTinyGrid, "cfg-test");
     const SweepCell *smallpred =
-        g.cellByHash("589051f8f52982a3");  // dst1 x smallpred
+        g.cellByHash("9b6dd4ff5782b7b7");  // dst1 x smallpred
     ASSERT_NE(smallpred, nullptr);
     SystemConfig cfg = g.configFor(*smallpred);
     EXPECT_EQ(cfg.protocol, Protocol::TokenDst1);
@@ -276,7 +276,7 @@ TEST(ParamGrid, ConfigForAppliesAxes)
     EXPECT_EQ(cfg.workloadParams.opsPerProc, 60u);
 
     const SweepCell *dir =
-        g.cellByHash("7db9f3eb677d6cdd");  // directory x default
+        g.cellByHash("e9a65479969c5277");  // directory x default
     ASSERT_NE(dir, nullptr);
     EXPECT_EQ(g.configFor(*dir).protocol, Protocol::DirectoryCMP);
 
@@ -446,6 +446,25 @@ TEST(ParamGridDeathTest, WorkloadKnobIntegersAreChecked)
                      gridWith(R"("workloadKnobs": {"opsPerProc": 20.7})"),
                      "t"),
                  "workloadKnobs: \"opsPerProc\" must be an integer in");
+    // A key count of 2^32 used to wrap to 0 through the workloads'
+    // unsigned cast, so a locking cell aborted the sweep mid-run.
+    EXPECT_DEATH(
+        ParamGrid::fromJsonText(
+            R"({"name": "t", "policies": ["dst1"],
+                "workloads": ["locking"],
+                "workloadKnobs": {"keys": 4294967296}})",
+            "t"),
+        "workloadKnobs: \"keys\" must be an integer in \\[0, "
+        "4294967295\\]");
+    // A barrier work time jittered below zero wraps; it dies at load.
+    EXPECT_DEATH(ParamGrid::fromJsonText(
+                     R"({"name": "t", "policies": ["dst1"],
+                         "workloads": ["barrier"],
+                         "workloadKnobs": {"thinkMeanNs": 1000,
+                                           "thinkJitterNs": 1001}})",
+                     "t"),
+                 "workload 'barrier': thinkJitter 1001 ns exceeds "
+                 "thinkMean 1000 ns");
 }
 
 // ---- SweepDriver ----------------------------------------------------
@@ -584,9 +603,9 @@ TEST(SweepDriver, OverriddenCellsGetDistinctProtocolLabels)
     // must produce distinct result labels (protocol "@<hash>").
     ParamGrid grid = ParamGrid::fromJsonText(kTinyGrid, "labels");
     const std::string def = SweepDriver::runCellJson(
-        grid, *grid.cellByHash("167dd31ef55b8e36"));
+        grid, *grid.cellByHash("8f71a33aff31a8ec"));
     const std::string ovr = SweepDriver::runCellJson(
-        grid, *grid.cellByHash("589051f8f52982a3"));
+        grid, *grid.cellByHash("9b6dd4ff5782b7b7"));
 
     std::string err;
     minijson::Value dj = minijson::parse(def, &err);

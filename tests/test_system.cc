@@ -229,16 +229,10 @@ TEST(System, SeedsPerturbButReproduce)
 TEST(System, ExperimentComputesErrorBars)
 {
     SystemConfig cfg = SystemConfig::select("directory");
-    LockingParams p;
-    p.numLocks = 16;
-    p.acquiresPerProc = 5;
-    ExperimentResult e =
-        Experiment::of(cfg)
-            .workload([&]() -> std::unique_ptr<Workload> {
-                return std::make_unique<LockingWorkload>(p);
-            })
-            .seeds(4)
-            .run();
+    cfg.workloadName = "locking";
+    cfg.workloadParams.keys = 16;
+    cfg.workloadParams.opsPerProc = 5;
+    ExperimentResult e = Experiment::of(cfg).seeds(4).run();
     ASSERT_TRUE(e.allCompleted);
     EXPECT_EQ(e.runtime.count(), 4u);
     EXPECT_GT(e.runtime.mean(), 0.0);

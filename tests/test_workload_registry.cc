@@ -4,9 +4,10 @@
  * registration, unknown-name diagnostics), fixed-seed equivalence of
  * the three ported workloads' direct constructors with their
  * registry-named counterparts, knob and policy-knob validation,
- * Zipfian distribution sanity, the warm-up measurement exclusion, the
- * Experiment workloads() sweep axis, and a determinism sweep of every
- * new generator across shard maps x worker counts.
+ * Zipfian distribution sanity, the warm-up measurement exclusion,
+ * registry-named experiments (the paper's presets among them), and a
+ * determinism sweep of every new generator across shard maps x
+ * worker counts.
  */
 
 #include <gtest/gtest.h>
@@ -118,7 +119,9 @@ TEST(WorkloadRegistry, KnowsPortedAndProductionWorkloads)
 {
     // Exactly these, in name order.
     const std::vector<std::string> expect = {
-        "barrier", "locking", "oltp", "prodcons", "synthetic"};
+        "barrier",       "locking",        "oltp",
+        "prodcons",      "synthetic",      "synthetic-apache",
+        "synthetic-jbb", "synthetic-oltp"};
     EXPECT_EQ(WorkloadRegistry::instance().names(), expect);
     EXPECT_TRUE(WorkloadRegistry::instance().known("oltp"));
     EXPECT_FALSE(WorkloadRegistry::instance().known("no-such-wl"));
@@ -142,17 +145,24 @@ TEST(WorkloadRegistry, UnknownNameListsRegisteredWorkloads)
     // The diagnostic must name the typo and list what *is* registered.
     EXPECT_DEATH(WorkloadRegistry::instance().create("no-such-wl", {}),
                  "no-such-wl.*barrier.*locking.*oltp.*prodcons.*"
-                 "synthetic");
+                 "synthetic.*synthetic-apache.*synthetic-jbb.*"
+                 "synthetic-oltp");
 }
 
 TEST(WorkloadRegistry, CreateYieldsTheNamedWorkload)
 {
+    // The paper's presets keep their Figure 6/7 labels.
+    const std::map<std::string, std::string> labels = {
+        {"synthetic-oltp", "OLTP"},
+        {"synthetic-apache", "Apache"},
+        {"synthetic-jbb", "SpecJBB"}};
     for (const std::string &n :
          WorkloadRegistry::instance().names()) {
         std::unique_ptr<Workload> wl =
             WorkloadRegistry::instance().create(n, smallKnobs(n));
         ASSERT_NE(wl, nullptr) << n;
-        EXPECT_EQ(wl->name(), n);
+        auto it = labels.find(n);
+        EXPECT_EQ(wl->name(), it == labels.end() ? n : it->second);
     }
 }
 
@@ -171,6 +181,18 @@ TEST(WorkloadParamsValidation, RejectsBadKnobs)
     writey.writeFrac = 1.5;
     EXPECT_DEATH(WorkloadRegistry::instance().create("oltp", writey),
                  "out of range");
+
+    // A jitter wider than the work time would wrap below zero; one
+    // on the workload's default work time is rejected too.
+    WorkloadParams wide;
+    wide.thinkMean = ns(100);
+    wide.thinkJitter = ns(101);
+    EXPECT_DEATH(WorkloadRegistry::instance().create("barrier", wide),
+                 "thinkJitter 101 ns exceeds thinkMean 100 ns");
+    WorkloadParams unset;
+    unset.thinkJitter = ns(1);
+    EXPECT_DEATH(WorkloadRegistry::instance().create("barrier", unset),
+                 "thinkJitter 1 ns exceeds thinkMean 0 ns");
 }
 
 TEST(WorkloadParamsValidation, ValidateChecksNamedWorkload)
@@ -264,6 +286,19 @@ TEST(WorkloadEquivalence, KnobsReachThePortedWorkload)
     LockingWorkload direct(lp);
     expectSameRun(runWorkload(direct, cfg),
                   runNamed("locking", wp, cfg), "locking knobs");
+
+    // Table 4's jittered barrier.
+    WorkloadParams jittered;
+    jittered.opsPerProc = 6;
+    jittered.thinkMean = ns(300);
+    jittered.thinkJitter = ns(100);
+    BarrierParams bp;
+    bp.phases = 6;
+    bp.workTime = ns(300);
+    bp.workJitter = ns(100);
+    BarrierWorkload barrier(bp);
+    expectSameRun(runWorkload(barrier, cfg),
+                  runNamed("barrier", jittered, cfg), "barrier jitter");
 }
 
 // ---------------------------------------------------------------------
@@ -537,31 +572,38 @@ TEST(WorkloadSweep, RunNeedsAWorkloadThatExists)
     EXPECT_DEATH(Experiment::of(nothing).run(), "no workload");
 }
 
-TEST(WorkloadSweep, NamedRunMatchesExplicitFactory)
+TEST(WorkloadSweep, PresetNamesMatchTheirParams)
 {
-    // The registry-backed default factory is the same execution as an
-    // explicit workload() factory over the same knobs.
-    SystemConfig named_cfg = tokenConfig();
-    named_cfg.workloadName = "oltp";
-    named_cfg.workloadParams = smallKnobs("oltp");
-    const ExperimentResult named =
-        Experiment::of(named_cfg).seeds(2).run();
-
-    SystemConfig plain = tokenConfig();
-    const ExperimentResult via_factory =
-        Experiment::of(plain)
-            .seeds(2)
-            .workload([]() {
-                return WorkloadRegistry::instance().create(
-                    "oltp", smallKnobs("oltp"));
-            })
-            .run();
-
-    ASSERT_TRUE(named.allCompleted);
-    ASSERT_TRUE(via_factory.allCompleted);
-    EXPECT_EQ(named.runtime.samples(), via_factory.runtime.samples());
-    EXPECT_EQ(named.stats.at("net.messages").samples(),
-              via_factory.stats.at("net.messages").samples());
+    // Figures 6 and 7 run the presets by name: the same execution as
+    // System::run on the SyntheticParams preset, seed for seed.
+    const std::vector<std::pair<std::string, SyntheticParams>> presets =
+        {{"synthetic-oltp", oltpParams()},
+         {"synthetic-apache", apacheParams()},
+         {"synthetic-jbb", jbbParams()}};
+    for (const auto &[name, params] : presets) {
+        SystemConfig cfg = tokenConfig();
+        cfg.workloadName = name;
+        const ExperimentResult named =
+            Experiment::of(cfg).seeds(2).parallelism(2).run();
+        ASSERT_TRUE(named.allCompleted) << name;
+        EXPECT_EQ(named.workload, params.label);
+        ASSERT_EQ(named.perSeed.size(), 2u) << name;
+        for (unsigned seed = 1; seed <= 2; ++seed) {
+            cfg.seed = seed;
+            SyntheticWorkload direct(params);
+            System sys(cfg);
+            const System::RunResult r = sys.run(direct);
+            const System::RunResult &n = named.perSeed[seed - 1];
+            const std::string what = name + " seed " +
+                                     std::to_string(seed);
+            EXPECT_EQ(n.runtime, r.runtime) << what;
+            for (const char *stat :
+                 {"net.messages", "token.persistentIssued"}) {
+                EXPECT_EQ(n.stats.get(stat), r.stats.get(stat))
+                    << what << " " << stat;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -115,16 +115,10 @@ TEST(WorkloadChecks, LockingCheckerDetectsViolations)
 TEST(WorkloadChecks, SeedsPerturbRuntimes)
 {
     SystemConfig c = SystemConfig::select("dst1");
-    LockingParams p;
-    p.numLocks = 8;
-    p.acquiresPerProc = 6;
-    ExperimentResult e =
-        Experiment::of(c)
-            .workload([&]() -> std::unique_ptr<Workload> {
-                return std::make_unique<LockingWorkload>(p);
-            })
-            .seeds(3)
-            .run();
+    c.workloadName = "locking";
+    c.workloadParams.keys = 8;
+    c.workloadParams.opsPerProc = 6;
+    ExperimentResult e = Experiment::of(c).seeds(3).run();
     ASSERT_TRUE(e.allCompleted);
     EXPECT_EQ(e.violations, 0u);
     EXPECT_EQ(e.runtime.count(), 3u);
