@@ -24,7 +24,10 @@ PerformancePolicy::broadcastSet(Addr addr, DestKind kind,
     switch (kind) {
       case DestKind::L1Transient:
         // Every peer L1 on the chip, then the responsible L2 bank.
-        localL1Targets(env.topo, env.self.cmp, env.self, out);
+        if (env.peers.empty())
+            panic("%s: an L1 transient needs the chip's peer list",
+                  env.self.toString().c_str());
+        out.insert(out.end(), env.peers.begin(), env.peers.end());
         out.push_back(env.topo.l2BankFor(env.self.cmp, addr));
         return;
       case DestKind::L2Escalate:

@@ -35,6 +35,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,9 @@ struct PolicyEnv
     Topology topo{};
     const TokenParams *params = nullptr;   //!< substrate knobs; required
     SimContext *ctx = nullptr;             //!< clock / rng / network
+    /** At an L1: the chip's other L1s, built once per chip by the
+     *  token globals (the default L1 transient's peer list). */
+    std::span<const MachineID> peers;
 };
 
 /**

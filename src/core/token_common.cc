@@ -4,6 +4,24 @@
 
 namespace tokencmp {
 
+TokenGlobals::TokenGlobals(const TokenParams &p, const MachineParams &m,
+                           std::string policy_name, const Topology &topo)
+    : params(p), machine(m), auditor(p.totalTokens), topo(topo),
+      policyName(std::move(policy_name)), _chips(topo.numCmps)
+{
+    // The fan-out lists every L1 transient and every relay reuses,
+    // built once per chip rather than per fan-out or per controller.
+    for (unsigned c = 0; c < topo.numCmps; ++c) {
+        ChipTokenState &chip = _chips[c];
+        localL1Targets(topo, c, topo.mem(c), chip.l1s);  // excludes none
+        // In slot order: L1D 0..P-1, then L1I 0..P-1 (l1SlotOf).
+        for (unsigned p = 0; p < topo.procsPerCmp; ++p)
+            localL1Targets(topo, c, topo.l1d(c, p), chip.peers);
+        for (unsigned p = 0; p < topo.procsPerCmp; ++p)
+            localL1Targets(topo, c, topo.l1i(c, p), chip.peers);
+    }
+}
+
 std::unique_ptr<PerformancePolicy>
 TokenGlobals::makePolicy(SimContext &ctx, const MachineID &self) const
 {
@@ -12,7 +30,31 @@ TokenGlobals::makePolicy(SimContext &ctx, const MachineID &self) const
     env.topo = ctx.topo;
     env.params = &params;
     env.ctx = &ctx;
+    if (self.type == MachineType::L1D || self.type == MachineType::L1I) {
+        const ChipTokenState &chip = _chips[self.cmp];
+        const std::size_t n = chip.l1s.size() - 1;
+        env.peers = std::span<const MachineID>(chip.peers).subspan(
+            l1SlotOf(topo, self) * n, n);
+    }
     return PolicyRegistry::instance().create(policyName, env);
+}
+
+std::uint64_t
+TokenGlobals::parkMask(unsigned cmp, Addr addr,
+                       const std::vector<MachineID> &dsts) const
+{
+    if (dsts.size() > 64)
+        return 0;
+    const std::uint32_t held = holderMask(cmp, addr);
+    std::uint64_t mask = 0;
+    for (std::size_t i = 0; i < dsts.size(); ++i) {
+        const MachineID &d = dsts[i];
+        const bool l1 = d.type == MachineType::L1D ||
+                        d.type == MachineType::L1I;
+        if (l1 && d.cmp == cmp && !((held >> l1SlotOf(topo, d)) & 1))
+            mask |= std::uint64_t(1) << i;
+    }
+    return mask;
 }
 
 void

@@ -26,23 +26,41 @@
 #include "core/token_auditor.hh"
 #include "core/token_config.hh"
 #include "core/token_state.hh"
+#include "mem/block_table.hh"
 #include "net/controller.hh"
 #include "sim/logging.hh"
 
 namespace tokencmp {
 
+/**
+ * One CMP's share of the token globals, on cache lines of its own:
+ * only that CMP's controllers (one shard domain) ever touch it.
+ */
+struct alignas(64) ChipTokenState
+{
+    /** Per block: bit l1SlotOf(l1) is set exactly while that L1's line
+     *  for the block holds at least one token. Blocks no L1 holds
+     *  tokens for have no entry; 32-bit keys keep a slot at 8 B. */
+    BlockTable<std::uint32_t, std::uint32_t> holders;
+
+    /** The chip's L1s in relay order (per processor: D, then I). */
+    std::vector<MachineID> l1s;
+
+    /** Per L1 slot s, at [s * (n-1), (s+1) * (n-1)) for n L1s: every
+     *  other L1 of the chip, in relay order. */
+    std::vector<MachineID> peers;
+};
+
 /** State shared by every controller of one token-coherent system. */
 struct TokenGlobals
 {
     TokenGlobals(const TokenParams &p, const MachineParams &m,
-                 std::string policy_name)
-        : params(p), machine(m), auditor(p.totalTokens),
-          policyName(std::move(policy_name))
-    {}
+                 std::string policy_name, const Topology &topo);
 
     TokenParams params;
     MachineParams machine;
     TokenAuditor auditor;
+    Topology topo;
 
     /** PolicyRegistry name of the system's performance policy. */
     std::string policyName;
@@ -88,8 +106,63 @@ struct TokenGlobals
         return ++_prSeq[proc];
     }
 
+    /** CMP `cmp`'s L1s in relay order. */
+    const std::vector<MachineID> &
+    chipL1s(unsigned cmp) const
+    {
+        return _chips[cmp].l1s;
+    }
+
+    /** Holder bits of `addr`'s block on CMP `cmp` (0: no L1 holds a
+     *  token for it). */
+    std::uint32_t
+    holderMask(unsigned cmp, Addr addr) const
+    {
+        const std::uint32_t *bits = _chips[cmp].holders.find(addr);
+        return bits != nullptr ? *bits : 0;
+    }
+
+    /** L1 `l1`'s line for `addr` now holds tokens. */
+    void
+    setHolder(const MachineID &l1, Addr addr)
+    {
+        _chips[l1.cmp].holders.get(addr) |= 1u << l1SlotOf(topo, l1);
+    }
+
+    /** L1 `l1` no longer holds tokens for `addr` (or its line left). */
+    void
+    clearHolder(const MachineID &l1, Addr addr)
+    {
+        auto &h = _chips[l1.cmp].holders;
+        std::uint32_t *bits = h.find(addr);
+        if (bits == nullptr)
+            return;
+        *bits &= ~(1u << l1SlotOf(topo, l1));
+        if (*bits == 0)
+            h.erase(addr);
+    }
+
+    /** Call `fn(block, bits)` for every block some L1 of `cmp` holds
+     *  tokens for (audits only: the order is the table's). */
+    template <typename Fn>
+    void
+    forEachHolder(unsigned cmp, Fn &&fn) const
+    {
+        _chips[cmp].holders.forEach(std::forward<Fn>(fn));
+    }
+
+    /**
+     * Park mask for a transient request for `addr` fanned out from
+     * CMP `cmp` to `dsts`: bit i is set when dsts[i] is an L1 of `cmp`
+     * holding no tokens for the block, so delivered it would change
+     * nothing (TokenL1::onTransientReq's first return). One lookup.
+     */
+    std::uint64_t parkMask(unsigned cmp, Addr addr,
+                           const std::vector<MachineID> &dsts) const;
+
   private:
     std::vector<MsgSeq> _prSeq;
+    std::vector<ChipTokenState> _chips;  //!< by CMP
 };
 
 /** Append every local L1 cache of `cmp` except `exclude` to `out`. */

@@ -1,6 +1,8 @@
 #include "core/token_l1.hh"
 
 #include <algorithm>
+#include <bit>
+#include <map>
 
 #include "sim/logging.hh"
 
@@ -31,6 +33,61 @@ TokenL1::peek(Addr addr) const
 {
     const auto *line = _array.probe(addr);
     return line ? &line->st : nullptr;
+}
+
+void
+TokenL1::auditHolders(const std::vector<const TokenL1 *> &l1s)
+{
+    std::map<unsigned, std::vector<const TokenL1 *>> by_cmp;
+    for (const TokenL1 *l1 : l1s)
+        by_cmp[l1->_id.cmp].push_back(l1);
+    for (const auto &[cmp, chip] : by_cmp) {
+        const TokenGlobals &g = chip.front()->g;
+        std::vector<const TokenL1 *> by_slot(2 * g.topo.procsPerCmp,
+                                             nullptr);
+        for (const TokenL1 *l1 : chip)
+            by_slot[l1SlotOf(g.topo, l1->_id)] = l1;
+
+        // Every set bit names a line that holds tokens...
+        std::vector<std::size_t> bits(by_slot.size(), 0);
+        g.forEachHolder(cmp, [&](Addr addr, std::uint32_t word) {
+            for (; word != 0; word &= word - 1) {
+                const unsigned slot = unsigned(std::countr_zero(word));
+                const TokenL1 *l1 =
+                    slot < by_slot.size() ? by_slot[slot] : nullptr;
+                const Line *line =
+                    l1 != nullptr ? l1->_array.probe(addr) : nullptr;
+                if (line == nullptr || line->st.tokens == 0)
+                    panic("holder bit of block 0x%llx at %s is set, but "
+                          "%s", static_cast<unsigned long long>(addr),
+                          l1 != nullptr ? l1->_id.toString().c_str()
+                                        : "an unknown L1 slot",
+                          line == nullptr ? "the L1 has no line for it"
+                                          : "its line holds 0 tokens");
+                ++bits[slot];
+            }
+        });
+
+        // ...and each L1 holds tokens in as many lines as it has bits,
+        // so no line that holds tokens lacks its bit.
+        for (const TokenL1 *l1 : chip) {
+            const unsigned slot = l1SlotOf(g.topo, l1->_id);
+            std::size_t held = 0;
+            l1->_array.forEachValid([&](Addr, const Line &line) {
+                held += line.st.tokens > 0 ? 1 : 0;
+            });
+            if (held == bits[slot])
+                continue;
+            l1->_array.forEachValid([&](Addr addr, const Line &line) {
+                if (line.st.tokens > 0 &&
+                    ((g.holderMask(cmp, addr) >> slot) & 1) == 0)
+                    panic("holder bit of block 0x%llx at %s is clear, "
+                          "but its line holds %d tokens",
+                          static_cast<unsigned long long>(addr),
+                          l1->_id.toString().c_str(), line.st.tokens);
+            });
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -139,6 +196,7 @@ TokenL1::evictLine(Line *line)
         ++stats.writebacks;
         evictTokens(st, addr, ctx.topo.l2BankFor(_id.cmp, addr),
                     g.machine.l1Latency);
+        g.clearHolder(_id, addr);
     }
     _array.invalidate(line);
 }
@@ -160,7 +218,8 @@ TokenL1::issueTransient(Addr addr, Txn &txn)
     _destScratch.clear();
     _policy->destinationSet(addr, DestKind::L1Transient, txn.isWrite,
                             txn.attempts, _destScratch);
-    multicast(m, _destScratch, g.machine.l1Latency);
+    multicast(m, _destScratch, g.machine.l1Latency,
+              g.parkMask(_id.cmp, addr, _destScratch));
 }
 
 Tick
@@ -419,8 +478,10 @@ TokenL1::onResponse(const Msg &m)
 
     const bool had_tokens = line->st.tokens > 0;
     absorbTokens(line->st, m);
-    if (!had_tokens && line->st.tokens > 0)
+    if (!had_tokens && line->st.tokens > 0) {
+        g.setHolder(_id, addr);
         ctx.net->wake(_id, addr);
+    }
     _array.touch(line);
     if (m.src.type == MachineType::Mem) {
         if (const Txn *txn = _txns.find(addr))
@@ -457,6 +518,7 @@ TokenL1::onTransientReq(const Msg &m)
         // Give everything; only the owner attaches data.
         giveTokens(st, MsgType::TokResponse, m.addr, m.requestor,
                    st.tokens, st.owner, st.owner, lat);
+        g.clearHolder(_id, m.addr);
         _array.invalidate(line);
         return;
     }
@@ -469,6 +531,7 @@ TokenL1::onTransientReq(const Msg &m)
         ++stats.migratorySends;
         giveTokens(st, MsgType::TokResponse, m.addr, m.requestor,
                    st.tokens, true, true, lat);
+        g.clearHolder(_id, m.addr);
         _array.invalidate(line);
         return;
     }
@@ -489,8 +552,10 @@ TokenL1::onTransientReq(const Msg &m)
     const int k = std::min(g.params.cTokens, st.tokens);
     giveTokens(st, MsgType::TokResponse, m.addr, m.requestor, k,
                k == st.tokens, true, lat);
-    if (st.tokens == 0)
+    if (st.tokens == 0) {
+        g.clearHolder(_id, m.addr);
         _array.invalidate(line);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -545,6 +610,7 @@ TokenL1::forwardPersistentTokens(Addr addr)
     if (!givePersistent(st, addr, *entry, true, g.machine.l1Latency))
         return;
     if (st.tokens == 0) {
+        g.clearHolder(_id, addr);
         st.locallyModified = false;
         if (!_txns.find(addr))
             _array.invalidate(line);

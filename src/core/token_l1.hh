@@ -56,23 +56,6 @@ class TokenL1 : public TokenController, public L1CacheIF
     // Controller
     void handleMsg(const Msg &msg) override;
 
-    /**
-     * A transient request to a block this L1 holds no tokens for: the
-     * first return of onTransientReq. A line gains tokens only in
-     * onResponse, which wakes the block's parked requests.
-     */
-    bool
-    ignores(const Msg &msg) const override
-    {
-        if (msg.type != MsgType::TokReadReq &&
-            msg.type != MsgType::TokWriteReq)
-            return false;
-        if (_array.numValid() == 0)
-            return true;
-        const Line *line = _array.probe(msg.addr);
-        return line == nullptr || line->st.tokens == 0;
-    }
-
     Stats stats;
 
     /** Outstanding-miss count (0 or 1 per processor in practice). */
@@ -80,6 +63,15 @@ class TokenL1 : public TokenController, public L1CacheIF
 
     /** Direct line inspection for tests. */
     const TokenSt *peek(Addr addr) const;
+
+    /**
+     * Panic, naming the L1 and the block, where a CMP's holder mask
+     * disagrees with its L1s' lines: bit l1SlotOf(l1) must be set
+     * exactly for the blocks whose line in `l1` holds at least one
+     * token. `l1s` holds every L1 of one or more whole CMPs; the L1s
+     * of one CMP share one TokenGlobals.
+     */
+    static void auditHolders(const std::vector<const TokenL1 *> &l1s);
 
   protected:
     void onPersistentTableChange(Addr addr) override;

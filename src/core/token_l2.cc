@@ -160,19 +160,22 @@ TokenL2::onLocalRequest(const Msg &m)
 void
 TokenL2::relayToL1s(const Msg &m)
 {
+    const std::vector<MachineID> &l1s = g.chipL1s(_id.cmp);
     const std::uint32_t mask = _policy->filterExternal(m.addr);
-    _destScratch.clear();
-    for (unsigned p = 0; p < ctx.topo.procsPerCmp; ++p) {
-        for (MachineID id :
-             {ctx.topo.l1d(_id.cmp, p), ctx.topo.l1i(_id.cmp, p)}) {
+    const std::vector<MachineID> *dsts = &l1s;
+    if (mask != ~0u) {
+        _destScratch.clear();
+        for (const MachineID &id : l1s) {
             if (mask & (1u << l1SlotOf(ctx.topo, id)))
                 _destScratch.push_back(id);
             else
                 ++stats.filteredRelays;
         }
+        dsts = &_destScratch;
     }
-    stats.relaysToL1 += _destScratch.size();
-    multicast(m, _destScratch, g.machine.l2Latency);
+    stats.relaysToL1 += dsts->size();
+    multicast(m, *dsts, g.machine.l2Latency,
+              g.parkMask(_id.cmp, m.addr, *dsts));
 }
 
 void

@@ -42,6 +42,8 @@ HierL1::onRecall(const Msg &m)
         ++hierStats.recallsDown;
         giveTokens(st, MsgType::TokResponse, addr, m.requestor, 1, true,
                    true, lat);
+        if (st.tokens == 0)
+            g.clearHolder(_id, addr);
         st.locallyModified = false;
         if (st.tokens == 0 && !_txns.find(addr))
             _array.invalidate(line);
@@ -63,6 +65,7 @@ HierL1::onRecall(const Msg &m)
     ++hierStats.recallsFull;
     giveTokens(st, MsgType::TokResponse, addr, m.requestor, st.tokens,
                st.owner, st.owner, lat);
+    g.clearHolder(_id, addr);
     st = TokenSt{};
     if (!_txns.find(addr))
         _array.invalidate(line);

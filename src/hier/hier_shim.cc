@@ -502,9 +502,7 @@ HierShim::broadcastRecall(Addr addr, Recall kind)
 {
     Msg inv = dirMsg(MsgType::Inv, addr, MachineID{}, _id);
     inv.isRead = (kind == Recall::Down);
-    _destScratch.clear();
-    localL1Targets(ctx.topo, _id.cmp, _id, _destScratch);
-    multicast(inv, _destScratch, g.machine.l2Latency);
+    multicast(inv, g.chipL1s(_id.cmp), g.machine.l2Latency);
 }
 
 void

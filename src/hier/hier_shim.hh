@@ -188,7 +188,6 @@ class HierShim : public TokenController
     BlockTable<Blk> _blocks;
     BlockTable<PendingWb> _wb;  //!< chip writebacks awaiting WbGrant
     PersistentArbiter _arbiter;
-    std::vector<MachineID> _destScratch;  //!< recall fan-out scratch
 
     std::deque<Addr> _lru;     //!< FIFO residency queue (lazy entries)
     unsigned _resident = 0;

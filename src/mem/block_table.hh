@@ -34,6 +34,10 @@
  *    function of the hash and the insert/erase history, so use it only
  *    where the order cannot reach a simulated result (audits, dumps).
  *
+ * The key type defaults to Addr. A table whose blocks all lie below
+ * 2^32 - 2 may store them as std::uint32_t, halving a small payload's
+ * slot (a larger block number panics).
+ *
  * tests/test_block_table.cc drives it in lock-step with
  * std::unordered_map.
  */
@@ -47,12 +51,13 @@
 #include <utility>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace tokencmp {
 
 /** Open-addressing map from cache block to an inline `Payload`. */
-template <typename Payload>
+template <typename Payload, typename Key = Addr>
 class BlockTable
 {
   public:
@@ -60,9 +65,9 @@ class BlockTable
     const Payload *
     find(Addr addr) const
     {
-        if (_live == 0)
+        if (_live == 0 || !fits(addr))
             return nullptr;
-        const Addr blk = blockNumber(addr);
+        const Key blk = key(addr);
         const Slot &s = _slots[probe(blk)];
         return s.key == blk ? &s.value : nullptr;
     }
@@ -81,7 +86,10 @@ class BlockTable
     Payload &
     get(Addr addr, bool *inserted = nullptr)
     {
-        const Addr blk = blockNumber(addr);
+        if (!fits(addr))
+            panic("BlockTable: block 0x%llx needs a wider key",
+                  static_cast<unsigned long long>(addr));
+        const Key blk = key(addr);
         std::size_t i = 0;
         if (!_slots.empty()) {
             i = probe(blk);
@@ -111,9 +119,9 @@ class BlockTable
     bool
     erase(Addr addr)
     {
-        if (_live == 0)
+        if (_live == 0 || !fits(addr))
             return false;
-        const Addr blk = blockNumber(addr);
+        const Key blk = key(addr);
         const std::size_t i = probe(blk);
         Slot &s = _slots[i];
         if (s.key != blk)
@@ -142,27 +150,42 @@ class BlockTable
     {
         for (const Slot &s : _slots) {
             if (s.key != emptyKey && s.key != tombKey)
-                fn(s.key << blockOffsetBits, s.value);
+                fn(Addr(s.key) << blockOffsetBits, s.value);
         }
     }
 
   private:
-    /** Block numbers are < 2^58, so these never collide with a key. */
-    static constexpr Addr emptyKey = ~Addr(0);
-    static constexpr Addr tombKey = ~Addr(0) - 1;
+    /** Block numbers are < 2^58 (and a narrow Key admits only those
+     *  fits() accepts), so these never collide with a key. */
+    static constexpr Key emptyKey = ~Key(0);
+    static constexpr Key tombKey = ~Key(0) - 1;
     static constexpr std::size_t minCapacity = 16;
     static constexpr std::uint64_t fibonacci = 0x9E3779B97F4A7C15ull;
 
     struct Slot
     {
-        Addr key = emptyKey;
+        Key key = emptyKey;
         Payload value{};
     };
 
-    std::size_t
-    home(Addr blk) const
+    /** True if `addr`'s block number is representable as a Key. */
+    static bool
+    fits(Addr addr)
     {
-        return static_cast<std::size_t>((blk * fibonacci) >> _shift);
+        return sizeof(Key) == sizeof(Addr) || blockNumber(addr) < tombKey;
+    }
+
+    /** `addr`'s block number as a key (see fits()). */
+    static Key
+    key(Addr addr)
+    {
+        return static_cast<Key>(blockNumber(addr));
+    }
+
+    std::size_t
+    home(Key blk) const
+    {
+        return static_cast<std::size_t>((Addr(blk) * fibonacci) >> _shift);
     }
 
     /**
@@ -171,12 +194,12 @@ class BlockTable
      * because at most half of them are used.
      */
     std::size_t
-    probe(Addr blk) const
+    probe(Key blk) const
     {
         const std::size_t mask = _slots.size() - 1;
         std::size_t tomb = _slots.size();
         for (std::size_t i = home(blk);; i = (i + 1) & mask) {
-            const Addr k = _slots[i].key;
+            const Key k = _slots[i].key;
             if (k == blk)
                 return i;
             if (k == emptyKey)

@@ -192,15 +192,15 @@ class CacheArray
         line->st = StateT{};
     }
 
-    /** Apply `fn(line)` to every valid line, in the order the sets
-     *  were first used. */
+    /** Apply `fn(blockAddr, line)` to every valid line, in the order
+     *  the sets were first used. */
     template <typename Fn>
     void
-    forEachValid(Fn fn)
+    forEachValid(Fn fn) const
     {
         for (std::size_t i = 0; i < _lines.size(); ++i) {
             if (_tags[i] != 0)
-                fn(_lines[i]);
+                fn(_tags[i] & ~Addr(1), _lines[i]);
         }
     }
 

@@ -46,14 +46,6 @@ class Controller
     /** Deliver one message (called by the network at arrival time). */
     virtual void handleMsg(const Msg &msg) = 0;
 
-    /**
-     * True if handleMsg(msg), run now, would change no state and send
-     * nothing, and only a Network::wake() for the block can change
-     * that. Network::multicast parks such copies instead of
-     * scheduling them. Must read only this controller's own state.
-     */
-    virtual bool ignores(const Msg &) const { return false; }
-
     const MachineID &id() const { return _id; }
 
   protected:
@@ -65,12 +57,14 @@ class Controller
         ctx.net->send(msg, delay);
     }
 
-    /** Send one copy of `msg` to each of `dsts` (Network::multicast). */
+    /** Send one copy of `msg` to each of `dsts`, parking copy i when
+     *  bit i of `park_mask` is set (Network::multicast). */
     void
-    multicast(Msg msg, const std::vector<MachineID> &dsts, Tick delay = 0)
+    multicast(Msg msg, const std::vector<MachineID> &dsts, Tick delay = 0,
+              std::uint64_t park_mask = 0)
     {
         msg.src = _id;
-        ctx.net->multicast(msg, dsts, delay);
+        ctx.net->multicast(msg, dsts, delay, park_mask);
     }
 
     SimContext &ctx;

@@ -1,6 +1,7 @@
 #include "net/network.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "net/controller.hh"
@@ -47,7 +48,6 @@ Network::Network(EventQueue &eq, const Topology &topo,
     _serMem = serTicks(_p.memLinkBytesPerNs);
     _eqs.assign(1, &eq);
     _controllers.assign(_topo.numControllers(), nullptr);
-    _parked.resize(_topo.numControllers());
     _intraPorts.assign(_topo.numControllers(), Link{});
     _intraGateways.assign(_topo.numCmps, Link{});
     _interLinks.assign(_topo.numCmps * _topo.numCmps, Link{});
@@ -130,36 +130,119 @@ Network::send(const Msg &msg, Tick sender_delay)
     deliver(msg, route(msg, sender_delay, sd), sd);
 }
 
+bool
+Network::onChip(const MachineID &src, const std::vector<MachineID> &dsts)
+{
+    if (src.type == MachineType::Mem)
+        return false;
+    for (const MachineID &d : dsts) {
+        if (d.cmp != src.cmp || d.type == MachineType::Mem || d == src)
+            return false;
+    }
+    return true;
+}
+
 void
 Network::multicast(const Msg &msg, const std::vector<MachineID> &dsts,
-                   Tick sender_delay)
+                   Tick sender_delay, std::uint64_t park_mask)
 {
+    const std::size_t n = dsts.size();
+    if (n == 0)
+        return;
+    if (park_mask != 0 && n > 64)
+        panic("multicast: a park mask covers at most 64 copies, not %zu",
+              n);
+    if (n < 64)
+        park_mask &= (std::uint64_t(1) << n) - 1;
     const unsigned sd = domain(msg.src);
-    std::vector<std::uint8_t> &ignored = _dom[sd].ignored;
+    DomainState &ds = _dom[sd];
+    EventQueue &eq = *_eqs[sd];
     Msg m = msg;
 
-    // Pass 1: ask every same-domain destination whether it would act
-    // on its copy. The probes read only the destinations' own state;
-    // issuing them all before any routing lets their host-cache
-    // misses overlap, where probing inside each send serialized them.
-    ignored.resize(dsts.size());
-    for (std::size_t i = 0; i < dsts.size(); ++i) {
-        m.dst = dsts[i];
-        const Controller *c = _controllers[_topo.globalIndex(m.dst)];
-        ignored[i] = domain(m.dst) == sd && c != nullptr &&
-                     c->ignores(m);
+    if (onChip(msg.src, dsts)) {
+        // Every copy leaves back to back through the sender's intra
+        // port: exactly what n route() calls would compute.
+        const Tick ser = _serIntra.of(msg);
+        Tick first = eq.curTick() + sender_delay;
+        Tick step = 0;
+        if (_p.modelBandwidth) {
+            Link &port = _intraPorts[_topo.globalIndex(msg.src)];
+            first = std::max(first, port.nextFree);
+            port.nextFree = first + n * ser;
+            first += ser;
+            step = ser;
+        }
+        first += _p.intraLatency;
+        ds.bytes[unsigned(NetLevel::Intra)][unsigned(msg.trafficClass())] +=
+            n * msg.size();
+        ds.totalMsgs += n;
+        const std::uint64_t base = eq.reserveSeqs(n);
+        if (park_mask != 0) {
+            parkCopies(ds, eq, msg, dsts.data(), n, first, step, base,
+                       park_mask);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            if (park_mask != 0 && ((park_mask >> i) & 1))
+                continue;
+            m.dst = dsts[i];
+            eq.scheduleKeyed(makeDelivery(m, sd), first + i * step,
+                             base + i);
+        }
+        return;
     }
 
-    // Pass 2: route every copy in destination order, exactly as send()
-    // would, and schedule only the copies that can act.
-    for (std::size_t i = 0; i < dsts.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         m.dst = dsts[i];
-        const Tick t = route(m, sender_delay, sd);
-        if (ignored[i])
-            park(m, t, sd);
-        else
-            deliver(m, t, sd);
+        const Tick when = route(m, sender_delay, sd);
+        if (park_mask != 0 && ((park_mask >> i) & 1)) {
+            if (domain(m.dst) != sd)
+                panic("multicast: parked copy to %s leaves the sender's "
+                      "domain", m.dst.toString().c_str());
+            parkCopies(ds, eq, msg, &dsts[i], 1, when, 0,
+                       eq.reserveSeqs(1), 1);
+        } else {
+            deliver(m, when, sd);
+        }
     }
+}
+
+void
+Network::parkCopies(DomainState &ds, const EventQueue &eq, const Msg &msg,
+                    const MachineID *dsts, std::size_t n, Tick first,
+                    Tick step, std::uint64_t seq_base, std::uint64_t mask)
+{
+    retireParked(ds, eq);
+    const unsigned last = 63 - unsigned(std::countl_zero(mask));
+    ds.parked.push_back(ParkRecord{
+        msg, seq_base, first, step, mask, first + last * step,
+        seq_base + last, std::uint32_t(ds.parkedDsts.size())});
+    ds.parkedDsts.insert(ds.parkedDsts.end(), dsts, dsts + n);
+}
+
+void
+Network::retireParked(DomainState &ds, const EventQueue &eq)
+{
+    std::vector<ParkRecord> &recs = ds.parked;
+    std::size_t head = ds.parkedHead;
+    while (head < recs.size() &&
+           behind(recs[head].lastWhen, recs[head].lastSeq, eq))
+        ++head;
+    if (head == recs.size()) {
+        recs.clear();
+        ds.parkedDsts.clear();
+        head = 0;
+    } else if (head >= kParkedCompactAt) {
+        // Drop the retired prefix of both FIFOs; only the few live
+        // records move.
+        const std::uint32_t drop = recs[head].dstsAt;
+        recs.erase(recs.begin(), recs.begin() + std::ptrdiff_t(head));
+        ds.parkedDsts.erase(ds.parkedDsts.begin(),
+                            ds.parkedDsts.begin() + drop);
+        for (ParkRecord &r : recs)
+            r.dstsAt -= drop;
+        head = 0;
+    }
+    ds.parkedHead = head;
 }
 
 Tick
@@ -246,40 +329,35 @@ Network::deliver(const Msg &msg, Tick when, unsigned sd)
 }
 
 void
-Network::park(const Msg &msg, Tick when, unsigned domain)
-{
-    ParkedList &pl = _parked[_topo.globalIndex(msg.dst)];
-    EventQueue &eq = *_eqs[domain];
-    if (pl.copies.size() >= pl.sweepAt) {
-        std::erase_if(pl.copies,
-                      [&eq](const Parked &p) { return p.behind(eq); });
-        pl.sweepAt =
-            std::max(ParkedList::firstSweep, 2 * pl.copies.size());
-    }
-    pl.copies.push_back(Parked{when, eq.reserveSeq(), msg});
-}
-
-void
 Network::wake(const MachineID &id, Addr addr)
 {
-    ParkedList &pl = _parked[_topo.globalIndex(id)];
-    if (pl.copies.empty())
-        return;
     const unsigned d = domain(id);
+    DomainState &ds = _dom[d];
     EventQueue &eq = *_eqs[d];
+    retireParked(ds, eq);
     const Addr blk = blockAlign(addr);
     // A copy behind the running event was due while `id` could not
     // act: eager delivery ran it as a no-op, so it is dropped. The
     // block's copies still ahead go back into the queue at the keys
     // eager delivery used, so they run in exactly the eager order.
-    std::erase_if(pl.copies, [&](const Parked &p) {
-        if (p.behind(eq))
-            return true;
-        if (blockAlign(p.msg.addr) != blk)
-            return false;
-        eq.scheduleKeyed(makeDelivery(p.msg, d), p.when, p.seq);
-        return true;
-    });
+    for (std::size_t r = ds.parkedHead; r < ds.parked.size(); ++r) {
+        ParkRecord &rec = ds.parked[r];
+        if (blockAlign(rec.msg.addr) != blk)
+            continue;
+        for (std::uint64_t bits = rec.parked; bits != 0; bits &= bits - 1) {
+            const unsigned i = unsigned(std::countr_zero(bits));
+            if (ds.parkedDsts[rec.dstsAt + i] != id)
+                continue;
+            rec.parked &= ~(std::uint64_t(1) << i);
+            const Tick when = rec.firstWhen + i * rec.step;
+            const std::uint64_t seq = rec.seqBase + i;
+            if (behind(when, seq, eq))
+                continue;
+            Msg m = rec.msg;
+            m.dst = id;
+            eq.scheduleKeyed(makeDelivery(m, d), when, seq);
+        }
+    }
 }
 
 DeliverEvent *

@@ -23,18 +23,39 @@
  * within a tick.
  *
  * A protocol fan-out is one multicast(): the same link traversal,
- * arrival ticks, traffic bytes and message count as one send() per
- * destination in order. The one difference is a copy its (same-domain)
- * destination would ignore on arrival (Controller::ignores): it is
- * *parked* in the destination's list with its arrival tick and the
- * sequence number its DeliverEvent would have drawn, instead of being
- * scheduled. When the destination's state changes so that it could
- * act on such a copy, it calls wake(), which schedules the copies
- * still ahead of the running event at their reserved (tick, seq) keys
- * and drops the ones already behind it. Execution order is therefore
- * exactly the order of eager delivery; only the no-op events are
- * gone. Parked copies count as sent but are neither in flight nor
- * delivery wakeups.
+ * arrival ticks, traffic bytes, message count and event keys as one
+ * send() per destination in order. Two things make it cheaper:
+ *
+ *  - Closed-form on-chip routing. When the sender is a cache and every
+ *    destination is a cache on its own chip (the token transient
+ *    request, the L2's relay of an external one, hier's recall Inv),
+ *    all n copies leave back to back through the sender's one intra
+ *    port: copy i arrives at start + (i+1)*ser + lat with start =
+ *    max(now + delay, port.nextFree), and the port's nextFree
+ *    advances by n*ser (without bandwidth modelling every copy
+ *    arrives at now + delay + lat). Bytes and the message count are
+ *    added once, and the n event keys are reserved at once
+ *    (EventQueue::reserveSeqs), so copy i's key is the seq its own
+ *    scheduleEvent() would have drawn. Every other fan-out
+ *    (escalations, persistent broadcasts) routes copy by copy.
+ *
+ *  - Parking. The sender passes a park mask: bit i parks copy i, a
+ *    copy its same-domain destination would ignore on arrival (the
+ *    token family sets it for L1s its per-CMP holder mask says hold
+ *    no tokens for the block). A fan-out with parked copies appends
+ *    one record to its domain's FIFO: the Msg, the mask of copies
+ *    still parked, the fan-out's destinations, and its keys in
+ *    closed form (copy i at firstWhen + i*step, seq base + i; a
+ *    copy-by-copy route parks each copy in a record of its own). No
+ *    event is scheduled for a parked copy. When a destination's
+ *    state changes so that it could act on such a copy, it calls
+ *    wake(), which schedules its copies for the block still ahead of
+ *    the running event at their reserved (tick, seq) keys and drops
+ *    the ones already behind it. A record retires once the clock
+ *    passes its last parked key. Execution order is therefore
+ *    exactly the order of eager delivery; only the no-op events are
+ *    gone. Parked copies count as sent but are neither in flight nor
+ *    delivery wakeups.
  *
  * Sharded delivery (shard()): when the System runs the sharded kernel,
  * every CMP is one shard *domain* with its own EventQueue and
@@ -189,18 +210,20 @@ class Network
 
     /**
      * Send one copy of `msg` to each of `dsts`, in order: identical to
-     * one send() per destination (duplicates included), except that a
-     * same-domain copy its destination ignores() is parked rather
-     * than scheduled (see the file comment).
+     * one send() per destination (duplicates included), except that
+     * copy i is parked rather than scheduled when bit i of `park_mask`
+     * is set (see the file comment). A nonzero mask requires at most
+     * 64 destinations, and every parked copy's destination must be in
+     * the sender's domain.
      */
     void multicast(const Msg &msg, const std::vector<MachineID> &dsts,
-                   Tick sender_delay = 0);
+                   Tick sender_delay = 0, std::uint64_t park_mask = 0);
 
     /**
      * `id` may now act on messages for `addr`'s block: schedule its
      * parked copies for the block that are keyed after the running
-     * event, at their reserved keys, and drop every parked copy keyed
-     * before it. Must run on `id`'s own domain.
+     * event, at their reserved keys, and drop the ones keyed before
+     * it. Must run on `id`'s own domain.
      */
     void wake(const MachineID &id, Addr addr);
 
@@ -252,6 +275,36 @@ class Network
         std::uint64_t key = 0;
     };
 
+    /**
+     * One fan-out's parked copies. Copy i of the fan-out would have
+     * arrived at firstWhen + i * step under key seqBase + i, at
+     * parkedDsts[dstsAt + i]; bit i of `parked` is set while it is
+     * still parked (a copy-by-copy route parks each copy in a record
+     * of its own, with one destination).
+     */
+    struct ParkRecord
+    {
+        Msg msg;
+        std::uint64_t seqBase = 0;
+        Tick firstWhen = 0;
+        Tick step = 0;
+        std::uint64_t parked = 0;
+        Tick lastWhen = 0;          //!< latest parked key: once the
+        std::uint64_t lastSeq = 0;  //!< clock passes it, retire
+        std::uint32_t dstsAt = 0;
+    };
+
+    /** Retired records at which retireParked() compacts the FIFOs. */
+    static constexpr std::size_t kParkedCompactAt = 256;
+
+    /** Keyed at or before `eq`'s running event: already due. */
+    static bool
+    behind(Tick when, std::uint64_t seq, const EventQueue &eq)
+    {
+        return when < eq.curTick() ||
+               (when == eq.curTick() && seq <= eq.curSeq());
+    }
+
     /** Mutable delivery state owned by exactly one domain, on cache
      *  lines of its own so domains running concurrently never write
      *  the same line. */
@@ -266,9 +319,11 @@ class Network
         std::uint64_t totalMsgs = 0;
         std::uint64_t wakeups = 0;
         std::uint64_t sendSeq = 0;  //!< band-1 key source
-        /** multicast()'s pass-1 verdicts, one per destination: per
-         *  domain, because shard workers multicast concurrently. */
-        std::vector<std::uint8_t> ignored;
+        /** Parked fan-outs in send order; those before `parkedHead`
+         *  are retired. Their destination lists sit in `parkedDsts`. */
+        std::vector<ParkRecord> parked;
+        std::vector<MachineID> parkedDsts;
+        std::size_t parkedHead = 0;
         std::array<std::array<std::uint64_t,
                               unsigned(TrafficClass::NumClasses)>,
                    unsigned(NetLevel::NumLevels)>
@@ -312,35 +367,6 @@ class Network
 
     static SerTicks serTicks(double bytes_per_ns);
 
-    /** A copy its destination would have ignored on arrival: the
-     *  (tick, seq) key its DeliverEvent would have run at. */
-    struct Parked
-    {
-        Tick when = 0;
-        std::uint64_t seq = 0;
-        Msg msg;
-
-        /** Keyed at or before `eq`'s running event: already due. */
-        bool
-        behind(const EventQueue &eq) const
-        {
-            return when < eq.curTick() ||
-                   (when == eq.curTick() && seq <= eq.curSeq());
-        }
-    };
-
-    /** One controller's parked copies, in park order. */
-    struct ParkedList
-    {
-        std::vector<Parked> copies;
-        static constexpr std::size_t firstSweep = 16;
-
-        /** Size at which park() next drops the copies already behind
-         *  the running event (they can never act), so a destination
-         *  that is never woken holds O(live copies). */
-        std::size_t sweepAt = firstSweep;
-    };
-
     void account(NetLevel level, const Msg &msg, unsigned domain);
 
     /** Traverse every link on `msg`'s path from sender domain `sd`,
@@ -351,8 +377,19 @@ class Network
      *  on its own domain, or mailboxed across domains. */
     void deliver(const Msg &msg, Tick when, unsigned sd);
 
-    /** Park a routed same-domain copy, reserving its delivery key. */
-    void park(const Msg &msg, Tick when, unsigned domain);
+    /** True when `src` is a cache and every one of `dsts` is another
+     *  cache on its chip: the fan-out routes in closed form. */
+    static bool onChip(const MachineID &src,
+                       const std::vector<MachineID> &dsts);
+
+    /** Record the copies `mask` names of the fan-out of `msg` to
+     *  dsts[0, n): copy i at (first + i * step, seq_base + i). */
+    void parkCopies(DomainState &ds, const EventQueue &eq, const Msg &msg,
+                    const MachineID *dsts, std::size_t n, Tick first,
+                    Tick step, std::uint64_t seq_base, std::uint64_t mask);
+
+    /** Retire the records whose last parked key the clock has passed. */
+    void retireParked(DomainState &ds, const EventQueue &eq);
 
     /** A delivery event for `msg`, drawn from `domain`'s pool and
      *  counted in flight; the caller schedules it. */
@@ -395,7 +432,6 @@ class Network
     SerTicks _serIntra, _serInter, _serMem;
 
     std::vector<Controller *> _controllers;       //!< by global index
-    std::vector<ParkedList> _parked;              //!< by global index
     std::vector<Link> _intraPorts;                //!< per source port
     std::vector<Link> _intraGateways;             //!< inbound, per CMP
     std::vector<Link> _interLinks;  //!< per (src CMP, dst CMP)

@@ -133,7 +133,7 @@ class EventQueue
      * of cross-domain handoffs (see handoffKey), which give equal-tick
      * deliveries a canonical (srcDomain, sendSeq) order independent of
      * which window or worker performed the intake; and band-0 keys
-     * taken earlier from reserveSeq(), which place a late-scheduled
+     * taken earlier from reserveSeqs(), which place a late-scheduled
      * event exactly where scheduleEvent() would have placed it when
      * the key was reserved. Keys must be unique per queue; the
      * insertion counter is not consumed.
@@ -141,13 +141,20 @@ class EventQueue
     void scheduleKeyed(Event *e, Tick when, std::uint64_t key);
 
     /**
-     * Take the band-0 sequence number the next scheduleEvent() would
-     * have used, without scheduling anything. An event scheduled later
-     * with scheduleKeyed() at this key runs in the position it would
-     * have held had it been scheduled now. reset() invalidates every
-     * key reserved before it.
+     * Take the next `n` band-0 sequence numbers without scheduling
+     * anything, and return the first: base + i is the key the i-th of
+     * n back-to-back scheduleEvent() calls would have drawn now. An
+     * event scheduled later with scheduleKeyed() at such a key runs in
+     * the position it would have held had it been scheduled now.
+     * reset() invalidates every key reserved before it.
      */
-    std::uint64_t reserveSeq() { return _nextSeq++; }
+    std::uint64_t
+    reserveSeqs(std::uint64_t n)
+    {
+        const std::uint64_t base = _nextSeq;
+        _nextSeq += n;
+        return base;
+    }
 
     /** Schedule a closure at absolute tick `when` (>= curTick). */
     template <typename F>

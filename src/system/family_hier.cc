@@ -37,7 +37,8 @@ class HierFamily : public ProtocolBuilder
             // row's intra-CMP policy ("arb4": local broadcast, arbiter
             // activation at the shim).
             _tokenGlobals.push_back(std::make_unique<TokenGlobals>(
-                cfg.token, cfg.machine, protocolInfo(cfg.protocol).policy));
+                cfg.token, cfg.machine, protocolInfo(cfg.protocol).policy,
+                t));
         }
 
         for (unsigned c = 0; c < t.numCmps; ++c) {
@@ -125,6 +126,7 @@ class HierFamily : public ProtocolBuilder
         // Each CMP's token space conserves independently.
         for (const auto &tg : _tokenGlobals)
             tg->auditor.checkAll(fatal_on_violation);
+        TokenL1::auditHolders({_l1s.begin(), _l1s.end()});
         if (!fatal_on_violation)
             return;
         for (const HierShim *s : _shims)

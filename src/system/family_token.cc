@@ -24,7 +24,8 @@ class TokenFamily : public ProtocolBuilder
         _globals = std::make_unique<TokenGlobals>(
             cfg.token, cfg.machine,
             cfg.policyName.empty() ? protocolInfo(cfg.protocol).policy
-                                   : cfg.policyName);
+                                   : cfg.policyName,
+            t);
         if (cfg.shards > 0) {
             // Shard domains mutate the globals concurrently: lock the
             // auditor's stripes, and pre-size the per-processor
@@ -103,6 +104,7 @@ class TokenFamily : public ProtocolBuilder
     verifyQuiescent(bool fatal_on_violation) const override
     {
         _globals->auditor.checkAll(fatal_on_violation);
+        TokenL1::auditHolders({_l1s.begin(), _l1s.end()});
     }
 
     void

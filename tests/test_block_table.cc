@@ -2,8 +2,9 @@
  * @file
  * BlockTable tests: random get/find/erase in lock-step with
  * std::unordered_map over keys chosen to collide under the hash,
- * growth across several doublings, payload stability, and bounded
- * capacity under the insert/erase churn of transaction maps.
+ * growth across several doublings, payload stability, bounded
+ * capacity under the insert/erase churn of transaction maps, and the
+ * 32-bit key variant's range check.
  */
 
 #include <gtest/gtest.h>
@@ -275,6 +276,49 @@ TEST(BlockTable, ChurnAtConstantSizeReclaimsTombstones)
         ASSERT_NE(p, nullptr);
         EXPECT_EQ(*p, Payload{b});
     }
+}
+
+TEST(BlockTable, NarrowKeysMatchWideKeysAndRejectWiderBlocks)
+{
+    // A 32-bit key table (the holder masks') must behave exactly like
+    // the default table over every block below 2^32 - 2, never alias
+    // a wider block onto a narrow one, and refuse to insert one.
+    std::vector<Addr> pool = collidingBlocks(40);
+    for (Addr b = 0; b < 600; ++b)
+        pool.push_back(b);
+    pool.push_back((Addr(1) << 32) - 3);  // the widest block that fits
+    Random rng(5);
+    BlockTable<std::uint32_t, std::uint32_t> narrow;
+    BlockTable<std::uint32_t> wide;
+    for (unsigned op = 0; op < 20000; ++op) {
+        const Addr addr = addrIn(pool[rng.uniform(pool.size())], rng);
+        const std::uint64_t r = rng.uniform(10);
+        if (r < 5) {
+            const std::uint32_t v = std::uint32_t(rng.uniform(1000));
+            narrow.get(addr) |= v;
+            wide.get(addr) |= v;
+        } else if (r < 8) {
+            ASSERT_EQ(narrow.erase(addr), wide.erase(addr));
+        } else {
+            const std::uint32_t *n = narrow.find(addr);
+            const std::uint32_t *w = wide.find(addr);
+            ASSERT_EQ(n != nullptr, w != nullptr);
+            if (n != nullptr) {
+                ASSERT_EQ(*n, *w);
+            }
+        }
+        ASSERT_EQ(narrow.size(), wide.size());
+    }
+    std::map<Addr, std::uint32_t> a, b;
+    narrow.forEach([&](Addr blk, std::uint32_t v) { a[blk] = v; });
+    wide.forEach([&](Addr blk, std::uint32_t v) { b[blk] = v; });
+    EXPECT_EQ(a, b);
+
+    narrow.get(0x40) = 1;
+    const Addr aliased = (Addr(1) << (32 + blockOffsetBits)) + 0x40;
+    EXPECT_EQ(narrow.find(aliased), nullptr);
+    EXPECT_FALSE(narrow.erase(aliased));
+    EXPECT_DEATH(narrow.get(aliased), "needs a wider key");
 }
 
 } // namespace

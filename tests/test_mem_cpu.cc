@@ -91,9 +91,14 @@ TEST(CacheArray, ForEachValidAndCount)
     a.install(a.victim(0x000), 0x000);
     a.install(a.victim(0x040), 0x040);
     EXPECT_EQ(a.numValid(), 2u);
+    Addr sum = 0;
     int n = 0;
-    a.forEachValid([&](CacheLine<St> &) { ++n; });
+    a.forEachValid([&](Addr blk, const CacheLine<St> &) {
+        sum += blk;
+        ++n;
+    });
     EXPECT_EQ(n, 2);
+    EXPECT_EQ(sum, 0x040u);
 }
 
 TEST(CacheArray, InvalidatedLineHasNoTag)

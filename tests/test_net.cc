@@ -2,7 +2,8 @@
  * @file
  * Unit tests for topology maps, message sizing, classification and
  * names, and the interconnect's latency, bandwidth, traffic
- * accounting and per-message delivery order.
+ * accounting, per-message delivery order, multicast (copy-by-copy and
+ * closed-form on-chip routes) and parked copies' wakes.
  */
 
 #include <gtest/gtest.h>
@@ -133,9 +134,10 @@ namespace {
 
 /**
  * Controller that records message arrival times (and, through `log`,
- * the global arrival order). While `ignoring`, it asks the network to
- * park every multicast copy; a token response ends that and wakes the
- * response's block, like an L1 line gaining its first token.
+ * the global arrival order). While `ignoring`, multicasts from the
+ * fixture park their copies to it (NetFixture::parkMask plays the
+ * token family's holder mask); a token response ends that and wakes
+ * the response's block, like an L1 line gaining its first token.
  */
 class SinkController : public Controller
 {
@@ -153,7 +155,6 @@ class SinkController : public Controller
             ctx.net->wake(id(), msg.addr);
         }
     }
-    bool ignores(const Msg &) const override { return ignoring; }
 
     std::vector<std::pair<Tick, Msg>> arrivals;
     std::vector<MachineID> *log = nullptr;
@@ -169,9 +170,9 @@ class SinkController : public Controller
     /** Expose multicast for tests. */
     void
     testMulticast(Msg m, const std::vector<MachineID> &dsts,
-                  Tick delay = 0)
+                  Tick delay = 0, std::uint64_t park_mask = 0)
     {
-        multicast(std::move(m), dsts, delay);
+        multicast(std::move(m), dsts, delay, park_mask);
     }
 };
 
@@ -215,6 +216,24 @@ struct NetFixture
                 return *s;
         }
         throw std::runtime_error("no sink");
+    }
+
+    /** Bit i set when dsts[i] is ignoring. */
+    std::uint64_t
+    parkMask(const std::vector<MachineID> &dsts)
+    {
+        std::uint64_t mask = 0;
+        for (std::size_t i = 0; i < dsts.size(); ++i)
+            mask |= std::uint64_t(sink(dsts[i]).ignoring) << i;
+        return mask;
+    }
+
+    /** Multicast from `src`, parking the copies to ignoring sinks. */
+    void
+    multicast(const MachineID &src, const Msg &m,
+              const std::vector<MachineID> &dsts, Tick delay = 0)
+    {
+        sink(src).testMulticast(m, dsts, delay, parkMask(dsts));
     }
 };
 
@@ -395,7 +414,10 @@ TEST(Network, MulticastMatchesSendsAndParksIgnoredCopies)
 {
     // One multicast must route, time and account exactly like one
     // send() per destination in order (duplicates included); the only
-    // difference is that copies to ignoring destinations never run.
+    // difference is that the copies its park mask names (those to
+    // ignoring destinations) never run. The destinations span chips
+    // and memory, so this is the copy-by-copy route, parking an L1 of
+    // another chip (one domain in serial mode) too.
     NetworkParams no_bw;
     no_bw.modelBandwidth = false;
     for (const NetworkParams &params : {NetworkParams{}, no_bw}) {
@@ -423,7 +445,7 @@ TEST(Network, MulticastMatchesSendsAndParksIgnoredCopies)
                 for (const MachineID &id : ignoring)
                     parked += d == id ? 1 : 0;
             }
-            lazy.sink(src).testMulticast(m, dsts, ns(1));
+            lazy.multicast(src, m, dsts, ns(1));
         }
         eager.ctx.eventq.run();
         lazy.ctx.eventq.run();
@@ -493,8 +515,8 @@ TEST(Network, ParkedCopyRunsOnlyIfKeyedAfterTheWakingArrival)
 
         if (response_first)
             f.sink(t.l1d(0, 1)).testSend(tok);
-        f.sink(t.l2(0, 0)).testMulticast(other, {x});
-        f.sink(t.l2(0, 0)).testMulticast(req, {x});
+        f.multicast(t.l2(0, 0), other, {x});
+        f.multicast(t.l2(0, 0), req, {x});
         if (!response_first)
             f.sink(t.l1d(0, 1)).testSend(tok);
         f.ctx.eventq.run();
@@ -512,92 +534,211 @@ TEST(Network, ParkedCopyRunsOnlyIfKeyedAfterTheWakingArrival)
 
 TEST(Network, WakeRunsOnlyTheWokenParkedCopy)
 {
-    // One fan-out of six on-chip copies whose 2nd and 5th are parked.
+    // One on-chip fan-out of six copies whose 2nd and 5th are parked.
     // A token response reaches the 5th's destination before its copy
     // would have: the wake schedules that copy at its eager (tick,
-    // seq), and the 2nd, never woken, never runs.
-    NetFixture eager, lazy;
-    const Topology &t = eager.ctx.topo;
-    const MachineID src = t.l2(0, 0);
-    const std::vector<MachineID> dsts = {t.l1d(0, 0), t.l1i(0, 0),
-                                         t.l1d(0, 1), t.l1i(0, 1),
-                                         t.l1d(0, 2), t.l1i(0, 2)};
-    const MachineID second = dsts[1], fifth = dsts[4];
-    lazy.sink(second).ignoring = true;
-    lazy.sink(fifth).ignoring = true;
+    // seq), and the 2nd, never woken, never runs. Without bandwidth
+    // every copy arrives at one tick, so only the reserved seq keeps
+    // the woken copy between the 4th and the 6th.
+    NetworkParams no_bw;
+    no_bw.modelBandwidth = false;
+    for (const NetworkParams &params : {NetworkParams{}, no_bw}) {
+        SCOPED_TRACE(params.modelBandwidth ? "bandwidth" : "no bandwidth");
+        NetFixture eager(params), lazy(params);
+        const Topology &t = eager.ctx.topo;
+        const MachineID src = t.l2(0, 0);
+        const std::vector<MachineID> dsts = {t.l1d(0, 0), t.l1i(0, 0),
+                                             t.l1d(0, 1), t.l1i(0, 1),
+                                             t.l1d(0, 2), t.l1i(0, 2)};
+        const MachineID second = dsts[1], fifth = dsts[4];
+        lazy.sink(second).ignoring = true;
+        lazy.sink(fifth).ignoring = true;
 
-    Msg tok;
-    tok.type = MsgType::TokResponse;
-    tok.addr = 0x1000;
-    tok.dst = fifth;
-    Msg req;
-    req.type = MsgType::TokReadReq;
-    req.addr = 0x1000;
-    req.requestor = t.l1d(0, 3);
-    for (NetFixture *f : {&eager, &lazy})
-        f->sink(t.l1d(0, 3)).testSend(tok);
-    for (const MachineID &d : dsts) {
-        req.dst = d;
-        eager.sink(src).testSend(req, ns(10));
+        Msg tok;
+        tok.type = MsgType::TokResponse;
+        tok.addr = 0x1000;
+        tok.dst = fifth;
+        Msg req;
+        req.type = MsgType::TokReadReq;
+        req.addr = 0x1000;
+        req.requestor = t.l1d(0, 3);
+        for (NetFixture *f : {&eager, &lazy})
+            f->sink(t.l1d(0, 3)).testSend(tok);
+        for (const MachineID &d : dsts) {
+            req.dst = d;
+            eager.sink(src).testSend(req, ns(10));
+        }
+        lazy.multicast(src, req, dsts, ns(10));
+        EXPECT_EQ(lazy.net->inFlight(), 5u);  // the response + 4 acting
+        lazy.ctx.eventq.run();
+        eager.ctx.eventq.run();
+
+        std::vector<MachineID> want = eager.order;
+        std::erase(want, second);
+        EXPECT_EQ(lazy.order, want);
+        EXPECT_TRUE(lazy.sink(second).arrivals.empty());
+        const auto &got = lazy.sink(fifth).arrivals;
+        const auto &ref = eager.sink(fifth).arrivals;
+        ASSERT_EQ(got.size(), 2u);
+        ASSERT_EQ(ref.size(), 2u);
+        EXPECT_EQ(got[0].second.type, MsgType::TokResponse);
+        EXPECT_EQ(got[1].second.type, MsgType::TokReadReq);
+        EXPECT_EQ(got[1].first, ref[1].first);
+        // 10 ns delay, five 8 B copies on the port, 2 ns hop.
+        EXPECT_EQ(got[1].first,
+                  ns(12) + (params.modelBandwidth ? 5 * 125 : 0));
+        EXPECT_EQ(lazy.net->totalMessages(), eager.net->totalMessages());
+        EXPECT_EQ(lazy.net->deliveryWakeups(),
+                  eager.net->deliveryWakeups() - 1);
+        EXPECT_EQ(lazy.net->inFlight(), 0u);
     }
-    lazy.sink(src).testMulticast(req, dsts, ns(10));
-    EXPECT_EQ(lazy.net->inFlight(), 5u);  // the response + 4 acting
-    lazy.ctx.eventq.run();
-    eager.ctx.eventq.run();
+}
 
-    std::vector<MachineID> want = eager.order;
-    std::erase(want, second);
-    EXPECT_EQ(lazy.order, want);
-    EXPECT_TRUE(lazy.sink(second).arrivals.empty());
-    const auto &got = lazy.sink(fifth).arrivals;
-    const auto &ref = eager.sink(fifth).arrivals;
-    ASSERT_EQ(got.size(), 2u);
-    ASSERT_EQ(ref.size(), 2u);
-    EXPECT_EQ(got[0].second.type, MsgType::TokResponse);
-    EXPECT_EQ(got[1].second.type, MsgType::TokReadReq);
-    EXPECT_EQ(got[1].first, ref[1].first);
-    // 10 ns delay, five 8 B copies on the port, 2 ns hop.
-    EXPECT_EQ(got[1].first, ns(12) + 5 * 125);
-    EXPECT_EQ(lazy.net->totalMessages(), eager.net->totalMessages());
-    EXPECT_EQ(lazy.net->deliveryWakeups(),
-              eager.net->deliveryWakeups() - 1);
-    EXPECT_EQ(lazy.net->inFlight(), 0u);
+TEST(Network, SameChipFanOutMatchesSends)
+{
+    // A fan-out from a cache to caches of its own chip routes in
+    // closed form. It must equal n send()s in everything observable:
+    // arrival ticks, same-tick order against events scheduled just
+    // before and just after it, bytes, the message count, and the
+    // sender port's next availability (read from a probe sent after
+    // it), with bandwidth on and off, from an idle and a busy port,
+    // for control and data messages.
+    NetworkParams no_bw;
+    no_bw.modelBandwidth = false;
+    for (const NetworkParams &params : {NetworkParams{}, no_bw}) {
+        for (bool busy : {false, true}) {
+            for (bool data : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << (params.modelBandwidth ? "bw" : "no bw")
+                             << (busy ? " busy" : " idle")
+                             << (data ? " data" : " control"));
+                NetFixture eager(params), lazy(params);
+                const Topology &t = eager.ctx.topo;
+                const MachineID src = t.l1d(0, 1);
+                // Every other cache of chip 0, one duplicated.
+                std::vector<MachineID> dsts;
+                for (unsigned p = 0; p < t.procsPerCmp; ++p) {
+                    for (MachineID id : {t.l1d(0, p), t.l1i(0, p)}) {
+                        if (id != src)
+                            dsts.push_back(id);
+                    }
+                }
+                for (unsigned b = 0; b < t.l2BanksPerCmp; ++b)
+                    dsts.push_back(t.l2(0, b));
+                dsts.push_back(t.l1d(0, 2));
+
+                std::vector<int> marks[2];
+                NetFixture *fs[2] = {&eager, &lazy};
+                for (int k = 0; k < 2; ++k) {
+                    NetFixture &f = *fs[k];
+                    Msg m;
+                    m.type = MsgType::TokResponse;
+                    m.hasData = true;
+                    m.addr = 0x40;
+                    m.dst = t.l2(0, 3);
+                    if (busy)  // occupies the port past the fan-out
+                        f.sink(src).testSend(m, ns(1));
+                    const Tick at = ns(2) + ns(3);
+                    std::vector<int> &mk = marks[k];
+                    auto mark = [&f, &mk](int id) {
+                        mk.push_back(int(f.order.size()) * 10 + id);
+                    };
+                    f.ctx.eventq.scheduleAbs(at, [mark] { mark(1); });
+                    m.type = MsgType::TokReadReq;
+                    m.hasData = data;
+                    m.addr = 0x1000;
+                    m.requestor = src;
+                    if (k == 0) {
+                        for (const MachineID &d : dsts) {
+                            m.dst = d;
+                            f.sink(src).testSend(m, ns(3));
+                        }
+                    } else {
+                        f.multicast(src, m, dsts, ns(3));
+                    }
+                    f.ctx.eventq.scheduleAbs(at, [mark] { mark(2); });
+                    m.type = MsgType::GetS;  // the port probe
+                    m.hasData = false;
+                    m.dst = t.l1i(0, 1);
+                    f.sink(src).testSend(m, ns(1));
+                    f.ctx.eventq.run();
+                }
+
+                EXPECT_EQ(lazy.order, eager.order);
+                EXPECT_EQ(marks[1], marks[0]);
+                for (const auto &s : eager.sinks) {
+                    const auto &ref = s->arrivals;
+                    const auto &got = lazy.sink(s->id()).arrivals;
+                    ASSERT_EQ(got.size(), ref.size()) << s->id().toString();
+                    for (std::size_t i = 0; i < ref.size(); ++i)
+                        EXPECT_EQ(got[i].first, ref[i].first)
+                            << s->id().toString() << " #" << i;
+                }
+                for (unsigned l = 0; l < unsigned(NetLevel::NumLevels);
+                     ++l) {
+                    for (unsigned c = 0;
+                         c < unsigned(TrafficClass::NumClasses); ++c) {
+                        EXPECT_EQ(
+                            lazy.net->bytes(NetLevel(l), TrafficClass(c)),
+                            eager.net->bytes(NetLevel(l), TrafficClass(c)));
+                    }
+                }
+                EXPECT_EQ(lazy.net->totalMessages(),
+                          eager.net->totalMessages());
+                EXPECT_EQ(lazy.net->deliveryWakeups(),
+                          eager.net->deliveryWakeups());
+            }
+        }
+    }
 }
 
 TEST(Network, WakeAfterParkedArrivalPassedSchedulesNothing)
 {
     // A copy parked and never woken before its arrival tick was a
-    // no-op under eager delivery. Once the clock has passed it (and a
-    // later fan-out from the same sender has parked another copy for
-    // the same destination), a wake for its block must not bring it
-    // back.
+    // no-op under eager delivery, so a wake after that tick must not
+    // bring it back: neither while its fan-out's record is still live
+    // (a later copy of the same fan-out is still ahead) nor once a
+    // later fan-out has retired the record.
     NetFixture f;
     const Topology &t = f.ctx.topo;
-    const MachineID x = t.l1d(0, 1);
+    const MachineID x = t.l1d(0, 1), y = t.l1i(0, 1);
     SinkController &sink = f.sink(x);
     sink.ignoring = true;
+    f.sink(y).ignoring = true;
     Msg req;
     req.type = MsgType::TokReadReq;
     req.addr = 0x1000;
     req.requestor = t.l1d(0, 0);
-    f.sink(t.l1d(0, 0)).testMulticast(req, {x, t.l1d(0, 2)});
-    f.ctx.eventq.run();
-    EXPECT_TRUE(sink.arrivals.empty());
-
-    // Later traffic from the same domain parks another copy.
-    req.addr = 0x2000;
-    f.sink(t.l1d(0, 3)).testMulticast(req, {x});
+    // x's copy arrives at 2.125 ns, the last of y's ten at 3.375 ns.
+    std::vector<MachineID> dsts(11, y);
+    dsts[0] = x;
+    f.multicast(t.l1d(0, 0), req, dsts);
     Msg tok;
     tok.type = MsgType::TokResponse;
     tok.addr = 0x1000;
     tok.dst = x;
+    f.sink(t.l1d(0, 2)).testSend(tok, ns(1));  // arrives at 3.125 ns
+    f.ctx.eventq.run();
+    ASSERT_EQ(sink.arrivals.size(), 1u);
+    EXPECT_EQ(sink.arrivals[0].first, ns(3) + 125);
+    EXPECT_TRUE(f.sink(y).arrivals.empty());
+
+    // Again for a second block, with the record retired by the time
+    // of the wake: later traffic from the same domain parks another
+    // copy.
+    sink.ignoring = true;
+    req.addr = tok.addr = 0x2000;
+    f.multicast(t.l1d(0, 0), req, {x, t.l1d(0, 2)});
+    f.ctx.eventq.run();
+    req.addr = 0x3000;
+    f.multicast(t.l1d(0, 3), req, {x});
     f.sink(t.l1d(0, 2)).testSend(tok, ns(5));
     f.ctx.eventq.run();
 
-    ASSERT_EQ(sink.arrivals.size(), 1u);
-    EXPECT_EQ(sink.arrivals[0].second.type, MsgType::TokResponse);
+    ASSERT_EQ(sink.arrivals.size(), 2u);
+    EXPECT_EQ(sink.arrivals[1].second.type, MsgType::TokResponse);
     EXPECT_EQ(f.sink(t.l1d(0, 2)).arrivals.size(), 1u);
-    EXPECT_EQ(f.net->totalMessages(), 4u);
+    EXPECT_EQ(f.net->totalMessages(), 16u);
     EXPECT_EQ(f.net->inFlight(), 0u);
 }
 

@@ -435,18 +435,23 @@ expectSame(const L1Snapshot &a, const L1Snapshot &b)
 
 TEST(TokenScenario, IgnoredTransientRequestsChangeNothing)
 {
-    // Parking rests on Controller::ignores: a request TokenL1 says it
-    // ignores would, delivered, change no state and send nothing. Put
-    // proc 1's L1 through no, some and all tokens, a lost line, an
-    // outstanding miss and active persistent requests, then deliver
-    // every transient request it claims to ignore straight to
-    // handleMsg and compare everything it could have touched.
+    // Parking rests on the holder mask: a transient request to an L1
+    // whose holder bit is clear would, delivered, change no state and
+    // send nothing. Put proc 1's L1 through no, some and all tokens, a
+    // lost line, an outstanding miss and active persistent requests,
+    // then deliver every transient request its clear bit would park
+    // straight to handleMsg and compare everything it could have
+    // touched.
     constexpr Addr kFresh = 0x9000, kSome = 0xa000, kAll = 0xb000,
                    kGone = 0xc000, kMiss = 0xd000, kPers = 0xe000;
     System sys(tokenCfg());
     const Topology &t = sys.context().topo;
     TokenL1 &l1 = *sys.controller<TokenL1>(0, 1);
     const MachineID self = t.l1d(0, 1);
+    const TokenGlobals &g = *sys.tokenGlobals();
+    auto parked = [&](Addr addr) {
+        return ((g.holderMask(0, addr) >> l1SlotOf(t, self)) & 1) == 0;
+    };
 
     unsigned checked = 0;
     auto deliverIgnored = [&](Addr addr, bool want_ignored) {
@@ -462,9 +467,9 @@ TEST(TokenScenario, IgnoredTransientRequestsChangeNothing)
                 m.requestor = relayed ? t.l1d(1, 0) : t.l1d(0, 2);
                 m.src = relayed ? t.l2BankFor(0, addr) : m.requestor;
                 m.dst = self;
-                EXPECT_EQ(l1.ignores(m), want_ignored)
+                EXPECT_EQ(parked(addr), want_ignored)
                     << msgTypeName(type) << (relayed ? " relayed" : "");
-                if (!l1.ignores(m))
+                if (!parked(addr))
                     continue;
                 ++checked;
                 const L1Snapshot before = snapshot(sys, l1, addr);
@@ -474,7 +479,7 @@ TEST(TokenScenario, IgnoredTransientRequestsChangeNothing)
         }
     };
 
-    // No valid line at all: the O(1) empty-array answer.
+    // No valid line at all.
     deliverIgnored(kFresh, true);
 
     runLoad(sys, 0, kSome);  // proc 0: every token
@@ -526,6 +531,33 @@ TEST(TokenScenario, IgnoredTransientRequestsChangeNothing)
     deliverIgnored(kAll, false);
     // 2 types x 2 sources x 6 ignored (block, state) pairs.
     EXPECT_EQ(checked, 24u);
+}
+
+TEST(TokenScenarioDeathTest, QuiescenceAuditNamesAWrongHolderBit)
+{
+    // The holder mask must equal (line and tokens > 0) at every L1
+    // when the system is quiet; one corrupted bit fails the audit,
+    // which names the L1 and the block.
+    constexpr Addr kAddr = 0x7000;
+    for (bool set_stray : {true, false}) {
+        System sys(tokenCfg());
+        runLoad(sys, 0, kAddr);  // proc 0 takes every token
+        drain(sys);
+        sys.verifyQuiescent(true);
+        const Topology &t = sys.context().topo;
+        TokenGlobals &g = *sys.tokenGlobals();
+        if (set_stray) {
+            g.setHolder(t.l1d(0, 1), kAddr);
+            EXPECT_DEATH(sys.verifyQuiescent(true),
+                         "holder bit of block 0x7000 at L1D\\[c0\\.1\\] is "
+                         "set, but the L1 has no line");
+        } else {
+            g.clearHolder(t.l1d(0, 0), kAddr);
+            EXPECT_DEATH(sys.verifyQuiescent(true),
+                         "holder bit of block 0x7000 at L1D\\[c0\\.0\\] is "
+                         "clear, but its line holds");
+        }
+    }
 }
 
 TEST(TokenScenario, MixedInstructionAndDataSharing)
