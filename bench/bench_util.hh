@@ -33,7 +33,7 @@ envKnobs()
 {
     static const std::vector<EnvKnob> knobs = {
         {"TOKENCMP_SEEDS",
-         "seeds per data point (default 3; CI baselines use 2)"},
+         "seeds per data point (default 3; CI's ablation smoke uses 1)"},
         {"TOKENCMP_PARALLEL",
          "worker threads per experiment (default: hardware threads)"},
     };
@@ -100,8 +100,7 @@ defaultParallelism()
 /**
  * Collects every experiment a bench target runs and writes them as
  * BENCH_<name>.json on destruction (one file per target). While an
- * instance is alive, runCell()/runExperiment() record into it
- * automatically.
+ * instance is alive, runExperiment() records into it automatically.
  */
 class JsonReport
 {
@@ -223,14 +222,6 @@ cellConfig(const std::string &name, const std::string &workload,
     return cfg;
 }
 
-/** Run cellConfig(name, workload, knobs) through runExperiment(). */
-inline ExperimentResult
-runCell(const std::string &name, const std::string &workload,
-        const WorkloadParams &knobs = {}, const std::string &label = "")
-{
-    return runExperiment(cellConfig(name, workload, knobs), label);
-}
-
 inline void
 banner(const char *title, const char *expectation)
 {
@@ -259,59 +250,6 @@ printHeaderRow(const std::vector<std::string> &cols)
     for (const auto &c : cols)
         std::printf(" %10s", c.c_str());
     std::printf("\n");
-}
-
-/**
- * Figures 2 and 3: each configuration across the locking
- * micro-benchmark's lock sweep (25 acquires per processor), printed
- * as runtime normalized to the "directory" row (which `configs` must
- * hold) at 512 locks. Returns the bench's exit code.
- */
-inline int
-lockSweep(const std::vector<std::string> &configs)
-{
-    const std::vector<unsigned> lock_counts = {2,  4,  8,   16,  32,
-                                               64, 128, 256, 512};
-    // Run every row first: the table normalizes to a later row.
-    std::vector<std::vector<ExperimentResult>> rows;
-    double base_rt = 0.0;
-    for (const std::string &name : configs) {
-        rows.emplace_back();
-        for (unsigned locks : lock_counts) {
-            WorkloadParams wp;
-            wp.keys = locks;
-            wp.opsPerProc = 25;
-            const SystemConfig cfg = cellConfig(name, "locking", wp);
-            rows.back().push_back(runExperiment(
-                cfg, cfg.displayName() + "@" + std::to_string(locks)));
-            const ExperimentResult &e = rows.back().back();
-            if (!e.allCompleted || e.violations != 0) {
-                std::fprintf(stderr, "FAILED: %s @%u locks\n",
-                             e.protocol.c_str(), locks);
-                return 1;
-            }
-        }
-        if (name == "directory")
-            base_rt = rows.back().back().runtime.mean();
-    }
-    std::printf("baseline DirectoryCMP @512 locks: %.0f ns\n\n",
-                base_rt / double(ticksPerNs));
-
-    std::vector<std::string> cols;
-    for (unsigned l : lock_counts)
-        cols.push_back(std::to_string(l));
-    std::printf("normalized runtime vs #locks "
-                "(high contention -> low contention)\n");
-    printHeaderRow(cols);
-    for (const std::vector<ExperimentResult> &row : rows) {
-        std::vector<double> vals, errs;
-        for (const ExperimentResult &e : row) {
-            vals.push_back(e.runtime.mean() / base_rt);
-            errs.push_back(e.runtime.errorBar() / base_rt);
-        }
-        printRow(row.front().protocol, vals, errs);
-    }
-    return 0;
 }
 
 } // namespace tokencmp::bench

@@ -4,8 +4,9 @@
 Simulated results gate exactly; host speed gates only as a
 same-process ratio.
 
-BENCH_<name>.json records (--benches) are compared with
-bench/baselines/<name>.json cell by cell, paired by label:
+BENCH_<name>.json records (--benches, by default kernel_throughput)
+are compared with bench/baselines/<name>.json cell by cell, paired by
+label:
 
   - every field of a cell must be equal, nested "stats" included:
     for a fixed seed count the simulator reproduces its counts bit
@@ -21,7 +22,9 @@ one side fails: a change that adds, drops or moves a count re-records
 the baseline and says why.
 
 Merged sweep reports (--sweeps NAME: <current-dir>/SWEEP_NAME.json,
-written by tools/sweep) are compared with bench/baselines/NAME.json:
+written by tools/sweep; the paper grids paper_locking, paper_barrier,
+paper_macro and paper_workloads, and sweep_smoke) are compared with
+bench/baselines/NAME.json:
 cells pair up by their axis values, each pair's result must be equal
 once its "label" is dropped, and every marginal table must be equal.
 Hashes, labels and the grid fingerprint may differ, so a re-keying
@@ -36,8 +39,8 @@ Usage:
   python3 bench/check_regression.py \\
       --baseline-dir bench/baselines --current-dir build \\
       --out build/bench_regression_diff.json \\
-      [--benches kernel_throughput fig7_traffic] \\
-      [--sweeps sweep_smoke] [--ignore-axis byShardMap]
+      [--benches kernel_throughput] \\
+      [--sweeps paper_macro sweep_smoke] [--ignore-axis byShardMap]
 """
 
 import argparse
@@ -193,8 +196,7 @@ def main():
     ap.add_argument("--out", default=None,
                     help="write the diff JSON here")
     ap.add_argument("--benches", nargs="*",
-                    default=["kernel_throughput", "fig6_macro_runtime",
-                             "fig7_traffic", "workload_sweep"],
+                    default=["kernel_throughput"],
                     help="bench records to gate; pass with no names "
                          "to gate only --sweeps")
     ap.add_argument("--sweeps", nargs="*", default=[],

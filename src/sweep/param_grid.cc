@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <set>
 
@@ -120,6 +121,120 @@ intField(const minijson::Value &obj, const std::string &key, T def,
     return T(x);
 }
 
+/** Nanosecond fields must not overflow when scaled to ticks. */
+constexpr std::uint64_t kMaxNs =
+    std::numeric_limits<Tick>::max() / ticksPerNs;
+
+/**
+ * Lay the workloadKnobs keys present in `obj` over `wl`, key by key;
+ * an absent key keeps `wl`'s value. Fatal on an unknown key or an
+ * out-of-range integer. Parses both the grid's "workloadKnobs" and a
+ * workload entry's "knobs".
+ */
+void
+overlayWorkloadKnobs(const minijson::Value &obj, WorkloadParams &wl,
+                     const std::string &what)
+{
+    if (!obj.isObject())
+        fatal("sweep grid %s: workloadKnobs must be an object",
+              what.c_str());
+    static const std::set<std::string> wl_keys = {
+        "opsPerProc", "keys", "theta", "writeFrac", "thinkMeanNs",
+        "thinkJitterNs", "warmupOps"};
+    for (const auto &[key, value] : obj.obj) {
+        (void)value;
+        if (!wl_keys.count(key))
+            fatal("sweep grid %s: unknown workloadKnobs key \"%s\"",
+                  what.c_str(), key.c_str());
+    }
+    const std::string wk_what = what + " workloadKnobs";
+    wl.opsPerProc = intField(obj, "opsPerProc", wl.opsPerProc, 0u,
+                             wk_what);
+    wl.keys = intField(obj, "keys", wl.keys, 0u, wk_what);
+    wl.theta = obj.getNumber("theta", wl.theta);
+    wl.writeFrac = obj.getNumber("writeFrac", wl.writeFrac);
+    wl.thinkMean = ns(Tick(intField<std::uint64_t>(
+        obj, "thinkMeanNs", wl.thinkMean / ticksPerNs, 0, wk_what,
+        kMaxNs)));
+    wl.thinkJitter = ns(Tick(intField<std::uint64_t>(
+        obj, "thinkJitterNs", wl.thinkJitter / ticksPerNs, 0, wk_what,
+        kMaxNs)));
+    wl.warmupOps = intField(obj, "warmupOps", wl.warmupOps, -1, wk_what);
+}
+
+/** Whether `s` is non-empty and each char alphanumeric or in `extra`. */
+bool
+wordOf(const std::string &s, const char *extra)
+{
+    return !s.empty() && std::all_of(s.begin(), s.end(), [&](char c) {
+        return std::isalnum(static_cast<unsigned char>(c)) ||
+               (c != '\0' && std::strchr(extra, c) != nullptr);
+    });
+}
+
+/**
+ * The "workloads" axis: each entry is a registry name or an object
+ * {"name", "label", "knobs"}; labels are unique on the axis.
+ */
+std::vector<WorkloadEntry>
+workloadAxis(const minijson::Value &grid, const WorkloadParams &shared,
+             const std::string &what)
+{
+    const minijson::Value *v = grid.find("workloads");
+    if (v == nullptr || !v->isArray() || v->arr.empty())
+        fatal("sweep grid %s: missing \"workloads\" axis (a non-empty "
+              "array)", what.c_str());
+    std::vector<WorkloadEntry> out;
+    std::set<std::string> labels;
+    for (const minijson::Value &item : v->arr) {
+        WorkloadEntry e;
+        e.knobs = shared;
+        if (item.isString()) {
+            e.label = e.name = item.str;
+        } else if (item.isObject()) {
+            e.plain = false;
+            for (const auto &[key, value] : item.obj) {
+                (void)value;
+                if (key != "name" && key != "label" && key != "knobs")
+                    fatal("sweep grid %s: unknown workload entry key "
+                          "\"%s\"", what.c_str(), key.c_str());
+            }
+            e.name = item.getString("name");
+            e.label = item.getString("label");
+            if (!wordOf(e.label, "_.@-"))
+                fatal("sweep grid %s: workload entry '%s' needs a "
+                      "\"label\" of [A-Za-z0-9_.@-] (it enters the cell "
+                      "labels), not '%s'", what.c_str(), e.name.c_str(),
+                      e.label.c_str());
+            if (const minijson::Value *knobs = item.find("knobs"))
+                overlayWorkloadKnobs(*knobs, e.knobs,
+                                     what + " workload '" + e.label + "'");
+        } else {
+            fatal("sweep grid %s: \"workloads\" entries must be names "
+                  "or objects", what.c_str());
+        }
+        if (!WorkloadRegistry::instance().known(e.name)) {
+            fatal("sweep grid %s: unknown workload '%s' (registered: "
+                  "%s)", what.c_str(), e.name.c_str(),
+                  joinNames(WorkloadRegistry::instance().names())
+                      .c_str());
+        }
+        if (!labels.insert(e.label).second)
+            fatal("sweep grid %s: duplicate workload label '%s'",
+                  what.c_str(), e.label.c_str());
+        out.push_back(std::move(e));
+    }
+    return out;
+}
+
+/** A workload entry in the canonical form and the cell key: a plain
+ *  entry is its bare name (the form that predates object entries). */
+std::string
+workloadKeySegment(const WorkloadEntry &e)
+{
+    return e.plain ? e.name : e.name + "[" + e.label + "]";
+}
+
 } // namespace
 
 ParamGrid
@@ -166,12 +281,9 @@ ParamGrid::fromJsonText(const std::string &text,
     grid._name = g.getString("name");
     if (grid._name.empty())
         fatal("sweep grid %s: missing \"name\"", what.c_str());
-    for (char c : grid._name) {
-        if (!std::isalnum(static_cast<unsigned char>(c)) &&
-            c != '_' && c != '-') {
-            fatal("sweep grid %s: \"name\" must be [A-Za-z0-9_-] "
-                  "(it names journal and report files)", what.c_str());
-        }
+    if (!wordOf(grid._name, "_-")) {
+        fatal("sweep grid %s: \"name\" must be [A-Za-z0-9_-] "
+              "(it names journal and report files)", what.c_str());
     }
 
     grid._policies = stringArray(g, "policies", {}, what);
@@ -179,19 +291,6 @@ ParamGrid::fromJsonText(const std::string &text,
         fatal("sweep grid %s: missing \"policies\" axis", what.c_str());
     // An unknown name dies in configFor() below, when every cell's
     // config is built at load.
-
-    grid._workloads = stringArray(g, "workloads", {}, what);
-    if (grid._workloads.empty())
-        fatal("sweep grid %s: missing \"workloads\" axis",
-              what.c_str());
-    for (const std::string &w : grid._workloads) {
-        if (!WorkloadRegistry::instance().known(w)) {
-            fatal("sweep grid %s: unknown workload '%s' (registered: "
-                  "%s)", what.c_str(), w.c_str(),
-                  joinNames(WorkloadRegistry::instance().names())
-                      .c_str());
-        }
-    }
 
     grid._maps = stringArray(g, "shardMaps", {"serial"}, what);
     for (const std::string &m : grid._maps) {
@@ -247,41 +346,17 @@ ParamGrid::fromJsonText(const std::string &text,
         grid._overrides.push_back({"default", {}});
     }
 
-    // Nanosecond fields must not overflow when scaled to ticks.
-    const std::uint64_t max_ns =
-        std::numeric_limits<Tick>::max() / ticksPerNs;
     grid._seeds = intField(g, "seeds", 1u, 1u, what);
     grid._firstSeed = intField<std::uint64_t>(g, "firstSeed", 1, 0, what);
     grid._shardWorkers = intField(g, "shardWorkers", 2u, 1u, what);
     grid._horizonNs = intField<std::uint64_t>(g, "horizonNs", 500000000,
-                                              1, what, max_ns);
+                                              1, what, kMaxNs);
     grid._horizon = ns(Tick(grid._horizonNs));
 
-    if (const minijson::Value *wk = g.find("workloadKnobs")) {
-        if (!wk->isObject())
-            fatal("sweep grid %s: \"workloadKnobs\" must be an "
-                  "object", what.c_str());
-        static const std::set<std::string> wl_keys = {
-            "opsPerProc", "keys", "theta", "writeFrac", "thinkMeanNs",
-            "thinkJitterNs", "warmupOps"};
-        for (const auto &[key, value] : wk->obj) {
-            (void)value;
-            if (!wl_keys.count(key))
-                fatal("sweep grid %s: unknown workloadKnobs key "
-                      "\"%s\"", what.c_str(), key.c_str());
-        }
-        const std::string wk_what = what + " workloadKnobs";
-        grid._wl.opsPerProc = intField(*wk, "opsPerProc", 0u, 0u,
-                                       wk_what);
-        grid._wl.keys = intField(*wk, "keys", 0u, 0u, wk_what);
-        grid._wl.theta = wk->getNumber("theta", -1.0);
-        grid._wl.writeFrac = wk->getNumber("writeFrac", -1.0);
-        grid._wl.thinkMean = ns(Tick(intField<std::uint64_t>(
-            *wk, "thinkMeanNs", 0, 0, wk_what, max_ns)));
-        grid._wl.thinkJitter = ns(Tick(intField<std::uint64_t>(
-            *wk, "thinkJitterNs", 0, 0, wk_what, max_ns)));
-        grid._wl.warmupOps = intField(*wk, "warmupOps", -1, -1, wk_what);
-    }
+    WorkloadParams shared;
+    if (const minijson::Value *wk = g.find("workloadKnobs"))
+        overlayWorkloadKnobs(*wk, shared, what);
+    grid._workloads = workloadAxis(g, shared, what);
 
     // Canonical form: versioned, field order fixed. The fingerprint
     // over this string is what the resume journal checks, so any
@@ -291,8 +366,10 @@ ParamGrid::fromJsonText(const std::string &text,
     for (const std::string &p : grid._policies)
         c += p + ",";
     c += "|workloads=";
-    for (const std::string &w : grid._workloads)
-        c += w + ",";
+    for (const WorkloadEntry &w : grid._workloads) {
+        c += workloadKeySegment(w) +
+             (w.plain ? "" : workloadKnobSegment(w.knobs)) + ",";
+    }
     c += "|maps=";
     for (const std::string &m : grid._maps)
         c += m + ",";
@@ -307,7 +384,7 @@ ParamGrid::fromJsonText(const std::string &text,
     c += "|firstSeed=" + fmtU64(grid._firstSeed);
     c += "|shardWorkers=" + fmtU64(grid._shardWorkers);
     c += "|horizonNs=" + fmtU64(grid._horizonNs);
-    c += "|" + workloadKnobSegment(grid._wl);
+    c += "|" + workloadKnobSegment(shared);
     grid._canonical = std::move(c);
     grid._fingerprint = hashHex(stableHash64(grid._canonical));
 
@@ -332,7 +409,7 @@ ParamGrid::enumerate()
     unsigned index = 0;
     for (const std::string &p : _policies) {
         const ProtocolInfo *row = findProtocol(p);
-        for (const std::string &w : _workloads) {
+        for (const WorkloadEntry &w : _workloads) {
             for (const std::string &m : _maps) {
                 // PerfectL2's magic L2 bypasses the network, so it
                 // cannot run sharded. Crossing axes makes such combos
@@ -348,22 +425,23 @@ ParamGrid::enumerate()
                         SweepCell cell;
                         cell.index = index++;
                         cell.policy = p;
-                        cell.workload = w;
+                        cell.workload = w.label;
                         cell.shardMap = m;
                         cell.overrideLabel = o.label;
                         cell.seed = _firstSeed + i;
 
                         std::string k = "cellv4|policy=" + p +
-                            "|workload=" + w + "|map=" + m +
+                            "|workload=" + workloadKeySegment(w) +
+                            "|map=" + m +
                             "|knobs=" + o.label + "{";
                         for (const auto &[kn, kv] : o.knobs)
                             k += kn + "=" + fmtNum(kv) + ";";
                         k += "}|seed=" + fmtU64(cell.seed) +
                              "|horizonNs=" + fmtU64(_horizonNs) + "|" +
-                             workloadKnobSegment(_wl);
+                             workloadKnobSegment(w.knobs);
                         cell.key = std::move(k);
                         cell.hash = hashHex(stableHash64(cell.key));
-                        cell.label = p + "/" + w + "/" + m + "/" +
+                        cell.label = p + "/" + w.label + "/" + m + "/" +
                             o.label + "/s" + fmtU64(cell.seed);
                         _cells.push_back(std::move(cell));
                     }
@@ -382,8 +460,12 @@ SystemConfig
 ParamGrid::configFor(const SweepCell &cell) const
 {
     SystemConfig cfg = SystemConfig::select(cell.policy);
-    cfg.workloadName = cell.workload;
-    cfg.workloadParams = _wl;
+    for (const WorkloadEntry &w : _workloads) {
+        if (w.label == cell.workload) {
+            cfg.workloadName = w.name;
+            cfg.workloadParams = w.knobs;
+        }
+    }
 
     if (cell.shardMap == "perCmp")
         cfg.shards = _shardWorkers;

@@ -9,12 +9,15 @@
  * recorded against an edited grid is detected instead of silently
  * mixing results).
  *
- * Grid file shape (see docs/sweeps.md for the full reference):
+ * Grid file shape (see docs/sweeps.md for the full reference;
+ * bench/grids/paper_macro.json is a committed example):
  *
  *   {
- *     "name": "fig7_policy",
+ *     "name": "paper_macro",
  *     "policies": ["dst1", "dst-group", "directory"],
- *     "workloads": ["oltp", "prodcons"],
+ *     "workloads": ["synthetic-oltp",
+ *                   {"name": "locking", "label": "locks2",
+ *                    "knobs": {"keys": 2}}],
  *     "shardMaps": ["serial"],            // optional, default
  *     "seeds": 2, "firstSeed": 1,
  *     "shardWorkers": 4,                  // threads per sharded cell
@@ -32,6 +35,9 @@
  * SystemConfig::select(): PolicyRegistry names on the token substrate,
  * plus the protocol-table keys of the non-token rows ("directory",
  * "directory-zero", "perfect", "hier").
+ * "workloads" entries are WorkloadRegistry names, or objects naming a
+ * workload under a unique label with their own workloadKnobs keys,
+ * laid over the grid's "workloadKnobs" key by key.
  * Every name (policies, workloads, knobs) is
  * validated against its registry at load time — a typo dies before
  * any cell simulates, not at 3am in cell 900.
@@ -57,12 +63,22 @@ struct KnobOverride
     std::vector<std::pair<std::string, double>> knobs;
 };
 
+/** One workload-axis value: a registry workload and the knobs its
+ *  cells run (the grid's workloadKnobs under the entry's own). */
+struct WorkloadEntry
+{
+    std::string label;     //!< unique on the axis; a plain entry's name
+    std::string name;      //!< WorkloadRegistry name
+    WorkloadParams knobs;  //!< merged knobs
+    bool plain = true;     //!< given as a bare name in the grid file
+};
+
 /** One enumerated grid cell: a single (config, seed) simulation. */
 struct SweepCell
 {
     unsigned index = 0;        //!< position in grid enumeration order
     std::string policy;        //!< policy name or a protocol special
-    std::string workload;      //!< WorkloadRegistry name
+    std::string workload;      //!< WorkloadEntry::label
     std::string shardMap;      //!< "serial" | "perCmp"
     std::string overrideLabel; //!< KnobOverride::label
     std::uint64_t seed = 0;
@@ -109,7 +125,7 @@ class ParamGrid
 
     // Axis accessors (for reports and marginals).
     const std::vector<std::string> &policies() const { return _policies; }
-    const std::vector<std::string> &workloads() const { return _workloads; }
+    const std::vector<WorkloadEntry> &workloads() const { return _workloads; }
     const std::vector<std::string> &shardMaps() const { return _maps; }
     const std::vector<KnobOverride> &overrides() const { return _overrides; }
     unsigned seedsPerCell() const { return _seeds; }
@@ -123,7 +139,7 @@ class ParamGrid
 
     std::string _name;
     std::vector<std::string> _policies;
-    std::vector<std::string> _workloads;
+    std::vector<WorkloadEntry> _workloads;
     std::vector<std::string> _maps;
     std::vector<KnobOverride> _overrides;
     unsigned _seeds = 1;
@@ -131,7 +147,6 @@ class ParamGrid
     unsigned _shardWorkers = 2;
     Tick _horizon = 0;
     std::uint64_t _horizonNs = 0;
-    WorkloadParams _wl;
 
     std::string _canonical;
     std::string _fingerprint;

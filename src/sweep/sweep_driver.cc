@@ -198,7 +198,7 @@ SweepDriver::appendJournal(const std::string &line)
 }
 
 std::string
-SweepDriver::runCellJson(const ParamGrid &grid, const SweepCell &cell)
+SweepDriver::cellResultJson(const ParamGrid &grid, const SweepCell &cell)
 {
     SystemConfig cfg = grid.configFor(cell);
     ExperimentResult e = Experiment::of(cfg)
@@ -255,7 +255,7 @@ SweepDriver::runInProcess(const std::vector<const SweepCell *> &pending)
             if (i >= pending.size())
                 return;
             const SweepCell &cell = *pending[i];
-            const std::string result = runCellJson(_grid, cell);
+            const std::string result = cellResultJson(_grid, cell);
 
             std::lock_guard<std::mutex> lock(mu);
             appendJournal("{\"type\": \"cell\", \"hash\": " +
@@ -559,8 +559,11 @@ SweepDriver::mergedReport() const
         }
         return out;
     };
+    std::vector<std::string> workloads;
+    for (const WorkloadEntry &w : _grid.workloads())
+        workloads.push_back(w.label);
     axes_out += joinQuoted(_grid.policies()) + "], \"workloads\": [" +
-                joinQuoted(_grid.workloads()) +
+                joinQuoted(workloads) +
                 "], \"shardMaps\": [" + joinQuoted(_grid.shardMaps()) +
                 "], \"overrides\": [";
     {

@@ -112,8 +112,8 @@ class SweepDriver
      *  ExperimentResult::toJson object labeled with the cell label).
      *  This is the child-process entry point — static so `--cell`
      *  mode needs no journal — and deterministic for a given cell. */
-    static std::string runCellJson(const ParamGrid &grid,
-                                   const SweepCell &cell);
+    static std::string cellResultJson(const ParamGrid &grid,
+                                      const SweepCell &cell);
 
     /** The merged sweep report over everything in the journal:
      *  deterministic (grid order, sorted marginals), independent of

@@ -6,7 +6,7 @@
  * Workloads register a name → factory mapping at static-initialization
  * time (see WorkloadRegistrar); `SystemConfig::workloadName` plus a
  * `WorkloadParams` knob table then selects and parameterizes one by
- * string, so sweep drivers (ParamGrid, bench/workload_sweep.cc) can
+ * string, so sweep drivers (ParamGrid and its grid files) can
  * cross workloads with protocols and policies without compile-time
  * knowledge of the concrete types.
  *

@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
 #include <sys/wait.h>
 
+#include "core/policy.hh"
 #include "sim/logging.hh"
 #include "sweep/json.hh"
 #include "sweep/param_grid.hh"
@@ -291,6 +293,72 @@ TEST(ParamGrid, ConfigForAppliesAxes)
     }
 }
 
+/** Two locking entries that differ only in their lock count, plus a
+ *  plain entry: 1 policy x 3 workloads = 3 cells. */
+const char *kEntryGrid = R"({
+  "name": "entries",
+  "policies": ["dst1"],
+  "workloads": [
+    {"name": "locking", "label": "locks2", "knobs": {"keys": 2}},
+    {"name": "locking", "label": "locks4", "knobs": {"keys": 4}},
+    "oltp"
+  ],
+  "workloadKnobs": {"opsPerProc": 5, "keys": 64}
+})";
+
+TEST(ParamGrid, WorkloadEntriesLayTheirKnobsOverTheGrids)
+{
+    ParamGrid g = ParamGrid::fromJsonText(kEntryGrid, "entries");
+    ASSERT_EQ(g.cells().size(), 3u);
+    const SweepCell &l2 = g.cells()[0];
+    const SweepCell &l4 = g.cells()[1];
+    EXPECT_EQ(l2.workload, "locks2");
+    EXPECT_EQ(l2.label, "dst1/locks2/serial/default/s1");
+    // The merged knobs are in the key, so the two entries hash apart.
+    EXPECT_NE(l2.key.find("workload=locking[locks2]"), std::string::npos)
+        << l2.key;
+    EXPECT_NE(l2.key.find("wl={ops=5;keys=2;"), std::string::npos)
+        << l2.key;
+    EXPECT_NE(l4.key.find("wl={ops=5;keys=4;"), std::string::npos)
+        << l4.key;
+    EXPECT_NE(l2.hash, l4.hash);
+
+    const SystemConfig c2 = g.configFor(l2);
+    EXPECT_EQ(c2.workloadName, "locking");
+    EXPECT_EQ(c2.workloadParams.keys, 2u);
+    EXPECT_EQ(c2.workloadParams.opsPerProc, 5u);
+    EXPECT_EQ(g.configFor(l4).workloadParams.keys, 4u);
+
+    // A plain entry runs the grid's knobs and keys as it always did.
+    const SweepCell &plain = g.cells()[2];
+    EXPECT_EQ(plain.workload, "oltp");
+    EXPECT_NE(plain.key.find("|workload=oltp|"), std::string::npos);
+    EXPECT_EQ(g.configFor(plain).workloadParams.keys, 64u);
+
+    // The entry's knobs are part of the grid's fingerprint too.
+    std::string edited = kEntryGrid;
+    edited.replace(edited.find("\"keys\": 4"), 9, "\"keys\": 8");
+    EXPECT_NE(ParamGrid::fromJsonText(edited, "e").fingerprint(),
+              g.fingerprint());
+}
+
+TEST(ParamGrid, PaperMacroGridCoversEveryFlatTokenPolicy)
+{
+    // The policy table reads every registered flat-token policy from
+    // this grid; hier's intra-CMP "arb4" is not a row. A newly
+    // registered policy must join the grid.
+    ParamGrid g =
+        ParamGrid::fromFile(TOKENCMP_GRID_DIR "/paper_macro.json");
+    for (const std::string &name : PolicyRegistry::instance().names()) {
+        if (name == "arb4")
+            continue;
+        EXPECT_NE(std::find(g.policies().begin(), g.policies().end(),
+                            name),
+                  g.policies().end())
+            << name << " is missing from paper_macro.json";
+    }
+}
+
 namespace {
 
 /** A one-cell grid with `field` spliced into the top level. */
@@ -467,6 +535,40 @@ TEST(ParamGridDeathTest, WorkloadKnobIntegersAreChecked)
                  "thinkMean 1000 ns");
 }
 
+TEST(ParamGridDeathTest, WorkloadEntriesNeedAUniqueLabelAndKnownKnobs)
+{
+    // (workloads axis, diagnostic); a plain entry's label is its name.
+    const std::pair<const char *, const char *> cases[] = {
+        {R"({"name": "locking", "knobs": {"keys": 2}})",
+         "workload entry 'locking' needs a \"label\""},
+        {R"({"name": "locking", "label": "a"},
+            {"name": "barrier", "label": "a"})",
+         "duplicate workload label 'a'"},
+        {R"("oltp", {"name": "locking", "label": "oltp"})",
+         "duplicate workload label 'oltp'"},
+        {R"({"name": "locking", "label": "locks/2"})",
+         "workload entry 'locking' needs a \"label\" of "
+         "\\[A-Za-z0-9_.@-\\] \\(it enters the cell labels\\), not "
+         "'locks/2'"},
+        {R"({"name": "locking", "label": "x", "knobs": {"locks": 2}})",
+         "workload 'x': unknown workloadKnobs key \"locks\""},
+        {R"({"name": "locking", "label": "x", "knobs": {"keys": -3}})",
+         "workload 'x' workloadKnobs: \"keys\" must be an integer in"},
+        {R"({"name": "locking", "label": "x",
+             "knobs": {"keys": 4294967296}})",
+         "workload 'x' workloadKnobs: \"keys\" must be an integer in"},
+        {R"({"name": "lockin", "label": "x"})", "unknown workload 'lockin'"},
+    };
+    for (const auto &[entries, diagnostic] : cases) {
+        EXPECT_DEATH(ParamGrid::fromJsonText(
+                         std::string(R"({"name": "t", "policies": ["dst1"],
+                                         "workloads": [)") +
+                             entries + "]}",
+                         "t"),
+                     diagnostic);
+    }
+}
+
 // ---- SweepDriver ----------------------------------------------------
 
 namespace {
@@ -602,9 +704,9 @@ TEST(SweepDriver, OverriddenCellsGetDistinctProtocolLabels)
     // The label-collision fix: same policy, different knob overrides
     // must produce distinct result labels (protocol "@<hash>").
     ParamGrid grid = ParamGrid::fromJsonText(kTinyGrid, "labels");
-    const std::string def = SweepDriver::runCellJson(
+    const std::string def = SweepDriver::cellResultJson(
         grid, *grid.cellByHash("8f71a33aff31a8ec"));
-    const std::string ovr = SweepDriver::runCellJson(
+    const std::string ovr = SweepDriver::cellResultJson(
         grid, *grid.cellByHash("9b6dd4ff5782b7b7"));
 
     std::string err;
@@ -618,6 +720,30 @@ TEST(SweepDriver, OverriddenCellsGetDistinctProtocolLabels)
     EXPECT_EQ(oj.getString("knobHash").size(), 8u);
     EXPECT_EQ(oj.getString("protocol"),
               "TokenCMP-dst1@" + oj.getString("knobHash"));
+}
+
+TEST(SweepDriver, ReportNamesWorkloadsByLabel)
+{
+    ParamGrid grid = ParamGrid::fromJsonText(kEntryGrid, "entries");
+    SweepOptions o;
+    o.journalPath = tmpPath("entries.journal.jsonl");
+    o.verbose = false;
+    std::remove(o.journalPath.c_str());
+    SweepDriver driver(grid, o);
+    ASSERT_TRUE(driver.run().complete());
+
+    std::string err;
+    minijson::Value r = minijson::parse(driver.mergedReport(), &err);
+    ASSERT_TRUE(err.empty()) << err;
+    const minijson::Value *axis = r.find("axes")->find("workloads");
+    ASSERT_EQ(axis->arr.size(), 3u);
+    EXPECT_EQ(axis->arr[0].str, "locks2");
+    EXPECT_EQ(r.find("cells")->arr[1].getString("workload"), "locks4");
+    const minijson::Value *rt = r.find("marginals")->find("runtimeNs");
+    EXPECT_NE(rt->find("byWorkload")->find("locks2"), nullptr);
+    EXPECT_NE(rt->find("byWorkload")->find("locks4"), nullptr);
+    EXPECT_EQ(rt->find("byWorkload")->find("locking"), nullptr);
+    EXPECT_NE(rt->find("byPolicyWorkload")->find("dst1|locks4"), nullptr);
 }
 
 using SweepDriverDeathTest = ::testing::Test;

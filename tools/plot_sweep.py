@@ -18,7 +18,7 @@ per report — gnuplot/spreadsheet-ready, and exercised in CI where the
 container has no matplotlib.
 
 Usage:
-  python3 tools/plot_sweep.py build/SWEEP_fig7_policy.json
+  python3 tools/plot_sweep.py build/SWEEP_paper_macro.json
   python3 tools/plot_sweep.py bench/baselines/sweep_smoke.json \
       build/SWEEP_sweep_smoke.json --out-dir build/plots \
       --metrics runtimeNs,msgsPerMiss --axes byPolicy,byWorkload

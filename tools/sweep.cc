@@ -3,9 +3,9 @@
  * Sweep orchestration CLI: run a declarative parameter grid through
  * the resumable SweepDriver (see docs/sweeps.md).
  *
- *   sweep --grid bench/grids/fig7_policy_grid.json \
- *         --journal out/fig7.jsonl --out out/SWEEP_fig7.json \
- *         --procs 4 --pin
+ *   sweep --grid bench/grids/paper_macro.json \
+ *         --journal out/paper_macro.jsonl \
+ *         --out out/SWEEP_paper_macro.json --procs 4 --pin
  *
  * Exit codes: 0 = every cell completed; 3 = stopped early or some
  * cells failed (re-run with the same journal to resume); anything
@@ -164,7 +164,7 @@ main(int argc, char **argv)
                   grid.name().c_str(), cellHash.c_str());
         }
         const std::string result =
-            SweepDriver::runCellJson(grid, *cell);
+            SweepDriver::cellResultJson(grid, *cell);
         if (cellOut.empty())
             std::printf("%s\n", result.c_str());
         else
