@@ -39,8 +39,9 @@ namespace tokencmp {
 struct alignas(64) ChipTokenState
 {
     /** Per block: bit l1SlotOf(l1) is set exactly while that L1's line
-     *  for the block holds at least one token. Blocks no L1 holds
-     *  tokens for have no entry; 32-bit keys keep a slot at 8 B. */
+     *  for the block holds a token or valid data (TokenSt::holds()).
+     *  Blocks no L1 holds either for have no entry; 32-bit keys keep a
+     *  slot at 8 B. */
     BlockTable<std::uint32_t, std::uint32_t> holders;
 
     /** The chip's L1s in relay order (per processor: D, then I). */
@@ -114,7 +115,7 @@ struct TokenGlobals
     }
 
     /** Holder bits of `addr`'s block on CMP `cmp` (0: no L1 holds a
-     *  token for it). */
+     *  token or valid data for it). */
     std::uint32_t
     holderMask(unsigned cmp, Addr addr) const
     {
@@ -122,14 +123,14 @@ struct TokenGlobals
         return bits != nullptr ? *bits : 0;
     }
 
-    /** L1 `l1`'s line for `addr` now holds tokens. */
+    /** L1 `l1`'s line for `addr` now holds tokens or valid data. */
     void
     setHolder(const MachineID &l1, Addr addr)
     {
         _chips[l1.cmp].holders.get(addr) |= 1u << l1SlotOf(topo, l1);
     }
 
-    /** L1 `l1` no longer holds tokens for `addr` (or its line left). */
+    /** L1 `l1`'s line for `addr` holds neither any more (or left). */
     void
     clearHolder(const MachineID &l1, Addr addr)
     {
@@ -143,7 +144,8 @@ struct TokenGlobals
     }
 
     /** Call `fn(block, bits)` for every block some L1 of `cmp` holds
-     *  tokens for (audits only: the order is the table's). */
+     *  tokens or valid data for (audits only: the order is the
+     *  table's). */
     template <typename Fn>
     void
     forEachHolder(unsigned cmp, Fn &&fn) const
@@ -152,10 +154,12 @@ struct TokenGlobals
     }
 
     /**
-     * Park mask for a transient request for `addr` fanned out from
-     * CMP `cmp` to `dsts`: bit i is set when dsts[i] is an L1 of `cmp`
-     * holding no tokens for the block, so delivered it would change
-     * nothing (TokenL1::onTransientReq's first return). One lookup.
+     * Park mask for a fan-out about `addr` from CMP `cmp` to `dsts`
+     * (a transient request, the L2's relay of one, or hier's recall):
+     * bit i is set when dsts[i] is an L1 of `cmp` whose line holds
+     * neither tokens nor valid data, so delivered the copy would
+     * change nothing (the first return of TokenL1::onTransientReq and
+     * of HierL1::onRecall). One lookup.
      */
     std::uint64_t parkMask(unsigned cmp, Addr addr,
                            const std::vector<MachineID> &dsts) const;
@@ -224,6 +228,10 @@ class TokenController : public Controller
     {}
 
     const PersistentTable &persistentTable() const { return ptable; }
+
+    /** The globals of this controller's token space (hier runs one per
+     *  CMP, so tests read its holder masks through a controller). */
+    const TokenGlobals &globals() const { return g; }
 
     /** This controller's performance-policy instance. */
     PerformancePolicy &policy() { return *_policy; }

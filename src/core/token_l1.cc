@@ -48,7 +48,7 @@ TokenL1::auditHolders(const std::vector<const TokenL1 *> &l1s)
         for (const TokenL1 *l1 : chip)
             by_slot[l1SlotOf(g.topo, l1->_id)] = l1;
 
-        // Every set bit names a line that holds tokens...
+        // Every set bit names a line that holds tokens or data...
         std::vector<std::size_t> bits(by_slot.size(), 0);
         g.forEachHolder(cmp, [&](Addr addr, std::uint32_t word) {
             for (; word != 0; word &= word - 1) {
@@ -57,34 +57,36 @@ TokenL1::auditHolders(const std::vector<const TokenL1 *> &l1s)
                     slot < by_slot.size() ? by_slot[slot] : nullptr;
                 const Line *line =
                     l1 != nullptr ? l1->_array.probe(addr) : nullptr;
-                if (line == nullptr || line->st.tokens == 0)
+                if (line == nullptr || !line->st.holds())
                     panic("holder bit of block 0x%llx at %s is set, but "
                           "%s", static_cast<unsigned long long>(addr),
                           l1 != nullptr ? l1->_id.toString().c_str()
                                         : "an unknown L1 slot",
-                          line == nullptr ? "the L1 has no line for it"
-                                          : "its line holds 0 tokens");
+                          line == nullptr
+                              ? "the L1 has no line for it"
+                              : "its line holds 0 tokens and no data");
                 ++bits[slot];
             }
         });
 
-        // ...and each L1 holds tokens in as many lines as it has bits,
-        // so no line that holds tokens lacks its bit.
+        // ...and each L1 has as many such lines as it has bits, so no
+        // line that holds tokens or data lacks its bit.
         for (const TokenL1 *l1 : chip) {
             const unsigned slot = l1SlotOf(g.topo, l1->_id);
             std::size_t held = 0;
             l1->_array.forEachValid([&](Addr, const Line &line) {
-                held += line.st.tokens > 0 ? 1 : 0;
+                held += line.st.holds() ? 1 : 0;
             });
             if (held == bits[slot])
                 continue;
             l1->_array.forEachValid([&](Addr addr, const Line &line) {
-                if (line.st.tokens > 0 &&
+                if (line.st.holds() &&
                     ((g.holderMask(cmp, addr) >> slot) & 1) == 0)
                     panic("holder bit of block 0x%llx at %s is clear, "
-                          "but its line holds %d tokens",
+                          "but its line holds %d tokens%s",
                           static_cast<unsigned long long>(addr),
-                          l1->_id.toString().c_str(), line.st.tokens);
+                          l1->_id.toString().c_str(), line.st.tokens,
+                          line.st.validData ? " and valid data" : "");
             });
         }
     }
@@ -192,11 +194,12 @@ TokenL1::evictLine(Line *line)
 {
     const Addr addr = _array.tagOf(*line);
     TokenSt &st = line->st;
+    if (st.holds())
+        g.clearHolder(_id, addr);
     if (st.tokens > 0 || st.owner) {
         ++stats.writebacks;
         evictTokens(st, addr, ctx.topo.l2BankFor(_id.cmp, addr),
                     g.machine.l1Latency);
-        g.clearHolder(_id, addr);
     }
     _array.invalidate(line);
 }
@@ -476,9 +479,9 @@ TokenL1::onResponse(const Msg &m)
         return;
     }
 
-    const bool had_tokens = line->st.tokens > 0;
+    const bool held = line->st.holds();
     absorbTokens(line->st, m);
-    if (!had_tokens && line->st.tokens > 0) {
+    if (!held && line->st.holds()) {
         g.setHolder(_id, addr);
         ctx.net->wake(_id, addr);
     }

@@ -67,9 +67,9 @@ class TokenL1 : public TokenController, public L1CacheIF
     /**
      * Panic, naming the L1 and the block, where a CMP's holder mask
      * disagrees with its L1s' lines: bit l1SlotOf(l1) must be set
-     * exactly for the blocks whose line in `l1` holds at least one
-     * token. `l1s` holds every L1 of one or more whole CMPs; the L1s
-     * of one CMP share one TokenGlobals.
+     * exactly for the blocks whose line in `l1` holds a token or
+     * valid data. `l1s` holds every L1 of one or more whole CMPs; the
+     * L1s of one CMP share one TokenGlobals.
      */
     static void auditHolders(const std::vector<const TokenL1 *> &l1s);
 

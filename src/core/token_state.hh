@@ -34,7 +34,8 @@ struct TokenSt
     /** A token-forwarding recheck is scheduled for the hold window. */
     bool recheckScheduled = false;
 
-    bool hasAny() const { return tokens > 0; }
+    /** Something a full recall would take: a token or valid data. */
+    bool holds() const { return tokens > 0 || validData; }
     bool readable() const { return tokens >= 1 && validData; }
     bool
     writable(int total_tokens) const

@@ -50,21 +50,21 @@ HierL1::onRecall(const Msg &m)
         return;
     }
 
-    // Full recall: dump every token. This overrides the response-delay
-    // hold — the external request already won arbitration at the home
-    // directory. An outstanding local transaction keeps the line
-    // installed as its landing slot; its tokens go back too (it will
-    // re-gather them, ultimately from the shim after its refetch).
-    if (st.tokens == 0 && !st.owner) {
-        if (!_txns.find(addr) && st.validData) {
-            // Token-less valid-data line: nothing to send, just drop.
-            _array.invalidate(line);
-        }
+    // Full recall: dump every token and drop the data. This overrides
+    // the response-delay hold — the external request already won
+    // arbitration at the home directory. An outstanding local
+    // transaction keeps the line installed as its landing slot; its
+    // tokens and data go too (it will re-gather them, ultimately from
+    // the shim after its refetch). A line holding neither is exactly
+    // one whose holder bit is clear, so parked copies skip only this
+    // return.
+    if (!st.holds())
         return;
+    if (st.tokens > 0 || st.owner) {
+        ++hierStats.recallsFull;
+        giveTokens(st, MsgType::TokResponse, addr, m.requestor,
+                   st.tokens, st.owner, st.owner, lat);
     }
-    ++hierStats.recallsFull;
-    giveTokens(st, MsgType::TokResponse, addr, m.requestor, st.tokens,
-               st.owner, st.owner, lat);
     g.clearHolder(_id, addr);
     st = TokenSt{};
     if (!_txns.find(addr))

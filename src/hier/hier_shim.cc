@@ -502,7 +502,11 @@ HierShim::broadcastRecall(Addr addr, Recall kind)
 {
     Msg inv = dirMsg(MsgType::Inv, addr, MachineID{}, _id);
     inv.isRead = (kind == Recall::Down);
-    multicast(inv, g.chipL1s(_id.cmp), g.machine.l2Latency);
+    // Copies to L1s holding neither tokens nor data for the block
+    // park: they would be no-ops (HierL1::onRecall).
+    const std::vector<MachineID> &l1s = g.chipL1s(_id.cmp);
+    multicast(inv, l1s, g.machine.l2Latency,
+              g.parkMask(_id.cmp, addr, l1s));
 }
 
 void

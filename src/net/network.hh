@@ -41,12 +41,13 @@
  *
  *  - Parking. The sender passes a park mask: bit i parks copy i, a
  *    copy its same-domain destination would ignore on arrival (the
- *    token family sets it for L1s its per-CMP holder mask says hold
- *    no tokens for the block). A fan-out with parked copies appends
- *    one record to its domain's FIFO: the Msg, the mask of copies
- *    still parked, the fan-out's destinations, and its keys in
- *    closed form (copy i at firstWhen + i*step, seq base + i; a
- *    copy-by-copy route parks each copy in a record of its own). No
+ *    token family's transient requests and relays, and hier's recall
+ *    Inv, set it for L1s its per-CMP holder mask says hold neither
+ *    tokens nor valid data for the block). A fan-out with parked
+ *    copies appends one record to its domain's FIFO: the Msg, the
+ *    mask of copies still parked, the fan-out's destinations, and its
+ *    keys in closed form (copy i at firstWhen + i*step, seq base + i;
+ *    a copy-by-copy route parks each copy in a record of its own). No
  *    event is scheduled for a parked copy. When a destination's
  *    state changes so that it could act on such a copy, it calls
  *    wake(), which schedules its copies for the block still ahead of

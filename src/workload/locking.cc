@@ -136,23 +136,25 @@ LockingWorkload::noteAcquire(unsigned lock, unsigned proc)
     // Threads on concurrent shard domains report through these hooks;
     // a correct protocol separates conflicting acquire/release pairs
     // by at least one cross-CMP hop (>= the shard lookahead), so the
-    // mutex only guards the map's structure, never the verdict.
+    // mutex only keeps the checker's updates race-free, never decides
+    // the verdict.
     std::lock_guard<std::mutex> guard(_mu);
     ++_totalAcquires;
-    if (_holder.count(lock) != 0)
+    int &holder = _holder.at(lock);
+    if (holder != kFree)
         ++_violations;  // two processors inside one critical section
-    _holder[lock] = proc;
+    holder = int(proc);
 }
 
 void
 LockingWorkload::noteRelease(unsigned lock, unsigned proc)
 {
     std::lock_guard<std::mutex> guard(_mu);
-    auto it = _holder.find(lock);
-    if (it == _holder.end() || it->second != proc)
+    int &holder = _holder.at(lock);
+    if (holder != int(proc))
         ++_violations;
     else
-        _holder.erase(it);
+        holder = kFree;
 }
 
 } // namespace tokencmp

@@ -14,8 +14,8 @@
 #ifndef TOKENCMP_WORKLOAD_LOCKING_HH
 #define TOKENCMP_WORKLOAD_LOCKING_HH
 
+#include <algorithm>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "workload/workload.hh"
@@ -45,7 +45,9 @@ struct LockingParams
 class LockingWorkload : public Workload
 {
   public:
-    explicit LockingWorkload(const LockingParams &p = {}) : _p(p) {}
+    explicit LockingWorkload(const LockingParams &p = {})
+        : _p(p), _holder(p.numLocks, kFree)
+    {}
 
     std::unique_ptr<ThreadContext>
     makeThread(SimContext &ctx, Sequencer &seq, unsigned num_procs,
@@ -54,7 +56,7 @@ class LockingWorkload : public Workload
     void
     reset() override
     {
-        _holder.clear();
+        std::fill(_holder.begin(), _holder.end(), kFree);
         _violations = 0;
         _totalAcquires = 0;
         _measureStart = 0;
@@ -88,10 +90,13 @@ class LockingWorkload : public Workload
     const LockingParams &params() const { return _p; }
 
   private:
+    static constexpr int kFree = -1;
+
     LockingParams _p;
     /** Guards the checker state against concurrent shard domains. */
     std::mutex _mu;
-    std::unordered_map<unsigned, unsigned> _holder;
+    /** Per lock: the processor inside its critical section, or kFree. */
+    std::vector<int> _holder;
     std::uint64_t _violations = 0;
     std::uint64_t _totalAcquires = 0;
     Tick _measureStart = 0;

@@ -222,6 +222,132 @@ TEST(HierScenario, ResidencyWritebackRaceWithRemoteStoreIsCancelled)
     sys.verifyQuiescent();
 }
 
+namespace {
+
+/** Whether `l1`'s holder bit for `addr`'s block is set. */
+bool
+holderBit(const TokenL1 &l1, const MachineID &id, Addr addr)
+{
+    const TokenGlobals &g = l1.globals();
+    return (g.holderMask(id.cmp, addr) >> l1SlotOf(g.topo, id)) & 1;
+}
+
+} // namespace
+
+TEST(HierScenario, FullRecallDropsATokenlessDataCopy)
+{
+    // A 1-token owner (the shim at chip S/O) answers a persistent read
+    // with data alone, so the reader can hold valid data and no tokens
+    // while its read waits for a token. A full recall takes that data,
+    // so the line's holder bit must be set (its recall copy is
+    // delivered, not parked); the recall drops the data and clears the
+    // bit, and the pending read keeps the line as its landing slot.
+    constexpr Addr kAddr = 0x6000;
+    System sys(hierCfg());
+    runStore(sys, 0, kAddr, 5);  // chip 0 M: every token at proc 0's L1
+    drain(sys);
+    const Topology &t = sys.context().topo;
+    const MachineID self = t.l1d(0, 1);
+    HierL1 &l1 = *sys.controller<HierL1>(0, 1);
+
+    bool loaded = false;
+    std::uint64_t value = 0;
+    sys.sequencer(1).load(kAddr, [&](const MemResult &r) {
+        loaded = true;
+        value = r.value;
+    });
+    sys.context().eventq.runUntil([&]() { return l1.outstanding() > 0; },
+                                  sys.context().eventq.curTick() + ns(100));
+    ASSERT_EQ(l1.outstanding(), 1u);
+    ASSERT_FALSE(holderBit(l1, self, kAddr));
+
+    Msg data;
+    data.type = MsgType::TokResponse;
+    data.addr = kAddr;
+    data.src = t.l2BankFor(0, kAddr);
+    data.dst = self;
+    data.requestor = self;
+    data.hasData = true;
+    data.value = 5;
+    l1.handleMsg(data);
+    ASSERT_NE(l1.peek(kAddr), nullptr);
+    EXPECT_EQ(l1.peek(kAddr)->tokens, 0);
+    EXPECT_TRUE(l1.peek(kAddr)->validData);
+    EXPECT_TRUE(holderBit(l1, self, kAddr));
+    EXPECT_FALSE(loaded);  // data alone grants no read permission
+
+    Msg inv;
+    inv.type = MsgType::Inv;
+    inv.addr = kAddr;
+    inv.src = data.src;
+    inv.dst = self;
+    inv.requestor = data.src;
+    const std::uint64_t sent = sys.context().net->totalMessages();
+    l1.handleMsg(inv);
+    ASSERT_NE(l1.peek(kAddr), nullptr);  // the landing slot stays
+    EXPECT_FALSE(l1.peek(kAddr)->validData);
+    EXPECT_FALSE(holderBit(l1, self, kAddr));
+    EXPECT_EQ(l1.hierStats.recallsFull, 0u);  // no token to surrender
+    EXPECT_EQ(sys.context().net->totalMessages(), sent);
+
+    // The read still completes, from the owner L1's tokens.
+    sys.context().eventq.runUntil([&]() { return loaded; },
+                                  sys.context().eventq.curTick() +
+                                      ns(100000));
+    EXPECT_TRUE(loaded);
+    EXPECT_EQ(value, 5u);
+    drain(sys);
+    sys.verifyQuiescent();
+}
+
+TEST(HierScenario, ParkedRecallCopyWokenByTokensSurrendersThem)
+{
+    // A full recall parks its copy to an L1 that holds neither tokens
+    // nor data. If tokens land there before that copy's key, the
+    // arrival wakes the copy and it takes them, so the recall
+    // completes without a rebroadcast. Proc 1's load races proc 4's
+    // store: sweep the load's issue delay until the token proc 0's L1
+    // shares with proc 1 lands between the recall broadcast and its
+    // copy to proc 1.
+    constexpr Addr kAddr = 0x5000;
+    unsigned woken = 0;
+    for (Tick delay = 0; delay <= ns(300); delay += ns(1)) {
+        SCOPED_TRACE(testing::Message() << "delay " << delay);
+        System sys(hierCfg());
+        runLoad(sys, 0, kAddr);  // chip 0 M: every token at proc 0's L1
+        drain(sys);
+        const Topology &t = sys.context().topo;
+        const MachineID self = t.l1d(0, 1);
+        const HierL1 &l1 = *sys.controller<HierL1>(0, 1);
+        const HierShim &shim =
+            *sys.controller<HierShim>(0, t.l2BankOf(kAddr));
+
+        unsigned done = 0;
+        auto count = [&done](const MemResult &) { ++done; };
+        sys.sequencer(4).store(kAddr, 9, count);
+        sys.context().eventq.schedule(
+            delay, [&]() { sys.sequencer(1).load(kAddr, count); });
+        bool recalled = false, parked = false;
+        sys.context().eventq.runUntil(
+            [&]() {
+                if (!recalled && shim.stats.recallsFull > 0) {
+                    recalled = true;
+                    parked = !holderBit(l1, self, kAddr);
+                }
+                return done == 2;
+            },
+            sys.context().eventq.curTick() + ns(100000));
+        ASSERT_EQ(done, 2u);
+        drain(sys);
+        sys.verifyQuiescent();
+        EXPECT_EQ(runLoad(sys, 1, kAddr), 9u);
+        if (parked && l1.hierStats.recallsFull > 0 &&
+            shim.stats.recallRebroadcasts == 0)
+            ++woken;
+    }
+    EXPECT_GT(woken, 0u);
+}
+
 TEST(HierScenarioDeathTest, QuiescenceAuditSeesFetchInFlight)
 {
     // A home fetch still in flight must fail the shim's audit.

@@ -535,9 +535,9 @@ TEST(TokenScenario, IgnoredTransientRequestsChangeNothing)
 
 TEST(TokenScenarioDeathTest, QuiescenceAuditNamesAWrongHolderBit)
 {
-    // The holder mask must equal (line and tokens > 0) at every L1
-    // when the system is quiet; one corrupted bit fails the audit,
-    // which names the L1 and the block.
+    // The holder mask must equal (line and (tokens > 0 or valid data))
+    // at every L1 when the system is quiet; one corrupted bit fails
+    // the audit, which names the L1 and the block.
     constexpr Addr kAddr = 0x7000;
     for (bool set_stray : {true, false}) {
         System sys(tokenCfg());
@@ -558,6 +558,46 @@ TEST(TokenScenarioDeathTest, QuiescenceAuditNamesAWrongHolderBit)
                          "clear, but its line holds");
         }
     }
+
+    // A read waiting for a token holds a line with no tokens and no
+    // data; a data-only answer (a 1-token owner's answer to a
+    // persistent read) gives it valid data, which sets its bit.
+    System sys(tokenCfg());
+    runLoad(sys, 0, kAddr);
+    drain(sys);
+    const Topology &t = sys.context().topo;
+    TokenGlobals &g = *sys.tokenGlobals();
+    const MachineID self = t.l1d(0, 1);
+    TokenL1 &l1 = *sys.controller<TokenL1>(0, 1);
+    std::vector<const TokenL1 *> chip;
+    for (const MachineID &id : g.chipL1s(0))
+        chip.push_back(dynamic_cast<const TokenL1 *>(sys.controllerAt(id)));
+    sys.sequencer(1).load(kAddr, [](const MemResult &) {});
+    sys.context().eventq.runUntil([&]() { return l1.outstanding() > 0; },
+                                  sys.context().eventq.curTick() + ns(100));
+    ASSERT_EQ(l1.outstanding(), 1u);
+    TokenL1::auditHolders(chip);
+    g.setHolder(self, kAddr);
+    EXPECT_DEATH(TokenL1::auditHolders(chip),
+                 "holder bit of block 0x7000 at L1D\\[c0\\.1\\] is set, but "
+                 "its line holds 0 tokens and no data");
+    g.clearHolder(self, kAddr);
+
+    Msg data;
+    data.type = MsgType::TokResponse;
+    data.addr = kAddr;
+    data.src = t.l2BankFor(0, kAddr);
+    data.dst = self;
+    data.requestor = self;
+    data.hasData = true;
+    l1.handleMsg(data);
+    ASSERT_EQ(l1.peek(kAddr)->tokens, 0);
+    ASSERT_TRUE(l1.peek(kAddr)->validData);
+    TokenL1::auditHolders(chip);
+    g.clearHolder(self, kAddr);
+    EXPECT_DEATH(TokenL1::auditHolders(chip),
+                 "holder bit of block 0x7000 at L1D\\[c0\\.1\\] is clear, "
+                 "but its line holds 0 tokens and valid data");
 }
 
 TEST(TokenScenario, MixedInstructionAndDataSharing)

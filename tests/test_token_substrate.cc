@@ -255,87 +255,110 @@ TEST(ChaosPolicy, OltpCompletesUnderHostilePolicies)
     }
 }
 
-TEST(ChaosPolicy, HolderMasksTrackEveryL1AfterEveryEvent)
+namespace {
+
+/**
+ * The holder mask decides which fan-out copies are parked, so it must
+ * equal (line and (tokens > 0 or valid data)) at every L1, not only
+ * at quiescence. Step a `config` system one event at a time, with
+ * one-set L1s (4 ways) so lines are evicted, and compare every
+ * block's bits with peek() of every L1 after each event.
+ */
+void
+checkHolderMasksEveryEvent(const char *config, std::uint64_t seed)
 {
-    // The holder mask decides which transient copies are parked, so
-    // it must equal (line and tokens > 0) at every L1, not only at
-    // quiescence. Step a chaos-dst system one event at a time, with
-    // one-set L1s (4 ways) so lines are evicted, and compare every
-    // block's bits with peek() of every L1 after each event.
     constexpr unsigned kBlocks = 24, kOps = 40;
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        SystemConfig cfg = SystemConfig::select("chaos-dst");
-        cfg.seed = seed;
-        cfg.l1Bytes = 4 * blockBytes;
-        System sys(cfg);
-        const Topology &t = sys.context().topo;
-        const TokenGlobals &g = *sys.tokenGlobals();
-        Random rng(seed);
+    SystemConfig cfg = SystemConfig::select(config);
+    cfg.seed = seed;
+    cfg.l1Bytes = 4 * blockBytes;
+    System sys(cfg);
+    const Topology &t = sys.context().topo;
+    auto l1At = [&](const MachineID &id) {
+        return dynamic_cast<const TokenL1 *>(sys.controllerAt(id));
+    };
+    Random rng(seed);
 
-        unsigned done = 0;
-        std::vector<unsigned> issued(t.numProcs(), 0);
-        std::function<void(unsigned)> next = [&](unsigned p) {
-            if (issued[p] == kOps) {
-                ++done;
-                return;
-            }
-            ++issued[p];
-            const Addr a = Addr(rng.uniform(kBlocks)) * blockBytes;
-            auto cb = [&next, p](const MemResult &) { next(p); };
-            switch (rng.uniform(4)) {
-              case 0: sys.sequencer(p).load(a, cb); break;
-              case 1: sys.sequencer(p).store(a, p, cb); break;
-              case 2:
-                sys.sequencer(p).atomic(
-                    a, [](std::uint64_t v) { return v + 1; }, cb);
-                break;
-              default: sys.sequencer(p).ifetch(a, cb); break;
-            }
-        };
-        for (unsigned p = 0; p < t.numProcs(); ++p)
-            next(p);
+    unsigned done = 0;
+    std::vector<unsigned> issued(t.numProcs(), 0);
+    std::function<void(unsigned)> next = [&](unsigned p) {
+        if (issued[p] == kOps) {
+            ++done;
+            return;
+        }
+        ++issued[p];
+        const Addr a = Addr(rng.uniform(kBlocks)) * blockBytes;
+        auto cb = [&next, p](const MemResult &) { next(p); };
+        switch (rng.uniform(4)) {
+          case 0: sys.sequencer(p).load(a, cb); break;
+          case 1: sys.sequencer(p).store(a, p, cb); break;
+          case 2:
+            sys.sequencer(p).atomic(
+                a, [](std::uint64_t v) { return v + 1; }, cb);
+            break;
+          default: sys.sequencer(p).ifetch(a, cb); break;
+        }
+    };
+    for (unsigned p = 0; p < t.numProcs(); ++p)
+        next(p);
 
-        std::uint64_t events = 0, mismatches = 0;
-        auto check = [&]() {
-            ++events;
-            for (unsigned c = 0; c < t.numCmps && mismatches == 0; ++c) {
-                for (const MachineID &id : g.chipL1s(c)) {
-                    const auto *l1 = dynamic_cast<const TokenL1 *>(
-                        sys.controllerAt(id));
-                    for (unsigned b = 0; b < kBlocks; ++b) {
-                        const Addr a = Addr(b) * blockBytes;
-                        const TokenSt *st = l1->peek(a);
-                        const bool held = st != nullptr && st->tokens > 0;
-                        const bool bit =
-                            (g.holderMask(c, a) >> l1SlotOf(t, id)) & 1;
-                        if (bit != held && mismatches++ == 0) {
-                            ADD_FAILURE()
-                                << id.toString() << " block " << a
-                                << " bit " << bit << " held " << held
-                                << " after event " << events;
-                        }
+    std::uint64_t events = 0, mismatches = 0;
+    auto check = [&]() {
+        ++events;
+        for (unsigned c = 0; c < t.numCmps && mismatches == 0; ++c) {
+            const TokenGlobals &g = l1At(t.l1d(c, 0))->globals();
+            for (const MachineID &id : g.chipL1s(c)) {
+                const TokenL1 *l1 = l1At(id);
+                for (unsigned b = 0; b < kBlocks; ++b) {
+                    const Addr a = Addr(b) * blockBytes;
+                    const TokenSt *st = l1->peek(a);
+                    const bool held = st != nullptr && st->holds();
+                    const bool bit =
+                        (g.holderMask(c, a) >> l1SlotOf(t, id)) & 1;
+                    if (bit != held && mismatches++ == 0) {
+                        ADD_FAILURE()
+                            << id.toString() << " block " << a << " bit "
+                            << bit << " held " << held << " after event "
+                            << events;
                     }
                 }
             }
-            return false;
-        };
-        sys.context().eventq.runUntil(check, ns(10000000));
-        EXPECT_EQ(done, t.numProcs());
-        EXPECT_EQ(mismatches, 0u);
-        std::uint64_t writebacks = 0;
-        for (unsigned c = 0; c < t.numCmps; ++c) {
-            for (const MachineID &id : g.chipL1s(c)) {
-                writebacks += dynamic_cast<const TokenL1 *>(
-                                  sys.controllerAt(id))
-                                  ->stats.writebacks;
-            }
         }
-        EXPECT_GT(writebacks, 0u);
-        const Network &net = *sys.context().net;
-        EXPECT_LT(net.deliveryWakeups(), net.totalMessages());
-        if (mismatches == 0)
-            sys.verifyQuiescent(true);
+        return false;
+    };
+    sys.context().eventq.runUntil(check, ns(10000000));
+    EXPECT_EQ(done, t.numProcs());
+    EXPECT_EQ(mismatches, 0u);
+    std::uint64_t writebacks = 0;
+    for (unsigned c = 0; c < t.numCmps; ++c) {
+        for (unsigned p = 0; p < t.procsPerCmp; ++p) {
+            writebacks += l1At(t.l1d(c, p))->stats.writebacks +
+                          l1At(t.l1i(c, p))->stats.writebacks;
+        }
+    }
+    EXPECT_GT(writebacks, 0u);
+    const Network &net = *sys.context().net;
+    EXPECT_LT(net.deliveryWakeups(), net.totalMessages());
+    if (mismatches == 0)
+        sys.verifyQuiescent(true);
+}
+
+} // namespace
+
+TEST(ChaosPolicy, HolderMasksTrackEveryL1AfterEveryEvent)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        checkHolderMasksEveryEvent("chaos-dst", seed);
+    }
+}
+
+TEST(ChaosPolicy, HierHolderMasksTrackEveryL1AfterEveryEvent)
+{
+    // hier parks its recall Inv on the same bits (per-CMP token
+    // spaces, so each CMP's bits live in its own globals).
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        checkHolderMasksEveryEvent("hier", seed);
     }
 }
 

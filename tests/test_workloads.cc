@@ -112,6 +112,34 @@ TEST(WorkloadChecks, LockingCheckerDetectsViolations)
     EXPECT_EQ(wl.violations(), 2u);
 }
 
+TEST(WorkloadChecks, LockingCheckerSlotsCountEachViolationOnceAndReset)
+{
+    LockingParams p;
+    p.numLocks = 4;
+    LockingWorkload wl(p);
+    wl.noteAcquire(0, 1);
+    wl.noteAcquire(0, 2);  // double acquire: one violation
+    EXPECT_EQ(wl.violations(), 1u);
+    wl.noteRelease(0, 2);  // the second acquirer holds the slot now
+    EXPECT_EQ(wl.violations(), 1u);
+    wl.noteRelease(3, 1);  // release by a non-holder: one violation
+    EXPECT_EQ(wl.violations(), 2u);
+    for (unsigned lock = 0; lock < p.numLocks; ++lock)
+        wl.noteAcquire(lock, lock);
+    EXPECT_EQ(wl.violations(), 2u);
+    EXPECT_EQ(wl.totalAcquires(), 6u);
+
+    // reset() frees every slot: each lock can be taken again cleanly.
+    wl.reset();
+    EXPECT_EQ(wl.violations(), 0u);
+    EXPECT_EQ(wl.totalAcquires(), 0u);
+    for (unsigned lock = 0; lock < p.numLocks; ++lock)
+        wl.noteAcquire(lock, 0);
+    for (unsigned lock = 0; lock < p.numLocks; ++lock)
+        wl.noteRelease(lock, 0);
+    EXPECT_EQ(wl.violations(), 0u);
+}
+
 TEST(WorkloadChecks, SeedsPerturbRuntimes)
 {
     SystemConfig c = SystemConfig::select("dst1");
